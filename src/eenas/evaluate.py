@@ -76,8 +76,8 @@ class EvaluationReport:
             raise ReportError("per-exit fields must have equal lengths")
         if not 0 < self.threshold < 1:
             raise ReportError("threshold must lie strictly inside (0, 1)")
-        if any(r < 0 or r > 1 for r in self.exit_ratios):
-            raise ReportError("exit ratios must lie in [0, 1]")
+        if not all(math.isfinite(r) and 0 <= r <= 1 for r in self.exit_ratios):
+            raise ReportError("exit ratios must be finite and lie in [0, 1]")
         if abs(math.fsum(self.exit_ratios) - 1.0) > 1e-9:
             raise ReportError("exit ratios must sum to 1")
         total = sum(self.sample_counts)
@@ -140,8 +140,8 @@ def acc_avg(
     so their undefined accuracy never contributes."""
     if len(accuracies) != len(ratios):
         raise ReportError("need one accuracy per exit ratio")
-    if any(r < 0 for r in ratios):
-        raise ReportError("negative exit ratio")
+    if not all(math.isfinite(r) and r >= 0 for r in ratios):
+        raise ReportError("exit ratios must be finite and nonnegative")
     if abs(math.fsum(ratios) - 1.0) > 1e-9:
         raise ReportError("exit ratios must sum to 1")
     total = 0.0

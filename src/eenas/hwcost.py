@@ -21,11 +21,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .arch import EennArchitecture
+from .arch import (
+    BackboneSpec,
+    EennArchitecture,
+    ExitHeadSpec,
+    ExitPlacement,
+    QuantScheme,
+)
 from .workload import LayerGraph, LayerNode, expand_layers
 
 
@@ -339,6 +346,95 @@ def _input_sources(
     ]
 
 
+@dataclass(frozen=True)
+class _FoldState:
+    """Allocation after a prefix of a graph's nodes: per node its core,
+    start, end, and chosen cost; per core the cycle it is next free; and
+    the cross-core transfers so far. Immutable, so one state can seed the
+    fold of many graphs sharing that prefix."""
+
+    cores: tuple[int, ...]
+    start: tuple[int, ...]
+    end: tuple[int, ...]
+    free: tuple[int, ...]
+    costs: tuple[LayerCost, ...]
+    transfers: tuple[TransferRecord, ...]
+
+    def plan(self) -> AllocationPlan:
+        return AllocationPlan(
+            assignment=self.cores,
+            start=self.start,
+            end=self.end,
+            transfers=self.transfers,
+            makespan=max(self.end, default=0),
+            layer_costs=self.costs,
+        )
+
+
+def _fold(
+    graph: LayerGraph,
+    spec: AcceleratorSpec,
+    assignment: Sequence[int] | None = None,
+    state: _FoldState | None = None,
+    stop: int | None = None,
+) -> _FoldState:
+    """Place and schedule the nodes after ``state`` (all nodes from an empty
+    state) up to ``stop``, one at a time in topological order. A node goes
+    to its core in ``assignment`` or, without one, to the compatible core
+    finishing it earliest (ties to the lowest core id). It starts when that
+    core is free and its producers have finished. A decision reads only the
+    nodes before it, so folding from a state equals folding from empty over
+    the same prefix."""
+    if state is None:
+        state = _FoldState((), (), (), (0,) * spec.n_cores, (), ())
+    cores = list(state.cores)
+    start = list(state.start)
+    end = list(state.end)
+    free = list(state.free)
+    costs = list(state.costs)
+    transfers = list(state.transfers)
+    nodes = graph.nodes
+    for idx in range(len(cores), len(nodes) if stop is None else stop):
+        node = nodes[idx]
+        producers = graph.producers(idx)
+        ready = max((end[p] for p in producers), default=0)
+        inputs = _input_sources(graph, idx, cores)
+        if assignment is None:
+            options = spec.compatible_cores(node.kind)
+        else:
+            options = (assignment[idx],)
+        best = None
+        for core in options:
+            cost = layer_cost(node, core, spec, inputs)
+            finish = max(free[core], ready) + cost.cycles
+            if best is None or finish < best[0]:
+                best = (finish, core, cost)
+        finish, core, cost = best
+        cores.append(core)
+        start.append(finish - cost.cycles)
+        end.append(finish)
+        free[core] = finish
+        costs.append(cost)
+        for p in producers:
+            if cores[p] != core:
+                transfers.append(
+                    TransferRecord(
+                        producer=p,
+                        consumer=idx,
+                        bits=nodes[p].output_bits,
+                        hops=spec.hops(cores[p], core),
+                    )
+                )
+    return _FoldState(
+        cores=tuple(cores),
+        start=tuple(start),
+        end=tuple(end),
+        free=tuple(free),
+        costs=tuple(costs),
+        transfers=tuple(transfers),
+    )
+
+
 def schedule(
     graph: LayerGraph, spec: AcceleratorSpec, assignment: Sequence[int]
 ) -> AllocationPlan:
@@ -346,58 +442,25 @@ def schedule(
     and its producers have finished."""
     if len(assignment) != len(graph.nodes):
         raise CostModelError("assignment length must match the node count")
-    cores = list(assignment)
-    free = [0] * spec.n_cores
-    start = [0] * len(graph.nodes)
-    end = [0] * len(graph.nodes)
-    costs: list[LayerCost] = []
-    transfers: list[TransferRecord] = []
-    for idx, node in enumerate(graph.nodes):
-        core = cores[idx]
-        cost = layer_cost(node, core, spec, _input_sources(graph, idx, cores))
-        ready = max((end[p] for p in graph.producers(idx)), default=0)
-        start[idx] = max(free[core], ready)
-        end[idx] = start[idx] + cost.cycles
-        free[core] = end[idx]
-        costs.append(cost)
-        for p in graph.producers(idx):
-            if cores[p] != core:
-                transfers.append(
-                    TransferRecord(
-                        producer=p,
-                        consumer=idx,
-                        bits=graph.nodes[p].output_bits,
-                        hops=spec.hops(cores[p], core),
-                    )
-                )
-    return AllocationPlan(
-        assignment=tuple(cores),
-        start=tuple(start),
-        end=tuple(end),
-        transfers=tuple(transfers),
-        makespan=max(end, default=0),
-        layer_costs=tuple(costs),
+    return _fold(graph, spec, assignment).plan()
+
+
+@lru_cache(maxsize=16)
+def _backbone_fold(
+    backbone: BackboneSpec, bits: int, spec: AcceleratorSpec
+) -> _FoldState:
+    """Greedy fold state after the backbone nodes, shared by every
+    architecture over ``backbone`` at ``bits``. The final exit is
+    mandatory and its mount follows the last block, so every architecture
+    expands the whole backbone into the same nodes, before any head node;
+    only their exit tags differ, and no cost reads those."""
+    # A 1x1 pooled head divides every activation size, so it always expands.
+    final = ExitPlacement(backbone.final_mount, ExitHeadSpec(pooled_size=1))
+    graph = expand_layers(
+        EennArchitecture(backbone, (final,), QuantScheme(bits, (bits,)))
     )
-
-
-def _greedy_assignment(graph: LayerGraph, spec: AcceleratorSpec) -> list[int]:
-    cores = [-1] * len(graph.nodes)
-    free = [0] * spec.n_cores
-    end = [0] * len(graph.nodes)
-    for idx, node in enumerate(graph.nodes):
-        best_core = -1
-        best_finish = None
-        ready = max((end[p] for p in graph.producers(idx)), default=0)
-        for core in spec.compatible_cores(node.kind):
-            cost = layer_cost(node, core, spec, _input_sources(graph, idx, cores))
-            finish = max(free[core], ready) + cost.cycles
-            if best_finish is None or finish < best_finish:
-                best_finish = finish
-                best_core = core
-        cores[idx] = best_core
-        end[idx] = best_finish
-        free[best_core] = best_finish
-    return cores
+    n = sum(1 for node in graph.nodes if node.owner[0] == "backbone")
+    return _fold(graph, spec, stop=n)
 
 
 def allocate(
@@ -418,15 +481,15 @@ def allocate(
     """
     if not graph.nodes:
         raise CostModelError("cannot allocate an empty graph")
-    greedy = _greedy_assignment(graph, spec)
+    greedy = _fold(graph, spec)
     if mode == "greedy":
-        return schedule(graph, spec, greedy)
+        return greedy.plan()
     if mode != "genetic":
         raise CostModelError(f"unknown allocation mode {mode!r}")
 
     choices = [spec.compatible_cores(n.kind) for n in graph.nodes]
     if all(len(c) == 1 for c in choices):
-        return schedule(graph, spec, greedy)
+        return greedy.plan()
     rng = np.random.default_rng(seed)
 
     def random_assignment() -> list[int]:
@@ -435,7 +498,8 @@ def allocate(
     def fitness(assign: list[int]) -> int:
         return schedule(graph, spec, assign).makespan
 
-    pool = [greedy] + [random_assignment() for _ in range(population - 1)]
+    pool = [list(greedy.cores)]
+    pool += [random_assignment() for _ in range(population - 1)]
     scores = [fitness(a) for a in pool]
     mutation = 1.0 / len(graph.nodes)
     for _ in range(generations):
@@ -460,27 +524,33 @@ def allocate(
     return schedule(graph, spec, pool[best])
 
 
+def _energy_delay(costs: Sequence[LayerCost]) -> float:
+    """(sum of E_k) * (sum of T_k), the energies added in the given order."""
+    return sum([c.energy_pj for c in costs]) * sum([c.cycles for c in costs])
+
+
 def et_subnetwork(
     costs: Sequence[LayerCost], graph: LayerGraph, exit_index: int
 ) -> float:
     """Energy-delay product of everything executed up to ``exit_index``:
     (sum of E_k) * (sum of T_k) over the backbone to its mount plus every
     head through that exit."""
-    needed = graph.nodes_for_exit(exit_index)
-    if len(costs) != len(graph.nodes) or any(costs[i] is None for i in needed):
+    if len(costs) != len(graph.nodes):
         raise CostModelError("per-layer costs missing for the requested exit")
-    energy = sum(costs[i].energy_pj for i in needed)
-    cycles = sum(costs[i].cycles for i in needed)
-    return energy * cycles
+    needed = [costs[i] for i in graph.nodes_for_exit(exit_index)]
+    if None in needed:
+        raise CostModelError("per-layer costs missing for the requested exit")
+    return _energy_delay(needed)
 
 
 def et_avg(et_per_exit: Sequence[float], exit_ratios: Sequence[float]) -> float:
     """Exit-ratio-weighted mean energy-delay product."""
     if len(et_per_exit) != len(exit_ratios):
         raise CostModelError("need one exit ratio per exit")
-    total = math.fsum(exit_ratios)
-    if abs(total - 1.0) > 1e-9 or any(r < 0 for r in exit_ratios):
-        raise CostModelError("exit ratios must be nonnegative and sum to 1")
+    if not all(math.isfinite(r) and r >= 0 for r in exit_ratios):
+        raise CostModelError("exit ratios must be finite and nonnegative")
+    if abs(math.fsum(exit_ratios) - 1.0) > 1e-9:
+        raise CostModelError("exit ratios must sum to 1")
     return math.fsum(e * r for e, r in zip(et_per_exit, exit_ratios))
 
 
@@ -493,13 +563,9 @@ def overhead_ratio(
     m = graph.exit_count
     if not 1 <= exit_index <= m - 1:
         raise CostModelError("overhead is defined for exits 1..m-1")
-    head = graph.head_nodes(exit_index)
-    segment = graph.backbone_segment(exit_index + 1)
-    head_et = sum(costs[i].energy_pj for i in head) * sum(
-        costs[i].cycles for i in head
-    )
-    seg_et = sum(costs[i].energy_pj for i in segment) * sum(
-        costs[i].cycles for i in segment
+    head_et = _energy_delay([costs[i] for i in graph.head_nodes(exit_index)])
+    seg_et = _energy_delay(
+        [costs[i] for i in graph.backbone_segment(exit_index + 1)]
     )
     if seg_et == 0:
         return math.inf
@@ -532,9 +598,15 @@ def cost_report(
 ) -> HwCostReport:
     """Expand, allocate, and aggregate: per-layer costs, per-exit
     energy-delay products, head overheads, and (given exit ratios) the
-    weighted average."""
+    weighted average. Greedy allocation places only the head layers, from
+    the backbone's cached greedy state; the result equals
+    :func:`allocate` on the full graph."""
     graph = expand_layers(arch, num_classes=num_classes)
-    plan = allocate(graph, spec, mode=mode, seed=seed)
+    if mode == "greedy":
+        backbone = _backbone_fold(arch.backbone, arch.quant.backbone_bits, spec)
+        plan = _fold(graph, spec, state=backbone).plan()
+    else:
+        plan = allocate(graph, spec, mode=mode, seed=seed)
     costs = plan.layer_costs
     m = graph.exit_count
     et_values = tuple(et_subnetwork(costs, graph, i) for i in range(1, m + 1))

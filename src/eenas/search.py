@@ -289,7 +289,6 @@ class SearchState:
         self.labeled = LabeledSet()
         self.rejected: dict[str, str] = {}
         self.genes: dict[str, tuple[int, ...]] = {}
-        self.reports: dict[str, EvaluationReport] = {}
         self.s_history: list[frozenset] = []
         self.p_history: list[frozenset] = []
         self.stats: list[dict] = []
@@ -327,9 +326,14 @@ class HistoryLog:
 
 
 def read_history(path: str) -> list[dict]:
+    """Parse a history file. :class:`HistoryLog` ends every committed event
+    with a newline, so a final chunk without one is a write cut short by a
+    crash: it is dropped. Any other unparsable line raises."""
     events = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
+            if not line.endswith("\n"):
+                break  # only the final chunk can lack one
             line = line.strip()
             if line:
                 events.append(json.loads(line))
@@ -600,7 +604,6 @@ def _evaluate_new(
             state.rejected[key] = "evaluation-failed"
             del state.members[key]
             continue
-        state.reports[key] = report
         et_averages[key] = cost.et_average(chrom, report.exit_ratios)
         evaluated.append((key, report))
         log(

@@ -69,34 +69,39 @@ class LayerGraph:
     def producers(self, idx: int) -> tuple[int, ...]:
         return self._producers[idx]
 
-    @property
+    @cached_property
     def exit_count(self) -> int:
         return max(i for kind, i in (n.owner for n in self.nodes) if kind == "exit")
 
+    @cached_property
+    def _by_owner(self) -> dict[tuple[str, int], tuple[int, ...]]:
+        groups: dict[tuple[str, int], list[int]] = {}
+        for i, n in enumerate(self.nodes):
+            groups.setdefault(n.owner, []).append(i)
+        return {owner: tuple(idx) for owner, idx in groups.items()}
+
     def nodes_for_exit(self, exit_index: int) -> tuple[int, ...]:
         """Everything executed before a sample can leave at ``exit_index``:
-        backbone segments up to its mount plus the heads of exits 1..i."""
+        backbone segments up to its mount plus the heads of exits 1..i, in
+        node order."""
         if not 1 <= exit_index <= self.exit_count:
             raise WorkloadError(f"exit index {exit_index} out of range")
         return tuple(
-            i for i, n in enumerate(self.nodes) if n.owner[1] <= exit_index
+            sorted(
+                i
+                for (_, level), idx in self._by_owner.items()
+                if level <= exit_index
+                for i in idx
+            )
         )
 
     def head_nodes(self, exit_index: int) -> tuple[int, ...]:
-        return tuple(
-            i
-            for i, n in enumerate(self.nodes)
-            if n.owner == ("exit", exit_index)
-        )
+        return self._by_owner.get(("exit", exit_index), ())
 
     def backbone_segment(self, exit_index: int) -> tuple[int, ...]:
         """Backbone nodes strictly between mount ``exit_index - 1`` and mount
         ``exit_index``."""
-        return tuple(
-            i
-            for i, n in enumerate(self.nodes)
-            if n.owner == ("backbone", exit_index)
-        )
+        return self._by_owner.get(("backbone", exit_index), ())
 
     @property
     def total_macs(self) -> int:

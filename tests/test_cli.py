@@ -174,6 +174,27 @@ class TestSearchCommand:
             full / "history.jsonl"
         ).read_bytes()
 
+    @pytest.mark.parametrize("keep", ["first byte", "half", "all but newline"])
+    def test_resume_after_torn_last_line(self, tmp_path, search_config, keep, capsys):
+        full = tmp_path / "full"
+        main(["search", "--config", search_config, "--out", str(full)])
+        history = (full / "history.jsonl").read_bytes()
+        last = history.rstrip(b"\n").rfind(b"\n") + 1
+        cut = {
+            "first byte": last + 1,
+            "half": (last + len(history)) // 2,
+            "all but newline": len(history) - 1,
+        }[keep]
+        resumed = tmp_path / "resumed"
+        os.makedirs(resumed)
+        (resumed / "history.jsonl").write_bytes(history[:cut])
+        code = main(
+            ["search", "--config", search_config, "--out", str(resumed), "--resume"]
+        )
+        assert code == EXIT_OK
+        for name in ("history.jsonl", "front.csv", "iterations.csv", "scatter.csv"):
+            assert (resumed / name).read_bytes() == (full / name).read_bytes(), name
+
     def test_bad_config_rejected_before_output(self, tmp_path, capsys):
         config = write_json(tmp_path / "bad.json", {"backbone": "missing.txt"})
         out = tmp_path / "never"

@@ -437,6 +437,18 @@ class TestReportProtocol:
                 threshold=0.9,
             ).validate()
 
+    def test_non_finite_ratios_rejected(self):
+        report = EvaluationReport(
+            accuracy_per_exit=(90.0, 80.0),
+            exit_ratios=(math.nan, math.nan),
+            sample_counts=(5, 5),
+            threshold=0.9,
+        )
+        with pytest.raises(ReportError):
+            report.validate()
+        with pytest.raises(ReportError):
+            acc_avg(report.accuracy_per_exit, report.exit_ratios)
+
     def test_report_from_outcomes_marks_empty_exits(self):
         decisions = np.array([1, 1, 3, 3])
         correct = np.array([True, False, True, True])

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import math
 
@@ -9,11 +11,17 @@ from eenas.arch import (
     ExitHeadSpec,
     ExitPlacement,
     QuantScheme,
+    SpaceConfig,
+    decode,
+    enumerate_space,
+    sample_architecture,
 )
 from eenas.hwcost import (
     AcceleratorSpec,
+    AllocationPlan,
     CostModelError,
     TensorSource,
+    TransferRecord,
     allocate,
     array_utilization,
     cost_report,
@@ -310,6 +318,13 @@ class TestEnergyDelayAggregation:
         with pytest.raises(CostModelError):
             et_avg((1.0, 2.0), (0.5, 0.4))
 
+    @pytest.mark.parametrize(
+        "ratios", [(math.nan, math.nan), (math.inf, 0.0), (1.0, math.nan)]
+    )
+    def test_et_avg_rejects_non_finite_ratios(self, ratios):
+        with pytest.raises(CostModelError):
+            et_avg([1.0, 2.0], ratios)
+
 
 class TestOverheadRatio:
     def test_hand_ratio(self):
@@ -418,3 +433,183 @@ class TestAcceleratorSpec:
         assert accel.core_kind(5) == "simd"
         with pytest.raises(CostModelError):
             accel.core_kind(6)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the greedy allocation and per-exit sums as they were
+# before the shared backbone prefix was cached, one node list scan per exit
+# and sum.
+# ---------------------------------------------------------------------------
+
+#: ``layer_cost`` is pure, so the reference memoizes it: the exhaustive pass
+#: then costs each distinct (layer, core, inputs) once, while the greedy and
+#: schedule loops under comparison stay as they were.
+reference_layer_cost = functools.lru_cache(maxsize=1 << 16)(layer_cost)
+
+
+def reference_sources(graph, idx, cores):
+    producers = graph.producers(idx)
+    if not producers:
+        node = graph.nodes[idx]
+        return (TensorSource(bits=math.prod(node.input_shape) * node.bits, core=None),)
+    return tuple(
+        TensorSource(bits=graph.nodes[p].output_bits, core=cores[p]) for p in producers
+    )
+
+
+def reference_greedy_assignment(graph, spec):
+    cores = [-1] * len(graph.nodes)
+    free = [0] * spec.n_cores
+    end = [0] * len(graph.nodes)
+    for idx, node in enumerate(graph.nodes):
+        best_core = -1
+        best_finish = None
+        ready = max((end[p] for p in graph.producers(idx)), default=0)
+        sources = reference_sources(graph, idx, cores)
+        for core in spec.compatible_cores(node.kind):
+            cost = reference_layer_cost(node, core, spec, sources)
+            finish = max(free[core], ready) + cost.cycles
+            if best_finish is None or finish < best_finish:
+                best_finish = finish
+                best_core = core
+        cores[idx] = best_core
+        end[idx] = best_finish
+        free[best_core] = best_finish
+    return cores
+
+
+def reference_schedule(graph, spec, assignment):
+    cores = list(assignment)
+    free = [0] * spec.n_cores
+    start = [0] * len(graph.nodes)
+    end = [0] * len(graph.nodes)
+    costs = []
+    transfers = []
+    for idx, node in enumerate(graph.nodes):
+        core = cores[idx]
+        cost = reference_layer_cost(
+            node, core, spec, reference_sources(graph, idx, cores)
+        )
+        ready = max((end[p] for p in graph.producers(idx)), default=0)
+        start[idx] = max(free[core], ready)
+        end[idx] = start[idx] + cost.cycles
+        free[core] = end[idx]
+        costs.append(cost)
+        for p in graph.producers(idx):
+            if cores[p] != core:
+                transfers.append(
+                    TransferRecord(
+                        producer=p,
+                        consumer=idx,
+                        bits=graph.nodes[p].output_bits,
+                        hops=spec.hops(cores[p], core),
+                    )
+                )
+    return AllocationPlan(
+        assignment=tuple(cores),
+        start=tuple(start),
+        end=tuple(end),
+        transfers=tuple(transfers),
+        makespan=max(end, default=0),
+        layer_costs=tuple(costs),
+    )
+
+
+def reference_exit_products(graph, costs):
+    """Per-exit energy-delay products and head overheads, each summed over
+    its own scan of the node list."""
+
+    def energy_delay(selects):
+        idx = [i for i, n in enumerate(graph.nodes) if selects(n.owner)]
+        return sum(costs[i].energy_pj for i in idx) * sum(costs[i].cycles for i in idx)
+
+    m = max(i for kind, i in (n.owner for n in graph.nodes) if kind == "exit")
+    et_values = tuple(energy_delay(lambda o: o[1] <= i) for i in range(1, m + 1))
+    overheads = []
+    for i in range(1, m):
+        head = energy_delay(lambda o: o == ("exit", i))
+        segment = energy_delay(lambda o: o == ("backbone", i + 1))
+        overheads.append(math.inf if segment == 0 else head / segment)
+    return et_values, tuple(overheads)
+
+
+def assert_matches_reference(arch, spec, num_classes=10):
+    report = cost_report(arch, spec, num_classes=num_classes)
+    graph = expand_layers(arch, num_classes=num_classes)
+    plan = reference_schedule(graph, spec, reference_greedy_assignment(graph, spec))
+    assert report.graph == graph
+    assert report.plan == plan
+    assert report.layer_costs == plan.layer_costs
+    et_values, overheads = reference_exit_products(graph, plan.layer_costs)
+    assert report.et_per_exit == et_values
+    assert report.overheads == overheads
+    return report
+
+
+#: Non-uniform NoC distances (a line of cores) and a 16 KiB scratchpad, so
+#: transfers cost more than one hop and large layers spill.
+SPILLING_ACCEL = AcceleratorSpec(
+    sram_bytes_per_core=16 * 1024,
+    hop_table=tuple(tuple(abs(i - j) for j in range(6)) for i in range(6)),
+)
+
+
+class TestBackbonePrefixMatchesReference:
+    """The shared-prefix allocation reproduces the full-graph greedy path
+    bit for bit. Each architecture is costed on both backbone bit widths and
+    both accelerators in turn, so consecutive reports never share a prefix
+    key and a leak across keys would show."""
+
+    SPECS = (AcceleratorSpec(), SPILLING_ACCEL)
+
+    def check_space(self, backbone, chromosomes):
+        spaces = [SpaceConfig(backbone=backbone, backbone_bits=b) for b in (8, 4)]
+        spilled = hopped = False
+        for chrom in chromosomes:
+            for space in spaces:
+                arch = decode(chrom, space)
+                for spec in self.SPECS:
+                    report = assert_matches_reference(arch, spec)
+                    spilled |= any(c.spilled for c in report.layer_costs)
+                    hopped |= any(t.hops > 1 for t in report.plan.transfers)
+        assert spilled and hopped
+
+    def test_exhaustive_smallconv(self, smallconv):
+        space = SpaceConfig(backbone=smallconv)
+        self.check_space(smallconv, enumerate_space(space))
+
+    def test_sampled_mobilenet(self, mobilenet):
+        space = SpaceConfig(backbone=mobilenet)
+        rng = np.random.default_rng(20)
+        self.check_space(
+            mobilenet, [sample_architecture(space, rng) for _ in range(200)]
+        )
+
+    def test_genetic_mode_unchanged(self, smallconv):
+        """Genetic allocation still starts from the greedy fold of the whole
+        graph. The digest was recorded before the backbone prefix was
+        cached; ``repr`` prints every float exactly."""
+        space = SpaceConfig(backbone=smallconv)
+        rng = np.random.default_rng(7)
+        digest = hashlib.sha256()
+        for _ in range(4):
+            arch = decode(sample_architecture(space, rng), space)
+            for spec in self.SPECS:
+                report = cost_report(arch, spec, mode="genetic", seed=3)
+                digest.update(repr(report).encode())
+        assert digest.hexdigest() == (
+            "73ed5a7a5ff9061869695de96958ad0fc4e1cd3023da5975058534f4c5eb773a"
+        )
+
+    def test_schedule_matches_reference_on_random_assignments(self, smallconv):
+        rng = np.random.default_rng(5)
+        space = SpaceConfig(backbone=smallconv)
+        for _ in range(50):
+            graph = expand_layers(decode(sample_architecture(space, rng), space))
+            for spec in self.SPECS:
+                assignment = [
+                    int(rng.choice(spec.compatible_cores(n.kind))) for n in graph.nodes
+                ]
+                assert schedule(graph, spec, assignment) == reference_schedule(
+                    graph, spec, assignment
+                )

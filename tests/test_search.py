@@ -497,6 +497,14 @@ class TestRunSearch:
         assert not result.ok
         assert any("overhead" in v for v in result.violations)
 
+    def test_read_history_drops_only_a_torn_final_chunk(self, tmp_path):
+        path = tmp_path / "torn.jsonl"
+        path.write_text('{"k":0}\n{"k":1}\n{"k":2,"ev')
+        assert read_history(str(path)) == [{"k": 0}, {"k": 1}]
+        path.write_text('{"k":0}\n{"k":1,"ev\n{"k":2}\n')
+        with pytest.raises(json.JSONDecodeError):
+            read_history(str(path))
+
     def test_mu_violations_never_labeled(self, small_space, accel, tmp_path):
         _, path = self.run(small_space, accel, tmp_path, name="mu.jsonl")
         events = read_history(str(path))
