@@ -568,11 +568,9 @@ def enumerate_genes(
     ]
     final_options = [(h, q) for h in range(n_heads) for q in range(n_quants)]
     for combo in itertools.product(mount_options, repeat=n_optional):
+        prefix = tuple(itertools.chain.from_iterable(combo))
         for final in final_options:
-            genes: tuple[int, ...] = ()
-            for group in combo:
-                genes += group
-            yield genes + final
+            yield prefix + final
 
 
 def enumerate_space(space: SpaceConfig) -> Iterator[Chromosome]:

@@ -44,7 +44,6 @@ from .evaluate import (
     make_toy_dataset,
 )
 from .hwcost import AcceleratorSpec, CostModelError, cost_report
-from .predict import LabeledRecord
 from .search import (
     CostCache,
     EvaluationFailure,
@@ -58,6 +57,7 @@ from .search import (
     mac_reduction,
     pareto_front,
     read_history,
+    replay_history,
     run_search,
 )
 from .workload import WorkloadError, cumulative_macs, expand_layers
@@ -300,19 +300,6 @@ def cmd_cost(args) -> int:
     return EXIT_OK
 
 
-def _labeled_rows(events):
-    """(k, hash, acc, et, er, accs, counts) for every evaluated event, plus
-    the final labeled hash set."""
-    rows = []
-    final_p: set[str] = set()
-    for ev in events:
-        if ev.get("event") == "evaluated":
-            rows.append(ev)
-        elif ev.get("event") == "iteration-summary":
-            final_p = set(ev["p"])
-    return rows, final_p
-
-
 def cmd_search(args) -> int:
     space, accel, nas, evaluator, kind, cost_mode = _load_run_config(
         args.config, args.seed, args.evaluator
@@ -340,13 +327,8 @@ def cmd_search(args) -> int:
         return EXIT_AUDIT
 
     cost = CostCache(space, accel, mode=cost_mode, seed=nas.seed)
-    events = read_history(history_path)
-    eval_rows, final_p = _labeled_rows(events)
-    genes_of = {
-        ev["hash"]: tuple(ev["genes"])
-        for ev in events
-        if ev.get("event") in ("sampled", "offspring")
-    }
+    history = replay_history(read_history(history_path))
+    final_p = history.labeled
 
     front = state.front()
     front_lines = ["rank,hash,acc_avg,et_avg,n_exits,mounts,exit_bits,backbone_bits"]
@@ -364,7 +346,7 @@ def cmd_search(args) -> int:
     )
 
     iter_lines = ["k,hash,acc_avg,et_avg,labeled"]
-    for ev in eval_rows:
+    for ev in history.evaluated:
         labeled = "yes" if ev["hash"] in final_p else "no"
         iter_lines.append(
             f"{ev['k']},{ev['hash']},{ev['acc_avg']!r},{ev['et_avg']!r},{labeled}"
@@ -374,10 +356,10 @@ def cmd_search(args) -> int:
     )
 
     scatter_lines = ["k,hash,acc_avg,et_reduction"]
-    for ev in eval_rows:
+    for ev in history.evaluated:
         if ev["hash"] not in final_p:
             continue
-        chrom = Chromosome(genes_of[ev["hash"]])
+        chrom = Chromosome(history.genes[ev["hash"]])
         reduction = et_reduction_value(ev["et_avg"], cost.static_et(chrom))
         scatter_lines.append(
             f"{ev['k']},{ev['hash']},{ev['acc_avg']!r},{reduction!r}"
@@ -401,28 +383,13 @@ def cmd_search(args) -> int:
 def cmd_report(args) -> int:
     if not os.path.exists(args.history):
         raise ConfigError(f"history file not found: {args.history}")
-    events = read_history(args.history)
-    if not events or events[0].get("event") != "run-config":
+    history = replay_history(read_history(args.history))
+    if history.header is None:
         raise ConfigError("history lacks a run-config header")
-    space = SpaceConfig.from_json(events[0]["space"])
-    eval_rows, final_p = _labeled_rows(events)
-    if not final_p:
+    space = SpaceConfig.from_json(history.header["space"])
+    if not history.labeled:
         raise ConfigError("history contains no labeled architectures")
-    genes_of = {
-        ev["hash"]: tuple(ev["genes"])
-        for ev in events
-        if ev.get("event") in ("sampled", "offspring")
-    }
-    by_hash = {ev["hash"]: ev for ev in eval_rows}
-    records = [
-        LabeledRecord(
-            genes=genes_of[h],
-            acc_avg=by_hash[h]["acc_avg"],
-            et_avg=by_hash[h]["et_avg"],
-        )
-        for h in sorted(final_p)
-    ]
-    front = pareto_front(records)
+    front = pareto_front(history.labeled_records())
     if args.pick == "best-acc":
         choice = front[0]
     elif args.pick == "best-et":
@@ -443,7 +410,7 @@ def cmd_report(args) -> int:
         static_counterpart(arch), num_classes=space.num_classes
     )
     static_macs = cumulative_macs(static_graph, 1)
-    ratios = by_hash[choice.key]["exit_ratios"]
+    ratios = history.by_hash[choice.key]["exit_ratios"]
     reduction = mac_reduction(ratios, cum, static_macs)
 
     print(f"architecture: {choice.key}")

@@ -61,11 +61,7 @@ class EvaluationReport:
 
     @property
     def acc_avg(self) -> float:
-        return math.fsum(
-            r * a
-            for r, a in zip(self.exit_ratios, self.accuracy_per_exit)
-            if r > 0
-        )
+        return _weighted_accuracy(self.accuracy_per_exit, self.exit_ratios)
 
     def validate(self) -> None:
         if self.m < 1:
@@ -144,14 +140,15 @@ def acc_avg(
         raise ReportError("exit ratios must be finite and nonnegative")
     if abs(math.fsum(ratios) - 1.0) > 1e-9:
         raise ReportError("exit ratios must sum to 1")
-    total = 0.0
-    for acc, ratio in zip(accuracies, ratios):
-        if ratio == 0:
-            continue
-        if acc is None:
-            raise ReportError("exit with nonzero ratio lacks an accuracy")
-        total += ratio * acc
-    return total
+    if any(a is None for a, r in zip(accuracies, ratios) if r > 0):
+        raise ReportError("exit with nonzero ratio lacks an accuracy")
+    return _weighted_accuracy(accuracies, ratios)
+
+
+def _weighted_accuracy(
+    accuracies: Sequence[float | None], ratios: Sequence[float]
+) -> float:
+    return math.fsum(r * a for r, a in zip(ratios, accuracies) if r > 0)
 
 
 def scalarized_loss(

@@ -83,8 +83,10 @@ class NasConfig:
             raise ValueError("last-exit-ratio cap must lie in (0, 1]")
         if self.ranking not in ("lexicographic", "weighted"):
             raise ValueError("ranking must be 'lexicographic' or 'weighted'")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("ranking weights must be positive")
+        if not all(math.isfinite(w) and w > 0 for w in self.weights):
+            raise ValueError("ranking weights must be finite and positive")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValueError("ridge penalty must be finite and nonnegative")
 
     def to_json(self) -> dict:
         return {
@@ -288,7 +290,6 @@ class SearchState:
         self.members: dict[str, tuple[int, ...]] = {}
         self.labeled = LabeledSet()
         self.rejected: dict[str, str] = {}
-        self.genes: dict[str, tuple[int, ...]] = {}
         self.s_history: list[frozenset] = []
         self.p_history: list[frozenset] = []
         self.stats: list[dict] = []
@@ -306,17 +307,13 @@ class HistoryLog:
     identical runs produce identical bytes."""
 
     def __init__(self, path: str | None):
-        self.path = path
-        self.lines: list[str] = []
         self._fh = None
         if path is not None:
             self._fh = open(path, "a", encoding="utf-8")
 
     def append(self, event: dict) -> None:
-        line = _event_line(event)
-        self.lines.append(line)
         if self._fh is not None:
-            self._fh.write(line)
+            self._fh.write(_event_line(event))
             self._fh.flush()
 
     def close(self) -> None:
@@ -338,6 +335,65 @@ def read_history(path: str) -> list[dict]:
             if line:
                 events.append(json.loads(line))
     return events
+
+
+@dataclass
+class HistoryReplay:
+    """What a history records, read in one walk over its events."""
+
+    header: dict | None  # the ``run-config`` event, if the history has one
+    end: int  # number of events read
+    genes: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    evaluated: list[dict] = field(default_factory=list)  # in log order
+    by_hash: dict[str, dict] = field(default_factory=dict)  # last evaluation
+    rejected: dict[str, str] = field(default_factory=dict)  # "mu", "evaluation-failed"
+    summaries: list[dict] = field(default_factory=list)
+
+    @property
+    def labeled(self) -> frozenset[str]:
+        """Hashes labeled at the last summary."""
+        return frozenset(self.summaries[-1]["p"] if self.summaries else ())
+
+    def labeled_records(self) -> list[LabeledRecord]:
+        """The labeled archive at the last summary, in hash order."""
+        return [
+            LabeledRecord(
+                genes=self.genes[h],
+                acc_avg=self.by_hash[h]["acc_avg"],
+                et_avg=self.by_hash[h]["et_avg"],
+            )
+            for h in sorted(self.labeled)
+        ]
+
+
+def replay_history(events: Sequence[dict], complete: bool = False) -> HistoryReplay:
+    """Walk a history's events once. With ``complete``, stop after the last
+    ``iteration-summary`` (or after the header if there is none): later
+    events belong to an interrupted iteration. A hash is taken over the
+    genes, so sampled, bred and θ-filtered genes share one map."""
+    end = len(events)
+    if complete:
+        ends = [
+            i + 1 for i, ev in enumerate(events)
+            if ev.get("event") == "iteration-summary"
+        ]
+        end = ends[-1] if ends else 1
+    has_header = bool(events) and events[0].get("event") == "run-config"
+    history = HistoryReplay(header=events[0] if has_header else None, end=end)
+    for ev in events[:end]:
+        kind = ev.get("event")
+        if kind in ("sampled", "offspring", "filtered-theta"):
+            history.genes[ev["hash"]] = tuple(ev["genes"])
+        elif kind == "evaluated":
+            history.evaluated.append(ev)
+            history.by_hash[ev["hash"]] = ev
+        elif kind == "filtered-mu":
+            history.rejected[ev["hash"]] = "mu"
+        elif kind == "eval-failed":
+            history.rejected[ev["hash"]] = "evaluation-failed"
+        elif kind == "iteration-summary":
+            history.summaries.append(ev)
+    return history
 
 
 def _finite_or_none(value: float) -> float | None:
@@ -773,7 +829,6 @@ def nas_iterate(
     )
     for key, genes in top:
         state.members[key] = genes
-        state.genes[key] = genes
 
     new_records = _evaluate_new(
         state, [key for key, _ in top], space, config, cost, evaluator, log, k
@@ -805,40 +860,18 @@ def _rebuild_state(events: Sequence[dict]) -> tuple[SearchState, int]:
     and the index just past that iteration's summary line. Events after the
     last summary belong to an interrupted iteration and are ignored, so the
     continuation behaves exactly like an uninterrupted run."""
-    cut = 1  # keep at least the header
-    for idx, ev in enumerate(events):
-        if ev.get("event") == "iteration-summary":
-            cut = idx + 1
+    history = replay_history(events, complete=True)
     state = SearchState()
-    eval_info: dict[str, dict] = {}
-    for ev in events[:cut]:
-        kind = ev.get("event")
-        if kind in ("sampled", "offspring"):
-            state.genes[ev["hash"]] = tuple(ev["genes"])
-        elif kind == "evaluated":
-            eval_info[ev["hash"]] = ev
-        elif kind == "filtered-mu":
-            state.rejected[ev["hash"]] = "mu"
-        elif kind == "eval-failed":
-            state.rejected[ev["hash"]] = "evaluation-failed"
-        elif kind == "iteration-summary":
-            state.k = ev["k"]
-            state.members = {h: state.genes[h] for h in ev["s"]}
-            labeled = LabeledSet()
-            for h in ev["p"]:
-                info = eval_info[h]
-                labeled.add(
-                    LabeledRecord(
-                        genes=state.genes[h],
-                        acc_avg=info["acc_avg"],
-                        et_avg=info["et_avg"],
-                    )
-                )
-            state.labeled = labeled
-            state.s_history.append(frozenset(state.members))
-            state.p_history.append(frozenset(state.labeled.keys()))
-            state.stats.append(ev["stats"])
-    return state, cut
+    state.rejected = history.rejected
+    state.s_history = [frozenset(ev["s"]) for ev in history.summaries]
+    state.p_history = [frozenset(ev["p"]) for ev in history.summaries]
+    state.stats = [ev["stats"] for ev in history.summaries]
+    if history.summaries:
+        last = history.summaries[-1]
+        state.k = last["k"]
+        state.members = {h: history.genes[h] for h in last["s"]}
+        state.labeled = LabeledSet(history.labeled_records())
+    return state, history.end
 
 
 def run_search(
@@ -879,7 +912,6 @@ def run_search(
             rng = _rng_for(config.seed, 0)
             accepted = init_population(space, config, cost, rng, log.append)
             state.members.update(accepted)
-            state.genes.update(accepted)
             new_records = _evaluate_new(
                 state, sorted(accepted), space, config, cost, evaluator,
                 log.append, 0,
@@ -917,10 +949,10 @@ def audit_history(
     overhead of every population member ever admitted, re-check every
     labeled member's last-exit ratio, verify the monotone set shapes, and
     confirm no architecture was evaluated twice."""
-    events = read_history(path)
-    if not events or events[0].get("event") != "run-config":
+    history = replay_history(read_history(path))
+    header = history.header
+    if header is None:
         raise SearchError("history lacks a run-config header")
-    header = events[0]
     space = SpaceConfig.from_json(header["space"])
     if accel is None:
         accel = AcceleratorSpec.from_json(header["accelerator"])
@@ -930,29 +962,16 @@ def audit_history(
         seed=nas.seed,
     )
 
-    genes: dict[str, tuple[int, ...]] = {}
-    er_last: dict[str, float] = {}
-    evaluated: list[str] = []
-    summaries: list[dict] = []
-    for ev in events[1:]:
-        kind = ev.get("event")
-        if kind in ("sampled", "offspring", "filtered-theta"):
-            genes[ev["hash"]] = tuple(ev["genes"])
-        elif kind == "evaluated":
-            evaluated.append(ev["hash"])
-            er_last[ev["hash"]] = ev["exit_ratios"][-1]
-        elif kind == "iteration-summary":
-            summaries.append(ev)
-
-    result = AuditResult(ok=True, iterations=len(summaries))
-    if len(set(evaluated)) != len(evaluated):
+    result = AuditResult(ok=True, iterations=len(history.summaries))
+    if len(history.by_hash) != len(history.evaluated):
+        evaluated = [ev["hash"] for ev in history.evaluated]
         dupes = sorted({h for h in evaluated if evaluated.count(h) > 1})
         result.violations.append(f"architectures evaluated twice: {dupes}")
 
     checked_oh: set[str] = set()
     prev_s: set[str] = set()
     prev_p: set[str] = set()
-    for summary in summaries:
+    for summary in history.summaries:
         k = summary["k"]
         s_k = set(summary["s"])
         p_k = set(summary["p"])
@@ -960,23 +979,24 @@ def audit_history(
             result.violations.append(f"population shrank at iteration {k}")
         if not prev_p <= p_k:
             result.violations.append(f"labeled set shrank at iteration {k}")
-        if not p_k <= set(evaluated):
+        if not p_k <= history.by_hash.keys():
             result.violations.append(f"unlabeled hash in P at iteration {k}")
         for h in sorted(s_k):
-            if h not in genes:
+            if h not in history.genes:
                 result.violations.append(f"member {h} has no recorded genes")
                 continue
             if h not in checked_oh:
                 checked_oh.add(h)
-                oh = cost.max_overhead(Chromosome(genes[h]))
+                oh = cost.max_overhead(Chromosome(history.genes[h]))
                 if not oh <= nas.theta:
                     result.violations.append(
                         f"member {h} violates the overhead cap: {oh:.4f}"
                     )
-        for h in sorted(p_k):
-            if h in er_last and not er_last[h] <= nas.mu:
+        for h in sorted(p_k & history.by_hash.keys()):
+            er_last = history.by_hash[h]["exit_ratios"][-1]
+            if not er_last <= nas.mu:
                 result.violations.append(
-                    f"labeled {h} violates the last-exit cap: {er_last[h]:.4f}"
+                    f"labeled {h} violates the last-exit cap: {er_last:.4f}"
                 )
         prev_s, prev_p = s_k, p_k
     result.members_checked = len(checked_oh)

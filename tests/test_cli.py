@@ -195,6 +195,20 @@ class TestSearchCommand:
         for name in ("history.jsonl", "front.csv", "iterations.csv", "scatter.csv"):
             assert (resumed / name).read_bytes() == (full / name).read_bytes(), name
 
+    @pytest.mark.parametrize(
+        "nas",
+        [{"ridge": float("nan")}, {"ridge": -1.0}, {"weights": [float("nan"), 1.0]}],
+    )
+    def test_bad_nas_numbers_rejected_before_output(self, tmp_path, nas, capsys):
+        config = tmp_path / "nas.json"
+        # json writes the NaN literal, which json.load reads back as nan.
+        config.write_text(json.dumps({"backbone": "builtin:smallconv", "nas": nas}))
+        out = tmp_path / "never"
+        code = main(["search", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_rejected_before_output(self, tmp_path, capsys):
         config = write_json(tmp_path / "bad.json", {"backbone": "missing.txt"})
         out = tmp_path / "never"
@@ -323,3 +337,25 @@ class TestReportCommand:
         assert main(
             ["report", "--history", str(tmp_path / "none.jsonl")]
         ) == EXIT_CONFIG
+
+    def test_history_without_header(self, tmp_path, capsys):
+        history = tmp_path / "history.jsonl"
+        history.write_text(
+            '{"event":"iteration-summary","k":0,"p":[],"s":[],"stats":{}}\n'
+        )
+        assert main(["report", "--history", str(history)]) == EXIT_CONFIG
+        assert "history lacks a run-config header" in capsys.readouterr().err
+
+    def test_history_without_labels(self, tmp_path, search_config, capsys):
+        out = tmp_path / "run"
+        main(["search", "--config", search_config, "--out", str(out)])
+        events = [
+            json.loads(line)
+            for line in (out / "history.jsonl").read_text().splitlines()
+        ]
+        events[-1]["p"] = []
+        history = tmp_path / "unlabeled.jsonl"
+        history.write_text("".join(json.dumps(ev) + "\n" for ev in events))
+        capsys.readouterr()
+        assert main(["report", "--history", str(history)]) == EXIT_CONFIG
+        assert "history contains no labeled architectures" in capsys.readouterr().err

@@ -410,7 +410,7 @@ class TestRunSearch:
         assert partial.read_bytes() == full_bytes
 
     def test_rebuild_ignores_events_past_last_summary(self):
-        from eenas.search import _rebuild_state
+        from eenas.search import _rebuild_state, replay_history
 
         genes = list(range(14))
         events = [
@@ -432,7 +432,45 @@ class TestRunSearch:
         assert state.k == 0
         assert set(state.members) == {"aaaa"}
         assert state.rejected == {}
-        assert "bbbb" not in state.genes
+        assert "bbbb" not in replay_history(events, complete=True).genes
+
+    @staticmethod
+    def assert_replays_to(state, path):
+        from eenas.search import _rebuild_state
+
+        events = read_history(str(path))
+        replayed, cut = _rebuild_state(events)
+        assert cut == len(events)
+        assert replayed.k == state.k
+        assert replayed.members == state.members
+        assert replayed.rejected == state.rejected
+        assert replayed.s_history == state.s_history
+        assert replayed.p_history == state.p_history
+        assert replayed.stats == state.stats
+        assert list(replayed.labeled) == list(state.labeled)
+
+    def test_replay_rebuilds_the_run_state(self, small_space, accel, tmp_path):
+        state, path = self.run(small_space, accel, tmp_path, name="replay.jsonl")
+        assert "mu" in state.rejected.values()
+        self.assert_replays_to(state, path)
+
+    def test_replay_rebuilds_state_after_failures(
+        self, small_space, accel, tmp_path
+    ):
+        oracle = OracleEvaluator(seed=0)
+
+        def flaky(chrom, arch):
+            if chromosome_hash(chrom)[0] in "01234":
+                raise EvaluationFailure("simulated failure")
+            return oracle(chrom, arch)
+
+        config = NasConfig(iterations=3, n_select=6, init_population=15, seed=11)
+        path = tmp_path / "flaky-replay.jsonl"
+        state = run_search(
+            small_space, accel, flaky, config, history_path=str(path)
+        )
+        assert "evaluation-failed" in state.rejected.values()
+        self.assert_replays_to(state, path)
 
     def test_resume_requires_matching_config(self, small_space, accel, tmp_path):
         _, path = self.run(small_space, accel, tmp_path, name="c.jsonl")
