@@ -158,10 +158,6 @@ class BackboneSpec:
                 return idx
         raise BackboneError(f"unknown mount label {label!r}")
 
-    def mount_shape(self, label: str) -> tuple[int, int, int]:
-        inst = self.instances[self.mount_position(label)]
-        return (inst.out_size[0], inst.out_size[1], inst.out_channels)
-
     def to_json(self) -> dict:
         return {
             "input_shape": list(self.input_shape),
@@ -283,12 +279,10 @@ UNQUANTIZED_BITS = 32
 
 @dataclass(frozen=True)
 class QuantScheme:
-    """Bit widths for the backbone and each exit, plus per-layer clip values
-    once calibration has assigned them."""
+    """Bit widths for the backbone and each exit."""
 
     backbone_bits: int = 8
     exit_bits: tuple[int, ...] = ()
-    clips: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
         for b in (self.backbone_bits, *self.exit_bits):

@@ -43,7 +43,7 @@ from .evaluate import (
     TrainingConfig,
     make_toy_dataset,
 )
-from .hwcost import AcceleratorSpec, CostModelError, cost_report
+from .hwcost import AcceleratorSpec, CostModelError, cost_report, energy_cycles
 from .search import (
     CostCache,
     EvaluationFailure,
@@ -52,6 +52,7 @@ from .search import (
     OracleEvaluator,
     SearchError,
     ToyEvaluator,
+    atomic_write,
     audit_history,
     et_reduction_value,
     mac_reduction,
@@ -70,13 +71,6 @@ EXIT_AUDIT = 4
 
 class ConfigError(ValueError):
     pass
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _resolve_backbone(ref: str) -> BackboneSpec:
@@ -251,9 +245,9 @@ def cmd_cost(args) -> int:
     rows = ["exit,mount,energy_pj,cycles,et,overhead"]
     print(f"{'exit':>4} {'mount':>6} {'energy_pj':>16} {'cycles':>12} {'et':>20}")
     for i in range(1, arch.m + 1):
-        needed = report.graph.nodes_for_exit(i)
-        energy = sum(report.layer_costs[j].energy_pj for j in needed)
-        cycles = sum(report.layer_costs[j].cycles for j in needed)
+        energy, cycles = energy_cycles(
+            [report.layer_costs[j] for j in report.graph.nodes_for_exit(i)]
+        )
         overhead = (
             f"{report.overheads[i - 1]:.6f}" if i < arch.m else ""
         )
@@ -267,7 +261,7 @@ def cmd_cost(args) -> int:
         )
     rows.append(f"avg,{ratio_source},,,{report.et_avg!r},")
     print(f"avg ({ratio_source} exit ratios): et_avg = {report.et_avg:.6g}")
-    _atomic_write(os.path.join(args.out, "cost.csv"), "\n".join(rows) + "\n")
+    atomic_write(os.path.join(args.out, "cost.csv"), "\n".join(rows) + "\n")
 
     detail = {
         "et_per_exit": list(report.et_per_exit),
@@ -293,7 +287,7 @@ def cmd_cost(args) -> int:
             for j, node in enumerate(report.graph.nodes)
         ],
     }
-    _atomic_write(
+    atomic_write(
         os.path.join(args.out, "cost_report.json"),
         json.dumps(detail, indent=2, sort_keys=True) + "\n",
     )
@@ -341,7 +335,7 @@ def cmd_search(args) -> int:
             f"{rank},{rec.key},{rec.acc_avg!r},{rec.et_avg!r},{arch.m},"
             f"{mounts},{bits},{arch.quant.backbone_bits}"
         )
-    _atomic_write(
+    atomic_write(
         os.path.join(args.out, "front.csv"), "\n".join(front_lines) + "\n"
     )
 
@@ -351,7 +345,7 @@ def cmd_search(args) -> int:
         iter_lines.append(
             f"{ev['k']},{ev['hash']},{ev['acc_avg']!r},{ev['et_avg']!r},{labeled}"
         )
-    _atomic_write(
+    atomic_write(
         os.path.join(args.out, "iterations.csv"), "\n".join(iter_lines) + "\n"
     )
 
@@ -364,7 +358,7 @@ def cmd_search(args) -> int:
         scatter_lines.append(
             f"{ev['k']},{ev['hash']},{ev['acc_avg']!r},{reduction!r}"
         )
-    _atomic_write(
+    atomic_write(
         os.path.join(args.out, "scatter.csv"), "\n".join(scatter_lines) + "\n"
     )
 

@@ -26,14 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .arch import (
-    BackboneSpec,
-    EennArchitecture,
-    ExitHeadSpec,
-    ExitPlacement,
-    QuantScheme,
+from .arch import BackboneSpec, EennArchitecture
+from .workload import (
+    MATRIX_KINDS,
+    LayerGraph,
+    LayerNode,
+    expand_backbone,
+    expand_layers,
 )
-from .workload import LayerGraph, LayerNode, expand_layers
 
 
 class CostModelError(ValueError):
@@ -127,7 +127,7 @@ class AcceleratorSpec:
         return 1
 
     def compatible_cores(self, layer_kind: str) -> tuple[int, ...]:
-        if layer_kind in ("conv", "depthwise-conv", "linear"):
+        if layer_kind in MATRIX_KINDS:
             return tuple(range(self.compute_cores))
         if layer_kind == "pool":
             if not self.pool_core:
@@ -214,7 +214,7 @@ def array_utilization(layer: LayerNode, spec: AcceleratorSpec) -> float:
     rows, input channels to columns; depthwise layers feed a single input
     channel per output, leaving the columns idle. Non-matrix layers use
     their core fully."""
-    if layer.kind not in ("conv", "depthwise-conv", "linear"):
+    if layer.kind not in MATRIX_KINDS:
         return 1.0
     cin, cout = _matrix_dims(layer)
     r = _ceil_div(cout, spec.array_rows)
@@ -223,13 +223,12 @@ def array_utilization(layer: LayerNode, spec: AcceleratorSpec) -> float:
 
 
 def _matrix_dims(layer: LayerNode) -> tuple[int, int]:
-    if layer.kind == "conv":
-        return layer.input_shape[-1], layer.output_shape[-1]
+    """(input, output) channels; a linear layer's shapes are its widths."""
+    if layer.kind not in MATRIX_KINDS:
+        raise CostModelError(f"{layer.kind} has no matrix mapping")
     if layer.kind == "depthwise-conv":
         return 1, layer.output_shape[-1]
-    if layer.kind == "linear":
-        return layer.input_shape[0], layer.output_shape[0]
-    raise CostModelError(f"{layer.kind} has no matrix mapping")
+    return layer.input_shape[-1], layer.output_shape[-1]
 
 
 def layer_cost(
@@ -376,15 +375,14 @@ def _fold(
     spec: AcceleratorSpec,
     assignment: Sequence[int] | None = None,
     state: _FoldState | None = None,
-    stop: int | None = None,
 ) -> _FoldState:
     """Place and schedule the nodes after ``state`` (all nodes from an empty
-    state) up to ``stop``, one at a time in topological order. A node goes
-    to its core in ``assignment`` or, without one, to the compatible core
-    finishing it earliest (ties to the lowest core id). It starts when that
-    core is free and its producers have finished. A decision reads only the
-    nodes before it, so folding from a state equals folding from empty over
-    the same prefix."""
+    state), one at a time in topological order. A node goes to its core in
+    ``assignment`` or, without one, to the compatible core finishing it
+    earliest (ties to the lowest core id). It starts when that core is free
+    and its producers have finished. A decision reads only the nodes before
+    it, so folding from a state equals folding from empty over the same
+    prefix."""
     if state is None:
         state = _FoldState((), (), (), (0,) * spec.n_cores, (), ())
     cores = list(state.cores)
@@ -394,7 +392,7 @@ def _fold(
     costs = list(state.costs)
     transfers = list(state.transfers)
     nodes = graph.nodes
-    for idx in range(len(cores), len(nodes) if stop is None else stop):
+    for idx in range(len(cores), len(nodes)):
         node = nodes[idx]
         producers = graph.producers(idx)
         ready = max((end[p] for p in producers), default=0)
@@ -450,17 +448,10 @@ def _backbone_fold(
     backbone: BackboneSpec, bits: int, spec: AcceleratorSpec
 ) -> _FoldState:
     """Greedy fold state after the backbone nodes, shared by every
-    architecture over ``backbone`` at ``bits``. The final exit is
-    mandatory and its mount follows the last block, so every architecture
-    expands the whole backbone into the same nodes, before any head node;
-    only their exit tags differ, and no cost reads those."""
-    # A 1x1 pooled head divides every activation size, so it always expands.
-    final = ExitPlacement(backbone.final_mount, ExitHeadSpec(pooled_size=1))
-    graph = expand_layers(
-        EennArchitecture(backbone, (final,), QuantScheme(bits, (bits,)))
-    )
-    n = sum(1 for node in graph.nodes if node.owner[0] == "backbone")
-    return _fold(graph, spec, stop=n)
+    architecture over ``backbone`` at ``bits``: each architecture's graph
+    starts with the nodes of :func:`expand_backbone`, and only their owner
+    tags differ, which no cost reads."""
+    return _fold(expand_backbone(backbone, bits), spec)
 
 
 def allocate(
@@ -524,9 +515,14 @@ def allocate(
     return schedule(graph, spec, pool[best])
 
 
+def energy_cycles(costs: Sequence[LayerCost]) -> tuple[float, int]:
+    """(sum of E_k, sum of T_k), the energies added in the given order."""
+    return sum([c.energy_pj for c in costs]), sum([c.cycles for c in costs])
+
+
 def _energy_delay(costs: Sequence[LayerCost]) -> float:
-    """(sum of E_k) * (sum of T_k), the energies added in the given order."""
-    return sum([c.energy_pj for c in costs]) * sum([c.cycles for c in costs])
+    energy, cycles = energy_cycles(costs)
+    return energy * cycles
 
 
 def et_subnetwork(

@@ -52,11 +52,7 @@ class QuantParams:
 
 def scale_factor(clip: float, bits: int) -> float:
     """Grid step c / (2^(b-1) - 1)."""
-    if bits < 2:
-        raise ValueError("bit width must be >= 2")
-    if not clip > 0:
-        raise ValueError("clip must be positive")
-    return clip / (2 ** (bits - 1) - 1)
+    return QuantParams(clip, bits).scale
 
 
 def quantize(value, params: QuantParams):

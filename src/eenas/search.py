@@ -43,7 +43,6 @@ from .evaluate import (
 )
 from .hwcost import AcceleratorSpec, HwCostReport, cost_report, et_avg
 from .predict import LabeledRecord, LabeledSet, Predictor, fit, predict
-from .workload import cumulative_macs
 
 
 class SearchError(RuntimeError):
@@ -169,12 +168,6 @@ class CostCache:
             self._static[key] = report.et_per_exit[-1]
         return self._static[key]
 
-    def cumulative_macs(self, chrom: Chromosome) -> tuple[int, ...]:
-        graph = self.report(chrom).graph
-        return tuple(
-            cumulative_macs(graph, i) for i in range(1, graph.exit_count + 1)
-        )
-
 
 # ---------------------------------------------------------------------------
 # Evaluators
@@ -252,10 +245,7 @@ def et_reduction(report: HwCostReport, static_report: HwCostReport) -> float:
     final head only, everything exiting last)."""
     if report.et_avg is None:
         raise ValueError("report carries no exit-ratio-weighted energy-delay")
-    static_et = static_report.et_per_exit[-1]
-    if static_et == 0:
-        raise ValueError("static baseline has zero energy-delay")
-    return 1.0 - report.et_avg / static_et
+    return et_reduction_value(report.et_avg, static_report.et_per_exit[-1])
 
 
 def et_reduction_value(et_average: float, static_et: float) -> float:
@@ -300,6 +290,24 @@ class SearchState:
 
 def _event_line(event: dict) -> str:
     return json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def atomic_write(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` so that a crash leaves either the old
+    file or the new one: write a temp file no other writer shares, fsync
+    it, then rename it over ``path``. On any error the temp file is
+    removed and ``path`` is untouched."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 class HistoryLog:
@@ -900,9 +908,7 @@ def run_search(
         if not events or events[0] != header:
             raise SearchError("history header does not match this run's config")
         state, cut = _rebuild_state(events)
-        with open(history_path, "w", encoding="utf-8") as fh:
-            for ev in events[:cut]:
-                fh.write(_event_line(ev))
+        atomic_write(history_path, "".join(_event_line(ev) for ev in events[:cut]))
 
     log = HistoryLog(history_path)
     try:

@@ -4,7 +4,9 @@ Turns an architecture into a flat producer/consumer graph of layer nodes with
 resolved tensor shapes, MAC and parameter counts, and precision bits. Each
 node is tagged with the exit it belongs to: backbone nodes carry the index of
 the first exit at or after them, head nodes carry their exit's index. The
-cost engine and MAC accounting work purely on this graph.
+cost engine and MAC accounting work purely on this graph. The backbone part
+is expanded once per (backbone, bits) by ``expand_backbone`` and shared by
+every architecture over it.
 
 Bottleneck blocks expand to the inverted-residual sequence (1x1 expansion,
 kxk depthwise at the expanded width, 1x1 projection, residual add when the
@@ -13,13 +15,13 @@ stride is 1 and channel counts match).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, cached_property
+from functools import cached_property, lru_cache, partial
 
 from .arch import BackboneSpec, EennArchitecture
 
 MATRIX_KINDS = ("conv", "depthwise-conv", "linear")
-DATAFLOW_KINDS = ("pool", "elementwise-add", "softmax")
 
 
 class WorkloadError(ValueError):
@@ -129,83 +131,60 @@ def validate_graph(graph: LayerGraph) -> None:
                 )
 
 
-def _conv_out(size: int, kernel: int, padding: int, stride: int) -> int:
-    return (size + 2 * padding - kernel) // stride + 1
+def _add_node(
+    nodes: list[LayerNode],
+    edges: list[tuple[int, int]],
+    node: LayerNode,
+    *producers: int,
+) -> int:
+    nodes.append(node)
+    idx = len(nodes) - 1
+    for p in producers:
+        edges.append((p, idx))
+    return idx
 
 
-def expand_layers(arch: EennArchitecture, num_classes: int = 10) -> LayerGraph:
-    """Expand an architecture into its layer graph.
+@lru_cache(maxsize=64)
+def expand_backbone(backbone: BackboneSpec, bits: int) -> LayerGraph:
+    """Expand the backbone alone into its layer nodes.
 
     Convolution MACs are Kh*Kw*Cin*Cout*Hout*Wout (depthwise drops the Cin
-    factor), linear MACs are in*out; pooling, residual adds and softmax move
-    data but contribute zero MACs. Deterministic: equal architectures yield
-    identical graphs, node order included.
+    factor); residual adds contribute zero MACs. A node is owned by
+    ("backbone", j), j being the 1-based index of the first mount label at
+    or after its block, so the last node of group j produces the activation
+    at mount j. Every architecture over ``backbone`` starts with exactly
+    these nodes and edges; only their owner tags differ.
     """
-    backbone = arch.backbone
-    instances = backbone.instances
     k = backbone.kernel
     t = backbone.expansion
-
-    mount_pos = {}
-    for idx, inst in enumerate(instances):
-        if inst.mount is not None:
-            mount_pos[inst.mount] = idx
-    exit_positions = []
-    for placement in arch.exits:
-        if placement.mount not in mount_pos:
-            raise WorkloadError(f"mount label {placement.mount!r} not in backbone")
-        exit_positions.append(mount_pos[placement.mount])
-
-    # Exit segment of each block instance: first exit at or after it.
-    segment_of = {}
-    for pos in range(len(instances)):
-        for i, mount in enumerate(exit_positions, start=1):
-            if mount >= pos:
-                segment_of[pos] = i
-                break
-        else:
-            segment_of[pos] = None  # past the last mount; unreachable layers
-
     nodes: list[LayerNode] = []
     edges: list[tuple[int, int]] = []
-    bits_bb = arch.quant.backbone_bits
-
-    def add_node(node: LayerNode, *producers: int) -> int:
-        nodes.append(node)
-        idx = len(nodes) - 1
-        for p in producers:
-            edges.append((p, idx))
-        return idx
-
+    add = partial(_add_node, nodes, edges)
+    group = 1
     last = -1  # index of the node producing the current trunk activation
-    producer_at: list[int] = []  # trunk producer index after each instance
-    for pos, inst in enumerate(instances):
-        seg = segment_of[pos]
-        if seg is None:
-            break  # layers past the final exit are never executed
-        owner = ("backbone", seg)
+    for pos, inst in enumerate(backbone.instances):
+        owner = ("backbone", group)
         h, w = inst.in_size
         ho, wo = inst.out_size
         cin, cout = inst.in_channels, inst.out_channels
+        block_in = () if last < 0 else (last,)
         if inst.kind == "conv2d":
-            macs = k * k * cin * cout * ho * wo
-            last = add_node(
+            last = add(
                 LayerNode(
                     name=f"b{pos}.conv",
                     kind="conv",
                     input_shape=(h, w, cin),
                     output_shape=(ho, wo, cout),
-                    macs=macs,
+                    macs=k * k * cin * cout * ho * wo,
                     params=k * k * cin * cout + cout,
-                    bits=bits_bb,
+                    bits=bits,
                     owner=owner,
                 ),
-                *([last] if last >= 0 else []),
+                *block_in,
             )
         else:
             hidden = cin * t
-            block_in = last
-            expand = add_node(
+            expand = add(
                 LayerNode(
                     name=f"b{pos}.expand",
                     kind="conv",
@@ -213,12 +192,12 @@ def expand_layers(arch: EennArchitecture, num_classes: int = 10) -> LayerGraph:
                     output_shape=(h, w, hidden),
                     macs=cin * hidden * h * w,
                     params=cin * hidden + hidden,
-                    bits=bits_bb,
+                    bits=bits,
                     owner=owner,
                 ),
-                *([block_in] if block_in >= 0 else []),
+                *block_in,
             )
-            dw = add_node(
+            dw = add(
                 LayerNode(
                     name=f"b{pos}.dw",
                     kind="depthwise-conv",
@@ -226,12 +205,12 @@ def expand_layers(arch: EennArchitecture, num_classes: int = 10) -> LayerGraph:
                     output_shape=(ho, wo, hidden),
                     macs=k * k * hidden * ho * wo,
                     params=k * k * hidden + hidden,
-                    bits=bits_bb,
+                    bits=bits,
                     owner=owner,
                 ),
                 expand,
             )
-            project = add_node(
+            last = add(
                 LayerNode(
                     name=f"b{pos}.project",
                     kind="conv",
@@ -239,13 +218,13 @@ def expand_layers(arch: EennArchitecture, num_classes: int = 10) -> LayerGraph:
                     output_shape=(ho, wo, cout),
                     macs=hidden * cout * ho * wo,
                     params=hidden * cout + cout,
-                    bits=bits_bb,
+                    bits=bits,
                     owner=owner,
                 ),
                 dw,
             )
-            if inst.stride == 1 and cin == cout and block_in >= 0:
-                last = add_node(
+            if inst.stride == 1 and cin == cout and block_in:
+                last = add(
                     LayerNode(
                         name=f"b{pos}.add",
                         kind="elementwise-add",
@@ -253,31 +232,55 @@ def expand_layers(arch: EennArchitecture, num_classes: int = 10) -> LayerGraph:
                         output_shape=(ho, wo, cout),
                         macs=0,
                         params=0,
-                        bits=bits_bb,
+                        bits=bits,
                         owner=owner,
                     ),
-                    block_in,
-                    project,
+                    *block_in,
+                    last,
                 )
-            else:
-                last = project
-        producer_at.append(last)
+        if inst.mount is not None:
+            group += 1
+    return LayerGraph(nodes=tuple(nodes), edges=tuple(edges))
+
+
+def expand_layers(arch: EennArchitecture, num_classes: int = 10) -> LayerGraph:
+    """Expand an architecture into its layer graph: the nodes of
+    :func:`expand_backbone`, each retagged with the first exit at or after
+    it, then every exit's head. Linear MACs are in*out; pooling and softmax
+    move data but contribute zero MACs. Deterministic: equal architectures
+    yield identical graphs, node order included.
+    """
+    base = expand_backbone(arch.backbone, arch.quant.backbone_bits)
+    group_of = {label: j for j, label in enumerate(arch.backbone.mount_labels, 1)}
+    # EennArchitecture keeps exits on known mounts in depth order, the last
+    # one at the final mount, so every group has an exit at or after it.
+    exit_groups = [group_of[placement.mount] for placement in arch.exits]
+    owners = [
+        ("backbone", bisect_left(exit_groups, j) + 1) for j in group_of.values()
+    ]
+    nodes = [
+        LayerNode(
+            n.name, n.kind, n.input_shape, n.output_shape, n.macs, n.params,
+            n.bits, owners[n.owner[1] - 1],
+        )
+        for n in base.nodes
+    ]
+    edges = list(base.edges)
+    add = partial(_add_node, nodes, edges)
 
     for i, placement in enumerate(arch.exits, start=1):
         head = placement.head
         bits = arch.quant.exit_bits[i - 1]
         owner = ("exit", i)
-        pos = exit_positions[i - 1]
-        src = producer_at[pos]
-        h, w = instances[pos].out_size
-        ch = instances[pos].out_channels
+        src = base.backbone_segment(exit_groups[i - 1])[-1]
+        h, w, ch = base.nodes[src].output_shape
         g = head.pooled_size
         if h < g or w < g or h % g or w % g:
             raise WorkloadError(
                 f"cannot pool {h}x{w} activation to {g}x{g} at mount "
                 f"{placement.mount!r}"
             )
-        pool = add_node(
+        pool = add(
             LayerNode(
                 name=f"x{i}.pool",
                 kind="pool",
@@ -292,7 +295,7 @@ def expand_layers(arch: EennArchitecture, num_classes: int = 10) -> LayerGraph:
         )
         feats = g * g * ch
         if head.depth == 2:
-            fc1 = add_node(
+            fc1 = add(
                 LayerNode(
                     name=f"x{i}.fc1",
                     kind="linear",
@@ -309,7 +312,7 @@ def expand_layers(arch: EennArchitecture, num_classes: int = 10) -> LayerGraph:
             prev = fc1
         else:
             prev = pool
-        fc = add_node(
+        fc = add(
             LayerNode(
                 name=f"x{i}.fc",
                 kind="linear",
@@ -322,7 +325,7 @@ def expand_layers(arch: EennArchitecture, num_classes: int = 10) -> LayerGraph:
             ),
             prev,
         )
-        add_node(
+        add(
             LayerNode(
                 name=f"x{i}.softmax",
                 kind="softmax",
@@ -342,31 +345,19 @@ def expand_layers(arch: EennArchitecture, num_classes: int = 10) -> LayerGraph:
 def cumulative_macs(graph: LayerGraph, exit_index: int) -> int:
     """MACs executed before a sample can leave at ``exit_index``: the
     backbone up to its mount plus every earlier head (those always run)."""
-    if not 1 <= exit_index <= graph.exit_count:
-        raise WorkloadError(f"exit index {exit_index} out of range")
-    return sum(n.macs for n in graph.nodes if n.owner[1] <= exit_index)
+    return sum(graph.nodes[i].macs for i in graph.nodes_for_exit(exit_index))
 
 
 @lru_cache(maxsize=64)
 def backbone_mount_macs(backbone: BackboneSpec) -> tuple[tuple[str, int], ...]:
-    """Cumulative backbone-only MACs at each mount label, in mount order."""
-    k = backbone.kernel
-    t = backbone.expansion
+    """Cumulative backbone-only MACs at each mount label, in mount order.
+    Bit width does not change MACs."""
+    graph = expand_backbone(backbone, 8)
     running = 0
     out = []
-    for inst in backbone.instances:
-        h, w = inst.in_size
-        ho, wo = inst.out_size
-        cin, cout = inst.in_channels, inst.out_channels
-        if inst.kind == "conv2d":
-            running += k * k * cin * cout * ho * wo
-        else:
-            hidden = cin * t
-            running += cin * hidden * h * w
-            running += k * k * hidden * ho * wo
-            running += hidden * cout * ho * wo
-        if inst.mount is not None:
-            out.append((inst.mount, running))
+    for j, label in enumerate(backbone.mount_labels, start=1):
+        running += sum(graph.nodes[i].macs for i in graph.backbone_segment(j))
+        out.append((label, running))
     return tuple(out)
 
 

@@ -174,6 +174,34 @@ class TestSearchCommand:
             full / "history.jsonl"
         ).read_bytes()
 
+    def test_resume_keeps_history_when_rewrite_fails(
+        self, tmp_path, search_config, monkeypatch, capsys
+    ):
+        full = tmp_path / "full"
+        main(["search", "--config", search_config, "--out", str(full)])
+        lines = (full / "history.jsonl").read_text().splitlines(keepends=True)
+        summaries = [
+            i for i, l in enumerate(lines) if '"event":"iteration-summary"' in l
+        ]
+        cut = "".join(lines[: summaries[0] + 2]).encode()
+        resumed = tmp_path / "resumed"
+        os.makedirs(resumed)
+        (resumed / "history.jsonl").write_bytes(cut)
+        argv = ["search", "--config", search_config, "--out", str(resumed), "--resume"]
+
+        def crash(src, dst):
+            raise OSError("crash during rename")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", crash)
+            with pytest.raises(OSError, match="crash during rename"):
+                main(argv)
+        assert (resumed / "history.jsonl").read_bytes() == cut
+        assert os.listdir(resumed) == ["history.jsonl"]
+        assert main(argv) == EXIT_OK
+        for name in ("history.jsonl", "front.csv", "iterations.csv", "scatter.csv"):
+            assert (resumed / name).read_bytes() == (full / name).read_bytes(), name
+
     @pytest.mark.parametrize("keep", ["first byte", "half", "all but newline"])
     def test_resume_after_torn_last_line(self, tmp_path, search_config, keep, capsys):
         full = tmp_path / "full"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,9 @@ class TestScaleFactor:
             scale_factor(0.0, 8)
         with pytest.raises(ValueError):
             scale_factor(1.0, 1)
+        for clip in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                scale_factor(clip, 8)
 
     def test_params_expose_exact_scale(self):
         p = QuantParams(clip=6.0, bits=8)

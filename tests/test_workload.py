@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,9 @@ from eenas.arch import (
     ExitHeadSpec,
     ExitPlacement,
     QuantScheme,
+    SpaceConfig,
     decode,
+    enumerate_space,
     sample_architecture,
 )
 from eenas.workload import (
@@ -16,7 +21,9 @@ from eenas.workload import (
     LayerNode,
     WorkloadError,
     backbone_mac_fractions,
+    backbone_mount_macs,
     cumulative_macs,
+    expand_backbone,
     expand_layers,
     validate_graph,
 )
@@ -214,3 +221,57 @@ class TestCumulativeMacs:
             cumulative_macs(graph, 0)
         with pytest.raises(WorkloadError):
             cumulative_macs(graph, 2)
+
+
+class TestSharedBackbone:
+    def test_every_graph_starts_with_the_backbone_expansion(self, small_space):
+        base = expand_backbone(small_space.backbone, small_space.backbone_bits)
+        n = len(base.nodes)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            arch = decode(sample_architecture(small_space, rng), small_space)
+            graph = expand_layers(arch)
+            untagged = [
+                replace(g, owner=b.owner) for b, g in zip(base.nodes, graph.nodes)
+            ]
+            assert untagged == list(base.nodes)
+            assert graph.edges[: len(base.edges)] == base.edges
+            assert all(e[1] >= n for e in graph.edges[len(base.edges):])
+            assert all(g.owner[0] == "exit" for g in graph.nodes[n:])
+
+    def test_groups_end_at_their_mounts(self, mobilenet):
+        base = expand_backbone(mobilenet, 8)
+        for j, label in enumerate(mobilenet.mount_labels, start=1):
+            inst = mobilenet.instances[mobilenet.mount_position(label)]
+            last = base.nodes[base.backbone_segment(j)[-1]]
+            assert last.output_shape == (*inst.out_size, inst.out_channels)
+            assert last.name.startswith(f"b{mobilenet.mount_position(label)}.")
+
+    def test_expansion_unchanged(self, smallconv, mobilenet):
+        """Pins the layer graphs and the mount MACs; the digest was recorded
+        before the backbone expansion was shared. ``repr`` prints every
+        field, owner tags included."""
+        heads = (
+            ExitHeadSpec(depth=1),
+            ExitHeadSpec(depth=2),
+            ExitHeadSpec(pooled_size=1, depth=2, hidden_width=64),
+        )
+        digest = hashlib.sha256()
+        for bits in (8, 4):
+            space = SpaceConfig(
+                backbone=smallconv, head_options=heads, backbone_bits=bits,
+                num_classes=7,
+            )
+            for chrom in enumerate_space(space):
+                graph = expand_layers(decode(chrom, space), num_classes=7)
+                digest.update(repr(graph).encode())
+        space = SpaceConfig(backbone=mobilenet)
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            arch = decode(sample_architecture(space, rng), space)
+            digest.update(repr(expand_layers(arch)).encode())
+        for backbone in (smallconv, mobilenet):
+            digest.update(repr(backbone_mount_macs(backbone)).encode())
+        assert digest.hexdigest() == (
+            "eeb8b66e76659e4b1c7b9a8f894b1d90e321f74adda834107aab973b4579582d"
+        )
