@@ -135,7 +135,7 @@ class BackboneSpec:
                 h, w, cin = ho, wo, block.channels
         return tuple(out)
 
-    @property
+    @cached_property
     def mount_labels(self) -> tuple[str, ...]:
         return tuple(m for b in self.blocks for m in b.mounts)
 

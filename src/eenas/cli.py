@@ -43,6 +43,7 @@ from .evaluate import (
     TrainingConfig,
     make_toy_dataset,
 )
+from .files import atomic_write, load_json
 from .hwcost import AcceleratorSpec, CostModelError, cost_report, energy_cycles
 from .search import (
     CostCache,
@@ -52,7 +53,6 @@ from .search import (
     OracleEvaluator,
     SearchError,
     ToyEvaluator,
-    atomic_write,
     audit_history,
     et_reduction_value,
     mac_reduction,
@@ -109,11 +109,7 @@ def _space_from_dict(backbone: BackboneSpec, data: dict) -> SpaceConfig:
 def _load_run_config(path: str, seed_override: int | None, evaluator_override):
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    data = load_json(path, ConfigError, "config")
     seed = int(data.get("seed", 0)) if seed_override is None else seed_override
     backbone = _resolve_backbone(data.get("backbone", "builtin:mobilenetv2_cifar"))
     accel = _resolve_accelerator(data.get("accelerator", "default"))
@@ -169,11 +165,7 @@ def _build_evaluator(data: dict, seed: int):
 def _load_architecture(path: str, backbone: BackboneSpec):
     if not os.path.exists(path):
         raise ConfigError(f"architecture file not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"architecture is not valid JSON: {exc}") from exc
+    data = load_json(path, ConfigError, "architecture")
     try:
         exits = tuple(
             ExitPlacement(

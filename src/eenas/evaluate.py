@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .arch import EennArchitecture
+from .files import atomic_write, load_json
 from .quant import (
     QuantParams,
     calibrate_clip,
@@ -193,6 +194,16 @@ def report_from_outcomes(
 # Toy quantization-aware trainer
 # ---------------------------------------------------------------------------
 
+def _check_finite(config) -> None:
+    """Reject a non-finite float in any field of a config dataclass,
+    elements of tuple fields included."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        values = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ValueError(f"{f.name} must be finite")
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     epochs: int = 100
@@ -208,6 +219,7 @@ class TrainingConfig:
     holdout_fraction: float = 0.2
 
     def __post_init__(self):
+        _check_finite(self)
         if self.epochs < 1 or self.batch_size < 1 or self.hidden_width < 1:
             raise ValueError("epochs, batch size and width must be >= 1")
         if not 0 < self.threshold < 1:
@@ -579,6 +591,7 @@ class OracleConfig:
     threshold: float = 0.9
 
     def __post_init__(self):
+        _check_finite(self)
         if not 0 <= self.floor_accuracy <= self.top_accuracy <= 100:
             raise ValueError("accuracy bounds must satisfy 0 <= floor <= top <= 100")
         if not 0 < self.easy_mass < 1:
@@ -695,9 +708,7 @@ def save_external_report(
         "exit_ratios": list(report.exit_ratios),
         "sample_counts": list(report.sample_counts),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_external_report(
@@ -706,11 +717,7 @@ def load_external_report(
     """Load and validate an external report; returns (architecture hash,
     report). Schema violations, invariant violations, and hash mismatches
     all raise :class:`ReportError`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ReportError(f"not valid JSON: {exc}") from exc
+    data = load_json(path, ReportError, "report")
     if not isinstance(data, dict) or set(data) != _REPORT_KEYS:
         raise ReportError(
             f"report must contain exactly the keys {sorted(_REPORT_KEYS)}"

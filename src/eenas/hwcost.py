@@ -22,15 +22,17 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .arch import BackboneSpec, EennArchitecture
+from .files import atomic_write, load_json
 from .workload import (
     MATRIX_KINDS,
     LayerGraph,
     LayerNode,
+    attach_heads,
     expand_backbone,
     expand_layers,
 )
@@ -174,17 +176,15 @@ class AcceleratorSpec:
 
     @classmethod
     def load(cls, path: str) -> "AcceleratorSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(load_json(path, CostModelError, "accelerator"))
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        atomic_write(
+            path, json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+        )
 
 
-@dataclass(frozen=True)
-class TensorSource:
+class TensorSource(NamedTuple):
     """Where one of a layer's input tensors lives: a producing core, or
     off-chip when ``core`` is None."""
 
@@ -309,8 +309,19 @@ def layer_cost(
     )
 
 
-@dataclass(frozen=True)
-class TransferRecord:
+#: Entries the layer-cost memo keeps per accelerator before it starts over.
+_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=16)
+def _layer_cost_memo(spec: AcceleratorSpec) -> dict[tuple, LayerCost]:
+    """:func:`layer_cost` results on ``spec`` so far, keyed on the layer's
+    content (every field but its name and owner, which no cost reads), its
+    input sources and its core."""
+    return {}
+
+
+class TransferRecord(NamedTuple):
     producer: int
     consumer: int
     bits: int
@@ -331,18 +342,18 @@ class AllocationPlan:
 
 def _input_sources(
     graph: LayerGraph, idx: int, cores: Sequence[int]
-) -> list[TensorSource]:
+) -> tuple[TensorSource, ...]:
     producers = graph.producers(idx)
     if not producers:
         node = graph.nodes[idx]
         elems = 1
         for d in node.input_shape:
             elems *= d
-        return [TensorSource(bits=elems * node.bits, core=None)]
-    return [
+        return (TensorSource(bits=elems * node.bits, core=None),)
+    return tuple(
         TensorSource(bits=graph.nodes[p].output_bits, core=cores[p])
         for p in producers
-    ]
+    )
 
 
 @dataclass(frozen=True)
@@ -392,18 +403,29 @@ def _fold(
     costs = list(state.costs)
     transfers = list(state.transfers)
     nodes = graph.nodes
+    memo = _layer_cost_memo(spec)
     for idx in range(len(cores), len(nodes)):
         node = nodes[idx]
         producers = graph.producers(idx)
         ready = max((end[p] for p in producers), default=0)
         inputs = _input_sources(graph, idx, cores)
+        key = (
+            node.kind, node.input_shape, node.output_shape, node.macs,
+            node.params, node.bits, inputs,
+        )
         if assignment is None:
             options = spec.compatible_cores(node.kind)
         else:
             options = (assignment[idx],)
         best = None
         for core in options:
-            cost = layer_cost(node, core, spec, inputs)
+            cost = memo.get((key, core))
+            if cost is None:
+                if len(memo) >= _MEMO_SIZE:
+                    memo.clear()
+                # Looked up in this module on every miss, so a wrapper
+                # bound here sees each cost that is computed.
+                cost = memo[key, core] = layer_cost(node, core, spec, inputs)
             finish = max(free[core], ready) + cost.cycles
             if best is None or finish < best[0]:
                 best = (finish, core, cost)
@@ -443,15 +465,36 @@ def schedule(
     return _fold(graph, spec, assignment).plan()
 
 
+@dataclass(frozen=True)
+class _BackboneFold:
+    """Greedy fold state after the backbone nodes; each node's energy and
+    cycles, in node order; and per mount, the count of nodes up to it."""
+
+    state: _FoldState
+    energies: tuple[float, ...]
+    cycles: tuple[int, ...]
+    ends: tuple[int, ...]
+
+
 @lru_cache(maxsize=16)
 def _backbone_fold(
     backbone: BackboneSpec, bits: int, spec: AcceleratorSpec
-) -> _FoldState:
-    """Greedy fold state after the backbone nodes, shared by every
-    architecture over ``backbone`` at ``bits``: each architecture's graph
-    starts with the nodes of :func:`expand_backbone`, and only their owner
-    tags differ, which no cost reads."""
-    return _fold(expand_backbone(backbone, bits), spec)
+) -> _BackboneFold:
+    """The greedy backbone fold shared by every architecture over
+    ``backbone`` at ``bits``: each architecture's graph starts with the
+    nodes of :func:`expand_backbone`, and only their owner tags differ,
+    which no cost reads."""
+    base = expand_backbone(backbone, bits)
+    state = _fold(base, spec)
+    return _BackboneFold(
+        state=state,
+        energies=tuple(c.energy_pj for c in state.costs),
+        cycles=tuple(c.cycles for c in state.costs),
+        ends=tuple(
+            base.backbone_segment(j)[-1] + 1
+            for j in range(1, len(backbone.mount_labels) + 1)
+        ),
+    )
 
 
 def allocate(
@@ -539,6 +582,10 @@ def et_subnetwork(
     return _energy_delay(needed)
 
 
+def _ratio(head_et: float, segment_et: float) -> float:
+    return math.inf if segment_et == 0 else head_et / segment_et
+
+
 def et_avg(et_per_exit: Sequence[float], exit_ratios: Sequence[float]) -> float:
     """Exit-ratio-weighted mean energy-delay product."""
     if len(et_per_exit) != len(exit_ratios):
@@ -563,9 +610,50 @@ def overhead_ratio(
     seg_et = _energy_delay(
         [costs[i] for i in graph.backbone_segment(exit_index + 1)]
     )
-    if seg_et == 0:
-        return math.inf
-    return head_et / seg_et
+    return _ratio(head_et, seg_et)
+
+
+def exit_costs(
+    arch: EennArchitecture, spec: AcceleratorSpec, num_classes: int = 10
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``(et_per_exit, overheads)`` under greedy allocation, equal to those
+    of :func:`cost_report`, with no retagged graph: only the head nodes are
+    placed, from the backbone's cached greedy state. Exit i runs the
+    backbone nodes up to its mount, then the heads of exits 1..i, in node
+    order; each sum is the builtin ``sum`` over the cached backbone terms
+    concatenated with the head terms, the same values in the same order as
+    over those nodes of the full graph, so it is exact under any
+    summation algorithm."""
+    backbone = _backbone_fold(arch.backbone, arch.quant.backbone_bits, spec)
+    graph, exit_groups = attach_heads(arch, num_classes)
+    state = _fold(graph, spec, state=backbone.state)
+    energies, cycles = backbone.energies, backbone.cycles
+    n = len(energies)
+    heads: list[tuple[list[float], list[int]]] = [([], []) for _ in exit_groups]
+    for node, cost in zip(graph.nodes[n:], state.costs[n:]):
+        head_e, head_t = heads[node.owner[1] - 1]
+        head_e.append(cost.energy_pj)
+        head_t.append(cost.cycles)
+    ends = [backbone.ends[g - 1] for g in exit_groups]
+    et_values: list[float] = []
+    overheads: list[float] = []
+    run_e: list[float] = []
+    run_t: list[int] = []
+    for i, (end, (head_e, head_t)) in enumerate(zip(ends, heads)):
+        run_e += head_e
+        run_t += head_t
+        et_values.append(
+            sum([*energies[:end], *run_e]) * sum([*cycles[:end], *run_t])
+        )
+        if i + 1 < len(ends):
+            seg = slice(end, ends[i + 1])
+            overheads.append(
+                _ratio(
+                    sum(head_e) * sum(head_t),
+                    sum(energies[seg]) * sum(cycles[seg]),
+                )
+            )
+    return tuple(et_values), tuple(overheads)
 
 
 @dataclass(frozen=True)
@@ -596,21 +684,22 @@ def cost_report(
     energy-delay products, head overheads, and (given exit ratios) the
     weighted average. Greedy allocation places only the head layers, from
     the backbone's cached greedy state; the result equals
-    :func:`allocate` on the full graph."""
+    :func:`allocate` on the full graph, and the per-exit numbers come from
+    :func:`exit_costs`."""
     graph = expand_layers(arch, num_classes=num_classes)
     if mode == "greedy":
         backbone = _backbone_fold(arch.backbone, arch.quant.backbone_bits, spec)
-        plan = _fold(graph, spec, state=backbone).plan()
+        plan = _fold(graph, spec, state=backbone.state).plan()
+        et_values, overheads = exit_costs(arch, spec, num_classes)
     else:
         plan = allocate(graph, spec, mode=mode, seed=seed)
-    costs = plan.layer_costs
-    m = graph.exit_count
-    et_values = tuple(et_subnetwork(costs, graph, i) for i in range(1, m + 1))
-    overheads = tuple(overhead_ratio(costs, graph, i) for i in range(1, m))
+        costs, m = plan.layer_costs, graph.exit_count
+        et_values = tuple(et_subnetwork(costs, graph, i) for i in range(1, m + 1))
+        overheads = tuple(overhead_ratio(costs, graph, i) for i in range(1, m))
     avg = et_avg(et_values, exit_ratios) if exit_ratios is not None else None
     return HwCostReport(
         graph=graph,
-        layer_costs=costs,
+        layer_costs=plan.layer_costs,
         et_per_exit=et_values,
         et_avg=avg,
         overheads=overheads,

@@ -41,7 +41,14 @@ from .evaluate import (
     synthetic_oracle,
     train_toy,
 )
-from .hwcost import AcceleratorSpec, HwCostReport, cost_report, et_avg
+from .files import atomic_write
+from .hwcost import (
+    AcceleratorSpec,
+    HwCostReport,
+    cost_report,
+    et_avg,
+    exit_costs,
+)
 from .predict import LabeledRecord, LabeledSet, Predictor, fit, predict
 
 
@@ -117,7 +124,9 @@ class NasConfig:
 
 
 class CostCache:
-    """Memoized hardware-cost queries for one (space, accelerator) pair."""
+    """Memoized hardware-cost queries for one (space, accelerator) pair.
+    Per architecture it keeps only the per-exit energy-delay products and
+    the head overheads, the two things the search reads."""
 
     def __init__(
         self,
@@ -130,27 +139,35 @@ class CostCache:
         self.accel = accel
         self.mode = mode
         self.seed = seed
-        self._reports: dict[str, HwCostReport] = {}
+        self._costs: dict[str, tuple[tuple[float, ...], tuple[float, ...]]] = {}
         self._static: dict[tuple[int, int], float] = {}
 
-    def report(self, chrom: Chromosome) -> HwCostReport:
+    def _compute(self, arch) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        if self.mode == "greedy":
+            return exit_costs(arch, self.accel, num_classes=self.space.num_classes)
+        report = cost_report(
+            arch,
+            self.accel,
+            mode=self.mode,
+            num_classes=self.space.num_classes,
+            seed=self.seed,
+        )
+        return report.et_per_exit, report.overheads
+
+    def _lookup(
+        self, chrom: Chromosome
+    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """``(et_per_exit, overheads)`` of the chromosome's architecture."""
         key = chromosome_hash(chrom)
-        if key not in self._reports:
-            arch = decode(chrom, self.space)
-            self._reports[key] = cost_report(
-                arch,
-                self.accel,
-                mode=self.mode,
-                num_classes=self.space.num_classes,
-                seed=self.seed,
-            )
-        return self._reports[key]
+        if key not in self._costs:
+            self._costs[key] = self._compute(decode(chrom, self.space))
+        return self._costs[key]
 
     def max_overhead(self, chrom: Chromosome) -> float:
-        return self.report(chrom).max_overhead
+        return max(self._lookup(chrom)[1], default=0.0)
 
     def et_average(self, chrom: Chromosome, exit_ratios: Sequence[float]) -> float:
-        return et_avg(self.report(chrom).et_per_exit, exit_ratios)
+        return et_avg(self._lookup(chrom)[0], exit_ratios)
 
     def static_et(self, chrom: Chromosome) -> float:
         """Energy-delay of the backbone with only this chromosome's final
@@ -158,14 +175,7 @@ class CostCache:
         key = (chrom.genes[-2], chrom.genes[-1])
         if key not in self._static:
             arch = static_counterpart(decode(chrom, self.space))
-            report = cost_report(
-                arch,
-                self.accel,
-                mode=self.mode,
-                num_classes=self.space.num_classes,
-                seed=self.seed,
-            )
-            self._static[key] = report.et_per_exit[-1]
+            self._static[key] = self._compute(arch)[0][-1]
         return self._static[key]
 
 
@@ -290,24 +300,6 @@ class SearchState:
 
 def _event_line(event: dict) -> str:
     return json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def atomic_write(path: str, text: str) -> None:
-    """Replace ``path`` with ``text`` so that a crash leaves either the old
-    file or the new one: write a temp file no other writer shares, fsync
-    it, then rename it over ``path``. On any error the temp file is
-    removed and ``path`` is untouched."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
-    try:
-        with fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
 
 
 class HistoryLog:

@@ -6,7 +6,8 @@ node is tagged with the exit it belongs to: backbone nodes carry the index of
 the first exit at or after them, head nodes carry their exit's index. The
 cost engine and MAC accounting work purely on this graph. The backbone part
 is expanded once per (backbone, bits) by ``expand_backbone`` and shared by
-every architecture over it.
+every architecture over it; ``attach_heads`` appends an architecture's
+heads to it without retagging, which is all a cost needs.
 
 Bottleneck blocks expand to the inverted-residual sequence (1x1 expansion,
 kxk depthwise at the expanded width, 1x1 projection, residual add when the
@@ -243,28 +244,17 @@ def expand_backbone(backbone: BackboneSpec, bits: int) -> LayerGraph:
     return LayerGraph(nodes=tuple(nodes), edges=tuple(edges))
 
 
-def expand_layers(arch: EennArchitecture, num_classes: int = 10) -> LayerGraph:
-    """Expand an architecture into its layer graph: the nodes of
-    :func:`expand_backbone`, each retagged with the first exit at or after
-    it, then every exit's head. Linear MACs are in*out; pooling and softmax
-    move data but contribute zero MACs. Deterministic: equal architectures
-    yield identical graphs, node order included.
-    """
+def attach_heads(
+    arch: EennArchitecture, num_classes: int = 10
+) -> tuple[LayerGraph, tuple[int, ...]]:
+    """The nodes and edges of :func:`expand_backbone`, still owned by
+    their groups, followed by every exit's head, and per exit the group it
+    is mounted on. Linear MACs are in*out; pooling and softmax move data
+    but contribute zero MACs."""
     base = expand_backbone(arch.backbone, arch.quant.backbone_bits)
     group_of = {label: j for j, label in enumerate(arch.backbone.mount_labels, 1)}
-    # EennArchitecture keeps exits on known mounts in depth order, the last
-    # one at the final mount, so every group has an exit at or after it.
-    exit_groups = [group_of[placement.mount] for placement in arch.exits]
-    owners = [
-        ("backbone", bisect_left(exit_groups, j) + 1) for j in group_of.values()
-    ]
-    nodes = [
-        LayerNode(
-            n.name, n.kind, n.input_shape, n.output_shape, n.macs, n.params,
-            n.bits, owners[n.owner[1] - 1],
-        )
-        for n in base.nodes
-    ]
+    exit_groups = tuple(group_of[placement.mount] for placement in arch.exits)
+    nodes = list(base.nodes)
     edges = list(base.edges)
     add = partial(_add_node, nodes, edges)
 
@@ -339,7 +329,32 @@ def expand_layers(arch: EennArchitecture, num_classes: int = 10) -> LayerGraph:
             fc,
         )
 
-    return LayerGraph(nodes=tuple(nodes), edges=tuple(edges))
+    return LayerGraph(nodes=tuple(nodes), edges=tuple(edges)), exit_groups
+
+
+def expand_layers(arch: EennArchitecture, num_classes: int = 10) -> LayerGraph:
+    """Expand an architecture into its layer graph: :func:`attach_heads`,
+    with each backbone node retagged with the first exit at or after it.
+    Deterministic: equal architectures yield identical graphs, node order
+    included.
+    """
+    graph, exit_groups = attach_heads(arch, num_classes)
+    # EennArchitecture keeps exits on known mounts in depth order, the last
+    # one at the final mount, so every group has an exit at or after it.
+    owners = [
+        ("backbone", bisect_left(exit_groups, j) + 1)
+        for j in range(1, len(arch.backbone.mount_labels) + 1)
+    ]
+    nodes = tuple(
+        LayerNode(
+            n.name, n.kind, n.input_shape, n.output_shape, n.macs, n.params,
+            n.bits, owners[n.owner[1] - 1],
+        )
+        if n.owner[0] == "backbone"
+        else n
+        for n in graph.nodes
+    )
+    return LayerGraph(nodes=nodes, edges=graph.edges)
 
 
 def cumulative_macs(graph: LayerGraph, exit_index: int) -> int:

@@ -237,6 +237,48 @@ class TestSearchCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "evaluator",
+        [
+            {"kind": "oracle", "mac_exponent": float("nan")},
+            {"kind": "toy", "training": {"learning_rate": float("nan")}},
+        ],
+    )
+    def test_non_finite_evaluator_literal_rejected_before_output(
+        self, tmp_path, evaluator, capsys
+    ):
+        config = tmp_path / "ev.json"
+        config.write_text(
+            json.dumps({"backbone": "builtin:smallconv", "evaluator": evaluator})
+        )
+        out = tmp_path / "never"
+        code = main(["search", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "NaN: numbers must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "evaluator, field",
+        [
+            ('{"kind": "oracle", "mac_exponent": 1e999}', "mac_exponent"),
+            ('{"kind": "toy", "training": {"learning_rate": 1e999}}', "learning_rate"),
+        ],
+    )
+    def test_overflowing_evaluator_number_rejected_before_output(
+        self, tmp_path, evaluator, field, capsys
+    ):
+        # 1e999 is valid JSON that parses to inf, so it passes the loader
+        # and must be caught by the evaluator's config.
+        config = tmp_path / "ev.json"
+        config.write_text(
+            f'{{"backbone": "builtin:smallconv", "evaluator": {evaluator}}}'
+        )
+        out = tmp_path / "never"
+        code = main(["search", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_rejected_before_output(self, tmp_path, capsys):
         config = write_json(tmp_path / "bad.json", {"backbone": "missing.txt"})
         out = tmp_path / "never"

@@ -306,8 +306,29 @@ class TestToyTrainer:
         with pytest.raises(ValueError):
             train_toy(arch, (X, y), config)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", float("nan")),
+            ("momentum", float("inf")),
+            ("weight_decay", float("-inf")),
+            ("loss_weights", (1.0, float("nan"))),
+        ],
+    )
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainingConfig(**{field: value})
+
 
 class TestSyntheticOracle:
+    @pytest.mark.parametrize(
+        "field", ["mac_exponent", "bits_penalty", "depth_gain", "jitter"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            OracleConfig(**{field: value})
+
     def test_deterministic(self, small_space):
         rng = np.random.default_rng(6)
         for _ in range(5):
