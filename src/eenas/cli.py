@@ -306,14 +306,15 @@ def cmd_search(args) -> int:
         evaluator_kind=kind,
     )
 
-    audit = audit_history(history_path)
+    events = read_history(history_path)
+    audit = audit_history(events)
     if not audit.ok:
         for violation in audit.violations:
             print(f"audit violation: {violation}", file=sys.stderr)
         return EXIT_AUDIT
 
     cost = CostCache(space, accel, mode=cost_mode, seed=nas.seed)
-    history = replay_history(read_history(history_path))
+    history = replay_history(events)
     final_p = history.labeled
 
     front = state.front()

@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 import hashlib
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -612,6 +614,39 @@ def _hash_unit(*parts) -> float:
     return int.from_bytes(digest[:8], "big") / 2**63 - 1.0
 
 
+@lru_cache(maxsize=16)
+def _difficulty_grid(config: OracleConfig) -> tuple[float, ...]:
+    """The ``config.grid`` sample difficulties, ascending: the easy
+    quantiles over [0, easy_max], then the hard ones over [hard_min, 1]."""
+    grid = config.grid
+    n_easy = min(max(round(grid * config.easy_mass), 1), grid - 1)
+    return tuple(
+        [config.easy_max * (j + 0.5) / n_easy for j in range(n_easy)]
+        + [
+            config.hard_min
+            + (1.0 - config.hard_min) * (j + 0.5) / (grid - n_easy)
+            for j in range(grid - n_easy)
+        ]
+    )
+
+
+@lru_cache(maxsize=4096)
+def _accuracy_sum(
+    config: OracleConfig, quality: float, supervision: float, lo: int, hi: int
+) -> float:
+    """Sum of the accuracies of grid samples ``lo..hi-1`` at an exit of
+    ``quality``, added one sample at a time in grid order."""
+    span = config.top_accuracy - config.floor_accuracy
+    power = 1.0 / (0.35 + config.hardness_gain * quality)
+    total = 0.0
+    for d in _difficulty_grid(config)[lo:hi]:
+        ease = (1.0 - d) ** power
+        total += min(
+            max(config.floor_accuracy + span * ease + supervision, 0.0), 100.0
+        )
+    return total
+
+
 def synthetic_oracle(
     arch: EennArchitecture,
     config: OracleConfig = OracleConfig(),
@@ -640,42 +675,28 @@ def synthetic_oracle(
         capability.append(min(max(q * wiggle, 0.02), 0.98))
 
     m = arch.m
-    grid = config.grid
-    n_easy = min(max(round(grid * config.easy_mass), 1), grid - 1)
-    difficulty = [
-        config.easy_max * (j + 0.5) / n_easy for j in range(n_easy)
-    ] + [
-        config.hard_min
-        + (1.0 - config.hard_min) * (j + 0.5) / (grid - n_easy)
-        for j in range(grid - n_easy)
-    ]
-    decisions = []
-    for d in difficulty:
-        exit_at = m
-        for i in range(m - 1):
-            if capability[i] >= d:
-                exit_at = i + 1
-                break
-        decisions.append(exit_at)
-
-    span = config.top_accuracy - config.floor_accuracy
+    grid = _difficulty_grid(config)
     supervision = config.exit_count_gain * (m - 1)
-    counts = [0] * m
-    acc_sums = [0.0] * m
-    for d, dec in zip(difficulty, decisions):
-        counts[dec - 1] += 1
-        ease = (1.0 - d) ** (
-            1.0 / (0.35 + config.hardness_gain * quality[dec - 1])
+    counts = []
+    accs: list[float | None] = []
+    lo = 0
+    reach = -math.inf  # the most capable of the exits so far
+    for i in range(m):
+        if i < m - 1:
+            reach = max(reach, capability[i])
+            hi = bisect_right(grid, reach, lo)
+        else:
+            hi = len(grid)
+        counts.append(hi - lo)
+        accs.append(
+            _accuracy_sum(config, quality[i], supervision, lo, hi) / (hi - lo)
+            if hi > lo
+            else None
         )
-        acc_sums[dec - 1] += min(
-            max(config.floor_accuracy + span * ease + supervision, 0.0), 100.0
-        )
-    accs: list[float | None] = [
-        (acc_sums[i] / counts[i]) if counts[i] else None for i in range(m)
-    ]
+        lo = hi
     report = EvaluationReport(
         accuracy_per_exit=tuple(accs),
-        exit_ratios=tuple(c / grid for c in counts),
+        exit_ratios=tuple(c / config.grid for c in counts),
         sample_counts=tuple(counts),
         threshold=config.threshold,
     )

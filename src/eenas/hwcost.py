@@ -32,9 +32,9 @@ from .workload import (
     MATRIX_KINDS,
     LayerGraph,
     LayerNode,
-    attach_heads,
     expand_backbone,
     expand_layers,
+    head_templates,
 )
 
 
@@ -309,23 +309,19 @@ def layer_cost(
     )
 
 
-#: Entries the layer-cost memo keeps per accelerator before it starts over.
+#: Keys the layer-cost memo keeps per accelerator before it starts over.
 _MEMO_SIZE = 4096
+
+_CostOptions = tuple[tuple[int, LayerCost], ...]
 
 
 @lru_cache(maxsize=16)
-def _layer_cost_memo(spec: AcceleratorSpec) -> dict[tuple, LayerCost]:
-    """:func:`layer_cost` results on ``spec`` so far, keyed on the layer's
-    content (every field but its name and owner, which no cost reads), its
-    input sources and its core."""
+def _layer_cost_memo(spec: AcceleratorSpec) -> dict[tuple, _CostOptions]:
+    """:func:`layer_cost` results on ``spec`` so far: keyed once on the
+    layer's content (every field but its name and owner, which no cost
+    reads) and its input sources, the ``(core, cost)`` of every compatible
+    core."""
     return {}
-
-
-class TransferRecord(NamedTuple):
-    producer: int
-    consumer: int
-    bits: int
-    hops: int
 
 
 @dataclass(frozen=True)
@@ -335,7 +331,6 @@ class AllocationPlan:
     assignment: tuple[int, ...]
     start: tuple[int, ...]
     end: tuple[int, ...]
-    transfers: tuple[TransferRecord, ...]
     makespan: int
     layer_costs: tuple[LayerCost, ...]
 
@@ -356,26 +351,65 @@ def _input_sources(
     )
 
 
+def _place(
+    memo: dict[tuple, _CostOptions],
+    spec: AcceleratorSpec,
+    node: LayerNode,
+    inputs: tuple[TensorSource, ...],
+    ready: int,
+    free: list[int],
+    assigned: int | None = None,
+) -> tuple[int, int, LayerCost]:
+    """One placement decision: put ``node`` on core ``assigned`` or, without
+    one, on the compatible core finishing it earliest (ties to the lowest
+    core id), starting once that core is free and ``ready`` has passed.
+    Marks the core busy until then; returns ``(finish, core, cost)``."""
+    key = (
+        node.kind, node.input_shape, node.output_shape, node.macs,
+        node.params, node.bits, inputs,
+    )
+    options = memo.get(key)
+    if options is None:
+        if len(memo) >= _MEMO_SIZE:
+            memo.clear()
+        # Looked up in this module on every miss, so a wrapper bound here
+        # sees each cost that is computed.
+        options = memo[key] = tuple(
+            (core, layer_cost(node, core, spec, inputs))
+            for core in spec.compatible_cores(node.kind)
+        )
+    best = None
+    for core, cost in options:
+        if assigned is not None and core != assigned:
+            continue
+        finish = max(free[core], ready) + cost.cycles
+        if best is None or finish < best[0]:
+            best = (finish, core, cost)
+    if best is None:
+        # An incompatible assigned core: layer_cost raises, naming it.
+        layer_cost(node, assigned, spec, inputs)
+    free[best[1]] = best[0]
+    return best
+
+
 @dataclass(frozen=True)
 class _FoldState:
     """Allocation after a prefix of a graph's nodes: per node its core,
-    start, end, and chosen cost; per core the cycle it is next free; and
-    the cross-core transfers so far. Immutable, so one state can seed the
-    fold of many graphs sharing that prefix."""
+    start, end, and chosen cost; and per core the cycle it is next free.
+    Immutable, so one state can seed the fold of many graphs sharing that
+    prefix."""
 
     cores: tuple[int, ...]
     start: tuple[int, ...]
     end: tuple[int, ...]
     free: tuple[int, ...]
     costs: tuple[LayerCost, ...]
-    transfers: tuple[TransferRecord, ...]
 
     def plan(self) -> AllocationPlan:
         return AllocationPlan(
             assignment=self.cores,
             start=self.start,
             end=self.end,
-            transfers=self.transfers,
             makespan=max(self.end, default=0),
             layer_costs=self.costs,
         )
@@ -388,70 +422,39 @@ def _fold(
     state: _FoldState | None = None,
 ) -> _FoldState:
     """Place and schedule the nodes after ``state`` (all nodes from an empty
-    state), one at a time in topological order. A node goes to its core in
-    ``assignment`` or, without one, to the compatible core finishing it
-    earliest (ties to the lowest core id). It starts when that core is free
-    and its producers have finished. A decision reads only the nodes before
-    it, so folding from a state equals folding from empty over the same
-    prefix."""
+    state), one :func:`_place` at a time in topological order. A node
+    starts when its core is free and its producers have finished. A
+    decision reads only the nodes before it, so folding from a state
+    equals folding from empty over the same prefix."""
     if state is None:
-        state = _FoldState((), (), (), (0,) * spec.n_cores, (), ())
+        state = _FoldState((), (), (), (0,) * spec.n_cores, ())
     cores = list(state.cores)
     start = list(state.start)
     end = list(state.end)
     free = list(state.free)
     costs = list(state.costs)
-    transfers = list(state.transfers)
-    nodes = graph.nodes
     memo = _layer_cost_memo(spec)
-    for idx in range(len(cores), len(nodes)):
-        node = nodes[idx]
-        producers = graph.producers(idx)
-        ready = max((end[p] for p in producers), default=0)
-        inputs = _input_sources(graph, idx, cores)
-        key = (
-            node.kind, node.input_shape, node.output_shape, node.macs,
-            node.params, node.bits, inputs,
+    for idx in range(len(cores), len(graph.nodes)):
+        ready = max((end[p] for p in graph.producers(idx)), default=0)
+        finish, core, cost = _place(
+            memo,
+            spec,
+            graph.nodes[idx],
+            _input_sources(graph, idx, cores),
+            ready,
+            free,
+            None if assignment is None else assignment[idx],
         )
-        if assignment is None:
-            options = spec.compatible_cores(node.kind)
-        else:
-            options = (assignment[idx],)
-        best = None
-        for core in options:
-            cost = memo.get((key, core))
-            if cost is None:
-                if len(memo) >= _MEMO_SIZE:
-                    memo.clear()
-                # Looked up in this module on every miss, so a wrapper
-                # bound here sees each cost that is computed.
-                cost = memo[key, core] = layer_cost(node, core, spec, inputs)
-            finish = max(free[core], ready) + cost.cycles
-            if best is None or finish < best[0]:
-                best = (finish, core, cost)
-        finish, core, cost = best
         cores.append(core)
         start.append(finish - cost.cycles)
         end.append(finish)
-        free[core] = finish
         costs.append(cost)
-        for p in producers:
-            if cores[p] != core:
-                transfers.append(
-                    TransferRecord(
-                        producer=p,
-                        consumer=idx,
-                        bits=nodes[p].output_bits,
-                        hops=spec.hops(cores[p], core),
-                    )
-                )
     return _FoldState(
         cores=tuple(cores),
         start=tuple(start),
         end=tuple(end),
         free=tuple(free),
         costs=tuple(costs),
-        transfers=tuple(transfers),
     )
 
 
@@ -617,36 +620,43 @@ def exit_costs(
     arch: EennArchitecture, spec: AcceleratorSpec, num_classes: int = 10
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """``(et_per_exit, overheads)`` under greedy allocation, equal to those
-    of :func:`cost_report`, with no retagged graph: only the head nodes are
-    placed, from the backbone's cached greedy state. Exit i runs the
-    backbone nodes up to its mount, then the heads of exits 1..i, in node
-    order; each sum is the builtin ``sum`` over the cached backbone terms
-    concatenated with the head terms, the same values in the same order as
-    over those nodes of the full graph, so it is exact under any
+    of :func:`cost_report`, with no layer graph: the cached
+    :func:`head_templates` nodes are placed straight onto the backbone's
+    cached greedy state, exit by exit, each node after its producer. Exit i
+    runs the backbone nodes up to its mount, then the heads of exits 1..i,
+    in node order; each sum is the builtin ``sum`` over the cached backbone
+    terms concatenated with the head terms, the same values in the same
+    order as over those nodes of the full graph, so it is exact under any
     summation algorithm."""
     backbone = _backbone_fold(arch.backbone, arch.quant.backbone_bits, spec)
-    graph, exit_groups = attach_heads(arch, num_classes)
-    state = _fold(graph, spec, state=backbone.state)
+    memo = _layer_cost_memo(spec)
+    cores, finish = backbone.state.cores, backbone.state.end
+    free = list(backbone.state.free)
     energies, cycles = backbone.energies, backbone.cycles
-    n = len(energies)
-    heads: list[tuple[list[float], list[int]]] = [([], []) for _ in exit_groups]
-    for node, cost in zip(graph.nodes[n:], state.costs[n:]):
-        head_e, head_t = heads[node.owner[1] - 1]
-        head_e.append(cost.energy_pj)
-        head_t.append(cost.cycles)
-    ends = [backbone.ends[g - 1] for g in exit_groups]
+    templates = head_templates(arch, num_classes)
+    ends = [backbone.ends[t.group - 1] for t in templates]
     et_values: list[float] = []
     overheads: list[float] = []
     run_e: list[float] = []
     run_t: list[int] = []
-    for i, (end, (head_e, head_t)) in enumerate(zip(ends, heads)):
+    for i, template in enumerate(templates):
+        core, ready = cores[template.src], finish[template.src]
+        head_e: list[float] = []
+        head_t: list[int] = []
+        for node, bits in zip(template.nodes, template.in_bits):
+            ready, core, cost = _place(
+                memo, spec, node, (TensorSource(bits, core),), ready, free
+            )
+            head_e.append(cost.energy_pj)
+            head_t.append(cost.cycles)
         run_e += head_e
         run_t += head_t
+        stop = ends[i]
         et_values.append(
-            sum([*energies[:end], *run_e]) * sum([*cycles[:end], *run_t])
+            sum([*energies[:stop], *run_e]) * sum([*cycles[:stop], *run_t])
         )
         if i + 1 < len(ends):
-            seg = slice(end, ends[i + 1])
+            seg = slice(stop, ends[i + 1])
             overheads.append(
                 _ratio(
                     sum(head_e) * sum(head_t),

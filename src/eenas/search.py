@@ -939,15 +939,18 @@ class AuditResult:
 
 
 def audit_history(
-    path: str,
+    history: str | os.PathLike | Sequence[dict],
     accel: AcceleratorSpec | None = None,
     cost_mode: str | None = None,
 ) -> AuditResult:
-    """Re-derive every constraint from a persisted history: recompute the
-    overhead of every population member ever admitted, re-check every
-    labeled member's last-exit ratio, verify the monotone set shapes, and
-    confirm no architecture was evaluated twice."""
-    history = replay_history(read_history(path))
+    """Re-derive every constraint from a persisted history, given its path
+    (parsed in full by :func:`read_history`) or its events as already
+    read: recompute the overhead of every population member ever admitted,
+    re-check every labeled member's last-exit ratio, verify the monotone set
+    shapes, and confirm no architecture was evaluated twice."""
+    if isinstance(history, (str, os.PathLike)):
+        history = read_history(history)
+    history = replay_history(history)
     header = history.header
     if header is None:
         raise SearchError("history lacks a run-config header")

@@ -6,8 +6,10 @@ node is tagged with the exit it belongs to: backbone nodes carry the index of
 the first exit at or after them, head nodes carry their exit's index. The
 cost engine and MAC accounting work purely on this graph. The backbone part
 is expanded once per (backbone, bits) by ``expand_backbone`` and shared by
-every architecture over it; ``attach_heads`` appends an architecture's
-heads to it without retagging, which is all a cost needs.
+every architecture over it. Each exit's head is built once per (backbone,
+bits, mount, head, exit bits, exit index, classes) by ``head_templates``;
+``expand_layers`` composes the two, and the cost engine places the cached
+head nodes onto its cached backbone schedule without building a graph.
 
 Bottleneck blocks expand to the inverted-residual sequence (1x1 expansion,
 kxk depthwise at the expanded width, 1x1 projection, residual add when the
@@ -19,8 +21,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from typing import NamedTuple
 
-from .arch import BackboneSpec, EennArchitecture
+from .arch import BackboneSpec, EennArchitecture, ExitHeadSpec
 
 MATRIX_KINDS = ("conv", "depthwise-conv", "linear")
 
@@ -74,7 +77,10 @@ class LayerGraph:
 
     @cached_property
     def exit_count(self) -> int:
-        return max(i for kind, i in (n.owner for n in self.nodes) if kind == "exit")
+        return max(
+            (i for kind, i in (n.owner for n in self.nodes) if kind == "exit"),
+            default=0,
+        )
 
     @cached_property
     def _by_owner(self) -> dict[tuple[str, int], tuple[int, ...]]:
@@ -244,117 +250,150 @@ def expand_backbone(backbone: BackboneSpec, bits: int) -> LayerGraph:
     return LayerGraph(nodes=tuple(nodes), edges=tuple(edges))
 
 
-def attach_heads(
-    arch: EennArchitecture, num_classes: int = 10
-) -> tuple[LayerGraph, tuple[int, ...]]:
-    """The nodes and edges of :func:`expand_backbone`, still owned by
-    their groups, followed by every exit's head, and per exit the group it
-    is mounted on. Linear MACs are in*out; pooling and softmax move data
-    but contribute zero MACs."""
-    base = expand_backbone(arch.backbone, arch.quant.backbone_bits)
-    group_of = {label: j for j, label in enumerate(arch.backbone.mount_labels, 1)}
-    exit_groups = tuple(group_of[placement.mount] for placement in arch.exits)
-    nodes = list(base.nodes)
-    edges = list(base.edges)
-    add = partial(_add_node, nodes, edges)
+class HeadTemplate(NamedTuple):
+    """The layer nodes of one exit's head, in order: pooling, an optional
+    hidden linear layer, the classifier and softmax. The pool consumes
+    backbone node ``src``, the last node of mount group ``group``; every
+    later node consumes the one before it. ``in_bits`` holds each node's
+    input activation bits."""
 
-    for i, placement in enumerate(arch.exits, start=1):
-        head = placement.head
-        bits = arch.quant.exit_bits[i - 1]
-        owner = ("exit", i)
-        src = base.backbone_segment(exit_groups[i - 1])[-1]
+    group: int
+    src: int
+    nodes: tuple[LayerNode, ...]
+    in_bits: tuple[int, ...]
+
+
+@lru_cache(maxsize=16)
+def _head_builder(backbone: BackboneSpec, bits: int):
+    """The cached builder of :func:`head_templates` over one (backbone,
+    backbone bits): it hashes the backbone once per architecture, not once
+    per exit."""
+    base = expand_backbone(backbone, bits)
+    group_of = {label: j for j, label in enumerate(backbone.mount_labels, 1)}
+
+    @lru_cache(maxsize=1024)
+    def build(
+        mount: str,
+        head: ExitHeadSpec,
+        exit_bits: int,
+        exit_index: int,
+        num_classes: int,
+    ) -> HeadTemplate:
+        owner = ("exit", exit_index)
+        group = group_of[mount]
+        src = base.backbone_segment(group)[-1]
         h, w, ch = base.nodes[src].output_shape
         g = head.pooled_size
         if h < g or w < g or h % g or w % g:
             raise WorkloadError(
-                f"cannot pool {h}x{w} activation to {g}x{g} at mount "
-                f"{placement.mount!r}"
+                f"cannot pool {h}x{w} activation to {g}x{g} at mount {mount!r}"
             )
-        pool = add(
+        nodes = [
             LayerNode(
-                name=f"x{i}.pool",
+                name=f"x{exit_index}.pool",
                 kind="pool",
                 input_shape=(h, w, ch),
                 output_shape=(g, g, ch),
                 macs=0,
                 params=0,
-                bits=bits,
+                bits=exit_bits,
                 owner=owner,
-            ),
-            src,
-        )
+            )
+        ]
         feats = g * g * ch
         if head.depth == 2:
-            fc1 = add(
+            nodes.append(
                 LayerNode(
-                    name=f"x{i}.fc1",
+                    name=f"x{exit_index}.fc1",
                     kind="linear",
                     input_shape=(feats,),
                     output_shape=(head.hidden_width,),
                     macs=feats * head.hidden_width,
                     params=feats * head.hidden_width + head.hidden_width,
-                    bits=bits,
+                    bits=exit_bits,
                     owner=owner,
-                ),
-                pool,
+                )
             )
             feats = head.hidden_width
-            prev = fc1
-        else:
-            prev = pool
-        fc = add(
+        nodes.append(
             LayerNode(
-                name=f"x{i}.fc",
+                name=f"x{exit_index}.fc",
                 kind="linear",
                 input_shape=(feats,),
                 output_shape=(num_classes,),
                 macs=feats * num_classes,
                 params=feats * num_classes + num_classes,
-                bits=bits,
+                bits=exit_bits,
                 owner=owner,
-            ),
-            prev,
+            )
         )
-        add(
+        nodes.append(
             LayerNode(
-                name=f"x{i}.softmax",
+                name=f"x{exit_index}.softmax",
                 kind="softmax",
                 input_shape=(num_classes,),
                 output_shape=(num_classes,),
                 macs=0,
                 params=0,
-                bits=bits,
+                bits=exit_bits,
                 owner=owner,
-            ),
-            fc,
+            )
         )
+        in_bits = (
+            base.nodes[src].output_bits,
+            *(node.output_bits for node in nodes[:-1]),
+        )
+        return HeadTemplate(group, src, tuple(nodes), in_bits)
 
-    return LayerGraph(nodes=tuple(nodes), edges=tuple(edges)), exit_groups
+    return build
+
+
+def head_templates(
+    arch: EennArchitecture, num_classes: int = 10
+) -> tuple[HeadTemplate, ...]:
+    """Every exit's head, in exit order, from a cache keyed on backbone,
+    backbone bits, mount, head spec, exit bits, exit index and class count.
+    Linear MACs are in*out; pooling and softmax move data but contribute
+    zero MACs."""
+    build = _head_builder(arch.backbone, arch.quant.backbone_bits)
+    return tuple(
+        build(placement.mount, placement.head, bits, i, num_classes)
+        for i, (placement, bits) in enumerate(
+            zip(arch.exits, arch.quant.exit_bits), start=1
+        )
+    )
 
 
 def expand_layers(arch: EennArchitecture, num_classes: int = 10) -> LayerGraph:
-    """Expand an architecture into its layer graph: :func:`attach_heads`,
-    with each backbone node retagged with the first exit at or after it.
-    Deterministic: equal architectures yield identical graphs, node order
-    included.
+    """Expand an architecture into its layer graph: the nodes and edges of
+    :func:`expand_backbone`, each backbone node retagged with the first
+    exit at or after it, followed by every exit's :func:`head_templates`
+    nodes. Deterministic: equal architectures yield identical graphs, node
+    order included.
     """
-    graph, exit_groups = attach_heads(arch, num_classes)
+    base = expand_backbone(arch.backbone, arch.quant.backbone_bits)
+    templates = head_templates(arch, num_classes)
+    exit_groups = [template.group for template in templates]
     # EennArchitecture keeps exits on known mounts in depth order, the last
     # one at the final mount, so every group has an exit at or after it.
     owners = [
         ("backbone", bisect_left(exit_groups, j) + 1)
         for j in range(1, len(arch.backbone.mount_labels) + 1)
     ]
-    nodes = tuple(
+    nodes = [
         LayerNode(
             n.name, n.kind, n.input_shape, n.output_shape, n.macs, n.params,
             n.bits, owners[n.owner[1] - 1],
         )
-        if n.owner[0] == "backbone"
-        else n
-        for n in graph.nodes
-    )
-    return LayerGraph(nodes=nodes, edges=graph.edges)
+        for n in base.nodes
+    ]
+    edges = list(base.edges)
+    for template in templates:
+        first = len(nodes)
+        nodes += template.nodes
+        edges.append((template.src, first))
+        edges += [(k, k + 1) for k in range(first, len(nodes) - 1)]
+    return LayerGraph(nodes=tuple(nodes), edges=tuple(edges))
 
 
 def cumulative_macs(graph: LayerGraph, exit_index: int) -> int:

@@ -153,6 +153,49 @@ class TestSearchCommand:
         for name in ("history.jsonl", "front.csv", "iterations.csv", "scatter.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_search_parses_its_history_once(
+        self, tmp_path, search_config, monkeypatch, capsys
+    ):
+        """The audit and the CSV exports share one parse; a resume parses
+        the history it continues once more, in full."""
+        import eenas.cli
+        import eenas.search
+
+        calls = []
+        original = eenas.search.read_history
+
+        def spy(path):
+            calls.append(path)
+            return original(path)
+
+        monkeypatch.setattr(eenas.cli, "read_history", spy)
+        monkeypatch.setattr(eenas.search, "read_history", spy)
+        out = tmp_path / "run"
+        argv = ["search", "--config", search_config, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        history = str(out / "history.jsonl")
+        assert calls == [history]
+        calls.clear()
+        assert main([*argv, "--resume"]) == EXIT_OK
+        assert calls == [history, history]
+
+        from_path = eenas.search.audit_history(history)
+        from_events = eenas.search.audit_history(original(history))
+        assert from_path.ok and from_path.members_checked > 0
+        assert from_events == from_path
+
+    def test_path_audit_rejects_a_corrupt_line(self, tmp_path, search_config, capsys):
+        from eenas.search import audit_history
+
+        out = tmp_path / "run"
+        main(["search", "--config", search_config, "--out", str(out)])
+        path = out / "history.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(json.JSONDecodeError):
+            audit_history(str(path))
+
     def test_resume_reproduces_front(self, tmp_path, search_config, capsys):
         full = tmp_path / "full"
         main(["search", "--config", search_config, "--out", str(full)])

@@ -5,6 +5,7 @@ answers must equal what the full cost report says, bit for bit."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from eenas.hwcost import (
     overhead_ratio,
 )
 from eenas.search import CostCache
+from eenas import evaluate, hwcost, workload
 
 #: The accelerators of the differential test in ``test_hwcost.py``: the
 #: default one, and one with a line of NoC hops and a 16 KiB scratchpad, so
@@ -108,3 +110,64 @@ class TestCostCacheMatchesCostReport:
                 assert cache.max_overhead(chrom) == report.max_overhead
                 assert cache.et_average(chrom, ratios) == report.et_avg
                 assert cache.static_et(chrom) == static.et_per_exit[-1]
+
+
+class TestExitCostsTouchOnlyHeads:
+    """``exit_costs`` places cached head templates on the cached backbone
+    state: per candidate it builds no layer graph and no backbone copy."""
+
+    @pytest.fixture
+    def forbid_graphs(self, monkeypatch):
+        built = []
+        init = workload.LayerGraph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exit_costs expanded a whole graph")
+
+        monkeypatch.setattr(workload.LayerGraph, "__init__", counting_init)
+        monkeypatch.setattr(workload, "expand_layers", forbidden)
+        monkeypatch.setattr(hwcost, "expand_layers", forbidden)
+        return built
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_no_graph_per_candidate(self, space, forbid_graphs):
+        rng = np.random.default_rng(31)
+        archs = [decode(sample_architecture(space, rng), space) for _ in range(60)]
+        for accel in ACCELERATORS:
+            # The first call may expand and fold the backbone, once.
+            hwcost.exit_costs(archs[0], accel, space.num_classes)
+            forbid_graphs.clear()
+            for arch in archs:
+                hwcost.exit_costs(arch, accel, space.num_classes)
+            assert forbid_graphs == []
+
+    def test_architectures_share_head_templates(self):
+        space = SPACES[2]
+        rng = np.random.default_rng(32)
+        shared = 0
+        for _ in range(40):
+            a = decode(sample_architecture(space, rng), space)
+            b = decode(sample_architecture(space, rng), space)
+            for i, (ta, tb) in enumerate(
+                zip(workload.head_templates(a), workload.head_templates(b))
+            ):
+                same = (a.exits[i], a.quant.exit_bits[i]) == (
+                    b.exits[i], b.quant.exit_bits[i]
+                )
+                assert (ta is tb) == same
+                shared += same
+        assert shared > 0
+
+    def test_every_new_cache_is_bounded(self, mobilenet):
+        caches = (
+            workload._head_builder,
+            workload._head_builder(mobilenet, 8),
+            evaluate._difficulty_grid,
+            evaluate._accuracy_sum,
+        )
+        for cache in caches:
+            assert cache.cache_info().maxsize is not None

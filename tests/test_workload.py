@@ -215,6 +215,14 @@ class TestCumulativeMacs:
             values = [cumulative_macs(graph, i) for i in range(1, arch.m + 1)]
             assert all(a < b for a, b in zip(values, values[1:]))
 
+    def test_graph_without_exits_counts_none(self, smallconv):
+        graph = expand_backbone(smallconv, 8)
+        assert graph.exit_count == 0
+        with pytest.raises(WorkloadError, match="out of range"):
+            graph.nodes_for_exit(1)
+        with pytest.raises(WorkloadError, match="out of range"):
+            cumulative_macs(graph, 1)
+
     def test_out_of_range_exit_rejected(self, smallconv):
         graph = expand_layers(single_exit(smallconv))
         with pytest.raises(WorkloadError):
