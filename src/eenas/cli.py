@@ -49,6 +49,7 @@ from .search import (
     CostCache,
     EvaluationFailure,
     ExternalEvaluator,
+    HistoryError,
     NasConfig,
     OracleEvaluator,
     SearchError,
@@ -58,6 +59,7 @@ from .search import (
     mac_reduction,
     pareto_front,
     read_history,
+    read_report_events,
     replay_history,
     run_search,
 )
@@ -370,10 +372,13 @@ def cmd_search(args) -> int:
 def cmd_report(args) -> int:
     if not os.path.exists(args.history):
         raise ConfigError(f"history file not found: {args.history}")
-    history = replay_history(read_history(args.history))
+    history = replay_history(read_report_events(args.history))
     if history.header is None:
         raise ConfigError("history lacks a run-config header")
-    space = SpaceConfig.from_json(history.header["space"])
+    try:
+        space = SpaceConfig.from_json(history.header["space"])
+    except (KeyError, TypeError) as exc:
+        raise HistoryError(f"malformed run-config header: {exc!r}") from exc
     if not history.labeled:
         raise ConfigError("history contains no labeled architectures")
     front = pareto_front(history.labeled_records())
@@ -389,6 +394,11 @@ def cmd_report(args) -> int:
             )
         choice = front[idx]
 
+    evaluation = history.by_hash.get(choice.key)
+    if evaluation is None:
+        raise HistoryError(
+            f"labeled genes hash to {choice.key}, which was never evaluated"
+        )
     chrom = Chromosome(choice.genes)
     arch = decode(chrom, space)
     graph = expand_layers(arch, num_classes=space.num_classes)
@@ -397,7 +407,7 @@ def cmd_report(args) -> int:
         static_counterpart(arch), num_classes=space.num_classes
     )
     static_macs = cumulative_macs(static_graph, 1)
-    ratios = history.by_hash[choice.key]["exit_ratios"]
+    ratios = evaluation["exit_ratios"]
     reduction = mac_reduction(ratios, cum, static_macs)
 
     print(f"architecture: {choice.key}")

@@ -9,7 +9,6 @@ cumulative labeled archive each search iteration.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -64,39 +63,6 @@ class LabeledSet:
 
     def copy(self) -> "LabeledSet":
         return LabeledSet(self._records.values())
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self:
-                fh.write(
-                    json.dumps(
-                        {
-                            "genes": list(rec.genes),
-                            "acc_avg": rec.acc_avg,
-                            "et_avg": rec.et_avg,
-                        },
-                        sort_keys=True,
-                    )
-                )
-                fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "LabeledSet":
-        out = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                data = json.loads(line)
-                out.add(
-                    LabeledRecord(
-                        genes=tuple(int(g) for g in data["genes"]),
-                        acc_avg=float(data["acc_avg"]),
-                        et_avg=float(data["et_avg"]),
-                    )
-                )
-        return out
 
 
 def featurize(chrom: Chromosome, space: SpaceConfig) -> np.ndarray:

@@ -60,6 +60,10 @@ class EvaluationFailure(RuntimeError):
     """One architecture could not be evaluated; the search continues."""
 
 
+class HistoryError(ValueError):
+    """A history's events contradict each other or lack a field."""
+
+
 @dataclass(frozen=True)
 class NasConfig:
     iterations: int = 6
@@ -322,19 +326,57 @@ class HistoryLog:
             self._fh = None
 
 
-def read_history(path: str) -> list[dict]:
-    """Parse a history file. :class:`HistoryLog` ends every committed event
-    with a newline, so a final chunk without one is a write cut short by a
-    crash: it is dropped. Any other unparsable line raises."""
-    events = []
+def _committed_lines(path: str) -> list[str]:
+    """The committed lines of a history file. :class:`HistoryLog` ends
+    every committed event with a newline, so a final chunk without one is a
+    write cut short by a crash: it is dropped."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.endswith("\n"):
-                break  # only the final chunk can lack one
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events
+        lines = fh.readlines()
+    if lines and not lines[-1].endswith("\n"):
+        lines.pop()  # only the final chunk can lack one
+    return lines
+
+
+def read_history(path: str) -> list[dict]:
+    """Parse every committed line of a history file; an unparsable one
+    raises."""
+    return [json.loads(line) for line in _committed_lines(path) if line.strip()]
+
+
+_GENE_KINDS = ("sampled", "offspring", "filtered-theta")
+# ``_event_line`` sorts keys, so an event with no key before "event" (a gene
+# line, a summary) starts with its kind, and fixed separators let the others
+# be matched as one exact substring.
+_GENE_PREFIXES = tuple(f'{{"event":"{kind}"' for kind in _GENE_KINDS)
+_SUMMARY_PREFIX = '{"event":"iteration-summary"'
+_EVALUATED = '"event":"evaluated"'
+_HASH = '"hash":"'
+
+
+def read_report_events(path: str) -> list[dict]:
+    """The events of a history that a report of its last labeled archive
+    uses, in log order: the first line, every ``evaluated`` and
+    ``iteration-summary`` line, and the gene lines of the hashes labeled at
+    the last summary. Other lines are not parsed, so a corrupt one does not
+    stop the report; the rule for a torn last line is :func:`read_history`'s."""
+    parsed: dict[int, dict] = {}
+    gene_lines: list[tuple[int, str, str]] = []
+    lines = _committed_lines(path)
+    first = next((i for i, line in enumerate(lines) if line.strip()), None)
+    for i, line in enumerate(lines):
+        if i != first and line.startswith(_GENE_PREFIXES):
+            key = line.partition(_HASH)[2].partition('"')[0]
+            gene_lines.append((i, key, line))
+        elif i == first or line.startswith(_SUMMARY_PREFIX) or _EVALUATED in line:
+            parsed[i] = json.loads(line)
+    summaries = [
+        ev for ev in parsed.values() if ev.get("event") == "iteration-summary"
+    ]
+    labeled = set(summaries[-1].get("p", ())) if summaries else set()
+    for i, key, line in gene_lines:
+        if key in labeled:
+            parsed[i] = json.loads(line)
+    return [parsed[i] for i in sorted(parsed)]
 
 
 @dataclass
@@ -356,14 +398,30 @@ class HistoryReplay:
 
     def labeled_records(self) -> list[LabeledRecord]:
         """The labeled archive at the last summary, in hash order."""
-        return [
-            LabeledRecord(
-                genes=self.genes[h],
-                acc_avg=self.by_hash[h]["acc_avg"],
-                et_avg=self.by_hash[h]["et_avg"],
+        records = []
+        for h in sorted(self.labeled):
+            if h not in self.genes or h not in self.by_hash:
+                missing = "genes" if h not in self.genes else "evaluation"
+                raise HistoryError(f"labeled {h} has no recorded {missing}")
+            records.append(
+                LabeledRecord(
+                    genes=self.genes[h],
+                    acc_avg=self.by_hash[h]["acc_avg"],
+                    et_avg=self.by_hash[h]["et_avg"],
+                )
             )
-            for h in sorted(self.labeled)
-        ]
+        return records
+
+
+# Fields that the replay's readers take later from the events it keeps;
+# the fields it reads itself raise on their own.
+_EVALUATED_FIELDS = frozenset({"k", "hash", "acc_avg", "et_avg", "exit_ratios"})
+_SUMMARY_FIELDS = frozenset({"k", "s", "p", "stats"})
+
+
+def _require(event: dict, fields: frozenset) -> None:
+    if not event.keys() >= fields:
+        raise KeyError(", ".join(sorted(fields - event.keys())))
 
 
 def replay_history(events: Sequence[dict], complete: bool = False) -> HistoryReplay:
@@ -380,19 +438,24 @@ def replay_history(events: Sequence[dict], complete: bool = False) -> HistoryRep
         end = ends[-1] if ends else 1
     has_header = bool(events) and events[0].get("event") == "run-config"
     history = HistoryReplay(header=events[0] if has_header else None, end=end)
-    for ev in events[:end]:
-        kind = ev.get("event")
-        if kind in ("sampled", "offspring", "filtered-theta"):
-            history.genes[ev["hash"]] = tuple(ev["genes"])
-        elif kind == "evaluated":
-            history.evaluated.append(ev)
-            history.by_hash[ev["hash"]] = ev
-        elif kind == "filtered-mu":
-            history.rejected[ev["hash"]] = "mu"
-        elif kind == "eval-failed":
-            history.rejected[ev["hash"]] = "evaluation-failed"
-        elif kind == "iteration-summary":
-            history.summaries.append(ev)
+    try:
+        for ev in events[:end]:
+            kind = ev.get("event")
+            if kind in _GENE_KINDS:
+                history.genes[ev["hash"]] = tuple(ev["genes"])
+            elif kind == "evaluated":
+                _require(ev, _EVALUATED_FIELDS)
+                history.evaluated.append(ev)
+                history.by_hash[ev["hash"]] = ev
+            elif kind == "filtered-mu":
+                history.rejected[ev["hash"]] = "mu"
+            elif kind == "eval-failed":
+                history.rejected[ev["hash"]] = "evaluation-failed"
+            elif kind == "iteration-summary":
+                _require(ev, _SUMMARY_FIELDS)
+                history.summaries.append(ev)
+    except KeyError as exc:
+        raise HistoryError(f"{kind} event lacks {exc.args[0]}") from None
     return history
 
 
@@ -869,6 +932,9 @@ def _rebuild_state(events: Sequence[dict]) -> tuple[SearchState, int]:
     if history.summaries:
         last = history.summaries[-1]
         state.k = last["k"]
+        unrecorded = sorted(set(last["s"]) - history.genes.keys())
+        if unrecorded:
+            raise HistoryError(f"member {unrecorded[0]} has no recorded genes")
         state.members = {h: history.genes[h] for h in last["s"]}
         state.labeled = LabeledSet(history.labeled_records())
     return state, history.end

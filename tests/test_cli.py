@@ -1,5 +1,6 @@
 import json
 import os
+import random
 
 import pytest
 
@@ -39,6 +40,22 @@ def search_config(tmp_path):
             "evaluator": {"kind": "oracle"},
         },
     )
+
+
+def drop_labeled_lines(history, dst, kinds):
+    """Copy ``history`` to ``dst`` without the ``kinds`` lines of the first
+    hash labeled at its last summary; returns that hash."""
+    lines = history.read_text().splitlines(keepends=True)
+    events = [json.loads(line) for line in lines]
+    key = [ev for ev in events if ev["event"] == "iteration-summary"][-1]["p"][0]
+    dst.write_text("".join(
+        line for line, ev in zip(lines, events)
+        if not (ev["event"] in kinds and ev.get("hash") == key)
+    ))
+    return key
+
+
+GENE_LINES = ("sampled", "offspring", "filtered-theta")
 
 
 class TestSpaceCommand:
@@ -267,6 +284,28 @@ class TestSearchCommand:
             assert (resumed / name).read_bytes() == (full / name).read_bytes(), name
 
     @pytest.mark.parametrize(
+        "kinds, missing",
+        [(GENE_LINES, "member {} has no recorded genes"),
+         (("evaluated",), "labeled {} has no recorded evaluation")],
+    )
+    def test_resume_of_a_labeled_hash_without_its_line(
+        self, tmp_path, search_config, kinds, missing, capsys
+    ):
+        full = tmp_path / "full"
+        main(["search", "--config", search_config, "--out", str(full)])
+        resumed = tmp_path / "resumed"
+        resumed.mkdir()
+        key = drop_labeled_lines(
+            full / "history.jsonl", resumed / "history.jsonl", kinds
+        )
+        capsys.readouterr()
+        code = main(
+            ["search", "--config", search_config, "--out", str(resumed), "--resume"]
+        )
+        assert code == EXIT_CONFIG
+        assert missing.format(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "nas",
         [{"ridge": float("nan")}, {"ridge": -1.0}, {"weights": [float("nan"), 1.0]}],
     )
@@ -410,6 +449,47 @@ class TestSearchCommand:
         assert (out / "front.csv").exists()
 
 
+OUTPUT_FILES = ("history.jsonl", "front.csv", "iterations.csv", "scatter.csv")
+
+
+class TestResumeFromAnyCut:
+    def test_every_cut_resumes_to_the_uninterrupted_outputs(self, tmp_path, capsys):
+        """Cut a smallconv oracle history at every byte offset inside its
+        last event and at 30 seeded earlier offsets past the header; the
+        resume of each cut writes the uninterrupted run's outputs."""
+        config = write_json(
+            tmp_path / "run.json",
+            {
+                "seed": 11,
+                "backbone": "builtin:smallconv",
+                "nas": {
+                    "iterations": 1,
+                    "n_select": 3,
+                    "init_population": 6,
+                    "generations": 1,
+                },
+                "evaluator": {"kind": "oracle"},
+            },
+        )
+        full = tmp_path / "full"
+        assert main(["search", "--config", config, "--out", str(full)]) == EXIT_OK
+        expected = {name: (full / name).read_bytes() for name in OUTPUT_FILES}
+        history = expected["history.jsonl"]
+        after_header = history.index(b"\n") + 1
+        last = history.rstrip(b"\n").rfind(b"\n") + 1
+        assert b'"event":"filtered-mu"' in history[after_header:last]
+        earlier = random.Random(0).sample(range(after_header, last), 30)
+        resumed = tmp_path / "resumed"
+        resumed.mkdir()
+        argv = ["search", "--config", config, "--out", str(resumed), "--resume"]
+        for cut in [*range(last, len(history)), *earlier]:
+            (resumed / "history.jsonl").write_bytes(history[:cut])
+            assert main(argv) == EXIT_OK, cut
+            for name in OUTPUT_FILES:
+                assert (resumed / name).read_bytes() == expected[name], (cut, name)
+        capsys.readouterr()
+
+
 class TestReportCommand:
     def test_summary_of_best_point(self, tmp_path, search_config, capsys):
         out = tmp_path / "run"
@@ -472,3 +552,18 @@ class TestReportCommand:
         capsys.readouterr()
         assert main(["report", "--history", str(history)]) == EXIT_CONFIG
         assert "history contains no labeled architectures" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kinds, missing", [(GENE_LINES, "genes"), (("evaluated",), "evaluation")]
+    )
+    def test_labeled_hash_without_its_line(
+        self, tmp_path, search_config, kinds, missing, capsys
+    ):
+        out = tmp_path / "run"
+        main(["search", "--config", search_config, "--out", str(out)])
+        history = tmp_path / "dropped.jsonl"
+        key = drop_labeled_lines(out / "history.jsonl", history, kinds)
+        capsys.readouterr()
+        assert main(["report", "--history", str(history)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"labeled {key} has no recorded {missing}" in err

@@ -73,17 +73,6 @@ class TestLabeledSet:
         keys = [r.key for r in archive]
         assert keys == sorted(keys)
 
-    def test_save_load_roundtrip(self, tmp_path, small_space):
-        records = [
-            LabeledRecord(c.genes, 50.0 + i, 10.0 * (i + 1))
-            for i, c in enumerate(distinct_samples(small_space, 10))
-        ]
-        archive = LabeledSet(records)
-        path = tmp_path / "labels.jsonl"
-        archive.save(str(path))
-        loaded = LabeledSet.load(str(path))
-        assert list(loaded) == list(archive)
-
     def test_superset_growth(self, small_space):
         chroms = distinct_samples(small_space, 10)
         archive = LabeledSet()
