@@ -42,9 +42,7 @@ from .hwcost import (
     allocate,
     cost_report,
     et_avg,
-    et_subnetwork,
     layer_cost,
-    overhead_ratio,
 )
 from .predict import LabeledRecord, LabeledSet, Predictor, featurize, fit, predict
 from .quant import (
@@ -65,6 +63,6 @@ from .search import (
     pareto_front,
     run_search,
 )
-from .workload import LayerGraph, LayerNode, cumulative_macs, expand_layers
+from .workload import LayerGraph, LayerNode, exit_macs, expand_layers
 
 __version__ = "0.1.0"

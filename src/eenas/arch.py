@@ -532,7 +532,7 @@ def canonicalize(genes: tuple[int, ...], space: SpaceConfig) -> Chromosome:
 
 def chromosome_hash(chrom: Chromosome) -> str:
     """Stable 16-hex-digit identity of a canonical chromosome."""
-    payload = ",".join(str(g) for g in chrom.genes).encode("ascii")
+    payload = ",".join([str(g) for g in chrom.genes]).encode("ascii")
     return hashlib.sha256(payload).hexdigest()[:16]
 
 

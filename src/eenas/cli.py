@@ -44,7 +44,7 @@ from .evaluate import (
     make_toy_dataset,
 )
 from .files import atomic_write, load_json
-from .hwcost import AcceleratorSpec, CostModelError, cost_report, energy_cycles
+from .hwcost import AcceleratorSpec, CostModelError, cost_report
 from .search import (
     CostCache,
     EvaluationFailure,
@@ -63,7 +63,7 @@ from .search import (
     replay_history,
     run_search,
 )
-from .workload import WorkloadError, cumulative_macs, expand_layers
+from .workload import WorkloadError, exit_macs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -238,21 +238,14 @@ def cmd_cost(args) -> int:
 
     rows = ["exit,mount,energy_pj,cycles,et,overhead"]
     print(f"{'exit':>4} {'mount':>6} {'energy_pj':>16} {'cycles':>12} {'et':>20}")
-    for i in range(1, arch.m + 1):
-        energy, cycles = energy_cycles(
-            [report.layer_costs[j] for j in report.graph.nodes_for_exit(i)]
-        )
+    per_exit = zip(report.energy_per_exit, report.cycles_per_exit, report.et_per_exit)
+    for i, (energy, cycles, et) in enumerate(per_exit, start=1):
         overhead = (
             f"{report.overheads[i - 1]:.6f}" if i < arch.m else ""
         )
         mount = arch.exits[i - 1].mount
-        rows.append(
-            f"{i},{mount},{energy!r},{cycles},{report.et_per_exit[i - 1]!r},{overhead}"
-        )
-        print(
-            f"{i:>4} {mount:>6} {energy:>16.1f} {cycles:>12} "
-            f"{report.et_per_exit[i - 1]:>20.6g}"
-        )
+        rows.append(f"{i},{mount},{energy!r},{cycles},{et!r},{overhead}")
+        print(f"{i:>4} {mount:>6} {energy:>16.1f} {cycles:>12} {et:>20.6g}")
     rows.append(f"avg,{ratio_source},,,{report.et_avg!r},")
     print(f"avg ({ratio_source} exit ratios): et_avg = {report.et_avg:.6g}")
     atomic_write(os.path.join(args.out, "cost.csv"), "\n".join(rows) + "\n")
@@ -394,20 +387,10 @@ def cmd_report(args) -> int:
             )
         choice = front[idx]
 
-    evaluation = history.by_hash.get(choice.key)
-    if evaluation is None:
-        raise HistoryError(
-            f"labeled genes hash to {choice.key}, which was never evaluated"
-        )
-    chrom = Chromosome(choice.genes)
-    arch = decode(chrom, space)
-    graph = expand_layers(arch, num_classes=space.num_classes)
-    cum = [cumulative_macs(graph, i) for i in range(1, arch.m + 1)]
-    static_graph = expand_layers(
-        static_counterpart(arch), num_classes=space.num_classes
-    )
-    static_macs = cumulative_macs(static_graph, 1)
-    ratios = evaluation["exit_ratios"]
+    arch = decode(Chromosome(choice.genes), space)
+    cum = exit_macs(arch, space.num_classes)
+    static_macs = exit_macs(static_counterpart(arch), space.num_classes)[-1]
+    ratios = history.by_hash[choice.key]["exit_ratios"]
     reduction = mac_reduction(ratios, cum, static_macs)
 
     print(f"architecture: {choice.key}")

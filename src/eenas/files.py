@@ -1,13 +1,14 @@
 """Reading and writing the package's JSON and text files.
 
 Every file the package writes goes through :func:`atomic_write`, and every
-JSON input it loads through :func:`load_json`, which refuses the ``NaN``
-and ``Infinity`` literals that the standard parser accepts.
+JSON input it loads through :func:`load_json`, which refuses the non-finite
+numbers that the standard parser accepts.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 
 
@@ -37,15 +38,22 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def load_json(path: str, error: type[Exception], what: str):
-    """Parse the JSON file at ``path``. Malformed JSON and the non-finite
-    literals ``NaN``, ``Infinity`` and ``-Infinity`` raise ``error``, its
-    message starting with ``what``."""
+    """Parse the JSON file at ``path``. Malformed JSON, the non-finite
+    literals ``NaN``, ``Infinity`` and ``-Infinity``, and numbers such as
+    ``1e400`` that parse to an infinite float raise ``error``, its message
+    starting with ``what``."""
 
     def reject(literal: str):
         raise error(f"{what} holds {literal}: numbers must be finite")
 
+    def finite(literal: str) -> float:
+        value = float(literal)
+        if not math.isfinite(value):
+            reject(literal)
+        return value
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=reject)
+            return json.load(fh, parse_constant=reject, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise error(f"{what} is not valid JSON: {exc}") from exc

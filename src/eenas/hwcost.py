@@ -46,6 +46,17 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past floats
+        return False
+
+
 @dataclass(frozen=True)
 class AcceleratorSpec:
     """Accelerator description. Defaults model a quad-core edge tensor
@@ -78,10 +89,14 @@ class AcceleratorSpec:
             self.offchip_bits_per_cycle,
             self.noc_bits_per_cycle,
         )
+        if not all(_is_int(v) for v in positive):
+            raise CostModelError("counts and bandwidths must be integers")
         if any(v < 1 for v in positive):
             raise CostModelError("counts and bandwidths must be positive")
-        if any(
-            not (v > 0)
+        if not all(isinstance(v, bool) for v in (self.pool_core, self.simd_core)):
+            raise CostModelError("pool_core and simd_core must be true or false")
+        if not all(
+            _is_finite(v) and v > 0
             for v in (
                 self.e_mac8_pj,
                 self.e_sram_pj_bit,
@@ -89,13 +104,15 @@ class AcceleratorSpec:
                 self.e_noc_pj_bit_hop,
             )
         ):
-            raise CostModelError("energy constants must be positive")
+            raise CostModelError("energy constants must be positive and finite")
         if self.array_rows * self.array_cols != self.macs_per_cycle:
             raise CostModelError("array rows*cols must equal MACs per cycle")
         if self.hop_table is not None:
             n = self.n_cores
             if len(self.hop_table) != n or any(len(r) != n for r in self.hop_table):
                 raise CostModelError("hop table must be n_cores x n_cores")
+            if not all(_is_int(h) for r in self.hop_table for h in r):
+                raise CostModelError("hop counts must be integers")
             for i in range(n):
                 if self.hop_table[i][i] != 0:
                     raise CostModelError("hop table diagonal must be zero")
@@ -166,10 +183,12 @@ class AcceleratorSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "AcceleratorSpec":
+        if not isinstance(data, dict):
+            raise CostModelError("accelerator must be a JSON object")
         kwargs = dict(data)
-        if "hop_table" in kwargs and kwargs["hop_table"] is not None:
-            kwargs["hop_table"] = tuple(tuple(int(h) for h in r) for r in kwargs["hop_table"])
         try:
+            if kwargs.get("hop_table") is not None:
+                kwargs["hop_table"] = tuple(map(tuple, kwargs["hop_table"]))
             return cls(**kwargs)
         except TypeError as exc:
             raise CostModelError(f"bad accelerator field: {exc}") from exc
@@ -396,8 +415,8 @@ def _place(
 class _FoldState:
     """Allocation after a prefix of a graph's nodes: per node its core,
     start, end, and chosen cost; and per core the cycle it is next free.
-    Immutable, so one state can seed the fold of many graphs sharing that
-    prefix."""
+    Immutable, so the backbone's state can seed the head placements of
+    every architecture over it."""
 
     cores: tuple[int, ...]
     start: tuple[int, ...]
@@ -419,27 +438,23 @@ def _fold(
     graph: LayerGraph,
     spec: AcceleratorSpec,
     assignment: Sequence[int] | None = None,
-    state: _FoldState | None = None,
 ) -> _FoldState:
-    """Place and schedule the nodes after ``state`` (all nodes from an empty
-    state), one :func:`_place` at a time in topological order. A node
-    starts when its core is free and its producers have finished. A
-    decision reads only the nodes before it, so folding from a state
-    equals folding from empty over the same prefix."""
-    if state is None:
-        state = _FoldState((), (), (), (0,) * spec.n_cores, ())
-    cores = list(state.cores)
-    start = list(state.start)
-    end = list(state.end)
-    free = list(state.free)
-    costs = list(state.costs)
+    """Place and schedule every node, one :func:`_place` at a time in
+    topological order. A node starts when its core is free and its
+    producers have finished. A decision reads only the nodes before it, so
+    the state after a prefix of the nodes is the fold of that prefix."""
+    cores: list[int] = []
+    start: list[int] = []
+    end: list[int] = []
+    free = [0] * spec.n_cores
+    costs: list[LayerCost] = []
     memo = _layer_cost_memo(spec)
-    for idx in range(len(cores), len(graph.nodes)):
+    for idx, node in enumerate(graph.nodes):
         ready = max((end[p] for p in graph.producers(idx)), default=0)
         finish, core, cost = _place(
             memo,
             spec,
-            graph.nodes[idx],
+            node,
             _input_sources(graph, idx, cores),
             ready,
             free,
@@ -470,13 +485,12 @@ def schedule(
 
 @dataclass(frozen=True)
 class _BackboneFold:
-    """Greedy fold state after the backbone nodes; each node's energy and
-    cycles, in node order; and per mount, the count of nodes up to it."""
+    """Greedy fold state after the backbone nodes, and each node's energy
+    and cycles, in node order."""
 
     state: _FoldState
     energies: tuple[float, ...]
     cycles: tuple[int, ...]
-    ends: tuple[int, ...]
 
 
 @lru_cache(maxsize=16)
@@ -487,16 +501,11 @@ def _backbone_fold(
     ``backbone`` at ``bits``: each architecture's graph starts with the
     nodes of :func:`expand_backbone`, and only their owner tags differ,
     which no cost reads."""
-    base = expand_backbone(backbone, bits)
-    state = _fold(base, spec)
+    state = _fold(expand_backbone(backbone, bits), spec)
     return _BackboneFold(
         state=state,
         energies=tuple(c.energy_pj for c in state.costs),
         cycles=tuple(c.cycles for c in state.costs),
-        ends=tuple(
-            base.backbone_segment(j)[-1] + 1
-            for j in range(1, len(backbone.mount_labels) + 1)
-        ),
     )
 
 
@@ -561,34 +570,6 @@ def allocate(
     return schedule(graph, spec, pool[best])
 
 
-def energy_cycles(costs: Sequence[LayerCost]) -> tuple[float, int]:
-    """(sum of E_k, sum of T_k), the energies added in the given order."""
-    return sum([c.energy_pj for c in costs]), sum([c.cycles for c in costs])
-
-
-def _energy_delay(costs: Sequence[LayerCost]) -> float:
-    energy, cycles = energy_cycles(costs)
-    return energy * cycles
-
-
-def et_subnetwork(
-    costs: Sequence[LayerCost], graph: LayerGraph, exit_index: int
-) -> float:
-    """Energy-delay product of everything executed up to ``exit_index``:
-    (sum of E_k) * (sum of T_k) over the backbone to its mount plus every
-    head through that exit."""
-    if len(costs) != len(graph.nodes):
-        raise CostModelError("per-layer costs missing for the requested exit")
-    needed = [costs[i] for i in graph.nodes_for_exit(exit_index)]
-    if None in needed:
-        raise CostModelError("per-layer costs missing for the requested exit")
-    return _energy_delay(needed)
-
-
-def _ratio(head_et: float, segment_et: float) -> float:
-    return math.inf if segment_et == 0 else head_et / segment_et
-
-
 def et_avg(et_per_exit: Sequence[float], exit_ratios: Sequence[float]) -> float:
     """Exit-ratio-weighted mean energy-delay product."""
     if len(et_per_exit) != len(exit_ratios):
@@ -600,20 +581,40 @@ def et_avg(et_per_exit: Sequence[float], exit_ratios: Sequence[float]) -> float:
     return math.fsum(e * r for e, r in zip(et_per_exit, exit_ratios))
 
 
-def overhead_ratio(
-    costs: Sequence[LayerCost], graph: LayerGraph, exit_index: int
-) -> float:
-    """Energy-delay product of exit ``i``'s head over that of the backbone
-    segment between mounts ``i`` and ``i+1``. A zero-cost segment reports
-    infinite overhead (it can never satisfy a finite cap)."""
-    m = graph.exit_count
-    if not 1 <= exit_index <= m - 1:
-        raise CostModelError("overhead is defined for exits 1..m-1")
-    head_et = _energy_delay([costs[i] for i in graph.head_nodes(exit_index)])
-    seg_et = _energy_delay(
-        [costs[i] for i in graph.backbone_segment(exit_index + 1)]
-    )
-    return _ratio(head_et, seg_et)
+def _exit_sums(
+    energies: Sequence[float],
+    cycles: Sequence[int],
+    ends: Sequence[int],
+    heads: Sequence[tuple[Sequence[float], Sequence[int]]],
+) -> tuple[list[float], list[int], list[float]]:
+    """The exit rule. Exit i runs the backbone nodes before ``ends[i]``
+    (``energies`` and ``cycles`` in node order), then the heads of exits
+    1..i, each head's ``(energies, cycles)`` in node order. Returns per exit
+    its energy E_i and cycles T_i, each the builtin ``sum`` over those terms
+    in that order, and per intermediate exit the energy-delay of its head
+    over that of the backbone segment up to the next mount (infinite for a
+    zero-cost segment, which can never satisfy a finite cap).
+
+    The sums always run over one list in node order, never over cached
+    partial sums: from Python 3.12 ``sum`` of floats is compensated, and a
+    compensated sum does not split into partial sums."""
+    exit_e: list[float] = []
+    exit_t: list[int] = []
+    overheads: list[float] = []
+    run_e: list[float] = []
+    run_t: list[int] = []
+    for i, (head_e, head_t) in enumerate(heads):
+        run_e += head_e
+        run_t += head_t
+        stop = ends[i]
+        exit_e.append(sum([*energies[:stop], *run_e]))
+        exit_t.append(sum([*cycles[:stop], *run_t]))
+        if i + 1 < len(ends):
+            seg = slice(stop, ends[i + 1])
+            seg_et = sum(energies[seg]) * sum(cycles[seg])
+            head_et = sum(head_e) * sum(head_t)
+            overheads.append(math.inf if seg_et == 0 else head_et / seg_et)
+    return exit_e, exit_t, overheads
 
 
 def exit_costs(
@@ -622,24 +623,15 @@ def exit_costs(
     """``(et_per_exit, overheads)`` under greedy allocation, equal to those
     of :func:`cost_report`, with no layer graph: the cached
     :func:`head_templates` nodes are placed straight onto the backbone's
-    cached greedy state, exit by exit, each node after its producer. Exit i
-    runs the backbone nodes up to its mount, then the heads of exits 1..i,
-    in node order; each sum is the builtin ``sum`` over the cached backbone
-    terms concatenated with the head terms, the same values in the same
-    order as over those nodes of the full graph, so it is exact under any
-    summation algorithm."""
+    cached greedy state, exit by exit, each node after its producer, and
+    :func:`_exit_sums` folds their costs over the cached backbone terms."""
     backbone = _backbone_fold(arch.backbone, arch.quant.backbone_bits, spec)
     memo = _layer_cost_memo(spec)
     cores, finish = backbone.state.cores, backbone.state.end
     free = list(backbone.state.free)
-    energies, cycles = backbone.energies, backbone.cycles
     templates = head_templates(arch, num_classes)
-    ends = [backbone.ends[t.group - 1] for t in templates]
-    et_values: list[float] = []
-    overheads: list[float] = []
-    run_e: list[float] = []
-    run_t: list[int] = []
-    for i, template in enumerate(templates):
+    heads = []
+    for template in templates:
         core, ready = cores[template.src], finish[template.src]
         head_e: list[float] = []
         head_t: list[int] = []
@@ -649,21 +641,14 @@ def exit_costs(
             )
             head_e.append(cost.energy_pj)
             head_t.append(cost.cycles)
-        run_e += head_e
-        run_t += head_t
-        stop = ends[i]
-        et_values.append(
-            sum([*energies[:stop], *run_e]) * sum([*cycles[:stop], *run_t])
-        )
-        if i + 1 < len(ends):
-            seg = slice(stop, ends[i + 1])
-            overheads.append(
-                _ratio(
-                    sum(head_e) * sum(head_t),
-                    sum(energies[seg]) * sum(cycles[seg]),
-                )
-            )
-    return tuple(et_values), tuple(overheads)
+        heads.append((head_e, head_t))
+    exit_e, exit_t, overheads = _exit_sums(
+        backbone.energies,
+        backbone.cycles,
+        [template.src + 1 for template in templates],
+        heads,
+    )
+    return tuple(e * t for e, t in zip(exit_e, exit_t)), tuple(overheads)
 
 
 @dataclass(frozen=True)
@@ -672,6 +657,8 @@ class HwCostReport:
 
     graph: LayerGraph
     layer_costs: tuple[LayerCost, ...]
+    energy_per_exit: tuple[float, ...]
+    cycles_per_exit: tuple[int, ...]
     et_per_exit: tuple[float, ...]
     et_avg: float | None
     overheads: tuple[float, ...]
@@ -690,28 +677,35 @@ def cost_report(
     num_classes: int = 10,
     seed: int = 0,
 ) -> HwCostReport:
-    """Expand, allocate, and aggregate: per-layer costs, per-exit
-    energy-delay products, head overheads, and (given exit ratios) the
-    weighted average. Greedy allocation places only the head layers, from
-    the backbone's cached greedy state; the result equals
-    :func:`allocate` on the full graph, and the per-exit numbers come from
-    :func:`exit_costs`."""
+    """Expand, allocate, and aggregate: per-layer costs, per-exit energy,
+    cycles and energy-delay products, head overheads, and (given exit
+    ratios) the weighted average. The full graph holds the backbone nodes,
+    then each exit's head nodes in exit order: :func:`_exit_sums` reads
+    the backbone terms from the front of the plan's costs and each head's
+    terms from its slice."""
     graph = expand_layers(arch, num_classes=num_classes)
-    if mode == "greedy":
-        backbone = _backbone_fold(arch.backbone, arch.quant.backbone_bits, spec)
-        plan = _fold(graph, spec, state=backbone.state).plan()
-        et_values, overheads = exit_costs(arch, spec, num_classes)
-    else:
-        plan = allocate(graph, spec, mode=mode, seed=seed)
-        costs, m = plan.layer_costs, graph.exit_count
-        et_values = tuple(et_subnetwork(costs, graph, i) for i in range(1, m + 1))
-        overheads = tuple(overhead_ratio(costs, graph, i) for i in range(1, m))
+    plan = allocate(graph, spec, mode=mode, seed=seed)
+    energies = [c.energy_pj for c in plan.layer_costs]
+    cycles = [c.cycles for c in plan.layer_costs]
+    templates = head_templates(arch, num_classes)
+    stop = len(expand_backbone(arch.backbone, arch.quant.backbone_bits).nodes)
+    heads = []
+    for template in templates:
+        head = slice(stop, stop + len(template.nodes))
+        heads.append((energies[head], cycles[head]))
+        stop = head.stop
+    exit_e, exit_t, overheads = _exit_sums(
+        energies, cycles, [template.src + 1 for template in templates], heads
+    )
+    et_values = tuple(e * t for e, t in zip(exit_e, exit_t))
     avg = et_avg(et_values, exit_ratios) if exit_ratios is not None else None
     return HwCostReport(
         graph=graph,
         layer_costs=plan.layer_costs,
+        energy_per_exit=tuple(exit_e),
+        cycles_per_exit=tuple(exit_t),
         et_per_exit=et_values,
         et_avg=avg,
-        overheads=overheads,
+        overheads=tuple(overheads),
         plan=plan,
     )

@@ -396,16 +396,27 @@ class HistoryReplay:
         """Hashes labeled at the last summary."""
         return frozenset(self.summaries[-1]["p"] if self.summaries else ())
 
+    def genes_of(self, h: str) -> tuple[int, ...] | None:
+        """The genes of hash ``h`` from its last gene line, or None if no
+        gene line names it. Genes that do not hash to ``h`` raise
+        :class:`HistoryError`: every reader takes genes from here, so an
+        altered gene line never enters a state, a front or an audit."""
+        genes = self.genes.get(h)
+        if genes is not None and chromosome_hash(Chromosome(genes)) != h:
+            raise HistoryError(f"the genes recorded for {h} do not hash to it")
+        return genes
+
     def labeled_records(self) -> list[LabeledRecord]:
         """The labeled archive at the last summary, in hash order."""
         records = []
         for h in sorted(self.labeled):
-            if h not in self.genes or h not in self.by_hash:
-                missing = "genes" if h not in self.genes else "evaluation"
+            genes = self.genes_of(h)
+            if genes is None or h not in self.by_hash:
+                missing = "genes" if genes is None else "evaluation"
                 raise HistoryError(f"labeled {h} has no recorded {missing}")
             records.append(
                 LabeledRecord(
-                    genes=self.genes[h],
+                    genes=genes,
                     acc_avg=self.by_hash[h]["acc_avg"],
                     et_avg=self.by_hash[h]["et_avg"],
                 )
@@ -935,7 +946,7 @@ def _rebuild_state(events: Sequence[dict]) -> tuple[SearchState, int]:
         unrecorded = sorted(set(last["s"]) - history.genes.keys())
         if unrecorded:
             raise HistoryError(f"member {unrecorded[0]} has no recorded genes")
-        state.members = {h: history.genes[h] for h in last["s"]}
+        state.members = {h: history.genes_of(h) for h in last["s"]}
         state.labeled = LabeledSet(history.labeled_records())
     return state, history.end
 
@@ -1054,7 +1065,7 @@ def audit_history(
                 continue
             if h not in checked_oh:
                 checked_oh.add(h)
-                oh = cost.max_overhead(Chromosome(history.genes[h]))
+                oh = cost.max_overhead(Chromosome(history.genes_of(h)))
                 if not oh <= nas.theta:
                     result.violations.append(
                         f"member {h} violates the overhead cap: {oh:.4f}"

@@ -4,12 +4,13 @@ Turns an architecture into a flat producer/consumer graph of layer nodes with
 resolved tensor shapes, MAC and parameter counts, and precision bits. Each
 node is tagged with the exit it belongs to: backbone nodes carry the index of
 the first exit at or after them, head nodes carry their exit's index. The
-cost engine and MAC accounting work purely on this graph. The backbone part
+allocation of a whole architecture works on this graph. The backbone part
 is expanded once per (backbone, bits) by ``expand_backbone`` and shared by
 every architecture over it. Each exit's head is built once per (backbone,
 bits, mount, head, exit bits, exit index, classes) by ``head_templates``;
-``expand_layers`` composes the two, and the cost engine places the cached
-head nodes onto its cached backbone schedule without building a graph.
+``expand_layers`` composes the two; the cost engine places the cached head
+nodes onto its cached backbone schedule without building a graph, and
+``exit_macs`` adds the heads' MACs to the backbone's MACs at each mount.
 
 Bottleneck blocks expand to the inverted-residual sequence (1x1 expansion,
 kxk depthwise at the expanded width, 1x1 projection, residual add when the
@@ -76,36 +77,11 @@ class LayerGraph:
         return self._producers[idx]
 
     @cached_property
-    def exit_count(self) -> int:
-        return max(
-            (i for kind, i in (n.owner for n in self.nodes) if kind == "exit"),
-            default=0,
-        )
-
-    @cached_property
     def _by_owner(self) -> dict[tuple[str, int], tuple[int, ...]]:
         groups: dict[tuple[str, int], list[int]] = {}
         for i, n in enumerate(self.nodes):
             groups.setdefault(n.owner, []).append(i)
         return {owner: tuple(idx) for owner, idx in groups.items()}
-
-    def nodes_for_exit(self, exit_index: int) -> tuple[int, ...]:
-        """Everything executed before a sample can leave at ``exit_index``:
-        backbone segments up to its mount plus the heads of exits 1..i, in
-        node order."""
-        if not 1 <= exit_index <= self.exit_count:
-            raise WorkloadError(f"exit index {exit_index} out of range")
-        return tuple(
-            sorted(
-                i
-                for (_, level), idx in self._by_owner.items()
-                if level <= exit_index
-                for i in idx
-            )
-        )
-
-    def head_nodes(self, exit_index: int) -> tuple[int, ...]:
-        return self._by_owner.get(("exit", exit_index), ())
 
     def backbone_segment(self, exit_index: int) -> tuple[int, ...]:
         """Backbone nodes strictly between mount ``exit_index - 1`` and mount
@@ -396,12 +372,6 @@ def expand_layers(arch: EennArchitecture, num_classes: int = 10) -> LayerGraph:
     return LayerGraph(nodes=tuple(nodes), edges=tuple(edges))
 
 
-def cumulative_macs(graph: LayerGraph, exit_index: int) -> int:
-    """MACs executed before a sample can leave at ``exit_index``: the
-    backbone up to its mount plus every earlier head (those always run)."""
-    return sum(graph.nodes[i].macs for i in graph.nodes_for_exit(exit_index))
-
-
 @lru_cache(maxsize=64)
 def backbone_mount_macs(backbone: BackboneSpec) -> tuple[tuple[str, int], ...]:
     """Cumulative backbone-only MACs at each mount label, in mount order.
@@ -412,6 +382,19 @@ def backbone_mount_macs(backbone: BackboneSpec) -> tuple[tuple[str, int], ...]:
     for j, label in enumerate(backbone.mount_labels, start=1):
         running += sum(graph.nodes[i].macs for i in graph.backbone_segment(j))
         out.append((label, running))
+    return tuple(out)
+
+
+def exit_macs(arch: EennArchitecture, num_classes: int = 10) -> tuple[int, ...]:
+    """MACs executed before a sample can leave at each exit: the backbone
+    up to its mount plus the heads of exits 1..i (earlier heads always
+    run)."""
+    mount_macs = dict(backbone_mount_macs(arch.backbone))
+    heads = 0
+    out = []
+    for placement, template in zip(arch.exits, head_templates(arch, num_classes)):
+        heads += sum(node.macs for node in template.nodes)
+        out.append(mount_macs[placement.mount] + heads)
     return tuple(out)
 
 

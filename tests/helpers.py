@@ -1,10 +1,10 @@
 """Shared builders and independent oracles for the test suite."""
 
+import math
+
 import numpy as np
 
 from eenas.arch import BackboneSpec, BlockSpec
-from eenas.hwcost import LayerCost
-from eenas.workload import LayerGraph, LayerNode
 
 
 def chain_backbone(n_mounts: int, channels: int = 8, size: int = 8) -> BackboneSpec:
@@ -25,60 +25,23 @@ def spearman(a, b) -> float:
     return float(np.corrcoef(ra, rb)[0, 1])
 
 
-def flat_cost(energy: float, cycles: int) -> LayerCost:
-    """A LayerCost carrying only totals, for aggregation-level tests."""
-    return LayerCost(
-        energy_pj=energy,
-        cycles=cycles,
-        compute_energy_pj=energy,
-        sram_energy_pj=0.0,
-        dram_energy_pj=0.0,
-        noc_energy_pj=0.0,
-        compute_cycles=cycles,
-        stall_cycles=0,
-        transfer_cycles=0,
-        utilization=1.0,
-    )
+def reference_exit_products(graph, costs):
+    """Per-exit energy-delay products and head overheads of a full layer
+    graph, each summed over its own scan of the node list by owner tag:
+    exit i runs every node tagged with an index up to i."""
 
+    def energy_delay(selects):
+        idx = [i for i, n in enumerate(graph.nodes) if selects(n.owner)]
+        return sum(costs[i].energy_pj for i in idx) * sum(costs[i].cycles for i in idx)
 
-def staged_graph(backbone_macs, head_macs, bits: int = 8) -> LayerGraph:
-    """A hand-built graph of one backbone conv per stage with a one-node
-    head after each stage; stage i belongs to exit i+1."""
-    assert len(backbone_macs) == len(head_macs)
-    nodes = []
-    edges = []
-    prev = -1
-    for i, (bm, hm) in enumerate(zip(backbone_macs, head_macs), start=1):
-        nodes.append(
-            LayerNode(
-                name=f"s{i}.conv",
-                kind="conv",
-                input_shape=(4, 4, 8),
-                output_shape=(4, 4, 8),
-                macs=bm,
-                params=16,
-                bits=bits,
-                owner=("backbone", i),
-            )
-        )
-        trunk = len(nodes) - 1
-        if prev >= 0:
-            edges.append((prev, trunk))
-        nodes.append(
-            LayerNode(
-                name=f"x{i}.fc",
-                kind="linear",
-                input_shape=(128,),
-                output_shape=(10,),
-                macs=hm,
-                params=hm + 10,
-                bits=bits,
-                owner=("exit", i),
-            )
-        )
-        edges.append((trunk, len(nodes) - 1))
-        prev = trunk
-    return LayerGraph(nodes=tuple(nodes), edges=tuple(edges))
+    m = max(i for kind, i in (n.owner for n in graph.nodes) if kind == "exit")
+    et_values = tuple(energy_delay(lambda o: o[1] <= i) for i in range(1, m + 1))
+    overheads = []
+    for i in range(1, m):
+        head = energy_delay(lambda o: o == ("exit", i))
+        segment = energy_delay(lambda o: o == ("backbone", i + 1))
+        overheads.append(math.inf if segment == 0 else head / segment)
+    return et_values, tuple(overheads)
 
 
 def conv_macs_elementwise(h, w, cin, cout, kernel, stride, padding) -> int:

@@ -31,9 +31,9 @@ from eenas.evaluate import (
     train_toy,
 )
 from eenas.hwcost import (
+    _exit_sums,
     allocate,
     cost_report,
-    et_subnetwork,
     schedule,
 )
 from eenas.predict import LabeledRecord
@@ -48,8 +48,8 @@ from eenas.search import (
     read_history,
     run_search,
 )
-from eenas.workload import cumulative_macs, expand_layers
-from helpers import chain_backbone, flat_cost, staged_graph
+from eenas.workload import exit_macs
+from helpers import chain_backbone
 
 #: Configuration of the seeded reference search run shared by criteria 6-8.
 REFERENCE_NAS = NasConfig(
@@ -138,29 +138,33 @@ def test_c03_quantization_properties_at_scale():
 def test_c04_energy_delay_product_matches_double_loop():
     t0 = time.perf_counter()
     rng = np.random.default_rng(1)
-    graphs = 0
+    tables = 0
     for _ in range(100):
+        # One backbone node and a one-node head per stage; exit i runs
+        # stages 1..i and their heads.
         stages = int(rng.integers(1, 6))
-        graph = staged_graph(
-            tuple(int(v) for v in rng.integers(1, 100, stages)),
-            tuple(int(v) for v in rng.integers(0, 20, stages)),
-        )
-        costs = [
-            flat_cost(float(rng.integers(0, 50)), int(rng.integers(0, 50)))
-            for _ in graph.nodes
+        backbone = [
+            (float(rng.integers(0, 50)), int(rng.integers(0, 50)))
+            for _ in range(stages)
         ]
+        heads = [
+            (float(rng.integers(0, 50)), int(rng.integers(0, 50)))
+            for _ in range(stages)
+        ]
+        exit_e, exit_t, _ = _exit_sums(
+            [e for e, _ in backbone],
+            [t for _, t in backbone],
+            list(range(1, stages + 1)),
+            [([e], [t]) for e, t in heads],
+        )
         for i in range(1, stages + 1):
-            needed = graph.nodes_for_exit(i)
-            oracle = sum(
-                costs[a].energy_pj * costs[b].cycles
-                for a in needed
-                for b in needed
-            )
-            assert et_subnetwork(costs, graph, i) == oracle
-        graphs += 1
+            needed = backbone[:i] + heads[:i]
+            oracle = sum(a[0] * b[1] for a in needed for b in needed)
+            assert exit_e[i - 1] * exit_t[i - 1] == oracle
+        tables += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
-    report_pass(4, elapsed, 5, f"{graphs} random graphs, exact")
+    report_pass(4, elapsed, 5, f"{tables} random cost tables, exact")
 
 
 def test_c05_greedy_allocation_vs_exhaustive_enumeration(accel):
@@ -368,8 +372,7 @@ def test_c12_mac_model_plausibility(mobilenet):
         exits=tuple(ExitPlacement(m, head) for m in "DFIK"),
         quant=QuantScheme(backbone_bits=8, exit_bits=(8, 8, 8, 8)),
     )
-    graph = expand_layers(arch)
-    total = cumulative_macs(graph, 4)
+    total = exit_macs(arch)[-1]
     reference = 195_377_152
     deviation = (total - reference) / reference
     assert abs(deviation) < 0.10

@@ -148,6 +148,45 @@ class TestCostCommand:
         ) == EXIT_CONFIG
 
 
+class TestBadAcceleratorFile:
+    """An accelerator file with a non-finite energy or a count that is not
+    an integer exits 2 before any output, from `eenas cost` and from
+    `eenas search`."""
+
+    FILES = {
+        "overflowing-energy": '{"e_dram_pj_bit": 1e400}',
+        "fractional-count": '{"compute_cores": 2.5}',
+        "boolean-count": '{"compute_cores": true}',
+    }
+
+    @pytest.mark.parametrize("name", sorted(FILES))
+    def test_cost(self, tmp_path, arch_file, name, capsys):
+        accel = tmp_path / "accel.json"
+        accel.write_text(self.FILES[name])
+        out = tmp_path / "never"
+        code = main(
+            ["cost", "--backbone", "builtin:smallconv", "--arch", arch_file,
+             "--accelerator", str(accel), "--out", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(FILES))
+    def test_search(self, tmp_path, name, capsys):
+        accel = tmp_path / "accel.json"
+        accel.write_text(self.FILES[name])
+        config = write_json(
+            tmp_path / "run.json",
+            {"backbone": "builtin:smallconv", "accelerator": str(accel)},
+        )
+        out = tmp_path / "never"
+        code = main(["search", "--config", config, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestSearchCommand:
     def test_full_run_emits_artifacts(self, tmp_path, search_config, capsys):
         out = tmp_path / "run"
@@ -305,6 +344,27 @@ class TestSearchCommand:
         assert code == EXIT_CONFIG
         assert missing.format(key) in capsys.readouterr().err
 
+    def test_resume_of_an_altered_gene_line(self, tmp_path, search_config, capsys):
+        full = tmp_path / "full"
+        main(["search", "--config", search_config, "--out", str(full)])
+        lines = (full / "history.jsonl").read_text().splitlines(keepends=True)
+        events = [json.loads(line) for line in lines]
+        key = [ev for ev in events if ev["event"] == "iteration-summary"][-1]["p"][0]
+        i = [i for i, ev in enumerate(events) if "genes" in ev and ev["hash"] == key][-1]
+        events[i]["genes"][-1] = 1 - events[i]["genes"][-1]
+        lines[i] = json.dumps(events[i], sort_keys=True, separators=(",", ":")) + "\n"
+        resumed = tmp_path / "resumed"
+        resumed.mkdir()
+        (resumed / "history.jsonl").write_text("".join(lines))
+        capsys.readouterr()
+        code = main(
+            ["search", "--config", search_config, "--out", str(resumed), "--resume"]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"the genes recorded for {key} do not hash to it" in err
+        assert sorted(os.listdir(resumed)) == ["history.jsonl"]
+
     @pytest.mark.parametrize(
         "nas",
         [{"ridge": float("nan")}, {"ridge": -1.0}, {"weights": [float("nan"), 1.0]}],
@@ -349,8 +409,8 @@ class TestSearchCommand:
     def test_overflowing_evaluator_number_rejected_before_output(
         self, tmp_path, evaluator, field, capsys
     ):
-        # 1e999 is valid JSON that parses to inf, so it passes the loader
-        # and must be caught by the evaluator's config.
+        # 1e999 is valid JSON that parses to inf. The loader refuses it,
+        # before the evaluator's config (which checks the same) sees it.
         config = tmp_path / "ev.json"
         config.write_text(
             f'{{"backbone": "builtin:smallconv", "evaluator": {evaluator}}}'
@@ -358,7 +418,9 @@ class TestSearchCommand:
         out = tmp_path / "never"
         code = main(["search", "--config", str(config), "--out", str(out)])
         assert code == EXIT_CONFIG
-        assert f"{field} must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config holds 1e999: numbers must be finite" in err
+        assert field not in err
         assert not out.exists()
 
     def test_bad_config_rejected_before_output(self, tmp_path, capsys):

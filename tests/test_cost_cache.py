@@ -17,15 +17,10 @@ from eenas.arch import (
     sample_architecture,
     static_counterpart,
 )
-from eenas.hwcost import (
-    AcceleratorSpec,
-    cost_report,
-    et_avg,
-    et_subnetwork,
-    overhead_ratio,
-)
+from eenas.hwcost import AcceleratorSpec, cost_report, et_avg
 from eenas.search import CostCache
 from eenas import evaluate, hwcost, workload
+from helpers import reference_exit_products
 
 #: The accelerators of the differential test in ``test_hwcost.py``: the
 #: default one, and one with a line of NoC hops and a 16 KiB scratchpad, so
@@ -80,16 +75,15 @@ class TestCostCacheMatchesCostReport:
         assert cache.max_overhead(chrom) == report.max_overhead
         assert cache.et_average(chrom, ratios) == report.et_avg
         assert cache.static_et(chrom) == static.et_per_exit[-1]
-        # Greedy reports take their per-exit numbers from the same head
-        # fold as the cache; the per-node sums over the full graph are the
-        # independent check.
-        costs, graph = report.layer_costs, report.graph
-        et_values = [et_subnetwork(costs, graph, i) for i in range(1, arch.m + 1)]
-        overheads = [overhead_ratio(costs, graph, i) for i in range(1, arch.m)]
+        # Reports and the cache sum per exit through the same function; the
+        # owner-tag scan over the full graph is the independent check.
+        et_values, overheads = reference_exit_products(
+            report.graph, report.layer_costs
+        )
         assert cache.max_overhead(chrom) == max(overheads, default=0.0)
         assert cache.et_average(chrom, ratios) == et_avg(et_values, ratios)
-        static_costs, static_graph = static.layer_costs, static.graph
-        assert cache.static_et(chrom) == et_subnetwork(static_costs, static_graph, 1)
+        static_et, _ = reference_exit_products(static.graph, static.layer_costs)
+        assert cache.static_et(chrom) == static_et[0]
 
     def test_genetic_answers_equal_the_report(self):
         space = SPACES[0]

@@ -80,8 +80,9 @@ class TestWritersAreAtomic:
 
 
 class TestLoadersRejectNonFiniteLiterals:
-    """``json`` reads NaN and Infinity literals unless told not to; every
-    loader refuses them with its own error type."""
+    """``json`` reads NaN and Infinity literals, and overflows ``1e400`` to
+    inf, unless told not to; every loader refuses them with its own error
+    type."""
 
     def test_run_config(self, tmp_path):
         path = tmp_path / "run.json"
@@ -109,6 +110,13 @@ class TestLoadersRejectNonFiniteLiterals:
         path.write_text(json.dumps(payload))
         with pytest.raises(ReportError, match="-Infinity: numbers must be finite"):
             load_external_report(str(path))
+
+    def test_overflowing_number(self, tmp_path):
+        """``1e400`` is valid JSON that parses to inf."""
+        path = tmp_path / "accel.json"
+        path.write_text('{"e_dram_pj_bit": 1e400}')
+        with pytest.raises(CostModelError, match="1e400: numbers must be finite"):
+            AcceleratorSpec.load(str(path))
 
     def test_accelerator(self, tmp_path):
         data = AcceleratorSpec().to_json() | {"e_dram_pj_bit": float("nan")}

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eenas.arch import (
     EennArchitecture,
@@ -21,17 +23,17 @@ from eenas.hwcost import (
     AllocationPlan,
     CostModelError,
     TensorSource,
+    _exit_sums,
     allocate,
     array_utilization,
     cost_report,
     et_avg,
-    et_subnetwork,
+    exit_costs,
     layer_cost,
-    overhead_ratio,
     schedule,
 )
 from eenas.workload import LayerGraph, LayerNode, expand_layers
-from helpers import flat_cost, staged_graph
+from helpers import reference_exit_products
 
 
 def conv_node(cin, cout, h=4, w=4, k=1, bits=8, macs=None, name="n", owner=("backbone", 1)):
@@ -266,48 +268,65 @@ class TestAllocation:
             allocate(graph, spec)
 
 
+def exit_products(energies, cycles, ends, heads):
+    """Per-exit energy-delay products and overheads of :func:`_exit_sums`."""
+    exit_e, exit_t, overheads = _exit_sums(energies, cycles, ends, heads)
+    return [e * t for e, t in zip(exit_e, exit_t)], overheads
+
+
+def one_node_stages(backbone, heads):
+    """:func:`_exit_sums` inputs for stages of one backbone node each, with
+    a one-node head mounted after each stage. ``backbone`` and ``heads``
+    hold one (energy, cycles) pair per stage."""
+    return (
+        [e for e, _ in backbone],
+        [t for _, t in backbone],
+        list(range(1, len(backbone) + 1)),
+        [([e], [t]) for e, t in heads],
+    )
+
+
 class TestEnergyDelayAggregation:
     def test_single_layer_product(self):
-        graph = staged_graph((1,), (0,))
-        costs = [flat_cost(2.0, 3), flat_cost(0.0, 0)]
-        assert et_subnetwork(costs, graph, 1) == 6.0
+        et, _ = exit_products(*one_node_stages([(2.0, 3)], [(0.0, 0)]))
+        assert et == [6.0]
 
     def test_two_stage_hand_example(self):
-        graph = staged_graph((1, 1), (0, 0))
-        costs = [flat_cost(1.0, 2), flat_cost(0.0, 0), flat_cost(1.0, 2), flat_cost(0.0, 0)]
-        assert et_subnetwork(costs, graph, 1) == 2.0
-        assert et_subnetwork(costs, graph, 2) == (1 + 1) * (2 + 2)
+        et, _ = exit_products(
+            *one_node_stages([(1.0, 2), (1.0, 2)], [(0.0, 0), (0.0, 0)])
+        )
+        assert et == [2.0, (1 + 1) * (2 + 2)]
 
     def test_matches_double_loop_oracle(self):
+        """Exit i runs the backbone terms before ``ends[i]`` and the heads of
+        exits 1..i; its product is the double sum of E_a * T_b over them."""
         rng = np.random.default_rng(4)
         for _ in range(100):
             stages = int(rng.integers(1, 5))
-            graph = staged_graph(
-                tuple(int(x) for x in rng.integers(1, 50, stages)),
-                tuple(int(x) for x in rng.integers(0, 10, stages)),
-            )
-            costs = [
-                flat_cost(float(rng.integers(0, 20)), int(rng.integers(0, 20)))
-                for _ in graph.nodes
-            ]
-            for i in range(1, stages + 1):
-                needed = graph.nodes_for_exit(i)
+            n = int(rng.integers(stages, 3 * stages + 1))
+            energies = [float(rng.integers(0, 20)) for _ in range(n)]
+            cycles = [int(rng.integers(0, 20)) for _ in range(n)]
+            ends = sorted(int(v) for v in rng.choice(n, stages, replace=False) + 1)
+            heads = []
+            for _ in range(stages):
+                size = int(rng.integers(1, 4))
+                heads.append((
+                    [float(rng.integers(0, 20)) for _ in range(size)],
+                    [int(rng.integers(0, 20)) for _ in range(size)],
+                ))
+            et, _ = exit_products(energies, cycles, ends, heads)
+            for i in range(stages):
+                run_e = energies[: ends[i]] + [e for h in heads[: i + 1] for e in h[0]]
+                run_t = cycles[: ends[i]] + [t for h in heads[: i + 1] for t in h[1]]
                 oracle = 0.0
-                for a in needed:
-                    for b in needed:
-                        oracle += costs[a].energy_pj * costs[b].cycles
-                assert et_subnetwork(costs, graph, i) == pytest.approx(oracle)
+                for e in run_e:
+                    for t in run_t:
+                        oracle += e * t
+                assert et[i] == pytest.approx(oracle)
 
     def test_strictly_increasing_with_positive_costs(self):
-        graph = staged_graph((5, 5, 5), (1, 1, 1))
-        costs = [flat_cost(1.0, 1) for _ in graph.nodes]
-        values = [et_subnetwork(costs, graph, i) for i in range(1, 4)]
-        assert values[0] < values[1] < values[2]
-
-    def test_missing_costs_rejected(self):
-        graph = staged_graph((1, 1), (0, 0))
-        with pytest.raises(CostModelError):
-            et_subnetwork([flat_cost(1.0, 1)], graph, 2)
+        et, _ = exit_products(*one_node_stages([(1.0, 1)] * 3, [(1.0, 1)] * 3))
+        assert et[0] < et[1] < et[2]
 
     def test_et_avg_one_hot(self):
         assert et_avg((100.0, 250.0), (1.0, 0.0)) == 100.0
@@ -337,35 +356,39 @@ class TestEnergyDelayAggregation:
 
 
 class TestOverheadRatio:
+    """A head's energy-delay over that of the backbone segment between its
+    mount and the next one."""
+
     def test_hand_ratio(self):
-        graph = staged_graph((1, 1), (1, 0))
-        costs = [flat_cost(4.0, 2), flat_cost(5.0, 1), flat_cost(4.0, 5), flat_cost(0.0, 0)]
+        _, oh = exit_products(
+            *one_node_stages([(4.0, 2), (4.0, 5)], [(5.0, 1), (0.0, 0)])
+        )
         # head 1: 5 * 1 = 5; segment 2: 4 * 5 = 20
-        assert overhead_ratio(costs, graph, 1) == pytest.approx(0.25)
+        assert oh == [pytest.approx(0.25)]
 
     def test_zero_cost_head(self):
-        graph = staged_graph((1, 1), (0, 0))
-        costs = [flat_cost(1.0, 1), flat_cost(0.0, 0), flat_cost(1.0, 1), flat_cost(0.0, 0)]
-        assert overhead_ratio(costs, graph, 1) == 0.0
+        _, oh = exit_products(
+            *one_node_stages([(1.0, 1), (1.0, 1)], [(0.0, 0), (0.0, 0)])
+        )
+        assert oh == [0.0]
 
     def test_zero_cost_segment_is_infinite(self):
-        graph = staged_graph((1, 1), (1, 0))
-        costs = [flat_cost(1.0, 1), flat_cost(1.0, 1), flat_cost(0.0, 0), flat_cost(0.0, 0)]
-        assert overhead_ratio(costs, graph, 1) == math.inf
+        _, oh = exit_products(
+            *one_node_stages([(1.0, 1), (0.0, 0)], [(1.0, 1), (0.0, 0)])
+        )
+        assert oh == [math.inf]
 
     def test_threshold_semantics(self):
-        assert 0.25 <= 0.5
-        graph = staged_graph((1, 1), (3, 0))
-        costs = [flat_cost(4.0, 2), flat_cost(5.0, 3), flat_cost(4.0, 5), flat_cost(0.0, 0)]
-        oh = overhead_ratio(costs, graph, 1)  # 15 / 20 = 0.75
-        assert oh == pytest.approx(0.75)
+        _, (oh,) = exit_products(
+            *one_node_stages([(4.0, 2), (4.0, 5)], [(5.0, 3), (0.0, 0)])
+        )
+        assert oh == pytest.approx(0.75)  # 15 / 20
         assert not oh <= 0.5
 
     def test_only_intermediate_exits_have_overhead(self):
-        graph = staged_graph((1, 1), (1, 1))
-        costs = [flat_cost(1.0, 1) for _ in graph.nodes]
-        with pytest.raises(CostModelError):
-            overhead_ratio(costs, graph, 2)
+        for m in range(1, 5):
+            _, oh = exit_products(*one_node_stages([(1.0, 1)] * m, [(1.0, 1)] * m))
+            assert len(oh) == m - 1
 
 
 class TestCostReport:
@@ -379,16 +402,25 @@ class TestCostReport:
 
     def test_composition_matches_manual_pipeline(self, smallconv, accel):
         arch = self.arch(smallconv)
-        report = cost_report(arch, accel)
         graph = expand_layers(arch, num_classes=10)
-        plan = allocate(graph, accel)
-        assert report.graph == graph
-        assert report.plan == plan
-        manual_et = tuple(
-            et_subnetwork(plan.layer_costs, graph, i) for i in (1, 2)
-        )
-        assert report.et_per_exit == manual_et
-        assert report.overheads == (overhead_ratio(plan.layer_costs, graph, 1),)
+        for mode in ("greedy", "genetic"):
+            report = cost_report(arch, accel, mode=mode, seed=3)
+            plan = allocate(graph, accel, mode=mode, seed=3)
+            assert report.graph == graph
+            assert report.plan == plan
+            costs = plan.layer_costs
+            et_values, overheads = reference_exit_products(graph, costs)
+            assert report.et_per_exit == et_values
+            assert report.overheads == overheads
+            for i, (energy, cycles) in enumerate(
+                zip(report.energy_per_exit, report.cycles_per_exit), start=1
+            ):
+                runs = [k for k, n in enumerate(graph.nodes) if n.owner[1] <= i]
+                assert energy == sum(costs[k].energy_pj for k in runs)
+                assert cycles == sum(costs[k].cycles for k in runs)
+                assert energy * cycles == report.et_per_exit[i - 1]
+        greedy = cost_report(arch, accel)
+        assert (greedy.et_per_exit, greedy.overheads) == exit_costs(arch, accel)
 
     def test_deterministic(self, smallconv, accel):
         arch = self.arch(smallconv)
@@ -444,11 +476,66 @@ class TestAcceleratorSpec:
         with pytest.raises(CostModelError):
             accel.core_kind(6)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("compute_cores", 2.5),
+            ("compute_cores", True),
+            ("pool_core", 1),
+            ("e_dram_pj_bit", math.inf),
+            ("e_mac8_pj", 10**400),
+            ("hop_table", [[0, 1.5], [1, 0]]),
+        ],
+    )
+    def test_field_types_checked(self, field, value):
+        with pytest.raises(CostModelError):
+            AcceleratorSpec.from_json(AcceleratorSpec().to_json() | {field: value})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_from_json_gives_a_valid_spec_or_its_error(self, data):
+        """Any JSON value gives a usable spec or a CostModelError; no
+        other exception, and no non-finite or non-integer number, gets
+        past the check."""
+        numbers = st.integers(-3, 10**400) | st.floats() | st.booleans()
+        values = st.one_of(
+            numbers,
+            st.none(),
+            st.text(max_size=3),
+            st.lists(st.lists(numbers, max_size=7), max_size=7),
+            st.lists(numbers, max_size=7),
+            st.dictionaries(st.text(max_size=3), numbers, max_size=2),
+        )
+        fields = [*AcceleratorSpec().to_json(), "hop_table", "unknown"]
+        payload = data.draw(
+            st.one_of(
+                values,
+                st.dictionaries(st.sampled_from(fields), values, max_size=4).map(
+                    lambda changes: AcceleratorSpec().to_json() | changes
+                ),
+            )
+        )
+        try:
+            spec = AcceleratorSpec.from_json(payload)
+        except CostModelError:
+            return
+        for name, value in spec.to_json().items():
+            if name == "hop_table":
+                assert all(type(h) is int for row in value for h in row)
+            elif name in ("pool_core", "simd_core"):
+                assert type(value) is bool
+            elif name.startswith("e_"):
+                assert math.isfinite(value) and value > 0
+            else:
+                assert type(value) is int and value >= 1
+        hash(spec)
+        assert AcceleratorSpec.from_json(spec.to_json()) == spec
+
 
 # ---------------------------------------------------------------------------
-# Differential test: the greedy allocation and per-exit sums as they were
-# before the shared backbone prefix was cached, one node list scan per exit
-# and sum.
+# Differential test: the greedy allocation and the schedule as plain loops
+# over the full graph, and the per-exit sums as one owner-tag scan of its
+# node list per exit and sum (``helpers.reference_exit_products``).
 # ---------------------------------------------------------------------------
 
 #: ``layer_cost`` is pure, so the reference memoizes it: the exhaustive pass
@@ -513,35 +600,16 @@ def reference_schedule(graph, spec, assignment):
     )
 
 
-def reference_exit_products(graph, costs):
-    """Per-exit energy-delay products and head overheads, each summed over
-    its own scan of the node list."""
-
-    def energy_delay(selects):
-        idx = [i for i, n in enumerate(graph.nodes) if selects(n.owner)]
-        return sum(costs[i].energy_pj for i in idx) * sum(costs[i].cycles for i in idx)
-
-    m = max(i for kind, i in (n.owner for n in graph.nodes) if kind == "exit")
-    et_values = tuple(energy_delay(lambda o: o[1] <= i) for i in range(1, m + 1))
-    overheads = []
-    for i in range(1, m):
-        head = energy_delay(lambda o: o == ("exit", i))
-        segment = energy_delay(lambda o: o == ("backbone", i + 1))
-        overheads.append(math.inf if segment == 0 else head / segment)
-    return et_values, tuple(overheads)
-
-
 def assert_matches_reference(arch, spec, num_classes=10):
-    report = cost_report(arch, spec, num_classes=num_classes)
+    """``exit_costs`` equals the owner-tag sums over the reference greedy
+    plan of the full graph, and ``allocate`` equals that plan."""
     graph = expand_layers(arch, num_classes=num_classes)
     plan = reference_schedule(graph, spec, reference_greedy_assignment(graph, spec))
-    assert report.graph == graph
-    assert report.plan == plan
-    assert report.layer_costs == plan.layer_costs
-    et_values, overheads = reference_exit_products(graph, plan.layer_costs)
-    assert report.et_per_exit == et_values
-    assert report.overheads == overheads
-    return report
+    assert allocate(graph, spec) == plan
+    assert exit_costs(arch, spec, num_classes) == reference_exit_products(
+        graph, plan.layer_costs
+    )
+    return graph, plan
 
 
 #: Non-uniform NoC distances (a line of cores) and a 16 KiB scratchpad, so
@@ -553,10 +621,11 @@ SPILLING_ACCEL = AcceleratorSpec(
 
 
 class TestBackbonePrefixMatchesReference:
-    """The shared-prefix allocation reproduces the full-graph greedy path
-    bit for bit. Each architecture is costed on both backbone bit widths and
-    both accelerators in turn, so consecutive reports never share a prefix
-    key and a leak across keys would show."""
+    """``exit_costs``, which places cached head templates on the cached
+    backbone fold, reproduces the full-graph greedy path bit for bit. Each
+    architecture is costed on both backbone bit widths and both
+    accelerators in turn, so consecutive calls never share a prefix key and
+    a leak across keys would show."""
 
     SPECS = (AcceleratorSpec(), SPILLING_ACCEL)
 
@@ -567,12 +636,12 @@ class TestBackbonePrefixMatchesReference:
             for space in spaces:
                 arch = decode(chrom, space)
                 for spec in self.SPECS:
-                    report = assert_matches_reference(arch, spec)
-                    spilled |= any(c.spilled for c in report.layer_costs)
-                    cores = report.plan.assignment
+                    graph, plan = assert_matches_reference(arch, spec)
+                    spilled |= any(c.spilled for c in plan.layer_costs)
+                    cores = plan.assignment
                     hopped |= any(
                         spec.hops(cores[src], cores[dst]) > 1
-                        for src, dst in report.graph.edges
+                        for src, dst in graph.edges
                     )
         assert spilled and hopped
 

@@ -260,7 +260,7 @@ class TestCorruptLines:
 
     def test_genes_that_no_longer_match_their_hash(self, cli_run, tmp_path):
         """A changed gene of the chosen point still parses, but its genes
-        now hash to an architecture that was never evaluated."""
+        no longer hash to the hash its line names."""
         _, history = cli_run
         best = report(history)[1].splitlines()[0].split()[-1]
 
@@ -276,7 +276,7 @@ class TestCorruptLines:
         rewrite_line(history, bad, gene_line_of_best, flip_last_gene)
         code, out, err = report(bad)
         assert code == EXIT_CONFIG
-        assert "which was never evaluated" in err
+        assert f"the genes recorded for {best} do not hash to it" in err
 
     def test_header_without_its_space(self, cli_run, tmp_path):
         _, history = cli_run

@@ -412,27 +412,50 @@ class TestRunSearch:
     def test_rebuild_ignores_events_past_last_summary(self):
         from eenas.search import _rebuild_state, replay_history
 
-        genes = list(range(14))
+        genes = [list(range(14)), list(range(1, 15)), list(range(2, 16))]
+        a, b, c = (chromosome_hash(Chromosome(tuple(g))) for g in genes)
         events = [
             {"event": "run-config", "k": -1},
-            {"event": "sampled", "k": 0, "hash": "aaaa", "genes": genes},
-            {"event": "evaluated", "k": 0, "hash": "aaaa", "acc_avg": 70.0,
+            {"event": "sampled", "k": 0, "hash": a, "genes": genes[0]},
+            {"event": "evaluated", "k": 0, "hash": a, "acc_avg": 70.0,
              "et_avg": 5.0, "exit_ratios": [0.6, 0.4]},
-            {"event": "iteration-summary", "k": 0, "s": ["aaaa"], "p": ["aaaa"],
+            {"event": "iteration-summary", "k": 0, "s": [a], "p": [a],
              "stats": {"k": 0, "evaluated": 1}},
             # Interrupted iteration 1: all of this must be discarded.
-            {"event": "offspring", "k": 1, "hash": "bbbb", "genes": genes},
-            {"event": "evaluated", "k": 1, "hash": "bbbb", "acc_avg": 60.0,
+            {"event": "offspring", "k": 1, "hash": b, "genes": genes[1]},
+            {"event": "evaluated", "k": 1, "hash": b, "acc_avg": 60.0,
              "et_avg": 9.0, "exit_ratios": [0.2, 0.8]},
-            {"event": "filtered-mu", "k": 1, "hash": "bbbb", "er_last": 0.8},
-            {"event": "eval-failed", "k": 1, "hash": "cccc", "error": "x"},
+            {"event": "filtered-mu", "k": 1, "hash": b, "er_last": 0.8},
+            {"event": "eval-failed", "k": 1, "hash": c, "error": "x"},
         ]
         state, cut = _rebuild_state(events)
         assert cut == 4
         assert state.k == 0
-        assert set(state.members) == {"aaaa"}
+        assert set(state.members) == {a}
         assert state.rejected == {}
-        assert "bbbb" not in replay_history(events, complete=True).genes
+        assert b not in replay_history(events, complete=True).genes
+
+    def test_genes_that_do_not_hash_to_their_line_are_refused(
+        self, small_space, accel, tmp_path
+    ):
+        """A labeled member's gene line altered so that it still parses:
+        resume, the audit and the labeled archive all refuse it. A hash
+        can have several gene lines; replay keeps the last one."""
+        from eenas.search import HistoryError, _rebuild_state, replay_history
+
+        _, path = self.run(small_space, accel, tmp_path)
+        events = read_history(str(path))
+        last = [ev for ev in events if ev["event"] == "iteration-summary"][-1]
+        key = sorted(set(last["s"]) & set(last["p"]))[0]
+        event = [ev for ev in events if "genes" in ev and ev["hash"] == key][-1]
+        event["genes"][-1] = 1 - event["genes"][-1]
+        for read in (
+            _rebuild_state,
+            audit_history,
+            lambda evs: replay_history(evs).labeled_records(),
+        ):
+            with pytest.raises(HistoryError, match=f"genes recorded for {key}"):
+                read(events)
 
     @staticmethod
     def assert_replays_to(state, path):

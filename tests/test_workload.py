@@ -15,6 +15,7 @@ from eenas.arch import (
     decode,
     enumerate_space,
     sample_architecture,
+    static_counterpart,
 )
 from eenas.workload import (
     LayerGraph,
@@ -22,7 +23,7 @@ from eenas.workload import (
     WorkloadError,
     backbone_mac_fractions,
     backbone_mount_macs,
-    cumulative_macs,
+    exit_macs,
     expand_backbone,
     expand_layers,
     validate_graph,
@@ -31,7 +32,6 @@ from helpers import (
     conv_macs_elementwise,
     depthwise_macs_elementwise,
     linear_macs_elementwise,
-    staged_graph,
 )
 
 
@@ -95,8 +95,7 @@ class TestMacCounting:
             exits=tuple(ExitPlacement(m, head) for m in "DFIK"),
             quant=QuantScheme(backbone_bits=8, exit_bits=(8, 8, 8, 8)),
         )
-        graph = expand_layers(arch)
-        total = cumulative_macs(graph, 4)
+        total = exit_macs(arch)[-1]
         reference = 195_377_152
         assert abs(total - reference) / reference < 0.10
 
@@ -145,7 +144,9 @@ class TestGraphStructure:
             quant=QuantScheme(backbone_bits=8, exit_bits=(4, 8)),
         )
         graph = expand_layers(arch)
-        assert graph.exit_count == 2
+        assert {n.owner for n in graph.nodes if n.owner[0] == "exit"} == {
+            ("exit", 1), ("exit", 2)
+        }
         exit1 = [n for n in graph.nodes if n.owner == ("exit", 1)]
         assert all(n.bits == 4 for n in exit1)
         exit2 = [n for n in graph.nodes if n.owner == ("exit", 2)]
@@ -198,37 +199,34 @@ class TestGraphStructure:
 
 
 class TestCumulativeMacs:
-    def test_single_exit_equals_total(self, smallconv):
-        graph = expand_layers(single_exit(smallconv))
-        assert cumulative_macs(graph, 1) == graph.total_macs
+    """``exit_macs``: per exit, the backbone MACs at its mount plus the MACs
+    of the heads of exits 1..i."""
 
-    def test_hand_built_two_stage_graph(self):
-        graph = staged_graph(backbone_macs=(100, 200), head_macs=(10, 20))
-        assert cumulative_macs(graph, 1) == 110
-        assert cumulative_macs(graph, 2) == 330
+    def test_single_exit_equals_total(self, smallconv):
+        arch = single_exit(smallconv)
+        assert exit_macs(arch) == (expand_layers(arch).total_macs,)
 
     def test_strictly_increasing_in_exit_index(self, small_space):
         rng = np.random.default_rng(2)
         for _ in range(20):
             arch = decode(sample_architecture(small_space, rng), small_space)
-            graph = expand_layers(arch)
-            values = [cumulative_macs(graph, i) for i in range(1, arch.m + 1)]
+            values = exit_macs(arch)
+            assert len(values) == arch.m
             assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_graph_without_exits_counts_none(self, smallconv):
-        graph = expand_backbone(smallconv, 8)
-        assert graph.exit_count == 0
-        with pytest.raises(WorkloadError, match="out of range"):
-            graph.nodes_for_exit(1)
-        with pytest.raises(WorkloadError, match="out of range"):
-            cumulative_macs(graph, 1)
-
-    def test_out_of_range_exit_rejected(self, smallconv):
-        graph = expand_layers(single_exit(smallconv))
-        with pytest.raises(WorkloadError):
-            cumulative_macs(graph, 0)
-        with pytest.raises(WorkloadError):
-            cumulative_macs(graph, 2)
+    def test_matches_owner_tag_sums(self, small_space):
+        """Against the full graph: exit i runs every node tagged with an
+        index up to i. Covers every smallconv architecture and its static
+        counterpart."""
+        for chrom in enumerate_space(small_space):
+            arch = decode(chrom, small_space)
+            for a in (arch, static_counterpart(arch)):
+                graph = expand_layers(a, num_classes=7)
+                expected = tuple(
+                    sum(n.macs for n in graph.nodes if n.owner[1] <= i)
+                    for i in range(1, a.m + 1)
+                )
+                assert exit_macs(a, num_classes=7) == expected
 
 
 class TestSharedBackbone:
