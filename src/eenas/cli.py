@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 from .arch import (
     ArchitectureError,
@@ -450,9 +451,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; every ``parse_args`` call returns a
+    fresh namespace, so one parser serves every ``main`` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (

@@ -20,14 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .arch import EennArchitecture
+from .arch import UNQUANTIZED_BITS, EennArchitecture
 from .files import atomic_write, load_json
 from .quant import (
     QuantParams,
     calibrate_clip,
-    fake_quant_forward,
+    fake_quant_with_mask,
     percentile_clip_candidates,
-    ste_mask,
 )
 from .workload import backbone_mac_fractions
 
@@ -269,13 +268,32 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+class _FlatViews(dict):
+    """Named, parameter-shaped views into one flat float64 array."""
+
+    def __init__(self, flat: np.ndarray, layout):
+        super().__init__(
+            (key, flat[lo:hi].reshape(shape)) for key, lo, hi, shape in layout
+        )
+        self.flat = flat
+
+
 class DenseEenn:
     """Dense stand-in network: one block (linear + relu6) per backbone block
     instance, with the architecture's exits attached at their mounts.
 
+    Parameters live in one flat float64 buffer: first the weights of the
+    layers below 32 bits, then the other weights, then all biases.
+    ``params[name]`` is a view into it, and so is each entry of the
+    gradients, which share one fresh flat array per call; ``sgd_step`` is
+    one vectorized update of the whole buffer.
+
     Weights and post-activation tensors are fake-quantized once clip values
-    have been assigned; gradients use the straight-through rule. Biases stay
-    unquantized.
+    have been assigned; biases stay unquantized. Each forward quantizes all
+    quantized weights in one pass over their region of the buffer, with
+    per-element clip, scale and level arrays. Gradients use the
+    straight-through rule, with masks made in the same pass as the forward
+    values.
     """
 
     def __init__(
@@ -292,74 +310,118 @@ class DenseEenn:
         self.positions = [
             arch.backbone.mount_position(e.mount) for e in arch.exits
         ]
-        self.params: dict[str, np.ndarray] = {}
-        self.weight_q: dict[str, QuantParams | None] = {}
-        self.act_q: dict[str, QuantParams | None] = {}
+        # Linear layers in forward order: (name, fan_in, fan_out, bits).
+        layers = []
         fan_in = in_features
         for j in range(self.n_blocks):
-            self._add_linear(f"block{j}", fan_in, width, rng)
-            self.act_q[f"block{j}"] = None
+            layers.append((f"block{j}", fan_in, width, arch.quant.backbone_bits))
             fan_in = width
-        for i, placement in enumerate(arch.exits, start=1):
+        # Per exit, the layer index of its hidden layer (None at depth 1)
+        # and of its output layer.
+        self._heads: list[tuple[int | None, int]] = []
+        for i, (placement, bits) in enumerate(
+            zip(arch.exits, arch.quant.exit_bits), start=1
+        ):
             feat = width
+            hidden = None
             if placement.head.depth == 2:
-                self._add_linear(f"exit{i}.hidden", feat, placement.head.hidden_width, rng)
-                self.act_q[f"exit{i}.hidden"] = None
+                hidden = len(layers)
+                layers.append(
+                    (f"exit{i}.hidden", feat, placement.head.hidden_width, bits)
+                )
                 feat = placement.head.hidden_width
-            self._add_linear(f"exit{i}.out", feat, num_classes, rng)
-        self._velocity = {k: np.zeros_like(v) for k, v in self.params.items()}
+            self._heads.append((hidden, len(layers)))
+            layers.append((f"exit{i}.out", feat, num_classes, bits))
+        self._bits = [bits for *_, bits in layers]
+        self._keys = [(f"{name}.w", f"{name}.b") for name, *_ in layers]
 
-    def _add_linear(self, name: str, fan_in: int, fan_out: int, rng) -> None:
-        scale = math.sqrt(2.0 / fan_in)
-        self.params[f"{name}.w"] = rng.normal(size=(fan_in, fan_out)) * scale
-        # Slightly positive biases keep narrow relu6 trunks from going dead.
-        self.params[f"{name}.b"] = np.full(fan_out, 0.01)
-        self.weight_q[f"{name}.w"] = None
-
-    def _weight(self, name: str) -> np.ndarray:
-        w = self.params[f"{name}.w"]
-        q = self.weight_q[f"{name}.w"]
-        return fake_quant_forward(w, q) if q is not None else w
-
-    def _activation(self, site: str, h: np.ndarray) -> np.ndarray:
-        q = self.act_q.get(site)
-        return fake_quant_forward(h, q) if q is not None else h
+        # Weights of the layers below 32 bits first, so that they form one
+        # region of the buffer, then the other weights, then the biases.
+        self._layout = []
+        offset = 0
+        for quantized in (True, False):
+            for (_, fi, fo, bits), (wkey, _) in zip(layers, self._keys):
+                if (bits < UNQUANTIZED_BITS) is quantized:
+                    self._layout.append((wkey, offset, offset + fi * fo, (fi, fo)))
+                    offset += fi * fo
+            if quantized:
+                self._n_quantized = offset
+        self._n_weights = offset
+        for (_, _, fo, _), (_, bkey) in zip(layers, self._keys):
+            self._layout.append((bkey, offset, offset + fo, (fo,)))
+            offset += fo
+        spans = {key: (lo, hi, shape) for key, lo, hi, shape in self._layout}
+        self._spans = [spans[wkey] for wkey, _ in self._keys]
+        self.params = _FlatViews(np.empty(offset), self._layout)
+        self._velocity = np.zeros(offset)
+        for (_, fi, fo, _), (wkey, bkey) in zip(layers, self._keys):
+            self.params[wkey][...] = rng.normal(size=(fi, fo)) * math.sqrt(2.0 / fi)
+            # Slightly positive biases keep narrow relu6 trunks from going dead.
+            self.params[bkey][...] = 0.01
+        self._w = [self.params[wkey] for wkey, _ in self._keys]
+        self._b = [self.params[bkey] for _, bkey in self._keys]
+        # Set by calibrate: per layer, the quantizers of its weights and of
+        # its activation (None: unquantized), and per element of the
+        # quantized weight region its (clip, scale, levels).
+        self._weight_q: list[QuantParams | None] = [None] * len(layers)
+        self._act_q: list[QuantParams | None] = [None] * len(layers)
+        self._weight_grid: tuple[np.ndarray, ...] | None = None
 
     def forward(self, X: np.ndarray) -> list[np.ndarray]:
         """Per-exit logits."""
         return self._forward(X)[0]
 
     def _forward(self, X: np.ndarray):
+        """Per-exit logits, the weights used, the straight-through mask of
+        the quantized weight region (None before calibration), and per
+        layer its input, the mask carrying its output gradient back through
+        relu6 and activation quantization, and its relu6 output (None for
+        exit output layers)."""
+        weights, weight_mask = self._forward_weights()
+        inputs = [None] * len(self._bits)
+        masks = [None] * len(self._bits)
+        acts = [None] * len(self._bits)
         trunk = []
-        caches = []
         a = X
         for j in range(self.n_blocks):
-            wq = self._weight(f"block{j}")
-            z = a @ wq + self.params[f"block{j}.b"]
-            h = _relu6(z)
-            out = self._activation(f"block{j}", h)
-            caches.append({"a_in": a, "z": z, "h": h, "wq": wq})
-            trunk.append(out)
-            a = out
+            inputs[j] = a
+            a, masks[j], acts[j] = self._activate(j, a @ weights[j] + self._b[j])
+            trunk.append(a)
         logits = []
-        head_caches = []
-        for i, placement in enumerate(self.arch.exits, start=1):
-            a_mount = trunk[self.positions[i - 1]]
-            cache = {"a_mount": a_mount}
-            feat = a_mount
-            if placement.head.depth == 2:
-                wq = self._weight(f"exit{i}.hidden")
-                z1 = feat @ wq + self.params[f"exit{i}.hidden.b"]
-                h1 = _relu6(z1)
-                hq = self._activation(f"exit{i}.hidden", h1)
-                cache.update({"z1": z1, "h1": h1, "hq": hq, "w1q": wq})
-                feat = hq
-            wq = self._weight(f"exit{i}.out")
-            cache["w2q"] = wq
-            cache["feat"] = feat
-            logits.append(feat @ wq + self.params[f"exit{i}.out.b"])
-            head_caches.append(cache)
-        return logits, trunk, caches, head_caches
+        for (hidden, out), pos in zip(self._heads, self.positions):
+            feat = trunk[pos]
+            if hidden is not None:
+                inputs[hidden] = feat
+                feat, masks[hidden], acts[hidden] = self._activate(
+                    hidden, feat @ weights[hidden] + self._b[hidden]
+                )
+            inputs[out] = feat
+            logits.append(feat @ weights[out] + self._b[out])
+        return logits, weights, weight_mask, inputs, masks, acts
+
+    def _forward_weights(self):
+        if self._weight_grid is None:
+            return self._w, None
+        nq = self._n_quantized
+        wq, mask = fake_quant_with_mask(self.params.flat[:nq], *self._weight_grid)
+        weights = [
+            wq[lo:hi].reshape(shape) if hi <= nq else w
+            for (lo, hi, shape), w in zip(self._spans, self._w)
+        ]
+        return weights, mask
+
+    def _activate(self, layer: int, z: np.ndarray):
+        """The layer's output, the mask carrying a gradient back through
+        its fake quantization and relu6 (their product as 0/1 values gives
+        the same bits as applying them one after the other), and the
+        relu6 output."""
+        h = _relu6(z)
+        through = (z > 0) & (z < 6)
+        q = self._act_q[layer]
+        if q is None:
+            return h, through, h
+        out, inside = fake_quant_with_mask(h, q.clip, q.scale, q.levels)
+        return out, through & inside, h
 
     def losses(self, X: np.ndarray, y: np.ndarray) -> list[float]:
         """Per-exit mean cross-entropy."""
@@ -373,97 +435,118 @@ class DenseEenn:
         self, X: np.ndarray, y: np.ndarray, weights: Sequence[float]
     ):
         """Scalarized loss, per-exit losses, and analytic gradients of the
-        scalarized loss for every parameter."""
-        logits, trunk, caches, head_caches = self._forward(X)
+        scalarized loss for every parameter, as named views into one fresh
+        flat array (its ``flat`` attribute)."""
+        logits, wq, weight_mask, inputs, masks, _ = self._forward(X)
         n = len(y)
+        rows = np.arange(n)
         onehot = np.zeros((n, self.num_classes))
-        onehot[np.arange(n), y] = 1.0
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        d_trunk = [np.zeros_like(t) for t in trunk]
+        onehot[rows, y] = 1.0
+        grads = _FlatViews(np.zeros(self.params.flat.size), self._layout)
+        # Gradients reaching each trunk output from the heads; the zero
+        # start keeps the sums, signed zeros included, as zeros_like would.
+        d_trunk = [0.0] * self.n_blocks
         per_exit = []
-        for i, placement in enumerate(self.arch.exits, start=1):
-            p = _softmax(logits[i - 1])
-            loss_i = float(-np.mean(np.log(p[np.arange(n), y] + 1e-300)))
-            per_exit.append(loss_i)
-            dlogits = weights[i - 1] * (p - onehot) / n
-            cache = head_caches[i - 1]
-            name = f"exit{i}.out"
-            dwq = cache["feat"].T @ dlogits
-            grads[f"{name}.w"] += dwq * self._wmask(name)
-            grads[f"{name}.b"] += dlogits.sum(axis=0)
-            dfeat = dlogits @ cache["w2q"].T
-            if placement.head.depth == 2:
-                site = f"exit{i}.hidden"
-                dh1 = dfeat * self._amask(site, cache["h1"])
-                dz1 = dh1 * ((cache["z1"] > 0) & (cache["z1"] < 6))
-                grads[f"{site}.w"] += (cache["a_mount"].T @ dz1) * self._wmask(site)
-                grads[f"{site}.b"] += dz1.sum(axis=0)
-                dfeat = dz1 @ cache["w1q"].T
-            d_trunk[self.positions[i - 1]] += dfeat
-        da = d_trunk[self.n_blocks - 1]
+        for e, (hidden, out) in enumerate(self._heads):
+            p = _softmax(logits[e])
+            per_exit.append(float(-np.mean(np.log(p[rows, y] + 1e-300))))
+            dlogits = weights[e] * (p - onehot) / n
+            dfeat = self._linear_backward(grads, out, inputs[out], dlogits, wq)
+            if hidden is not None:
+                dfeat = self._linear_backward(
+                    grads, hidden, inputs[hidden], dfeat * masks[hidden], wq
+                )
+            pos = self.positions[e]
+            d_trunk[pos] = d_trunk[pos] + dfeat
+        da = d_trunk[-1]
         for j in range(self.n_blocks - 1, -1, -1):
-            cache = caches[j]
-            dh = da * self._amask(f"block{j}", cache["h"])
-            dz = dh * ((cache["z"] > 0) & (cache["z"] < 6))
-            grads[f"block{j}.w"] += (cache["a_in"].T @ dz) * self._wmask(f"block{j}")
-            grads[f"block{j}.b"] += dz.sum(axis=0)
-            da = dz @ cache["wq"].T
+            da = self._linear_backward(grads, j, inputs[j], da * masks[j], wq)
             if j > 0:
                 da = da + d_trunk[j - 1]
+        if weight_mask is not None:
+            # Mask the quantized weights' gradients in one pass:
+            # (0 + g) * mask + 0 equals 0 + g * mask bit for bit for a 0/1
+            # mask, signed zeros and NaN included.
+            gq = grads.flat[: self._n_quantized]
+            gq *= weight_mask
+            gq += 0.0
         total = scalarized_loss(per_exit, weights)
         return total, per_exit, grads
 
-    def _wmask(self, name: str) -> np.ndarray | float:
-        q = self.weight_q[f"{name}.w"]
-        if q is None:
-            return 1.0
-        return ste_mask(self.params[f"{name}.w"], q)
+    def _linear_backward(self, grads, layer, x, dz, wq):
+        """Add a linear layer's gradients, given its input ``x``, the
+        gradient ``dz`` of its output and the weights ``wq`` the forward
+        used; return the gradient of its input. The weight mask is applied
+        later, to the whole quantized region at once."""
+        wkey, bkey = self._keys[layer]
+        grads[wkey] += x.T @ dz
+        grads[bkey] += dz.sum(axis=0)
+        return dz @ wq[layer].T
 
-    def _amask(self, site: str, h: np.ndarray) -> np.ndarray | float:
-        q = self.act_q.get(site)
-        if q is None:
-            return 1.0
-        return ste_mask(h, q)
+    def sgd_step(
+        self, grads: _FlatViews, lr: float, momentum: float, wd: float
+    ) -> None:
+        """Momentum SGD over the flat buffer, weight decay on the weight
+        region only."""
+        g = grads.flat
+        v = self._velocity
+        v *= momentum
+        if wd:
+            nw = self._n_weights
+            v[:nw] += g[:nw] + wd * self.params.flat[:nw]
+            v[nw:] += g[nw:]
+        else:
+            v += g
+        self.params.flat -= lr * v
 
-    def sgd_step(self, grads: dict, lr: float, momentum: float, wd: float) -> None:
-        for key, g in grads.items():
-            if wd and key.endswith(".w"):
-                g = g + wd * self.params[key]
-            self._velocity[key] = momentum * self._velocity[key] + g
-            self.params[key] -= lr * self._velocity[key]
-
-    def calibrate(self, X: np.ndarray) -> None:
+    def calibrate(self, X: np.ndarray) -> bool:
         """Assign per-tensor clips by KL-minimal choice over percentile
         candidates; weight clips come from the weights themselves,
-        activation clips from a forward pass over the calibration batch."""
-        bits_bb = self.arch.quant.backbone_bits
-        _, trunk, caches, head_caches = self._forward(X)
-        for j in range(self.n_blocks):
-            self._set_weight_clip(f"block{j}", bits_bb)
-            self._set_act_clip(f"block{j}", caches[j]["h"], bits_bb)
-        for i, placement in enumerate(self.arch.exits, start=1):
-            bits = self.arch.quant.exit_bits[i - 1]
-            if placement.head.depth == 2:
-                self._set_weight_clip(f"exit{i}.hidden", bits)
-                self._set_act_clip(
-                    f"exit{i}.hidden", head_caches[i - 1]["h1"], bits
+        activation clips from a forward pass over the calibration batch.
+        Returns False, assigning nothing, when a tensor to calibrate is not
+        finite: training has diverged."""
+        acts = self._forward(X)[-1]
+        chosen = []
+        for layer, bits in enumerate(self._bits):
+            if bits >= UNQUANTIZED_BITS:
+                continue
+            for table, values in (
+                (self._weight_q, self._w[layer]),
+                (self._act_q, acts[layer]),
+            ):
+                if values is None:
+                    continue
+                clip = _calibrated_clip(values, bits)
+                if clip is None:
+                    return False
+                chosen.append((table, layer, QuantParams(clip=clip, bits=bits)))
+        for table, layer, q in chosen:
+            table[layer] = q
+        # The quantized weight region holds its layers in layer order.
+        layers = [
+            layer for layer, bits in enumerate(self._bits)
+            if bits < UNQUANTIZED_BITS
+        ]
+        if layers:
+            sizes = [self._w[layer].size for layer in layers]
+            self._weight_grid = tuple(
+                np.repeat(
+                    np.array([getattr(self._weight_q[l], f) for l in layers], dtype=float),
+                    sizes,
                 )
-            self._set_weight_clip(f"exit{i}.out", bits)
+                for f in ("clip", "scale", "levels")
+            )
+        return True
 
-    def _set_weight_clip(self, name: str, bits: int) -> None:
-        if bits >= 32:
-            return
-        values = self.params[f"{name}.w"]
-        cands = percentile_clip_candidates(values) or (1.0,)
-        picked = calibrate_clip(values, bits, cands)
-        self.weight_q[f"{name}.w"] = QuantParams(clip=picked.clip, bits=bits)
 
-    def _set_act_clip(self, site: str, values: np.ndarray, bits: int) -> None:
-        if bits >= 32:
-            return
-        cands = percentile_clip_candidates(values) or (1.0,)
-        picked = calibrate_clip(values, bits, cands)
-        self.act_q[site] = QuantParams(clip=picked.clip, bits=bits)
+def _calibrated_clip(values: np.ndarray, bits: int) -> float | None:
+    """KL-calibrated clip of a tensor over its percentile candidates, from
+    one sort of its values; None when they are not finite."""
+    ordered = np.sort(values, axis=None)
+    if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
+        return None
+    cands = percentile_clip_candidates(ordered) or (1.0,)
+    return calibrate_clip(ordered, bits, cands).clip
 
 
 def build_toy_net(
@@ -530,7 +613,8 @@ def train_toy(
     with np.errstate(all="ignore"):
         for epoch in range(config.epochs):
             if quantized and epoch == config.warmup_epochs:
-                net.calibrate(calib)
+                if not net.calibrate(calib):
+                    raise TrainingDiverged(epoch)
             order = rng.permutation(len(X_train))
             for lo in range(0, len(order), config.batch_size):
                 batch = order[lo : lo + config.batch_size]
@@ -608,8 +692,10 @@ class OracleConfig:
             raise ValueError("threshold must lie strictly inside (0, 1)")
 
 
+@lru_cache(maxsize=4096, typed=True)
 def _hash_unit(*parts) -> float:
-    """Deterministic value in [-1, 1) derived from the parts."""
+    """Deterministic value in [-1, 1) derived from the parts. Typed
+    memoization: 3 and 3.0 print, and so hash, differently."""
     digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2**63 - 1.0
 

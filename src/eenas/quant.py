@@ -5,6 +5,19 @@ s = c / (2^(b-1) - 1), giving 2^b - 1 representable magnitudes symmetric
 about zero. Bit width 32 is the "unquantized" sentinel and maps values
 through unchanged. Clip magnitudes are calibrated per layer by minimizing
 the KL divergence between histograms of the raw and quantized values.
+
+The floor-and-correct grid step has one home, :func:`_grid_steps`.
+:func:`quantize` and :func:`fake_quant_forward` use it one tensor at a
+time; :func:`fake_quant_with_mask` runs it once over many tensors, with
+per-element clip, scale and level arrays, and returns the straight-through
+mask from the same pass. Every element goes through the same floating-point
+operations either way, so the values are the same bit for bit.
+
+:func:`calibrate_clip` sorts its sample once. Both histograms are then
+counted by binary search on the sorted sample, exactly as ``np.histogram``
+counts with explicit edges. A candidate's quantized image is counted per
+grid point: quantize maps x to the greatest grid point not above clamp(x),
+so the samples below a grid point are one ``searchsorted`` away.
 """
 
 from __future__ import annotations
@@ -55,6 +68,23 @@ def scale_factor(clip: float, bits: int) -> float:
     return QuantParams(clip, bits).scale
 
 
+def _grid_steps(x, scale, levels):
+    """Index k of the greatest grid point ``k * scale`` not above ``x``,
+    clipped to [-levels, levels], as floats; ``x`` is already clamped.
+
+    The quotient ``x / scale`` can land one step off the true grid after
+    rounding, so the floor is corrected once each way against the actual
+    floating-point products. The corrections write through ``where=``,
+    which leaves unselected entries untouched exactly as ``np.where`` would,
+    so no sign of zero changes. ``scale`` and ``levels`` are scalars or
+    arrays shaped like ``x``.
+    """
+    k = np.floor(x / scale)
+    np.subtract(k, 1.0, out=k, where=k * scale > x)
+    np.add(k, 1.0, out=k, where=(k + 1.0) * scale <= x)
+    return np.clip(k, -levels, levels, out=k)
+
+
 def quantize(value, params: QuantParams):
     """Floor ``clamp(value, -c, c)`` onto the grid and rescale.
 
@@ -67,16 +97,11 @@ def quantize(value, params: QuantParams):
     scalar = np.isscalar(value) or getattr(value, "ndim", 0) == 0
     if params.is_identity:
         return float(value) if scalar else np.asarray(value, dtype=float)
-    x = np.clip(np.asarray(value, dtype=float), -params.clip, params.clip)
-    s = params.scale
-    m = params.levels
-    k = np.floor(x / s)
-    # The quotient can land one step off the true grid after rounding.
-    k = np.where(k * s > x, k - 1.0, k)
-    k = np.where((k + 1.0) * s <= x, k + 1.0, k)
-    k = np.clip(k, -m, m)
-    out = k * s
-    return float(out) if scalar else out
+    x = np.atleast_1d(np.asarray(value, dtype=float))
+    x = np.clip(x, -params.clip, params.clip)
+    out = _grid_steps(x, params.scale, params.levels)
+    out *= params.scale
+    return float(out[0]) if scalar else out
 
 
 def fake_quant_forward(tensor, params: QuantParams) -> np.ndarray:
@@ -96,6 +121,19 @@ def ste_mask(tensor, params: QuantParams) -> np.ndarray:
     return (np.abs(arr) <= params.clip).astype(float)
 
 
+def fake_quant_with_mask(x: np.ndarray, clip, scale, levels):
+    """:func:`fake_quant_forward` and :func:`ste_mask` of a float array in
+    one pass. ``clip``, ``scale`` and ``levels`` are the quantizer's
+    (``levels`` is 2^(b-1) - 1), as scalars or as arrays shaped like ``x``,
+    so that tensors of different clips and bit widths can share one pass.
+    Returns the quantized values and the mask as booleans."""
+    clamped = np.clip(x, -clip, clip)
+    out = _grid_steps(clamped, scale, levels)
+    out *= scale
+    # |x| <= clip exactly where clamping left x unchanged; NaN fails both.
+    return out, clamped == x
+
+
 @dataclass(frozen=True)
 class ClipCalibration:
     """Chosen clip plus the divergence of every candidate, smallest clip
@@ -111,8 +149,9 @@ def calibrate_clip(
     values, bits: int, candidates: Iterable[float]
 ) -> ClipCalibration:
     """Pick the clip candidate minimizing the KL divergence between the
-    128-bin histograms of the sample and of its quantized image."""
-    v = np.asarray(values, dtype=float).ravel()
+    128-bin histograms of the sample and of its quantized image. The
+    sample must be finite."""
+    v = _ascending(np.asarray(values, dtype=float).ravel())
     if v.size == 0:
         raise ValueError("cannot calibrate on an empty sample")
     cands = sorted(set(float(c) for c in candidates))
@@ -120,7 +159,9 @@ def calibrate_clip(
         raise ValueError("empty clip candidate grid")
     if any(not (c > 0 and math.isfinite(c)) for c in cands):
         raise ValueError("clip candidates must be positive and finite")
-    amax = float(np.max(np.abs(v)))
+    if not (math.isfinite(v[0]) and math.isfinite(v[-1])):
+        raise ValueError("cannot calibrate on a non-finite sample")
+    amax = float(max(-v[0], v[-1]))
     if amax == 0.0:
         return ClipCalibration(
             clip=cands[0],
@@ -128,16 +169,30 @@ def calibrate_clip(
             divergences=tuple((c, 0.0) for c in cands),
             degenerate=True,
         )
+    n = v.size
     edges = np.linspace(-amax, amax, CALIBRATION_BINS + 1)
-    p = np.histogram(v, bins=edges)[0] / v.size
+    p = _bin_counts(v, edges) / n
     best_clip = None
     best_kl = math.inf
     divergences = []
     for c in cands:
-        qv = quantize(v, QuantParams(clip=c, bits=bits))
+        params = QuantParams(clip=c, bits=bits)
         # Flooring can step just past the sample range; bin at the edges.
-        q = np.histogram(np.clip(qv, -amax, amax), bins=edges)[0] / v.size
-        kl = _kl_divergence(p, q)
+        if 2 * params.levels + 1 > n:
+            # More grid points than samples: quantize the sample itself.
+            # Quantization is monotone, so the image stays ascending.
+            image = np.clip(quantize(v, params), -amax, amax)
+            counts = _bin_counts(image, edges)
+        else:
+            m = params.levels
+            grid = np.arange(-m, m + 1) * params.scale
+            # below[j]: samples whose image lies under grid[j]. A grid point
+            # above the clip is never reached by a clamped sample.
+            below = np.searchsorted(v, grid[1:], side="left")
+            below[grid[1:] > c] = n
+            below = np.concatenate(([0], below, [n]))
+            counts = _bin_counts(np.clip(grid, -amax, amax), edges, below)
+        kl = _kl_divergence(p, counts / n)
         divergences.append((c, kl))
         if kl < best_kl:
             best_kl = kl
@@ -147,6 +202,23 @@ def calibrate_clip(
     )
 
 
+def _ascending(v: np.ndarray) -> np.ndarray:
+    """``v`` itself when it is already ascending, else a sorted copy."""
+    return v if bool(np.all(v[1:] >= v[:-1])) else np.sort(v)
+
+
+def _bin_counts(ascending: np.ndarray, edges: np.ndarray, below=None):
+    """``np.histogram(x, edges)[0]`` of an ascending ``x``, counted the way
+    numpy counts explicit edges: bin i holds edges[i] <= x < edges[i+1],
+    the last bin is closed. With ``below``, ``x[j]`` stands for
+    ``below[j+1] - below[j]`` samples."""
+    idx = np.concatenate((
+        np.searchsorted(ascending, edges[:-1], side="left"),
+        np.searchsorted(ascending, edges[-1:], side="right"),
+    ))
+    return np.diff(idx if below is None else below[idx])
+
+
 def _kl_divergence(p: np.ndarray, q: np.ndarray, eps: float = 1e-12) -> float:
     return float(np.sum(p * (np.log(p + eps) - np.log(q + eps))))
 
@@ -154,8 +226,9 @@ def _kl_divergence(p: np.ndarray, q: np.ndarray, eps: float = 1e-12) -> float:
 def percentile_clip_candidates(
     values, percentiles: Sequence[float] = DEFAULT_CLIP_PERCENTILES
 ) -> tuple[float, ...]:
-    """Candidate clips from percentile magnitudes of a sample; zero or
-    duplicate magnitudes are dropped."""
-    mags = np.abs(np.asarray(values, dtype=float).ravel())
-    cands = sorted(set(float(np.percentile(mags, p)) for p in percentiles))
+    """Candidate clips from percentile magnitudes of a sample, taken in one
+    call on the sorted magnitudes; zero or duplicate magnitudes are
+    dropped."""
+    mags = _ascending(np.abs(np.asarray(values, dtype=float).ravel()))
+    cands = sorted(set(float(c) for c in np.percentile(mags, percentiles)))
     return tuple(c for c in cands if c > 0)

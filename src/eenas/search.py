@@ -390,6 +390,10 @@ class HistoryReplay:
     by_hash: dict[str, dict] = field(default_factory=dict)  # last evaluation
     rejected: dict[str, str] = field(default_factory=dict)  # "mu", "evaluation-failed"
     summaries: list[dict] = field(default_factory=list)
+    # Hash -> the genes tuple already checked to hash to it.
+    _verified: dict[str, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def labeled(self) -> frozenset[str]:
@@ -402,8 +406,10 @@ class HistoryReplay:
         :class:`HistoryError`: every reader takes genes from here, so an
         altered gene line never enters a state, a front or an audit."""
         genes = self.genes.get(h)
-        if genes is not None and chromosome_hash(Chromosome(genes)) != h:
-            raise HistoryError(f"the genes recorded for {h} do not hash to it")
+        if genes is not None and self._verified.get(h) is not genes:
+            if chromosome_hash(Chromosome(genes)) != h:
+                raise HistoryError(f"the genes recorded for {h} do not hash to it")
+            self._verified[h] = genes
         return genes
 
     def labeled_records(self) -> list[LabeledRecord]:

@@ -79,6 +79,26 @@ class TestSpaceCommand:
         assert main(["space", "--backbone", "builtin:nope"]) == EXIT_CONFIG
 
 
+class TestParser:
+    def test_calls_in_one_process_parse_independently(self, capsys):
+        """The parser is built once; no option of one call leaks into the
+        next, and a refused command line does not stop the next call."""
+        narrow = ["space", "--backbone", "builtin:smallconv", "--head-depths",
+                  "1", "--exit-bits", "8"]
+        assert main(narrow) == EXIT_OK
+        assert f"pq(1+pq)^H: {1 * (1 + 1) ** 4}" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as err:
+            main(["space", "--no-such-option"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --no-such-option" in capsys.readouterr().err
+        assert main(["space", "--backbone", "builtin:smallconv"]) == EXIT_OK
+        assert f"pq(1+pq)^H: {4 * (1 + 4) ** 4}" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: eenas")
+
+
 class TestCostCommand:
     def test_writes_csv_and_report(self, tmp_path, arch_file, capsys):
         out = tmp_path / "out"

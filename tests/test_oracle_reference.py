@@ -140,3 +140,11 @@ class TestOracleMatchesSweep:
         assert synthetic_oracle(arch, config, seed) == reference_oracle(
             arch, config, seed
         )
+
+
+def test_hash_unit_memo_keeps_int_and_float_seeds_apart():
+    """The memo must return what hashing returns: 3 and 3.0 print, and so
+    hash, differently."""
+    for parts in ((3, "A"), (3.0, "A"), (True, "A"), (1, "A")):
+        assert _hash_unit(*parts) == _hash_unit.__wrapped__(*parts)
+    assert _hash_unit(3, "A") != _hash_unit(3.0, "A")

@@ -457,6 +457,34 @@ class TestRunSearch:
             with pytest.raises(HistoryError, match=f"genes recorded for {key}"):
                 read(events)
 
+    def test_genes_are_hashed_once_per_replay(
+        self, small_space, accel, tmp_path, monkeypatch
+    ):
+        """A replay remembers the genes it has checked: members and the
+        labeled archive share one check per hash. Genes replaced after the
+        check are checked again."""
+        from eenas import search
+        from eenas.search import HistoryError, replay_history
+
+        _, path = self.run(small_space, accel, tmp_path)
+        history = replay_history(read_history(str(path)), complete=True)
+        calls = []
+        monkeypatch.setattr(
+            search, "chromosome_hash",
+            lambda chrom: calls.append(chrom) or chromosome_hash(chrom),
+        )
+        members = history.summaries[-1]["s"]
+        for h in members:
+            assert history.genes_of(h) == history.genes_of(h)
+        history.labeled_records()
+        assert len(calls) == len(set(members) | history.labeled)
+        key = members[0]
+        genes = list(history.genes[key])
+        genes[-1] = 1 - genes[-1]
+        history.genes[key] = tuple(genes)
+        with pytest.raises(HistoryError, match=f"genes recorded for {key}"):
+            history.genes_of(key)
+
     @staticmethod
     def assert_replays_to(state, path):
         from eenas.search import _rebuild_state
