@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
 from typing import Iterator
@@ -33,6 +33,31 @@ class ArchitectureError(ValueError):
 
 class ChromosomeError(ValueError):
     """Malformed gene vector."""
+
+
+def hash_once(cls):
+    """Class decorator, applied above ``@dataclass(frozen=True)``: the
+    instance hash is the generated field hash, computed on first use and
+    kept in the instance ``__dict__`` (as ``cached_property`` keeps its
+    values). Equality stays field-based. The kept hash is left out of the
+    pickled state, because string hashes differ between processes."""
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_field_hash"]
+        except KeyError:
+            value = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            self.__dict__["_field_hash"] = value
+            return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_field_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
 
 
 @dataclass(frozen=True)
@@ -78,6 +103,7 @@ class BlockInstance:
     mount: str | None
 
 
+@hash_once
 @dataclass(frozen=True)
 class BackboneSpec:
     """A fixed backbone plus its ordered exit mounting points.
@@ -335,6 +361,7 @@ class Chromosome:
     genes: tuple[int, ...]
 
 
+@hash_once
 @dataclass(frozen=True)
 class SpaceConfig:
     """The searchable design space over one backbone."""

@@ -18,7 +18,6 @@ Energy-latency products over a set of layers always take the form
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,8 +25,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .arch import BackboneSpec, EennArchitecture
-from .files import atomic_write, load_json
+from .arch import BackboneSpec, EennArchitecture, hash_once
+from .files import load_json
 from .workload import (
     MATRIX_KINDS,
     LayerGraph,
@@ -57,12 +56,20 @@ def _is_finite(value) -> bool:
         return False
 
 
+#: Most compute cores an accelerator may have. Costing places every matrix
+#: layer on every compute core, so its time grows faster than linearly
+#: with the count (``eenas cost`` took 0.16 s at 256 cores, 1.66 s at 1,024).
+MAX_COMPUTE_CORES = 256
+
+
+@hash_once
 @dataclass(frozen=True)
 class AcceleratorSpec:
     """Accelerator description. Defaults model a quad-core edge tensor
     accelerator: 4 x 512 MACs/cycle (16x32 arrays), pooling and SIMD cores,
     2 MiB SRAM per core, a 64 bits/cycle off-chip link. Energy constants are
-    literature-scaled placeholders, fully configurable."""
+    literature-scaled placeholders, fully configurable. At most
+    ``MAX_COMPUTE_CORES`` compute cores."""
 
     compute_cores: int = 4
     macs_per_cycle: int = 512
@@ -93,6 +100,10 @@ class AcceleratorSpec:
             raise CostModelError("counts and bandwidths must be integers")
         if any(v < 1 for v in positive):
             raise CostModelError("counts and bandwidths must be positive")
+        if self.compute_cores > MAX_COMPUTE_CORES:
+            raise CostModelError(
+                f"compute_cores must be at most {MAX_COMPUTE_CORES}"
+            )
         if not all(isinstance(v, bool) for v in (self.pool_core, self.simd_core)):
             raise CostModelError("pool_core and simd_core must be true or false")
         if not all(
@@ -196,11 +207,6 @@ class AcceleratorSpec:
     @classmethod
     def load(cls, path: str) -> "AcceleratorSpec":
         return cls.from_json(load_json(path, CostModelError, "accelerator"))
-
-    def save(self, path: str) -> None:
-        atomic_write(
-            path, json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
-        )
 
 
 class TensorSource(NamedTuple):

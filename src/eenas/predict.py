@@ -5,13 +5,17 @@ between true evaluations. Accuracy is fit directly and clamped to [0, 100];
 the energy-delay product is fit in log space so predictions stay positive
 across its wide dynamic range. Predictors are refit from scratch on the
 cumulative labeled archive each search iteration.
+
+Each distinct chromosome is featurized once per space: ``feature_row``
+keeps the read-only rows, and both ``fit`` and ``predict`` read them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -27,7 +31,7 @@ class LabeledRecord:
     acc_avg: float
     et_avg: float
 
-    @property
+    @cached_property
     def key(self) -> str:
         return chromosome_hash(Chromosome(self.genes))
 
@@ -65,6 +69,31 @@ class LabeledSet:
         return LabeledSet(self._records.values())
 
 
+#: Most feature rows ``feature_row`` keeps, least recently used dropped
+#: first. A README search featurizes about 1,000 distinct chromosomes.
+FEATURE_ROWS = 4096
+
+
+class _SpaceTables(NamedTuple):
+    """Per-space lookups of ``featurize``, as floats: the cumulative MAC
+    fraction of each optional mount, and the depth and bit width of each
+    head and quantization option."""
+
+    fractions: tuple[float, ...]
+    depths: tuple[float, ...]
+    bits: tuple[float, ...]
+
+
+@lru_cache(maxsize=16)
+def _space_tables(space: SpaceConfig) -> _SpaceTables:
+    fractions = backbone_mac_fractions(space.backbone)
+    return _SpaceTables(
+        fractions=tuple(fractions[label] for label in space.backbone.optional_mounts),
+        depths=tuple(float(h.depth) for h in space.head_options),
+        bits=tuple(float(b) for b in space.exit_bit_options),
+    )
+
+
 def featurize(chrom: Chromosome, space: SpaceConfig) -> np.ndarray:
     """Fixed-length feature vector: exit count, per-mount occupancy bits,
     per-mount cumulative MAC fraction (zero when vacant), per-exit head
@@ -75,25 +104,33 @@ def featurize(chrom: Chromosome, space: SpaceConfig) -> np.ndarray:
         raise ValueError(
             f"expected {space.gene_length} genes, got {len(chrom.genes)}"
         )
-    fractions = backbone_mac_fractions(space.backbone)
-    labels = space.backbone.optional_mounts
+    tables = _space_tables(space)
     occupancy = []
     frac = []
     depth = []
     bits = []
-    for j, label in enumerate(labels):
+    for j, fraction in enumerate(tables.fractions):
         present, head_idx, quant_idx = chrom.genes[3 * j : 3 * j + 3]
         occupancy.append(float(present))
-        frac.append(fractions[label] if present else 0.0)
-        depth.append(float(space.head_options[head_idx].depth) if present else 0.0)
-        bits.append(float(space.exit_bit_options[quant_idx]) if present else 0.0)
+        frac.append(fraction if present else 0.0)
+        depth.append(tables.depths[head_idx] if present else 0.0)
+        bits.append(tables.bits[quant_idx] if present else 0.0)
     fh, fq = chrom.genes[-2], chrom.genes[-1]
-    depth.append(float(space.head_options[fh].depth))
-    bits.append(float(space.exit_bit_options[fq]))
+    depth.append(tables.depths[fh])
+    bits.append(tables.bits[fq])
     n_exits = sum(occupancy) + 1.0
     return np.array(
         [n_exits, *occupancy, *frac, *depth, *bits, float(space.backbone_bits)]
     )
+
+
+@lru_cache(maxsize=FEATURE_ROWS)
+def feature_row(genes: tuple[int, ...], space: SpaceConfig) -> np.ndarray:
+    """``featurize`` of ``genes``, computed once per (genes, space) while
+    cached. The row is shared, so it is read-only."""
+    row = featurize(Chromosome(genes), space)
+    row.flags.writeable = False
+    return row
 
 
 @dataclass(frozen=True)
@@ -106,6 +143,15 @@ class Predictor:
     coefficients: tuple[float, ...]
     intercept: float
     train_mse: float
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mean, std and coefficients as arrays, built once per predictor."""
+        return (
+            np.array(self.feature_mean),
+            np.array(self.feature_std),
+            np.array(self.coefficients),
+        )
 
 
 def fit(
@@ -127,7 +173,7 @@ def fit(
     records = list(labeled)
     if len(records) < 2:
         raise ValueError("need at least two labeled records to fit")
-    X = np.stack([featurize(Chromosome(r.genes), space) for r in records])
+    X = np.stack([feature_row(tuple(r.genes), space) for r in records])
     if target == "accuracy":
         y = np.array([r.acc_avg for r in records])
     else:
@@ -159,11 +205,12 @@ def fit(
 def predict(pred: Predictor, chrom: Chromosome, space: SpaceConfig) -> float:
     """Deterministic estimate; accuracy clamps to [0, 100], energy-delay
     maps back out of log space so it stays positive."""
-    feats = featurize(chrom, space)
-    if len(feats) != len(pred.feature_mean):
+    feats = feature_row(tuple(chrom.genes), space)
+    mean, std, coef = pred._arrays
+    if len(feats) != len(mean):
         raise ValueError("feature length does not match the fitted predictor")
-    z = (feats - np.array(pred.feature_mean)) / np.array(pred.feature_std)
-    value = pred.intercept + float(z @ np.array(pred.coefficients))
+    z = (feats - mean) / std
+    value = pred.intercept + float(z @ coef)
     if pred.target == "accuracy":
         return min(max(value, 0.0), 100.0)
     return math.exp(value)

@@ -838,17 +838,24 @@ def _make_estimator(
     predictors: tuple[Predictor, Predictor] | None,
     space: SpaceConfig,
 ):
+    """Labels for labeled keys, else predictions, each key predicted once:
+    neither the predictors nor ``state.labeled`` change while one
+    iteration selects."""
+    predicted: dict[str, tuple[float, float]] = {}
+
     def estimate(key: str, genes: tuple[int, ...]) -> tuple[float, float]:
         record = state.labeled.get(key)
         if record is not None:
             return record.acc_avg, record.et_avg
-        if predictors is None:
-            raise SearchError("no predictors available for unlabeled candidates")
-        chrom = Chromosome(genes)
-        return (
-            predict(predictors[0], chrom, space),
-            predict(predictors[1], chrom, space),
-        )
+        if key not in predicted:
+            if predictors is None:
+                raise SearchError("no predictors available for unlabeled candidates")
+            chrom = Chromosome(genes)
+            predicted[key] = (
+                predict(predictors[0], chrom, space),
+                predict(predictors[1], chrom, space),
+            )
+        return predicted[key]
 
     return estimate
 

@@ -93,27 +93,6 @@ class LayerGraph:
         return sum(n.macs for n in self.nodes)
 
 
-def validate_graph(graph: LayerGraph) -> None:
-    """Check structural invariants: topological edge order (hence acyclic),
-    nonnegative MACs, and exits depending only on backbone at or before
-    their mount."""
-    for src, dst in graph.edges:
-        if not (0 <= src < dst < len(graph.nodes)):
-            raise WorkloadError(f"edge ({src}, {dst}) breaks topological order")
-    for node in graph.nodes:
-        if node.macs < 0:
-            raise WorkloadError(f"negative MACs on {node.name}")
-    for src, dst in graph.edges:
-        consumer = graph.nodes[dst]
-        producer = graph.nodes[src]
-        if consumer.owner[0] == "exit":
-            i = consumer.owner[1]
-            if producer.owner[1] > i:
-                raise WorkloadError(
-                    f"{consumer.name} depends on {producer.name} past its mount"
-                )
-
-
 def _add_node(
     nodes: list[LayerNode],
     edges: list[tuple[int, int]],

@@ -1,10 +1,13 @@
 """Shared builders and independent oracles for the test suite."""
 
+import json
 import math
 
 import numpy as np
 
 from eenas.arch import BackboneSpec, BlockSpec
+from eenas.files import atomic_write
+from eenas.workload import WorkloadError
 
 
 def chain_backbone(n_mounts: int, channels: int = 8, size: int = 8) -> BackboneSpec:
@@ -17,6 +20,32 @@ def chain_backbone(n_mounts: int, channels: int = 8, size: int = 8) -> BackboneS
     return BackboneSpec(
         blocks=tuple(blocks), input_shape=(size, size, 3), kernel=3, padding=1
     )
+
+
+def write_accelerator(spec, path) -> None:
+    """Write an accelerator file that ``AcceleratorSpec.load`` reads back."""
+    atomic_write(path, json.dumps(spec.to_json(), indent=2, sort_keys=True) + "\n")
+
+
+def validate_graph(graph) -> None:
+    """Check structural invariants of a layer graph: topological edge order
+    (hence acyclic), nonnegative MACs, and exits depending only on backbone
+    at or before their mount."""
+    for src, dst in graph.edges:
+        if not (0 <= src < dst < len(graph.nodes)):
+            raise WorkloadError(f"edge ({src}, {dst}) breaks topological order")
+    for node in graph.nodes:
+        if node.macs < 0:
+            raise WorkloadError(f"negative MACs on {node.name}")
+    for src, dst in graph.edges:
+        consumer = graph.nodes[dst]
+        producer = graph.nodes[src]
+        if consumer.owner[0] == "exit":
+            i = consumer.owner[1]
+            if producer.owner[1] > i:
+                raise WorkloadError(
+                    f"{consumer.name} depends on {producer.name} past its mount"
+                )
 
 
 def spearman(a, b) -> float:

@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -289,6 +291,23 @@ class TestBackboneParsing:
 
     def test_space_json_roundtrip(self, small_space):
         assert SpaceConfig.from_json(small_space.to_json()) == small_space
+
+    def test_hash_once_keeps_field_hash_and_equality(self, mobilenet):
+        """Specs hash their fields once; an equal copy hashes equal, and
+        the kept hash is not part of the pickled state."""
+        copy = BackboneSpec.from_json(mobilenet.to_json())
+        space = SpaceConfig(backbone=copy)
+        assert "_field_hash" not in copy.__dict__
+        fields = (copy.blocks, copy.input_shape, copy.kernel, copy.padding,
+                  copy.expansion)
+        assert hash(copy) == hash(fields) == hash(mobilenet)
+        assert copy.__dict__["_field_hash"] == hash(fields)
+        assert hash(space) == hash(SpaceConfig(backbone=mobilenet))
+        assert {copy: 1}[mobilenet] == 1
+        assert replace(copy, kernel=1, padding=0) != copy
+        restored = pickle.loads(pickle.dumps(copy))
+        assert "_field_hash" not in restored.__dict__
+        assert restored == copy and hash(restored) == hash(copy)
 
     def test_repeated_row_stride_applies_once(self, smallconv):
         strided = [i for i in smallconv.instances if i.stride == 2]

@@ -177,7 +177,30 @@ class TestBadAcceleratorFile:
         "overflowing-energy": '{"e_dram_pj_bit": 1e400}',
         "fractional-count": '{"compute_cores": 2.5}',
         "boolean-count": '{"compute_cores": true}',
+        "too-many-cores": '{"compute_cores": 257}',
     }
+
+    def test_core_cap_checked_before_costing(
+        self, tmp_path, arch_file, monkeypatch, capsys
+    ):
+        """Over ``MAX_COMPUTE_CORES`` the file is refused by its own check;
+        no layer is costed."""
+        import eenas.hwcost
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a layer was costed")
+
+        monkeypatch.setattr(eenas.hwcost, "layer_cost", forbidden)
+        accel = tmp_path / "accel.json"
+        accel.write_text(
+            json.dumps({"compute_cores": eenas.hwcost.MAX_COMPUTE_CORES + 1})
+        )
+        code = main(
+            ["cost", "--backbone", "builtin:smallconv", "--arch", arch_file,
+             "--accelerator", str(accel), "--out", str(tmp_path / "never")]
+        )
+        assert code == EXIT_CONFIG
+        assert "compute_cores must be at most 256" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", sorted(FILES))
     def test_cost(self, tmp_path, arch_file, name, capsys):

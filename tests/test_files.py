@@ -68,16 +68,6 @@ class TestWritersAreAtomic:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["r.json"]
 
-    def test_accelerator_save(self, tmp_path, monkeypatch):
-        path = tmp_path / "accel.json"
-        AcceleratorSpec().save(str(path))
-        before = path.read_bytes()
-        monkeypatch.setattr(os, "replace", self.crash)
-        with pytest.raises(OSError, match="crash during rename"):
-            AcceleratorSpec(compute_cores=2).save(str(path))
-        assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == ["accel.json"]
-
 
 class TestLoadersRejectNonFiniteLiterals:
     """``json`` reads NaN and Infinity literals, and overflows ``1e400`` to

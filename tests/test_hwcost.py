@@ -21,6 +21,7 @@ from eenas.arch import (
 from eenas.hwcost import (
     AcceleratorSpec,
     AllocationPlan,
+    MAX_COMPUTE_CORES,
     CostModelError,
     TensorSource,
     _exit_sums,
@@ -33,7 +34,7 @@ from eenas.hwcost import (
     schedule,
 )
 from eenas.workload import LayerGraph, LayerNode, expand_layers
-from helpers import reference_exit_products
+from helpers import reference_exit_products, write_accelerator
 
 
 def conv_node(cin, cout, h=4, w=4, k=1, bits=8, macs=None, name="n", owner=("backbone", 1)):
@@ -450,7 +451,7 @@ class TestAcceleratorSpec:
 
     def test_json_roundtrip(self, tmp_path, accel):
         path = tmp_path / "accel.json"
-        accel.save(str(path))
+        write_accelerator(accel, str(path))
         assert AcceleratorSpec.load(str(path)) == accel
 
     def test_geometry_validation(self):
@@ -490,6 +491,18 @@ class TestAcceleratorSpec:
     def test_field_types_checked(self, field, value):
         with pytest.raises(CostModelError):
             AcceleratorSpec.from_json(AcceleratorSpec().to_json() | {field: value})
+
+    def test_compute_cores_capped(self):
+        assert AcceleratorSpec(compute_cores=MAX_COMPUTE_CORES).n_cores == 258
+        with pytest.raises(CostModelError, match="at most 256"):
+            AcceleratorSpec(compute_cores=MAX_COMPUTE_CORES + 1)
+
+    def test_hash_kept_and_equality_by_fields(self, accel):
+        spec = AcceleratorSpec()
+        assert "_field_hash" not in spec.__dict__
+        assert hash(spec) == hash(accel) and spec == accel
+        assert spec.__dict__["_field_hash"] == hash(spec)
+        assert AcceleratorSpec(compute_cores=2) != accel
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

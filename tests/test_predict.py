@@ -1,17 +1,77 @@
+import importlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eenas.arch import Chromosome, decode, enumerate_space, sample_architecture
+from eenas.arch import (
+    Chromosome,
+    canonicalize,
+    decode,
+    enumerate_space,
+    sample_architecture,
+)
 from eenas.evaluate import synthetic_oracle
 from eenas.predict import (
     LabeledRecord,
     LabeledSet,
     Predictor,
+    feature_row,
     featurize,
     fit,
     predict,
 )
+from eenas.workload import backbone_mac_fractions
 from helpers import spearman
+
+predict_module = importlib.import_module("eenas.predict")
+
+
+def reference_featurize(chrom, space):
+    """``featurize`` as it was before feature rows were cached: every call
+    reads the space's tables afresh."""
+    if len(chrom.genes) != space.gene_length:
+        raise ValueError(
+            f"expected {space.gene_length} genes, got {len(chrom.genes)}"
+        )
+    fractions = backbone_mac_fractions(space.backbone)
+    labels = space.backbone.optional_mounts
+    occupancy = []
+    frac = []
+    depth = []
+    bits = []
+    for j, label in enumerate(labels):
+        present, head_idx, quant_idx = chrom.genes[3 * j : 3 * j + 3]
+        occupancy.append(float(present))
+        frac.append(fractions[label] if present else 0.0)
+        depth.append(float(space.head_options[head_idx].depth) if present else 0.0)
+        bits.append(float(space.exit_bit_options[quant_idx]) if present else 0.0)
+    fh, fq = chrom.genes[-2], chrom.genes[-1]
+    depth.append(float(space.head_options[fh].depth))
+    bits.append(float(space.exit_bit_options[fq]))
+    n_exits = sum(occupancy) + 1.0
+    return np.array(
+        [n_exits, *occupancy, *frac, *depth, *bits, float(space.backbone_bits)]
+    )
+
+
+def reference_predict(pred, chrom, space):
+    """``predict`` as it was before feature rows and predictor arrays were
+    cached."""
+    feats = reference_featurize(chrom, space)
+    if len(feats) != len(pred.feature_mean):
+        raise ValueError("feature length does not match the fitted predictor")
+    z = (feats - np.array(pred.feature_mean)) / np.array(pred.feature_std)
+    value = pred.intercept + float(z @ np.array(pred.coefficients))
+    if pred.target == "accuracy":
+        return min(max(value, 0.0), 100.0)
+    return math.exp(value)
+
+
+def bits_of(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
 
 
 def distinct_samples(space, n, seed=0):
@@ -213,3 +273,111 @@ class TestPredict:
         pred = fit(train, mobile_space, target="accuracy")
         estimates = [predict(pred, c, mobile_space) for c in chroms[200:]]
         assert spearman(estimates, labels[200:]) >= 0.5
+
+
+def random_archive(space, n, seed):
+    rng = np.random.default_rng(seed)
+    return LabeledSet(
+        LabeledRecord(c.genes, float(rng.uniform(20, 80)), float(rng.uniform(1, 1e4)))
+        for c in distinct_samples(space, n, seed=seed)
+    )
+
+
+@pytest.fixture(scope="session")
+def fitted_predictors(small_space, mobile_space):
+    """Accuracy and energy-delay predictors per builtin space, fit on
+    seeded random labels."""
+    out = {}
+    for space in (small_space, mobile_space):
+        archive = random_archive(space, 60, seed=8)
+        out[space] = (fit(archive, space, "accuracy"), fit(archive, space, "et"))
+    return out
+
+
+@st.composite
+def canonical_genes(draw, space):
+    genes = []
+    for _ in range(space.n_optional):
+        genes += [
+            draw(st.integers(0, 1)),
+            draw(st.integers(0, space.n_head_options - 1)),
+            draw(st.integers(0, space.n_quant_options - 1)),
+        ]
+    genes += [
+        draw(st.integers(0, space.n_head_options - 1)),
+        draw(st.integers(0, space.n_quant_options - 1)),
+    ]
+    return canonicalize(tuple(genes), space).genes
+
+
+class TestCachedRowsMatchReference:
+    """Cached feature rows and per-predictor arrays change no bit of a
+    row, a fit or a prediction."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), which=st.sampled_from(["small", "mobile"]))
+    def test_rows_and_predictions_bit_equal(
+        self, small_space, mobile_space, fitted_predictors, data, which
+    ):
+        space = small_space if which == "small" else mobile_space
+        genes = data.draw(canonical_genes(space))
+        chrom = Chromosome(genes)
+        want = reference_featurize(chrom, space)
+        for row in (feature_row(genes, space), featurize(chrom, space)):
+            assert row.dtype == want.dtype and row.shape == want.shape
+            assert np.array_equal(row, want)
+            assert row.tobytes() == want.tobytes()
+        for pred in fitted_predictors[space]:
+            want = bits_of(reference_predict(pred, chrom, space))
+            assert bits_of(predict(pred, chrom, space)) == want
+            assert bits_of(predict(pred, Chromosome(list(genes)), space)) == want
+
+    def test_row_is_cached_and_read_only(self, small_space):
+        genes = Chromosome((1, 1, 0) * 4 + (0, 1)).genes
+        row = feature_row(genes, small_space)
+        assert feature_row(tuple(genes), small_space) is row
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 5.0
+        with pytest.raises(ValueError):
+            row += 1.0
+        assert np.array_equal(row, reference_featurize(Chromosome(genes), small_space))
+
+    def test_row_length_checked(self, small_space):
+        with pytest.raises(ValueError, match="expected 14 genes"):
+            feature_row((0, 0), small_space)
+
+    @pytest.mark.parametrize("target", ["accuracy", "et"])
+    def test_fit_equals_fit_on_reference_rows(
+        self, mobile_space, monkeypatch, target
+    ):
+        archive = random_archive(mobile_space, 80, seed=12)
+        got = fit(archive, mobile_space, target, ridge=0.01)
+        monkeypatch.setattr(
+            predict_module,
+            "feature_row",
+            lambda genes, space: reference_featurize(Chromosome(genes), space),
+        )
+        want = fit(archive, mobile_space, target, ridge=0.01)
+        assert got.target == want.target
+        for field in ("feature_mean", "feature_std", "coefficients",
+                      "intercept", "train_mse"):
+            assert bits_of(getattr(got, field)) == bits_of(getattr(want, field))
+
+    def test_predictor_arrays_built_once(self, small_space, fitted_predictors):
+        pred = fitted_predictors[small_space][0]
+        chrom = distinct_samples(small_space, 1, seed=5)[0]
+        predict(pred, chrom, small_space)
+        arrays = pred._arrays
+        predict(pred, chrom, small_space)
+        assert pred._arrays is arrays
+        assert [tuple(a) for a in arrays] == [
+            pred.feature_mean, pred.feature_std, pred.coefficients
+        ]
+
+    def test_record_key_computed_once(self, monkeypatch):
+        record = LabeledRecord((0, 0, 0) * 4 + (1, 0), 50.0, 1.0)
+        key = record.key
+        monkeypatch.setattr(predict_module, "chromosome_hash", None)
+        archive = LabeledSet([record])
+        archive.add(record)
+        assert record.key == key and archive.keys() == {key}

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 
@@ -484,6 +485,43 @@ class TestRunSearch:
         history.genes[key] = tuple(genes)
         with pytest.raises(HistoryError, match=f"genes recorded for {key}"):
             history.genes_of(key)
+
+    def test_each_candidate_featurized_once_and_predicted_once_per_iteration(
+        self, small_space, accel, tmp_path, monkeypatch
+    ):
+        """Feature rows are cached and estimates fixed within an iteration:
+        ``featurize`` runs at most once per distinct chromosome, and each
+        iteration predicts each unlabeled key at most once per target."""
+        predict_module = importlib.import_module("eenas.predict")
+        search_module = importlib.import_module("eenas.search")
+        predict_module.feature_row.cache_clear()
+        featurized = []
+        featurize = predict_module.featurize
+        monkeypatch.setattr(
+            predict_module, "featurize",
+            lambda chrom, space: featurized.append(chrom.genes)
+            or featurize(chrom, space),
+        )
+        iteration = [0]
+        nas_iterate = search_module.nas_iterate
+
+        def counted_iterate(state, *args, **kwargs):
+            iteration[0] = state.k + 1
+            return nas_iterate(state, *args, **kwargs)
+
+        monkeypatch.setattr(search_module, "nas_iterate", counted_iterate)
+        predicted = []
+        predict = search_module.predict
+        monkeypatch.setattr(
+            search_module, "predict",
+            lambda pred, chrom, space: predicted.append(
+                (iteration[0], pred.target, chrom.genes)
+            ) or predict(pred, chrom, space),
+        )
+        self.run(small_space, accel, tmp_path)
+        assert featurized and len(featurized) == len(set(featurized))
+        assert len(predicted) == len(set(predicted))
+        assert {k for k, _, _ in predicted} == {1, 2, 3}
 
     @staticmethod
     def assert_replays_to(state, path):

@@ -26,12 +26,12 @@ from eenas.workload import (
     exit_macs,
     expand_backbone,
     expand_layers,
-    validate_graph,
 )
 from helpers import (
     conv_macs_elementwise,
     depthwise_macs_elementwise,
     linear_macs_elementwise,
+    validate_graph,
 )
 
 
