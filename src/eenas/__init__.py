@@ -13,7 +13,6 @@ from .arch import (
     chromosome_hash,
     decode,
     encode,
-    enumerate_space,
     load_backbone,
     parse_backbone,
     sample_architecture,
@@ -25,11 +24,8 @@ from .evaluate import (
     OracleConfig,
     TrainingConfig,
     acc_avg,
-    exit_decision,
-    exit_ratios,
     load_external_report,
     make_toy_dataset,
-    save_external_report,
     scalarized_loss,
     synthetic_oracle,
     train_toy,
@@ -45,20 +41,13 @@ from .hwcost import (
     layer_cost,
 )
 from .predict import LabeledRecord, LabeledSet, Predictor, featurize, fit, predict
-from .quant import (
-    QuantParams,
-    calibrate_clip,
-    fake_quant_forward,
-    quantize,
-    scale_factor,
-)
+from .quant import QuantParams, calibrate_clip, quantize
 from .search import (
     NasConfig,
     OracleEvaluator,
     SearchState,
     ToyEvaluator,
     audit_history,
-    et_reduction,
     mac_reduction,
     pareto_front,
     run_search,

@@ -11,12 +11,10 @@ construction and all operations here are pure.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
-from typing import Iterator
 
 import numpy as np
 
@@ -578,27 +576,6 @@ def sample_architecture(space: SpaceConfig, rng: np.random.Generator) -> Chromos
     genes.append(int(rng.integers(0, space.n_head_options)))
     genes.append(int(rng.integers(0, space.n_quant_options)))
     return Chromosome(tuple(genes))
-
-
-def enumerate_genes(
-    n_optional: int, n_heads: int, n_quants: int
-) -> Iterator[tuple[int, ...]]:
-    """Yield every canonical gene vector of a space exactly once."""
-    mount_options = [(0, 0, 0)] + [
-        (1, h, q) for h in range(n_heads) for q in range(n_quants)
-    ]
-    final_options = [(h, q) for h in range(n_heads) for q in range(n_quants)]
-    for combo in itertools.product(mount_options, repeat=n_optional):
-        prefix = tuple(itertools.chain.from_iterable(combo))
-        for final in final_options:
-            yield prefix + final
-
-
-def enumerate_space(space: SpaceConfig) -> Iterator[Chromosome]:
-    for genes in enumerate_genes(
-        space.n_optional, space.n_head_options, space.n_quant_options
-    ):
-        yield Chromosome(genes)
 
 
 def static_counterpart(arch: EennArchitecture) -> EennArchitecture:

@@ -193,6 +193,10 @@ def _load_architecture(path: str, backbone: BackboneSpec):
         raise ConfigError(f"malformed architecture file: {exc}") from exc
     ratios = data.get("exit_ratios")
     if ratios is not None:
+        if not isinstance(ratios, list) or not all(
+            isinstance(r, (int, float)) and not isinstance(r, bool) for r in ratios
+        ):
+            raise ConfigError("exit_ratios must be a list of numbers")
         ratios = tuple(float(r) for r in ratios)
     return arch, ratios
 
@@ -219,6 +223,8 @@ def cmd_space(args) -> int:
 
 
 def cmd_cost(args) -> int:
+    if args.classes < 2:
+        raise ConfigError("--classes must be at least 2")
     backbone = _resolve_backbone(args.backbone)
     accel = _resolve_accelerator(args.accelerator)
     arch, ratios = _load_architecture(args.arch, backbone)

@@ -10,7 +10,6 @@ experiments, and the one-file-per-architecture external report protocol.
 
 from __future__ import annotations
 
-import json
 import hashlib
 import math
 from bisect import bisect_right
@@ -21,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .arch import UNQUANTIZED_BITS, EennArchitecture
-from .files import atomic_write, load_json
+from .files import load_json
 from .quant import (
     QuantParams,
     calibrate_clip,
@@ -97,38 +96,13 @@ class EvaluationReport:
                     raise ReportError(f"accuracy at exit {i} must be in [0, 100]")
 
 
-def exit_decision(confidences: Sequence[float], threshold: float) -> int:
-    """First exit (1-based) whose confidence reaches the threshold; the
-    last exit accepts whatever remains."""
-    if len(confidences) == 0:
-        raise ReportError("empty confidence list")
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must lie strictly inside (0, 1)")
-    for i, conf in enumerate(confidences, start=1):
-        if not 0 <= conf <= 1:
-            raise ValueError("confidences must lie in [0, 1]")
-        if conf >= threshold:
-            return i
-    return len(confidences)
-
-
 def first_exit_decisions(conf_matrix: np.ndarray, threshold: float) -> np.ndarray:
-    """Vectorized :func:`exit_decision` over a (samples, exits) matrix;
-    returns 1-based indices."""
+    """Per row of a (samples, exits) confidence matrix, the first exit
+    (1-based) whose confidence reaches the threshold; the last exit accepts
+    whatever remains."""
     hits = conf_matrix >= threshold
     hits[:, -1] = True
     return np.argmax(hits, axis=1) + 1
-
-
-def exit_ratios(decisions: Sequence[int], m: int) -> tuple[float, ...]:
-    """Fraction of samples terminating at each of the m exits."""
-    dec = np.asarray(decisions, dtype=int)
-    if dec.size == 0:
-        raise ReportError("empty decision list")
-    if dec.min() < 1 or dec.max() > m:
-        raise ReportError("exit decisions out of range")
-    counts = np.bincount(dec, minlength=m + 1)[1:]
-    return tuple(counts / dec.size)
 
 
 def acc_avg(
@@ -549,18 +523,6 @@ def _calibrated_clip(values: np.ndarray, bits: int) -> float | None:
     return calibrate_clip(ordered, bits, cands).clip
 
 
-def build_toy_net(
-    arch: EennArchitecture,
-    in_features: int,
-    num_classes: int,
-    width: int = 16,
-    seed: int = 0,
-) -> DenseEenn:
-    return DenseEenn(
-        arch, in_features, num_classes, width, np.random.default_rng(seed)
-    )
-
-
 def _stratified_split(
     y: np.ndarray, holdout: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -801,21 +763,6 @@ _REPORT_KEYS = {
     "exit_ratios",
     "sample_counts",
 }
-
-
-def save_external_report(
-    report: EvaluationReport, architecture_hash: str, path: str
-) -> None:
-    """Write the one-file-per-architecture report bound to a chromosome hash."""
-    report.validate()
-    payload = {
-        "architecture": architecture_hash,
-        "threshold": report.threshold,
-        "accuracy_per_exit": list(report.accuracy_per_exit),
-        "exit_ratios": list(report.exit_ratios),
-        "sample_counts": list(report.sample_counts),
-    }
-    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_external_report(

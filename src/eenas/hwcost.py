@@ -515,13 +515,16 @@ def _backbone_fold(
     )
 
 
+#: Generations and population of the genetic allocator.
+_GA_GENERATIONS = 24
+_GA_POPULATION = 16
+
+
 def allocate(
     graph: LayerGraph,
     spec: AcceleratorSpec,
     mode: str = "greedy",
     seed: int = 0,
-    generations: int = 24,
-    population: int = 16,
 ) -> AllocationPlan:
     """Assign layers to cores and schedule them.
 
@@ -551,14 +554,14 @@ def allocate(
         return schedule(graph, spec, assign).makespan
 
     pool = [list(greedy.cores)]
-    pool += [random_assignment() for _ in range(population - 1)]
+    pool += [random_assignment() for _ in range(_GA_POPULATION - 1)]
     scores = [fitness(a) for a in pool]
     mutation = 1.0 / len(graph.nodes)
-    for _ in range(generations):
+    for _ in range(_GA_GENERATIONS):
         order = sorted(range(len(pool)), key=lambda i: (scores[i], i))
         elite = [pool[order[0]], pool[order[1]]]
         children = list(elite)
-        while len(children) < population:
+        while len(children) < _GA_POPULATION:
             picks = rng.integers(0, len(pool), size=3)
             pa = pool[min(picks, key=lambda i: (scores[i], i))]
             picks = rng.integers(0, len(pool), size=3)

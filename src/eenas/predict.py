@@ -65,9 +65,6 @@ class LabeledSet:
     def keys(self) -> set[str]:
         return set(self._records)
 
-    def copy(self) -> "LabeledSet":
-        return LabeledSet(self._records.values())
-
 
 #: Most feature rows ``feature_row`` keeps, least recently used dropped
 #: first. A README search featurizes about 1,000 distinct chromosomes.

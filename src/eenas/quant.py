@@ -7,11 +7,11 @@ through unchanged. Clip magnitudes are calibrated per layer by minimizing
 the KL divergence between histograms of the raw and quantized values.
 
 The floor-and-correct grid step has one home, :func:`_grid_steps`.
-:func:`quantize` and :func:`fake_quant_forward` use it one tensor at a
-time; :func:`fake_quant_with_mask` runs it once over many tensors, with
-per-element clip, scale and level arrays, and returns the straight-through
-mask from the same pass. Every element goes through the same floating-point
-operations either way, so the values are the same bit for bit.
+:func:`quantize` uses it one tensor at a time; :func:`fake_quant_with_mask`
+runs it once over many tensors, with per-element clip, scale and level
+arrays, and returns the straight-through mask from the same pass. Every
+element goes through the same floating-point operations either way, so the
+values are the same bit for bit.
 
 :func:`calibrate_clip` sorts its sample once. Both histograms are then
 counted by binary search on the sorted sample, exactly as ``np.histogram``
@@ -63,11 +63,6 @@ class QuantParams:
         return self.bits >= UNQUANTIZED_BITS
 
 
-def scale_factor(clip: float, bits: int) -> float:
-    """Grid step c / (2^(b-1) - 1)."""
-    return QuantParams(clip, bits).scale
-
-
 def _grid_steps(x, scale, levels):
     """Index k of the greatest grid point ``k * scale`` not above ``x``,
     clipped to [-levels, levels], as floats; ``x`` is already clamped.
@@ -104,29 +99,13 @@ def quantize(value, params: QuantParams):
     return float(out[0]) if scalar else out
 
 
-def fake_quant_forward(tensor, params: QuantParams) -> np.ndarray:
-    """Elementwise quantization used inside training forwards. The matching
-    backward rule is straight-through: gradient 1 inside [-c, c], 0 outside
-    (see :func:`ste_mask`)."""
-    if params.is_identity:
-        return np.asarray(tensor, dtype=float)
-    return quantize(np.asarray(tensor, dtype=float), params)
-
-
-def ste_mask(tensor, params: QuantParams) -> np.ndarray:
-    """Straight-through gradient mask for :func:`fake_quant_forward`."""
-    arr = np.asarray(tensor, dtype=float)
-    if params.is_identity:
-        return np.ones_like(arr)
-    return (np.abs(arr) <= params.clip).astype(float)
-
-
 def fake_quant_with_mask(x: np.ndarray, clip, scale, levels):
-    """:func:`fake_quant_forward` and :func:`ste_mask` of a float array in
-    one pass. ``clip``, ``scale`` and ``levels`` are the quantizer's
-    (``levels`` is 2^(b-1) - 1), as scalars or as arrays shaped like ``x``,
-    so that tensors of different clips and bit widths can share one pass.
-    Returns the quantized values and the mask as booleans."""
+    """Fake quantization of a float array and its straight-through gradient
+    mask (1 inside [-c, c], 0 outside) in one pass. ``clip``, ``scale`` and
+    ``levels`` are the quantizer's (``levels`` is 2^(b-1) - 1), as scalars
+    or as arrays shaped like ``x``, so that tensors of different clips and
+    bit widths can share one pass. Returns the quantized values and the
+    mask as booleans."""
     clamped = np.clip(x, -clip, clip)
     out = _grid_steps(clamped, scale, levels)
     out *= scale

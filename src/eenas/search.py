@@ -42,13 +42,7 @@ from .evaluate import (
     train_toy,
 )
 from .files import atomic_write
-from .hwcost import (
-    AcceleratorSpec,
-    HwCostReport,
-    cost_report,
-    et_avg,
-    exit_costs,
-)
+from .hwcost import AcceleratorSpec, cost_report, et_avg, exit_costs
 from .predict import LabeledRecord, LabeledSet, Predictor, fit, predict
 
 
@@ -64,6 +58,12 @@ class HistoryError(ValueError):
     """A history's events contradict each other or lack a field."""
 
 
+def _fixed_ranking() -> dict:
+    """Shortlist keys every ``run-config`` header carries, at their only
+    values: resume compares headers byte for byte, so they stay written."""
+    return {"ranking": "lexicographic", "weights": [1.0, 1.0]}
+
+
 @dataclass(frozen=True)
 class NasConfig:
     iterations: int = 6
@@ -74,8 +74,6 @@ class NasConfig:
     crossover_rate: float = 0.9
     theta: float = 0.5  # head-overhead cap, inclusive; math.inf disables
     mu: float = 0.5  # last-exit-ratio cap, inclusive
-    ranking: str = "lexicographic"  # or "weighted"
-    weights: tuple[float, float] = (1.0, 1.0)
     ridge: float = 1e-3
     seed: int = 0
     attempt_factor: int = 200  # sampling budget per requested member
@@ -91,10 +89,6 @@ class NasConfig:
             raise ValueError("overhead cap must be positive")
         if not 0 < self.mu <= 1:
             raise ValueError("last-exit-ratio cap must lie in (0, 1]")
-        if self.ranking not in ("lexicographic", "weighted"):
-            raise ValueError("ranking must be 'lexicographic' or 'weighted'")
-        if not all(math.isfinite(w) and w > 0 for w in self.weights):
-            raise ValueError("ranking weights must be finite and positive")
         if not (math.isfinite(self.ridge) and self.ridge >= 0):
             raise ValueError("ridge penalty must be finite and nonnegative")
 
@@ -108,8 +102,7 @@ class NasConfig:
             "crossover_rate": self.crossover_rate,
             "theta": self.theta if math.isfinite(self.theta) else None,
             "mu": self.mu,
-            "ranking": self.ranking,
-            "weights": list(self.weights),
+            **_fixed_ranking(),
             "ridge": self.ridge,
             "seed": self.seed,
             "attempt_factor": self.attempt_factor,
@@ -120,7 +113,9 @@ class NasConfig:
         kwargs = dict(data)
         if kwargs.get("theta") is None:
             kwargs["theta"] = math.inf
-        kwargs["weights"] = tuple(kwargs.get("weights", (1.0, 1.0)))
+        for key, value in _fixed_ranking().items():
+            if kwargs.pop(key, value) != value:
+                raise ValueError(f"search config field {key} must be {value!r}")
         try:
             return cls(**kwargs)
         except TypeError as exc:
@@ -254,15 +249,9 @@ def pareto_front(records) -> list[LabeledRecord]:
     return sorted(front, key=lambda r: (-r.acc_avg, r.et_avg, r.key))
 
 
-def et_reduction(report: HwCostReport, static_report: HwCostReport) -> float:
+def et_reduction_value(et_average: float, static_et: float) -> float:
     """1 - ET_avg over the static baseline's energy-delay (backbone plus
     final head only, everything exiting last)."""
-    if report.et_avg is None:
-        raise ValueError("report carries no exit-ratio-weighted energy-delay")
-    return et_reduction_value(report.et_avg, static_report.et_per_exit[-1])
-
-
-def et_reduction_value(et_average: float, static_et: float) -> float:
     if static_et == 0:
         raise ValueError("static baseline has zero energy-delay")
     return 1.0 - et_average / static_et
@@ -562,30 +551,13 @@ def select_parents(
     candidates: Sequence[tuple[str, tuple[int, ...]]],
     estimate: Callable[[str, tuple[int, ...]], tuple[float, float]],
     n: int,
-    ranking: str = "lexicographic",
-    weights: tuple[float, float] = (1.0, 1.0),
 ) -> list[tuple[str, tuple[int, ...]]]:
     """Two-stage shortlist: rank by estimated accuracy descending and keep
     2N, then rank those by estimated energy-delay ascending and keep N.
-    Hash order breaks every tie. A weighted-sum ranking over z-scored
-    objectives is available instead."""
+    Hash order breaks every tie."""
     rows = [
         (key, genes, *estimate(key, genes)) for key, genes in candidates
     ]
-    if not rows:
-        return []
-    if ranking == "weighted":
-        acc = np.array([r[2] for r in rows])
-        et = np.array([r[3] for r in rows])
-        acc_std = acc.std() or 1.0
-        et_std = et.std() or 1.0
-        scores = {
-            r[0]: weights[0] * (r[2] - acc.mean()) / acc_std
-            - weights[1] * (r[3] - et.mean()) / et_std
-            for r in rows
-        }
-        ranked = sorted(rows, key=lambda r: (-scores[r[0]], r[0]))
-        return [(r[0], r[1]) for r in ranked[:n]]
     shortlist = sorted(rows, key=lambda r: (-r[2], r[0]))[: 2 * n]
     final = sorted(shortlist, key=lambda r: (r[3], r[0]))[:n]
     return [(r[0], r[1]) for r in final]
@@ -660,17 +632,14 @@ def ga_generation(
     exclude: set[str],
     log: Callable[[dict], None] = lambda e: None,
     k: int = 0,
-    target: int | None = None,
 ) -> dict[str, tuple[int, ...]]:
     """One breeding generation: pair the parents, cross over whole gene
     groups, mutate per gene, keep offspring that are new and satisfy the
-    overhead cap. Pairing passes repeat (bounded) until ``target`` novel
-    offspring exist, so selection always has a full pool to rank."""
+    overhead cap. Pairing passes repeat (bounded) until 2N novel offspring
+    exist, so selection always has a full pool to rank."""
     plist = sorted(parents, key=lambda t: t[0])
     if not plist:
         return {}
-    if target is None:
-        target = 2 * config.n_select
     offspring: dict[str, tuple[int, ...]] = {}
 
     def consider(raw: tuple[int, ...]) -> None:
@@ -704,7 +673,7 @@ def ga_generation(
             consider(_mutate(cb, space, config.mutation_rate, rng))
         if len(order) % 2:
             consider(_mutate(plist[order[-1]][1], space, config.mutation_rate, rng))
-        if len(offspring) >= target:
+        if len(offspring) >= 2 * config.n_select:
             break
     return offspring
 
@@ -878,9 +847,7 @@ def nas_iterate(
     estimate = _make_estimator(state, predictors, space)
 
     candidates = [(key, state.members[key]) for key in sorted(state.members)]
-    parents = select_parents(
-        candidates, estimate, config.n_select, config.ranking, config.weights
-    )
+    parents = select_parents(candidates, estimate, config.n_select)
     log(
         {
             "event": "selected",
@@ -900,20 +867,10 @@ def nas_iterate(
         pool.update(children)
         if len(children) >= 2:
             breeders = select_parents(
-                sorted(children.items()),
-                estimate,
-                config.n_select,
-                config.ranking,
-                config.weights,
+                sorted(children.items()), estimate, config.n_select
             )
 
-    top = select_parents(
-        sorted(pool.items()),
-        estimate,
-        config.n_select,
-        config.ranking,
-        config.weights,
-    )
+    top = select_parents(sorted(pool.items()), estimate, config.n_select)
     for key, genes in top:
         state.members[key] = genes
 
@@ -1028,11 +985,7 @@ class AuditResult:
     labels_checked: int = 0
 
 
-def audit_history(
-    history: str | os.PathLike | Sequence[dict],
-    accel: AcceleratorSpec | None = None,
-    cost_mode: str | None = None,
-) -> AuditResult:
+def audit_history(history: str | os.PathLike | Sequence[dict]) -> AuditResult:
     """Re-derive every constraint from a persisted history, given its path
     (parsed in full by :func:`read_history`) or its events as already
     read: recompute the overhead of every population member ever admitted,
@@ -1045,12 +998,10 @@ def audit_history(
     if header is None:
         raise SearchError("history lacks a run-config header")
     space = SpaceConfig.from_json(header["space"])
-    if accel is None:
-        accel = AcceleratorSpec.from_json(header["accelerator"])
+    accel = AcceleratorSpec.from_json(header["accelerator"])
     nas = NasConfig.from_json(header["nas"])
     cost = CostCache(
-        space, accel, mode=cost_mode or header.get("cost_mode", "greedy"),
-        seed=nas.seed,
+        space, accel, mode=header.get("cost_mode", "greedy"), seed=nas.seed
     )
 
     result = AuditResult(ok=True, iterations=len(history.summaries))

@@ -88,10 +88,6 @@ class LayerGraph:
         ``exit_index``."""
         return self._by_owner.get(("backbone", exit_index), ())
 
-    @property
-    def total_macs(self) -> int:
-        return sum(n.macs for n in self.nodes)
-
 
 def _add_node(
     nodes: list[LayerNode],

@@ -1,11 +1,12 @@
 """Shared builders and independent oracles for the test suite."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 
-from eenas.arch import BackboneSpec, BlockSpec
+from eenas.arch import BackboneSpec, BlockSpec, Chromosome
 from eenas.files import atomic_write
 from eenas.workload import WorkloadError
 
@@ -25,6 +26,41 @@ def chain_backbone(n_mounts: int, channels: int = 8, size: int = 8) -> BackboneS
 def write_accelerator(spec, path) -> None:
     """Write an accelerator file that ``AcceleratorSpec.load`` reads back."""
     atomic_write(path, json.dumps(spec.to_json(), indent=2, sort_keys=True) + "\n")
+
+
+def save_external_report(report, architecture_hash: str, path) -> None:
+    """Write the one-file-per-architecture report, bound to a chromosome
+    hash, that ``load_external_report`` reads back."""
+    report.validate()
+    payload = {
+        "architecture": architecture_hash,
+        "threshold": report.threshold,
+        "accuracy_per_exit": list(report.accuracy_per_exit),
+        "exit_ratios": list(report.exit_ratios),
+        "sample_counts": list(report.sample_counts),
+    }
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def enumerate_genes(n_optional: int, n_heads: int, n_quants: int):
+    """Yield every canonical gene vector of a space exactly once: the
+    brute-force reference for ``search_space_size``."""
+    mount_options = [(0, 0, 0)] + [
+        (1, h, q) for h in range(n_heads) for q in range(n_quants)
+    ]
+    final_options = [(h, q) for h in range(n_heads) for q in range(n_quants)]
+    for combo in itertools.product(mount_options, repeat=n_optional):
+        prefix = tuple(itertools.chain.from_iterable(combo))
+        for final in final_options:
+            yield prefix + final
+
+
+def enumerate_space(space):
+    """Every chromosome of a space, in :func:`enumerate_genes` order."""
+    for genes in enumerate_genes(
+        space.n_optional, space.n_head_options, space.n_quant_options
+    ):
+        yield Chromosome(genes)
 
 
 def validate_graph(graph) -> None:

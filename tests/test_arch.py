@@ -21,15 +21,13 @@ from eenas.arch import (
     chromosome_hash,
     decode,
     encode,
-    enumerate_genes,
-    enumerate_space,
     parse_backbone,
     sample_architecture,
     search_space_size,
     search_space_size_binomial,
     static_counterpart,
 )
-from helpers import chain_backbone
+from helpers import chain_backbone, enumerate_genes, enumerate_space
 
 
 def binomial_count(h, p, q):

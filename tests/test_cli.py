@@ -167,6 +167,42 @@ class TestCostCommand:
              "--arch", str(tmp_path / "none.json"), "--out", str(tmp_path / "o")]
         ) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("classes", ["1", "0", "-2"])
+    def test_fewer_than_two_classes_rejected(
+        self, tmp_path, arch_file, classes, capsys
+    ):
+        out = tmp_path / "never"
+        code = main(
+            ["cost", "--backbone", "builtin:smallconv", "--arch", arch_file,
+             "--out", str(out), "--classes", classes]
+        )
+        assert code == EXIT_CONFIG
+        assert "--classes must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "ratios", [5, [None, 1], [True, False], ["0.6", "0.4"], {"0": 1.0}]
+    )
+    def test_malformed_exit_ratios_rejected(self, tmp_path, ratios, capsys):
+        arch = write_json(
+            tmp_path / "arch.json",
+            {
+                "exits": [
+                    {"mount": "B", "depth": 1, "bits": 8},
+                    {"mount": "E", "depth": 1, "bits": 8},
+                ],
+                "exit_ratios": ratios,
+            },
+        )
+        out = tmp_path / "never"
+        code = main(
+            ["cost", "--backbone", "builtin:smallconv", "--arch", arch,
+             "--out", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        assert "exit_ratios must be a list of numbers" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBadAcceleratorFile:
     """An accelerator file with a non-finite energy or a count that is not
@@ -491,26 +527,19 @@ class TestSearchCommand:
         ) == EXIT_CONFIG
 
     def test_weighted_ranking_config(self, tmp_path, capsys):
-        config = write_json(
-            tmp_path / "weighted.json",
-            {
-                "seed": 11,
-                "backbone": "builtin:smallconv",
-                "space": {"head_depths": [1, 2], "exit_bits": [8, 4]},
-                "nas": {
-                    "iterations": 2,
-                    "n_select": 6,
-                    "init_population": 12,
-                    "ranking": "weighted",
-                    "weights": [1.0, 2.0],
-                },
-                "evaluator": {"kind": "oracle"},
-            },
-        )
-        out = tmp_path / "weighted-run"
-        assert main(["search", "--config", config, "--out", str(out)]) == EXIT_OK
-        front = (out / "front.csv").read_text().strip().splitlines()
-        assert len(front) > 1
+        """The shortlist is always the two-stage ranking; a config that
+        asks for another exits 2 before any output."""
+        for nas in ({"ranking": "weighted"}, {"weights": [1.0, 2.0]}):
+            config = write_json(
+                tmp_path / "weighted.json",
+                {"seed": 11, "backbone": "builtin:smallconv", "nas": nas},
+            )
+            out = tmp_path / "weighted-run"
+            code = main(["search", "--config", config, "--out", str(out)])
+            assert code == EXIT_CONFIG
+            field = next(iter(nas))
+            assert f"search config field {field} must be" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_evaluator_flag_overrides_config(self, tmp_path, capsys):
         config = write_json(

@@ -12,23 +12,20 @@ from eenas.arch import (
     decode,
     sample_architecture,
 )
-from helpers import chain_backbone
+from helpers import chain_backbone, save_external_report
 from eenas.evaluate import (
     DatasetError,
+    DenseEenn,
     EvaluationReport,
     OracleConfig,
     ReportError,
     TrainingConfig,
     TrainingDiverged,
     acc_avg,
-    build_toy_net,
-    exit_decision,
-    exit_ratios,
     first_exit_decisions,
     load_external_report,
     make_toy_dataset,
     report_from_outcomes,
-    save_external_report,
     scalarized_loss,
     synthetic_oracle,
     train_toy,
@@ -59,6 +56,11 @@ def decision_oracle(confidences, threshold):
     return m
 
 
+def exit_decision(confidences, threshold):
+    """``first_exit_decisions`` of one sample."""
+    return int(first_exit_decisions(np.array([confidences]), threshold)[0])
+
+
 class TestExitDecision:
     def test_first_confident_exit_wins(self):
         assert exit_decision([0.95, 0.4, 0.2], 0.9) == 1
@@ -82,7 +84,7 @@ class TestExitDecision:
         conf = rng.uniform(0, 1, size=(200, 4))
         dec = first_exit_decisions(conf.copy(), 0.8)
         for row, d in zip(conf, dec):
-            assert exit_decision(row.tolist(), 0.8) == d
+            assert decision_oracle(row.tolist(), 0.8) == d
 
     def test_raising_threshold_never_lowers_last_exit_ratio(self):
         rng = np.random.default_rng(2)
@@ -94,13 +96,12 @@ class TestExitDecision:
             last.append(np.mean(dec == 3))
         assert all(a <= b for a, b in zip(last, last[1:]))
 
-    def test_errors(self):
-        with pytest.raises(ReportError):
-            exit_decision([], 0.9)
-        with pytest.raises(ValueError):
-            exit_decision([0.5], 1.0)
-        with pytest.raises(ValueError):
-            exit_decision([1.5], 0.9)
+
+def exit_ratios(decisions, m):
+    """The exit ratios ``report_from_outcomes`` counts, every sample
+    correct."""
+    correct = np.ones(len(decisions), dtype=bool)
+    return report_from_outcomes(decisions, correct, m, 0.9).exit_ratios
 
 
 class TestExitRatios:
@@ -117,8 +118,6 @@ class TestExitRatios:
         assert exit_ratios(dec, 3) == exit_ratios(shuffled, 3)
 
     def test_errors(self):
-        with pytest.raises(ReportError):
-            exit_ratios([], 3)
         with pytest.raises(ReportError):
             exit_ratios([0, 1], 3)
         with pytest.raises(ReportError):
@@ -193,7 +192,7 @@ class TestGradients:
             exits=(ExitPlacement("M0", head), ExitPlacement("M1", head)),
             quant=QuantScheme(backbone_bits=32, exit_bits=(32, 32)),
         )
-        net = build_toy_net(arch, in_features=3, num_classes=2, width=4, seed=0)
+        net = DenseEenn(arch, 3, 2, 4, np.random.default_rng(0))
         rng = np.random.default_rng(4)
         X = rng.normal(size=(16, 3))
         y = rng.integers(0, 2, 16)
@@ -213,7 +212,7 @@ class TestGradients:
             exits=(ExitPlacement("M0", head), ExitPlacement("M1", head)),
             quant=QuantScheme(backbone_bits=32, exit_bits=(32, 32)),
         )
-        net = build_toy_net(arch, in_features=3, num_classes=2, width=4, seed=1)
+        net = DenseEenn(arch, 3, 2, 4, np.random.default_rng(1))
         rng = np.random.default_rng(5)
         X = rng.normal(size=(12, 3))
         y = rng.integers(0, 2, 12)

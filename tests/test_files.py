@@ -6,14 +6,10 @@ import pytest
 
 from eenas.cli import ConfigError, _load_architecture, _load_run_config
 from eenas.arch import builtin_backbone
-from eenas.evaluate import (
-    EvaluationReport,
-    ReportError,
-    load_external_report,
-    save_external_report,
-)
+from eenas.evaluate import EvaluationReport, ReportError, load_external_report
 from eenas.files import atomic_write
 from eenas.hwcost import AcceleratorSpec, CostModelError
+from helpers import save_external_report
 
 
 class TestAtomicWrite:

@@ -15,7 +15,6 @@ from eenas.arch import (
     QuantScheme,
     SpaceConfig,
     decode,
-    enumerate_space,
     sample_architecture,
 )
 from eenas.hwcost import (
@@ -34,7 +33,7 @@ from eenas.hwcost import (
     schedule,
 )
 from eenas.workload import LayerGraph, LayerNode, expand_layers
-from helpers import reference_exit_products, write_accelerator
+from helpers import enumerate_space, reference_exit_products, write_accelerator
 
 
 def conv_node(cin, cout, h=4, w=4, k=1, bits=8, macs=None, name="n", owner=("backbone", 1)):

@@ -10,7 +10,6 @@ from eenas.arch import (
     Chromosome,
     canonicalize,
     decode,
-    enumerate_space,
     sample_architecture,
 )
 from eenas.evaluate import synthetic_oracle
@@ -24,7 +23,7 @@ from eenas.predict import (
     predict,
 )
 from eenas.workload import backbone_mac_fractions
-from helpers import spearman
+from helpers import enumerate_space, spearman
 
 predict_module = importlib.import_module("eenas.predict")
 

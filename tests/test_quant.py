@@ -8,11 +8,9 @@ from eenas.quant import (
     ClipCalibration,
     QuantParams,
     calibrate_clip,
-    fake_quant_forward,
+    fake_quant_with_mask,
     percentile_clip_candidates,
     quantize,
-    scale_factor,
-    ste_mask,
 )
 
 GRID_CASES = [(b, c) for b in (4, 8) for c in (0.5, 1.0, 6.0)]
@@ -33,18 +31,18 @@ def floor_oracle(values: np.ndarray, params: QuantParams) -> np.ndarray:
 
 class TestScaleFactor:
     def test_examples(self):
-        assert scale_factor(127, 8) == 1.0
-        assert scale_factor(1, 4) == 1 / 7
-        assert scale_factor(6, 8) == pytest.approx(0.047244, abs=1e-6)
+        assert QuantParams(127, 8).scale == 1.0
+        assert QuantParams(1, 4).scale == 1 / 7
+        assert QuantParams(6, 8).scale == pytest.approx(0.047244, abs=1e-6)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            scale_factor(0.0, 8)
+            QuantParams(0.0, 8)
         with pytest.raises(ValueError):
-            scale_factor(1.0, 1)
+            QuantParams(1.0, 1)
         for clip in (math.inf, math.nan):
             with pytest.raises(ValueError):
-                scale_factor(clip, 8)
+                QuantParams(clip, 8)
 
     def test_params_expose_exact_scale(self):
         p = QuantParams(clip=6.0, bits=8)
@@ -146,23 +144,26 @@ class TestQuantize:
         assert isinstance(out, float)
 
 
+def fake_quant(x: np.ndarray, p: QuantParams):
+    return fake_quant_with_mask(x, p.clip, p.scale, p.levels)
+
+
 class TestFakeQuant:
     def test_unquantized_sentinel_is_identity(self):
         x = np.linspace(-10, 10, 101)
-        p = QuantParams(1.0, 32)
-        assert np.array_equal(fake_quant_forward(x, p), x)
-        assert np.all(ste_mask(x, p) == 1.0)
+        assert np.array_equal(quantize(x, QuantParams(1.0, 32)), x)
 
     def test_idempotent(self):
         p = QuantParams(1.0, 8)
         x = np.random.default_rng(7).normal(size=1000)
-        once = fake_quant_forward(x, p)
-        assert np.array_equal(fake_quant_forward(once, p), once)
+        once, _ = fake_quant(x, p)
+        assert np.array_equal(fake_quant(once, p)[0], once)
+        assert np.array_equal(quantize(x, p), once)
 
     def test_ste_mask_matches_clip_region(self):
         p = QuantParams(0.5, 8)
         x = np.array([-1.0, -0.5, 0.0, 0.4999, 0.5, 0.51])
-        assert np.array_equal(ste_mask(x, p), [0, 1, 1, 1, 1, 0])
+        assert np.array_equal(fake_quant(x, p)[1], [0, 1, 1, 1, 1, 0])
 
 
 class TestCalibration:
