@@ -309,9 +309,13 @@ class QuantScheme:
     exit_bits: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for b in (self.backbone_bits, *self.exit_bits):
-            if not 2 <= b <= UNQUANTIZED_BITS:
-                raise ArchitectureError(f"bit width {b} out of range [2, 32]")
+        _check_bit_widths(self.backbone_bits, *self.exit_bits)
+
+
+def _check_bit_widths(*bits: int) -> None:
+    for b in bits:
+        if not 2 <= b <= UNQUANTIZED_BITS:
+            raise ArchitectureError(f"bit width {b} out of range [2, 32]")
 
 
 @dataclass(frozen=True)
@@ -382,6 +386,7 @@ class SpaceConfig:
             raise ArchitectureError("duplicate head options")
         if len(set(self.exit_bit_options)) != len(self.exit_bit_options):
             raise ArchitectureError("duplicate quantization options")
+        _check_bit_widths(self.backbone_bits, *self.exit_bit_options)
         if self.num_classes < 2:
             raise ArchitectureError("need at least two classes")
 

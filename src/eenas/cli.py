@@ -202,12 +202,16 @@ def _load_architecture(path: str, backbone: BackboneSpec):
 
 
 def cmd_space(args) -> int:
-    backbone = _resolve_backbone(args.backbone)
-    depths = [int(d) for d in args.head_depths.split(",")]
-    bits = [int(b) for b in args.exit_bits.split(",")]
-    h = backbone.n_optional
-    p = len(depths)
-    q = len(bits)
+    space = _space_from_dict(
+        _resolve_backbone(args.backbone),
+        {
+            "head_depths": [int(d) for d in args.head_depths.split(",")],
+            "exit_bits": [int(b) for b in args.exit_bits.split(",")],
+        },
+    )
+    h = space.n_optional
+    p = space.n_head_options
+    q = space.n_quant_options
     closed = search_space_size(h, p, q)
     binomial = search_space_size_binomial(h, p, q)
     print(f"optional mounts (H): {h}")

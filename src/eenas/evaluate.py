@@ -21,10 +21,13 @@ import numpy as np
 
 from .arch import UNQUANTIZED_BITS, EennArchitecture
 from .files import load_json
+from .hwcost import _is_int
 from .quant import (
+    FakeQuantizer,
     QuantParams,
     calibrate_clip,
-    fake_quant_with_mask,
+    grid_points,
+    grid_work,
     percentile_clip_candidates,
 )
 from .workload import backbone_mac_fractions
@@ -195,8 +198,16 @@ class TrainingConfig:
 
     def __post_init__(self):
         _check_finite(self)
+        for name in ("epochs", "batch_size", "hidden_width", "seed", "warmup_epochs"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
         if self.epochs < 1 or self.batch_size < 1 or self.hidden_width < 1:
             raise ValueError("epochs, batch size and width must be >= 1")
+        # Calibration, and with it quantization-aware training, starts at
+        # the epoch numbered warmup_epochs; any other value would train a
+        # quantized candidate in full precision throughout.
+        if not 0 <= self.warmup_epochs < self.epochs:
+            raise ValueError("warmup epochs must lie in [0, epochs)")
         if not 0 < self.threshold < 1:
             raise ValueError("threshold must lie strictly inside (0, 1)")
         if not 0 < self.holdout_fraction < 1:
@@ -242,13 +253,46 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _activate(z: np.ndarray, mask: np.ndarray, consts, work) -> None:
+    """Turn the pre-activation ``z`` in place into the layer output: relu6,
+    then, when ``consts`` holds the activation quantizer's (clip, scale,
+    levels), its fake quantization. ``mask`` receives the straight-through
+    mask carrying a gradient back through both; ``work`` is scratch for
+    :func:`quant.grid_points` shaped like ``z``.
+
+    The result equals relu6, ``np.clip`` and :func:`quant.quantize`
+    applied one after the other, bit for bit, signed zeros and NaN
+    included: the clamp can drop its lower bound, since relu6 leaves
+    nothing below zero, and is skipped for a clip of 6 or more, which
+    relu6 never exceeds.
+    """
+    # relu6 passes a gradient where 0 < z < 6 and the quantizer where
+    # relu6(z) <= clip; on 0 < z < 6 relu6(z) is z, so the product is one
+    # comparison against the lower bound. NaN fails every comparison.
+    hit = work[2]
+    np.greater(z, 0.0, out=mask)
+    if consts is None or consts[0] >= 6.0:
+        np.less(z, 6.0, out=hit)
+    else:
+        np.less_equal(z, consts[0], out=hit)
+    np.logical_and(mask, hit, out=mask)
+    np.maximum(z, 0.0, out=z)
+    np.minimum(z, 6.0, out=z)
+    if consts is None:
+        return
+    clip, scale, levels = consts
+    if clip < 6.0:
+        np.minimum(z, clip, out=z)
+    grid_points(z, scale, levels, None, z, work)
+
+
 class _FlatViews(dict):
-    """Named, parameter-shaped views into one flat float64 array."""
+    """Named, parameter-shaped views into one flat float64 array, also
+    listed in layout order as ``views``."""
 
     def __init__(self, flat: np.ndarray, layout):
-        super().__init__(
-            (key, flat[lo:hi].reshape(shape)) for key, lo, hi, shape in layout
-        )
+        self.views = [flat[lo:hi].reshape(shape) for _, lo, hi, shape in layout]
+        super().__init__(zip((key for key, *_ in layout), self.views))
         self.flat = flat
 
 
@@ -263,11 +307,21 @@ class DenseEenn:
     one vectorized update of the whole buffer.
 
     Weights and post-activation tensors are fake-quantized once clip values
-    have been assigned; biases stay unquantized. Each forward quantizes all
-    quantized weights in one pass over their region of the buffer, with
-    per-element clip, scale and level arrays. Gradients use the
-    straight-through rule, with masks made in the same pass as the forward
-    values.
+    have been assigned; biases stay unquantized. Gradients use the
+    straight-through rule, with masks made in the forward pass next to the
+    values they gate.
+
+    Each step follows a plan made once. ``calibrate`` fixes every
+    activation quantizer's (clip, scale, levels) as Python floats and one
+    :class:`quant.FakeQuantizer`, with its own buffers, that quantizes all
+    quantized weights in one pass with per-element clip, scale and level
+    arrays. Per batch size, the first forward pass allocates each layer's
+    output and mask buffers and the scratch of the fused relu6 and fake
+    quantization (:func:`_activate`), or takes the leading rows of a set
+    for a larger batch; later passes of that size write into them.
+    ``calibrate`` uses buffers of its own and frees them. None of these
+    buffers leaves a call: ``forward`` returns fresh logits and
+    ``loss_and_grads`` fresh gradients.
     """
 
     def __init__(
@@ -279,22 +333,24 @@ class DenseEenn:
         rng: np.random.Generator,
     ):
         self.arch = arch
-        self.num_classes = num_classes
         self.n_blocks = len(arch.backbone.instances)
         self.positions = [
             arch.backbone.mount_position(e.mount) for e in arch.exits
         ]
-        # Linear layers in forward order: (name, fan_in, fan_out, bits).
+        # Linear layers in forward order: (name, fan_in, fan_out, bits), and
+        # per layer the layer whose output it reads (-1: the network input).
         layers = []
+        self._source = []
         fan_in = in_features
         for j in range(self.n_blocks):
             layers.append((f"block{j}", fan_in, width, arch.quant.backbone_bits))
+            self._source.append(j - 1)
             fan_in = width
         # Per exit, the layer index of its hidden layer (None at depth 1)
         # and of its output layer.
         self._heads: list[tuple[int | None, int]] = []
-        for i, (placement, bits) in enumerate(
-            zip(arch.exits, arch.quant.exit_bits), start=1
+        for i, (placement, bits, pos) in enumerate(
+            zip(arch.exits, arch.quant.exit_bits, self.positions), start=1
         ):
             feat = width
             hidden = None
@@ -303,99 +359,126 @@ class DenseEenn:
                 layers.append(
                     (f"exit{i}.hidden", feat, placement.head.hidden_width, bits)
                 )
+                self._source.append(pos)
+                pos = hidden
                 feat = placement.head.hidden_width
             self._heads.append((hidden, len(layers)))
             layers.append((f"exit{i}.out", feat, num_classes, bits))
+            self._source.append(pos)
+        outputs = {out for _, out in self._heads}
+        # Per layer, its output width when relu6 follows it, else None.
+        self._widths = [
+            None if layer in outputs else fo
+            for layer, (_, _, fo, _) in enumerate(layers)
+        ]
         self._bits = [bits for *_, bits in layers]
         self._keys = [(f"{name}.w", f"{name}.b") for name, *_ in layers]
 
         # Weights of the layers below 32 bits first, so that they form one
         # region of the buffer, then the other weights, then the biases.
-        self._layout = []
+        spans = {}
         offset = 0
         for quantized in (True, False):
             for (_, fi, fo, bits), (wkey, _) in zip(layers, self._keys):
                 if (bits < UNQUANTIZED_BITS) is quantized:
-                    self._layout.append((wkey, offset, offset + fi * fo, (fi, fo)))
+                    spans[wkey] = (offset, offset + fi * fo, (fi, fo))
                     offset += fi * fo
             if quantized:
                 self._n_quantized = offset
         self._n_weights = offset
         for (_, _, fo, _), (_, bkey) in zip(layers, self._keys):
-            self._layout.append((bkey, offset, offset + fo, (fo,)))
+            spans[bkey] = (offset, offset + fo, (fo,))
             offset += fo
-        spans = {key: (lo, hi, shape) for key, lo, hi, shape in self._layout}
+        # Listed layer by layer, weight then bias, whatever their offsets.
+        self._layout = [
+            (key, *spans[key]) for keys in self._keys for key in keys
+        ]
         self._spans = [spans[wkey] for wkey, _ in self._keys]
         self.params = _FlatViews(np.empty(offset), self._layout)
         self._velocity = np.zeros(offset)
-        for (_, fi, fo, _), (wkey, bkey) in zip(layers, self._keys):
-            self.params[wkey][...] = rng.normal(size=(fi, fo)) * math.sqrt(2.0 / fi)
+        self._w = self.params.views[0::2]
+        self._b = self.params.views[1::2]
+        for (_, fi, fo, _), w, b in zip(layers, self._w, self._b):
+            w[...] = rng.normal(size=(fi, fo)) * math.sqrt(2.0 / fi)
             # Slightly positive biases keep narrow relu6 trunks from going dead.
-            self.params[bkey][...] = 0.01
-        self._w = [self.params[wkey] for wkey, _ in self._keys]
-        self._b = [self.params[bkey] for _, bkey in self._keys]
+            b[...] = 0.01
         # Set by calibrate: per layer, the quantizers of its weights and of
-        # its activation (None: unquantized), and per element of the
-        # quantized weight region its (clip, scale, levels).
+        # its activation (None: unquantized), the latter's (clip, scale,
+        # levels) as floats, the quantizer of the quantized weight region
+        # and the weights each forward pass uses.
         self._weight_q: list[QuantParams | None] = [None] * len(layers)
         self._act_q: list[QuantParams | None] = [None] * len(layers)
-        self._weight_grid: tuple[np.ndarray, ...] | None = None
+        self._act_consts: list[tuple[float, float, float] | None] = [None] * len(layers)
+        self._weight_grid: FakeQuantizer | None = None
+        self._wq = self._w
+        # Per batch size: per layer, output and mask buffers and scratch.
+        self._buffers: dict[int, list] = {}
 
     def forward(self, X: np.ndarray) -> list[np.ndarray]:
         """Per-exit logits."""
         return self._forward(X)[0]
 
-    def _forward(self, X: np.ndarray):
-        """Per-exit logits, the weights used, the straight-through mask of
-        the quantized weight region (None before calibration), and per
-        layer its input, the mask carrying its output gradient back through
-        relu6 and activation quantization, and its relu6 output (None for
-        exit output layers)."""
-        weights, weight_mask = self._forward_weights()
-        inputs = [None] * len(self._bits)
-        masks = [None] * len(self._bits)
-        acts = [None] * len(self._bits)
-        trunk = []
-        a = X
-        for j in range(self.n_blocks):
-            inputs[j] = a
-            a, masks[j], acts[j] = self._activate(j, a @ weights[j] + self._b[j])
-            trunk.append(a)
-        logits = []
-        for (hidden, out), pos in zip(self._heads, self.positions):
-            feat = trunk[pos]
-            if hidden is not None:
-                inputs[hidden] = feat
-                feat, masks[hidden], acts[hidden] = self._activate(
-                    hidden, feat @ weights[hidden] + self._b[hidden]
+    def _step_buffers(self, rows: int):
+        """Per layer followed by relu6, its output buffer, its mask buffer
+        and its share of one scratch sized for the widest such layer, for
+        ``rows`` rows (None for exit output layers). A set of fewer rows
+        than an existing one is that set's leading rows: each call uses one
+        set only, so sets that share memory never meet."""
+        buffers = self._buffers.get(rows)
+        if buffers is not None:
+            return buffers
+        larger = [r for r in self._buffers if r > rows]
+        if larger:
+            buffers = [
+                None if b is None
+                else (b[0][:rows], b[1][:rows], tuple(a[:rows] for a in b[2]))
+                for b in self._buffers[min(larger)]
+            ]
+        else:
+            widest = max(w for w in self._widths if w is not None)
+            scratch = grid_work(rows * widest)
+            buffers = [
+                None if w is None
+                else (
+                    np.empty((rows, w)),
+                    np.empty((rows, w), dtype=bool),
+                    tuple(a[: rows * w].reshape(rows, w) for a in scratch),
                 )
-            inputs[out] = feat
-            logits.append(feat @ weights[out] + self._b[out])
-        return logits, weights, weight_mask, inputs, masks, acts
+                for w in self._widths
+            ]
+        self._buffers[rows] = buffers
+        return buffers
 
-    def _forward_weights(self):
-        if self._weight_grid is None:
-            return self._w, None
-        nq = self._n_quantized
-        wq, mask = fake_quant_with_mask(self.params.flat[:nq], *self._weight_grid)
-        weights = [
-            wq[lo:hi].reshape(shape) if hi <= nq else w
-            for (lo, hi, shape), w in zip(self._spans, self._w)
-        ]
-        return weights, mask
-
-    def _activate(self, layer: int, z: np.ndarray):
-        """The layer's output, the mask carrying a gradient back through
-        its fake quantization and relu6 (their product as 0/1 values gives
-        the same bits as applying them one after the other), and the
-        relu6 output."""
-        h = _relu6(z)
-        through = (z > 0) & (z < 6)
-        q = self._act_q[layer]
-        if q is None:
-            return h, through, h
-        out, inside = fake_quant_with_mask(h, q.clip, q.scale, q.levels)
-        return out, through & inside, h
+    def _forward(self, X: np.ndarray, keep_acts: bool = False):
+        """Per-exit logits (fresh arrays), the straight-through mask of the
+        quantized weight region (None before calibration), the step
+        buffers holding each layer's output and mask, and, with
+        ``keep_acts``, per layer its relu6 output before activation
+        quantization (None for exit output layers)."""
+        weights = self._wq  # quantized by the call below, once calibrated
+        weight_mask = None
+        if self._weight_grid is not None:
+            weight_mask = self._weight_grid(self.params.flat[: self._n_quantized])[1]
+        buffers = self._step_buffers(len(X))
+        acts = [None] * len(buffers) if keep_acts else None
+        logits = []
+        for layer, src in enumerate(self._source):
+            a = X if src < 0 else buffers[src][0]
+            if buffers[layer] is None:
+                z = a @ weights[layer]
+                z += self._b[layer]
+                logits.append(z)
+                continue
+            out, mask, work = buffers[layer]
+            np.matmul(a, weights[layer], out=out)
+            out += self._b[layer]
+            consts = self._act_consts[layer]
+            if keep_acts:
+                # Without activation quantization, _activate leaves the
+                # relu6 output in the buffer itself.
+                acts[layer] = out if consts is None else _relu6(out)
+            _activate(out, mask, consts, work)
+        return logits, weight_mask, buffers, acts
 
     def losses(self, X: np.ndarray, y: np.ndarray) -> list[float]:
         """Per-exit mean cross-entropy."""
@@ -411,51 +494,56 @@ class DenseEenn:
         """Scalarized loss, per-exit losses, and analytic gradients of the
         scalarized loss for every parameter, as named views into one fresh
         flat array (its ``flat`` attribute)."""
-        logits, wq, weight_mask, inputs, masks, _ = self._forward(X)
+        logits, weight_mask, buffers, _ = self._forward(X)
+        wq = self._wq
         n = len(y)
         rows = np.arange(n)
-        onehot = np.zeros((n, self.num_classes))
-        onehot[rows, y] = 1.0
-        grads = _FlatViews(np.zeros(self.params.flat.size), self._layout)
+        grads = _FlatViews(np.empty(self.params.flat.size), self._layout)
+        gw, gb = grads.views[0::2], grads.views[1::2]
+        inputs = [X if src < 0 else buffers[src][0] for src in self._source]
+
+        def backward(layer, dz, input_grad=True):
+            # Gradients are written, not added to zeros; the one "+ 0.0"
+            # over the whole buffer at the end makes up for that.
+            np.matmul(inputs[layer].T, dz, out=gw[layer])
+            np.add.reduce(dz, axis=0, out=gb[layer])
+            return dz @ wq[layer].T if input_grad else None
+
         # Gradients reaching each trunk output from the heads; the zero
         # start keeps the sums, signed zeros included, as zeros_like would.
         d_trunk = [0.0] * self.n_blocks
         per_exit = []
         for e, (hidden, out) in enumerate(self._heads):
-            p = _softmax(logits[e])
-            per_exit.append(float(-np.mean(np.log(p[rows, y] + 1e-300))))
-            dlogits = weights[e] * (p - onehot) / n
-            dfeat = self._linear_backward(grads, out, inputs[out], dlogits, wq)
+            # Softmax, then weight * (p - onehot) / n, in place in the
+            # fresh logits, in the operations and order of _softmax.
+            p = logits[e]
+            p -= p.max(axis=1, keepdims=True)
+            np.exp(p, out=p)
+            p /= p.sum(axis=1, keepdims=True)
+            # np.mean is the sum over the count.
+            per_exit.append(float(-(np.add.reduce(np.log(p[rows, y] + 1e-300)) / n)))
+            p[rows, y] -= 1.0
+            p *= weights[e]
+            p /= n
+            dfeat = backward(out, p)
             if hidden is not None:
-                dfeat = self._linear_backward(
-                    grads, hidden, inputs[hidden], dfeat * masks[hidden], wq
-                )
+                dfeat *= buffers[hidden][1]
+                dfeat = backward(hidden, dfeat)
             pos = self.positions[e]
             d_trunk[pos] = d_trunk[pos] + dfeat
         da = d_trunk[-1]
         for j in range(self.n_blocks - 1, -1, -1):
-            da = self._linear_backward(grads, j, inputs[j], da * masks[j], wq)
+            da *= buffers[j][1]
+            da = backward(j, da, input_grad=j > 0)
             if j > 0:
-                da = da + d_trunk[j - 1]
+                da += d_trunk[j - 1]
         if weight_mask is not None:
-            # Mask the quantized weights' gradients in one pass:
-            # (0 + g) * mask + 0 equals 0 + g * mask bit for bit for a 0/1
+            # (0 + g) * mask + 0 equals g * mask + 0 bit for bit for a 0/1
             # mask, signed zeros and NaN included.
-            gq = grads.flat[: self._n_quantized]
-            gq *= weight_mask
-            gq += 0.0
+            grads.flat[: self._n_quantized] *= weight_mask
+        grads.flat += 0.0
         total = scalarized_loss(per_exit, weights)
         return total, per_exit, grads
-
-    def _linear_backward(self, grads, layer, x, dz, wq):
-        """Add a linear layer's gradients, given its input ``x``, the
-        gradient ``dz`` of its output and the weights ``wq`` the forward
-        used; return the gradient of its input. The weight mask is applied
-        later, to the whole quantized region at once."""
-        wkey, bkey = self._keys[layer]
-        grads[wkey] += x.T @ dz
-        grads[bkey] += dz.sum(axis=0)
-        return dz @ wq[layer].T
 
     def sgd_step(
         self, grads: _FlatViews, lr: float, momentum: float, wd: float
@@ -479,7 +567,12 @@ class DenseEenn:
         activation clips from a forward pass over the calibration batch.
         Returns False, assigning nothing, when a tensor to calibrate is not
         finite: training has diverged."""
-        acts = self._forward(X)[-1]
+        # Calibration runs once, on buffers of its own batch size: no other
+        # set stays alive beside them, and only the relu6 outputs in acts
+        # outlive the forward pass.
+        self._buffers.clear()
+        acts = self._forward(X, keep_acts=True)[-1]
+        self._buffers.clear()
         chosen = []
         for layer, bits in enumerate(self._bits):
             if bits >= UNQUANTIZED_BITS:
@@ -496,6 +589,10 @@ class DenseEenn:
                 chosen.append((table, layer, QuantParams(clip=clip, bits=bits)))
         for table, layer, q in chosen:
             table[layer] = q
+        self._act_consts = [
+            None if q is None else (q.clip, q.scale, float(q.levels))
+            for q in self._act_q
+        ]
         # The quantized weight region holds its layers in layer order.
         layers = [
             layer for layer, bits in enumerate(self._bits)
@@ -503,13 +600,20 @@ class DenseEenn:
         ]
         if layers:
             sizes = [self._w[layer].size for layer in layers]
-            self._weight_grid = tuple(
+            clip, scale, levels = (
                 np.repeat(
                     np.array([getattr(self._weight_q[l], f) for l in layers], dtype=float),
                     sizes,
                 )
                 for f in ("clip", "scale", "levels")
             )
+            nq = self._n_quantized
+            self._weight_grid = FakeQuantizer(clip, scale, levels, (nq,))
+            values = self._weight_grid.values
+            self._wq = [
+                values[lo:hi].reshape(shape) if hi <= nq else w
+                for (lo, hi, shape), w in zip(self._spans, self._w)
+            ]
         return True
 
 

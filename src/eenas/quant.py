@@ -6,18 +6,24 @@ about zero. Bit width 32 is the "unquantized" sentinel and maps values
 through unchanged. Clip magnitudes are calibrated per layer by minimizing
 the KL divergence between histograms of the raw and quantized values.
 
-The floor-and-correct grid step has one home, :func:`_grid_steps`.
-:func:`quantize` uses it one tensor at a time; :func:`fake_quant_with_mask`
-runs it once over many tensors, with per-element clip, scale and level
-arrays, and returns the straight-through mask from the same pass. Every
-element goes through the same floating-point operations either way, so the
-values are the same bit for bit.
+The floor-and-correct grid step has one home, :func:`grid_points`, which
+writes through ``out=`` into buffers its caller owns. :class:`FakeQuantizer`
+keeps those buffers for one shape and one set of (clip, scale, levels),
+scalars or per-element arrays, and returns the straight-through mask from
+the same pass, so that a training step reuses them instead of allocating;
+:func:`quantize` builds one per call. Every element goes through the same floating-point operations
+either way, so the values are the same bit for bit.
 
 :func:`calibrate_clip` sorts its sample once. Both histograms are then
 counted by binary search on the sorted sample, exactly as ``np.histogram``
 counts with explicit edges. A candidate's quantized image is counted per
 grid point: quantize maps x to the greatest grid point not above clamp(x),
-so the samples below a grid point are one ``searchsorted`` away.
+so the samples below a grid point are one ``searchsorted`` away. All
+candidates of one sample share one pass: their grids are stacked, searched
+in the sample with one ``searchsorted``, binned with one ``bincount``, and
+their divergences come from one reduction over a candidates x bins array.
+Candidate clips are percentiles of the sorted magnitudes, read off by the
+interpolation ``np.percentile`` uses, without its partition.
 """
 
 from __future__ import annotations
@@ -63,21 +69,69 @@ class QuantParams:
         return self.bits >= UNQUANTIZED_BITS
 
 
-def _grid_steps(x, scale, levels):
-    """Index k of the greatest grid point ``k * scale`` not above ``x``,
-    clipped to [-levels, levels], as floats; ``x`` is already clamped.
+def grid_points(x, scale, levels, lower, out, work):
+    """Write into ``out`` the greatest grid point ``k * scale`` not above
+    ``x``, with k clipped to [``lower``, ``levels``]; ``x`` is already
+    clamped, and ``out`` may be ``x`` itself.
 
     The quotient ``x / scale`` can land one step off the true grid after
     rounding, so the floor is corrected once each way against the actual
     floating-point products. The corrections write through ``where=``,
     which leaves unselected entries untouched exactly as ``np.where`` would,
-    so no sign of zero changes. ``scale`` and ``levels`` are scalars or
-    arrays shaped like ``x``.
+    so no sign of zero changes. ``scale``, ``levels`` and ``lower``
+    (normally ``-levels``) are scalars or arrays broadcasting against
+    ``x``; ``lower`` is None where ``x`` holds no negative value, so that
+    it could not bind. ``work`` holds the steps k, their products and the
+    comparison hits: two float arrays and one bool array shaped like ``x``.
     """
-    k = np.floor(x / scale)
-    np.subtract(k, 1.0, out=k, where=k * scale > x)
-    np.add(k, 1.0, out=k, where=(k + 1.0) * scale <= x)
-    return np.clip(k, -levels, levels, out=k)
+    k, prod, hit = work
+    np.divide(x, scale, out=k)
+    np.floor(k, out=k)
+    np.multiply(k, scale, out=prod)
+    np.greater(prod, x, out=hit)
+    np.subtract(k, 1.0, out=k, where=hit)
+    np.add(k, 1.0, out=prod)
+    np.multiply(prod, scale, out=prod)
+    np.less_equal(prod, x, out=hit)
+    np.add(k, 1.0, out=k, where=hit)
+    # Clamping from above, then below, equals np.clip for bounds that are
+    # not zero, NaN included.
+    np.minimum(k, levels, out=k)
+    if lower is not None:
+        np.maximum(k, lower, out=k)
+    return np.multiply(k, scale, out=out)
+
+
+def grid_work(shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fresh ``work`` buffers of :func:`grid_points` for one shape."""
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+
+
+class FakeQuantizer:
+    """Fake quantization of arrays of one shape with a fixed (clip, scale,
+    levels), as scalars or as arrays broadcasting against that shape, so
+    that tensors of different clips and bit widths can share one pass.
+
+    Calling it returns the quantized values and the straight-through mask
+    (True inside [-c, c]), both in buffers it owns and overwrites on the
+    next call."""
+
+    def __init__(self, clip, scale, levels, shape):
+        self.clip, self.scale, self.levels = clip, scale, levels
+        self.neg_clip = -clip
+        self.neg_levels = -levels
+        self.values = np.empty(shape)
+        self.mask = np.empty(shape, dtype=bool)
+        self.work = grid_work(shape)
+
+    def __call__(self, x: np.ndarray):
+        # np.clip(x, -c, c), as one clamp from below and one from above.
+        values = np.maximum(x, self.neg_clip, out=self.values)
+        np.minimum(values, self.clip, out=values)
+        # |x| <= clip exactly where clamping left x unchanged; NaN fails both.
+        np.equal(values, x, out=self.mask)
+        grid_points(values, self.scale, self.levels, self.neg_levels, values, self.work)
+        return values, self.mask
 
 
 def quantize(value, params: QuantParams):
@@ -93,24 +147,8 @@ def quantize(value, params: QuantParams):
     if params.is_identity:
         return float(value) if scalar else np.asarray(value, dtype=float)
     x = np.atleast_1d(np.asarray(value, dtype=float))
-    x = np.clip(x, -params.clip, params.clip)
-    out = _grid_steps(x, params.scale, params.levels)
-    out *= params.scale
+    out = FakeQuantizer(params.clip, params.scale, params.levels, x.shape)(x)[0]
     return float(out[0]) if scalar else out
-
-
-def fake_quant_with_mask(x: np.ndarray, clip, scale, levels):
-    """Fake quantization of a float array and its straight-through gradient
-    mask (1 inside [-c, c], 0 outside) in one pass. ``clip``, ``scale`` and
-    ``levels`` are the quantizer's (``levels`` is 2^(b-1) - 1), as scalars
-    or as arrays shaped like ``x``, so that tensors of different clips and
-    bit widths can share one pass. Returns the quantized values and the
-    mask as booleans."""
-    clamped = np.clip(x, -clip, clip)
-    out = _grid_steps(clamped, scale, levels)
-    out *= scale
-    # |x| <= clip exactly where clamping left x unchanged; NaN fails both.
-    return out, clamped == x
 
 
 @dataclass(frozen=True)
@@ -151,27 +189,35 @@ def calibrate_clip(
     n = v.size
     edges = np.linspace(-amax, amax, CALIBRATION_BINS + 1)
     p = _bin_counts(v, edges) / n
+    params = QuantParams(clip=cands[0], bits=bits)  # checks the bit width
+    m = params.levels
+    clips = np.array(cands)[:, None]
+    shape = (len(cands), n)
+    # Per candidate (row), the points of its quantized image and how many
+    # samples each stands for (None: one each).
+    weights = None
+    if params.is_identity:
+        points = np.broadcast_to(v, shape)
+    elif 2 * m + 1 > n:
+        # More grid points than samples: quantize the sample itself.
+        quantizer = FakeQuantizer(clips, clips / m, m, shape)
+        points = quantizer(np.broadcast_to(v, shape))[0]
+    else:
+        points = np.arange(-m, m + 1) * (clips / m)
+        # below[:, j]: samples whose image lies under grid point j. A grid
+        # point above the clip is never reached by a clamped sample.
+        below = np.searchsorted(v, points[:, 1:], side="left")
+        below[points[:, 1:] > clips] = n
+        weights = np.diff(below, prepend=0, append=n, axis=1)
+    # Flooring can step just past the sample range; bin at the edges.
+    points = np.clip(points, -amax, amax)
+    q = _stacked_bin_counts(points, edges, weights) / n
+    eps = 1e-12
+    kls = np.sum(p * (np.log(p + eps) - np.log(q + eps)), axis=1)
     best_clip = None
     best_kl = math.inf
     divergences = []
-    for c in cands:
-        params = QuantParams(clip=c, bits=bits)
-        # Flooring can step just past the sample range; bin at the edges.
-        if 2 * params.levels + 1 > n:
-            # More grid points than samples: quantize the sample itself.
-            # Quantization is monotone, so the image stays ascending.
-            image = np.clip(quantize(v, params), -amax, amax)
-            counts = _bin_counts(image, edges)
-        else:
-            m = params.levels
-            grid = np.arange(-m, m + 1) * params.scale
-            # below[j]: samples whose image lies under grid[j]. A grid point
-            # above the clip is never reached by a clamped sample.
-            below = np.searchsorted(v, grid[1:], side="left")
-            below[grid[1:] > c] = n
-            below = np.concatenate(([0], below, [n]))
-            counts = _bin_counts(np.clip(grid, -amax, amax), edges, below)
-        kl = _kl_divergence(p, counts / n)
+    for c, kl in zip(cands, kls.tolist()):
         divergences.append((c, kl))
         if kl < best_kl:
             best_kl = kl
@@ -186,28 +232,68 @@ def _ascending(v: np.ndarray) -> np.ndarray:
     return v if bool(np.all(v[1:] >= v[:-1])) else np.sort(v)
 
 
-def _bin_counts(ascending: np.ndarray, edges: np.ndarray, below=None):
+def _bin_counts(ascending: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """``np.histogram(x, edges)[0]`` of an ascending ``x``, counted the way
     numpy counts explicit edges: bin i holds edges[i] <= x < edges[i+1],
-    the last bin is closed. With ``below``, ``x[j]`` stands for
-    ``below[j+1] - below[j]`` samples."""
+    the last bin is closed."""
     idx = np.concatenate((
         np.searchsorted(ascending, edges[:-1], side="left"),
         np.searchsorted(ascending, edges[-1:], side="right"),
     ))
-    return np.diff(idx if below is None else below[idx])
+    return np.diff(idx)
 
 
-def _kl_divergence(p: np.ndarray, q: np.ndarray, eps: float = 1e-12) -> float:
-    return float(np.sum(p * (np.log(p + eps) - np.log(q + eps))))
+def _stacked_bin_counts(points: np.ndarray, edges: np.ndarray, weights=None):
+    """Per row of ``points``, all inside [edges[0], edges[-1]], the counts
+    :func:`_bin_counts` gives, each point standing for its ``weights``
+    entry (one when None). A point's bin is the last edge not above it,
+    the top edge belonging to the last bin."""
+    rows, bins = len(points), len(edges) - 1
+    index = np.searchsorted(edges, points, side="right")
+    np.minimum(index, bins, out=index)
+    index += np.arange(-1, rows * bins - 1, bins)[:, None]
+    counts = np.bincount(
+        index.ravel(),
+        weights=None if weights is None else weights.ravel(),
+        minlength=rows * bins,
+    )
+    return counts.reshape(rows, bins)
 
 
 def percentile_clip_candidates(
     values, percentiles: Sequence[float] = DEFAULT_CLIP_PERCENTILES
 ) -> tuple[float, ...]:
-    """Candidate clips from percentile magnitudes of a sample, taken in one
-    call on the sorted magnitudes; zero or duplicate magnitudes are
-    dropped."""
+    """Candidate clips from percentile magnitudes of a sample, read off its
+    sorted magnitudes; zero or duplicate magnitudes are dropped."""
     mags = _ascending(np.abs(np.asarray(values, dtype=float).ravel()))
-    cands = sorted(set(float(c) for c in np.percentile(mags, percentiles)))
+    cands = sorted(set(sorted_percentiles(mags, percentiles)))
     return tuple(c for c in cands if c > 0)
+
+
+def sorted_percentiles(ascending: np.ndarray, percentiles: Sequence[float]):
+    """``np.percentile(ascending, percentiles)`` (its default, linear
+    method) of an ascending sample, as a list of floats: the same
+    interpolation between the two neighbours of each virtual index, in the
+    same floating-point operations, without a partition. A NaN, which
+    sorts last, makes every percentile NaN, as in numpy."""
+    if not all(0 <= q <= 100 for q in percentiles):
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    n = ascending.size
+    last = float(ascending[-1])
+    if math.isnan(last):
+        return [math.nan] * len(percentiles)
+    out = []
+    for q in percentiles:
+        virtual = (n - 1) * (q / 100)
+        below = math.floor(virtual)
+        if virtual >= n - 1:
+            # numpy reads index -1 on both sides, and its gamma follows.
+            below = -1
+            a = b = last
+        else:
+            a = float(ascending[below])
+            b = float(ascending[below + 1])
+        gamma = virtual - below
+        diff = b - a
+        out.append(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
+    return out

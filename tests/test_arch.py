@@ -240,6 +240,19 @@ class TestArchitectureInvariants:
                 quant=QuantScheme(exit_bits=(8, 8)),
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("backbone_bits", 1),
+            ("backbone_bits", 33),
+            ("exit_bit_options", (8, 0)),
+            ("exit_bit_options", (64,)),
+        ],
+    )
+    def test_space_bit_widths_must_lie_in_range(self, smallconv, field, value):
+        with pytest.raises(ArchitectureError, match=r"out of range \[2, 32\]"):
+            SpaceConfig(backbone=smallconv, **{field: value})
+
     def test_static_counterpart_keeps_final_exit(self, small_space):
         rng = np.random.default_rng(3)
         arch = decode(sample_architecture(small_space, rng), small_space)

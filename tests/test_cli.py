@@ -78,6 +78,29 @@ class TestSpaceCommand:
     def test_unknown_backbone(self, capsys):
         assert main(["space", "--backbone", "builtin:nope"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "depths, bits, message",
+        [
+            ("1,1", "8,8", "duplicate head options"),
+            ("7", "0", "head depth must be 1 or 2"),
+            ("-1", "99", "head depth must be 1 or 2"),
+            ("1", "0", "bit width 0 out of range [2, 32]"),
+            ("1,2", "8,99", "bit width 99 out of range [2, 32]"),
+            ("1", "8,8", "duplicate quantization options"),
+        ],
+    )
+    def test_invalid_options_rejected(self, depths, bits, message, capsys):
+        """The command validates its options as a run config's space would,
+        instead of counting them."""
+        code = main(
+            ["space", "--backbone", "builtin:smallconv", "--head-depths", depths,
+             "--exit-bits", bits]
+        )
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestParser:
     def test_calls_in_one_process_parse_independently(self, capsys):
@@ -456,6 +479,37 @@ class TestSearchCommand:
         code = main(["search", "--config", str(config), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "training, message",
+        [
+            ({"warmup_epochs": 1.5}, "warmup_epochs must be an integer"),
+            ({"warmup_epochs": -1}, "warmup epochs must lie in [0, epochs)"),
+            ({"epochs": 4, "warmup_epochs": 4}, "warmup epochs must lie in [0, epochs)"),
+            ({"epochs": 4, "warmup_epochs": 9}, "warmup epochs must lie in [0, epochs)"),
+            ({"epochs": True}, "epochs must be an integer"),
+            ({"epochs": 1.5}, "epochs must be an integer"),
+            ({"batch_size": 2.5}, "batch_size must be an integer"),
+            ({"hidden_width": "16"}, "hidden_width must be an integer"),
+            ({"seed": False}, "seed must be an integer"),
+        ],
+    )
+    def test_bad_training_numbers_rejected_before_output(
+        self, tmp_path, training, message, capsys
+    ):
+        """A warm-up that never ends before the last epoch would train and
+        score a quantized candidate in full precision; a non-integer count
+        would either fail deep inside numpy or be silently truncated."""
+        config = tmp_path / "toy.json"
+        config.write_text(json.dumps({
+            "backbone": "builtin:smallconv",
+            "evaluator": {"kind": "toy", "training": training},
+        }))
+        out = tmp_path / "never"
+        code = main(["search", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -296,12 +296,12 @@ class TestToyTrainer:
         arch = two_exit_arch(smallconv)
         X, y = make_toy_dataset(n=6, seed=5)
         with pytest.raises(DatasetError):
-            train_toy(arch, (X, y), TrainingConfig(epochs=1))
+            train_toy(arch, (X, y), TrainingConfig(epochs=2))
 
     def test_weight_count_mismatch_rejected(self, smallconv):
         arch = two_exit_arch(smallconv)
         X, y = make_toy_dataset(seed=6)
-        config = TrainingConfig(epochs=1, loss_weights=(1.0,))
+        config = TrainingConfig(epochs=2, loss_weights=(1.0,))
         with pytest.raises(ValueError):
             train_toy(arch, (X, y), config)
 

@@ -6,9 +6,9 @@ import pytest
 from eenas.quant import (
     CALIBRATION_BINS,
     ClipCalibration,
+    FakeQuantizer,
     QuantParams,
     calibrate_clip,
-    fake_quant_with_mask,
     percentile_clip_candidates,
     quantize,
 )
@@ -145,7 +145,7 @@ class TestQuantize:
 
 
 def fake_quant(x: np.ndarray, p: QuantParams):
-    return fake_quant_with_mask(x, p.clip, p.scale, p.levels)
+    return FakeQuantizer(p.clip, p.scale, p.levels, x.shape)(x)
 
 
 class TestFakeQuant:
