@@ -18,6 +18,8 @@ from importlib import resources
 
 import numpy as np
 
+from .files import check_fields
+
 GENES_PER_MOUNT = 3  # presence bit, head-option index, quant-option index
 
 
@@ -74,6 +76,7 @@ class BlockSpec:
     mounts: tuple[str, ...] = ()
 
     def __post_init__(self):
+        check_fields(self, BackboneError)
         if self.kind not in ("conv2d", "bottleneck"):
             raise BackboneError(f"unknown operator kind {self.kind!r}")
         if self.repetition < 1:
@@ -118,6 +121,7 @@ class BackboneSpec:
     expansion: int = 6
 
     def __post_init__(self):
+        check_fields(self, BackboneError)
         if not self.blocks:
             raise BackboneError("backbone needs at least one block")
         if len(self.input_shape) != 3 or any(d < 1 for d in self.input_shape):
@@ -203,22 +207,12 @@ class BackboneSpec:
     @classmethod
     def from_json(cls, data: dict) -> "BackboneSpec":
         blocks = tuple(
-            BlockSpec(
-                kind=b["kind"],
-                repetition=int(b["repetition"]),
-                channels=int(b["channels"]),
-                stride=int(b["stride"]),
-                mounts=tuple(b.get("mounts", ())),
-            )
+            BlockSpec(b["kind"], b["repetition"], b["channels"], b["stride"],
+                      tuple(b.get("mounts", ())))
             for b in data["blocks"]
         )
-        return cls(
-            blocks=blocks,
-            input_shape=tuple(int(d) for d in data["input_shape"]),
-            kernel=int(data["kernel"]),
-            padding=int(data["padding"]),
-            expansion=int(data["expansion"]),
-        )
+        return cls(blocks, tuple(data["input_shape"]), data["kernel"],
+                   data["padding"], data["expansion"])
 
 
 def parse_backbone(text: str) -> BackboneSpec:
@@ -286,9 +280,9 @@ class ExitHeadSpec:
     pooled_size: int = 4
     depth: int = 1
     hidden_width: int = 128
-    activation: str = "relu6"
 
     def __post_init__(self):
+        check_fields(self, ArchitectureError)
         if self.pooled_size < 1:
             raise ArchitectureError("pooled size must be >= 1")
         if self.depth not in (1, 2):
@@ -378,6 +372,7 @@ class SpaceConfig:
     num_classes: int = 10
 
     def __post_init__(self):
+        check_fields(self, ArchitectureError)
         if not self.head_options:
             raise ArchitectureError("need at least one head option")
         if not self.exit_bit_options:
@@ -419,7 +414,9 @@ class SpaceConfig:
                     "pooled_size": h.pooled_size,
                     "depth": h.depth,
                     "hidden_width": h.hidden_width,
-                    "activation": h.activation,
+                    # Every head uses relu6; resume compares headers byte
+                    # for byte, so the key stays written.
+                    "activation": "relu6",
                 }
                 for h in self.head_options
             ],
@@ -430,21 +427,15 @@ class SpaceConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "SpaceConfig":
-        return cls(
-            backbone=BackboneSpec.from_json(data["backbone"]),
-            head_options=tuple(
-                ExitHeadSpec(
-                    pooled_size=int(h["pooled_size"]),
-                    depth=int(h["depth"]),
-                    hidden_width=int(h["hidden_width"]),
-                    activation=h.get("activation", "relu6"),
-                )
-                for h in data["head_options"]
-            ),
-            exit_bit_options=tuple(int(b) for b in data["exit_bit_options"]),
-            backbone_bits=int(data["backbone_bits"]),
-            num_classes=int(data.get("num_classes", 10)),
+        if any(h.get("activation", "relu6") != "relu6" for h in data["head_options"]):
+            raise ArchitectureError("head option field activation must be 'relu6'")
+        heads = tuple(
+            ExitHeadSpec(h["pooled_size"], h["depth"], h["hidden_width"])
+            for h in data["head_options"]
         )
+        return cls(BackboneSpec.from_json(data["backbone"]), heads,
+                   tuple(data["exit_bit_options"]), data["backbone_bits"],
+                   data.get("num_classes", 10))
 
 
 def search_space_size(n_optional: int, n_heads: int, n_quants: int) -> int:

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 
 from .arch import (
@@ -44,7 +45,8 @@ from .evaluate import (
     TrainingConfig,
     make_toy_dataset,
 )
-from .files import atomic_write, load_json
+from .files import (atomic_write, is_int, is_int_list, is_object, is_real_list,
+                    load_json, require)
 from .hwcost import AcceleratorSpec, CostModelError, cost_report
 from .search import (
     CostCache,
@@ -92,74 +94,95 @@ def _resolve_accelerator(ref: str) -> AcceleratorSpec:
     return AcceleratorSpec.load(ref)
 
 
+#: Keys of a run config, and of its ``space`` section.
+_RUN_KEYS = ("seed", "backbone", "accelerator", "space", "nas", "evaluator",
+             "cost_mode")
+_SPACE_KEYS = ("head_depths", "pooled_size", "hidden_width", "exit_bits",
+               "backbone_bits", "num_classes")
+
+
+def _check_object(data, name: str, keys=None) -> None:
+    """``data`` must be an object, with no key outside ``keys`` if given."""
+    if not is_object(data):
+        raise ConfigError(f"{name} must be an object")
+    unknown = sorted(set(data) - set(keys or data))
+    if unknown:
+        raise ConfigError(f"{name} has an unknown key {unknown[0]!r}")
+
+
+@contextmanager
+def _section(name: str):
+    """Name the run-config section in an error raised while reading it."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def _space_from_dict(backbone: BackboneSpec, data: dict) -> SpaceConfig:
     depths = data.get("head_depths", [1, 2])
-    pooled = int(data.get("pooled_size", 4))
-    hidden = int(data.get("hidden_width", 128))
-    heads = tuple(
-        ExitHeadSpec(pooled_size=pooled, depth=int(d), hidden_width=hidden)
-        for d in depths
-    )
+    bits = data.get("exit_bits", [8, 4])
+    require(ConfigError, is_int_list, head_depths=depths, exit_bits=bits)
+    pooled, hidden = data.get("pooled_size", 4), data.get("hidden_width", 128)
+    heads = tuple(ExitHeadSpec(pooled, d, hidden) for d in depths)
     return SpaceConfig(
         backbone=backbone,
         head_options=heads,
-        exit_bit_options=tuple(int(b) for b in data.get("exit_bits", [8, 4])),
-        backbone_bits=int(data.get("backbone_bits", 8)),
-        num_classes=int(data.get("num_classes", 10)),
+        exit_bit_options=tuple(bits),
+        backbone_bits=data.get("backbone_bits", 8),
+        num_classes=data.get("num_classes", 10),
     )
 
 
-def _load_run_config(path: str, seed_override: int | None, evaluator_override):
+def _load_run_config(path: str):
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     data = load_json(path, ConfigError, "config")
-    seed = int(data.get("seed", 0)) if seed_override is None else seed_override
-    backbone = _resolve_backbone(data.get("backbone", "builtin:mobilenetv2_cifar"))
-    accel = _resolve_accelerator(data.get("accelerator", "default"))
-    space = _space_from_dict(backbone, data.get("space", {}))
-    nas_dict = dict(data.get("nas", {}))
-    nas_dict["seed"] = seed
-    nas = NasConfig.from_json(nas_dict)
-    ev_dict = dict(data.get("evaluator", {"kind": "oracle"}))
-    if evaluator_override and evaluator_override != ev_dict.get("kind"):
-        # Carry over only what the new kind can use.
-        kept = {"reports_dir"} if evaluator_override == "external" else set()
-        ev_dict = {"kind": evaluator_override} | {
-            k: v for k, v in ev_dict.items() if k in kept
-        }
-    evaluator, kind = _build_evaluator(ev_dict, seed)
+    _check_object(data, "config", _RUN_KEYS)
+    seed = data.get("seed", 0)
+    if not (is_int(seed) and seed >= 0):
+        raise ConfigError("seed must be a non-negative integer")
+    backbone = data.get("backbone", "builtin:mobilenetv2_cifar")
+    accelerator = data.get("accelerator", "default")
+    if not (isinstance(backbone, str) and isinstance(accelerator, str)):
+        raise ConfigError("backbone and accelerator must be strings")
     cost_mode = data.get("cost_mode", "greedy")
+    if cost_mode not in ("greedy", "genetic"):
+        raise ConfigError("cost_mode must be 'greedy' or 'genetic'")
+    _check_object(data.get("space", {}), "space", _SPACE_KEYS)
+    _check_object(data.get("nas", {}), "nas")
+    with _section("backbone"):
+        backbone = _resolve_backbone(backbone)
+    with _section("accelerator"):
+        accel = _resolve_accelerator(accelerator)
+    with _section("space"):
+        space = _space_from_dict(backbone, data.get("space", {}))
+    with _section("nas"):
+        nas = NasConfig.from_json(data.get("nas", {}) | {"seed": seed})
+    evaluator, kind = _build_evaluator(data.get("evaluator", {"kind": "oracle"}), seed)
     return space, accel, nas, evaluator, kind, cost_mode
 
 
-def _build_evaluator(data: dict, seed: int):
+def _build_evaluator(data, seed: int):
+    _check_object(data, "evaluator")
     kind = data.get("kind", "oracle")
     if kind == "oracle":
-        params = {
-            k: v for k, v in data.items() if k not in ("kind", "seed")
-        }
-        try:
-            config = OracleConfig(**params)
-        except TypeError as exc:
-            raise ConfigError(f"bad oracle parameter: {exc}") from exc
-        return OracleEvaluator(config, seed=int(data.get("seed", seed))), kind
+        params = {k: v for k, v in data.items() if k not in ("kind", "seed")}
+        with _section("evaluator"):
+            return OracleEvaluator(OracleConfig(**params), data.get("seed", seed)), kind
     if kind == "toy":
-        ds = data.get("dataset", {})
-        tr = dict(data.get("training", {}))
-        tr.setdefault("seed", seed)
-        tr.setdefault("epochs", 40)
-        try:
-            dataset = make_toy_dataset(**ds)
-            config = TrainingConfig(**{
-                k: tuple(v) if k == "loss_weights" and v is not None else v
-                for k, v in tr.items()
-            })
-        except TypeError as exc:
-            raise ConfigError(f"bad toy-evaluator parameter: {exc}") from exc
-        return ToyEvaluator(dataset, config), kind
+        _check_object(data, "evaluator", ("kind", "dataset", "training"))
+        _check_object(data.get("dataset", {}), "evaluator.dataset")
+        _check_object(data.get("training", {}), "evaluator.training")
+        with _section("evaluator.dataset"):
+            dataset = make_toy_dataset(**data.get("dataset", {}))
+        with _section("evaluator.training"):
+            training = {"seed": seed, "epochs": 40} | data.get("training", {})
+            return ToyEvaluator(dataset, TrainingConfig(**training)), kind
     if kind == "external":
+        _check_object(data, "evaluator", ("kind", "reports_dir"))
         reports_dir = data.get("reports_dir")
-        if not reports_dir or not os.path.isdir(reports_dir):
+        if not isinstance(reports_dir, str) or not os.path.isdir(reports_dir):
             raise ConfigError(f"external reports directory not found: {reports_dir}")
         return ExternalEvaluator(reports_dir), kind
     raise ConfigError(f"unknown evaluator kind {kind!r}")
@@ -169,35 +192,28 @@ def _load_architecture(path: str, backbone: BackboneSpec):
     if not os.path.exists(path):
         raise ConfigError(f"architecture file not found: {path}")
     data = load_json(path, ConfigError, "architecture")
+    _check_object(data, "architecture")
+    exits = data.get("exits")
+    if not (isinstance(exits, list) and all(map(is_object, exits))):
+        raise ConfigError("exits must be a list of objects")
+    bits = tuple(e.get("bits", 8) for e in exits)
+    require(ConfigError, is_int_list, bits=bits)
+    require(ConfigError, is_int, backbone_bits=data.get("backbone_bits", 8))
     try:
-        exits = tuple(
-            ExitPlacement(
-                mount=e["mount"],
-                head=ExitHeadSpec(
-                    pooled_size=int(e.get("pooled_size", 4)),
-                    depth=int(e.get("depth", 1)),
-                    hidden_width=int(e.get("hidden_width", 128)),
-                ),
-            )
-            for e in data["exits"]
+        placements = tuple(
+            ExitPlacement(e["mount"], ExitHeadSpec(
+                e.get("pooled_size", 4), e.get("depth", 1), e.get("hidden_width", 128)))
+            for e in exits
         )
-        bits = tuple(int(e.get("bits", 8)) for e in data["exits"])
-        arch = EennArchitecture(
-            backbone=backbone,
-            exits=exits,
-            quant=QuantScheme(
-                backbone_bits=int(data.get("backbone_bits", 8)), exit_bits=bits
-            ),
-        )
+        quant = QuantScheme(data.get("backbone_bits", 8), bits)
+        arch = EennArchitecture(backbone=backbone, exits=placements, quant=quant)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed architecture file: {exc}") from exc
     ratios = data.get("exit_ratios")
     if ratios is not None:
-        if not isinstance(ratios, list) or not all(
-            isinstance(r, (int, float)) and not isinstance(r, bool) for r in ratios
-        ):
+        if not is_real_list(ratios):
             raise ConfigError("exit_ratios must be a list of numbers")
-        ratios = tuple(float(r) for r in ratios)
+        ratios = tuple(ratios)
     return arch, ratios
 
 
@@ -293,9 +309,7 @@ def cmd_cost(args) -> int:
 
 
 def cmd_search(args) -> int:
-    space, accel, nas, evaluator, kind, cost_mode = _load_run_config(
-        args.config, args.seed, args.evaluator
-    )
+    space, accel, nas, evaluator, kind, cost_mode = _load_run_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     history_path = os.path.join(args.out, "history.jsonl")
     if not args.resume and os.path.exists(history_path):
@@ -446,10 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     se = sub.add_parser("search", help="run the search loop")
     se.add_argument("--config", required=True)
     se.add_argument("--out", required=True)
-    se.add_argument("--seed", type=int, default=None)
-    se.add_argument(
-        "--evaluator", choices=("toy", "oracle", "external"), default=None
-    )
     se.add_argument("--resume", action="store_true")
     se.set_defaults(func=cmd_search)
 

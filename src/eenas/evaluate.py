@@ -13,15 +13,15 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .arch import UNQUANTIZED_BITS, EennArchitecture
-from .files import load_json
-from .hwcost import _is_int
+from .files import (check_exit_ratios, check_fields, is_int, is_int_list, is_object,
+                    is_real, is_real_list, load_json, require)
 from .quant import (
     FakeQuantizer,
     QuantParams,
@@ -76,10 +76,7 @@ class EvaluationReport:
             raise ReportError("per-exit fields must have equal lengths")
         if not 0 < self.threshold < 1:
             raise ReportError("threshold must lie strictly inside (0, 1)")
-        if not all(math.isfinite(r) and 0 <= r <= 1 for r in self.exit_ratios):
-            raise ReportError("exit ratios must be finite and lie in [0, 1]")
-        if abs(math.fsum(self.exit_ratios) - 1.0) > 1e-9:
-            raise ReportError("exit ratios must sum to 1")
+        check_exit_ratios(self.exit_ratios, ReportError)
         total = sum(self.sample_counts)
         for i, (acc, ratio, count) in enumerate(
             zip(self.accuracy_per_exit, self.exit_ratios, self.sample_counts),
@@ -115,10 +112,7 @@ def acc_avg(
     so their undefined accuracy never contributes."""
     if len(accuracies) != len(ratios):
         raise ReportError("need one accuracy per exit ratio")
-    if not all(math.isfinite(r) and r >= 0 for r in ratios):
-        raise ReportError("exit ratios must be finite and nonnegative")
-    if abs(math.fsum(ratios) - 1.0) > 1e-9:
-        raise ReportError("exit ratios must sum to 1")
+    check_exit_ratios(ratios, ReportError)
     if any(a is None for a, r in zip(accuracies, ratios) if r > 0):
         raise ReportError("exit with nonzero ratio lacks an accuracy")
     return _weighted_accuracy(accuracies, ratios)
@@ -172,16 +166,6 @@ def report_from_outcomes(
 # Toy quantization-aware trainer
 # ---------------------------------------------------------------------------
 
-def _check_finite(config) -> None:
-    """Reject a non-finite float in any field of a config dataclass,
-    elements of tuple fields included."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        values = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-            raise ValueError(f"{f.name} must be finite")
-
-
 @dataclass(frozen=True)
 class TrainingConfig:
     epochs: int = 100
@@ -197,12 +181,13 @@ class TrainingConfig:
     holdout_fraction: float = 0.2
 
     def __post_init__(self):
-        _check_finite(self)
-        for name in ("epochs", "batch_size", "hidden_width", "seed", "warmup_epochs"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer")
+        check_fields(self, ValueError)
+        if not (self.loss_weights is None or is_real_list(self.loss_weights)):
+            raise ValueError("loss_weights must be finite numbers in a list, or null")
         if self.epochs < 1 or self.batch_size < 1 or self.hidden_width < 1:
             raise ValueError("epochs, batch size and width must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         # Calibration, and with it quantization-aware training, starts at
         # the epoch numbered warmup_epochs; any other value would train a
         # quantized candidate in full precision throughout.
@@ -229,6 +214,11 @@ def make_toy_dataset(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian class blobs with an easy/hard difficulty mixture, so that a
     shallow classifier resolves most samples while the rest need depth."""
+    require(DatasetError, is_int, n=n, features=features, classes=classes, seed=seed)
+    require(DatasetError, is_real, easy_fraction=easy_fraction,
+            noise_easy=noise_easy, noise_hard=noise_hard)
+    if seed < 0:
+        raise DatasetError("seed must be non-negative")
     if n < classes or classes < 2 or features < 1:
         raise DatasetError("need n >= classes >= 2 and at least one feature")
     if not 0 <= easy_fraction <= 1:
@@ -743,7 +733,7 @@ class OracleConfig:
     threshold: float = 0.9
 
     def __post_init__(self):
-        _check_finite(self)
+        check_fields(self, ValueError)
         if not 0 <= self.floor_accuracy <= self.top_accuracy <= 100:
             raise ValueError("accuracy bounds must satisfy 0 <= floor <= top <= 100")
         if not 0 < self.easy_mass < 1:
@@ -876,23 +866,21 @@ def load_external_report(
     report). Schema violations, invariant violations, and hash mismatches
     all raise :class:`ReportError`."""
     data = load_json(path, ReportError, "report")
-    if not isinstance(data, dict) or set(data) != _REPORT_KEYS:
+    if not is_object(data) or set(data) != _REPORT_KEYS:
         raise ReportError(
             f"report must contain exactly the keys {sorted(_REPORT_KEYS)}"
         )
     if not isinstance(data["architecture"], str):
         raise ReportError("architecture hash must be a string")
-    try:
-        report = EvaluationReport(
-            accuracy_per_exit=tuple(
-                None if a is None else float(a) for a in data["accuracy_per_exit"]
-            ),
-            exit_ratios=tuple(float(r) for r in data["exit_ratios"]),
-            sample_counts=tuple(int(c) for c in data["sample_counts"]),
-            threshold=float(data["threshold"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ReportError(f"malformed report fields: {exc}") from exc
+    accuracies = data["accuracy_per_exit"]
+    if not (isinstance(accuracies, list)
+            and is_real_list([a for a in accuracies if a is not None])):
+        raise ReportError("accuracy_per_exit must be a list of numbers or nulls")
+    require(ReportError, is_real, threshold=data["threshold"])
+    require(ReportError, is_real_list, exit_ratios=data["exit_ratios"])
+    require(ReportError, is_int_list, sample_counts=data["sample_counts"])
+    report = EvaluationReport(tuple(accuracies), tuple(data["exit_ratios"]),
+                              tuple(data["sample_counts"]), data["threshold"])
     report.validate()
     if expected_hash is not None and data["architecture"] != expected_hash:
         raise ReportError(

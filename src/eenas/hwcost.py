@@ -19,14 +19,14 @@ Energy-latency products over a set of layers always take the form
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .arch import BackboneSpec, EennArchitecture, hash_once
-from .files import load_json
+from .files import check_exit_ratios, check_fields, is_int, is_object, load_json
 from .workload import (
     MATRIX_KINDS,
     LayerGraph,
@@ -43,17 +43,6 @@ class CostModelError(ValueError):
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number, or an int past floats
-        return False
 
 
 #: Most compute cores an accelerator may have. Costing places every matrix
@@ -87,18 +76,11 @@ class AcceleratorSpec:
     hop_table: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        positive = (
-            self.compute_cores,
-            self.macs_per_cycle,
-            self.array_rows,
-            self.array_cols,
-            self.sram_bytes_per_core,
-            self.offchip_bits_per_cycle,
-            self.noc_bits_per_cycle,
-        )
-        if not all(_is_int(v) for v in positive):
-            raise CostModelError("counts and bandwidths must be integers")
-        if any(v < 1 for v in positive):
+        check_fields(self, CostModelError)
+        counts = (self.compute_cores, self.macs_per_cycle, self.array_rows,
+                  self.array_cols, self.sram_bytes_per_core,
+                  self.offchip_bits_per_cycle, self.noc_bits_per_cycle)
+        if any(v < 1 for v in counts):
             raise CostModelError("counts and bandwidths must be positive")
         if self.compute_cores > MAX_COMPUTE_CORES:
             raise CostModelError(
@@ -106,23 +88,17 @@ class AcceleratorSpec:
             )
         if not all(isinstance(v, bool) for v in (self.pool_core, self.simd_core)):
             raise CostModelError("pool_core and simd_core must be true or false")
-        if not all(
-            _is_finite(v) and v > 0
-            for v in (
-                self.e_mac8_pj,
-                self.e_sram_pj_bit,
-                self.e_dram_pj_bit,
-                self.e_noc_pj_bit_hop,
-            )
-        ):
-            raise CostModelError("energy constants must be positive and finite")
+        energies = (self.e_mac8_pj, self.e_sram_pj_bit, self.e_dram_pj_bit,
+                    self.e_noc_pj_bit_hop)
+        if any(v <= 0 for v in energies):
+            raise CostModelError("energy constants must be positive")
         if self.array_rows * self.array_cols != self.macs_per_cycle:
             raise CostModelError("array rows*cols must equal MACs per cycle")
         if self.hop_table is not None:
             n = self.n_cores
             if len(self.hop_table) != n or any(len(r) != n for r in self.hop_table):
                 raise CostModelError("hop table must be n_cores x n_cores")
-            if not all(_is_int(h) for r in self.hop_table for h in r):
+            if not all(is_int(h) for r in self.hop_table for h in r):
                 raise CostModelError("hop counts must be integers")
             for i in range(n):
                 if self.hop_table[i][i] != 0:
@@ -173,28 +149,15 @@ class AcceleratorSpec:
         return self.e_mac8_pj * (bits / 8.0) ** 2
 
     def to_json(self) -> dict:
-        data = {
-            "compute_cores": self.compute_cores,
-            "macs_per_cycle": self.macs_per_cycle,
-            "array_rows": self.array_rows,
-            "array_cols": self.array_cols,
-            "pool_core": self.pool_core,
-            "simd_core": self.simd_core,
-            "sram_bytes_per_core": self.sram_bytes_per_core,
-            "offchip_bits_per_cycle": self.offchip_bits_per_cycle,
-            "noc_bits_per_cycle": self.noc_bits_per_cycle,
-            "e_mac8_pj": self.e_mac8_pj,
-            "e_sram_pj_bit": self.e_sram_pj_bit,
-            "e_dram_pj_bit": self.e_dram_pj_bit,
-            "e_noc_pj_bit_hop": self.e_noc_pj_bit_hop,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        del data["hop_table"]
         if self.hop_table is not None:
             data["hop_table"] = [list(r) for r in self.hop_table]
         return data
 
     @classmethod
     def from_json(cls, data: dict) -> "AcceleratorSpec":
-        if not isinstance(data, dict):
+        if not is_object(data):
             raise CostModelError("accelerator must be a JSON object")
         kwargs = dict(data)
         try:
@@ -583,10 +546,7 @@ def et_avg(et_per_exit: Sequence[float], exit_ratios: Sequence[float]) -> float:
     """Exit-ratio-weighted mean energy-delay product."""
     if len(et_per_exit) != len(exit_ratios):
         raise CostModelError("need one exit ratio per exit")
-    if not all(math.isfinite(r) and r >= 0 for r in exit_ratios):
-        raise CostModelError("exit ratios must be finite and nonnegative")
-    if abs(math.fsum(exit_ratios) - 1.0) > 1e-9:
-        raise CostModelError("exit ratios must sum to 1")
+    check_exit_ratios(exit_ratios, CostModelError)
     return math.fsum(e * r for e, r in zip(et_per_exit, exit_ratios))
 
 

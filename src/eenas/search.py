@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,7 +41,7 @@ from .evaluate import (
     synthetic_oracle,
     train_toy,
 )
-from .files import atomic_write
+from .files import atomic_write, check_fields, is_int, is_real
 from .hwcost import AcceleratorSpec, cost_report, et_avg, exit_costs
 from .predict import LabeledRecord, LabeledSet, Predictor, fit, predict
 
@@ -79,8 +79,12 @@ class NasConfig:
     attempt_factor: int = 200  # sampling budget per requested member
 
     def __post_init__(self):
-        if self.iterations < 0 or self.n_select < 1 or self.init_population < 1:
-            raise ValueError("iterations >= 0 and sizes >= 1 required")
+        check_fields(self, ValueError, skip=("theta",))
+        if not (self.theta == math.inf or is_real(self.theta)):
+            raise ValueError("theta must be finite and numeric, or null")
+        if min(self.iterations, self.seed) < 0 or min(self.n_select,
+                                                      self.init_population) < 1:
+            raise ValueError("iterations >= 0, seed >= 0 and sizes >= 1 required")
         if self.generations < 1 or self.attempt_factor < 1:
             raise ValueError("generations and attempt factor must be >= 1")
         if not 0 <= self.mutation_rate <= 1 or not 0 <= self.crossover_rate <= 1:
@@ -89,24 +93,13 @@ class NasConfig:
             raise ValueError("overhead cap must be positive")
         if not 0 < self.mu <= 1:
             raise ValueError("last-exit-ratio cap must lie in (0, 1]")
-        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+        if self.ridge < 0:
             raise ValueError("ridge penalty must be finite and nonnegative")
 
     def to_json(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "n_select": self.n_select,
-            "generations": self.generations,
-            "init_population": self.init_population,
-            "mutation_rate": self.mutation_rate,
-            "crossover_rate": self.crossover_rate,
-            "theta": self.theta if math.isfinite(self.theta) else None,
-            "mu": self.mu,
-            **_fixed_ranking(),
-            "ridge": self.ridge,
-            "seed": self.seed,
-            "attempt_factor": self.attempt_factor,
-        }
+        theta = self.theta if math.isfinite(self.theta) else None
+        fixed = {"theta": theta, **_fixed_ranking()}
+        return {f.name: getattr(self, f.name) for f in fields(self)} | fixed
 
     @classmethod
     def from_json(cls, data: dict) -> "NasConfig":
@@ -186,6 +179,8 @@ class OracleEvaluator:
     """Synthetic closed-form evaluator; fast enough for full-space sweeps."""
 
     def __init__(self, config: OracleConfig = OracleConfig(), seed: int = 0):
+        if not (is_int(seed) and seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
         self.config = config
         self.seed = seed
 
@@ -283,9 +278,6 @@ class SearchState:
         self.members: dict[str, tuple[int, ...]] = {}
         self.labeled = LabeledSet()
         self.rejected: dict[str, str] = {}
-        self.s_history: list[frozenset] = []
-        self.p_history: list[frozenset] = []
-        self.stats: list[dict] = []
 
     def front(self) -> list[LabeledRecord]:
         return pareto_front(self.labeled)
@@ -773,17 +765,13 @@ def _close_iteration(
     log: Callable[[dict], None],
 ) -> None:
     state.k = k
-    state.s_history.append(frozenset(state.members))
-    state.p_history.append(frozenset(state.labeled.keys()))
-    stats = _iteration_stats(k, new_records)
-    state.stats.append(stats)
     log(
         {
             "event": "iteration-summary",
             "k": k,
             "s": sorted(state.members),
             "p": sorted(state.labeled.keys()),
-            "stats": stats,
+            "stats": _iteration_stats(k, new_records),
         }
     )
 
@@ -907,9 +895,6 @@ def _rebuild_state(events: Sequence[dict]) -> tuple[SearchState, int]:
     history = replay_history(events, complete=True)
     state = SearchState()
     state.rejected = history.rejected
-    state.s_history = [frozenset(ev["s"]) for ev in history.summaries]
-    state.p_history = [frozenset(ev["p"]) for ev in history.summaries]
-    state.stats = [ev["stats"] for ev in history.summaries]
     if history.summaries:
         last = history.summaries[-1]
         state.k = last["k"]

@@ -44,6 +44,7 @@ from eenas.search import (
     et_reduction_value,
     pareto_front,
     read_history,
+    replay_history,
     run_search,
 )
 from eenas.workload import exit_macs
@@ -222,13 +223,16 @@ def test_c06_constraint_soundness_audit(reference_run):
 
 
 def test_c07_cumulative_set_shapes(reference_run):
-    state, history_path = reference_run
+    _, history_path = reference_run
     t0 = time.perf_counter()
-    for earlier, later in zip(state.s_history, state.s_history[1:]):
+    summaries = replay_history(read_history(history_path)).summaries
+    s_history = [frozenset(ev["s"]) for ev in summaries]
+    p_history = [frozenset(ev["p"]) for ev in summaries]
+    for earlier, later in zip(s_history, s_history[1:]):
         assert earlier <= later
-    for earlier, later in zip(state.p_history, state.p_history[1:]):
+    for earlier, later in zip(p_history, p_history[1:]):
         assert earlier <= later
-    assert state.p_history[-1] == frozenset().union(*state.p_history)
+    assert p_history[-1] == frozenset().union(*p_history)
     evaluated = [
         e["hash"] for e in read_history(history_path) if e["event"] == "evaluated"
     ]

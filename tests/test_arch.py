@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eenas.arch import (
     ArchitectureError,
@@ -253,6 +255,26 @@ class TestArchitectureInvariants:
         with pytest.raises(ArchitectureError, match=r"out of range \[2, 32\]"):
             SpaceConfig(backbone=smallconv, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("backbone_bits", "8"),
+            ("backbone_bits", 8.0),
+            ("num_classes", True),
+            ("exit_bit_options", (8.5, 4)),
+            ("exit_bit_options", 8),
+        ],
+    )
+    def test_space_fields_must_be_integers(self, smallconv, field, value):
+        with pytest.raises(ArchitectureError, match=f"^{field} must be"):
+            SpaceConfig(backbone=smallconv, **{field: value})
+
+    @pytest.mark.parametrize("field", ["pooled_size", "depth", "hidden_width"])
+    @pytest.mark.parametrize("value", ["1", 1.0, True, None])
+    def test_head_fields_must_be_integers(self, field, value):
+        with pytest.raises(ArchitectureError, match=f"^{field} must be an integer$"):
+            ExitHeadSpec(**{field: value})
+
     def test_static_counterpart_keeps_final_exit(self, small_space):
         rng = np.random.default_rng(3)
         arch = decode(sample_architecture(small_space, rng), small_space)
@@ -302,6 +324,60 @@ class TestBackboneParsing:
 
     def test_space_json_roundtrip(self, small_space):
         assert SpaceConfig.from_json(small_space.to_json()) == small_space
+
+    def test_space_json_keeps_the_activation_key(self, small_space):
+        """Every head uses relu6. The key stays in the JSON, which resume
+        compares byte for byte, and any other value is refused."""
+        data = small_space.to_json()
+        assert [h["activation"] for h in data["head_options"]] == ["relu6"] * 2
+        data["head_options"][1]["activation"] = "relu"
+        with pytest.raises(ArchitectureError, match="activation must be 'relu6'"):
+            SpaceConfig.from_json(data)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("kernel",), "3"), (("input_shape",), [32.0, 32, 3]),
+         (("blocks", 0, "channels"), True), (("blocks", 0, "stride"), 1.0)],
+    )
+    def test_backbone_json_fields_must_be_integers(self, mobilenet, path, value):
+        data = mobilenet.to_json()
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(BackboneError, match=f"^{path[-1]} must be"):
+            BackboneSpec.from_json(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(max_size=30),
+                st.builds(
+                    " ".join,
+                    st.lists(
+                        st.one_of(
+                            st.sampled_from(
+                                ["input", "kernel", "padding", "expansion", "block",
+                                 "conv2d", "bottleneck", "-", "A", "A,B", "#"]
+                            ),
+                            st.integers(-3, 40).map(str),
+                            st.text(max_size=4),
+                        ),
+                        max_size=7,
+                    ),
+                ),
+            ),
+            max_size=8,
+        ).map("\n".join)
+    )
+    def test_parse_gives_a_spec_or_its_error(self, text):
+        try:
+            spec = parse_backbone(text)
+        except BackboneError:
+            return
+        assert isinstance(spec, BackboneSpec)
+        assert spec.final_mount == spec.mount_labels[-1]
 
     def test_hash_once_keeps_field_hash_and_equality(self, mobilenet):
         """Specs hash their fields once; an equal copy hashes equal, and

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import os
+import pathlib
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eenas.cli import EXIT_CONFIG, EXIT_OK, main
 
@@ -595,28 +601,6 @@ class TestSearchCommand:
             assert f"search config field {field} must be" in capsys.readouterr().err
             assert not out.exists()
 
-    def test_evaluator_flag_overrides_config(self, tmp_path, capsys):
-        config = write_json(
-            tmp_path / "override.json",
-            {
-                "seed": 11,
-                "backbone": "builtin:smallconv",
-                "space": {"head_depths": [1, 2], "exit_bits": [8, 4]},
-                "nas": {"iterations": 1, "n_select": 4, "init_population": 8},
-                "evaluator": {"kind": "external"},  # would fail without a dir
-            },
-        )
-        out = tmp_path / "override-run"
-        code = main(
-            ["search", "--config", config, "--out", str(out),
-             "--evaluator", "oracle"]
-        )
-        assert code == EXIT_OK
-        header = json.loads(
-            (out / "history.jsonl").read_text().splitlines()[0]
-        )
-        assert header["evaluator"] == "oracle"
-
     def test_toy_evaluator_smoke(self, tmp_path, capsys):
         config = write_json(
             tmp_path / "toy.json",
@@ -635,6 +619,170 @@ class TestSearchCommand:
         out = tmp_path / "toyrun"
         assert main(["search", "--config", config, "--out", str(out)]) == EXIT_OK
         assert (out / "front.csv").exists()
+
+
+SMALL_RUN = {
+    "seed": 11,
+    "backbone": "builtin:smallconv",
+    "accelerator": "default",
+    "space": {"head_depths": [1, 2], "exit_bits": [8, 4], "backbone_bits": 8},
+    "nas": {"iterations": 1, "n_select": 3, "init_population": 6, "mu": 1},
+    "evaluator": {"kind": "oracle"},
+}
+
+TOY = {"kind": "toy", "dataset": {"n": 100}, "training": {"epochs": 2}}
+
+
+#: Every key set, so that each can be mutated; ``mu`` 1 keeps every seed's
+#: tiny archive large enough to fit the surrogates.
+MUTABLE_RUN = {
+    "seed": 3,
+    "backbone": "builtin:smallconv",
+    "accelerator": "default",
+    "cost_mode": "greedy",
+    "space": {
+        "head_depths": [1, 2], "pooled_size": 4, "hidden_width": 128,
+        "exit_bits": [8, 4], "backbone_bits": 8, "num_classes": 10,
+    },
+    "nas": {
+        "iterations": 1, "n_select": 3, "generations": 1, "init_population": 6,
+        "mutation_rate": 0.1, "crossover_rate": 0.9, "theta": 0.5, "mu": 1,
+        "ridge": 0.001, "attempt_factor": 200,
+    },
+    "evaluator": {"kind": "oracle", "seed": 0, "grid": 200, "jitter": 0.04},
+}
+DELETE = object()
+SWAPS = (None, True, False, -1, 0, 2.5, "7", "default", [], {}, [1], {"a": 1})
+
+
+def json_paths(value, prefix=()):
+    """The path of every key and list element below ``value``."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from json_paths(child, prefix + (key,))
+
+
+def mutated(config, path, value):
+    """A deep copy of ``config`` with the value at ``path`` (a key or index
+    per level) replaced, or deleted for ``DELETE``."""
+    config = json.loads(json.dumps(config))
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return config
+
+
+class TestRunConfigChecks:
+    """A run config with one bad field exits 2 before any output, with a
+    message that names the field."""
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ("space", {"head_depths": 1, "exit_bits": [8]},
+             "space: head_depths must be a list of integers"),
+            ("space", [], "space must be an object"),
+            ("nas", None, "nas must be an object"),
+            ("nas.n_select", 4.5, "nas: n_select must be an integer"),
+            ("backbone", 5, "backbone and accelerator must be strings"),
+            ("accelerator", ["default"], "backbone and accelerator must be strings"),
+            ("seed", 1.5, "seed must be a non-negative integer"),
+            ("seed", True, "seed must be a non-negative integer"),
+            ("seed", "7", "seed must be a non-negative integer"),
+            ("space.backbone_bits", "8", "space: backbone_bits must be an integer"),
+            ("space.exit_bits", [8.5, 4], "space: exit_bits must be a list of integers"),
+            ("space.pooled_size", 4.0, "space: pooled_size must be an integer"),
+            ("nas.iterations", True, "nas: iterations must be an integer"),
+            ("nas.mu", "1", "nas: mu must be finite and numeric"),
+            ("nas.theta", "none", "nas: theta must be finite and numeric, or null"),
+            ("evaluator", [], "evaluator must be an object"),
+            ("evaluator.grid", 10.5, "evaluator: grid must be an integer"),
+            ("exit_bit", [4], "config has an unknown key 'exit_bit'"),
+            ("space.exit_bit", [4], "space has an unknown key 'exit_bit'"),
+            ("cost_mode", "optimal", "cost_mode must be 'greedy' or 'genetic'"),
+            ("evaluator", dict(TOY, seed=3), "evaluator has an unknown key 'seed'"),
+            ("evaluator", dict(TOY, training=[]), "evaluator.training must be an object"),
+            ("evaluator", {"kind": "external", "reports_dir": 0},
+             "external reports directory not found"),
+        ],
+    )
+    def test_bad_field_exits_2_naming_it(self, tmp_path, path, value, message, capsys):
+        config = mutated(SMALL_RUN, path.split("."), value)
+        config = write_json(tmp_path / "run.json", config)
+        out = tmp_path / "never"
+        code = main(["search", "--config", config, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "path, evaluator, message",
+        [
+            ("seed", None, "error: seed must be a non-negative integer"),
+            ("evaluator.seed", None,
+             "error: evaluator: seed must be a non-negative integer"),
+            ("evaluator.training.seed", TOY,
+             "error: evaluator.training: seed must be non-negative"),
+            ("evaluator.dataset.seed", TOY,
+             "error: evaluator.dataset: seed must be non-negative"),
+        ],
+    )
+    def test_negative_seed_exits_before_any_write(
+        self, tmp_path, path, evaluator, message, capsys
+    ):
+        """``np.random.default_rng`` refuses a negative seed; it used to do
+        so only once the search had written its header."""
+        config = SMALL_RUN if evaluator is None else dict(SMALL_RUN, evaluator=evaluator)
+        config = write_json(tmp_path / "run.json", mutated(config, path.split("."), -1))
+        out = tmp_path / "never"
+        code = main(["search", "--config", config, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--seed", "5"], ["--evaluator", "oracle"]])
+    def test_run_config_keys_have_no_flags(self, tmp_path, flag, capsys):
+        config = write_json(tmp_path / "run.json", SMALL_RUN)
+        with pytest.raises(SystemExit) as err:
+            main(["search", "--config", config, "--out", str(tmp_path / "o"), *flag])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_numbers_reach_the_header_as_written(self, tmp_path, capsys):
+        """Readers pass JSON values through: an integer stays an integer."""
+        config = write_json(tmp_path / "run.json", SMALL_RUN)
+        out = tmp_path / "run"
+        assert main(["search", "--config", config, "--out", str(out)]) == EXIT_OK
+        header = (out / "history.jsonl").read_text().splitlines()[0]
+        assert '"mu":1,' in header
+        assert '"seed":11,' in header
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_mutated_field_exits_0_or_2(self, data):
+        """Swap one value of a valid config for one of another type, delete
+        it, or give it the wrong container: the search runs, or exits 2
+        with a message before any output. Never a traceback."""
+        path = data.draw(st.sampled_from(sorted(json_paths(MUTABLE_RUN))))
+        value = data.draw(st.sampled_from([DELETE, *SWAPS]))
+        config = mutated(MUTABLE_RUN, path, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            config_path = write_json(pathlib.Path(tmp) / "run.json", config)
+            out = os.path.join(tmp, "out")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(["search", "--config", config_path, "--out", out])
+            assert code in (EXIT_OK, EXIT_CONFIG), (path, value, err.getvalue())
+            if code == EXIT_CONFIG:
+                assert err.getvalue().startswith("error: ")
+                assert not os.path.exists(out)
 
 
 OUTPUT_FILES = ("history.jsonl", "front.csv", "iterations.csv", "scatter.csv")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eenas.arch import (
     EennArchitecture,
@@ -29,6 +31,18 @@ from eenas.evaluate import (
     scalarized_loss,
     synthetic_oracle,
     train_toy,
+)
+
+
+#: Scalars of every JSON type, with the edge values of the report fields.
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 10_000),
+    st.just(10**400),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 0.5, 0.9, 1.0, 50.0, 100.0, "0.9", "1"]),
+    st.text(max_size=3),
 )
 
 
@@ -428,6 +442,79 @@ class TestReportProtocol:
         path.write_text("{nope")
         with pytest.raises(ReportError):
             load_external_report(str(path))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("threshold", "0.9", "threshold must be finite and numeric"),
+            ("threshold", True, "threshold must be finite and numeric"),
+            ("exit_ratios", ["0.25", 0.75], "exit_ratios must be a list of finite numbers"),
+            ("sample_counts", [True, 3], "sample_counts must be a list of integers"),
+            ("sample_counts", [1.0, 3], "sample_counts must be a list of integers"),
+            ("accuracy_per_exit", [90.0, "80"],
+             "accuracy_per_exit must be a list of numbers or nulls"),
+        ],
+    )
+    def test_values_are_not_coerced(self, tmp_path, field, value, message):
+        """A report's numbers are read as written: a string, a bool or a
+        float count is refused, naming its field."""
+        payload = {
+            "architecture": "x",
+            "threshold": 0.9,
+            "accuracy_per_exit": [90.0, 80.0],
+            "exit_ratios": [0.25, 0.75],
+            "sample_counts": [1, 3],
+        }
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload))
+        assert load_external_report(str(path))[1].sample_counts == (1, 3)
+        path.write_text(json.dumps(dict(payload, **{field: value})))
+        with pytest.raises(ReportError, match=f"^{message}$"):
+            load_external_report(str(path))
+
+    def test_bad_report_fails_only_its_architecture(self, tmp_path, small_space):
+        from eenas.arch import chromosome_hash
+        from eenas.search import EvaluationFailure, ExternalEvaluator
+
+        chrom = sample_architecture(small_space, np.random.default_rng(0))
+        arch = decode(chrom, small_space)
+        key = chromosome_hash(chrom)
+        path = tmp_path / f"{key}.json"
+        save_external_report(synthetic_oracle(arch), key, str(path))
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(payload, threshold="0.9")))
+        with pytest.raises(EvaluationFailure, match="threshold must be"):
+            ExternalEvaluator(str(tmp_path))(chrom, arch)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {
+                "architecture": st.one_of(st.text(max_size=3), JSON_VALUES),
+                "threshold": JSON_VALUES,
+                "accuracy_per_exit": st.one_of(JSON_VALUES, st.lists(JSON_VALUES, max_size=3)),
+                "exit_ratios": st.one_of(
+                    JSON_VALUES,
+                    st.lists(JSON_VALUES, max_size=3),
+                    st.sampled_from([[1], [0.5, 0.5], [0, 1], [0.25, 0.75]]),
+                ),
+                "sample_counts": st.one_of(
+                    st.lists(JSON_VALUES, max_size=3),
+                    st.sampled_from([[5], [1, 1], [0, 3], [1, 3]]),
+                ),
+            },
+            optional={"extra": JSON_VALUES},
+        )
+    )
+    def test_load_gives_a_report_or_its_error(self, tmp_path_factory, payload):
+        path = tmp_path_factory.getbasetemp() / "property-report.json"
+        path.write_text(json.dumps(payload))
+        try:
+            key, report = load_external_report(str(path))
+        except ReportError:
+            return
+        assert isinstance(key, str)
+        assert math.isfinite(report.acc_avg)
 
     def test_hash_binding(self, tmp_path):
         path = tmp_path / "r.json"

@@ -1,9 +1,11 @@
-"""Every public name of the package has a user.
+"""Every public name of the package has a user, and no private name has
+one outside its module.
 
 A name exported by ``eenas/__init__.py`` must be imported by another module
 of the package, called by its own module, or named in the README's Library
 section. A name that only tests use fails here: move it into the tests or
-delete it.
+delete it. A ``_``-prefixed name is its module's own: a module that needs
+another's must import a public name instead.
 """
 
 import ast
@@ -63,3 +65,21 @@ def unused_exports() -> list[str]:
 
 def test_every_export_has_a_user_outside_the_tests():
     assert unused_exports() == []
+
+
+def private_imports() -> list[str]:
+    """``module: from .other import _name`` for every import of a private
+    name from another module of the package."""
+    modules = sorted(
+        name[:-3] for name in os.listdir(PACKAGE) if name.endswith(".py")
+    )
+    return sorted(
+        f"{module}: from .{source} import {name}"
+        for module in modules
+        for source, name in relative_imports(parse(module))
+        if name.startswith("_")
+    )
+
+
+def test_no_module_imports_a_private_name_of_another():
+    assert private_imports() == []

@@ -74,7 +74,7 @@ class TestLoadersRejectNonFiniteLiterals:
         path = tmp_path / "run.json"
         path.write_text('{"backbone": "builtin:smallconv", "nas": {"theta": NaN}}')
         with pytest.raises(ConfigError, match="NaN: numbers must be finite"):
-            _load_run_config(str(path), None, None)
+            _load_run_config(str(path))
 
     def test_architecture(self, tmp_path):
         path = tmp_path / "arch.json"

@@ -23,6 +23,7 @@ from eenas.search import (
     mac_reduction,
     pareto_front,
     read_history,
+    replay_history,
     run_search,
     select_parents,
 )
@@ -333,10 +334,13 @@ class TestRunSearch:
     def test_population_and_labels_grow_monotonically(
         self, small_space, accel, tmp_path
     ):
-        state, _ = self.run(small_space, accel, tmp_path)
-        for earlier, later in zip(state.s_history, state.s_history[1:]):
+        _, path = self.run(small_space, accel, tmp_path)
+        summaries = replay_history(read_history(str(path))).summaries
+        s_history = [frozenset(ev["s"]) for ev in summaries]
+        p_history = [frozenset(ev["p"]) for ev in summaries]
+        for earlier, later in zip(s_history, s_history[1:]):
             assert earlier <= later
-        for earlier, later in zip(state.p_history, state.p_history[1:]):
+        for earlier, later in zip(p_history, p_history[1:]):
             assert earlier <= later
 
     def test_no_architecture_evaluated_twice(self, small_space, accel, tmp_path):
@@ -534,10 +538,11 @@ class TestRunSearch:
         assert replayed.k == state.k
         assert replayed.members == state.members
         assert replayed.rejected == state.rejected
-        assert replayed.s_history == state.s_history
-        assert replayed.p_history == state.p_history
-        assert replayed.stats == state.stats
         assert list(replayed.labeled) == list(state.labeled)
+        summaries = replay_history(events).summaries
+        assert [ev["k"] for ev in summaries] == list(range(state.k + 1))
+        assert summaries[-1]["s"] == sorted(state.members)
+        assert summaries[-1]["p"] == sorted(state.labeled.keys())
 
     def test_replay_rebuilds_the_run_state(self, small_space, accel, tmp_path):
         state, path = self.run(small_space, accel, tmp_path, name="replay.jsonl")
