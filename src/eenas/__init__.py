@@ -26,7 +26,6 @@ from .evaluate import (
     acc_avg,
     load_external_report,
     make_toy_dataset,
-    scalarized_loss,
     synthetic_oracle,
     train_toy,
 )

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from functools import lru_cache
 
 from .arch import (
@@ -78,19 +79,35 @@ class ConfigError(ValueError):
     pass
 
 
+def _require_file(path: str, what: str) -> None:
+    """``path`` must name a regular file: a missing path or a directory
+    exits 2 here rather than failing when it is opened."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"{what} file not found: {path}")
+
+
+def _make_out_dir(path: str) -> None:
+    """Create the ``--out`` directory; a path that exists and is not a
+    directory exits 2 before anything is written."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {path}: {exc.strerror}"
+        ) from exc
+
+
 def _resolve_backbone(ref: str) -> BackboneSpec:
     if ref.startswith("builtin:"):
         return builtin_backbone(ref.split(":", 1)[1])
-    if not os.path.exists(ref):
-        raise ConfigError(f"backbone file not found: {ref}")
+    _require_file(ref, "backbone")
     return load_backbone(ref)
 
 
 def _resolve_accelerator(ref: str) -> AcceleratorSpec:
     if ref == "default":
         return AcceleratorSpec()
-    if not os.path.exists(ref):
-        raise ConfigError(f"accelerator file not found: {ref}")
+    _require_file(ref, "accelerator")
     return AcceleratorSpec.load(ref)
 
 
@@ -135,8 +152,7 @@ def _space_from_dict(backbone: BackboneSpec, data: dict) -> SpaceConfig:
 
 
 def _load_run_config(path: str):
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    _require_file(path, "config")
     data = load_json(path, ConfigError, "config")
     _check_object(data, "config", _RUN_KEYS)
     seed = data.get("seed", 0)
@@ -151,6 +167,8 @@ def _load_run_config(path: str):
         raise ConfigError("cost_mode must be 'greedy' or 'genetic'")
     _check_object(data.get("space", {}), "space", _SPACE_KEYS)
     _check_object(data.get("nas", {}), "nas")
+    if "seed" in data.get("nas", {}):
+        raise ConfigError("nas: seed is set by the top-level seed key")
     with _section("backbone"):
         backbone = _resolve_backbone(backbone)
     with _section("accelerator"):
@@ -173,7 +191,8 @@ def _build_evaluator(data, seed: int):
     if kind == "toy":
         _check_object(data, "evaluator", ("kind", "dataset", "training"))
         _check_object(data.get("dataset", {}), "evaluator.dataset")
-        _check_object(data.get("training", {}), "evaluator.training")
+        _check_object(data.get("training", {}), "evaluator.training",
+                      [f.name for f in fields(TrainingConfig)])
         with _section("evaluator.dataset"):
             dataset = make_toy_dataset(**data.get("dataset", {}))
         with _section("evaluator.training"):
@@ -189,8 +208,7 @@ def _build_evaluator(data, seed: int):
 
 
 def _load_architecture(path: str, backbone: BackboneSpec):
-    if not os.path.exists(path):
-        raise ConfigError(f"architecture file not found: {path}")
+    _require_file(path, "architecture")
     data = load_json(path, ConfigError, "architecture")
     _check_object(data, "architecture")
     exits = data.get("exits")
@@ -248,7 +266,7 @@ def cmd_cost(args) -> int:
     backbone = _resolve_backbone(args.backbone)
     accel = _resolve_accelerator(args.accelerator)
     arch, ratios = _load_architecture(args.arch, backbone)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
 
     ratio_source = "given"
     if ratios is None:
@@ -310,7 +328,7 @@ def cmd_cost(args) -> int:
 
 def cmd_search(args) -> int:
     space, accel, nas, evaluator, kind, cost_mode = _load_run_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     history_path = os.path.join(args.out, "history.jsonl")
     if not args.resume and os.path.exists(history_path):
         os.remove(history_path)
@@ -388,8 +406,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if not os.path.exists(args.history):
-        raise ConfigError(f"history file not found: {args.history}")
+    _require_file(args.history, "history")
     history = replay_history(read_report_events(args.history))
     if history.header is None:
         raise ConfigError("history lacks a run-config header")

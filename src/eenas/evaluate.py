@@ -2,10 +2,11 @@
 
 Covers the inference-time exit rule (first exit whose max-softmax confidence
 clears the threshold, with the last exit accepting everything), report
-aggregation (per-exit accuracy, exit ratios, their weighted mean), the
-jointly-weighted training loss, a desk-scale quantization-aware trainer over
-dense stand-in networks, a deterministic synthetic evaluator for search
-experiments, and the one-file-per-architecture external report protocol.
+aggregation (per-exit accuracy, exit ratios, their weighted mean), a
+desk-scale quantization-aware trainer over dense stand-in networks (its
+loss is the plain sum of the per-exit losses), a deterministic synthetic
+evaluator for search experiments, and the one-file-per-architecture
+external report protocol.
 """
 
 from __future__ import annotations
@@ -124,17 +125,6 @@ def _weighted_accuracy(
     return math.fsum(r * a for r, a in zip(ratios, accuracies) if r > 0)
 
 
-def scalarized_loss(
-    losses: Sequence[float], weights: Sequence[float]
-) -> float:
-    """Linearly weighted sum of the per-exit losses."""
-    if len(losses) != len(weights):
-        raise ValueError("need one preference weight per exit loss")
-    if any(w <= 0 for w in weights):
-        raise ValueError("preference weights must be positive")
-    return math.fsum(w * l for w, l in zip(weights, losses))
-
-
 def report_from_outcomes(
     decisions: np.ndarray,
     correct: np.ndarray,
@@ -174,7 +164,6 @@ class TrainingConfig:
     weight_decay: float = 5e-4
     batch_size: int = 128
     threshold: float = 0.9
-    loss_weights: tuple[float, ...] | None = None  # None means all ones
     seed: int = 0
     warmup_epochs: int = 1  # full-precision epochs before clip calibration
     hidden_width: int = 16  # width of every dense stand-in block
@@ -182,8 +171,6 @@ class TrainingConfig:
 
     def __post_init__(self):
         check_fields(self, ValueError)
-        if not (self.loss_weights is None or is_real_list(self.loss_weights)):
-            raise ValueError("loss_weights must be finite numbers in a list, or null")
         if self.epochs < 1 or self.batch_size < 1 or self.hidden_width < 1:
             raise ValueError("epochs, batch size and width must be >= 1")
         if self.seed < 0:
@@ -197,10 +184,6 @@ class TrainingConfig:
             raise ValueError("threshold must lie strictly inside (0, 1)")
         if not 0 < self.holdout_fraction < 1:
             raise ValueError("holdout fraction must lie in (0, 1)")
-        if self.loss_weights is not None and any(
-            w <= 0 for w in self.loss_weights
-        ):
-            raise ValueError("preference weights must be positive")
 
 
 def make_toy_dataset(
@@ -478,11 +461,10 @@ class DenseEenn:
             out.append(float(-np.mean(np.log(p[np.arange(len(y)), y] + 1e-300))))
         return out
 
-    def loss_and_grads(
-        self, X: np.ndarray, y: np.ndarray, weights: Sequence[float]
-    ):
-        """Scalarized loss, per-exit losses, and analytic gradients of the
-        scalarized loss for every parameter, as named views into one fresh
+    def loss_and_grads(self, X: np.ndarray, y: np.ndarray):
+        """The training loss (the sum of the per-exit losses, every exit
+        weighing 1), the per-exit losses, and analytic gradients of the
+        training loss for every parameter, as named views into one fresh
         flat array (its ``flat`` attribute)."""
         logits, weight_mask, buffers, _ = self._forward(X)
         wq = self._wq
@@ -504,8 +486,8 @@ class DenseEenn:
         d_trunk = [0.0] * self.n_blocks
         per_exit = []
         for e, (hidden, out) in enumerate(self._heads):
-            # Softmax, then weight * (p - onehot) / n, in place in the
-            # fresh logits, in the operations and order of _softmax.
+            # Softmax, then (p - onehot) / n, in place in the fresh
+            # logits, in the operations and order of _softmax.
             p = logits[e]
             p -= p.max(axis=1, keepdims=True)
             np.exp(p, out=p)
@@ -513,7 +495,6 @@ class DenseEenn:
             # np.mean is the sum over the count.
             per_exit.append(float(-(np.add.reduce(np.log(p[rows, y] + 1e-300)) / n)))
             p[rows, y] -= 1.0
-            p *= weights[e]
             p /= n
             dfeat = backward(out, p)
             if hidden is not None:
@@ -532,8 +513,7 @@ class DenseEenn:
             # mask, signed zeros and NaN included.
             grads.flat[: self._n_quantized] *= weight_mask
         grads.flat += 0.0
-        total = scalarized_loss(per_exit, weights)
-        return total, per_exit, grads
+        return math.fsum(per_exit), per_exit, grads
 
     def sgd_step(
         self, grads: _FlatViews, lr: float, momentum: float, wd: float
@@ -653,9 +633,6 @@ def train_toy(
     if len(X) < 10:
         raise DatasetError("dataset too small to train on")
     num_classes = int(y.max()) + 1
-    weights = config.loss_weights or tuple(1.0 for _ in range(arch.m))
-    if len(weights) != arch.m:
-        raise ValueError("need one preference weight per exit")
 
     rng = np.random.default_rng(config.seed)
     train_idx, val_idx = _stratified_split(y, config.holdout_fraction, rng)
@@ -675,7 +652,7 @@ def train_toy(
             for lo in range(0, len(order), config.batch_size):
                 batch = order[lo : lo + config.batch_size]
                 loss, _, grads = net.loss_and_grads(
-                    X_train[batch], y_train[batch], weights
+                    X_train[batch], y_train[batch]
                 )
                 if not math.isfinite(loss):
                     raise TrainingDiverged(epoch)

@@ -306,9 +306,8 @@ _CostOptions = tuple[tuple[int, LayerCost], ...]
 @lru_cache(maxsize=16)
 def _layer_cost_memo(spec: AcceleratorSpec) -> dict[tuple, _CostOptions]:
     """:func:`layer_cost` results on ``spec`` so far: keyed once on the
-    layer's content (every field but its name and owner, which no cost
-    reads) and its input sources, the ``(core, cost)`` of every compatible
-    core."""
+    layer's content (every field but its name, which no cost reads) and
+    its input sources, the ``(core, cost)`` of every compatible core."""
     return {}
 
 
@@ -468,8 +467,7 @@ def _backbone_fold(
 ) -> _BackboneFold:
     """The greedy backbone fold shared by every architecture over
     ``backbone`` at ``bits``: each architecture's graph starts with the
-    nodes of :func:`expand_backbone`, and only their owner tags differ,
-    which no cost reads."""
+    same nodes as :func:`expand_backbone`."""
     state = _fold(expand_backbone(backbone, bits), spec)
     return _BackboneFold(
         state=state,
@@ -657,7 +655,7 @@ def cost_report(
     energies = [c.energy_pj for c in plan.layer_costs]
     cycles = [c.cycles for c in plan.layer_costs]
     templates = head_templates(arch, num_classes)
-    stop = len(expand_backbone(arch.backbone, arch.quant.backbone_bits).nodes)
+    stop = graph.mounts[-1] + 1  # the final mount follows the last block
     heads = []
     for template in templates:
         head = slice(stop, stop + len(template.nodes))

@@ -1,16 +1,16 @@
 """Per-layer workload expansion.
 
 Turns an architecture into a flat producer/consumer graph of layer nodes with
-resolved tensor shapes, MAC and parameter counts, and precision bits. Each
-node is tagged with the exit it belongs to: backbone nodes carry the index of
-the first exit at or after them, head nodes carry their exit's index. The
+resolved tensor shapes, MAC and parameter counts, and precision bits. The
 allocation of a whole architecture works on this graph. The backbone part
-is expanded once per (backbone, bits) by ``expand_backbone`` and shared by
-every architecture over it. Each exit's head is built once per (backbone,
-bits, mount, head, exit bits, exit index, classes) by ``head_templates``;
-``expand_layers`` composes the two; the cost engine places the cached head
-nodes onto its cached backbone schedule without building a graph, and
-``exit_macs`` adds the heads' MACs to the backbone's MACs at each mount.
+is expanded once per (backbone, bits) by ``expand_backbone``, which records
+the node producing each mount's activation, and every architecture over it
+shares those node objects. Each exit's head is built once per (backbone,
+bits, mount, head, exit bits, exit index, classes) by ``head_templates`` and
+hangs off its mount's node; ``expand_layers`` composes the two; the cost
+engine places the cached head nodes onto its cached backbone schedule
+without building a graph, and ``exit_macs`` adds the heads' MACs to the
+backbone's MACs at each mount.
 
 Bottleneck blocks expand to the inverted-residual sequence (1x1 expansion,
 kxk depthwise at the expanded width, 1x1 projection, residual add when the
@@ -19,7 +19,6 @@ stride is 1 and channel counts match).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
@@ -35,8 +34,7 @@ class WorkloadError(ValueError):
 
 @dataclass(frozen=True)
 class LayerNode:
-    """One executable layer. ``owner`` is ("backbone", i) for nodes in the
-    segment feeding exit i, or ("exit", i) for head nodes of exit i."""
+    """One executable layer."""
 
     name: str
     kind: str
@@ -45,7 +43,6 @@ class LayerNode:
     macs: int
     params: int
     bits: int
-    owner: tuple[str, int]
 
     @property
     def output_elems(self) -> int:
@@ -61,10 +58,13 @@ class LayerNode:
 
 @dataclass(frozen=True)
 class LayerGraph:
-    """Immutable layer DAG; node order is topological by construction."""
+    """Immutable layer DAG; node order is topological by construction.
+    ``mounts`` holds, per mount label in order, the index of the backbone
+    node producing that mount's activation."""
 
     nodes: tuple[LayerNode, ...]
     edges: tuple[tuple[int, int], ...]
+    mounts: tuple[int, ...] = ()
 
     @cached_property
     def _producers(self) -> tuple[tuple[int, ...], ...]:
@@ -75,18 +75,6 @@ class LayerGraph:
 
     def producers(self, idx: int) -> tuple[int, ...]:
         return self._producers[idx]
-
-    @cached_property
-    def _by_owner(self) -> dict[tuple[str, int], tuple[int, ...]]:
-        groups: dict[tuple[str, int], list[int]] = {}
-        for i, n in enumerate(self.nodes):
-            groups.setdefault(n.owner, []).append(i)
-        return {owner: tuple(idx) for owner, idx in groups.items()}
-
-    def backbone_segment(self, exit_index: int) -> tuple[int, ...]:
-        """Backbone nodes strictly between mount ``exit_index - 1`` and mount
-        ``exit_index``."""
-        return self._by_owner.get(("backbone", exit_index), ())
 
 
 def _add_node(
@@ -107,21 +95,19 @@ def expand_backbone(backbone: BackboneSpec, bits: int) -> LayerGraph:
     """Expand the backbone alone into its layer nodes.
 
     Convolution MACs are Kh*Kw*Cin*Cout*Hout*Wout (depthwise drops the Cin
-    factor); residual adds contribute zero MACs. A node is owned by
-    ("backbone", j), j being the 1-based index of the first mount label at
-    or after its block, so the last node of group j produces the activation
-    at mount j. Every architecture over ``backbone`` starts with exactly
-    these nodes and edges; only their owner tags differ.
+    factor); residual adds contribute zero MACs. ``mounts`` records the
+    last node of each labeled block; the final mount follows the last
+    block, so its node is the last one. Every architecture's graph over
+    ``backbone`` starts with exactly these node objects and edges.
     """
     k = backbone.kernel
     t = backbone.expansion
     nodes: list[LayerNode] = []
     edges: list[tuple[int, int]] = []
+    mounts: list[int] = []
     add = partial(_add_node, nodes, edges)
-    group = 1
     last = -1  # index of the node producing the current trunk activation
     for pos, inst in enumerate(backbone.instances):
-        owner = ("backbone", group)
         h, w = inst.in_size
         ho, wo = inst.out_size
         cin, cout = inst.in_channels, inst.out_channels
@@ -136,7 +122,6 @@ def expand_backbone(backbone: BackboneSpec, bits: int) -> LayerGraph:
                     macs=k * k * cin * cout * ho * wo,
                     params=k * k * cin * cout + cout,
                     bits=bits,
-                    owner=owner,
                 ),
                 *block_in,
             )
@@ -151,7 +136,6 @@ def expand_backbone(backbone: BackboneSpec, bits: int) -> LayerGraph:
                     macs=cin * hidden * h * w,
                     params=cin * hidden + hidden,
                     bits=bits,
-                    owner=owner,
                 ),
                 *block_in,
             )
@@ -164,7 +148,6 @@ def expand_backbone(backbone: BackboneSpec, bits: int) -> LayerGraph:
                     macs=k * k * hidden * ho * wo,
                     params=k * k * hidden + hidden,
                     bits=bits,
-                    owner=owner,
                 ),
                 expand,
             )
@@ -177,7 +160,6 @@ def expand_backbone(backbone: BackboneSpec, bits: int) -> LayerGraph:
                     macs=hidden * cout * ho * wo,
                     params=hidden * cout + cout,
                     bits=bits,
-                    owner=owner,
                 ),
                 dw,
             )
@@ -191,24 +173,22 @@ def expand_backbone(backbone: BackboneSpec, bits: int) -> LayerGraph:
                         macs=0,
                         params=0,
                         bits=bits,
-                        owner=owner,
                     ),
                     *block_in,
                     last,
                 )
         if inst.mount is not None:
-            group += 1
-    return LayerGraph(nodes=tuple(nodes), edges=tuple(edges))
+            mounts.append(last)
+    return LayerGraph(nodes=tuple(nodes), edges=tuple(edges), mounts=tuple(mounts))
 
 
 class HeadTemplate(NamedTuple):
     """The layer nodes of one exit's head, in order: pooling, an optional
     hidden linear layer, the classifier and softmax. The pool consumes
-    backbone node ``src``, the last node of mount group ``group``; every
-    later node consumes the one before it. ``in_bits`` holds each node's
-    input activation bits."""
+    backbone node ``src``, the one producing the exit's mount activation;
+    every later node consumes the one before it. ``in_bits`` holds each
+    node's input activation bits."""
 
-    group: int
     src: int
     nodes: tuple[LayerNode, ...]
     in_bits: tuple[int, ...]
@@ -220,7 +200,7 @@ def _head_builder(backbone: BackboneSpec, bits: int):
     backbone bits): it hashes the backbone once per architecture, not once
     per exit."""
     base = expand_backbone(backbone, bits)
-    group_of = {label: j for j, label in enumerate(backbone.mount_labels, 1)}
+    mount_node = dict(zip(backbone.mount_labels, base.mounts))
 
     @lru_cache(maxsize=1024)
     def build(
@@ -230,9 +210,7 @@ def _head_builder(backbone: BackboneSpec, bits: int):
         exit_index: int,
         num_classes: int,
     ) -> HeadTemplate:
-        owner = ("exit", exit_index)
-        group = group_of[mount]
-        src = base.backbone_segment(group)[-1]
+        src = mount_node[mount]
         h, w, ch = base.nodes[src].output_shape
         g = head.pooled_size
         if h < g or w < g or h % g or w % g:
@@ -248,7 +226,6 @@ def _head_builder(backbone: BackboneSpec, bits: int):
                 macs=0,
                 params=0,
                 bits=exit_bits,
-                owner=owner,
             )
         ]
         feats = g * g * ch
@@ -262,7 +239,6 @@ def _head_builder(backbone: BackboneSpec, bits: int):
                     macs=feats * head.hidden_width,
                     params=feats * head.hidden_width + head.hidden_width,
                     bits=exit_bits,
-                    owner=owner,
                 )
             )
             feats = head.hidden_width
@@ -275,7 +251,6 @@ def _head_builder(backbone: BackboneSpec, bits: int):
                 macs=feats * num_classes,
                 params=feats * num_classes + num_classes,
                 bits=exit_bits,
-                owner=owner,
             )
         )
         nodes.append(
@@ -287,14 +262,13 @@ def _head_builder(backbone: BackboneSpec, bits: int):
                 macs=0,
                 params=0,
                 bits=exit_bits,
-                owner=owner,
             )
         )
         in_bits = (
             base.nodes[src].output_bits,
             *(node.output_bits for node in nodes[:-1]),
         )
-        return HeadTemplate(group, src, tuple(nodes), in_bits)
+        return HeadTemplate(src, tuple(nodes), in_bits)
 
     return build
 
@@ -316,35 +290,20 @@ def head_templates(
 
 
 def expand_layers(arch: EennArchitecture, num_classes: int = 10) -> LayerGraph:
-    """Expand an architecture into its layer graph: the nodes and edges of
-    :func:`expand_backbone`, each backbone node retagged with the first
-    exit at or after it, followed by every exit's :func:`head_templates`
-    nodes. Deterministic: equal architectures yield identical graphs, node
-    order included.
+    """Expand an architecture into its layer graph: the nodes, edges and
+    mounts of :func:`expand_backbone`, followed by every exit's
+    :func:`head_templates` nodes. Deterministic: equal architectures yield
+    identical graphs, node order included.
     """
     base = expand_backbone(arch.backbone, arch.quant.backbone_bits)
-    templates = head_templates(arch, num_classes)
-    exit_groups = [template.group for template in templates]
-    # EennArchitecture keeps exits on known mounts in depth order, the last
-    # one at the final mount, so every group has an exit at or after it.
-    owners = [
-        ("backbone", bisect_left(exit_groups, j) + 1)
-        for j in range(1, len(arch.backbone.mount_labels) + 1)
-    ]
-    nodes = [
-        LayerNode(
-            n.name, n.kind, n.input_shape, n.output_shape, n.macs, n.params,
-            n.bits, owners[n.owner[1] - 1],
-        )
-        for n in base.nodes
-    ]
+    nodes = list(base.nodes)
     edges = list(base.edges)
-    for template in templates:
+    for template in head_templates(arch, num_classes):
         first = len(nodes)
         nodes += template.nodes
         edges.append((template.src, first))
         edges += [(k, k + 1) for k in range(first, len(nodes) - 1)]
-    return LayerGraph(nodes=tuple(nodes), edges=tuple(edges))
+    return LayerGraph(nodes=tuple(nodes), edges=tuple(edges), mounts=base.mounts)
 
 
 @lru_cache(maxsize=64)
@@ -352,12 +311,10 @@ def backbone_mount_macs(backbone: BackboneSpec) -> tuple[tuple[str, int], ...]:
     """Cumulative backbone-only MACs at each mount label, in mount order.
     Bit width does not change MACs."""
     graph = expand_backbone(backbone, 8)
-    running = 0
-    out = []
-    for j, label in enumerate(backbone.mount_labels, start=1):
-        running += sum(graph.nodes[i].macs for i in graph.backbone_segment(j))
-        out.append((label, running))
-    return tuple(out)
+    return tuple(
+        (label, sum(node.macs for node in graph.nodes[: end + 1]))
+        for label, end in zip(backbone.mount_labels, graph.mounts)
+    )
 
 
 def exit_macs(arch: EennArchitecture, num_classes: int = 10) -> tuple[int, ...]:

@@ -65,8 +65,8 @@ def enumerate_space(space):
 
 def validate_graph(graph) -> None:
     """Check structural invariants of a layer graph: topological edge order
-    (hence acyclic), nonnegative MACs, and exits depending only on backbone
-    at or before their mount."""
+    (hence acyclic), nonnegative MACs, and each head's pool consuming a
+    node listed in ``mounts``."""
     for src, dst in graph.edges:
         if not (0 <= src < dst < len(graph.nodes)):
             raise WorkloadError(f"edge ({src}, {dst}) breaks topological order")
@@ -74,14 +74,46 @@ def validate_graph(graph) -> None:
         if node.macs < 0:
             raise WorkloadError(f"negative MACs on {node.name}")
     for src, dst in graph.edges:
-        consumer = graph.nodes[dst]
-        producer = graph.nodes[src]
-        if consumer.owner[0] == "exit":
-            i = consumer.owner[1]
-            if producer.owner[1] > i:
-                raise WorkloadError(
-                    f"{consumer.name} depends on {producer.name} past its mount"
-                )
+        if graph.nodes[dst].kind == "pool" and src not in graph.mounts:
+            raise WorkloadError(
+                f"{graph.nodes[dst].name} consumes {graph.nodes[src].name}, "
+                "which produces no mount activation"
+            )
+
+
+def ancestors(graph, idx) -> set[int]:
+    """Node ``idx`` and every node it reaches through producer edges."""
+    seen = set()
+    stack = [idx]
+    while stack:
+        k = stack.pop()
+        if k not in seen:
+            seen.add(k)
+            stack += graph.producers(k)
+    return seen
+
+
+def exit_runs(graph) -> list[list[int]]:
+    """Per exit, the nodes a sample leaving there has run, in node order:
+    the ancestors of the softmax nodes of exits 1..i. Heads follow the
+    backbone in exit order, so the softmax nodes come in exit order."""
+    runs = []
+    ran = set()
+    for k, node in enumerate(graph.nodes):
+        if node.kind == "softmax":
+            ran |= ancestors(graph, k)
+            runs.append(sorted(ran))
+    return runs
+
+
+def graph_fields(graph):
+    """A layer graph as plain values for the digests that pin it: each
+    node's name, kind, shapes, MACs, parameters and bits, then the edges."""
+    nodes = tuple(
+        (n.name, n.kind, n.input_shape, n.output_shape, n.macs, n.params, n.bits)
+        for n in graph.nodes
+    )
+    return nodes, graph.edges
 
 
 def spearman(a, b) -> float:
@@ -92,19 +124,24 @@ def spearman(a, b) -> float:
 
 def reference_exit_products(graph, costs):
     """Per-exit energy-delay products and head overheads of a full layer
-    graph, each summed over its own scan of the node list by owner tag:
-    exit i runs every node tagged with an index up to i."""
+    graph, read from its edges alone and each summed in node order: exit i
+    runs :func:`exit_runs`. Its head is what its softmax reaches beyond
+    the node its pool consumes (its mount node), and the backbone segment
+    after it is what the next exit's mount node reaches beyond this one."""
 
-    def energy_delay(selects):
-        idx = [i for i, n in enumerate(graph.nodes) if selects(n.owner)]
+    def energy_delay(idx):
+        idx = sorted(idx)
         return sum(costs[i].energy_pj for i in idx) * sum(costs[i].cycles for i in idx)
 
-    m = max(i for kind, i in (n.owner for n in graph.nodes) if kind == "exit")
-    et_values = tuple(energy_delay(lambda o: o[1] <= i) for i in range(1, m + 1))
+    softmaxes = [k for k, n in enumerate(graph.nodes) if n.kind == "softmax"]
+    reach = [ancestors(graph, k) for k in softmaxes]
+    pools = [next(k for k in r if graph.nodes[k].kind == "pool") for r in reach]
+    below = [ancestors(graph, graph.producers(pool)[0]) for pool in pools]
+    et_values = tuple(energy_delay(run) for run in exit_runs(graph))
     overheads = []
-    for i in range(1, m):
-        head = energy_delay(lambda o: o == ("exit", i))
-        segment = energy_delay(lambda o: o == ("backbone", i + 1))
+    for i in range(len(softmaxes) - 1):
+        head = energy_delay(reach[i] - below[i])
+        segment = energy_delay(below[i + 1] - below[i])
         overheads.append(math.inf if segment == 0 else head / segment)
     return et_values, tuple(overheads)
 

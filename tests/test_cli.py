@@ -710,6 +710,9 @@ class TestRunConfigChecks:
             ("evaluator", dict(TOY, training=[]), "evaluator.training must be an object"),
             ("evaluator", {"kind": "external", "reports_dir": 0},
              "external reports directory not found"),
+            ("evaluator", dict(TOY, training={"loss_weights": [1.0, 1.0]}),
+             "evaluator.training has an unknown key 'loss_weights'"),
+            ("nas.seed", 11, "nas: seed is set by the top-level seed key"),
         ],
     )
     def test_bad_field_exits_2_naming_it(self, tmp_path, path, value, message, capsys):
@@ -783,6 +786,61 @@ class TestRunConfigChecks:
             if code == EXIT_CONFIG:
                 assert err.getvalue().startswith("error: ")
                 assert not os.path.exists(out)
+
+
+class TestPathArguments:
+    """An input path that names a directory, or an ``--out`` that names a
+    file, exits 2 with a message and writes nothing."""
+
+    COST = ["cost", "--backbone", "builtin:smallconv", "--arch", "{arch}"]
+    CASES = {
+        "config": (["search", "--config", "{dir}", "--out", "{out}"],
+                   "config file not found: {dir}"),
+        "arch": (["cost", "--backbone", "builtin:smallconv", "--arch", "{dir}",
+                  "--out", "{out}"], "architecture file not found: {dir}"),
+        "history": (["report", "--history", "{dir}"],
+                    "history file not found: {dir}"),
+        "backbone": (["cost", "--backbone", "{dir}", "--arch", "{arch}",
+                      "--out", "{out}"], "backbone file not found: {dir}"),
+        "accelerator": ([*COST, "--accelerator", "{dir}", "--out", "{out}"],
+                        "accelerator file not found: {dir}"),
+        "config backbone": (["search", "--config", "{bad_backbone}", "--out", "{out}"],
+                            "backbone: backbone file not found: {dir}"),
+        "config accelerator": (["search", "--config", "{bad_accel}", "--out", "{out}"],
+                               "accelerator: accelerator file not found: {dir}"),
+        "cost out": ([*COST, "--out", "{file}"],
+                     "cannot create output directory {file}: File exists"),
+        "search out": (["search", "--config", "{config}", "--out", "{file}"],
+                       "cannot create output directory {file}: File exists"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_before_any_output(self, tmp_path, arch_file, case, capsys):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        (tmp_path / "file").write_text("kept\n")
+        paths = {
+            "arch": arch_file,
+            "dir": str(folder),
+            "file": str(tmp_path / "file"),
+            "out": str(tmp_path / "never"),
+            "config": write_json(tmp_path / "run.json", SMALL_RUN),
+            "bad_backbone": write_json(
+                tmp_path / "bb.json", dict(SMALL_RUN, backbone=str(folder))
+            ),
+            "bad_accel": write_json(
+                tmp_path / "ac.json", dict(SMALL_RUN, accelerator=str(folder))
+            ),
+        }
+
+        def tree():
+            return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+
+        argv, message = self.CASES[case]
+        before = tree()
+        assert main([arg.format(**paths) for arg in argv]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+        assert tree() == before
 
 
 OUTPUT_FILES = ("history.jsonl", "front.csv", "iterations.csv", "scatter.csv")

@@ -76,7 +76,8 @@ class TestCostCacheMatchesCostReport:
         assert cache.et_average(chrom, ratios) == report.et_avg
         assert cache.static_et(chrom) == static.et_per_exit[-1]
         # Reports and the cache sum per exit through the same function; the
-        # owner-tag scan over the full graph is the independent check.
+        # sums over the nodes each exit reaches through the full graph's
+        # edges are the independent check.
         et_values, overheads = reference_exit_products(
             report.graph, report.layer_costs
         )

@@ -28,7 +28,6 @@ from eenas.evaluate import (
     load_external_report,
     make_toy_dataset,
     report_from_outcomes,
-    scalarized_loss,
     synthetic_oracle,
     train_toy,
 )
@@ -166,22 +165,8 @@ class TestAccAvg:
             acc_avg((None, 80.0), (0.5, 0.5))
 
 
-class TestScalarizedLoss:
-    def test_unit_weights(self):
-        assert scalarized_loss((0.2, 0.3, 0.5), (1.0, 1.0, 1.0)) == pytest.approx(1.0)
-
-    def test_single_exit(self):
-        assert scalarized_loss((0.7,), (2.0,)) == pytest.approx(1.4)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            scalarized_loss((0.1, 0.2), (1.0,))
-        with pytest.raises(ValueError):
-            scalarized_loss((0.1,), (0.0,))
-
-
 class TestGradients:
-    def fd_grads(self, net, X, y, weights, step=1e-4):
+    def fd_grads(self, net, X, y, step=1e-4):
         grads = {}
         for key, value in net.params.items():
             g = np.zeros_like(value)
@@ -190,9 +175,9 @@ class TestGradients:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
-                up = scalarized_loss(net.losses(X, y), weights)
+                up = sum(net.losses(X, y))
                 flat[i] = orig - step
-                down = scalarized_loss(net.losses(X, y), weights)
+                down = sum(net.losses(X, y))
                 flat[i] = orig
                 gf[i] = (up - down) / (2 * step)
             grads[key] = g
@@ -210,40 +195,12 @@ class TestGradients:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(16, 3))
         y = rng.integers(0, 2, 16)
-        weights = (1.0, 1.0)
-        _, _, analytic = net.loss_and_grads(X, y, weights)
-        numeric = self.fd_grads(net, X, y, weights)
+        _, _, analytic = net.loss_and_grads(X, y)
+        numeric = self.fd_grads(net, X, y)
         for key in analytic:
             denom = np.maximum(np.abs(numeric[key]), 1e-6)
             rel = np.abs(analytic[key] - numeric[key]) / denom
             assert rel.max() < 1e-3, key
-
-    def test_combined_gradient_is_weighted_sum_of_per_exit_gradients(self):
-        backbone = chain_backbone(2)
-        head = ExitHeadSpec(depth=1)
-        arch = EennArchitecture(
-            backbone=backbone,
-            exits=(ExitPlacement("M0", head), ExitPlacement("M1", head)),
-            quant=QuantScheme(backbone_bits=32, exit_bits=(32, 32)),
-        )
-        net = DenseEenn(arch, 3, 2, 4, np.random.default_rng(1))
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(12, 3))
-        y = rng.integers(0, 2, 12)
-        weights = (2.0, 0.5)
-        _, _, combined = net.loss_and_grads(X, y, weights)
-        # Per-exit gradients by isolating each loss term.
-        _, _, only_first = net.loss_and_grads(X, y, (2.0, 1e-12))
-        _, _, only_second = net.loss_and_grads(X, y, (1e-12, 0.5))
-        key = "block0.w"
-        assert np.allclose(
-            combined[key], only_first[key] + only_second[key], atol=1e-9
-        )
-        numeric = self.fd_grads(net, X, y, weights)
-        rel = np.abs(combined[key] - numeric[key]) / np.maximum(
-            np.abs(numeric[key]), 1e-6
-        )
-        assert rel.max() < 1e-3
 
 
 class TestToyTrainer:
@@ -312,20 +269,12 @@ class TestToyTrainer:
         with pytest.raises(DatasetError):
             train_toy(arch, (X, y), TrainingConfig(epochs=2))
 
-    def test_weight_count_mismatch_rejected(self, smallconv):
-        arch = two_exit_arch(smallconv)
-        X, y = make_toy_dataset(seed=6)
-        config = TrainingConfig(epochs=2, loss_weights=(1.0,))
-        with pytest.raises(ValueError):
-            train_toy(arch, (X, y), config)
-
     @pytest.mark.parametrize(
         "field, value",
         [
             ("learning_rate", float("nan")),
             ("momentum", float("inf")),
             ("weight_decay", float("-inf")),
-            ("loss_weights", (1.0, float("nan"))),
         ],
     )
     def test_non_finite_config_rejected(self, field, value):

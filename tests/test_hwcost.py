@@ -33,10 +33,16 @@ from eenas.hwcost import (
     schedule,
 )
 from eenas.workload import LayerGraph, LayerNode, expand_layers
-from helpers import enumerate_space, reference_exit_products, write_accelerator
+from helpers import (
+    enumerate_space,
+    exit_runs,
+    graph_fields,
+    reference_exit_products,
+    write_accelerator,
+)
 
 
-def conv_node(cin, cout, h=4, w=4, k=1, bits=8, macs=None, name="n", owner=("backbone", 1)):
+def conv_node(cin, cout, h=4, w=4, k=1, bits=8, macs=None, name="n"):
     macs = macs if macs is not None else k * k * cin * cout * h * w
     return LayerNode(
         name=name,
@@ -46,7 +52,6 @@ def conv_node(cin, cout, h=4, w=4, k=1, bits=8, macs=None, name="n", owner=("bac
         macs=macs,
         params=k * k * cin * cout + cout,
         bits=bits,
-        owner=owner,
     )
 
 
@@ -65,7 +70,6 @@ class TestLayerCost:
             macs=0,
             params=0,
             bits=8,
-            owner=("exit", 1),
         )
         pool_core = accel.compute_cores
         cost = layer_cost(
@@ -96,7 +100,6 @@ class TestLayerCost:
             macs=9 * 32 * 64,
             params=9 * 32 + 32,
             bits=8,
-            owner=("backbone", 1),
         )
         assert array_utilization(node, accel) == pytest.approx((32 / 32) * (1 / 32))
 
@@ -228,7 +231,6 @@ class TestAllocation:
             macs=0,
             params=0,
             bits=8,
-            owner=("backbone", 1),
         )
         graph = LayerGraph(nodes=(a, b, add), edges=((0, 2), (1, 2)))
         plan = allocate(graph, accel)
@@ -261,7 +263,6 @@ class TestAllocation:
             macs=0,
             params=0,
             bits=8,
-            owner=("exit", 1),
         )
         graph = LayerGraph(nodes=(pool,), edges=())
         with pytest.raises(CostModelError):
@@ -415,7 +416,7 @@ class TestCostReport:
             for i, (energy, cycles) in enumerate(
                 zip(report.energy_per_exit, report.cycles_per_exit), start=1
             ):
-                runs = [k for k, n in enumerate(graph.nodes) if n.owner[1] <= i]
+                runs = exit_runs(graph)[i - 1]
                 assert energy == sum(costs[k].energy_pj for k in runs)
                 assert cycles == sum(costs[k].cycles for k in runs)
                 assert energy * cycles == report.et_per_exit[i - 1]
@@ -546,8 +547,8 @@ class TestAcceleratorSpec:
 
 # ---------------------------------------------------------------------------
 # Differential test: the greedy allocation and the schedule as plain loops
-# over the full graph, and the per-exit sums as one owner-tag scan of its
-# node list per exit and sum (``helpers.reference_exit_products``).
+# over the full graph, and the per-exit sums over the nodes each exit reaches
+# through the graph's edges (``helpers.reference_exit_products``).
 # ---------------------------------------------------------------------------
 
 #: ``layer_cost`` is pure, so the reference memoizes it: the exhaustive pass
@@ -613,7 +614,7 @@ def reference_schedule(graph, spec, assignment):
 
 
 def assert_matches_reference(arch, spec, num_classes=10):
-    """``exit_costs`` equals the owner-tag sums over the reference greedy
+    """``exit_costs`` equals the edge-traced sums over the reference greedy
     plan of the full graph, and ``allocate`` equals that plan."""
     graph = expand_layers(arch, num_classes=num_classes)
     plan = reference_schedule(graph, spec, reference_greedy_assignment(graph, spec))
@@ -670,11 +671,13 @@ class TestBackbonePrefixMatchesReference:
 
     def test_genetic_mode_unchanged(self, smallconv):
         """Genetic allocation still starts from the greedy fold of the whole
-        graph. The digest covers every field of the report and of its plan.
-        It was recorded on code that still passed the earlier digest of the
-        whole report, itself recorded before the backbone prefix was cached;
-        the plan has since lost its transfer records, which no output read.
-        ``repr`` prints every float exactly."""
+        graph. The digest covers every field of the report and of its plan,
+        the graph as :func:`helpers.graph_fields`. It was recorded on the
+        code before layer nodes lost their exit tags, which then passed the
+        earlier digest of the whole report, tags included; that one chains
+        back to code before the backbone prefix was cached. The plan has
+        since lost its transfer records, which no output read. ``repr``
+        prints every float exactly."""
         space = SpaceConfig(backbone=smallconv)
         rng = np.random.default_rng(7)
         digest = hashlib.sha256()
@@ -684,13 +687,14 @@ class TestBackbonePrefixMatchesReference:
                 report = cost_report(arch, spec, mode="genetic", seed=3)
                 plan = report.plan
                 fields = (
-                    report.graph, report.layer_costs, report.et_per_exit,
-                    report.et_avg, report.overheads, plan.assignment,
-                    plan.start, plan.end, plan.makespan, plan.layer_costs,
+                    graph_fields(report.graph), report.layer_costs,
+                    report.et_per_exit, report.et_avg, report.overheads,
+                    plan.assignment, plan.start, plan.end, plan.makespan,
+                    plan.layer_costs,
                 )
                 digest.update(repr(fields).encode())
         assert digest.hexdigest() == (
-            "cb1511602f78d1fa6e379f9170a1d984a19d816028738f66260b7b0450f07bb9"
+            "c9a3a07354d77909cacdf306ed3309cc70f73e5de11f316ad566e6038ddc632a"
         )
 
     def test_schedule_matches_reference_on_random_assignments(self, smallconv):

@@ -260,14 +260,13 @@ class TestBufferReuse:
                     arch, seed = specs[which]
                     idx = rng.choice(len(X), size=rows, replace=False)
                     fresh = self.build(arch, seed, calib)
-                    weights = tuple(1.0 + 0.5 * e for e in range(arch.m))
                     if (step + which) % 2:
                         got = nets[which].forward(X[idx])
                         want = fresh.forward(X[idx])
                         logits_kept.append((got, [l.copy() for l in want]))
                     else:
-                        got = nets[which].loss_and_grads(X[idx], y[idx], weights)
-                        want = fresh.loss_and_grads(X[idx], y[idx], weights)
+                        got = nets[which].loss_and_grads(X[idx], y[idx])
+                        want = fresh.loss_and_grads(X[idx], y[idx])
                         assert got[:2] == want[:2]
                         assert not any(
                             np.shares_memory(got[2].flat, g.flat) for g, _ in grads_kept

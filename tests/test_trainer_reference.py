@@ -28,7 +28,6 @@ from eenas.evaluate import (
     first_exit_decisions,
     make_toy_dataset,
     report_from_outcomes,
-    scalarized_loss,
     train_toy,
 )
 from eenas.quant import (
@@ -193,7 +192,7 @@ class ReferenceDenseEenn:
             head_caches.append(cache)
         return logits, trunk, caches, head_caches
 
-    def loss_and_grads(self, X, y, weights):
+    def loss_and_grads(self, X, y):
         logits, trunk, caches, head_caches = self._forward(X)
         n = len(y)
         onehot = np.zeros((n, self.num_classes))
@@ -205,7 +204,7 @@ class ReferenceDenseEenn:
             p = _softmax(logits[i - 1])
             loss_i = float(-np.mean(np.log(p[np.arange(n), y] + 1e-300)))
             per_exit.append(loss_i)
-            dlogits = weights[i - 1] * (p - onehot) / n
+            dlogits = (p - onehot) / n
             cache = head_caches[i - 1]
             name = f"exit{i}.out"
             dwq = cache["feat"].T @ dlogits
@@ -230,8 +229,7 @@ class ReferenceDenseEenn:
             da = dz @ cache["wq"].T
             if j > 0:
                 da = da + d_trunk[j - 1]
-        total = scalarized_loss(per_exit, weights)
-        return total, per_exit, grads
+        return math.fsum(per_exit), per_exit, grads
 
     def _wmask(self, name):
         q = self.weight_q[f"{name}.w"]
@@ -286,7 +284,6 @@ def reference_train_toy(arch, dataset, config):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     num_classes = int(y.max()) + 1
-    weights = config.loss_weights or tuple(1.0 for _ in range(arch.m))
     rng = np.random.default_rng(config.seed)
     train_idx, val_idx = _stratified_split(y, config.holdout_fraction, rng)
     net = ReferenceDenseEenn(arch, X.shape[1], num_classes, config.hidden_width, rng)
@@ -302,9 +299,7 @@ def reference_train_toy(arch, dataset, config):
             order = rng.permutation(len(X_train))
             for lo in range(0, len(order), config.batch_size):
                 batch = order[lo : lo + config.batch_size]
-                loss, _, grads = net.loss_and_grads(
-                    X_train[batch], y_train[batch], weights
-                )
+                loss, _, grads = net.loss_and_grads(X_train[batch], y_train[batch])
                 assert math.isfinite(loss)
                 net.sgd_step(
                     grads, config.learning_rate, config.momentum, config.weight_decay
@@ -367,7 +362,6 @@ def _lockstep(arch, dataset, config):
     returns the number of steps taken on the quantized path."""
     X, y = dataset
     num_classes = int(y.max()) + 1
-    weights = tuple(1.0 for _ in range(arch.m))
     rng_new = np.random.default_rng(config.seed)
     rng_ref = np.random.default_rng(config.seed)
     train_idx, val_idx = _stratified_split(y, config.holdout_fraction, rng_new)
@@ -397,10 +391,10 @@ def _lockstep(arch, dataset, config):
             for lo in range(0, len(order), config.batch_size):
                 batch = order[lo : lo + config.batch_size]
                 loss, per_exit, grads = net.loss_and_grads(
-                    X_train[batch], y_train[batch], weights
+                    X_train[batch], y_train[batch]
                 )
                 ref_loss, ref_per_exit, ref_grads = ref.loss_and_grads(
-                    X_train[batch], y_train[batch], weights
+                    X_train[batch], y_train[batch]
                 )
                 assert (loss, per_exit) == (ref_loss, ref_per_exit)
                 assert grads.keys() == ref_grads.keys()

@@ -1,8 +1,10 @@
 import hashlib
-from dataclasses import replace
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eenas.arch import (
     BackboneSpec,
@@ -30,6 +32,8 @@ from helpers import (
     conv_macs_elementwise,
     depthwise_macs_elementwise,
     enumerate_space,
+    exit_runs,
+    graph_fields,
     linear_macs_elementwise,
     validate_graph,
 )
@@ -111,15 +115,15 @@ class TestMacCounting:
 class TestGraphStructure:
     def test_single_exit_graph_contents(self, smallconv):
         graph = expand_layers(single_exit(smallconv))
-        owners = {n.owner for n in graph.nodes}
-        assert owners == {("backbone", 1), ("exit", 1)}
-        kinds = [n.kind for n in graph.nodes if n.owner == ("exit", 1)]
-        assert kinds == ["pool", "linear", "softmax"]
+        n = len(expand_backbone(smallconv, 8).nodes)
+        assert graph.mounts[-1] == n - 1
+        assert [node.kind for node in graph.nodes[n:]] == ["pool", "linear", "softmax"]
+        assert graph.producers(n) == (n - 1,)
 
     def test_two_layer_head_adds_hidden_linear(self, smallconv):
         arch = single_exit(smallconv, head=ExitHeadSpec(depth=2, hidden_width=32))
         graph = expand_layers(arch)
-        head_kinds = [n.kind for n in graph.nodes if n.owner == ("exit", 1)]
+        head_kinds = [n.kind for n in graph.nodes[graph.mounts[-1] + 1:]]
         assert head_kinds == ["pool", "linear", "linear", "softmax"]
         hidden = [n for n in graph.nodes if n.name.endswith(".fc1")][0]
         assert hidden.output_shape == (32,)
@@ -137,6 +141,8 @@ class TestGraphStructure:
             assert expand_layers(arch) == expand_layers(arch)
 
     def test_exit_nodes_tagged_with_exit_index(self, smallconv):
+        """Head nodes carry their exit's index in their names and its bits,
+        and each pool consumes its mount's node."""
         head = ExitHeadSpec(depth=1)
         arch = EennArchitecture(
             backbone=smallconv,
@@ -144,13 +150,13 @@ class TestGraphStructure:
             quant=QuantScheme(backbone_bits=8, exit_bits=(4, 8)),
         )
         graph = expand_layers(arch)
-        assert {n.owner for n in graph.nodes if n.owner[0] == "exit"} == {
-            ("exit", 1), ("exit", 2)
-        }
-        exit1 = [n for n in graph.nodes if n.owner == ("exit", 1)]
-        assert all(n.bits == 4 for n in exit1)
-        exit2 = [n for n in graph.nodes if n.owner == ("exit", 2)]
-        assert all(n.bits == 8 for n in exit2)
+        n = graph.mounts[-1] + 1
+        heads = graph.nodes[n:]
+        assert [node.name.split(".")[0] for node in heads] == ["x1"] * 3 + ["x2"] * 3
+        assert [node.bits for node in heads] == [4] * 3 + [8] * 3
+        labels = smallconv.mount_labels
+        assert graph.producers(n) == (graph.mounts[labels.index("B")],)
+        assert graph.producers(n + 3) == (graph.mounts[labels.index("E")],)
         validate_graph(graph)
 
     def test_pooling_to_impossible_size_rejected(self):
@@ -183,17 +189,18 @@ class TestGraphStructure:
             macs=1,
             params=1,
             bits=8,
-            owner=("backbone", 1),
         )
         bad = LayerGraph(nodes=(node, node), edges=((1, 0),))
         with pytest.raises(WorkloadError):
             validate_graph(bad)
 
     def test_validate_graph_rejects_exit_ahead_of_mount(self):
-        trunk1 = LayerNode("a", "conv", (4, 4, 3), (4, 4, 3), 1, 1, 8, ("backbone", 1))
-        trunk2 = LayerNode("b", "conv", (4, 4, 3), (4, 4, 3), 1, 1, 8, ("backbone", 2))
-        head1 = LayerNode("x1", "linear", (48,), (10,), 480, 490, 8, ("exit", 1))
-        bad = LayerGraph(nodes=(trunk1, trunk2, head1), edges=((0, 1), (1, 2)))
+        trunk1 = LayerNode("a", "conv", (4, 4, 3), (4, 4, 3), 1, 1, 8)
+        trunk2 = LayerNode("b", "conv", (4, 4, 3), (4, 4, 3), 1, 1, 8)
+        pool = LayerNode("x1.pool", "pool", (4, 4, 3), (1, 1, 3), 0, 0, 8)
+        nodes = (trunk1, trunk2, pool)
+        validate_graph(LayerGraph(nodes, ((0, 1), (0, 2)), mounts=(0, 1)))
+        bad = LayerGraph(nodes, ((0, 1), (1, 2)), mounts=(0,))
         with pytest.raises(WorkloadError):
             validate_graph(bad)
 
@@ -214,19 +221,46 @@ class TestCumulativeMacs:
             assert len(values) == arch.m
             assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_matches_owner_tag_sums(self, small_space):
-        """Against the full graph: exit i runs every node tagged with an
-        index up to i. Covers every smallconv architecture and its static
-        counterpart."""
+    def test_matches_ancestor_sums(self, small_space):
+        """Against the full graph's edges: exit i runs every ancestor of the
+        softmax nodes of exits 1..i. Covers every smallconv architecture and
+        its static counterpart."""
         for chrom in enumerate_space(small_space):
             arch = decode(chrom, small_space)
             for a in (arch, static_counterpart(arch)):
                 graph = expand_layers(a, num_classes=7)
                 expected = tuple(
-                    sum(n.macs for n in graph.nodes if n.owner[1] <= i)
-                    for i in range(1, a.m + 1)
+                    sum(graph.nodes[k].macs for k in run) for run in exit_runs(graph)
                 )
                 assert exit_macs(a, num_classes=7) == expected
+
+
+@st.composite
+def small_backbones(draw):
+    """Backbones of one to four conv2d or bottleneck rows, strides 1 and 2,
+    each row labeling every instance or none, the last row always."""
+    n_rows = draw(st.integers(1, 4))
+    blocks = []
+    labels = itertools.count()
+    for row in range(n_rows):
+        repetition = draw(st.integers(1, 3))
+        labeled = row == n_rows - 1 or draw(st.booleans())
+        mounts = tuple(f"M{next(labels)}" for _ in range(repetition)) if labeled else ()
+        blocks.append(
+            BlockSpec(
+                draw(st.sampled_from(("conv2d", "bottleneck"))),
+                repetition,
+                draw(st.integers(1, 6)),
+                draw(st.sampled_from((1, 2))),
+                mounts,
+            )
+        )
+    size = draw(st.sampled_from((2, 4, 8)))
+    return BackboneSpec(
+        blocks=tuple(blocks),
+        input_shape=(size, size, draw(st.integers(1, 3))),
+        expansion=draw(st.integers(1, 3)),
+    )
 
 
 class TestSharedBackbone:
@@ -237,26 +271,53 @@ class TestSharedBackbone:
         for _ in range(20):
             arch = decode(sample_architecture(small_space, rng), small_space)
             graph = expand_layers(arch)
-            untagged = [
-                replace(g, owner=b.owner) for b, g in zip(base.nodes, graph.nodes)
-            ]
-            assert untagged == list(base.nodes)
+            assert all(g is b for g, b in zip(graph.nodes[:n], base.nodes))
+            assert graph.mounts == base.mounts
             assert graph.edges[: len(base.edges)] == base.edges
             assert all(e[1] >= n for e in graph.edges[len(base.edges):])
-            assert all(g.owner[0] == "exit" for g in graph.nodes[n:])
 
-    def test_groups_end_at_their_mounts(self, mobilenet):
-        base = expand_backbone(mobilenet, 8)
-        for j, label in enumerate(mobilenet.mount_labels, start=1):
-            inst = mobilenet.instances[mobilenet.mount_position(label)]
-            last = base.nodes[base.backbone_segment(j)[-1]]
-            assert last.output_shape == (*inst.out_size, inst.out_channels)
-            assert last.name.startswith(f"b{mobilenet.mount_position(label)}.")
+    @settings(max_examples=60, deadline=None)
+    @given(backbone=small_backbones(), bits=st.sampled_from((8, 4)))
+    def test_mounts_locate_each_mount_activation(self, backbone, bits):
+        """On random backbones, ``mounts`` names the last node of each
+        labeled block, the mount MACs are prefix sums up to those nodes, and
+        a full graph with an exit at every mount shares the backbone's node
+        objects and hangs each head off its mount's node."""
+        base = expand_backbone(backbone, bits)
+        labels = backbone.mount_labels
+        assert len(base.mounts) == len(labels)
+        assert base.mounts[-1] == len(base.nodes) - 1
+        for label, k in zip(labels, base.mounts):
+            pos = backbone.mount_position(label)
+            inst = backbone.instances[pos]
+            assert base.nodes[k].output_shape == (*inst.out_size, inst.out_channels)
+            assert base.nodes[k].name.startswith(f"b{pos}.")
+            assert k + 1 == len(base.nodes) or base.nodes[k + 1].name.startswith(
+                f"b{pos + 1}."
+            )
+        prefix = list(itertools.accumulate(node.macs for node in base.nodes))
+        assert backbone_mount_macs(backbone) == tuple(
+            (label, prefix[k]) for label, k in zip(labels, base.mounts)
+        )
+        head = ExitHeadSpec(pooled_size=1)
+        arch = EennArchitecture(
+            backbone=backbone,
+            exits=tuple(ExitPlacement(label, head) for label in labels),
+            quant=QuantScheme(backbone_bits=bits, exit_bits=(bits,) * len(labels)),
+        )
+        graph = expand_layers(arch)
+        n = len(base.nodes)
+        assert all(g is b for g, b in zip(graph.nodes[:n], base.nodes))
+        pools = [k for k in range(n, len(graph.nodes)) if graph.nodes[k].kind == "pool"]
+        assert [graph.producers(k) for k in pools] == [(k,) for k in base.mounts]
+        validate_graph(graph)
 
     def test_expansion_unchanged(self, smallconv, mobilenet):
-        """Pins the layer graphs and the mount MACs; the digest was recorded
-        before the backbone expansion was shared. ``repr`` prints every
-        field, owner tags included."""
+        """Pins the layer graphs, each as :func:`helpers.graph_fields`, and
+        the mount MACs. The digest was recorded on the code before layer
+        nodes lost their exit tags, which then passed the earlier digest of
+        the whole graphs, tags included, recorded before the backbone
+        expansion was shared."""
         heads = (
             ExitHeadSpec(depth=1),
             ExitHeadSpec(depth=2),
@@ -270,14 +331,14 @@ class TestSharedBackbone:
             )
             for chrom in enumerate_space(space):
                 graph = expand_layers(decode(chrom, space), num_classes=7)
-                digest.update(repr(graph).encode())
+                digest.update(repr(graph_fields(graph)).encode())
         space = SpaceConfig(backbone=mobilenet)
         rng = np.random.default_rng(5)
         for _ in range(500):
             arch = decode(sample_architecture(space, rng), space)
-            digest.update(repr(expand_layers(arch)).encode())
+            digest.update(repr(graph_fields(expand_layers(arch))).encode())
         for backbone in (smallconv, mobilenet):
             digest.update(repr(backbone_mount_macs(backbone)).encode())
         assert digest.hexdigest() == (
-            "eeb8b66e76659e4b1c7b9a8f894b1d90e321f74adda834107aab973b4579582d"
+            "5a2323c4f98ed90ffd33c785a62a31db0c0d6006d51fa0a9402bfc960062b7f3"
         )
