@@ -50,6 +50,7 @@ from .files import (atomic_write, is_int, is_int_list, is_object, is_real_list,
                     load_json, require)
 from .hwcost import AcceleratorSpec, CostModelError, cost_report
 from .search import (
+    COST_MODE,
     CostCache,
     EvaluationFailure,
     ExternalEvaluator,
@@ -162,9 +163,8 @@ def _load_run_config(path: str):
     accelerator = data.get("accelerator", "default")
     if not (isinstance(backbone, str) and isinstance(accelerator, str)):
         raise ConfigError("backbone and accelerator must be strings")
-    cost_mode = data.get("cost_mode", "greedy")
-    if cost_mode not in ("greedy", "genetic"):
-        raise ConfigError("cost_mode must be 'greedy' or 'genetic'")
+    if data.get("cost_mode", COST_MODE) != COST_MODE:
+        raise ConfigError(f"cost_mode must be {COST_MODE!r}")
     _check_object(data.get("space", {}), "space", _SPACE_KEYS)
     _check_object(data.get("nas", {}), "nas")
     if "seed" in data.get("nas", {}):
@@ -178,7 +178,7 @@ def _load_run_config(path: str):
     with _section("nas"):
         nas = NasConfig.from_json(data.get("nas", {}) | {"seed": seed})
     evaluator, kind = _build_evaluator(data.get("evaluator", {"kind": "oracle"}), seed)
-    return space, accel, nas, evaluator, kind, cost_mode
+    return space, accel, nas, evaluator, kind
 
 
 def _build_evaluator(data, seed: int):
@@ -266,20 +266,13 @@ def cmd_cost(args) -> int:
     backbone = _resolve_backbone(args.backbone)
     accel = _resolve_accelerator(args.accelerator)
     arch, ratios = _load_architecture(args.arch, backbone)
-    _make_out_dir(args.out)
 
     ratio_source = "given"
     if ratios is None:
         ratio_source = "uniform"
         ratios = tuple(1.0 / arch.m for _ in range(arch.m))
-    report = cost_report(
-        arch,
-        accel,
-        exit_ratios=ratios,
-        mode=args.mode,
-        num_classes=args.classes,
-        seed=args.seed,
-    )
+    report = cost_report(arch, accel, exit_ratios=ratios, num_classes=args.classes)
+    _make_out_dir(args.out)
 
     rows = ["exit,mount,energy_pj,cycles,et,overhead"]
     print(f"{'exit':>4} {'mount':>6} {'energy_pj':>16} {'cycles':>12} {'et':>20}")
@@ -295,6 +288,7 @@ def cmd_cost(args) -> int:
     print(f"avg ({ratio_source} exit ratios): et_avg = {report.et_avg:.6g}")
     atomic_write(os.path.join(args.out, "cost.csv"), "\n".join(rows) + "\n")
 
+    plan = report.plan
     detail = {
         "et_per_exit": list(report.et_per_exit),
         "et_avg": report.et_avg,
@@ -302,21 +296,23 @@ def cmd_cost(args) -> int:
         "overheads": [
             o if math.isfinite(o) else None for o in report.overheads
         ],
-        "makespan_cycles": report.plan.makespan,
+        "makespan_cycles": plan.makespan,
         "layers": [
             {
                 "name": node.name,
                 "kind": node.kind,
-                "core": report.plan.assignment[j],
-                "start": report.plan.start[j],
-                "end": report.plan.end[j],
+                "core": plan.assignment[j],
+                "start": plan.start[j],
+                "end": plan.end[j],
                 "macs": node.macs,
-                "energy_pj": report.layer_costs[j].energy_pj,
-                "cycles": report.layer_costs[j].cycles,
-                "utilization": report.layer_costs[j].utilization,
-                "spilled": report.layer_costs[j].spilled,
+                "energy_pj": cost.energy_pj,
+                "cycles": cost.cycles,
+                "utilization": cost.utilization,
+                "spilled": cost.spilled,
             }
-            for j, node in enumerate(report.graph.nodes)
+            for j, (node, cost) in enumerate(
+                zip(report.graph.nodes, plan.layer_costs)
+            )
         ],
     }
     atomic_write(
@@ -327,7 +323,7 @@ def cmd_cost(args) -> int:
 
 
 def cmd_search(args) -> int:
-    space, accel, nas, evaluator, kind, cost_mode = _load_run_config(args.config)
+    space, accel, nas, evaluator, kind = _load_run_config(args.config)
     _make_out_dir(args.out)
     history_path = os.path.join(args.out, "history.jsonl")
     if not args.resume and os.path.exists(history_path):
@@ -340,7 +336,6 @@ def cmd_search(args) -> int:
         nas,
         history_path=history_path,
         resume=args.resume,
-        cost_mode=cost_mode,
         evaluator_kind=kind,
     )
 
@@ -351,7 +346,7 @@ def cmd_search(args) -> int:
             print(f"audit violation: {violation}", file=sys.stderr)
         return EXIT_AUDIT
 
-    cost = CostCache(space, accel, mode=cost_mode, seed=nas.seed)
+    cost = CostCache(space, accel)
     history = replay_history(events)
     final_p = history.labeled
 
@@ -469,9 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--accelerator", default="default")
     co.add_argument("--arch", required=True)
     co.add_argument("--out", required=True)
-    co.add_argument("--mode", choices=("greedy", "genetic"), default="greedy")
     co.add_argument("--classes", type=int, default=10)
-    co.add_argument("--seed", type=int, default=0)
     co.set_defaults(func=cmd_cost)
 
     se = sub.add_parser("search", help="run the search loop")

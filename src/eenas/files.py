@@ -42,10 +42,10 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def load_json(path: str, error: type[Exception], what: str):
-    """Parse the JSON file at ``path``. Malformed JSON, the non-finite
-    literals ``NaN``, ``Infinity`` and ``-Infinity``, and numbers such as
-    ``1e400`` that parse to an infinite float raise ``error``, its message
-    starting with ``what``."""
+    """Parse the JSON file at ``path``. Bytes that are not UTF-8, malformed
+    JSON, the non-finite literals ``NaN``, ``Infinity`` and ``-Infinity``,
+    and numbers such as ``1e400`` that parse to an infinite float raise
+    ``error``, its message starting with ``what``."""
 
     def reject(literal: str):
         raise error(f"{what} holds {literal}: numbers must be finite")
@@ -61,6 +61,8 @@ def load_json(path: str, error: type[Exception], what: str):
             return json.load(fh, parse_constant=reject, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise error(f"{what} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not UTF-8 text: {exc.reason}") from exc
 
 
 def is_int(value) -> bool:

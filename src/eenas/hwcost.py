@@ -12,6 +12,9 @@ layer; compute and streaming overlap under double buffering while NoC
 transfers serialize. Energy sums MAC work (quadratic in bit width), SRAM
 staging of incoming data, off-chip traffic, and per-hop NoC traffic.
 
+Layers go to cores by one rule, greedy earliest finish: in topological
+order, each layer takes the compatible core that finishes it first.
+
 Energy-latency products over a set of layers always take the form
 (sum of energies) * (sum of cycles) over exactly that set.
 """
@@ -22,8 +25,6 @@ import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .arch import BackboneSpec, EennArchitecture, hash_once
 from .files import check_exit_ratios, check_fields, is_int, is_object, load_json
@@ -345,12 +346,11 @@ def _place(
     inputs: tuple[TensorSource, ...],
     ready: int,
     free: list[int],
-    assigned: int | None = None,
 ) -> tuple[int, int, LayerCost]:
-    """One placement decision: put ``node`` on core ``assigned`` or, without
-    one, on the compatible core finishing it earliest (ties to the lowest
-    core id), starting once that core is free and ``ready`` has passed.
-    Marks the core busy until then; returns ``(finish, core, cost)``."""
+    """One placement decision: put ``node`` on the compatible core finishing
+    it earliest (ties to the lowest core id), starting once that core is
+    free and ``ready`` has passed. Marks the core busy until then; returns
+    ``(finish, core, cost)``."""
     key = (
         node.kind, node.input_shape, node.output_shape, node.macs,
         node.params, node.bits, inputs,
@@ -367,14 +367,9 @@ def _place(
         )
     best = None
     for core, cost in options:
-        if assigned is not None and core != assigned:
-            continue
         finish = max(free[core], ready) + cost.cycles
         if best is None or finish < best[0]:
             best = (finish, core, cost)
-    if best is None:
-        # An incompatible assigned core: layer_cost raises, naming it.
-        layer_cost(node, assigned, spec, inputs)
     free[best[1]] = best[0]
     return best
 
@@ -402,11 +397,7 @@ class _FoldState:
         )
 
 
-def _fold(
-    graph: LayerGraph,
-    spec: AcceleratorSpec,
-    assignment: Sequence[int] | None = None,
-) -> _FoldState:
+def _fold(graph: LayerGraph, spec: AcceleratorSpec) -> _FoldState:
     """Place and schedule every node, one :func:`_place` at a time in
     topological order. A node starts when its core is free and its
     producers have finished. A decision reads only the nodes before it, so
@@ -419,15 +410,8 @@ def _fold(
     memo = _layer_cost_memo(spec)
     for idx, node in enumerate(graph.nodes):
         ready = max((end[p] for p in graph.producers(idx)), default=0)
-        finish, core, cost = _place(
-            memo,
-            spec,
-            node,
-            _input_sources(graph, idx, cores),
-            ready,
-            free,
-            None if assignment is None else assignment[idx],
-        )
+        inputs = _input_sources(graph, idx, cores)
+        finish, core, cost = _place(memo, spec, node, inputs, ready, free)
         cores.append(core)
         start.append(finish - cost.cycles)
         end.append(finish)
@@ -439,16 +423,6 @@ def _fold(
         free=tuple(free),
         costs=tuple(costs),
     )
-
-
-def schedule(
-    graph: LayerGraph, spec: AcceleratorSpec, assignment: Sequence[int]
-) -> AllocationPlan:
-    """Schedule a fixed assignment: each layer starts when its core is free
-    and its producers have finished."""
-    if len(assignment) != len(graph.nodes):
-        raise CostModelError("assignment length must match the node count")
-    return _fold(graph, spec, assignment).plan()
 
 
 @dataclass(frozen=True)
@@ -476,68 +450,14 @@ def _backbone_fold(
     )
 
 
-#: Generations and population of the genetic allocator.
-_GA_GENERATIONS = 24
-_GA_POPULATION = 16
-
-
-def allocate(
-    graph: LayerGraph,
-    spec: AcceleratorSpec,
-    mode: str = "greedy",
-    seed: int = 0,
-) -> AllocationPlan:
-    """Assign layers to cores and schedule them.
-
-    Greedy mode places each layer on the compatible core finishing it
-    earliest (ties to the lowest core id). Genetic mode refines whole
-    assignment vectors against the schedule makespan with a seeded GA whose
-    initial population contains the greedy solution, so it never does worse.
-    Both modes are deterministic.
-    """
+def allocate(graph: LayerGraph, spec: AcceleratorSpec) -> AllocationPlan:
+    """Assign layers to cores and schedule them: each layer, in topological
+    order, goes to the compatible core finishing it earliest (ties to the
+    lowest core id), and starts once that core is free and its producers
+    have finished. Deterministic."""
     if not graph.nodes:
         raise CostModelError("cannot allocate an empty graph")
-    greedy = _fold(graph, spec)
-    if mode == "greedy":
-        return greedy.plan()
-    if mode != "genetic":
-        raise CostModelError(f"unknown allocation mode {mode!r}")
-
-    choices = [spec.compatible_cores(n.kind) for n in graph.nodes]
-    if all(len(c) == 1 for c in choices):
-        return greedy.plan()
-    rng = np.random.default_rng(seed)
-
-    def random_assignment() -> list[int]:
-        return [c[int(rng.integers(0, len(c)))] for c in choices]
-
-    def fitness(assign: list[int]) -> int:
-        return schedule(graph, spec, assign).makespan
-
-    pool = [list(greedy.cores)]
-    pool += [random_assignment() for _ in range(_GA_POPULATION - 1)]
-    scores = [fitness(a) for a in pool]
-    mutation = 1.0 / len(graph.nodes)
-    for _ in range(_GA_GENERATIONS):
-        order = sorted(range(len(pool)), key=lambda i: (scores[i], i))
-        elite = [pool[order[0]], pool[order[1]]]
-        children = list(elite)
-        while len(children) < _GA_POPULATION:
-            picks = rng.integers(0, len(pool), size=3)
-            pa = pool[min(picks, key=lambda i: (scores[i], i))]
-            picks = rng.integers(0, len(pool), size=3)
-            pb = pool[min(picks, key=lambda i: (scores[i], i))]
-            child = [
-                pa[g] if rng.random() < 0.5 else pb[g] for g in range(len(pa))
-            ]
-            for g, opts in enumerate(choices):
-                if len(opts) > 1 and rng.random() < mutation:
-                    child[g] = opts[int(rng.integers(0, len(opts)))]
-            children.append(child)
-        pool = children
-        scores = [fitness(a) for a in pool]
-    best = min(range(len(pool)), key=lambda i: (scores[i], i))
-    return schedule(graph, spec, pool[best])
+    return _fold(graph, spec).plan()
 
 
 def et_avg(et_per_exit: Sequence[float], exit_ratios: Sequence[float]) -> float:
@@ -620,10 +540,10 @@ def exit_costs(
 
 @dataclass(frozen=True)
 class HwCostReport:
-    """Full cost picture of one architecture on one accelerator."""
+    """Full cost picture of one architecture on one accelerator; the
+    per-layer costs are the plan's."""
 
     graph: LayerGraph
-    layer_costs: tuple[LayerCost, ...]
     energy_per_exit: tuple[float, ...]
     cycles_per_exit: tuple[int, ...]
     et_per_exit: tuple[float, ...]
@@ -631,18 +551,12 @@ class HwCostReport:
     overheads: tuple[float, ...]
     plan: AllocationPlan
 
-    @property
-    def max_overhead(self) -> float:
-        return max(self.overheads, default=0.0)
-
 
 def cost_report(
     arch: EennArchitecture,
     spec: AcceleratorSpec,
     exit_ratios: Sequence[float] | None = None,
-    mode: str = "greedy",
     num_classes: int = 10,
-    seed: int = 0,
 ) -> HwCostReport:
     """Expand, allocate, and aggregate: per-layer costs, per-exit energy,
     cycles and energy-delay products, head overheads, and (given exit
@@ -651,7 +565,7 @@ def cost_report(
     the backbone terms from the front of the plan's costs and each head's
     terms from its slice."""
     graph = expand_layers(arch, num_classes=num_classes)
-    plan = allocate(graph, spec, mode=mode, seed=seed)
+    plan = allocate(graph, spec)
     energies = [c.energy_pj for c in plan.layer_costs]
     cycles = [c.cycles for c in plan.layer_costs]
     templates = head_templates(arch, num_classes)
@@ -668,7 +582,6 @@ def cost_report(
     avg = et_avg(et_values, exit_ratios) if exit_ratios is not None else None
     return HwCostReport(
         graph=graph,
-        layer_costs=plan.layer_costs,
         energy_per_exit=tuple(exit_e),
         cycles_per_exit=tuple(exit_t),
         et_per_exit=et_values,

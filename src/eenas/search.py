@@ -42,7 +42,7 @@ from .evaluate import (
     train_toy,
 )
 from .files import atomic_write, check_fields, is_int, is_real
-from .hwcost import AcceleratorSpec, cost_report, et_avg, exit_costs
+from .hwcost import AcceleratorSpec, et_avg, exit_costs
 from .predict import LabeledRecord, LabeledSet, Predictor, fit, predict
 
 
@@ -120,31 +120,11 @@ class CostCache:
     Per architecture it keeps only the per-exit energy-delay products and
     the head overheads, the two things the search reads."""
 
-    def __init__(
-        self,
-        space: SpaceConfig,
-        accel: AcceleratorSpec,
-        mode: str = "greedy",
-        seed: int = 0,
-    ):
+    def __init__(self, space: SpaceConfig, accel: AcceleratorSpec):
         self.space = space
         self.accel = accel
-        self.mode = mode
-        self.seed = seed
         self._costs: dict[str, tuple[tuple[float, ...], tuple[float, ...]]] = {}
         self._static: dict[tuple[int, int], float] = {}
-
-    def _compute(self, arch) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        if self.mode == "greedy":
-            return exit_costs(arch, self.accel, num_classes=self.space.num_classes)
-        report = cost_report(
-            arch,
-            self.accel,
-            mode=self.mode,
-            num_classes=self.space.num_classes,
-            seed=self.seed,
-        )
-        return report.et_per_exit, report.overheads
 
     def _lookup(
         self, chrom: Chromosome
@@ -152,7 +132,9 @@ class CostCache:
         """``(et_per_exit, overheads)`` of the chromosome's architecture."""
         key = chromosome_hash(chrom)
         if key not in self._costs:
-            self._costs[key] = self._compute(decode(chrom, self.space))
+            self._costs[key] = exit_costs(
+                decode(chrom, self.space), self.accel, self.space.num_classes
+            )
         return self._costs[key]
 
     def max_overhead(self, chrom: Chromosome) -> float:
@@ -167,7 +149,9 @@ class CostCache:
         key = (chrom.genes[-2], chrom.genes[-1])
         if key not in self._static:
             arch = static_counterpart(decode(chrom, self.space))
-            self._static[key] = self._compute(arch)[0][-1]
+            self._static[key] = exit_costs(
+                arch, self.accel, self.space.num_classes
+            )[0][-1]
         return self._static[key]
 
 
@@ -204,7 +188,8 @@ class ToyEvaluator:
 
 class ExternalEvaluator:
     """Pulls per-architecture report files (named by chromosome hash) from
-    a directory; missing or invalid files fail just that architecture."""
+    a directory; missing, unreadable or invalid files fail just that
+    architecture."""
 
     def __init__(self, reports_dir: str):
         self.reports_dir = reports_dir
@@ -213,7 +198,7 @@ class ExternalEvaluator:
         path = os.path.join(
             self.reports_dir, f"{chromosome_hash(chrom)}.json"
         )
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise EvaluationFailure(f"no external report at {path}")
         try:
             _, report = load_external_report(
@@ -221,6 +206,10 @@ class ExternalEvaluator:
             )
         except ReportError as exc:
             raise EvaluationFailure(str(exc)) from exc
+        except OSError as exc:
+            raise EvaluationFailure(
+                f"cannot read external report {path}: {exc.strerror}"
+            ) from exc
         return report
 
 
@@ -284,7 +273,11 @@ class SearchState:
 
 
 def _event_line(event: dict) -> str:
-    return json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
+    """One history line; a non-finite number raises rather than being
+    written as a ``NaN`` or ``Infinity`` literal no reader accepts."""
+    return json.dumps(
+        event, sort_keys=True, separators=(",", ":"), allow_nan=False
+    ) + "\n"
 
 
 class HistoryLog:
@@ -681,8 +674,9 @@ def _evaluate_new(
     k: int,
 ) -> list[LabeledRecord]:
     """Evaluate members without labels in hash order, then apply the
-    last-exit cap to the whole batch; failures and violators leave the
-    population (and are remembered, so nothing is ever evaluated twice)."""
+    last-exit cap to the whole batch; failures, invalid reports and
+    violators leave the population (and are remembered, so nothing is ever
+    evaluated twice)."""
     evaluated: list[tuple[str, EvaluationReport]] = []
     et_averages: dict[str, float] = {}
     for key in sorted(keys):
@@ -696,7 +690,8 @@ def _evaluate_new(
                 raise EvaluationFailure(
                     f"report has {report.m} exits, architecture has {arch.m}"
                 )
-        except EvaluationFailure as exc:
+            report.validate()
+        except (EvaluationFailure, ReportError) as exc:
             log({"event": "eval-failed", "k": k, "hash": key, "error": str(exc)})
             state.rejected[key] = "evaluation-failed"
             del state.members[key]
@@ -869,12 +864,17 @@ def nas_iterate(
     return _fit_predictors(state, space, config)
 
 
+#: The one allocation rule (greedy earliest finish). The header records it
+#: because it always has: ``--resume`` compares headers byte for byte, and
+#: :func:`audit_history` refuses a history that names any other rule.
+COST_MODE = "greedy"
+
+
 def _header_event(
     space: SpaceConfig,
     accel: AcceleratorSpec,
     config: NasConfig,
     evaluator_kind: str,
-    cost_mode: str,
 ) -> dict:
     return {
         "event": "run-config",
@@ -883,7 +883,7 @@ def _header_event(
         "space": space.to_json(),
         "accelerator": accel.to_json(),
         "evaluator": evaluator_kind,
-        "cost_mode": cost_mode,
+        "cost_mode": COST_MODE,
     }
 
 
@@ -913,7 +913,6 @@ def run_search(
     config: NasConfig,
     history_path: str | None = None,
     resume: bool = False,
-    cost_mode: str = "greedy",
     evaluator_kind: str = "custom",
 ) -> SearchState:
     """Run the full loop: initialization (iteration 0) plus the configured
@@ -921,8 +920,8 @@ def run_search(
     existing history is replayed to its last complete iteration (trailing
     partial events are discarded) and the run continues identically to an
     uninterrupted one."""
-    cost = CostCache(space, accel, mode=cost_mode, seed=config.seed)
-    header = _header_event(space, accel, config, evaluator_kind, cost_mode)
+    cost = CostCache(space, accel)
+    header = _header_event(space, accel, config, evaluator_kind)
 
     state = SearchState()
     if resume:
@@ -982,12 +981,15 @@ def audit_history(history: str | os.PathLike | Sequence[dict]) -> AuditResult:
     header = history.header
     if header is None:
         raise SearchError("history lacks a run-config header")
+    if header.get("cost_mode", COST_MODE) != COST_MODE:
+        raise HistoryError(
+            f"history was costed with {header['cost_mode']!r} allocation, "
+            f"not {COST_MODE!r}"
+        )
     space = SpaceConfig.from_json(header["space"])
     accel = AcceleratorSpec.from_json(header["accelerator"])
     nas = NasConfig.from_json(header["nas"])
-    cost = CostCache(
-        space, accel, mode=header.get("cost_mode", "greedy"), seed=nas.seed
-    )
+    cost = CostCache(space, accel)
 
     result = AuditResult(ok=True, iterations=len(history.summaries))
     if len(history.by_hash) != len(history.evaluated):

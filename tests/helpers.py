@@ -1,5 +1,6 @@
 """Shared builders and independent oracles for the test suite."""
 
+import functools
 import itertools
 import json
 import math
@@ -8,6 +9,7 @@ import numpy as np
 
 from eenas.arch import BackboneSpec, BlockSpec, Chromosome
 from eenas.files import atomic_write
+from eenas.hwcost import AllocationPlan, TensorSource, layer_cost
 from eenas.workload import WorkloadError
 
 
@@ -144,6 +146,74 @@ def reference_exit_products(graph, costs):
         segment = energy_delay(below[i + 1] - below[i])
         overheads.append(math.inf if segment == 0 else head / segment)
     return et_values, tuple(overheads)
+
+
+#: ``layer_cost`` is pure, so the reference memoizes it: the exhaustive pass
+#: then costs each distinct (layer, core, inputs) once, while the greedy and
+#: schedule loops under comparison stay as they were.
+reference_layer_cost = functools.lru_cache(maxsize=1 << 16)(layer_cost)
+
+
+def reference_sources(graph, idx, cores):
+    """Where each input of node ``idx`` lives, given the cores of the nodes
+    before it: a graph input streams from off-chip."""
+    producers = graph.producers(idx)
+    if not producers:
+        node = graph.nodes[idx]
+        return (TensorSource(bits=math.prod(node.input_shape) * node.bits, core=None),)
+    return tuple(
+        TensorSource(bits=graph.nodes[p].output_bits, core=cores[p]) for p in producers
+    )
+
+
+def reference_greedy_assignment(graph, spec):
+    """Greedy earliest-finish cores of every node, in node order, ties to
+    the lowest core id."""
+    cores = [-1] * len(graph.nodes)
+    free = [0] * spec.n_cores
+    end = [0] * len(graph.nodes)
+    for idx, node in enumerate(graph.nodes):
+        best_core = -1
+        best_finish = None
+        ready = max((end[p] for p in graph.producers(idx)), default=0)
+        sources = reference_sources(graph, idx, cores)
+        for core in spec.compatible_cores(node.kind):
+            cost = reference_layer_cost(node, core, spec, sources)
+            finish = max(free[core], ready) + cost.cycles
+            if best_finish is None or finish < best_finish:
+                best_finish = finish
+                best_core = core
+        cores[idx] = best_core
+        end[idx] = best_finish
+        free[best_core] = best_finish
+    return cores
+
+
+def reference_schedule(graph, spec, assignment):
+    """The plan of a fixed assignment: each node starts once its core is
+    free and its producers have finished."""
+    cores = list(assignment)
+    free = [0] * spec.n_cores
+    start = [0] * len(graph.nodes)
+    end = [0] * len(graph.nodes)
+    costs = []
+    for idx, node in enumerate(graph.nodes):
+        core = cores[idx]
+        cost = reference_layer_cost(
+            node, core, spec, reference_sources(graph, idx, cores)
+        )
+        ready = max((end[p] for p in graph.producers(idx)), default=0)
+        start[idx] = max(free[core], ready)
+        end[idx] = start[idx] + cost.cycles
+        free[core] = end[idx]
+        costs.append(cost)
+    return AllocationPlan(
+        assignment=tuple(cores),
+        start=tuple(start),
+        end=tuple(end),
+        makespan=max(end, default=0),
+        layer_costs=tuple(costs),
+    )
 
 
 def conv_macs_elementwise(h, w, cin, cout, kernel, stride, padding) -> int:

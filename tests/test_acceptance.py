@@ -31,7 +31,6 @@ from eenas.hwcost import (
     _exit_sums,
     allocate,
     cost_report,
-    schedule,
 )
 from eenas.predict import LabeledRecord
 from eenas.quant import QuantParams, quantize
@@ -47,7 +46,12 @@ from eenas.search import (
     run_search,
 )
 from eenas.workload import exit_macs
-from helpers import chain_backbone, enumerate_genes, enumerate_space
+from helpers import (
+    chain_backbone,
+    enumerate_genes,
+    enumerate_space,
+    reference_schedule,
+)
 
 #: Configuration of the seeded reference search run shared by criteria 6-8.
 REFERENCE_NAS = NasConfig(
@@ -192,7 +196,7 @@ def test_c05_greedy_allocation_vs_exhaustive_enumeration(accel):
             best_span = None
             best_plan = None
             for assign in itertools.product(cores, repeat=length):
-                plan = schedule(graph, accel, list(assign))
+                plan = reference_schedule(graph, accel, assign)
                 if best_span is None or plan.makespan < best_span:
                     best_span = plan.makespan
                     best_plan = plan

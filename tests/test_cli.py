@@ -159,15 +159,16 @@ class TestCostCommand:
         ) == EXIT_OK
         assert "avg,uniform" in (out / "cost.csv").read_text()
 
-    def test_genetic_allocation_mode(self, tmp_path, arch_file, capsys):
-        out = tmp_path / "genetic"
-        code = main(
-            ["cost", "--backbone", "builtin:smallconv", "--arch", arch_file,
-             "--out", str(out), "--mode", "genetic", "--seed", "3"]
-        )
-        assert code == EXIT_OK
-        detail = json.loads((out / "cost_report.json").read_text())
-        assert detail["makespan_cycles"] > 0
+    @pytest.mark.parametrize("flag", [["--mode", "greedy"], ["--seed", "0"]])
+    def test_allocation_has_no_flags(self, tmp_path, arch_file, flag, capsys):
+        """Allocation is greedy only, so no flag chooses or seeds it."""
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as err:
+            main(["cost", "--backbone", "builtin:smallconv", "--arch", arch_file,
+                  "--out", str(out), *flag])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_bytes(self, tmp_path, arch_file, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -179,16 +180,24 @@ class TestCostCommand:
         assert (out_a / "cost.csv").read_bytes() == (out_b / "cost.csv").read_bytes()
 
     def test_invalid_architecture(self, tmp_path, capsys):
-        bad = write_json(
-            tmp_path / "bad.json",
-            {"exits": [{"mount": "Z", "depth": 1, "bits": 8}]},
-        )
-        out = tmp_path / "o"
-        assert main(
-            ["cost", "--backbone", "builtin:smallconv", "--arch", bad,
-             "--out", str(out)]
-        ) == EXIT_CONFIG
-        assert not (out / "cost.csv").exists()
+        cases = [
+            ({"mount": "Z"}, "unknown mount"),
+            # Only costing finds that this head cannot pool its input.
+            ({"mount": "E", "pooled_size": 64},
+             "cannot pool 8x8 activation to 64x64"),
+        ]
+        for exit_spec, message in cases:
+            bad = write_json(
+                tmp_path / "bad.json",
+                {"exits": [{"depth": 1, "bits": 8, **exit_spec}]},
+            )
+            out = tmp_path / "o"
+            assert main(
+                ["cost", "--backbone", "builtin:smallconv", "--arch", bad,
+                 "--out", str(out)]
+            ) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_arch_file(self, tmp_path, capsys):
         assert main(
@@ -705,7 +714,7 @@ class TestRunConfigChecks:
             ("evaluator.grid", 10.5, "evaluator: grid must be an integer"),
             ("exit_bit", [4], "config has an unknown key 'exit_bit'"),
             ("space.exit_bit", [4], "space has an unknown key 'exit_bit'"),
-            ("cost_mode", "optimal", "cost_mode must be 'greedy' or 'genetic'"),
+            ("cost_mode", "optimal", "cost_mode must be 'greedy'"),
             ("evaluator", dict(TOY, seed=3), "evaluator has an unknown key 'seed'"),
             ("evaluator", dict(TOY, training=[]), "evaluator.training must be an object"),
             ("evaluator", {"kind": "external", "reports_dir": 0},
@@ -713,6 +722,7 @@ class TestRunConfigChecks:
             ("evaluator", dict(TOY, training={"loss_weights": [1.0, 1.0]}),
              "evaluator.training has an unknown key 'loss_weights'"),
             ("nas.seed", 11, "nas: seed is set by the top-level seed key"),
+            ("cost_mode", "genetic", "cost_mode must be 'greedy'"),
         ],
     )
     def test_bad_field_exits_2_naming_it(self, tmp_path, path, value, message, capsys):

@@ -65,6 +65,15 @@ class TestWritersAreAtomic:
         assert os.listdir(tmp_path) == ["r.json"]
 
 
+def test_non_utf8_file_raises_the_loaders_error(tmp_path):
+    """A report that is not UTF-8 text is an invalid report, so it fails
+    only its architecture, like any other."""
+    path = tmp_path / "report.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ReportError, match="^report is not UTF-8 text: "):
+        load_external_report(str(path))
+
+
 class TestLoadersRejectNonFiniteLiterals:
     """``json`` reads NaN and Infinity literals, and overflows ``1e400`` to
     inf, unless told not to; every loader refuses them with its own error

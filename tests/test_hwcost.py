@@ -1,5 +1,3 @@
-import functools
-import hashlib
 import itertools
 import math
 
@@ -19,7 +17,6 @@ from eenas.arch import (
 )
 from eenas.hwcost import (
     AcceleratorSpec,
-    AllocationPlan,
     MAX_COMPUTE_CORES,
     CostModelError,
     TensorSource,
@@ -30,14 +27,14 @@ from eenas.hwcost import (
     et_avg,
     exit_costs,
     layer_cost,
-    schedule,
 )
 from eenas.workload import LayerGraph, LayerNode, expand_layers
 from helpers import (
     enumerate_space,
     exit_runs,
-    graph_fields,
     reference_exit_products,
+    reference_greedy_assignment,
+    reference_schedule,
     write_accelerator,
 )
 
@@ -187,31 +184,11 @@ class TestAllocation:
             greedy = allocate(graph, accel)
             cores = range(accel.compute_cores)
             best = min(
-                schedule(graph, accel, assign).makespan
+                reference_schedule(graph, accel, assign).makespan
                 for assign in itertools.product(cores, repeat=length)
             )
             assert best <= greedy.makespan
             assert greedy.makespan == best  # chains gain nothing from splitting
-
-    def test_genetic_never_worse_than_greedy(self, accel):
-        rng = np.random.default_rng(2)
-        nodes = [
-            conv_node(
-                cin=int(rng.integers(4, 64)),
-                cout=int(rng.integers(4, 64)),
-                macs=int(rng.integers(10**3, 10**5)),
-                name=f"l{i}",
-            )
-            for i in range(5)
-        ]
-        # Diamond: 0 -> {1, 2, 3} -> 4
-        edges = ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4))
-        graph = LayerGraph(nodes=tuple(nodes), edges=edges)
-        greedy = allocate(graph, accel, mode="greedy")
-        genetic = allocate(graph, accel, mode="genetic", seed=3)
-        assert genetic.makespan <= greedy.makespan
-        again = allocate(graph, accel, mode="genetic", seed=3)
-        assert again.assignment == genetic.assignment
 
     def test_schedule_respects_dependencies(self, accel):
         nodes = [conv_node(cin=8, cout=8, name=f"l{i}") for i in range(4)]
@@ -404,24 +381,22 @@ class TestCostReport:
     def test_composition_matches_manual_pipeline(self, smallconv, accel):
         arch = self.arch(smallconv)
         graph = expand_layers(arch, num_classes=10)
-        for mode in ("greedy", "genetic"):
-            report = cost_report(arch, accel, mode=mode, seed=3)
-            plan = allocate(graph, accel, mode=mode, seed=3)
-            assert report.graph == graph
-            assert report.plan == plan
-            costs = plan.layer_costs
-            et_values, overheads = reference_exit_products(graph, costs)
-            assert report.et_per_exit == et_values
-            assert report.overheads == overheads
-            for i, (energy, cycles) in enumerate(
-                zip(report.energy_per_exit, report.cycles_per_exit), start=1
-            ):
-                runs = exit_runs(graph)[i - 1]
-                assert energy == sum(costs[k].energy_pj for k in runs)
-                assert cycles == sum(costs[k].cycles for k in runs)
-                assert energy * cycles == report.et_per_exit[i - 1]
-        greedy = cost_report(arch, accel)
-        assert (greedy.et_per_exit, greedy.overheads) == exit_costs(arch, accel)
+        report = cost_report(arch, accel)
+        plan = allocate(graph, accel)
+        assert report.graph == graph
+        assert report.plan == plan
+        costs = plan.layer_costs
+        et_values, overheads = reference_exit_products(graph, costs)
+        assert report.et_per_exit == et_values
+        assert report.overheads == overheads
+        for i, (energy, cycles) in enumerate(
+            zip(report.energy_per_exit, report.cycles_per_exit), start=1
+        ):
+            runs = exit_runs(graph)[i - 1]
+            assert energy == sum(costs[k].energy_pj for k in runs)
+            assert cycles == sum(costs[k].cycles for k in runs)
+            assert energy * cycles == report.et_per_exit[i - 1]
+        assert (report.et_per_exit, report.overheads) == exit_costs(arch, accel)
 
     def test_deterministic(self, smallconv, accel):
         arch = self.arch(smallconv)
@@ -547,71 +522,10 @@ class TestAcceleratorSpec:
 
 # ---------------------------------------------------------------------------
 # Differential test: the greedy allocation and the schedule as plain loops
-# over the full graph, and the per-exit sums over the nodes each exit reaches
-# through the graph's edges (``helpers.reference_exit_products``).
+# over the full graph (``helpers.reference_greedy_assignment`` and
+# ``helpers.reference_schedule``), and the per-exit sums over the nodes each
+# exit reaches through the graph's edges (``helpers.reference_exit_products``).
 # ---------------------------------------------------------------------------
-
-#: ``layer_cost`` is pure, so the reference memoizes it: the exhaustive pass
-#: then costs each distinct (layer, core, inputs) once, while the greedy and
-#: schedule loops under comparison stay as they were.
-reference_layer_cost = functools.lru_cache(maxsize=1 << 16)(layer_cost)
-
-
-def reference_sources(graph, idx, cores):
-    producers = graph.producers(idx)
-    if not producers:
-        node = graph.nodes[idx]
-        return (TensorSource(bits=math.prod(node.input_shape) * node.bits, core=None),)
-    return tuple(
-        TensorSource(bits=graph.nodes[p].output_bits, core=cores[p]) for p in producers
-    )
-
-
-def reference_greedy_assignment(graph, spec):
-    cores = [-1] * len(graph.nodes)
-    free = [0] * spec.n_cores
-    end = [0] * len(graph.nodes)
-    for idx, node in enumerate(graph.nodes):
-        best_core = -1
-        best_finish = None
-        ready = max((end[p] for p in graph.producers(idx)), default=0)
-        sources = reference_sources(graph, idx, cores)
-        for core in spec.compatible_cores(node.kind):
-            cost = reference_layer_cost(node, core, spec, sources)
-            finish = max(free[core], ready) + cost.cycles
-            if best_finish is None or finish < best_finish:
-                best_finish = finish
-                best_core = core
-        cores[idx] = best_core
-        end[idx] = best_finish
-        free[best_core] = best_finish
-    return cores
-
-
-def reference_schedule(graph, spec, assignment):
-    cores = list(assignment)
-    free = [0] * spec.n_cores
-    start = [0] * len(graph.nodes)
-    end = [0] * len(graph.nodes)
-    costs = []
-    for idx, node in enumerate(graph.nodes):
-        core = cores[idx]
-        cost = reference_layer_cost(
-            node, core, spec, reference_sources(graph, idx, cores)
-        )
-        ready = max((end[p] for p in graph.producers(idx)), default=0)
-        start[idx] = max(free[core], ready)
-        end[idx] = start[idx] + cost.cycles
-        free[core] = end[idx]
-        costs.append(cost)
-    return AllocationPlan(
-        assignment=tuple(cores),
-        start=tuple(start),
-        end=tuple(end),
-        makespan=max(end, default=0),
-        layer_costs=tuple(costs),
-    )
-
 
 def assert_matches_reference(arch, spec, num_classes=10):
     """``exit_costs`` equals the edge-traced sums over the reference greedy
@@ -668,44 +582,3 @@ class TestBackbonePrefixMatchesReference:
         self.check_space(
             mobilenet, [sample_architecture(space, rng) for _ in range(200)]
         )
-
-    def test_genetic_mode_unchanged(self, smallconv):
-        """Genetic allocation still starts from the greedy fold of the whole
-        graph. The digest covers every field of the report and of its plan,
-        the graph as :func:`helpers.graph_fields`. It was recorded on the
-        code before layer nodes lost their exit tags, which then passed the
-        earlier digest of the whole report, tags included; that one chains
-        back to code before the backbone prefix was cached. The plan has
-        since lost its transfer records, which no output read. ``repr``
-        prints every float exactly."""
-        space = SpaceConfig(backbone=smallconv)
-        rng = np.random.default_rng(7)
-        digest = hashlib.sha256()
-        for _ in range(4):
-            arch = decode(sample_architecture(space, rng), space)
-            for spec in self.SPECS:
-                report = cost_report(arch, spec, mode="genetic", seed=3)
-                plan = report.plan
-                fields = (
-                    graph_fields(report.graph), report.layer_costs,
-                    report.et_per_exit, report.et_avg, report.overheads,
-                    plan.assignment, plan.start, plan.end, plan.makespan,
-                    plan.layer_costs,
-                )
-                digest.update(repr(fields).encode())
-        assert digest.hexdigest() == (
-            "c9a3a07354d77909cacdf306ed3309cc70f73e5de11f316ad566e6038ddc632a"
-        )
-
-    def test_schedule_matches_reference_on_random_assignments(self, smallconv):
-        rng = np.random.default_rng(5)
-        space = SpaceConfig(backbone=smallconv)
-        for _ in range(50):
-            graph = expand_layers(decode(sample_architecture(space, rng), space))
-            for spec in self.SPECS:
-                assignment = [
-                    int(rng.choice(spec.compatible_cores(n.kind))) for n in graph.nodes
-                ]
-                assert schedule(graph, spec, assignment) == reference_schedule(
-                    graph, spec, assignment
-                )

@@ -1,6 +1,8 @@
+import dataclasses
 import importlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from eenas.predict import LabeledRecord
 from eenas.search import (
     CostCache,
     EvaluationFailure,
+    HistoryError,
     NasConfig,
     OracleEvaluator,
     SearchError,
@@ -611,6 +614,71 @@ class TestRunSearch:
             assert event["hash"] in state.rejected
             assert event["hash"] not in state.members
 
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda r: dataclasses.replace(
+                r, accuracy_per_exit=(math.nan, *r.accuracy_per_exit[1:])
+            ),
+            lambda r: dataclasses.replace(
+                r, accuracy_per_exit=(*r.accuracy_per_exit[:-1], math.inf)
+            ),
+            lambda r: dataclasses.replace(
+                r, exit_ratios=tuple(x / 2 for x in r.exit_ratios)
+            ),
+        ],
+        ids=["nan-accuracy", "infinite-accuracy", "ratios-sum-to-half"],
+    )
+    def test_invalid_report_fails_only_that_architecture(
+        self, small_space, accel, tmp_path, fault
+    ):
+        """A library evaluator's report that breaks the report invariants is
+        ``eval-failed``: it reaches neither the archive nor the history."""
+        oracle = OracleEvaluator(seed=0)
+        faulted = []
+
+        def faulty(chrom, arch):
+            report = oracle(chrom, arch)
+            if faulted:
+                return report
+            faulted.append(chromosome_hash(chrom))
+            return fault(report)
+
+        config = NasConfig(iterations=2, n_select=6, init_population=15, seed=11)
+        path = tmp_path / "faulty.jsonl"
+        state = run_search(
+            small_space, accel, faulty, config, history_path=str(path)
+        )
+        events = read_history(str(path))
+        failed = [e["hash"] for e in events if e["event"] == "eval-failed"]
+        assert failed == faulted
+        assert faulted[0] not in state.labeled
+        assert not any(
+            e["event"] == "evaluated" and e["hash"] == faulted[0] for e in events
+        )
+        text = path.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        assert audit_history(events).ok
+
+    def test_audit_refuses_another_allocation_rule(
+        self, small_space, accel, tmp_path
+    ):
+        """Costs are recomputed with greedy allocation, so a history whose
+        header names another rule is refused rather than audited."""
+        _, path = self.run(small_space, accel, tmp_path, name="rule.jsonl")
+        events = read_history(str(path))
+        assert events[0]["cost_mode"] == "greedy"
+        events[0]["cost_mode"] = "genetic"
+        with pytest.raises(HistoryError, match="'genetic' allocation"):
+            audit_history(events)
+
+    def test_history_lines_refuse_non_finite_numbers(self):
+        from eenas.search import _event_line
+
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                _event_line({"event": "evaluated", "acc_avg": value})
+
     def test_audit_passes_on_clean_run(self, small_space, accel, tmp_path):
         _, path = self.run(small_space, accel, tmp_path, name="audit.jsonl")
         result = audit_history(str(path))
@@ -656,22 +724,30 @@ class TestRunSearch:
 
 
 class TestExternalEvaluator:
-    def test_search_consumes_prebuilt_report_files(self, smallconv, accel, tmp_path):
+    @staticmethod
+    def space_and_reports(smallconv, reports):
+        """A one-head, one-bit-width smallconv space, and an oracle report
+        file in ``reports`` for every architecture of it."""
         from eenas.arch import ExitHeadSpec, SpaceConfig
         from eenas.evaluate import synthetic_oracle
-        from eenas.search import ExternalEvaluator
 
         space = SpaceConfig(
             backbone=smallconv,
             head_options=(ExitHeadSpec(depth=1),),
             exit_bit_options=(8,),
         )
-        reports = tmp_path / "reports"
         reports.mkdir()
         for chrom in enumerate_space(space):
             key = chromosome_hash(chrom)
             report = synthetic_oracle(decode(chrom, space), seed=0)
             save_external_report(report, key, str(reports / f"{key}.json"))
+        return space
+
+    def test_search_consumes_prebuilt_report_files(self, smallconv, accel, tmp_path):
+        from eenas.search import ExternalEvaluator
+
+        reports = tmp_path / "reports"
+        space = self.space_and_reports(smallconv, reports)
         config = NasConfig(iterations=2, n_select=4, init_population=8, seed=2)
         external = run_search(
             space,
@@ -696,25 +772,12 @@ class TestExternalEvaluator:
     def test_missing_report_fails_only_that_architecture(
         self, smallconv, accel, tmp_path
     ):
-        from eenas.arch import ExitHeadSpec, SpaceConfig
-        from eenas.evaluate import synthetic_oracle
         from eenas.search import ExternalEvaluator
 
-        space = SpaceConfig(
-            backbone=smallconv,
-            head_options=(ExitHeadSpec(depth=1),),
-            exit_bit_options=(8,),
-        )
         reports = tmp_path / "sparse"
-        reports.mkdir()
-        skipped = None
-        for i, chrom in enumerate(enumerate_space(space)):
-            key = chromosome_hash(chrom)
-            if i == 5:
-                skipped = key
-                continue
-            report = synthetic_oracle(decode(chrom, space), seed=0)
-            save_external_report(report, key, str(reports / f"{key}.json"))
+        space = self.space_and_reports(smallconv, reports)
+        skipped = chromosome_hash(list(enumerate_space(space))[5])
+        os.remove(reports / f"{skipped}.json")
         config = NasConfig(iterations=1, n_select=4, init_population=8, seed=2)
         path = tmp_path / "sparse.jsonl"
         state = run_search(
@@ -730,3 +793,52 @@ class TestExternalEvaluator:
         if skipped in state.rejected:
             assert skipped in failed
         assert len(state.labeled) >= 2
+
+    def test_directory_as_report_fails_only_that_architecture(
+        self, smallconv, accel, tmp_path
+    ):
+        """A directory where a report file belongs fails its architecture
+        instead of stopping the search."""
+        from eenas.search import ExternalEvaluator
+
+        reports = tmp_path / "reports"
+        space = self.space_and_reports(smallconv, reports)
+        config = NasConfig(iterations=1, n_select=4, init_population=8, seed=2)
+
+        def search(name):
+            path = tmp_path / name
+            state = run_search(
+                space, accel, ExternalEvaluator(str(reports)), config,
+                history_path=str(path), evaluator_kind="external",
+            )
+            return state, read_history(str(path))
+
+        # The initial sample does not depend on the evaluator, and all of
+        # it is evaluated.
+        _, events = search("intact.jsonl")
+        victim = next(e["hash"] for e in events if e["event"] == "sampled")
+        os.remove(reports / f"{victim}.json")
+        os.mkdir(reports / f"{victim}.json")
+        state, events = search("broken.jsonl")
+        failed = [e for e in events if e["event"] == "eval-failed"]
+        assert [e["hash"] for e in failed] == [victim]
+        assert failed[0]["error"].startswith("no external report at ")
+        assert state.rejected[victim] == "evaluation-failed"
+        assert len(state.labeled) >= 2
+
+    def test_read_error_is_an_evaluation_failure(
+        self, smallconv, tmp_path, monkeypatch
+    ):
+        from eenas import search
+        from eenas.search import ExternalEvaluator
+
+        reports = tmp_path / "reports"
+        space = self.space_and_reports(smallconv, reports)
+        chrom = next(iter(enumerate_space(space)))
+
+        def unreadable(path, expected_hash=None):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(search, "load_external_report", unreadable)
+        with pytest.raises(EvaluationFailure, match="Permission denied$"):
+            ExternalEvaluator(str(reports))(chrom, decode(chrom, space))
