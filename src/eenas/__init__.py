@@ -23,7 +23,6 @@ from .evaluate import (
     EvaluationReport,
     OracleConfig,
     TrainingConfig,
-    acc_avg,
     load_external_report,
     make_toy_dataset,
     synthetic_oracle,

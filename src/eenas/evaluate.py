@@ -16,13 +16,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .arch import UNQUANTIZED_BITS, EennArchitecture
-from .files import (check_exit_ratios, check_fields, is_int, is_int_list, is_object,
-                    is_real, is_real_list, load_json, require)
+from .files import (check_exit_ratios, check_fields, is_int, is_object, is_real,
+                    is_real_list, load_json, require)
 from .quant import (
     FakeQuantizer,
     QuantParams,
@@ -53,7 +52,9 @@ class TrainingDiverged(RuntimeError):
 @dataclass(frozen=True)
 class EvaluationReport:
     """Per-exit accuracy (percent, None where no sample exited), exit
-    ratios summing to one, raw sample counts, and the threshold used."""
+    ratios summing to one, raw sample counts, and the threshold used. A
+    report checks its fields' types and invariants where it is built, so
+    an invalid one never exists."""
 
     accuracy_per_exit: tuple[float | None, ...]
     exit_ratios: tuple[float, ...]
@@ -66,9 +67,18 @@ class EvaluationReport:
 
     @property
     def acc_avg(self) -> float:
-        return _weighted_accuracy(self.accuracy_per_exit, self.exit_ratios)
+        """Exit-ratio-weighted mean accuracy; exits with zero ratio are
+        skipped, so their undefined accuracy never contributes."""
+        return math.fsum(
+            r * a for r, a in zip(self.exit_ratios, self.accuracy_per_exit) if r > 0
+        )
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        accuracies = self.accuracy_per_exit
+        if not (isinstance(accuracies, (list, tuple))
+                and is_real_list([a for a in accuracies if a is not None])):
+            raise ReportError("accuracy_per_exit must be a list of numbers or nulls")
+        check_fields(self, ReportError)
         if self.m < 1:
             raise ReportError("report needs at least one exit")
         if not (
@@ -106,25 +116,6 @@ def first_exit_decisions(conf_matrix: np.ndarray, threshold: float) -> np.ndarra
     return np.argmax(hits, axis=1) + 1
 
 
-def acc_avg(
-    accuracies: Sequence[float | None], ratios: Sequence[float]
-) -> float:
-    """Exit-ratio-weighted mean accuracy; exits with zero ratio are skipped
-    so their undefined accuracy never contributes."""
-    if len(accuracies) != len(ratios):
-        raise ReportError("need one accuracy per exit ratio")
-    check_exit_ratios(ratios, ReportError)
-    if any(a is None for a, r in zip(accuracies, ratios) if r > 0):
-        raise ReportError("exit with nonzero ratio lacks an accuracy")
-    return _weighted_accuracy(accuracies, ratios)
-
-
-def _weighted_accuracy(
-    accuracies: Sequence[float | None], ratios: Sequence[float]
-) -> float:
-    return math.fsum(r * a for r, a in zip(ratios, accuracies) if r > 0)
-
-
 def report_from_outcomes(
     decisions: np.ndarray,
     correct: np.ndarray,
@@ -142,14 +133,12 @@ def report_from_outcomes(
         counts.append(n)
         accs.append(100.0 * float(correct[mask].mean()) if n else None)
     ratios = tuple(c / decisions.size for c in counts)
-    report = EvaluationReport(
+    return EvaluationReport(
         accuracy_per_exit=tuple(accs),
         exit_ratios=ratios,
         sample_counts=tuple(counts),
         threshold=threshold,
     )
-    report.validate()
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -813,14 +802,12 @@ def synthetic_oracle(
             else None
         )
         lo = hi
-    report = EvaluationReport(
+    return EvaluationReport(
         accuracy_per_exit=tuple(accs),
         exit_ratios=tuple(c / config.grid for c in counts),
         sample_counts=tuple(counts),
         threshold=config.threshold,
     )
-    report.validate()
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -849,16 +836,11 @@ def load_external_report(
         )
     if not isinstance(data["architecture"], str):
         raise ReportError("architecture hash must be a string")
-    accuracies = data["accuracy_per_exit"]
-    if not (isinstance(accuracies, list)
-            and is_real_list([a for a in accuracies if a is not None])):
-        raise ReportError("accuracy_per_exit must be a list of numbers or nulls")
-    require(ReportError, is_real, threshold=data["threshold"])
-    require(ReportError, is_real_list, exit_ratios=data["exit_ratios"])
-    require(ReportError, is_int_list, sample_counts=data["sample_counts"])
-    report = EvaluationReport(tuple(accuracies), tuple(data["exit_ratios"]),
-                              tuple(data["sample_counts"]), data["threshold"])
-    report.validate()
+    per_exit = [data[k] for k in ("accuracy_per_exit", "exit_ratios", "sample_counts")]
+    report = EvaluationReport(
+        *(tuple(v) if isinstance(v, list) else v for v in per_exit),
+        data["threshold"],
+    )
     if expected_hash is not None and data["architecture"] != expected_hash:
         raise ReportError(
             f"report bound to architecture {data['architecture']}, "

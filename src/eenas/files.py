@@ -103,10 +103,12 @@ def require(error: type[Exception], predicate, **values) -> None:
 
 def check_fields(obj, error: type[Exception], skip=()) -> None:
     """:func:`require` each field of the dataclass ``obj`` annotated ``int``,
-    ``float`` or as a tuple of ints to hold a value of that type. The module
-    of ``obj`` must postpone annotations, so that each is its source text."""
+    ``float`` or as a tuple of ints or floats to hold a value of that type.
+    The module of ``obj`` must postpone annotations, so that each is its
+    source text."""
     checks = {"int": is_int, "float": is_real, "tuple[int, ...]": is_int_list,
-              "tuple[int, int, int]": is_int_list}
+              "tuple[int, int, int]": is_int_list,
+              "tuple[float, ...]": is_real_list}
     for f in dataclasses.fields(obj):
         if f.type in checks and f.name not in skip:
             require(error, checks[f.type], **{f.name: getattr(obj, f.name)})

@@ -1,9 +1,10 @@
 """Analytical cost engine for a heterogeneous multi-core edge accelerator.
 
 The modeled device has identical systolic compute cores (a rows x cols MAC
-array mapping output x input channels), an optional pooling core, an optional
-SIMD core for elementwise work, a per-core SRAM scratchpad, one off-chip link
-shared at a fixed bits/cycle rate, and a hop-counted NoC.
+array mapping output x input channels), one pooling core, one SIMD core for
+elementwise work and softmax, a per-core SRAM scratchpad, one off-chip link
+shared at a fixed bits/cycle rate, and a hop-counted NoC. Every exit head
+pools and ends in a softmax, so both of the last two are always present.
 
 Per layer: array utilization follows from how the channel dimensions tile
 the array; compute cycles are MACs over the effective throughput; off-chip
@@ -21,6 +22,7 @@ Energy-latency products over a set of layers always take the form
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -56,17 +58,15 @@ MAX_COMPUTE_CORES = 256
 @dataclass(frozen=True)
 class AcceleratorSpec:
     """Accelerator description. Defaults model a quad-core edge tensor
-    accelerator: 4 x 512 MACs/cycle (16x32 arrays), pooling and SIMD cores,
-    2 MiB SRAM per core, a 64 bits/cycle off-chip link. Energy constants are
-    literature-scaled placeholders, fully configurable. At most
-    ``MAX_COMPUTE_CORES`` compute cores."""
+    accelerator: 4 x 512 MACs/cycle (16x32 arrays), 2 MiB SRAM per core, a
+    64 bits/cycle off-chip link. Energy constants are literature-scaled
+    placeholders, fully configurable. At most ``MAX_COMPUTE_CORES`` compute
+    cores; the pooling core has id ``compute_cores`` and the SIMD core the
+    next one."""
 
     compute_cores: int = 4
-    macs_per_cycle: int = 512
     array_rows: int = 16
     array_cols: int = 32
-    pool_core: bool = True
-    simd_core: bool = True
     sram_bytes_per_core: int = 2 * 1024 * 1024
     offchip_bits_per_cycle: int = 64
     noc_bits_per_cycle: int = 64
@@ -78,8 +78,8 @@ class AcceleratorSpec:
 
     def __post_init__(self):
         check_fields(self, CostModelError)
-        counts = (self.compute_cores, self.macs_per_cycle, self.array_rows,
-                  self.array_cols, self.sram_bytes_per_core,
+        counts = (self.compute_cores, self.array_rows, self.array_cols,
+                  self.sram_bytes_per_core,
                   self.offchip_bits_per_cycle, self.noc_bits_per_cycle)
         if any(v < 1 for v in counts):
             raise CostModelError("counts and bandwidths must be positive")
@@ -87,14 +87,10 @@ class AcceleratorSpec:
             raise CostModelError(
                 f"compute_cores must be at most {MAX_COMPUTE_CORES}"
             )
-        if not all(isinstance(v, bool) for v in (self.pool_core, self.simd_core)):
-            raise CostModelError("pool_core and simd_core must be true or false")
         energies = (self.e_mac8_pj, self.e_sram_pj_bit, self.e_dram_pj_bit,
                     self.e_noc_pj_bit_hop)
         if any(v <= 0 for v in energies):
             raise CostModelError("energy constants must be positive")
-        if self.array_rows * self.array_cols != self.macs_per_cycle:
-            raise CostModelError("array rows*cols must equal MACs per cycle")
         if self.hop_table is not None:
             n = self.n_cores
             if len(self.hop_table) != n or any(len(r) != n for r in self.hop_table):
@@ -108,23 +104,16 @@ class AcceleratorSpec:
                     raise CostModelError("off-diagonal hop counts must be >= 1")
 
     @property
+    def macs_per_cycle(self) -> int:
+        return self.array_rows * self.array_cols
+
+    @property
     def n_cores(self) -> int:
-        return self.compute_cores + int(self.pool_core) + int(self.simd_core)
+        return self.compute_cores + 2
 
     @property
     def sram_bits(self) -> int:
         return self.sram_bytes_per_core * 8
-
-    def core_kind(self, core: int) -> str:
-        if 0 <= core < self.compute_cores:
-            return "compute"
-        pool_id = self.compute_cores
-        if self.pool_core and core == pool_id:
-            return "pool"
-        simd_id = self.compute_cores + int(self.pool_core)
-        if self.simd_core and core == simd_id:
-            return "simd"
-        raise CostModelError(f"no core with id {core}")
 
     def hops(self, src: int, dst: int) -> int:
         if src == dst:
@@ -137,36 +126,51 @@ class AcceleratorSpec:
         if layer_kind in MATRIX_KINDS:
             return tuple(range(self.compute_cores))
         if layer_kind == "pool":
-            if not self.pool_core:
-                raise CostModelError("no pooling core for a pool layer")
             return (self.compute_cores,)
         if layer_kind in ("elementwise-add", "softmax"):
-            if not self.simd_core:
-                raise CostModelError(f"no SIMD core for a {layer_kind} layer")
-            return (self.compute_cores + int(self.pool_core),)
+            return (self.compute_cores + 1,)
         raise CostModelError(f"unknown layer kind {layer_kind!r}")
 
     def e_mac_pj(self, bits: int) -> float:
         return self.e_mac8_pj * (bits / 8.0) ** 2
 
     def to_json(self) -> dict:
+        """The fields, and the retired keys ``pool_core``, ``simd_core`` and
+        ``macs_per_cycle`` at their one value: the history header records
+        them, and resume compares headers byte for byte."""
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         del data["hop_table"]
+        data |= {"pool_core": True, "simd_core": True,
+                 "macs_per_cycle": self.macs_per_cycle}
         if self.hop_table is not None:
             data["hop_table"] = [list(r) for r in self.hop_table]
         return data
 
     @classmethod
     def from_json(cls, data: dict) -> "AcceleratorSpec":
+        """The spec ``data`` describes. A retired key may be given only at
+        the value :meth:`to_json` writes for it, with that value's JSON type."""
         if not is_object(data):
             raise CostModelError("accelerator must be a JSON object")
         kwargs = dict(data)
+        retired = {
+            k: kwargs.pop(k)
+            for k in ("pool_core", "simd_core", "macs_per_cycle")
+            if k in kwargs
+        }
         try:
             if kwargs.get("hop_table") is not None:
                 kwargs["hop_table"] = tuple(map(tuple, kwargs["hop_table"]))
-            return cls(**kwargs)
+            spec = cls(**kwargs)
         except TypeError as exc:
             raise CostModelError(f"bad accelerator field: {exc}") from exc
+        fixed = spec.to_json()
+        for key, value in retired.items():
+            if type(value) is not type(fixed[key]) or value != fixed[key]:
+                raise CostModelError(
+                    f"accelerator field {key} must be {json.dumps(fixed[key])}"
+                )
+        return spec
 
     @classmethod
     def load(cls, path: str) -> "AcceleratorSpec":
@@ -198,28 +202,6 @@ class LayerCost:
     spilled: bool = False
 
 
-def array_utilization(layer: LayerNode, spec: AcceleratorSpec) -> float:
-    """Fraction of the MAC array doing useful work. Output channels map to
-    rows, input channels to columns; depthwise layers feed a single input
-    channel per output, leaving the columns idle. Non-matrix layers use
-    their core fully."""
-    if layer.kind not in MATRIX_KINDS:
-        return 1.0
-    cin, cout = _matrix_dims(layer)
-    r = _ceil_div(cout, spec.array_rows)
-    c = _ceil_div(cin, spec.array_cols)
-    return (cout / (spec.array_rows * r)) * (cin / (spec.array_cols * c))
-
-
-def _matrix_dims(layer: LayerNode) -> tuple[int, int]:
-    """(input, output) channels; a linear layer's shapes are its widths."""
-    if layer.kind not in MATRIX_KINDS:
-        raise CostModelError(f"{layer.kind} has no matrix mapping")
-    if layer.kind == "depthwise-conv":
-        return 1, layer.output_shape[-1]
-    return layer.input_shape[-1], layer.output_shape[-1]
-
-
 def layer_cost(
     layer: LayerNode,
     core: int,
@@ -233,22 +215,27 @@ def layer_cost(
     SRAM; off-chip inputs stream over the shared link. If the working set
     exceeds the scratchpad, activations fall back to full off-chip
     streaming (flagged, never an error).
-    """
-    kind = spec.core_kind(core)
-    needed = spec.compatible_cores(layer.kind)
-    if core not in needed:
-        raise CostModelError(
-            f"layer kind {layer.kind!r} cannot run on a {kind} core"
-        )
 
-    if layer.macs:
-        cin, cout = _matrix_dims(layer)
+    Utilization is the fraction of the MAC array doing useful work. Output
+    channels map to rows and input channels to columns (a linear layer's
+    shapes are its widths); a depthwise layer feeds one input channel per
+    output, leaving the columns idle. Other layers use their core fully.
+    """
+    if core not in spec.compatible_cores(layer.kind):
+        raise CostModelError(f"layer kind {layer.kind!r} cannot run on core {core}")
+
+    if layer.kind in MATRIX_KINDS:
+        cout = layer.output_shape[-1]
+        cin = 1 if layer.kind == "depthwise-conv" else layer.input_shape[-1]
         r = _ceil_div(cout, spec.array_rows)
         c = _ceil_div(cin, spec.array_cols)
+        utilization = (cout / (spec.array_rows * r)) * (cin / (spec.array_cols * c))
         # ceil(MACs / (macs_per_cycle * utilization)), kept in integers.
         compute_cycles = _ceil_div(layer.macs * r * c, cout * cin)
+    elif layer.macs:
+        raise CostModelError(f"{layer.kind} has no matrix mapping")
     else:
-        compute_cycles = 0
+        utilization, compute_cycles = 1.0, 0
 
     weight_bits = layer.params * layer.bits
     dram_bits = weight_bits
@@ -293,7 +280,7 @@ def layer_cost(
         compute_cycles=compute_cycles,
         stall_cycles=stall_cycles,
         transfer_cycles=transfer_cycles,
-        utilization=array_utilization(layer, spec),
+        utilization=utilization,
         spilled=spilled,
     )
 

@@ -436,6 +436,8 @@ def replay_history(events: Sequence[dict], complete: bool = False) -> HistoryRep
                 history.genes[ev["hash"]] = tuple(ev["genes"])
             elif kind == "evaluated":
                 _require(ev, _EVALUATED_FIELDS)
+                if not (is_real(ev["acc_avg"]) and is_real(ev["et_avg"])):
+                    raise HistoryError(f"evaluation of {ev['hash']} is not finite")
                 history.evaluated.append(ev)
                 history.by_hash[ev["hash"]] = ev
             elif kind == "filtered-mu":
@@ -690,7 +692,6 @@ def _evaluate_new(
                 raise EvaluationFailure(
                     f"report has {report.m} exits, architecture has {arch.m}"
                 )
-            report.validate()
         except (EvaluationFailure, ReportError) as exc:
             log({"event": "eval-failed", "k": k, "hash": key, "error": str(exc)})
             state.rejected[key] = "evaluation-failed"

@@ -33,7 +33,6 @@ def write_accelerator(spec, path) -> None:
 def save_external_report(report, architecture_hash: str, path) -> None:
     """Write the one-file-per-architecture report, bound to a chromosome
     hash, that ``load_external_report`` reads back."""
-    report.validate()
     payload = {
         "architecture": architecture_hash,
         "threshold": report.threshold,

@@ -20,9 +20,9 @@ from eenas.arch import (
 )
 from eenas.evaluate import (
     DenseEenn,
+    EvaluationReport,
     OracleConfig,
     TrainingConfig,
-    acc_avg,
     make_toy_dataset,
     synthetic_oracle,
     train_toy,
@@ -84,10 +84,16 @@ def reference_run(small_space, accel, tmp_path_factory):
     return state, str(path)
 
 
+def published_row(accuracies, counts):
+    """``acc_avg`` of a report of 10,000 samples with these exit counts."""
+    ratios = tuple(c / 10_000 for c in counts)
+    return EvaluationReport(accuracies, ratios, counts, 0.9).acc_avg
+
+
 def test_c01_exit_weighted_accuracy_rows():
     t0 = time.perf_counter()
-    int8 = acc_avg((99.10, 96.86, 95.70, 66.36), (0.2549, 0.1531, 0.3114, 0.2806))
-    fp32 = acc_avg((98.48, 94.73, 93.80, 63.68), (0.3421, 0.1422, 0.2822, 0.2335))
+    int8 = published_row((99.10, 96.86, 95.70, 66.36), (2549, 1531, 3114, 2806))
+    fp32 = published_row((98.48, 94.73, 93.80, 63.68), (3421, 1422, 2822, 2335))
     assert int8 == pytest.approx(88.51, abs=0.01)
     assert fp32 == pytest.approx(88.50, abs=0.01)
     elapsed = time.perf_counter() - t0

@@ -243,15 +243,19 @@ class TestCostCommand:
 
 
 class TestBadAcceleratorFile:
-    """An accelerator file with a non-finite energy or a count that is not
-    an integer exits 2 before any output, from `eenas cost` and from
-    `eenas search`."""
+    """An accelerator file with a non-finite energy, a count that is not
+    an integer, or a retired key at another value than its one exits 2
+    before any output, from `eenas cost` and from `eenas search`."""
 
     FILES = {
         "overflowing-energy": '{"e_dram_pj_bit": 1e400}',
         "fractional-count": '{"compute_cores": 2.5}',
         "boolean-count": '{"compute_cores": true}',
         "too-many-cores": '{"compute_cores": 257}',
+        "no-pool-core": '{"pool_core": false}',
+        "no-simd-core": '{"simd_core": false}',
+        "integer-pool-core": '{"pool_core": 1}',
+        "macs-not-rows-times-cols": '{"array_rows": 8, "macs_per_cycle": 512}',
     }
 
     def test_core_cap_checked_before_costing(
@@ -892,6 +896,62 @@ class TestResumeFromAnyCut:
             for name in OUTPUT_FILES:
                 assert (resumed / name).read_bytes() == expected[name], (cut, name)
         capsys.readouterr()
+
+
+def with_evaluation(history, dst, field, value):
+    """Copy ``history`` to ``dst`` with ``field`` of the evaluation of the
+    first hash labeled at its last summary set to ``value``; returns that
+    hash."""
+    lines = history.read_text().splitlines(keepends=True)
+    events = [json.loads(line) for line in lines]
+    key = [ev for ev in events if ev["event"] == "iteration-summary"][-1]["p"][0]
+    for i, ev in enumerate(events):
+        if ev["event"] == "evaluated" and ev["hash"] == key:
+            edited = dict(ev, **{field: value})
+            lines[i] = json.dumps(edited, sort_keys=True, separators=(",", ":")) + "\n"
+    dst.write_text("".join(lines))
+    return key
+
+
+@pytest.mark.parametrize(
+    "field, value", [("acc_avg", float("nan")), ("et_avg", float("inf"))]
+)
+class TestNonFiniteHistory:
+    """A history whose evaluation holds a non-finite objective, written by
+    older code or by hand, is refused by every reader of the replay."""
+
+    @pytest.fixture
+    def edited(self, tmp_path, search_config, field, value, capsys):
+        out = tmp_path / "run"
+        main(["search", "--config", search_config, "--out", str(out)])
+        capsys.readouterr()
+        history = tmp_path / "edited.jsonl"
+        key = with_evaluation(out / "history.jsonl", history, field, value)
+        return history, f"evaluation of {key} is not finite"
+
+    def test_resume(self, tmp_path, search_config, edited, capsys):
+        history, message = edited
+        resumed = tmp_path / "resumed"
+        resumed.mkdir()
+        (resumed / "history.jsonl").write_bytes(history.read_bytes())
+        code = main(
+            ["search", "--config", search_config, "--out", str(resumed), "--resume"]
+        )
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert (resumed / "history.jsonl").read_bytes() == history.read_bytes()
+
+    def test_report(self, edited, capsys):
+        history, message = edited
+        assert main(["report", "--history", str(history)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_audit(self, edited):
+        from eenas.search import HistoryError, audit_history
+
+        history, message = edited
+        with pytest.raises(HistoryError, match=message):
+            audit_history(str(history))
 
 
 class TestReportCommand:

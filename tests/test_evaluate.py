@@ -23,7 +23,6 @@ from eenas.evaluate import (
     ReportError,
     TrainingConfig,
     TrainingDiverged,
-    acc_avg,
     first_exit_decisions,
     load_external_report,
     make_toy_dataset,
@@ -137,32 +136,38 @@ class TestExitRatios:
             exit_ratios([4], 3)
 
 
+def report_of(accuracies, counts, threshold=0.9):
+    """The report whose exit ratios are ``counts`` over their total."""
+    total = sum(counts)
+    return EvaluationReport(
+        tuple(accuracies), tuple(c / total for c in counts), tuple(counts), threshold
+    )
+
+
 class TestAccAvg:
     def test_published_int8_row(self):
-        value = acc_avg(
-            (99.10, 96.86, 95.70, 66.36), (0.2549, 0.1531, 0.3114, 0.2806)
-        )
-        assert value == pytest.approx(88.51, abs=0.01)
+        report = report_of((99.10, 96.86, 95.70, 66.36), (2549, 1531, 3114, 2806))
+        assert report.exit_ratios == (0.2549, 0.1531, 0.3114, 0.2806)
+        assert report.acc_avg == pytest.approx(88.51, abs=0.01)
 
     def test_published_fp32_row(self):
-        value = acc_avg(
-            (98.48, 94.73, 93.80, 63.68), (0.3421, 0.1422, 0.2822, 0.2335)
-        )
-        assert value == pytest.approx(88.50, abs=0.01)
+        report = report_of((98.48, 94.73, 93.80, 63.68), (3421, 1422, 2822, 2335))
+        assert report.exit_ratios == (0.3421, 0.1422, 0.2822, 0.2335)
+        assert report.acc_avg == pytest.approx(88.50, abs=0.01)
 
     def test_one_hot_returns_single_accuracy(self):
-        assert acc_avg((91.0, 72.0, 55.0), (0.0, 1.0, 0.0)) == 72.0
+        assert report_of((None, 72.0, None), (0, 10, 0)).acc_avg == 72.0
 
     def test_zero_ratio_exits_may_be_undefined(self):
-        assert acc_avg((None, 80.0), (0.0, 1.0)) == 80.0
+        assert report_of((None, 80.0), (0, 10)).acc_avg == 80.0
 
     def test_errors(self):
         with pytest.raises(ReportError):
-            acc_avg((90.0,), (0.5, 0.5))
+            EvaluationReport((90.0,), (0.5, 0.5), (5, 5), 0.9)
         with pytest.raises(ReportError):
-            acc_avg((90.0, 80.0), (0.5, 0.4))
+            EvaluationReport((90.0, 80.0), (0.5, 0.4), (5, 5), 0.9)
         with pytest.raises(ReportError):
-            acc_avg((None, 80.0), (0.5, 0.5))
+            EvaluationReport((None, 80.0), (0.5, 0.5), (5, 5), 0.9)
 
 
 class TestGradients:
@@ -246,7 +251,6 @@ class TestToyTrainer:
         X, y = make_toy_dataset(seed=3)
         config = TrainingConfig(epochs=15, learning_rate=0.05, seed=1)
         report = train_toy(arch, (X, y), config)
-        report.validate()
         assert math.fsum(report.exit_ratios) == pytest.approx(1.0, abs=1e-9)
         manual = math.fsum(
             r * a
@@ -302,7 +306,6 @@ class TestSyntheticOracle:
         for _ in range(20):
             arch = decode(sample_architecture(small_space, rng), small_space)
             report = synthetic_oracle(arch, seed=0)
-            report.validate()
             manual = math.fsum(
                 r * a
                 for r, a in zip(report.exit_ratios, report.accuracy_per_exit)
@@ -491,19 +494,44 @@ class TestReportProtocol:
                 exit_ratios=(1.0, 0.0),
                 sample_counts=(100, 0),
                 threshold=0.9,
-            ).validate()
+            )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("accuracy_per_exit", ("80", None), "a list of numbers or nulls"),
+            ("accuracy_per_exit", (True, None), "a list of numbers or nulls"),
+            ("accuracy_per_exit", 80.0, "a list of numbers or nulls"),
+            ("exit_ratios", (True, 0.0), "a list of finite numbers"),
+            ("exit_ratios", ("1", 0.0), "a list of finite numbers"),
+            ("sample_counts", (10.5, 0), "a list of integers"),
+            ("sample_counts", (np.int64(10), 0), "a list of integers"),
+            ("threshold", "0.9", "finite and numeric"),
+            ("threshold", math.nan, "finite and numeric"),
+        ],
+    )
+    def test_field_types_checked_where_built(self, field, value, message):
+        """Every way of building a report checks its field types, so a
+        wrong type is a :class:`ReportError`, never a ``TypeError`` from
+        a later comparison or a value written to the history as is."""
+        fields = {
+            "accuracy_per_exit": (80.0, None),
+            "exit_ratios": (1.0, 0.0),
+            "sample_counts": (10, 0),
+            "threshold": 0.9,
+        }
+        assert EvaluationReport(**fields).acc_avg == 80.0
+        with pytest.raises(ReportError, match=f"^{field} must be {message}$"):
+            EvaluationReport(**dict(fields, **{field: value}))
 
     def test_non_finite_ratios_rejected(self):
-        report = EvaluationReport(
-            accuracy_per_exit=(90.0, 80.0),
-            exit_ratios=(math.nan, math.nan),
-            sample_counts=(5, 5),
-            threshold=0.9,
-        )
         with pytest.raises(ReportError):
-            report.validate()
-        with pytest.raises(ReportError):
-            acc_avg(report.accuracy_per_exit, report.exit_ratios)
+            EvaluationReport(
+                accuracy_per_exit=(90.0, 80.0),
+                exit_ratios=(math.nan, math.nan),
+                sample_counts=(5, 5),
+                threshold=0.9,
+            )
 
     def test_report_from_outcomes_marks_empty_exits(self):
         decisions = np.array([1, 1, 3, 3])

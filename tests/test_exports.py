@@ -3,9 +3,10 @@ one outside its module.
 
 A name exported by ``eenas/__init__.py`` must be imported by another module
 of the package, called by its own module, or named in the README's Library
-section. A name that only tests use fails here: move it into the tests or
-delete it. A ``_``-prefixed name is its module's own: a module that needs
-another's must import a public name instead.
+section: imported by its code or put in backticks by its prose. A name that
+only tests use fails here: move it into the tests or delete it. A
+``_``-prefixed name is its module's own: a module that needs another's must
+import a public name instead.
 """
 
 import ast
@@ -44,6 +45,23 @@ def library_section() -> str:
     return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
 
 
+def library_names(section: str) -> set[str]:
+    """Names the Library section offers: those its ``python`` code blocks
+    import from ``eenas``, and every word inside a backtick span of its
+    prose. A name merely used in the code, such as an attribute, is not
+    offered."""
+    code = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
+    imported = {
+        alias.name
+        for block in code.findall(section)
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "eenas"
+        for alias in node.names
+    }
+    quoted = re.findall(r"`([^`\n]+)`", code.sub("", section))
+    return imported | {w for span in quoted for w in re.findall(r"\w+", span)}
+
+
 def unused_exports() -> list[str]:
     modules = sorted(
         name[:-3] for name in os.listdir(PACKAGE)
@@ -53,7 +71,7 @@ def unused_exports() -> list[str]:
     imported = {
         name for tree in trees.values() for _, name in relative_imports(tree)
     }
-    library = set(re.findall(r"\w+", library_section()))
+    library = library_names(library_section())
     return sorted(
         f"{module}.{name}"
         for module, name in relative_imports(parse("__init__"))
@@ -65,6 +83,17 @@ def unused_exports() -> list[str]:
 
 def test_every_export_has_a_user_outside_the_tests():
     assert unused_exports() == []
+
+
+def test_library_names_are_imports_and_quoted_words():
+    section = (
+        "```python\nfrom eenas import (\n    Alpha, beta,\n)\n"
+        "import numpy as np\nprint(record.gamma, delta(1))\n```\n\n"
+        "Pieces: `epsilon` / `zeta_eta` (see `theta.iota`), kappa.\n"
+    )
+    assert library_names(section) == {
+        "Alpha", "beta", "epsilon", "zeta_eta", "theta", "iota"
+    }
 
 
 def private_imports() -> list[str]:

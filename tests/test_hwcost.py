@@ -22,7 +22,6 @@ from eenas.hwcost import (
     TensorSource,
     _exit_sums,
     allocate,
-    array_utilization,
     cost_report,
     et_avg,
     exit_costs,
@@ -98,7 +97,8 @@ class TestLayerCost:
             params=9 * 32 + 32,
             bits=8,
         )
-        assert array_utilization(node, accel) == pytest.approx((32 / 32) * (1 / 32))
+        cost = layer_cost(node, 0, accel, [TensorSource(bits=128, core=0)])
+        assert cost.utilization == pytest.approx((32 / 32) * (1 / 32))
 
     def test_doubling_macs_doubles_compute_exactly(self, accel):
         small = conv_node(cin=32, cout=16, macs=512 * 10)
@@ -229,21 +229,6 @@ class TestAllocation:
         )
         assert plan.layer_costs[2].noc_energy_pj == bit_hops * accel.e_noc_pj_bit_hop
         assert plan.layer_costs[2].transfer_cycles > 0
-
-    def test_pool_layer_requires_pool_core(self):
-        spec = AcceleratorSpec(pool_core=False)
-        pool = LayerNode(
-            name="p",
-            kind="pool",
-            input_shape=(8, 8, 4),
-            output_shape=(4, 4, 4),
-            macs=0,
-            params=0,
-            bits=8,
-        )
-        graph = LayerGraph(nodes=(pool,), edges=())
-        with pytest.raises(CostModelError):
-            allocate(graph, spec)
 
 
 def exit_products(energies, cycles, ends, heads):
@@ -430,8 +415,9 @@ class TestAcceleratorSpec:
         assert AcceleratorSpec.load(str(path)) == accel
 
     def test_geometry_validation(self):
-        with pytest.raises(CostModelError):
-            AcceleratorSpec(array_rows=10, array_cols=10, macs_per_cycle=512)
+        geometry = {"array_rows": 10, "array_cols": 10, "macs_per_cycle": 512}
+        with pytest.raises(CostModelError, match="macs_per_cycle must be 100$"):
+            AcceleratorSpec.from_json(geometry)
         with pytest.raises(CostModelError):
             AcceleratorSpec(e_dram_pj_bit=0.0)
 
@@ -445,12 +431,25 @@ class TestAcceleratorSpec:
         assert spec.hops(0, 5) == 2
         assert spec.hops(3, 3) == 0
 
-    def test_core_kinds(self, accel):
-        assert accel.core_kind(0) == "compute"
-        assert accel.core_kind(4) == "pool"
-        assert accel.core_kind(5) == "simd"
+    def test_compatible_cores(self, accel):
+        """Compute cores come first, then the pooling and the SIMD core."""
+        assert accel.compatible_cores("conv") == (0, 1, 2, 3)
+        assert accel.compatible_cores("pool") == (4,)
+        assert accel.compatible_cores("softmax") == (5,)
+        assert accel.compatible_cores("elementwise-add") == (5,)
         with pytest.raises(CostModelError):
-            accel.core_kind(6)
+            accel.compatible_cores("gather")
+
+    def test_retired_keys_written_at_their_one_value(self):
+        spec = AcceleratorSpec(array_rows=8, array_cols=8)
+        data = spec.to_json()
+        assert (data["pool_core"], data["simd_core"], data["macs_per_cycle"]) == (
+            True, True, 64
+        )
+        assert AcceleratorSpec.from_json(data) == spec
+        assert AcceleratorSpec.from_json({"array_rows": 8, "array_cols": 8}) == spec
+        with pytest.raises(CostModelError, match="pool_core must be true$"):
+            AcceleratorSpec.from_json({"pool_core": False})
 
     @pytest.mark.parametrize(
         "field, value",
@@ -461,6 +460,12 @@ class TestAcceleratorSpec:
             ("e_dram_pj_bit", math.inf),
             ("e_mac8_pj", 10**400),
             ("hop_table", [[0, 1.5], [1, 0]]),
+            ("pool_core", False),
+            ("simd_core", False),
+            ("simd_core", "true"),
+            ("macs_per_cycle", 511),
+            ("macs_per_cycle", 512.0),
+            ("macs_per_cycle", True),
         ],
     )
     def test_field_types_checked(self, field, value):

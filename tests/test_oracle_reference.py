@@ -70,14 +70,12 @@ def reference_oracle(arch, config, seed):
             max(config.floor_accuracy + span * ease + supervision, 0.0), 100.0
         )
     accs = [(acc_sums[i] / counts[i]) if counts[i] else None for i in range(m)]
-    report = EvaluationReport(
+    return EvaluationReport(
         accuracy_per_exit=tuple(accs),
         exit_ratios=tuple(c / grid for c in counts),
         sample_counts=tuple(counts),
         threshold=config.threshold,
     )
-    report.validate()
-    return report
 
 
 SPACES = tuple(

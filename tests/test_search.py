@@ -314,6 +314,17 @@ class TestGaGeneration:
         assert all(g != genes for g in children.values())
 
 
+def all_at_first_exit(report, ratio=1.0, count=10):
+    """``report`` with every sample leaving at its first exit."""
+    rest = report.m - 1
+    return dataclasses.replace(
+        report,
+        accuracy_per_exit=(90.0, *(None,) * rest),
+        exit_ratios=(ratio, *(0.0,) * rest),
+        sample_counts=(count, *(0,) * rest),
+    )
+
+
 class TestRunSearch:
     def run(self, space, accel, tmp_path, seed=11, name="history.jsonl", **kw):
         config = NasConfig(
@@ -626,8 +637,14 @@ class TestRunSearch:
             lambda r: dataclasses.replace(
                 r, exit_ratios=tuple(x / 2 for x in r.exit_ratios)
             ),
+            lambda r: dataclasses.replace(
+                r, accuracy_per_exit=tuple("80" for _ in r.accuracy_per_exit)
+            ),
+            lambda r: all_at_first_exit(r, count=10.5),
+            lambda r: all_at_first_exit(r, ratio=True),
         ],
-        ids=["nan-accuracy", "infinite-accuracy", "ratios-sum-to-half"],
+        ids=["nan-accuracy", "infinite-accuracy", "ratios-sum-to-half",
+             "string-accuracy", "fractional-count", "boolean-ratio"],
     )
     def test_invalid_report_fails_only_that_architecture(
         self, small_space, accel, tmp_path, fault
