@@ -3,7 +3,6 @@
 from .arch import (
     BackboneSpec,
     BlockSpec,
-    Chromosome,
     EennArchitecture,
     ExitHeadSpec,
     ExitPlacement,

@@ -11,7 +11,6 @@ construction and all operations here are pure.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
@@ -349,14 +348,6 @@ class EennArchitecture:
         return len(self.exits)
 
 
-@dataclass(frozen=True)
-class Chromosome:
-    """Fixed-length categorical gene vector (canonical form zeroes the genes
-    of absent mounts)."""
-
-    genes: tuple[int, ...]
-
-
 @hash_once
 @dataclass(frozen=True)
 class SpaceConfig:
@@ -400,11 +391,6 @@ class SpaceConfig:
     @property
     def gene_length(self) -> int:
         return GENES_PER_MOUNT * self.n_optional + 2
-
-    def size(self) -> int:
-        return search_space_size(
-            self.n_optional, self.n_head_options, self.n_quant_options
-        )
 
     def to_json(self) -> dict:
         return {
@@ -453,16 +439,6 @@ def search_space_size(n_optional: int, n_heads: int, n_quants: int) -> int:
     return pq * (1 + pq) ** n_optional
 
 
-def search_space_size_binomial(n_optional: int, n_heads: int, n_quants: int) -> int:
-    """Binomial-sum form of the space size, used to cross-check the closed form."""
-    if n_optional < 0:
-        raise ValueError("optional mount count must be >= 0")
-    if n_heads < 1 or n_quants < 1:
-        raise ValueError("need at least one head and one quantization option")
-    pq = n_heads * n_quants
-    return sum(math.comb(n_optional, k) * pq ** (k + 1) for k in range(n_optional + 1))
-
-
 def _check_length(genes: tuple[int, ...], space: SpaceConfig) -> None:
     if len(genes) != space.gene_length:
         raise ChromosomeError(
@@ -470,13 +446,12 @@ def _check_length(genes: tuple[int, ...], space: SpaceConfig) -> None:
         )
 
 
-def decode(chrom: Chromosome, space: SpaceConfig) -> EennArchitecture:
+def decode(genes: tuple[int, ...], space: SpaceConfig) -> EennArchitecture:
     """Decode a gene vector into an architecture.
 
     Total on canonical-length vectors: genes of absent mounts are ignored.
     Option indices actually used must be in range.
     """
-    genes = chrom.genes
     _check_length(genes, space)
     exits = []
     bits = []
@@ -506,7 +481,7 @@ def decode(chrom: Chromosome, space: SpaceConfig) -> EennArchitecture:
     )
 
 
-def encode(arch: EennArchitecture, space: SpaceConfig) -> Chromosome:
+def encode(arch: EennArchitecture, space: SpaceConfig) -> tuple[int, ...]:
     """Encode an in-space architecture into its canonical gene vector."""
     by_mount = {e.mount: i for i, e in enumerate(arch.exits)}
     genes: list[int] = []
@@ -525,7 +500,7 @@ def encode(arch: EennArchitecture, space: SpaceConfig) -> Chromosome:
     final = arch.exits[-1]
     genes.append(_option_index(space.head_options, final.head, final.mount))
     genes.append(_option_index(space.exit_bit_options, arch.quant.exit_bits[-1], final.mount))
-    return Chromosome(tuple(genes))
+    return tuple(genes)
 
 
 def _option_index(options, value, label):
@@ -537,7 +512,7 @@ def _option_index(options, value, label):
         ) from None
 
 
-def canonicalize(genes: tuple[int, ...], space: SpaceConfig) -> Chromosome:
+def canonicalize(genes: tuple[int, ...], space: SpaceConfig) -> tuple[int, ...]:
     """Zero the option genes of absent mounts so equal architectures share
     one representation."""
     _check_length(genes, space)
@@ -548,16 +523,18 @@ def canonicalize(genes: tuple[int, ...], space: SpaceConfig) -> Chromosome:
             out[base] = 0
             out[base + 1] = 0
             out[base + 2] = 0
-    return Chromosome(tuple(out))
+    return tuple(out)
 
 
-def chromosome_hash(chrom: Chromosome) -> str:
-    """Stable 16-hex-digit identity of a canonical chromosome."""
-    payload = ",".join([str(g) for g in chrom.genes]).encode("ascii")
+def chromosome_hash(genes: tuple[int, ...]) -> str:
+    """Stable 16-hex-digit identity of a canonical gene vector."""
+    payload = ",".join([str(g) for g in genes]).encode("ascii")
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def sample_architecture(space: SpaceConfig, rng: np.random.Generator) -> Chromosome:
+def sample_architecture(
+    space: SpaceConfig, rng: np.random.Generator
+) -> tuple[int, ...]:
     """Uniform sample: each presence bit is a fair coin, option indices are
     uniform over their ranges. Canonical output, reproducible given the rng."""
     genes: list[int] = []
@@ -571,7 +548,7 @@ def sample_architecture(space: SpaceConfig, rng: np.random.Generator) -> Chromos
             genes.extend((0, 0, 0))
     genes.append(int(rng.integers(0, space.n_head_options)))
     genes.append(int(rng.integers(0, space.n_quant_options)))
-    return Chromosome(tuple(genes))
+    return tuple(genes)
 
 
 def static_counterpart(arch: EennArchitecture) -> EennArchitecture:

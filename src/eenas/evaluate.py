@@ -442,14 +442,6 @@ class DenseEenn:
             _activate(out, mask, consts, work)
         return logits, weight_mask, buffers, acts
 
-    def losses(self, X: np.ndarray, y: np.ndarray) -> list[float]:
-        """Per-exit mean cross-entropy."""
-        out = []
-        for logits in self.forward(X):
-            p = _softmax(logits)
-            out.append(float(-np.mean(np.log(p[np.arange(len(y)), y] + 1e-300))))
-        return out
-
     def loss_and_grads(self, X: np.ndarray, y: np.ndarray):
         """The training loss (the sum of the per-exit losses, every exit
         weighing 1), the per-exit losses, and analytic gradients of the

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .arch import Chromosome, SpaceConfig, chromosome_hash
+from .arch import SpaceConfig, chromosome_hash
 from .workload import backbone_mac_fractions
 
 
@@ -33,7 +33,7 @@ class LabeledRecord:
 
     @cached_property
     def key(self) -> str:
-        return chromosome_hash(Chromosome(self.genes))
+        return chromosome_hash(self.genes)
 
 
 class LabeledSet:
@@ -91,28 +91,26 @@ def _space_tables(space: SpaceConfig) -> _SpaceTables:
     )
 
 
-def featurize(chrom: Chromosome, space: SpaceConfig) -> np.ndarray:
+def featurize(genes: tuple[int, ...], space: SpaceConfig) -> np.ndarray:
     """Fixed-length feature vector: exit count, per-mount occupancy bits,
     per-mount cumulative MAC fraction (zero when vacant), per-exit head
     depth and bit width over all mount slots (final slot last), and the
     backbone bit width. Injective over a space because occupancy, head and
     quant genes each get their own coordinates."""
-    if len(chrom.genes) != space.gene_length:
-        raise ValueError(
-            f"expected {space.gene_length} genes, got {len(chrom.genes)}"
-        )
+    if len(genes) != space.gene_length:
+        raise ValueError(f"expected {space.gene_length} genes, got {len(genes)}")
     tables = _space_tables(space)
     occupancy = []
     frac = []
     depth = []
     bits = []
     for j, fraction in enumerate(tables.fractions):
-        present, head_idx, quant_idx = chrom.genes[3 * j : 3 * j + 3]
+        present, head_idx, quant_idx = genes[3 * j : 3 * j + 3]
         occupancy.append(float(present))
         frac.append(fraction if present else 0.0)
         depth.append(tables.depths[head_idx] if present else 0.0)
         bits.append(tables.bits[quant_idx] if present else 0.0)
-    fh, fq = chrom.genes[-2], chrom.genes[-1]
+    fh, fq = genes[-2], genes[-1]
     depth.append(tables.depths[fh])
     bits.append(tables.bits[fq])
     n_exits = sum(occupancy) + 1.0
@@ -125,7 +123,7 @@ def featurize(chrom: Chromosome, space: SpaceConfig) -> np.ndarray:
 def feature_row(genes: tuple[int, ...], space: SpaceConfig) -> np.ndarray:
     """``featurize`` of ``genes``, computed once per (genes, space) while
     cached. The row is shared, so it is read-only."""
-    row = featurize(Chromosome(genes), space)
+    row = featurize(genes, space)
     row.flags.writeable = False
     return row
 
@@ -199,10 +197,10 @@ def fit(
     )
 
 
-def predict(pred: Predictor, chrom: Chromosome, space: SpaceConfig) -> float:
+def predict(pred: Predictor, genes: tuple[int, ...], space: SpaceConfig) -> float:
     """Deterministic estimate; accuracy clamps to [0, 100], energy-delay
     maps back out of log space so it stays positive."""
-    feats = feature_row(tuple(chrom.genes), space)
+    feats = feature_row(tuple(genes), space)
     mean, std, coef = pred._arrays
     if len(feats) != len(mean):
         raise ValueError("feature length does not match the fitted predictor")

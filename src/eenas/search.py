@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .arch import (
-    Chromosome,
     SpaceConfig,
     canonicalize,
     chromosome_hash,
@@ -123,32 +122,35 @@ class CostCache:
     def __init__(self, space: SpaceConfig, accel: AcceleratorSpec):
         self.space = space
         self.accel = accel
-        self._costs: dict[str, tuple[tuple[float, ...], tuple[float, ...]]] = {}
+        self._costs: dict[
+            tuple[int, ...], tuple[tuple[float, ...], tuple[float, ...]]
+        ] = {}
         self._static: dict[tuple[int, int], float] = {}
 
     def _lookup(
-        self, chrom: Chromosome
+        self, genes: tuple[int, ...]
     ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """``(et_per_exit, overheads)`` of the chromosome's architecture."""
-        key = chromosome_hash(chrom)
-        if key not in self._costs:
-            self._costs[key] = exit_costs(
-                decode(chrom, self.space), self.accel, self.space.num_classes
+        """``(et_per_exit, overheads)`` of the architecture of ``genes``."""
+        if genes not in self._costs:
+            self._costs[genes] = exit_costs(
+                decode(genes, self.space), self.accel, self.space.num_classes
             )
-        return self._costs[key]
+        return self._costs[genes]
 
-    def max_overhead(self, chrom: Chromosome) -> float:
-        return max(self._lookup(chrom)[1], default=0.0)
+    def max_overhead(self, genes: tuple[int, ...]) -> float:
+        return max(self._lookup(genes)[1], default=0.0)
 
-    def et_average(self, chrom: Chromosome, exit_ratios: Sequence[float]) -> float:
-        return et_avg(self._lookup(chrom)[0], exit_ratios)
+    def et_average(
+        self, genes: tuple[int, ...], exit_ratios: Sequence[float]
+    ) -> float:
+        return et_avg(self._lookup(genes)[0], exit_ratios)
 
-    def static_et(self, chrom: Chromosome) -> float:
-        """Energy-delay of the backbone with only this chromosome's final
-        head, all samples exiting last."""
-        key = (chrom.genes[-2], chrom.genes[-1])
+    def static_et(self, genes: tuple[int, ...]) -> float:
+        """Energy-delay of the backbone with only the final head of
+        ``genes``, all samples exiting last."""
+        key = (genes[-2], genes[-1])
         if key not in self._static:
-            arch = static_counterpart(decode(chrom, self.space))
+            arch = static_counterpart(decode(genes, self.space))
             self._static[key] = exit_costs(
                 arch, self.accel, self.space.num_classes
             )[0][-1]
@@ -156,7 +158,8 @@ class CostCache:
 
 
 # ---------------------------------------------------------------------------
-# Evaluators
+# Evaluators: ``evaluator(key, arch) -> EvaluationReport``, where ``key`` is
+# the candidate's 16-hex chromosome hash and ``arch`` its decoded architecture
 # ---------------------------------------------------------------------------
 
 class OracleEvaluator:
@@ -168,7 +171,7 @@ class OracleEvaluator:
         self.config = config
         self.seed = seed
 
-    def __call__(self, chrom: Chromosome, arch) -> EvaluationReport:
+    def __call__(self, key: str, arch) -> EvaluationReport:
         return synthetic_oracle(arch, self.config, self.seed)
 
 
@@ -179,7 +182,7 @@ class ToyEvaluator:
         self.dataset = dataset
         self.config = config
 
-    def __call__(self, chrom: Chromosome, arch) -> EvaluationReport:
+    def __call__(self, key: str, arch) -> EvaluationReport:
         try:
             return train_toy(arch, self.dataset, self.config)
         except (TrainingDiverged, DatasetError) as exc:
@@ -194,16 +197,12 @@ class ExternalEvaluator:
     def __init__(self, reports_dir: str):
         self.reports_dir = reports_dir
 
-    def __call__(self, chrom: Chromosome, arch) -> EvaluationReport:
-        path = os.path.join(
-            self.reports_dir, f"{chromosome_hash(chrom)}.json"
-        )
+    def __call__(self, key: str, arch) -> EvaluationReport:
+        path = os.path.join(self.reports_dir, f"{key}.json")
         if not os.path.isfile(path):
             raise EvaluationFailure(f"no external report at {path}")
         try:
-            _, report = load_external_report(
-                path, expected_hash=chromosome_hash(chrom)
-            )
+            _, report = load_external_report(path, expected_hash=key)
         except ReportError as exc:
             raise EvaluationFailure(str(exc)) from exc
         except OSError as exc:
@@ -381,7 +380,7 @@ class HistoryReplay:
         altered gene line never enters a state, a front or an audit."""
         genes = self.genes.get(h)
         if genes is not None and self._verified.get(h) is not genes:
-            if chromosome_hash(Chromosome(genes)) != h:
+            if chromosome_hash(genes) != h:
                 raise HistoryError(f"the genes recorded for {h} do not hash to it")
             self._verified[h] = genes
         return genes
@@ -467,6 +466,32 @@ def _rng_for(seed: int, k: int) -> np.random.Generator:
 # Search operations
 # ---------------------------------------------------------------------------
 
+def _passes_theta(
+    key: str,
+    genes: tuple[int, ...],
+    cost: CostCache,
+    theta: float,
+    kept: str,
+    k: int,
+    log: Callable[[dict], None],
+) -> bool:
+    """Whether ``genes`` meet the inclusive overhead cap; logs them as a
+    ``kept`` event (``sampled`` or ``offspring``) if so, else as
+    ``filtered-theta``."""
+    oh = cost.max_overhead(genes)
+    passed = oh <= theta
+    log(
+        {
+            "event": kept if passed else "filtered-theta",
+            "k": k,
+            "hash": key,
+            "genes": list(genes),
+            "oh_max": _finite_or_none(oh),
+        }
+    )
+    return passed
+
+
 def init_population(
     space: SpaceConfig,
     config: NasConfig,
@@ -474,7 +499,7 @@ def init_population(
     rng: np.random.Generator,
     log: Callable[[dict], None] = lambda e: None,
 ) -> dict[str, tuple[int, ...]]:
-    """Sample distinct chromosomes until the requested count passes the
+    """Sample distinct gene vectors until the requested count passes the
     overhead pre-filter (no training involved) or the attempt budget runs
     out, in which case the shortfall is reported in the log."""
     target = config.init_population
@@ -484,33 +509,14 @@ def init_population(
     attempts = 0
     while len(accepted) < target and attempts < budget:
         attempts += 1
-        chrom = sample_architecture(space, rng)
-        key = chromosome_hash(chrom)
+        genes = sample_architecture(space, rng)
+        key = chromosome_hash(genes)
         if key in accepted or key in seen_rejects:
             continue
-        oh = cost.max_overhead(chrom)
-        if oh <= config.theta:
-            accepted[key] = chrom.genes
-            log(
-                {
-                    "event": "sampled",
-                    "k": 0,
-                    "hash": key,
-                    "genes": list(chrom.genes),
-                    "oh_max": _finite_or_none(oh),
-                }
-            )
+        if _passes_theta(key, genes, cost, config.theta, "sampled", 0, log):
+            accepted[key] = genes
         else:
             seen_rejects.add(key)
-            log(
-                {
-                    "event": "filtered-theta",
-                    "k": 0,
-                    "hash": key,
-                    "genes": list(chrom.genes),
-                    "oh_max": _finite_or_none(oh),
-                }
-            )
     if len(accepted) < target:
         log(
             {
@@ -630,22 +636,12 @@ def ga_generation(
     offspring: dict[str, tuple[int, ...]] = {}
 
     def consider(raw: tuple[int, ...]) -> None:
-        chrom = canonicalize(raw, space)
-        key = chromosome_hash(chrom)
+        genes = canonicalize(raw, space)
+        key = chromosome_hash(genes)
         if key in exclude or key in offspring:
             return
-        oh = cost.max_overhead(chrom)
-        event = {
-            "k": k,
-            "hash": key,
-            "genes": list(chrom.genes),
-            "oh_max": _finite_or_none(oh),
-        }
-        if oh <= config.theta:
-            offspring[key] = chrom.genes
-            log({"event": "offspring", **event})
-        else:
-            log({"event": "filtered-theta", **event})
+        if _passes_theta(key, genes, cost, config.theta, "offspring", k, log):
+            offspring[key] = genes
 
     for _ in range(_BREEDING_PASSES):
         order = rng.permutation(len(plist))
@@ -684,10 +680,10 @@ def _evaluate_new(
     for key in sorted(keys):
         if key in state.labeled or key in state.rejected:
             continue
-        chrom = Chromosome(state.members[key])
-        arch = decode(chrom, space)
+        genes = state.members[key]
+        arch = decode(genes, space)
         try:
-            report = evaluator(chrom, arch)
+            report = evaluator(key, arch)
             if report.m != arch.m:
                 raise EvaluationFailure(
                     f"report has {report.m} exits, architecture has {arch.m}"
@@ -697,7 +693,7 @@ def _evaluate_new(
             state.rejected[key] = "evaluation-failed"
             del state.members[key]
             continue
-        et_averages[key] = cost.et_average(chrom, report.exit_ratios)
+        et_averages[key] = cost.et_average(genes, report.exit_ratios)
         evaluated.append((key, report))
         log(
             {
@@ -803,10 +799,9 @@ def _make_estimator(
         if key not in predicted:
             if predictors is None:
                 raise SearchError("no predictors available for unlabeled candidates")
-            chrom = Chromosome(genes)
             predicted[key] = (
-                predict(predictors[0], chrom, space),
-                predict(predictors[1], chrom, space),
+                predict(predictors[0], genes, space),
+                predict(predictors[1], genes, space),
             )
         return predicted[key]
 
@@ -1017,7 +1012,7 @@ def audit_history(history: str | os.PathLike | Sequence[dict]) -> AuditResult:
                 continue
             if h not in checked_oh:
                 checked_oh.add(h)
-                oh = cost.max_overhead(Chromosome(history.genes_of(h)))
+                oh = cost.max_overhead(history.genes_of(h))
                 if not oh <= nas.theta:
                     result.violations.append(
                         f"member {h} violates the overhead cap: {oh:.4f}"

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from eenas.arch import BackboneSpec, BlockSpec, Chromosome
+from eenas.arch import BackboneSpec, BlockSpec
 from eenas.files import atomic_write
 from eenas.hwcost import AllocationPlan, TensorSource, layer_cost
 from eenas.workload import WorkloadError
@@ -57,11 +57,10 @@ def enumerate_genes(n_optional: int, n_heads: int, n_quants: int):
 
 
 def enumerate_space(space):
-    """Every chromosome of a space, in :func:`enumerate_genes` order."""
-    for genes in enumerate_genes(
+    """Every gene vector of a space, in :func:`enumerate_genes` order."""
+    return enumerate_genes(
         space.n_optional, space.n_head_options, space.n_quant_options
-    ):
-        yield Chromosome(genes)
+    )
 
 
 def validate_graph(graph) -> None:

@@ -256,17 +256,17 @@ def test_c08_search_recovers_exhaustive_front(reference_run, small_space, accel)
     cost = CostCache(small_space, accel)
     oracle_config = OracleConfig()
     feasible = []
-    for chrom in enumerate_space(small_space):
-        if cost.max_overhead(chrom) > REFERENCE_NAS.theta:
+    for genes in enumerate_space(small_space):
+        if cost.max_overhead(genes) > REFERENCE_NAS.theta:
             continue
-        report = synthetic_oracle(decode(chrom, small_space), oracle_config, seed=0)
+        report = synthetic_oracle(decode(genes, small_space), oracle_config, seed=0)
         if report.exit_ratios[-1] > REFERENCE_NAS.mu:
             continue
         feasible.append(
             LabeledRecord(
-                genes=chrom.genes,
+                genes=genes,
                 acc_avg=report.acc_avg,
-                et_avg=cost.et_average(chrom, report.exit_ratios),
+                et_avg=cost.et_average(genes, report.exit_ratios),
             )
         )
     assert len(feasible) <= 2500
@@ -279,7 +279,7 @@ def test_c08_search_recovers_exhaustive_front(reference_run, small_space, accel)
     report_pass(
         8, elapsed, 60,
         f"coverage {coverage:.0%} of {len(true_front)} true points, "
-        f"{len(feasible)} feasible of {small_space.size()}",
+        f"{len(feasible)} feasible of {search_space_size(4, 2, 2)}",
     )
 
 
@@ -333,9 +333,9 @@ def test_c10_joint_loss_gradient_check():
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            up = sum(net.losses(X, y))
+            up = net.loss_and_grads(X, y)[0]
             flat[i] = orig - step
-            down = sum(net.losses(X, y))
+            down = net.loss_and_grads(X, y)[0]
             flat[i] = orig
             numeric = (up - down) / (2 * step)
             rel = abs(analytic[key].ravel()[i] - numeric) / max(abs(numeric), 1e-6)

@@ -12,7 +12,6 @@ from eenas.arch import (
     BackboneError,
     BackboneSpec,
     BlockSpec,
-    Chromosome,
     ChromosomeError,
     EennArchitecture,
     ExitHeadSpec,
@@ -26,7 +25,6 @@ from eenas.arch import (
     parse_backbone,
     sample_architecture,
     search_space_size,
-    search_space_size_binomial,
     static_counterpart,
 )
 from helpers import chain_backbone, enumerate_genes, enumerate_space
@@ -51,9 +49,6 @@ class TestSpaceSize:
             for p in range(1, 4):
                 for q in range(1, 4):
                     assert search_space_size(h, p, q) == binomial_count(h, p, q)
-                    assert search_space_size_binomial(h, p, q) == binomial_count(
-                        h, p, q
-                    )
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -61,7 +56,7 @@ class TestSpaceSize:
         with pytest.raises(ValueError):
             search_space_size(3, 0, 1)
         with pytest.raises(ValueError):
-            search_space_size_binomial(3, 1, 0)
+            search_space_size(3, 1, 0)
 
     def test_degenerate_no_optional_mounts(self):
         assert search_space_size(0, 3, 2) == 6
@@ -96,46 +91,46 @@ class TestChromosomeCodec:
                 assert decode(encode(arch, space), space) == arch
 
     def test_single_mount_difference_is_local(self, small_space):
-        base = Chromosome((0, 0, 0) * 4 + (0, 0))
-        flipped = Chromosome((1, 1, 0) + (0, 0, 0) * 3 + (0, 0))
+        base = (0, 0, 0) * 4 + (0, 0)
+        flipped = (1, 1, 0) + (0, 0, 0) * 3 + (0, 0)
         a, b = decode(base, small_space), decode(flipped, small_space)
         ca, cb = encode(a, small_space), encode(b, small_space)
         diff_groups = [
             j
             for j in range(4)
-            if ca.genes[3 * j : 3 * j + 3] != cb.genes[3 * j : 3 * j + 3]
+            if ca[3 * j : 3 * j + 3] != cb[3 * j : 3 * j + 3]
         ]
         assert diff_groups == [0]
-        assert ca.genes[-2:] == cb.genes[-2:]
+        assert ca[-2:] == cb[-2:]
 
     def test_all_mounts_present_sets_all_bits(self, small_space):
         genes = (1, 1, 1) * 4 + (1, 1)
-        arch = decode(Chromosome(genes), small_space)
+        arch = decode(genes, small_space)
         assert arch.m == 5
-        assert all(encode(arch, small_space).genes[3 * j] == 1 for j in range(4))
+        assert all(encode(arch, small_space)[3 * j] == 1 for j in range(4))
 
     def test_decode_masks_absent_genes(self, small_space):
         noisy = (0, 1, 1, 0, 1, 0, 1, 1, 1, 0, 0, 1, 1, 0)
         clean = canonicalize(noisy, small_space)
-        assert decode(Chromosome(noisy), small_space) == decode(clean, small_space)
-        assert clean.genes[:6] == (0, 0, 0, 0, 0, 0)
+        assert decode(noisy, small_space) == decode(clean, small_space)
+        assert clean[:6] == (0, 0, 0, 0, 0, 0)
 
     def test_decode_is_deterministic(self, small_space):
-        chrom = Chromosome((1, 0, 1) + (0, 0, 0) * 3 + (1, 0))
+        chrom = (1, 0, 1) + (0, 0, 0) * 3 + (1, 0)
         assert decode(chrom, small_space) == decode(chrom, small_space)
 
     def test_malformed_length_rejected(self, small_space):
         with pytest.raises(ChromosomeError):
-            decode(Chromosome((0, 0, 0)), small_space)
+            decode((0, 0, 0), small_space)
 
     def test_out_of_range_used_gene_rejected(self, small_space):
         genes = (1, 5, 0) + (0, 0, 0) * 3 + (0, 0)
         with pytest.raises(ChromosomeError):
-            decode(Chromosome(genes), small_space)
+            decode(genes, small_space)
 
     def test_hash_is_stable_and_distinct(self, small_space):
-        a = Chromosome((0, 0, 0) * 4 + (0, 0))
-        b = Chromosome((0, 0, 0) * 4 + (0, 1))
+        a = (0, 0, 0) * 4 + (0, 0)
+        b = (0, 0, 0) * 4 + (0, 1)
         assert chromosome_hash(a) == chromosome_hash(a)
         assert chromosome_hash(a) != chromosome_hash(b)
         assert len(chromosome_hash(a)) == 16
@@ -152,7 +147,7 @@ class TestSampling:
         n = 10_000
         counts = np.zeros(mobile_space.n_optional)
         for _ in range(n):
-            genes = sample_architecture(mobile_space, rng).genes
+            genes = sample_architecture(mobile_space, rng)
             counts += [genes[3 * j] for j in range(mobile_space.n_optional)]
         freqs = counts / n
         assert np.all(freqs >= 0.45) and np.all(freqs <= 0.55)
@@ -165,7 +160,7 @@ class TestSampling:
         )
         rng = np.random.default_rng(5)
         chroms = {sample_architecture(space, rng) for _ in range(20)}
-        assert chroms == {Chromosome((0, 0))}
+        assert chroms == {(0, 0)}
 
     def test_sampled_architectures_are_valid(self, small_space):
         rng = np.random.default_rng(9)
@@ -188,7 +183,7 @@ class TestEnumeration:
         for genes in enumerate_genes(4, 2, 2):
             assert genes not in seen
             seen.add(genes)
-            assert canonicalize(genes, small_space).genes == genes
+            assert canonicalize(genes, small_space) == genes
 
 
 class TestArchitectureInvariants:

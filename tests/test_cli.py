@@ -67,9 +67,12 @@ GENE_LINES = ("sampled", "offspring", "filtered-theta")
 class TestSpaceCommand:
     def test_default_backbone(self, capsys):
         assert main(["space"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "39062500" in out
-        assert "check: OK" in out
+        assert capsys.readouterr().out.splitlines() == [
+            "optional mounts (H): 10",
+            "head options (p):    2",
+            "quant options (q):   2",
+            "closed form pq(1+pq)^H: 39062500",
+        ]
 
     def test_custom_options(self, capsys):
         code = main(

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eenas.arch import (
-    Chromosome,
     SpaceConfig,
     builtin_backbone,
     decode,
@@ -42,7 +41,7 @@ SPACES = tuple(
 
 @st.composite
 def costed_chromosomes(draw):
-    """A space, an accelerator, a chromosome of that space and exit ratios
+    """A space, an accelerator, a gene vector of that space and exit ratios
     for its architecture."""
     space = draw(st.sampled_from(SPACES))
     accel = draw(st.sampled_from(ACCELERATORS))
@@ -52,41 +51,41 @@ def costed_chromosomes(draw):
     for _ in range(space.n_optional):
         genes += [draw(st.integers(0, 1)), draw(head), draw(quant)]
     genes += [draw(head), draw(quant)]
-    chrom = Chromosome(tuple(genes))
-    m = decode(chrom, space).m
+    genes = tuple(genes)
+    m = decode(genes, space).m
     weights = draw(
         st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m).filter(
             lambda w: math.fsum(w) > 0
         )
     )
     total = math.fsum(weights)
-    return space, accel, chrom, tuple(w / total for w in weights)
+    return space, accel, genes, tuple(w / total for w in weights)
 
 
 class TestCostCacheMatchesCostReport:
     @settings(max_examples=80, deadline=None)
     @given(costed_chromosomes())
     def test_greedy_answers_equal_the_report(self, case):
-        space, accel, chrom, ratios = case
-        arch = decode(chrom, space)
+        space, accel, genes, ratios = case
+        arch = decode(genes, space)
         cache = CostCache(space, accel)
         report = cost_report(arch, accel, exit_ratios=ratios)
         static = cost_report(static_counterpart(arch), accel)
-        assert cache.max_overhead(chrom) == max(report.overheads, default=0.0)
-        assert cache.et_average(chrom, ratios) == report.et_avg
-        assert cache.static_et(chrom) == static.et_per_exit[-1]
+        assert cache.max_overhead(genes) == max(report.overheads, default=0.0)
+        assert cache.et_average(genes, ratios) == report.et_avg
+        assert cache.static_et(genes) == static.et_per_exit[-1]
         # Reports and the cache sum per exit through the same function; the
         # sums over the nodes each exit reaches through the full graph's
         # edges are the independent check.
         et_values, overheads = reference_exit_products(
             report.graph, report.plan.layer_costs
         )
-        assert cache.max_overhead(chrom) == max(overheads, default=0.0)
-        assert cache.et_average(chrom, ratios) == et_avg(et_values, ratios)
+        assert cache.max_overhead(genes) == max(overheads, default=0.0)
+        assert cache.et_average(genes, ratios) == et_avg(et_values, ratios)
         static_et, _ = reference_exit_products(
             static.graph, static.plan.layer_costs
         )
-        assert cache.static_et(chrom) == static_et[0]
+        assert cache.static_et(genes) == static_et[0]
 
 
 class TestExitCostsTouchOnlyHeads:

@@ -180,9 +180,9 @@ class TestGradients:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
-                up = sum(net.losses(X, y))
+                up = net.loss_and_grads(X, y)[0]
                 flat[i] = orig - step
-                down = sum(net.losses(X, y))
+                down = net.loss_and_grads(X, y)[0]
                 flat[i] = orig
                 gf[i] = (up - down) / (2 * step)
             grads[key] = g
@@ -436,7 +436,7 @@ class TestReportProtocol:
         payload = json.loads(path.read_text())
         path.write_text(json.dumps(dict(payload, threshold="0.9")))
         with pytest.raises(EvaluationFailure, match="threshold must be"):
-            ExternalEvaluator(str(tmp_path))(chrom, arch)
+            ExternalEvaluator(str(tmp_path))(key, arch)
 
     @settings(max_examples=300, deadline=None)
     @given(

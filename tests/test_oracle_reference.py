@@ -6,7 +6,7 @@ sweep is kept here as the reference."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eenas.arch import Chromosome, SpaceConfig, builtin_backbone, decode
+from eenas.arch import SpaceConfig, builtin_backbone, decode
 from eenas.evaluate import (
     EvaluationReport,
     OracleConfig,
@@ -120,7 +120,7 @@ def architectures(draw):
     for _ in range(space.n_optional):
         genes += [draw(st.integers(0, 1)), draw(head), draw(quant)]
     genes += [draw(head), draw(quant)]
-    return decode(Chromosome(tuple(genes)), space)
+    return decode(tuple(genes), space)
 
 
 class TestOracleMatchesSweep:

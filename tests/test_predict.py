@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eenas.arch import (
-    Chromosome,
     canonicalize,
     decode,
     sample_architecture,
+    search_space_size,
 )
 from eenas.evaluate import synthetic_oracle
 from eenas.predict import (
@@ -28,13 +28,11 @@ from helpers import enumerate_space, spearman
 predict_module = importlib.import_module("eenas.predict")
 
 
-def reference_featurize(chrom, space):
+def reference_featurize(genes, space):
     """``featurize`` as it was before feature rows were cached: every call
     reads the space's tables afresh."""
-    if len(chrom.genes) != space.gene_length:
-        raise ValueError(
-            f"expected {space.gene_length} genes, got {len(chrom.genes)}"
-        )
+    if len(genes) != space.gene_length:
+        raise ValueError(f"expected {space.gene_length} genes, got {len(genes)}")
     fractions = backbone_mac_fractions(space.backbone)
     labels = space.backbone.optional_mounts
     occupancy = []
@@ -42,12 +40,12 @@ def reference_featurize(chrom, space):
     depth = []
     bits = []
     for j, label in enumerate(labels):
-        present, head_idx, quant_idx = chrom.genes[3 * j : 3 * j + 3]
+        present, head_idx, quant_idx = genes[3 * j : 3 * j + 3]
         occupancy.append(float(present))
         frac.append(fractions[label] if present else 0.0)
         depth.append(float(space.head_options[head_idx].depth) if present else 0.0)
         bits.append(float(space.exit_bit_options[quant_idx]) if present else 0.0)
-    fh, fq = chrom.genes[-2], chrom.genes[-1]
+    fh, fq = genes[-2], genes[-1]
     depth.append(float(space.head_options[fh].depth))
     bits.append(float(space.exit_bit_options[fq]))
     n_exits = sum(occupancy) + 1.0
@@ -56,10 +54,10 @@ def reference_featurize(chrom, space):
     )
 
 
-def reference_predict(pred, chrom, space):
+def reference_predict(pred, genes, space):
     """``predict`` as it was before feature rows and predictor arrays were
     cached."""
-    feats = reference_featurize(chrom, space)
+    feats = reference_featurize(genes, space)
     if len(feats) != len(pred.feature_mean):
         raise ValueError("feature length does not match the fitted predictor")
     z = (feats - np.array(pred.feature_mean)) / np.array(pred.feature_std)
@@ -77,17 +75,17 @@ def distinct_samples(space, n, seed=0):
     rng = np.random.default_rng(seed)
     out, seen = [], set()
     while len(out) < n:
-        chrom = sample_architecture(space, rng)
-        if chrom.genes in seen:
+        genes = sample_architecture(space, rng)
+        if genes in seen:
             continue
-        seen.add(chrom.genes)
-        out.append(chrom)
+        seen.add(genes)
+        out.append(genes)
     return out
 
 
 class TestFeaturize:
     def test_single_exit_architecture(self, small_space):
-        chrom = Chromosome((0, 0, 0) * 4 + (1, 1))
+        chrom = (0, 0, 0) * 4 + (1, 1)
         feats = featurize(chrom, small_space)
         h = small_space.n_optional
         assert feats[0] == 1.0  # exit count
@@ -107,11 +105,11 @@ class TestFeaturize:
             key = tuple(featurize(chrom, small_space))
             assert key not in seen
             seen.add(key)
-        assert len(seen) == small_space.size() == 2500
+        assert len(seen) == search_space_size(4, 2, 2) == 2500
 
     def test_length_mismatch_rejected(self, small_space):
         with pytest.raises(ValueError):
-            featurize(Chromosome((0, 0)), small_space)
+            featurize((0, 0), small_space)
 
 
 class TestLabeledSet:
@@ -125,7 +123,7 @@ class TestLabeledSet:
 
     def test_iteration_in_hash_order(self, small_space):
         records = [
-            LabeledRecord(c.genes, float(i), float(i + 1))
+            LabeledRecord(c, float(i), float(i + 1))
             for i, c in enumerate(distinct_samples(small_space, 20))
         ]
         archive = LabeledSet(records)
@@ -137,7 +135,7 @@ class TestLabeledSet:
         archive = LabeledSet()
         previous = set()
         for i, chrom in enumerate(chroms):
-            archive.add(LabeledRecord(chrom.genes, float(i), 1.0))
+            archive.add(LabeledRecord(chrom, float(i), 1.0))
             assert previous <= archive.keys()
             previous = archive.keys()
 
@@ -146,7 +144,7 @@ class TestFit:
     def test_exact_linear_target_interpolates(self, small_space):
         chroms = distinct_samples(small_space, 30)
         records = [
-            LabeledRecord(c.genes, float(featurize(c, small_space)[0] * 7 + 3), 1.0)
+            LabeledRecord(c, float(featurize(c, small_space)[0] * 7 + 3), 1.0)
             for c in chroms
         ]
         pred = fit(LabeledSet(records), small_space, target="accuracy", ridge=0.0)
@@ -154,7 +152,7 @@ class TestFit:
 
     def test_constant_targets_yield_constant_predictor(self, small_space):
         chroms = distinct_samples(small_space, 10)
-        records = [LabeledRecord(c.genes, 42.0, 5.0) for c in chroms]
+        records = [LabeledRecord(c, 42.0, 5.0) for c in chroms]
         pred = fit(LabeledSet(records), small_space, target="accuracy")
         for chrom in distinct_samples(small_space, 10, seed=99):
             assert predict(pred, chrom, small_space) == pytest.approx(42.0)
@@ -163,13 +161,13 @@ class TestFit:
         chroms = distinct_samples(small_space, 12)
         rng = np.random.default_rng(1)
         records = [
-            LabeledRecord(c.genes, float(rng.uniform(40, 90)), 1.0) for c in chroms
+            LabeledRecord(c, float(rng.uniform(40, 90)), 1.0) for c in chroms
         ]
         ridge = 0.5
         pred = fit(LabeledSet(records), small_space, target="accuracy", ridge=ridge)
         # Independent solve in plain numpy, mirroring the documented math.
         ordered = sorted(records, key=lambda r: r.key)
-        X = np.stack([featurize(Chromosome(r.genes), small_space) for r in ordered])
+        X = np.stack([featurize(r.genes, small_space) for r in ordered])
         y = np.array([r.acc_avg for r in ordered])
         mean, std = X.mean(axis=0), X.std(axis=0)
         std[std == 0] = 1.0
@@ -184,7 +182,7 @@ class TestFit:
         rng = np.random.default_rng(2)
         chroms = distinct_samples(small_space, 40)
         records = [
-            LabeledRecord(c.genes, float(rng.uniform(0, 100)), float(rng.uniform(1, 9)))
+            LabeledRecord(c, float(rng.uniform(0, 100)), float(rng.uniform(1, 9)))
             for c in chroms
         ]
         for target in ("accuracy", "et"):
@@ -202,7 +200,7 @@ class TestFit:
 
     def test_bad_target_rejected(self, small_space):
         chroms = distinct_samples(small_space, 3)
-        archive = LabeledSet(LabeledRecord(c.genes, 1.0, 1.0) for c in chroms)
+        archive = LabeledSet(LabeledRecord(c, 1.0, 1.0) for c in chroms)
         with pytest.raises(ValueError):
             fit(archive, small_space, target="latency")
         with pytest.raises(ValueError):
@@ -214,7 +212,7 @@ class TestPredict:
         rng = np.random.default_rng(seed)
         chroms = distinct_samples(space, 30, seed=seed)
         records = [
-            LabeledRecord(c.genes, float(rng.uniform(0, 100)), float(rng.uniform(1, 500)))
+            LabeledRecord(c, float(rng.uniform(0, 100)), float(rng.uniform(1, 500)))
             for c in chroms
         ]
         archive = LabeledSet(records)
@@ -231,7 +229,7 @@ class TestPredict:
         )
 
     def test_accuracy_clamped(self, small_space):
-        chrom = Chromosome((1, 1, 1) * 4 + (1, 1))
+        chrom = (1, 1, 1) * 4 + (1, 1)
         n_feats = featurize(chrom, small_space).size
         pred = Predictor(
             target="accuracy",
@@ -251,12 +249,12 @@ class TestPredict:
     def test_near_interpolation_recovers_labels(self, small_space):
         chroms = distinct_samples(small_space, 40, seed=4)
         records = [
-            LabeledRecord(c.genes, float(featurize(c, small_space)[0] * 5 + 10), 1.0)
+            LabeledRecord(c, float(featurize(c, small_space)[0] * 5 + 10), 1.0)
             for c in chroms
         ]
         pred = fit(LabeledSet(records), small_space, target="accuracy", ridge=0.0)
         for rec in records[:10]:
-            got = predict(pred, Chromosome(rec.genes), small_space)
+            got = predict(pred, rec.genes, small_space)
             assert got == pytest.approx(rec.acc_avg, abs=1e-6)
 
     def test_rank_usefulness_on_synthetic_labels(self, mobile_space):
@@ -266,7 +264,7 @@ class TestPredict:
             for c in chroms
         ]
         train = LabeledSet(
-            LabeledRecord(c.genes, l, 1.0)
+            LabeledRecord(c, l, 1.0)
             for c, l in zip(chroms[:200], labels[:200])
         )
         pred = fit(train, mobile_space, target="accuracy")
@@ -277,7 +275,7 @@ class TestPredict:
 def random_archive(space, n, seed):
     rng = np.random.default_rng(seed)
     return LabeledSet(
-        LabeledRecord(c.genes, float(rng.uniform(20, 80)), float(rng.uniform(1, 1e4)))
+        LabeledRecord(c, float(rng.uniform(20, 80)), float(rng.uniform(1, 1e4)))
         for c in distinct_samples(space, n, seed=seed)
     )
 
@@ -306,7 +304,7 @@ def canonical_genes(draw, space):
         draw(st.integers(0, space.n_head_options - 1)),
         draw(st.integers(0, space.n_quant_options - 1)),
     ]
-    return canonicalize(tuple(genes), space).genes
+    return canonicalize(tuple(genes), space)
 
 
 class TestCachedRowsMatchReference:
@@ -320,26 +318,25 @@ class TestCachedRowsMatchReference:
     ):
         space = small_space if which == "small" else mobile_space
         genes = data.draw(canonical_genes(space))
-        chrom = Chromosome(genes)
-        want = reference_featurize(chrom, space)
-        for row in (feature_row(genes, space), featurize(chrom, space)):
+        want = reference_featurize(genes, space)
+        for row in (feature_row(genes, space), featurize(genes, space)):
             assert row.dtype == want.dtype and row.shape == want.shape
             assert np.array_equal(row, want)
             assert row.tobytes() == want.tobytes()
         for pred in fitted_predictors[space]:
-            want = bits_of(reference_predict(pred, chrom, space))
-            assert bits_of(predict(pred, chrom, space)) == want
-            assert bits_of(predict(pred, Chromosome(list(genes)), space)) == want
+            want = bits_of(reference_predict(pred, genes, space))
+            assert bits_of(predict(pred, genes, space)) == want
+            assert bits_of(predict(pred, list(genes), space)) == want
 
     def test_row_is_cached_and_read_only(self, small_space):
-        genes = Chromosome((1, 1, 0) * 4 + (0, 1)).genes
+        genes = (1, 1, 0) * 4 + (0, 1)
         row = feature_row(genes, small_space)
         assert feature_row(tuple(genes), small_space) is row
         with pytest.raises(ValueError, match="read-only"):
             row[0] = 5.0
         with pytest.raises(ValueError):
             row += 1.0
-        assert np.array_equal(row, reference_featurize(Chromosome(genes), small_space))
+        assert np.array_equal(row, reference_featurize(genes, small_space))
 
     def test_row_length_checked(self, small_space):
         with pytest.raises(ValueError, match="expected 14 genes"):
@@ -354,7 +351,7 @@ class TestCachedRowsMatchReference:
         monkeypatch.setattr(
             predict_module,
             "feature_row",
-            lambda genes, space: reference_featurize(Chromosome(genes), space),
+            reference_featurize,
         )
         want = fit(archive, mobile_space, target, ridge=0.01)
         assert got.target == want.target

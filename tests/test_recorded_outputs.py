@@ -1,16 +1,20 @@
-"""The README search reproduces the outputs the benchmark recorded.
+"""Searches reproduce the outputs the benchmark recorded.
 
 ``perfbench/digests.json`` holds the sha256 of the four outputs of
 ``eenas search`` per benchmark config and seed. Other tests compare two runs
 of the current code with each other, so a deterministic change to the output
 bytes (the history header, say) would pass them; this test compares one run
-with the recorded digests. It only reads the benchmark's files.
+per benchmark config with the recorded digests: the README search with the
+oracle evaluator, and the toy QAT search on smallconv. It only reads the
+benchmark's files.
 """
 
 import hashlib
 import importlib.util
 import json
 import os
+
+import pytest
 
 from eenas.cli import EXIT_OK, main
 
@@ -29,21 +33,25 @@ README_RUN = {
 }
 
 
-def benchmark_config() -> dict:
+def benchmark_config(name: str) -> dict:
     spec = importlib.util.spec_from_file_location(
         "perfbench_run", os.path.join(PERFBENCH, "run.py")
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.make_config("mobilenet-oracle", 0, smoke=False)
+    return module.make_config(name, 0, smoke=False)
 
 
-def test_readme_search_matches_the_recorded_digests(tmp_path, capsys):
-    assert README_RUN == benchmark_config()
+def test_readme_run_is_the_oracle_benchmark_config():
+    assert README_RUN == benchmark_config("mobilenet-oracle")
+
+
+@pytest.mark.parametrize("config_name", ["mobilenet-oracle", "smallconv-toy"])
+def test_search_matches_the_recorded_digests(config_name, tmp_path, capsys):
     with open(os.path.join(PERFBENCH, "digests.json"), encoding="utf-8") as fh:
-        recorded = json.load(fh)["mobilenet-oracle"]["0"]
+        recorded = json.load(fh)[config_name]["0"]
     config = tmp_path / "run.json"
-    config.write_text(json.dumps(README_RUN))
+    config.write_text(json.dumps(benchmark_config(config_name)))
     out = tmp_path / "out"
     assert main(["search", "--config", str(config), "--out", str(out)]) == EXIT_OK
     capsys.readouterr()

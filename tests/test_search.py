@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from eenas.arch import Chromosome, chromosome_hash, decode
+from eenas.arch import chromosome_hash, decode
 from eenas.evaluate import EvaluationReport
 from eenas.hwcost import cost_report
 from eenas.predict import LabeledRecord
@@ -102,15 +102,13 @@ class TestParetoFront:
 
 class TestReductions:
     def test_identical_static_architecture_reduces_nothing(self, small_space, accel):
-        chrom = Chromosome((0, 0, 0) * 4 + (0, 0))
-        arch = decode(chrom, small_space)
+        arch = decode((0, 0, 0) * 4 + (0, 0), small_space)
         static = cost_report(arch, accel)
         report = cost_report(arch, accel, exit_ratios=(1.0,))
         assert et_reduction_value(report.et_avg, static.et_per_exit[-1]) == 0.0
 
     def test_half_cost_is_half_reduction(self, small_space, accel):
-        chrom = Chromosome((1, 0, 0) + (0, 0, 0) * 3 + (0, 0))
-        arch = decode(chrom, small_space)
+        arch = decode((1, 0, 0) + (0, 0, 0) * 3 + (0, 0), small_space)
         static = cost_report(arch, accel)
         static_et = static.et_per_exit[-1]
         assert et_reduction_value(static_et / 2, static_et) == pytest.approx(0.5)
@@ -251,7 +249,7 @@ class TestInitPopulation:
         )
         fresh = CostCache(small_space, accel)
         for genes in accepted.values():
-            assert fresh.max_overhead(Chromosome(genes)) <= 0.5
+            assert fresh.max_overhead(genes) <= 0.5
 
     def test_shortfall_reported(self, small_space, accel):
         config = NasConfig(init_population=50, attempt_factor=1, seed=3)
@@ -277,7 +275,7 @@ class TestGaGeneration:
             config,
             np.random.default_rng(0),
             cost,
-            exclude={chromosome_hash(Chromosome(genes))},
+            exclude={chromosome_hash(genes)},
         )
         assert children == {}
 
@@ -294,9 +292,9 @@ class TestGaGeneration:
         )
         assert children
         for key, genes in children.items():
-            arch = decode(Chromosome(genes), small_space)
+            arch = decode(genes, small_space)
             assert arch.m >= 1
-            assert cost.max_overhead(Chromosome(genes)) <= config.theta
+            assert cost.max_overhead(genes) <= config.theta
             assert key not in accepted
 
     def test_single_parent_mutates_alone(self, small_space, accel):
@@ -361,10 +359,9 @@ class TestRunSearch:
         calls = {}
         oracle = OracleEvaluator(seed=0)
 
-        def counting(chrom, arch):
-            key = chromosome_hash(chrom)
+        def counting(key, arch):
             calls[key] = calls.get(key, 0) + 1
-            return oracle(chrom, arch)
+            return oracle(key, arch)
 
         config = NasConfig(iterations=3, n_select=6, init_population=15, seed=11)
         run_search(small_space, accel, counting, config, evaluator_kind="custom")
@@ -433,7 +430,7 @@ class TestRunSearch:
         from eenas.search import _rebuild_state, replay_history
 
         genes = [list(range(14)), list(range(1, 15)), list(range(2, 16))]
-        a, b, c = (chromosome_hash(Chromosome(tuple(g))) for g in genes)
+        a, b, c = (chromosome_hash(tuple(g)) for g in genes)
         events = [
             {"event": "run-config", "k": -1},
             {"event": "sampled", "k": 0, "hash": a, "genes": genes[0]},
@@ -491,7 +488,7 @@ class TestRunSearch:
         calls = []
         monkeypatch.setattr(
             search, "chromosome_hash",
-            lambda chrom: calls.append(chrom) or chromosome_hash(chrom),
+            lambda genes: calls.append(genes) or chromosome_hash(genes),
         )
         members = history.summaries[-1]["s"]
         for h in members:
@@ -509,7 +506,7 @@ class TestRunSearch:
         self, small_space, accel, tmp_path, monkeypatch
     ):
         """Feature rows are cached and estimates fixed within an iteration:
-        ``featurize`` runs at most once per distinct chromosome, and each
+        ``featurize`` runs at most once per distinct gene vector, and each
         iteration predicts each unlabeled key at most once per target."""
         predict_module = importlib.import_module("eenas.predict")
         search_module = importlib.import_module("eenas.search")
@@ -518,8 +515,8 @@ class TestRunSearch:
         featurize = predict_module.featurize
         monkeypatch.setattr(
             predict_module, "featurize",
-            lambda chrom, space: featurized.append(chrom.genes)
-            or featurize(chrom, space),
+            lambda genes, space: featurized.append(genes)
+            or featurize(genes, space),
         )
         iteration = [0]
         nas_iterate = search_module.nas_iterate
@@ -533,9 +530,9 @@ class TestRunSearch:
         predict = search_module.predict
         monkeypatch.setattr(
             search_module, "predict",
-            lambda pred, chrom, space: predicted.append(
-                (iteration[0], pred.target, chrom.genes)
-            ) or predict(pred, chrom, space),
+            lambda pred, genes, space: predicted.append(
+                (iteration[0], pred.target, genes)
+            ) or predict(pred, genes, space),
         )
         self.run(small_space, accel, tmp_path)
         assert featurized and len(featurized) == len(set(featurized))
@@ -568,10 +565,10 @@ class TestRunSearch:
     ):
         oracle = OracleEvaluator(seed=0)
 
-        def flaky(chrom, arch):
-            if chromosome_hash(chrom)[0] in "01234":
+        def flaky(key, arch):
+            if key[0] in "01234":
                 raise EvaluationFailure("simulated failure")
-            return oracle(chrom, arch)
+            return oracle(key, arch)
 
         config = NasConfig(iterations=3, n_select=6, init_population=15, seed=11)
         path = tmp_path / "flaky-replay.jsonl"
@@ -601,12 +598,11 @@ class TestRunSearch:
         oracle = OracleEvaluator(seed=0)
         poisoned = set()
 
-        def flaky(chrom, arch):
-            key = chromosome_hash(chrom)
+        def flaky(key, arch):
             if len(poisoned) < 3 and key not in poisoned:
                 poisoned.add(key)
                 raise EvaluationFailure("simulated failure")
-            return oracle(chrom, arch)
+            return oracle(key, arch)
 
         config = NasConfig(iterations=2, n_select=6, init_population=15, seed=11)
         path = tmp_path / "flaky.jsonl"
@@ -654,11 +650,11 @@ class TestRunSearch:
         oracle = OracleEvaluator(seed=0)
         faulted = []
 
-        def faulty(chrom, arch):
-            report = oracle(chrom, arch)
+        def faulty(key, arch):
+            report = oracle(key, arch)
             if faulted:
                 return report
-            faulted.append(chromosome_hash(chrom))
+            faulted.append(key)
             return fault(report)
 
         config = NasConfig(iterations=2, n_select=6, init_population=15, seed=11)
@@ -754,9 +750,9 @@ class TestExternalEvaluator:
             exit_bit_options=(8,),
         )
         reports.mkdir()
-        for chrom in enumerate_space(space):
-            key = chromosome_hash(chrom)
-            report = synthetic_oracle(decode(chrom, space), seed=0)
+        for genes in enumerate_space(space):
+            key = chromosome_hash(genes)
+            report = synthetic_oracle(decode(genes, space), seed=0)
             save_external_report(report, key, str(reports / f"{key}.json"))
         return space
 
@@ -851,11 +847,13 @@ class TestExternalEvaluator:
 
         reports = tmp_path / "reports"
         space = self.space_and_reports(smallconv, reports)
-        chrom = next(iter(enumerate_space(space)))
+        genes = next(iter(enumerate_space(space)))
 
         def unreadable(path, expected_hash=None):
             raise PermissionError(13, "Permission denied", path)
 
         monkeypatch.setattr(search, "load_external_report", unreadable)
         with pytest.raises(EvaluationFailure, match="Permission denied$"):
-            ExternalEvaluator(str(reports))(chrom, decode(chrom, space))
+            ExternalEvaluator(str(reports))(
+                chromosome_hash(genes), decode(genes, space)
+            )
