@@ -14,6 +14,7 @@ import hashlib
 from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
+from typing import Iterator
 
 import numpy as np
 
@@ -446,19 +447,23 @@ def _check_length(genes: tuple[int, ...], space: SpaceConfig) -> None:
         )
 
 
-def decode(genes: tuple[int, ...], space: SpaceConfig) -> EennArchitecture:
-    """Decode a gene vector into an architecture.
+def decode_exits(
+    genes: tuple[int, ...], space: SpaceConfig
+) -> Iterator[tuple[int, str, ExitHeadSpec, int]]:
+    """Each exit of ``genes`` in exit order, as ``(end, mount, head, exit
+    bits)``: the exit's genes end at ``genes[end - 1]``, so ``genes[:end]``
+    determines the exits up to this one. The final exit comes last, with
+    ``end == len(genes)``.
 
     Total on canonical-length vectors: genes of absent mounts are ignored.
-    Option indices actually used must be in range.
+    Option indices actually used must be in range. Each gene is checked
+    when its exit is reached, so a malformed vector raises
+    :class:`ChromosomeError` before the first exit it invalidates.
     """
     _check_length(genes, space)
-    exits = []
-    bits = []
     for j, label in enumerate(space.backbone.optional_mounts):
-        present, head_idx, quant_idx = genes[
-            GENES_PER_MOUNT * j : GENES_PER_MOUNT * (j + 1)
-        ]
+        end = GENES_PER_MOUNT * (j + 1)
+        present, head_idx, quant_idx = genes[end - GENES_PER_MOUNT : end]
         if present not in (0, 1):
             raise ChromosomeError(f"presence gene for mount {label!r} must be 0/1")
         if not present:
@@ -467,13 +472,26 @@ def decode(genes: tuple[int, ...], space: SpaceConfig) -> EennArchitecture:
             raise ChromosomeError(f"head option {head_idx} out of range at {label!r}")
         if not (0 <= quant_idx < space.n_quant_options):
             raise ChromosomeError(f"quant option {quant_idx} out of range at {label!r}")
-        exits.append(ExitPlacement(label, space.head_options[head_idx]))
-        bits.append(space.exit_bit_options[quant_idx])
+        yield end, label, space.head_options[head_idx], space.exit_bit_options[quant_idx]
     fh, fq = genes[-2], genes[-1]
     if not (0 <= fh < space.n_head_options and 0 <= fq < space.n_quant_options):
         raise ChromosomeError("final-exit option gene out of range")
-    exits.append(ExitPlacement(space.backbone.final_mount, space.head_options[fh]))
-    bits.append(space.exit_bit_options[fq])
+    yield (
+        len(genes),
+        space.backbone.final_mount,
+        space.head_options[fh],
+        space.exit_bit_options[fq],
+    )
+
+
+def decode(genes: tuple[int, ...], space: SpaceConfig) -> EennArchitecture:
+    """Decode a gene vector into an architecture, checked as
+    :func:`decode_exits` checks it."""
+    exits = []
+    bits = []
+    for _, label, head, exit_bits in decode_exits(genes, space):
+        exits.append(ExitPlacement(label, head))
+        bits.append(exit_bits)
     return EennArchitecture(
         backbone=space.backbone,
         exits=tuple(exits),

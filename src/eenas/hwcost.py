@@ -26,12 +26,14 @@ import json
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .arch import BackboneSpec, EennArchitecture, hash_once
 from .files import check_exit_ratios, check_fields, is_int, is_object, load_json
 from .workload import (
     MATRIX_KINDS,
+    HeadTemplate,
     LayerGraph,
     LayerNode,
     expand_backbone,
@@ -413,27 +415,40 @@ def _fold(graph: LayerGraph, spec: AcceleratorSpec) -> _FoldState:
 
 
 @dataclass(frozen=True)
-class _BackboneFold:
-    """Greedy fold state after the backbone nodes, and each node's energy
-    and cycles, in node order."""
+class BackboneFold:
+    """Greedy fold state after the backbone nodes on ``spec``, each node's
+    energy and cycles in node order, and the energy-delay of the backbone
+    segment between every two mounts, keyed on ``(stop, next stop)``: the
+    indices just past the two mounts' nodes."""
 
+    spec: AcceleratorSpec
     state: _FoldState
     energies: tuple[float, ...]
     cycles: tuple[int, ...]
+    segment_et: dict[tuple[int, int], float]
 
 
 @lru_cache(maxsize=16)
-def _backbone_fold(
+def backbone_fold(
     backbone: BackboneSpec, bits: int, spec: AcceleratorSpec
-) -> _BackboneFold:
+) -> BackboneFold:
     """The greedy backbone fold shared by every architecture over
     ``backbone`` at ``bits``: each architecture's graph starts with the
     same nodes as :func:`expand_backbone`."""
-    state = _fold(expand_backbone(backbone, bits), spec)
-    return _BackboneFold(
+    graph = expand_backbone(backbone, bits)
+    state = _fold(graph, spec)
+    energies = tuple(c.energy_pj for c in state.costs)
+    cycles = tuple(c.cycles for c in state.costs)
+    stops = [m + 1 for m in graph.mounts]
+    return BackboneFold(
+        spec=spec,
         state=state,
-        energies=tuple(c.energy_pj for c in state.costs),
-        cycles=tuple(c.cycles for c in state.costs),
+        energies=energies,
+        cycles=cycles,
+        segment_et={
+            (stop, nxt): _energy_delay(energies[stop:nxt], cycles[stop:nxt])
+            for stop, nxt in combinations(stops, 2)
+        },
     )
 
 
@@ -455,74 +470,131 @@ def et_avg(et_per_exit: Sequence[float], exit_ratios: Sequence[float]) -> float:
     return math.fsum(e * r for e, r in zip(et_per_exit, exit_ratios))
 
 
+def _energy_delay(energies: Sequence[float], cycles: Sequence[int]) -> float:
+    """Energy-delay of a set of layers: the sum of their energies times the
+    sum of their cycles."""
+    return sum(energies) * sum(cycles)
+
+
+def _exit_sum(backbone: Sequence, stop: int, heads: Sequence[Sequence]):
+    """Exit i's energy (or cycles), by the exit rule: exit i runs the
+    ``backbone`` nodes before ``stop`` and then the heads of exits 1..i.
+    The builtin ``sum`` runs over one list of their terms in node order,
+    never over cached partial sums: from Python 3.12 ``sum`` of floats is
+    compensated, and a compensated sum does not split into partial sums."""
+    terms = list(backbone[:stop])
+    for head in heads:
+        terms += head
+    return sum(terms)
+
+
+def _overhead(head_et: float, segment_et: float) -> float:
+    """An intermediate exit's head energy-delay over that of the backbone
+    segment up to the next mount; infinite for a zero-cost segment, which
+    can never satisfy a finite cap."""
+    return math.inf if segment_et == 0 else head_et / segment_et
+
+
 def _exit_sums(
     energies: Sequence[float],
     cycles: Sequence[int],
     ends: Sequence[int],
     heads: Sequence[tuple[Sequence[float], Sequence[int]]],
 ) -> tuple[list[float], list[int], list[float]]:
-    """The exit rule. Exit i runs the backbone nodes before ``ends[i]``
-    (``energies`` and ``cycles`` in node order), then the heads of exits
-    1..i, each head's ``(energies, cycles)`` in node order. Returns per exit
-    its energy E_i and cycles T_i, each the builtin ``sum`` over those terms
-    in that order, and per intermediate exit the energy-delay of its head
-    over that of the backbone segment up to the next mount (infinite for a
-    zero-cost segment, which can never satisfy a finite cap).
-
-    The sums always run over one list in node order, never over cached
-    partial sums: from Python 3.12 ``sum`` of floats is compensated, and a
-    compensated sum does not split into partial sums."""
-    exit_e: list[float] = []
-    exit_t: list[int] = []
-    overheads: list[float] = []
-    run_e: list[float] = []
-    run_t: list[int] = []
-    for i, (head_e, head_t) in enumerate(heads):
-        run_e += head_e
-        run_t += head_t
-        stop = ends[i]
-        exit_e.append(sum([*energies[:stop], *run_e]))
-        exit_t.append(sum([*cycles[:stop], *run_t]))
-        if i + 1 < len(ends):
-            seg = slice(stop, ends[i + 1])
-            seg_et = sum(energies[seg]) * sum(cycles[seg])
-            head_et = sum(head_e) * sum(head_t)
-            overheads.append(math.inf if seg_et == 0 else head_et / seg_et)
+    """The exit rule over a whole architecture. Exit i runs the backbone
+    nodes before ``ends[i]`` (``energies`` and ``cycles`` in node order),
+    then the heads of exits 1..i, each head's ``(energies, cycles)`` in node
+    order. Returns per exit its energy E_i and cycles T_i
+    (:func:`_exit_sum`), and per intermediate exit its :func:`_overhead`."""
+    head_e = [e for e, _ in heads]
+    head_t = [t for _, t in heads]
+    exit_e = [_exit_sum(energies, stop, head_e[: i + 1]) for i, stop in enumerate(ends)]
+    exit_t = [_exit_sum(cycles, stop, head_t[: i + 1]) for i, stop in enumerate(ends)]
+    overheads = [
+        _overhead(
+            _energy_delay(e, t),
+            _energy_delay(energies[stop:nxt], cycles[stop:nxt]),
+        )
+        for e, t, stop, nxt in zip(head_e, head_t, ends, ends[1:])
+    ]
     return exit_e, exit_t, overheads
 
 
-def exit_costs(
-    arch: EennArchitecture, spec: AcceleratorSpec, num_classes: int = 10
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """``(et_per_exit, overheads)`` under greedy allocation, equal to those
-    of :func:`cost_report`, with no layer graph: the cached
-    :func:`head_templates` nodes are placed straight onto the backbone's
-    cached greedy state, exit by exit, each node after its producer, and
-    :func:`_exit_sums` folds their costs over the cached backbone terms."""
-    backbone = _backbone_fold(arch.backbone, arch.quant.backbone_bits, spec)
+class ExitState(NamedTuple):
+    """Greedy state after exits 1..i of an architecture, placed on a
+    :class:`BackboneFold` by :func:`place_exit`: the state after exit i-1
+    (None for the first exit), head i's energies and cycles in node order,
+    the cycle each core is next free, the end of exit i's backbone part, its
+    energy E_i and cycles T_i, and head i's energy-delay. States link to
+    their predecessor rather than copy it, so architectures that share a
+    head prefix share its storage."""
+
+    prev: ExitState | None
+    head_e: tuple[float, ...]
+    head_t: tuple[int, ...]
+    free: tuple[int, ...]
+    stop: int
+    energy: float
+    cycles: int
+    head_et: float
+
+
+def place_exit(
+    fold: BackboneFold, prev: ExitState | None, template: HeadTemplate
+) -> ExitState:
+    """The state after one more exit: ``template``'s nodes placed after the
+    exits of ``prev`` (or straight after the backbone), each node after its
+    producer, with the same one-node placement step that allocates whole
+    graphs. Its sums take the same terms in the same node order as
+    :func:`cost_report`'s, so they are equal bit for bit."""
+    spec = fold.spec
     memo = _layer_cost_memo(spec)
-    cores, finish = backbone.state.cores, backbone.state.end
-    free = list(backbone.state.free)
-    templates = head_templates(arch, num_classes)
-    heads = []
-    for template in templates:
-        core, ready = cores[template.src], finish[template.src]
-        head_e: list[float] = []
-        head_t: list[int] = []
-        for node, bits in zip(template.nodes, template.in_bits):
-            ready, core, cost = _place(
-                memo, spec, node, (TensorSource(bits, core),), ready, free
-            )
-            head_e.append(cost.energy_pj)
-            head_t.append(cost.cycles)
-        heads.append((head_e, head_t))
-    exit_e, exit_t, overheads = _exit_sums(
-        backbone.energies,
-        backbone.cycles,
-        [template.src + 1 for template in templates],
-        heads,
+    core, ready = fold.state.cores[template.src], fold.state.end[template.src]
+    free = list(fold.state.free if prev is None else prev.free)
+    head_e: list[float] = []
+    head_t: list[int] = []
+    for node, bits in zip(template.nodes, template.in_bits):
+        ready, core, cost = _place(
+            memo, spec, node, (TensorSource(bits, core),), ready, free
+        )
+        head_e.append(cost.energy_pj)
+        head_t.append(cost.cycles)
+    heads_e, heads_t = [head_e], [head_t]
+    link = prev
+    while link is not None:
+        heads_e.append(link.head_e)
+        heads_t.append(link.head_t)
+        link = link.prev
+    stop = template.src + 1
+    return ExitState(
+        prev,
+        tuple(head_e),
+        tuple(head_t),
+        tuple(free),
+        stop,
+        _exit_sum(fold.energies, stop, heads_e[::-1]),
+        _exit_sum(fold.cycles, stop, heads_t[::-1]),
+        _energy_delay(head_e, head_t),
     )
-    return tuple(e * t for e, t in zip(exit_e, exit_t)), tuple(overheads)
+
+
+def exit_products(
+    fold: BackboneFold, last: ExitState
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``(et_per_exit, overheads)`` of the architecture whose final exit
+    has the state ``last``, equal to those of :func:`cost_report`."""
+    states = []
+    while last is not None:
+        states.append(last)
+        last = last.prev
+    states.reverse()
+    return (
+        tuple(s.energy * s.cycles for s in states),
+        tuple(
+            _overhead(s.head_et, fold.segment_et[s.stop, nxt.stop])
+            for s, nxt in zip(states, states[1:])
+        ),
+    )
 
 
 @dataclass(frozen=True)

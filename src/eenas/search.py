@@ -17,17 +17,20 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .arch import (
+    GENES_PER_MOUNT,
+    ExitHeadSpec,
     SpaceConfig,
     canonicalize,
     chromosome_hash,
     decode,
+    decode_exits,
     sample_architecture,
-    static_counterpart,
 )
 from .evaluate import (
     EvaluationReport,
@@ -41,8 +44,17 @@ from .evaluate import (
     train_toy,
 )
 from .files import atomic_write, check_fields, is_int, is_real
-from .hwcost import AcceleratorSpec, et_avg, exit_costs
+from .hwcost import (
+    AcceleratorSpec,
+    BackboneFold,
+    ExitState,
+    backbone_fold,
+    et_avg,
+    exit_products,
+    place_exit,
+)
 from .predict import LabeledRecord, LabeledSet, Predictor, fit, predict
+from .workload import head_builder
 
 
 class SearchError(RuntimeError):
@@ -114,10 +126,21 @@ class NasConfig:
             raise ValueError(f"bad search config field: {exc}") from exc
 
 
+#: Head-prefix states a :class:`CostCache` keeps before it starts over.
+_PREFIX_MEMO_SIZE = 4096
+
+
 class CostCache:
     """Memoized hardware-cost queries for one (space, accelerator) pair.
     Per architecture it keeps only the per-exit energy-delay products and
-    the head overheads, the two things the search reads."""
+    the head overheads, the two things the search reads.
+
+    Everything about exit i is a function of the genes up to exit i's, so
+    the greedy state after each intermediate exit is kept, keyed on that
+    gene prefix (packed by :meth:`_digit`): a new architecture places only
+    the heads whose prefix is new, and always its final exit's. Genes are
+    checked as :func:`decode` checks them, but no architecture is
+    decoded."""
 
     def __init__(self, space: SpaceConfig, accel: AcceleratorSpec):
         self.space = space
@@ -125,17 +148,65 @@ class CostCache:
         self._costs: dict[
             tuple[int, ...], tuple[tuple[float, ...], tuple[float, ...]]
         ] = {}
-        self._static: dict[tuple[int, int], float] = {}
+        self._static: dict[tuple[int, ...], float] = {}
+        self._prefixes: dict[int, ExitState] = {}
+
+    @cached_property
+    def _fold(self) -> BackboneFold:
+        space = self.space
+        return backbone_fold(space.backbone, space.backbone_bits, self.accel)
+
+    @cached_property
+    def _build(self):
+        return head_builder(self.space.backbone, self.space.backbone_bits)
+
+    def _place(
+        self,
+        prev: ExitState | None,
+        mount: str,
+        head: ExitHeadSpec,
+        bits: int,
+        exit_index: int,
+    ) -> ExitState:
+        """The state after ``prev`` and one more exit."""
+        template = self._build(mount, head, bits, exit_index, self.space.num_classes)
+        return place_exit(self._fold, prev, template)
+
+    def _digit(self, genes: tuple[int, ...], end: int) -> int:
+        """What the present mount whose genes end at ``end`` adds to the
+        prefix key. The key of ``genes[:end]`` is one integer, a
+        mixed-radix number with a digit per optional mount: 0 when absent,
+        else 1 + head index * bit options + bit index. It is several times
+        smaller than the tuple ``genes[:end]``, and, like the costs, it
+        ignores the option genes of absent mounts."""
+        space = self.space
+        radix = 1 + space.n_head_options * space.n_quant_options
+        digit = 1 + genes[end - 2] * space.n_quant_options + genes[end - 1]
+        return digit * radix ** (end // GENES_PER_MOUNT - 1)
 
     def _lookup(
         self, genes: tuple[int, ...]
     ) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """``(et_per_exit, overheads)`` of the architecture of ``genes``."""
-        if genes not in self._costs:
-            self._costs[genes] = exit_costs(
-                decode(genes, self.space), self.accel, self.space.num_classes
-            )
-        return self._costs[genes]
+        costs = self._costs.get(genes)
+        if costs is None:
+            *intermediate, final = decode_exits(genes, self.space)
+            state = None
+            prefix = 0
+            for index, (end, mount, head, bits) in enumerate(intermediate, 1):
+                prefix += self._digit(genes, end)
+                link = self._prefixes.get(prefix)
+                if link is None:
+                    if len(self._prefixes) >= _PREFIX_MEMO_SIZE:
+                        self._prefixes.clear()
+                    link = self._prefixes[prefix] = self._place(
+                        state, mount, head, bits, index
+                    )
+                state = link
+            _, mount, head, bits = final
+            state = self._place(state, mount, head, bits, len(intermediate) + 1)
+            costs = self._costs[genes] = exit_products(self._fold, state)
+        return costs
 
     def max_overhead(self, genes: tuple[int, ...]) -> float:
         return max(self._lookup(genes)[1], default=0.0)
@@ -147,13 +218,13 @@ class CostCache:
 
     def static_et(self, genes: tuple[int, ...]) -> float:
         """Energy-delay of the backbone with only the final head of
-        ``genes``, all samples exiting last."""
-        key = (genes[-2], genes[-1])
+        ``genes``, all samples exiting last: the final exit placed straight
+        after the backbone."""
+        key = genes[-2:]
         if key not in self._static:
-            arch = static_counterpart(decode(genes, self.space))
-            self._static[key] = exit_costs(
-                arch, self.accel, self.space.num_classes
-            )[0][-1]
+            *_, (_, mount, head, bits) = decode_exits(genes, self.space)
+            state = self._place(None, mount, head, bits, 1)
+            self._static[key] = exit_products(self._fold, state)[0][-1]
         return self._static[key]
 
 

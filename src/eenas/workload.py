@@ -195,10 +195,11 @@ class HeadTemplate(NamedTuple):
 
 
 @lru_cache(maxsize=16)
-def _head_builder(backbone: BackboneSpec, bits: int):
+def head_builder(backbone: BackboneSpec, bits: int):
     """The cached builder of :func:`head_templates` over one (backbone,
     backbone bits): it hashes the backbone once per architecture, not once
-    per exit."""
+    per exit. The search's cost cache keeps the builder of its space and
+    builds each exit's head from the genes, without an architecture."""
     base = expand_backbone(backbone, bits)
     mount_node = dict(zip(backbone.mount_labels, base.mounts))
 
@@ -280,7 +281,7 @@ def head_templates(
     backbone bits, mount, head spec, exit bits, exit index and class count.
     Linear MACs are in*out; pooling and softmax move data but contribute
     zero MACs."""
-    build = _head_builder(arch.backbone, arch.quant.backbone_bits)
+    build = head_builder(arch.backbone, arch.quant.backbone_bits)
     return tuple(
         build(placement.mount, placement.head, bits, i, num_classes)
         for i, (placement, bits) in enumerate(

@@ -1,8 +1,11 @@
 """The search's cost cache keeps only per-exit energy-delay products and head
-overheads, computed from the heads over the cached backbone. Whatever it
-answers must equal what the full cost report says, bit for bit."""
+overheads, computed from the heads over the cached backbone and the states
+it keeps per head prefix. Whatever it answers must equal what the full cost
+report says, bit for bit, and it must refuse every gene vector that
+``decode`` refuses."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eenas.arch import (
+    ChromosomeError,
+    ExitHeadSpec,
     SpaceConfig,
     builtin_backbone,
     decode,
@@ -18,8 +23,8 @@ from eenas.arch import (
 )
 from eenas.hwcost import AcceleratorSpec, cost_report, et_avg
 from eenas.search import CostCache
-from eenas import evaluate, hwcost, workload
-from helpers import reference_exit_products
+from eenas import arch, evaluate, hwcost, search, workload
+from helpers import chain_backbone, reference_exit_products
 
 #: The accelerators of the differential test in ``test_hwcost.py``: the
 #: default one, and one with a line of NoC hops and a 16 KiB scratchpad, so
@@ -89,7 +94,7 @@ class TestCostCacheMatchesCostReport:
 
 
 class TestExitCostsTouchOnlyHeads:
-    """``exit_costs`` places cached head templates on the cached backbone
+    """The cost cache places cached head templates on the cached backbone
     state: per candidate it builds no layer graph and no backbone copy."""
 
     @pytest.fixture
@@ -102,7 +107,7 @@ class TestExitCostsTouchOnlyHeads:
             init(self, *args, **kwargs)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("exit_costs expanded a whole graph")
+            raise AssertionError("the cost cache expanded a whole graph")
 
         monkeypatch.setattr(workload.LayerGraph, "__init__", counting_init)
         monkeypatch.setattr(workload, "expand_layers", forbidden)
@@ -112,13 +117,15 @@ class TestExitCostsTouchOnlyHeads:
     @pytest.mark.parametrize("space", SPACES)
     def test_no_graph_per_candidate(self, space, forbid_graphs):
         rng = np.random.default_rng(31)
-        archs = [decode(sample_architecture(space, rng), space) for _ in range(60)]
+        genes = [sample_architecture(space, rng) for _ in range(60)]
         for accel in ACCELERATORS:
-            # The first call may expand and fold the backbone, once.
-            hwcost.exit_costs(archs[0], accel, space.num_classes)
+            cache = CostCache(space, accel)
+            # The first lookup may expand and fold the backbone, once.
+            cache.max_overhead(genes[0])
             forbid_graphs.clear()
-            for arch in archs:
-                hwcost.exit_costs(arch, accel, space.num_classes)
+            for g in genes:
+                cache.max_overhead(g)
+                cache.static_et(g)
             assert forbid_graphs == []
 
     def test_architectures_share_head_templates(self):
@@ -140,10 +147,167 @@ class TestExitCostsTouchOnlyHeads:
 
     def test_every_new_cache_is_bounded(self, mobilenet):
         caches = (
-            workload._head_builder,
-            workload._head_builder(mobilenet, 8),
+            workload.head_builder,
+            workload.head_builder(mobilenet, 8),
             evaluate._difficulty_grid,
             evaluate._accuracy_sum,
         )
         for cache in caches:
             assert cache.cache_info().maxsize is not None
+
+
+#: The spaces of the prefix-memo differential test: smallconv, MobileNetV2
+#: at a 4-bit backbone, and a chain of small convolutions with three head
+#: and three exit-bit options. Its mounts are so close that heads run at
+#: the same time and contend for cores, so where an exit's head goes
+#: depends on the heads placed before it; on the two builtin backbones it
+#: never does.
+PREFIX_SPACES = (
+    SpaceConfig(backbone=builtin_backbone("smallconv")),
+    SpaceConfig(backbone=builtin_backbone("mobilenetv2_cifar"), backbone_bits=4),
+    SpaceConfig(
+        backbone=chain_backbone(6, channels=16),
+        head_options=(
+            ExitHeadSpec(depth=1),
+            ExitHeadSpec(depth=2),
+            ExitHeadSpec(pooled_size=2, depth=2, hidden_width=64),
+        ),
+        exit_bit_options=(8, 4, 2),
+    ),
+)
+
+
+def counted_placements(monkeypatch) -> list:
+    """Every head the cost caches place from here on."""
+    placed = []
+    place_exit = search.place_exit
+
+    def counting(fold, prev, template):
+        placed.append(template)
+        return place_exit(fold, prev, template)
+
+    monkeypatch.setattr(search, "place_exit", counting)
+    return placed
+
+
+class TestPrefixMemoMatchesCostReport:
+    """The cost cache's answers equal the full cost report's for hundreds
+    of architectures per space, whatever the order they come in and
+    however often the prefix memo starts over."""
+
+    N_GENES = 300
+
+    def check(self, space, accel, genes, references):
+        cache = CostCache(space, accel)
+        for g in genes:
+            report, static = references[g]
+            assert cache._lookup(g) == (report.et_per_exit, report.overheads)
+            assert cache.static_et(g) == static.et_per_exit[-1]
+        return cache
+
+    @pytest.mark.parametrize("space", PREFIX_SPACES)
+    def test_every_order_and_bound(self, space, monkeypatch):
+        rng = np.random.default_rng(19)
+        genes = set()
+        while len(genes) < self.N_GENES:
+            genes.add(sample_architecture(space, rng))
+        genes = sorted(genes)
+        shuffled = genes[:]
+        random.Random(19).shuffle(shuffled)
+        exits = sum(decode(g, space).m for g in genes)
+        for accel in ACCELERATORS:
+            references = {
+                g: (
+                    cost_report(decode(g, space), accel, num_classes=space.num_classes),
+                    cost_report(
+                        static_counterpart(decode(g, space)), accel,
+                        num_classes=space.num_classes,
+                    ),
+                )
+                for g in genes
+            }
+            self.check(space, accel, shuffled, references)
+            placed = counted_placements(monkeypatch)
+            self.check(space, accel, genes, references)
+            # Sorted, neighbours share their leading exits: far fewer heads
+            # are placed than the architectures hold.
+            assert len(placed) < exits
+            monkeypatch.setattr(search, "_PREFIX_MEMO_SIZE", 3)
+            cache = self.check(space, accel, shuffled, references)
+            assert len(cache._prefixes) <= 3
+            monkeypatch.undo()
+
+
+class TestGenesCheckedAsDecodeChecks:
+    """Every gene vector ``decode`` refuses, the cost cache refuses with the
+    same error, even when its memo holds the valid neighbours of the bad
+    gene; and it never decodes."""
+
+    @pytest.fixture
+    def space(self, mobile_space):
+        return mobile_space
+
+    @staticmethod
+    def with_gene(genes, index, value):
+        out = list(genes)
+        out[index] = value
+        return tuple(out)
+
+    def assert_refused(self, cache, bad):
+        with pytest.raises(ChromosomeError) as expected:
+            decode(bad, cache.space)
+        with pytest.raises(ChromosomeError) as got:
+            cache.max_overhead(bad)
+        assert str(got.value) == str(expected.value)
+
+    def warm_cache(self, space, accel):
+        """A cache that has costed every single-gene variant of an
+        all-present vector that is still valid."""
+        base = tuple([1, 1, 1] * space.n_optional + [1, 1])
+        cache = CostCache(space, accel)
+        cache.max_overhead(base)
+        for i in range(len(base)):
+            for value in range(2):
+                cache.max_overhead(self.with_gene(base, i, value))
+        return base, cache
+
+    def test_bad_genes_raise_after_their_siblings(self, space, accel):
+        base, cache = self.warm_cache(space, accel)
+        assert len(cache._prefixes) > space.n_optional
+        bad = [base[:-1], base + (0,), ()]
+        for j in range(space.n_optional):
+            mount = 3 * j
+            bad.append(self.with_gene(base, mount, 2))
+            bad.append(self.with_gene(base, mount + 1, space.n_head_options))
+            bad.append(self.with_gene(base, mount + 1, -1))
+            bad.append(self.with_gene(base, mount + 2, space.n_quant_options))
+        bad.append(self.with_gene(base, -2, space.n_head_options))
+        bad.append(self.with_gene(base, -1, space.n_quant_options))
+        bad.append(self.with_gene(base, -1, -1))
+        for genes in bad:
+            self.assert_refused(cache, genes)
+
+    def test_absent_mount_options_are_ignored(self, space, accel):
+        base, cache = self.warm_cache(space, accel)
+        for j in range(space.n_optional):
+            absent = self.with_gene(base, 3 * j, 0)
+            expected = cache._lookup(absent)
+            for options in ((0, 0), (7, -3)):
+                genes = absent[: 3 * j + 1] + options + absent[3 * j + 3 :]
+                assert CostCache(space, accel)._lookup(genes) == expected
+                assert cache._lookup(genes) == expected
+
+    def test_no_lookup_decodes(self, space, accel, monkeypatch):
+        _, cache = self.warm_cache(space, accel)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the cost cache decoded an architecture")
+
+        for module in (arch, search):
+            monkeypatch.setattr(module, "decode", forbidden)
+        monkeypatch.setattr(arch, "static_counterpart", forbidden)
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            genes = sample_architecture(space, rng)
+            cache.max_overhead(genes)
+            cache.static_et(genes)

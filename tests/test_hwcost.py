@@ -13,6 +13,7 @@ from eenas.arch import (
     QuantScheme,
     SpaceConfig,
     decode,
+    encode,
     sample_architecture,
 )
 from eenas.hwcost import (
@@ -24,9 +25,9 @@ from eenas.hwcost import (
     allocate,
     cost_report,
     et_avg,
-    exit_costs,
     layer_cost,
 )
+from eenas.search import CostCache
 from eenas.workload import LayerGraph, LayerNode, expand_layers
 from helpers import (
     enumerate_space,
@@ -381,7 +382,11 @@ class TestCostReport:
             assert energy == sum(costs[k].energy_pj for k in runs)
             assert cycles == sum(costs[k].cycles for k in runs)
             assert energy * cycles == report.et_per_exit[i - 1]
-        assert (report.et_per_exit, report.overheads) == exit_costs(arch, accel)
+        space = SpaceConfig(backbone=smallconv)
+        cache = CostCache(space, accel)
+        assert cache._lookup(encode(arch, space)) == (
+            report.et_per_exit, report.overheads
+        )
 
     def test_deterministic(self, smallconv, accel):
         arch = self.arch(smallconv)
@@ -532,15 +537,15 @@ class TestAcceleratorSpec:
 # exit reaches through the graph's edges (``helpers.reference_exit_products``).
 # ---------------------------------------------------------------------------
 
-def assert_matches_reference(arch, spec, num_classes=10):
-    """``exit_costs`` equals the edge-traced sums over the reference greedy
-    plan of the full graph, and ``allocate`` equals that plan."""
-    graph = expand_layers(arch, num_classes=num_classes)
+def assert_matches_reference(cache, genes):
+    """``cache``'s costs of ``genes`` equal the edge-traced sums over the
+    reference greedy plan of the full graph, and ``allocate`` equals that
+    plan."""
+    spec = cache.accel
+    graph = expand_layers(decode(genes, cache.space), cache.space.num_classes)
     plan = reference_schedule(graph, spec, reference_greedy_assignment(graph, spec))
     assert allocate(graph, spec) == plan
-    assert exit_costs(arch, spec, num_classes) == reference_exit_products(
-        graph, plan.layer_costs
-    )
+    assert cache._lookup(genes) == reference_exit_products(graph, plan.layer_costs)
     return graph, plan
 
 
@@ -553,28 +558,32 @@ SPILLING_ACCEL = AcceleratorSpec(
 
 
 class TestBackbonePrefixMatchesReference:
-    """``exit_costs``, which places cached head templates on the cached
-    backbone fold, reproduces the full-graph greedy path bit for bit. Each
-    architecture is costed on both backbone bit widths and both
-    accelerators in turn, so consecutive calls never share a prefix key and
-    a leak across keys would show."""
+    """``CostCache``, which places cached head templates on the cached
+    backbone fold and keeps the state after each head prefix, reproduces
+    the full-graph greedy path bit for bit. One cache per backbone bit
+    width and accelerator costs every architecture, so later architectures
+    reuse the prefixes of earlier ones; each architecture is costed by all
+    four caches in turn, so a leak across caches would show."""
 
     SPECS = (AcceleratorSpec(), SPILLING_ACCEL)
 
     def check_space(self, backbone, chromosomes):
-        spaces = [SpaceConfig(backbone=backbone, backbone_bits=b) for b in (8, 4)]
+        caches = [
+            CostCache(SpaceConfig(backbone=backbone, backbone_bits=b), spec)
+            for b in (8, 4)
+            for spec in self.SPECS
+        ]
         spilled = hopped = False
         for chrom in chromosomes:
-            for space in spaces:
-                arch = decode(chrom, space)
-                for spec in self.SPECS:
-                    graph, plan = assert_matches_reference(arch, spec)
-                    spilled |= any(c.spilled for c in plan.layer_costs)
-                    cores = plan.assignment
-                    hopped |= any(
-                        spec.hops(cores[src], cores[dst]) > 1
-                        for src, dst in graph.edges
-                    )
+            for cache in caches:
+                spec = cache.accel
+                graph, plan = assert_matches_reference(cache, chrom)
+                spilled |= any(c.spilled for c in plan.layer_costs)
+                cores = plan.assignment
+                hopped |= any(
+                    spec.hops(cores[src], cores[dst]) > 1
+                    for src, dst in graph.edges
+                )
         assert spilled and hopped
 
     def test_exhaustive_smallconv(self, smallconv):
