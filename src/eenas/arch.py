@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .files import check_fields
+from .files import check_fields, check_fixed
 
 GENES_PER_MOUNT = 3  # presence bit, head-option index, quant-option index
 
@@ -414,8 +414,8 @@ class SpaceConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "SpaceConfig":
-        if any(h.get("activation", "relu6") != "relu6" for h in data["head_options"]):
-            raise ArchitectureError("head option field activation must be 'relu6'")
+        for h in data["head_options"]:
+            check_fixed(h, {"activation": "relu6"}, ArchitectureError, "head option")
         heads = tuple(
             ExitHeadSpec(h["pooled_size"], h["depth"], h["hidden_width"])
             for h in data["head_options"]

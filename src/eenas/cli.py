@@ -44,8 +44,8 @@ from .evaluate import (
     TrainingConfig,
     make_toy_dataset,
 )
-from .files import (atomic_write, is_int, is_int_list, is_object, is_real_list,
-                    load_json, require)
+from .files import (atomic_write, check_fixed, is_int, is_int_list, is_object,
+                    is_real_list, load_json, require)
 from .hwcost import AcceleratorSpec, CostModelError, cost_report
 from .search import (
     COST_MODE,
@@ -161,8 +161,7 @@ def _load_run_config(path: str):
     accelerator = data.get("accelerator", "default")
     if not (isinstance(backbone, str) and isinstance(accelerator, str)):
         raise ConfigError("backbone and accelerator must be strings")
-    if data.get("cost_mode", COST_MODE) != COST_MODE:
-        raise ConfigError(f"cost_mode must be {COST_MODE!r}")
+    check_fixed(data, {"cost_mode": COST_MODE}, ConfigError, "config")
     _check_object(data.get("space", {}), "space", _SPACE_KEYS)
     _check_object(data.get("nas", {}), "nas")
     if "seed" in data.get("nas", {}):

@@ -114,6 +114,16 @@ def check_fields(obj, error: type[Exception], skip=()) -> None:
             require(error, checks[f.type], **{f.name: getattr(obj, f.name)})
 
 
+def check_fixed(data: dict, fixed: dict, error: type[Exception], what: str) -> None:
+    """A fixed or retired key of ``data`` may be given only at the value a
+    header writes for it, ``fixed[key]``, and as the same JSON text: so
+    ``1`` or ``true`` is not ``1.0``. Raises ``error`` naming the first
+    key of ``fixed`` that ``data`` holds at another value."""
+    for key, value in fixed.items():
+        if key in data and json.dumps(data[key]) != json.dumps(value):
+            raise error(f"{what} field {key} must be {json.dumps(value)}")
+
+
 def check_exit_ratios(ratios, error: type[Exception]) -> None:
     """Exit ratios must be finite, lie in [0, 1] and sum to 1 within 1e-9."""
     if not all(math.isfinite(r) and 0 <= r <= 1 for r in ratios):

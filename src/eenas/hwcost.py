@@ -22,7 +22,6 @@ Energy-latency products over a set of layers always take the form
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -30,7 +29,9 @@ from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .arch import BackboneSpec, EennArchitecture, hash_once
-from .files import check_exit_ratios, check_fields, is_int, is_object, load_json
+from .files import (
+    check_exit_ratios, check_fields, check_fixed, is_int, is_object, load_json,
+)
 from .workload import (
     MATRIX_KINDS,
     HeadTemplate,
@@ -151,7 +152,7 @@ class AcceleratorSpec:
     @classmethod
     def from_json(cls, data: dict) -> "AcceleratorSpec":
         """The spec ``data`` describes. A retired key may be given only at
-        the value :meth:`to_json` writes for it, with that value's JSON type."""
+        the value :meth:`to_json` writes for it (:func:`check_fixed`)."""
         if not is_object(data):
             raise CostModelError("accelerator must be a JSON object")
         kwargs = dict(data)
@@ -166,12 +167,7 @@ class AcceleratorSpec:
             spec = cls(**kwargs)
         except TypeError as exc:
             raise CostModelError(f"bad accelerator field: {exc}") from exc
-        fixed = spec.to_json()
-        for key, value in retired.items():
-            if type(value) is not type(fixed[key]) or value != fixed[key]:
-                raise CostModelError(
-                    f"accelerator field {key} must be {json.dumps(fixed[key])}"
-                )
+        check_fixed(retired, spec.to_json(), CostModelError, "accelerator")
         return spec
 
     @classmethod
@@ -303,13 +299,20 @@ def _layer_cost_memo(spec: AcceleratorSpec) -> dict[tuple, _CostOptions]:
 
 @dataclass(frozen=True)
 class AllocationPlan:
-    """Layer-to-core assignment with a dependency-respecting schedule."""
+    """Layer-to-core assignment with a dependency-respecting schedule: per
+    node its core, start, end and chosen cost, and per core the cycle it is
+    next free. Immutable, so the backbone's plan can seed the head
+    placements of every architecture over it."""
 
     assignment: tuple[int, ...]
     start: tuple[int, ...]
     end: tuple[int, ...]
-    makespan: int
+    free: tuple[int, ...]
     layer_costs: tuple[LayerCost, ...]
+
+    @property
+    def makespan(self) -> int:
+        return max(self.end, default=0)
 
 
 def _input_sources(
@@ -363,30 +366,7 @@ def _place(
     return best
 
 
-@dataclass(frozen=True)
-class _FoldState:
-    """Allocation after a prefix of a graph's nodes: per node its core,
-    start, end, and chosen cost; and per core the cycle it is next free.
-    Immutable, so the backbone's state can seed the head placements of
-    every architecture over it."""
-
-    cores: tuple[int, ...]
-    start: tuple[int, ...]
-    end: tuple[int, ...]
-    free: tuple[int, ...]
-    costs: tuple[LayerCost, ...]
-
-    def plan(self) -> AllocationPlan:
-        return AllocationPlan(
-            assignment=self.cores,
-            start=self.start,
-            end=self.end,
-            makespan=max(self.end, default=0),
-            layer_costs=self.costs,
-        )
-
-
-def _fold(graph: LayerGraph, spec: AcceleratorSpec) -> _FoldState:
+def _fold(graph: LayerGraph, spec: AcceleratorSpec) -> AllocationPlan:
     """Place and schedule every node, one :func:`_place` at a time in
     topological order. A node starts when its core is free and its
     producers have finished. A decision reads only the nodes before it, so
@@ -405,24 +385,24 @@ def _fold(graph: LayerGraph, spec: AcceleratorSpec) -> _FoldState:
         start.append(finish - cost.cycles)
         end.append(finish)
         costs.append(cost)
-    return _FoldState(
-        cores=tuple(cores),
+    return AllocationPlan(
+        assignment=tuple(cores),
         start=tuple(start),
         end=tuple(end),
         free=tuple(free),
-        costs=tuple(costs),
+        layer_costs=tuple(costs),
     )
 
 
 @dataclass(frozen=True)
 class BackboneFold:
-    """Greedy fold state after the backbone nodes on ``spec``, each node's
+    """Greedy plan of the backbone nodes on ``spec``, each node's
     energy and cycles in node order, and the energy-delay of the backbone
     segment between every two mounts, keyed on ``(stop, next stop)``: the
     indices just past the two mounts' nodes."""
 
     spec: AcceleratorSpec
-    state: _FoldState
+    state: AllocationPlan
     energies: tuple[float, ...]
     cycles: tuple[int, ...]
     segment_et: dict[tuple[int, int], float]
@@ -437,8 +417,8 @@ def backbone_fold(
     same nodes as :func:`expand_backbone`."""
     graph = expand_backbone(backbone, bits)
     state = _fold(graph, spec)
-    energies = tuple(c.energy_pj for c in state.costs)
-    cycles = tuple(c.cycles for c in state.costs)
+    energies = tuple(c.energy_pj for c in state.layer_costs)
+    cycles = tuple(c.cycles for c in state.layer_costs)
     stops = [m + 1 for m in graph.mounts]
     return BackboneFold(
         spec=spec,
@@ -459,7 +439,7 @@ def allocate(graph: LayerGraph, spec: AcceleratorSpec) -> AllocationPlan:
     have finished. Deterministic."""
     if not graph.nodes:
         raise CostModelError("cannot allocate an empty graph")
-    return _fold(graph, spec).plan()
+    return _fold(graph, spec)
 
 
 def et_avg(et_per_exit: Sequence[float], exit_ratios: Sequence[float]) -> float:
@@ -495,31 +475,6 @@ def _overhead(head_et: float, segment_et: float) -> float:
     return math.inf if segment_et == 0 else head_et / segment_et
 
 
-def _exit_sums(
-    energies: Sequence[float],
-    cycles: Sequence[int],
-    ends: Sequence[int],
-    heads: Sequence[tuple[Sequence[float], Sequence[int]]],
-) -> tuple[list[float], list[int], list[float]]:
-    """The exit rule over a whole architecture. Exit i runs the backbone
-    nodes before ``ends[i]`` (``energies`` and ``cycles`` in node order),
-    then the heads of exits 1..i, each head's ``(energies, cycles)`` in node
-    order. Returns per exit its energy E_i and cycles T_i
-    (:func:`_exit_sum`), and per intermediate exit its :func:`_overhead`."""
-    head_e = [e for e, _ in heads]
-    head_t = [t for _, t in heads]
-    exit_e = [_exit_sum(energies, stop, head_e[: i + 1]) for i, stop in enumerate(ends)]
-    exit_t = [_exit_sum(cycles, stop, head_t[: i + 1]) for i, stop in enumerate(ends)]
-    overheads = [
-        _overhead(
-            _energy_delay(e, t),
-            _energy_delay(energies[stop:nxt], cycles[stop:nxt]),
-        )
-        for e, t, stop, nxt in zip(head_e, head_t, ends, ends[1:])
-    ]
-    return exit_e, exit_t, overheads
-
-
 class ExitState(NamedTuple):
     """Greedy state after exits 1..i of an architecture, placed on a
     :class:`BackboneFold` by :func:`place_exit`: the state after exit i-1
@@ -545,11 +500,13 @@ def place_exit(
     """The state after one more exit: ``template``'s nodes placed after the
     exits of ``prev`` (or straight after the backbone), each node after its
     producer, with the same one-node placement step that allocates whole
-    graphs. Its sums take the same terms in the same node order as
-    :func:`cost_report`'s, so they are equal bit for bit."""
+    graphs, so each lands where :func:`allocate` puts it in the full graph.
+    Exit i's energy and cycles are :func:`_exit_sum` over the backbone nodes
+    before its mount and the heads of exits 1..i. This is the one code that
+    costs an exit, for the search and :func:`cost_report` alike."""
     spec = fold.spec
     memo = _layer_cost_memo(spec)
-    core, ready = fold.state.cores[template.src], fold.state.end[template.src]
+    core, ready = fold.state.assignment[template.src], fold.state.end[template.src]
     free = list(fold.state.free if prev is None else prev.free)
     head_e: list[float] = []
     head_t: list[int] = []
@@ -582,7 +539,9 @@ def exit_products(
     fold: BackboneFold, last: ExitState
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """``(et_per_exit, overheads)`` of the architecture whose final exit
-    has the state ``last``, equal to those of :func:`cost_report`."""
+    has the state ``last``: per exit E_i * T_i, and per intermediate exit
+    its head's energy-delay over that of the backbone segment up to the
+    next mount (:func:`_overhead`)."""
     states = []
     while last is not None:
         states.append(last)
@@ -617,34 +576,24 @@ def cost_report(
     exit_ratios: Sequence[float] | None = None,
     num_classes: int = 10,
 ) -> HwCostReport:
-    """Expand, allocate, and aggregate: per-layer costs, per-exit energy,
-    cycles and energy-delay products, head overheads, and (given exit
-    ratios) the weighted average. The full graph holds the backbone nodes,
-    then each exit's head nodes in exit order: :func:`_exit_sums` reads
-    the backbone terms from the front of the plan's costs and each head's
-    terms from its slice."""
+    """Per-exit energy, cycles and energy-delay products, head overheads,
+    and (given exit ratios) the weighted average, costed as the search
+    costs them: each exit :func:`place_exit` after the ones before it on
+    the backbone fold. The plan, for the per-layer view, is the full
+    graph's :func:`allocate`; a greedy decision reads only the nodes before
+    it, so it places every node where the exits were costed."""
+    fold = backbone_fold(arch.backbone, arch.quant.backbone_bits, spec)
+    states: list[ExitState] = []
+    for template in head_templates(arch, num_classes):
+        states.append(place_exit(fold, states[-1] if states else None, template))
+    et_values, overheads = exit_products(fold, states[-1])
     graph = expand_layers(arch, num_classes=num_classes)
-    plan = allocate(graph, spec)
-    energies = [c.energy_pj for c in plan.layer_costs]
-    cycles = [c.cycles for c in plan.layer_costs]
-    templates = head_templates(arch, num_classes)
-    stop = graph.mounts[-1] + 1  # the final mount follows the last block
-    heads = []
-    for template in templates:
-        head = slice(stop, stop + len(template.nodes))
-        heads.append((energies[head], cycles[head]))
-        stop = head.stop
-    exit_e, exit_t, overheads = _exit_sums(
-        energies, cycles, [template.src + 1 for template in templates], heads
-    )
-    et_values = tuple(e * t for e, t in zip(exit_e, exit_t))
-    avg = et_avg(et_values, exit_ratios) if exit_ratios is not None else None
     return HwCostReport(
         graph=graph,
-        energy_per_exit=tuple(exit_e),
-        cycles_per_exit=tuple(exit_t),
+        energy_per_exit=tuple(s.energy for s in states),
+        cycles_per_exit=tuple(s.cycles for s in states),
         et_per_exit=et_values,
-        et_avg=avg,
-        overheads=tuple(overheads),
-        plan=plan,
+        et_avg=et_avg(et_values, exit_ratios) if exit_ratios is not None else None,
+        overheads=overheads,
+        plan=allocate(graph, spec),
     )

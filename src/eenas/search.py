@@ -43,7 +43,7 @@ from .evaluate import (
     synthetic_oracle,
     train_toy,
 )
-from .files import atomic_write, check_fields, is_int, is_real
+from .files import atomic_write, check_fields, check_fixed, is_int, is_real
 from .hwcost import (
     AcceleratorSpec,
     BackboneFold,
@@ -83,7 +83,7 @@ class NasConfig:
     init_population: int = 50
     mutation_rate: float = 0.1
     crossover_rate: float = 0.9
-    theta: float = 0.5  # head-overhead cap, inclusive; math.inf disables
+    theta: float = math.inf  # head-overhead cap, inclusive; math.inf: none
     mu: float = 0.5  # last-exit-ratio cap, inclusive
     ridge: float = 1e-3
     seed: int = 0
@@ -114,12 +114,11 @@ class NasConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "NasConfig":
-        kwargs = dict(data)
+        fixed = _fixed_ranking()
+        check_fixed(data, fixed, ValueError, "search config")
+        kwargs = {k: v for k, v in data.items() if k not in fixed}
         if kwargs.get("theta") is None:
             kwargs["theta"] = math.inf
-        for key, value in _fixed_ranking().items():
-            if kwargs.pop(key, value) != value:
-                raise ValueError(f"search config field {key} must be {value!r}")
         try:
             return cls(**kwargs)
         except TypeError as exc:
@@ -1048,11 +1047,7 @@ def audit_history(history: str | os.PathLike | Sequence[dict]) -> AuditResult:
     header = history.header
     if header is None:
         raise SearchError("history lacks a run-config header")
-    if header.get("cost_mode", COST_MODE) != COST_MODE:
-        raise HistoryError(
-            f"history was costed with {header['cost_mode']!r} allocation, "
-            f"not {COST_MODE!r}"
-        )
+    check_fixed(header, {"cost_mode": COST_MODE}, HistoryError, "history header")
     space = SpaceConfig.from_json(header["space"])
     accel = AcceleratorSpec.from_json(header["accelerator"])
     nas = NasConfig.from_json(header["nas"])

@@ -7,9 +7,9 @@ import math
 
 import numpy as np
 
-from eenas.arch import BackboneSpec, BlockSpec
+from eenas.arch import BackboneSpec, BlockSpec, ExitHeadSpec, SpaceConfig
 from eenas.files import atomic_write
-from eenas.hwcost import AllocationPlan, TensorSource, layer_cost
+from eenas.hwcost import AcceleratorSpec, AllocationPlan, TensorSource, layer_cost
 from eenas.workload import WorkloadError
 
 
@@ -23,6 +23,28 @@ def chain_backbone(n_mounts: int, channels: int = 8, size: int = 8) -> BackboneS
     return BackboneSpec(
         blocks=tuple(blocks), input_shape=(size, size, 3), kernel=3, padding=1
     )
+
+
+#: Non-uniform NoC distances (a line of cores) and a 16 KiB scratchpad, so
+#: transfers cross several hops and large layers spill.
+LINE_HOP_ACCEL = AcceleratorSpec(
+    sram_bytes_per_core=16 * 1024,
+    hop_table=tuple(tuple(abs(i - j) for j in range(6)) for i in range(6)),
+)
+
+#: A chain of small convolutions with three head and three exit-bit
+#: options. Its mounts are so close that heads run at the same time and
+#: contend for cores, so where an exit's head goes depends on the heads
+#: placed before it; on the two builtin backbones it never does.
+CHAIN_SPACE = SpaceConfig(
+    backbone=chain_backbone(6, channels=16),
+    head_options=(
+        ExitHeadSpec(depth=1),
+        ExitHeadSpec(depth=2),
+        ExitHeadSpec(pooled_size=2, depth=2, hidden_width=64),
+    ),
+    exit_bit_options=(8, 4, 2),
+)
 
 
 def write_accelerator(spec, path) -> None:
@@ -209,7 +231,7 @@ def reference_schedule(graph, spec, assignment):
         assignment=tuple(cores),
         start=tuple(start),
         end=tuple(end),
-        makespan=max(end, default=0),
+        free=tuple(free),
         layer_costs=tuple(costs),
     )
 

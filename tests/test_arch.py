@@ -326,7 +326,7 @@ class TestBackboneParsing:
         data = small_space.to_json()
         assert [h["activation"] for h in data["head_options"]] == ["relu6"] * 2
         data["head_options"][1]["activation"] = "relu"
-        with pytest.raises(ArchitectureError, match="activation must be 'relu6'"):
+        with pytest.raises(ArchitectureError, match='activation must be "relu6"'):
             SpaceConfig.from_json(data)
 
     @pytest.mark.parametrize(

@@ -258,6 +258,7 @@ class TestBadAcceleratorFile:
         "no-pool-core": '{"pool_core": false}',
         "no-simd-core": '{"simd_core": false}',
         "integer-pool-core": '{"pool_core": 1}',
+        "float-macs-per-cycle": '{"macs_per_cycle": 512.0}',
         "macs-not-rows-times-cols": '{"array_rows": 8, "macs_per_cycle": 512}',
     }
 
@@ -604,8 +605,11 @@ class TestSearchCommand:
 
     def test_weighted_ranking_config(self, tmp_path, capsys):
         """The shortlist is always the two-stage ranking; a config that
-        asks for another exits 2 before any output."""
-        for nas in ({"ranking": "weighted"}, {"weights": [1.0, 2.0]}):
+        asks for another, or writes its weights as integers or booleans,
+        exits 2 before any output."""
+        bad = ({"ranking": "weighted"}, {"weights": [1.0, 2.0]},
+               {"weights": [1, 1]}, {"weights": [True, True]})
+        for nas in bad:
             config = write_json(
                 tmp_path / "weighted.json",
                 {"seed": 11, "backbone": "builtin:smallconv", "nas": nas},
@@ -721,7 +725,7 @@ class TestRunConfigChecks:
             ("evaluator.grid", 10.5, "evaluator: grid must be an integer"),
             ("exit_bit", [4], "config has an unknown key 'exit_bit'"),
             ("space.exit_bit", [4], "space has an unknown key 'exit_bit'"),
-            ("cost_mode", "optimal", "cost_mode must be 'greedy'"),
+            ("cost_mode", "optimal", 'cost_mode must be "greedy"'),
             ("evaluator", dict(TOY, seed=3), "evaluator has an unknown key 'seed'"),
             ("evaluator", dict(TOY, training=[]), "evaluator.training must be an object"),
             ("evaluator", {"kind": "external", "reports_dir": 0},
@@ -729,7 +733,7 @@ class TestRunConfigChecks:
             ("evaluator", dict(TOY, training={"loss_weights": [1.0, 1.0]}),
              "evaluator.training has an unknown key 'loss_weights'"),
             ("nas.seed", 11, "nas: seed is set by the top-level seed key"),
-            ("cost_mode", "genetic", "cost_mode must be 'greedy'"),
+            ("cost_mode", "genetic", 'cost_mode must be "greedy"'),
         ],
     )
     def test_bad_field_exits_2_naming_it(self, tmp_path, path, value, message, capsys):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from eenas.arch import (
     ChromosomeError,
-    ExitHeadSpec,
     SpaceConfig,
     builtin_backbone,
     decode,
@@ -24,18 +23,10 @@ from eenas.arch import (
 from eenas.hwcost import AcceleratorSpec, cost_report, et_avg
 from eenas.search import CostCache
 from eenas import arch, evaluate, hwcost, search, workload
-from helpers import chain_backbone, reference_exit_products
+from helpers import CHAIN_SPACE, LINE_HOP_ACCEL, reference_exit_products
 
-#: The accelerators of the differential test in ``test_hwcost.py``: the
-#: default one, and one with a line of NoC hops and a 16 KiB scratchpad, so
-#: transfers cross several hops and large layers spill.
-ACCELERATORS = (
-    AcceleratorSpec(),
-    AcceleratorSpec(
-        sram_bytes_per_core=16 * 1024,
-        hop_table=tuple(tuple(abs(i - j) for j in range(6)) for i in range(6)),
-    ),
-)
+#: The accelerators of the differential test in ``test_hwcost.py``.
+ACCELERATORS = (AcceleratorSpec(), LINE_HOP_ACCEL)
 
 SPACES = tuple(
     SpaceConfig(backbone=builtin_backbone(name), backbone_bits=bits)
@@ -156,24 +147,12 @@ class TestExitCostsTouchOnlyHeads:
             assert cache.cache_info().maxsize is not None
 
 
-#: The spaces of the prefix-memo differential test: smallconv, MobileNetV2
-#: at a 4-bit backbone, and a chain of small convolutions with three head
-#: and three exit-bit options. Its mounts are so close that heads run at
-#: the same time and contend for cores, so where an exit's head goes
-#: depends on the heads placed before it; on the two builtin backbones it
-#: never does.
+#: The spaces of the prefix-memo test: smallconv, MobileNetV2 at a 4-bit
+#: backbone, and the chain whose heads contend for cores.
 PREFIX_SPACES = (
     SpaceConfig(backbone=builtin_backbone("smallconv")),
     SpaceConfig(backbone=builtin_backbone("mobilenetv2_cifar"), backbone_bits=4),
-    SpaceConfig(
-        backbone=chain_backbone(6, channels=16),
-        head_options=(
-            ExitHeadSpec(depth=1),
-            ExitHeadSpec(depth=2),
-            ExitHeadSpec(pooled_size=2, depth=2, hidden_width=64),
-        ),
-        exit_bit_options=(8, 4, 2),
-    ),
+    CHAIN_SPACE,
 )
 
 

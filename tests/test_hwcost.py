@@ -21,7 +21,8 @@ from eenas.hwcost import (
     MAX_COMPUTE_CORES,
     CostModelError,
     TensorSource,
-    _exit_sums,
+    _exit_sum,
+    _overhead,
     allocate,
     cost_report,
     et_avg,
@@ -30,6 +31,8 @@ from eenas.hwcost import (
 from eenas.search import CostCache
 from eenas.workload import LayerGraph, LayerNode, expand_layers
 from helpers import (
+    CHAIN_SPACE,
+    LINE_HOP_ACCEL,
     enumerate_space,
     exit_runs,
     reference_exit_products,
@@ -233,13 +236,27 @@ class TestAllocation:
 
 
 def exit_products(energies, cycles, ends, heads):
-    """Per-exit energy-delay products and overheads of :func:`_exit_sums`."""
-    exit_e, exit_t, overheads = _exit_sums(energies, cycles, ends, heads)
-    return [e * t for e, t in zip(exit_e, exit_t)], overheads
+    """Per-exit energy-delay products and head overheads, one exit at a
+    time. Exit i runs the backbone nodes before ``ends[i]`` (``energies``
+    and ``cycles`` in node order), then the heads of exits 1..i, each
+    head's ``(energies, cycles)`` in node order: its product is
+    :func:`_exit_sum` of the energies times that of the cycles. Each
+    intermediate head's overhead is :func:`_overhead` of its energy-delay
+    and that of the backbone segment up to the next end."""
+    et = []
+    for i, stop in enumerate(ends):
+        head_e = [e for e, _ in heads[: i + 1]]
+        head_t = [t for _, t in heads[: i + 1]]
+        et.append(_exit_sum(energies, stop, head_e) * _exit_sum(cycles, stop, head_t))
+    overheads = [
+        _overhead(sum(e) * sum(t), sum(energies[stop:nxt]) * sum(cycles[stop:nxt]))
+        for (e, t), stop, nxt in zip(heads, ends, ends[1:])
+    ]
+    return et, overheads
 
 
 def one_node_stages(backbone, heads):
-    """:func:`_exit_sums` inputs for stages of one backbone node each, with
+    """:func:`exit_products` inputs for stages of one backbone node each, with
     a one-node head mounted after each stage. ``backbone`` and ``heads``
     hold one (energy, cycles) pair per stage."""
     return (
@@ -549,14 +566,6 @@ def assert_matches_reference(cache, genes):
     return graph, plan
 
 
-#: Non-uniform NoC distances (a line of cores) and a 16 KiB scratchpad, so
-#: transfers cost more than one hop and large layers spill.
-SPILLING_ACCEL = AcceleratorSpec(
-    sram_bytes_per_core=16 * 1024,
-    hop_table=tuple(tuple(abs(i - j) for j in range(6)) for i in range(6)),
-)
-
-
 class TestBackbonePrefixMatchesReference:
     """``CostCache``, which places cached head templates on the cached
     backbone fold and keeps the state after each head prefix, reproduces
@@ -565,7 +574,7 @@ class TestBackbonePrefixMatchesReference:
     reuse the prefixes of earlier ones; each architecture is costed by all
     four caches in turn, so a leak across caches would show."""
 
-    SPECS = (AcceleratorSpec(), SPILLING_ACCEL)
+    SPECS = (AcceleratorSpec(), LINE_HOP_ACCEL)
 
     def check_space(self, backbone, chromosomes):
         caches = [
@@ -596,3 +605,11 @@ class TestBackbonePrefixMatchesReference:
         self.check_space(
             mobilenet, [sample_architecture(space, rng) for _ in range(200)]
         )
+
+    def test_sampled_contending_chain(self):
+        """Heads on the chain contend for cores, so a head placed as if the
+        heads before it were absent would land elsewhere."""
+        cache = CostCache(CHAIN_SPACE, LINE_HOP_ACCEL)
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            assert_matches_reference(cache, sample_architecture(CHAIN_SPACE, rng))

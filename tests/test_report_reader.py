@@ -70,7 +70,9 @@ def flaky_search(backbone, path, seed):
             raise EvaluationFailure("simulated failure")
         return oracle(key, arch)
 
-    config = NasConfig(iterations=3, n_select=6, init_population=15, seed=seed)
+    config = NasConfig(
+        iterations=3, n_select=6, init_population=15, theta=0.5, seed=seed
+    )
     run_search(
         SpaceConfig(backbone=builtin_backbone(backbone)),
         AcceleratorSpec(),

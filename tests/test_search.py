@@ -169,6 +169,10 @@ class TestNasConfig:
         plain = NasConfig()
         assert NasConfig.from_json(plain.to_json()) == plain
 
+    def test_omitted_theta_is_the_default_no_cap(self):
+        assert NasConfig().theta == math.inf
+        assert NasConfig.from_json({}) == NasConfig()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             NasConfig(mu=0.0)
@@ -185,7 +189,9 @@ class TestNasConfig:
         """Resume compares headers byte for byte, so the header still
         carries the shortlist keys at their only values."""
         path = tmp_path / "history.jsonl"
-        config = NasConfig(iterations=1, n_select=4, init_population=8, seed=2)
+        config = NasConfig(
+            iterations=1, n_select=4, init_population=8, theta=0.5, seed=2
+        )
         run_search(
             small_space, accel, OracleEvaluator(seed=0), config,
             history_path=str(path),
@@ -197,7 +203,11 @@ class TestNasConfig:
         nas = json.loads(line)["nas"]
         assert NasConfig.from_json(nas) == config
         assert NasConfig.from_json(nas).to_json() == nas
-        for field, value in (("ranking", "weighted"), ("weights", [1.0, 2.0])):
+        bad = (
+            ("ranking", "weighted"), ("ranking", ["lexicographic"]),
+            ("weights", [1.0, 2.0]), ("weights", [1, 1]), ("weights", [True, True]),
+        )
+        for field, value in bad:
             with pytest.raises(ValueError, match=f"field {field} must be"):
                 NasConfig.from_json(dict(nas, **{field: value}))
 
@@ -235,7 +245,7 @@ class TestInitPopulation:
         assert not [e for e in events if e["event"] == "filtered-theta"]
 
     def test_deterministic_given_seed(self, small_space, accel):
-        config = NasConfig(init_population=20, seed=5)
+        config = NasConfig(init_population=20, theta=0.5, seed=5)
         cost = CostCache(small_space, accel)
         a = init_population(small_space, config, cost, np.random.default_rng(5))
         b = init_population(small_space, config, cost, np.random.default_rng(5))
@@ -252,7 +262,7 @@ class TestInitPopulation:
             assert fresh.max_overhead(genes) <= 0.5
 
     def test_shortfall_reported(self, small_space, accel):
-        config = NasConfig(init_population=50, attempt_factor=1, seed=3)
+        config = NasConfig(init_population=50, attempt_factor=1, theta=0.5, seed=3)
         cost = CostCache(small_space, accel)
         events = []
         accepted = init_population(
@@ -265,7 +275,7 @@ class TestInitPopulation:
 
 class TestGaGeneration:
     def test_no_mutation_identical_parents_dedup_to_nothing(self, small_space, accel):
-        config = NasConfig(mutation_rate=0.0, crossover_rate=1.0, seed=0)
+        config = NasConfig(mutation_rate=0.0, crossover_rate=1.0, theta=0.5, seed=0)
         cost = CostCache(small_space, accel)
         genes = (1, 0, 0) + (0, 0, 0) * 3 + (0, 0)
         parents = [("p1", genes), ("p2", genes)]
@@ -280,11 +290,11 @@ class TestGaGeneration:
         assert children == {}
 
     def test_offspring_are_valid_and_capped(self, small_space, accel):
-        config = NasConfig(mutation_rate=0.3, seed=4)
+        config = NasConfig(mutation_rate=0.3, theta=0.5, seed=4)
         cost = CostCache(small_space, accel)
         rng = np.random.default_rng(4)
         accepted = init_population(
-            small_space, NasConfig(init_population=10, seed=4), cost, rng
+            small_space, NasConfig(init_population=10, theta=0.5, seed=4), cost, rng
         )
         parents = sorted(accepted.items())
         children = ga_generation(
@@ -298,7 +308,7 @@ class TestGaGeneration:
             assert key not in accepted
 
     def test_single_parent_mutates_alone(self, small_space, accel):
-        config = NasConfig(mutation_rate=1.0, seed=6)
+        config = NasConfig(mutation_rate=1.0, theta=0.5, seed=6)
         cost = CostCache(small_space, accel)
         genes = (0, 0, 0) * 4 + (0, 0)
         children = ga_generation(
@@ -329,6 +339,7 @@ class TestRunSearch:
             iterations=3,
             n_select=6,
             init_population=15,
+            theta=0.5,
             seed=seed,
             **kw,
         )
@@ -363,7 +374,9 @@ class TestRunSearch:
             calls[key] = calls.get(key, 0) + 1
             return oracle(key, arch)
 
-        config = NasConfig(iterations=3, n_select=6, init_population=15, seed=11)
+        config = NasConfig(
+            iterations=3, n_select=6, init_population=15, theta=0.5, seed=11
+        )
         run_search(small_space, accel, counting, config, evaluator_kind="custom")
         assert all(count == 1 for count in calls.values())
 
@@ -385,7 +398,9 @@ class TestRunSearch:
         cut = summaries[1] + 3  # leave some partial trailing events
         partial = tmp_path / "partial.jsonl"
         partial.write_text("".join(lines[:cut]))
-        config = NasConfig(iterations=3, n_select=6, init_population=15, seed=11)
+        config = NasConfig(
+            iterations=3, n_select=6, init_population=15, theta=0.5, seed=11
+        )
         resumed = run_search(
             small_space,
             accel,
@@ -414,7 +429,9 @@ class TestRunSearch:
         ]
         partial = tmp_path / "partial2.jsonl"
         partial.write_text("".join(lines[: summaries[-1]]))
-        config = NasConfig(iterations=3, n_select=6, init_population=15, seed=11)
+        config = NasConfig(
+            iterations=3, n_select=6, init_population=15, theta=0.5, seed=11
+        )
         run_search(
             small_space,
             accel,
@@ -570,7 +587,9 @@ class TestRunSearch:
                 raise EvaluationFailure("simulated failure")
             return oracle(key, arch)
 
-        config = NasConfig(iterations=3, n_select=6, init_population=15, seed=11)
+        config = NasConfig(
+            iterations=3, n_select=6, init_population=15, theta=0.5, seed=11
+        )
         path = tmp_path / "flaky-replay.jsonl"
         state = run_search(
             small_space, accel, flaky, config, history_path=str(path)
@@ -580,7 +599,9 @@ class TestRunSearch:
 
     def test_resume_requires_matching_config(self, small_space, accel, tmp_path):
         _, path = self.run(small_space, accel, tmp_path, name="c.jsonl")
-        other = NasConfig(iterations=3, n_select=6, init_population=15, seed=999)
+        other = NasConfig(
+            iterations=3, n_select=6, init_population=15, theta=0.5, seed=999
+        )
         with pytest.raises(SearchError):
             run_search(
                 small_space,
@@ -604,7 +625,9 @@ class TestRunSearch:
                 raise EvaluationFailure("simulated failure")
             return oracle(key, arch)
 
-        config = NasConfig(iterations=2, n_select=6, init_population=15, seed=11)
+        config = NasConfig(
+            iterations=2, n_select=6, init_population=15, theta=0.5, seed=11
+        )
         path = tmp_path / "flaky.jsonl"
         state = run_search(
             small_space,
@@ -657,7 +680,9 @@ class TestRunSearch:
             faulted.append(key)
             return fault(report)
 
-        config = NasConfig(iterations=2, n_select=6, init_population=15, seed=11)
+        config = NasConfig(
+            iterations=2, n_select=6, init_population=15, theta=0.5, seed=11
+        )
         path = tmp_path / "faulty.jsonl"
         state = run_search(
             small_space, accel, faulty, config, history_path=str(path)
@@ -682,7 +707,7 @@ class TestRunSearch:
         events = read_history(str(path))
         assert events[0]["cost_mode"] == "greedy"
         events[0]["cost_mode"] = "genetic"
-        with pytest.raises(HistoryError, match="'genetic' allocation"):
+        with pytest.raises(HistoryError, match='cost_mode must be "greedy"'):
             audit_history(events)
 
     def test_history_lines_refuse_non_finite_numbers(self):
@@ -761,7 +786,9 @@ class TestExternalEvaluator:
 
         reports = tmp_path / "reports"
         space = self.space_and_reports(smallconv, reports)
-        config = NasConfig(iterations=2, n_select=4, init_population=8, seed=2)
+        config = NasConfig(
+            iterations=2, n_select=4, init_population=8, theta=0.5, seed=2
+        )
         external = run_search(
             space,
             accel,
@@ -791,7 +818,9 @@ class TestExternalEvaluator:
         space = self.space_and_reports(smallconv, reports)
         skipped = chromosome_hash(list(enumerate_space(space))[5])
         os.remove(reports / f"{skipped}.json")
-        config = NasConfig(iterations=1, n_select=4, init_population=8, seed=2)
+        config = NasConfig(
+            iterations=1, n_select=4, init_population=8, theta=0.5, seed=2
+        )
         path = tmp_path / "sparse.jsonl"
         state = run_search(
             space,
@@ -816,7 +845,9 @@ class TestExternalEvaluator:
 
         reports = tmp_path / "reports"
         space = self.space_and_reports(smallconv, reports)
-        config = NasConfig(iterations=1, n_select=4, init_population=8, seed=2)
+        config = NasConfig(
+            iterations=1, n_select=4, init_population=8, theta=0.5, seed=2
+        )
 
         def search(name):
             path = tmp_path / name
