@@ -46,7 +46,7 @@ from .evaluate import (
 )
 from .files import (atomic_write, check_fixed, is_int, is_int_list, is_object,
                     is_real_list, load_json, require)
-from .hwcost import AcceleratorSpec, CostModelError, cost_report
+from .hwcost import AcceleratorSpec, CostModelError, cost_report, et_avg
 from .search import (
     COST_MODE,
     CostCache,
@@ -261,7 +261,8 @@ def cmd_cost(args) -> int:
     if ratios is None:
         ratio_source = "uniform"
         ratios = tuple(1.0 / arch.m for _ in range(arch.m))
-    report = cost_report(arch, accel, exit_ratios=ratios, num_classes=args.classes)
+    report = cost_report(arch, accel, num_classes=args.classes)
+    average = et_avg(report.et_per_exit, ratios)
     _make_out_dir(args.out)
 
     rows = ["exit,mount,energy_pj,cycles,et,overhead"]
@@ -274,14 +275,14 @@ def cmd_cost(args) -> int:
         mount = arch.exits[i - 1].mount
         rows.append(f"{i},{mount},{energy!r},{cycles},{et!r},{overhead}")
         print(f"{i:>4} {mount:>6} {energy:>16.1f} {cycles:>12} {et:>20.6g}")
-    rows.append(f"avg,{ratio_source},,,{report.et_avg!r},")
-    print(f"avg ({ratio_source} exit ratios): et_avg = {report.et_avg:.6g}")
+    rows.append(f"avg,{ratio_source},,,{average!r},")
+    print(f"avg ({ratio_source} exit ratios): et_avg = {average:.6g}")
     atomic_write(os.path.join(args.out, "cost.csv"), "\n".join(rows) + "\n")
 
     plan = report.plan
     detail = {
         "et_per_exit": list(report.et_per_exit),
-        "et_avg": report.et_avg,
+        "et_avg": average,
         "exit_ratio_source": ratio_source,
         "overheads": [
             o if math.isfinite(o) else None for o in report.overheads

@@ -565,7 +565,6 @@ class HwCostReport:
     energy_per_exit: tuple[float, ...]
     cycles_per_exit: tuple[int, ...]
     et_per_exit: tuple[float, ...]
-    et_avg: float | None
     overheads: tuple[float, ...]
     plan: AllocationPlan
 
@@ -573,15 +572,14 @@ class HwCostReport:
 def cost_report(
     arch: EennArchitecture,
     spec: AcceleratorSpec,
-    exit_ratios: Sequence[float] | None = None,
     num_classes: int = 10,
 ) -> HwCostReport:
-    """Per-exit energy, cycles and energy-delay products, head overheads,
-    and (given exit ratios) the weighted average, costed as the search
-    costs them: each exit :func:`place_exit` after the ones before it on
-    the backbone fold. The plan, for the per-layer view, is the full
-    graph's :func:`allocate`; a greedy decision reads only the nodes before
-    it, so it places every node where the exits were costed."""
+    """Per-exit energy, cycles and energy-delay products and head
+    overheads, costed as the search costs them: each exit
+    :func:`place_exit` after the ones before it on the backbone fold. The
+    plan, for the per-layer view, is the full graph's :func:`allocate`; a
+    greedy decision reads only the nodes before it, so it places every node
+    where the exits were costed."""
     fold = backbone_fold(arch.backbone, arch.quant.backbone_bits, spec)
     states: list[ExitState] = []
     for template in head_templates(arch, num_classes):
@@ -593,7 +591,6 @@ def cost_report(
         energy_per_exit=tuple(s.energy for s in states),
         cycles_per_exit=tuple(s.cycles for s in states),
         et_per_exit=et_values,
-        et_avg=et_avg(et_values, exit_ratios) if exit_ratios is not None else None,
         overheads=overheads,
         plan=allocate(graph, spec),
     )

@@ -23,7 +23,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .arch import (
-    GENES_PER_MOUNT,
     ExitHeadSpec,
     SpaceConfig,
     canonicalize,
@@ -136,10 +135,9 @@ class CostCache:
 
     Everything about exit i is a function of the genes up to exit i's, so
     the greedy state after each intermediate exit is kept, keyed on that
-    gene prefix (packed by :meth:`_digit`): a new architecture places only
-    the heads whose prefix is new, and always its final exit's. Genes are
-    checked as :func:`decode` checks them, but no architecture is
-    decoded."""
+    gene prefix: a new architecture places only the heads whose prefix is
+    new, and always its final exit. Genes are checked as :func:`decode`
+    checks them, but no architecture is decoded."""
 
     def __init__(self, space: SpaceConfig, accel: AcceleratorSpec):
         self.space = space
@@ -147,8 +145,7 @@ class CostCache:
         self._costs: dict[
             tuple[int, ...], tuple[tuple[float, ...], tuple[float, ...]]
         ] = {}
-        self._static: dict[tuple[int, ...], float] = {}
-        self._prefixes: dict[int, ExitState] = {}
+        self._prefixes: dict[tuple[int, ...], ExitState] = {}
 
     @cached_property
     def _fold(self) -> BackboneFold:
@@ -171,18 +168,6 @@ class CostCache:
         template = self._build(mount, head, bits, exit_index, self.space.num_classes)
         return place_exit(self._fold, prev, template)
 
-    def _digit(self, genes: tuple[int, ...], end: int) -> int:
-        """What the present mount whose genes end at ``end`` adds to the
-        prefix key. The key of ``genes[:end]`` is one integer, a
-        mixed-radix number with a digit per optional mount: 0 when absent,
-        else 1 + head index * bit options + bit index. It is several times
-        smaller than the tuple ``genes[:end]``, and, like the costs, it
-        ignores the option genes of absent mounts."""
-        space = self.space
-        radix = 1 + space.n_head_options * space.n_quant_options
-        digit = 1 + genes[end - 2] * space.n_quant_options + genes[end - 1]
-        return digit * radix ** (end // GENES_PER_MOUNT - 1)
-
     def _lookup(
         self, genes: tuple[int, ...]
     ) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -191,9 +176,8 @@ class CostCache:
         if costs is None:
             *intermediate, final = decode_exits(genes, self.space)
             state = None
-            prefix = 0
             for index, (end, mount, head, bits) in enumerate(intermediate, 1):
-                prefix += self._digit(genes, end)
+                prefix = genes[:end]
                 link = self._prefixes.get(prefix)
                 if link is None:
                     if len(self._prefixes) >= _PREFIX_MEMO_SIZE:
@@ -217,14 +201,10 @@ class CostCache:
 
     def static_et(self, genes: tuple[int, ...]) -> float:
         """Energy-delay of the backbone with only the final head of
-        ``genes``, all samples exiting last: the final exit placed straight
-        after the backbone."""
-        key = genes[-2:]
-        if key not in self._static:
-            *_, (_, mount, head, bits) = decode_exits(genes, self.space)
-            state = self._place(None, mount, head, bits, 1)
-            self._static[key] = exit_products(self._fold, state)[0][-1]
-        return self._static[key]
+        ``genes``, all samples exiting last: the last exit of the static
+        counterpart, whose genes keep only the final pair."""
+        *_, (end, _, _, _) = decode_exits(genes, self.space)  # checks every gene
+        return self._lookup((0,) * (end - 2) + genes[-2:])[0][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -473,15 +453,28 @@ class HistoryReplay:
         return records
 
 
-# Fields that the replay's readers take later from the events it keeps;
-# the fields it reads itself raise on their own.
-_EVALUATED_FIELDS = frozenset({"k", "hash", "acc_avg", "et_avg", "exit_ratios"})
-_SUMMARY_FIELDS = frozenset({"k", "s", "p", "stats"})
+# The fields of each event kind that the replay and its readers use, with
+# the JSON type each must have (``object``: any). The checks are O(1) per
+# event; a gene line's genes are checked where they are read, by
+# :meth:`HistoryReplay.genes_of`'s hash.
+_GENE_FIELDS = {"hash": str, "genes": list}
+_REJECTED_FIELDS = {"hash": str}
+_EVALUATED_FIELDS = {
+    "k": object, "hash": str, "acc_avg": object, "et_avg": object,
+    "exit_ratios": list,
+}
+_SUMMARY_FIELDS = {"k": int, "s": list, "p": list, "stats": object}
+_TYPE_NAMES = {str: "a string", list: "a list", int: "an integer"}
 
 
-def _require(event: dict, fields: frozenset) -> None:
-    if not event.keys() >= fields:
-        raise KeyError(", ".join(sorted(fields - event.keys())))
+def _require(event: dict, fields: dict[str, type]) -> None:
+    """A missing field raises :class:`KeyError`, one of the wrong type
+    :class:`HistoryError`."""
+    for name, kind in fields.items():
+        if not isinstance(event[name], kind):
+            raise HistoryError(
+                f"{event['event']} event field {name} must be {_TYPE_NAMES[kind]}"
+            )
 
 
 def replay_history(events: Sequence[dict], complete: bool = False) -> HistoryReplay:
@@ -502,7 +495,10 @@ def replay_history(events: Sequence[dict], complete: bool = False) -> HistoryRep
         for ev in events[:end]:
             kind = ev.get("event")
             if kind in _GENE_KINDS:
-                history.genes[ev["hash"]] = tuple(ev["genes"])
+                h, genes = ev["hash"], ev["genes"]
+                if not (isinstance(h, str) and isinstance(genes, list)):
+                    _require(ev, _GENE_FIELDS)  # raises, naming the field
+                history.genes[h] = tuple(genes)
             elif kind == "evaluated":
                 _require(ev, _EVALUATED_FIELDS)
                 if not (is_real(ev["acc_avg"]) and is_real(ev["et_avg"])):
@@ -510,8 +506,10 @@ def replay_history(events: Sequence[dict], complete: bool = False) -> HistoryRep
                 history.evaluated.append(ev)
                 history.by_hash[ev["hash"]] = ev
             elif kind == "filtered-mu":
+                _require(ev, _REJECTED_FIELDS)
                 history.rejected[ev["hash"]] = "mu"
             elif kind == "eval-failed":
+                _require(ev, _REJECTED_FIELDS)
                 history.rejected[ev["hash"]] = "evaluation-failed"
             elif kind == "iteration-summary":
                 _require(ev, _SUMMARY_FIELDS)

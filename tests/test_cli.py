@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import tempfile
 
 import pytest
@@ -242,6 +243,36 @@ class TestCostCommand:
         )
         assert code == EXIT_CONFIG
         assert "exit_ratios must be a list of numbers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "ratios, message",
+        [
+            ([1.0], "need one exit ratio per exit"),
+            ([0.6, 0.6], "exit ratios must sum to 1"),
+            ([-0.5, 1.5], "exit ratios must be finite and lie in [0, 1]"),
+        ],
+    )
+    def test_invalid_exit_ratios_rejected(self, tmp_path, ratios, message, capsys):
+        """Ratios that cannot weight the exits exit 2 before ``--out`` is
+        made."""
+        arch = write_json(
+            tmp_path / "arch.json",
+            {
+                "exits": [
+                    {"mount": "B", "depth": 1, "bits": 8},
+                    {"mount": "E", "depth": 1, "bits": 8},
+                ],
+                "exit_ratios": ratios,
+            },
+        )
+        out = tmp_path / "never"
+        code = main(
+            ["cost", "--backbone", "builtin:smallconv", "--arch", arch,
+             "--out", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -905,39 +936,84 @@ class TestResumeFromAnyCut:
         capsys.readouterr()
 
 
-def with_evaluation(history, dst, field, value):
-    """Copy ``history`` to ``dst`` with ``field`` of the evaluation of the
-    first hash labeled at its last summary set to ``value``; returns that
-    hash."""
+def with_field(history, dst, kind, field, value):
+    """Copy ``history`` to ``dst`` with ``field`` of one ``kind`` event set
+    to ``value``: the first summary, or the first event of a hash labeled
+    at the last summary. Returns the hash of the edited event, if any."""
     lines = history.read_text().splitlines(keepends=True)
     events = [json.loads(line) for line in lines]
-    key = [ev for ev in events if ev["event"] == "iteration-summary"][-1]["p"][0]
-    for i, ev in enumerate(events):
-        if ev["event"] == "evaluated" and ev["hash"] == key:
-            edited = dict(ev, **{field: value})
-            lines[i] = json.dumps(edited, sort_keys=True, separators=(",", ":")) + "\n"
+    labeled = set([ev for ev in events if ev["event"] == "iteration-summary"][-1]["p"])
+    i = next(
+        i for i, ev in enumerate(events)
+        if ev["event"] == kind
+        and (kind == "iteration-summary" or ev["hash"] in labeled)
+    )
+    edited = dict(events[i], **{field: value})
+    lines[i] = json.dumps(edited, sort_keys=True, separators=(",", ":")) + "\n"
     dst.write_text("".join(lines))
-    return key
+    return events[i].get("hash")
+
+
+def history_edit(name, kind, field, value, message, report_message=None):
+    return pytest.param(
+        kind, field, value, message, report_message or message, id=name
+    )
 
 
 @pytest.mark.parametrize(
-    "field, value", [("acc_avg", float("nan")), ("et_avg", float("inf"))]
+    "kind, field, value, message, report_message",
+    [
+        history_edit(
+            "acc_avg-nan", "evaluated", "acc_avg", float("nan"),
+            "evaluation of {key} is not finite",
+        ),
+        history_edit(
+            "et_avg-inf", "evaluated", "et_avg", float("inf"),
+            "evaluation of {key} is not finite",
+        ),
+        history_edit(
+            "genes-5", "sampled", "genes", 5,
+            "sampled event field genes must be a list",
+        ),
+        # The report finds a labeled hash's gene line by its hash text.
+        history_edit(
+            "hash-list", "sampled", "hash", [1],
+            "sampled event field hash must be a string",
+            "labeled {key} has no recorded genes",
+        ),
+        history_edit(
+            "p-5", "iteration-summary", "p", 5,
+            "iteration-summary event field p must be a list",
+        ),
+        history_edit(
+            "exit_ratios-0.5", "evaluated", "exit_ratios", 0.5,
+            "evaluated event field exit_ratios must be a list",
+        ),
+        history_edit(
+            "k-string", "iteration-summary", "k", "0",
+            "iteration-summary event field k must be an integer",
+        ),
+    ],
 )
 class TestNonFiniteHistory:
-    """A history whose evaluation holds a non-finite objective, written by
-    older code or by hand, is refused by every reader of the replay."""
+    """A history whose evaluation holds a non-finite objective, or whose
+    event holds a field of the wrong JSON type, written by older code or by
+    hand, is refused by every reader of the replay."""
 
     @pytest.fixture
-    def edited(self, tmp_path, search_config, field, value, capsys):
+    def edited(
+        self, tmp_path, search_config, kind, field, value, message,
+        report_message, capsys,
+    ):
         out = tmp_path / "run"
         main(["search", "--config", search_config, "--out", str(out)])
         capsys.readouterr()
         history = tmp_path / "edited.jsonl"
-        key = with_evaluation(out / "history.jsonl", history, field, value)
-        return history, f"evaluation of {key} is not finite"
+        key = with_field(out / "history.jsonl", history, kind, field, value)
+        return history, message.format(key=key), report_message.format(key=key)
 
     def test_resume(self, tmp_path, search_config, edited, capsys):
-        history, message = edited
+        history, message, _ = edited
         resumed = tmp_path / "resumed"
         resumed.mkdir()
         (resumed / "history.jsonl").write_bytes(history.read_bytes())
@@ -949,15 +1025,15 @@ class TestNonFiniteHistory:
         assert (resumed / "history.jsonl").read_bytes() == history.read_bytes()
 
     def test_report(self, edited, capsys):
-        history, message = edited
+        history, _, message = edited
         assert main(["report", "--history", str(history)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
     def test_audit(self, edited):
         from eenas.search import HistoryError, audit_history
 
-        history, message = edited
-        with pytest.raises(HistoryError, match=message):
+        history, message, _ = edited
+        with pytest.raises(HistoryError, match=re.escape(message)):
             audit_history(str(history))
 
 

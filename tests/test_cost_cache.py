@@ -65,10 +65,10 @@ class TestCostCacheMatchesCostReport:
         space, accel, genes, ratios = case
         arch = decode(genes, space)
         cache = CostCache(space, accel)
-        report = cost_report(arch, accel, exit_ratios=ratios)
+        report = cost_report(arch, accel)
         static = cost_report(static_counterpart(arch), accel)
         assert cache.max_overhead(genes) == max(report.overheads, default=0.0)
-        assert cache.et_average(genes, ratios) == report.et_avg
+        assert cache.et_average(genes, ratios) == et_avg(report.et_per_exit, ratios)
         assert cache.static_et(genes) == static.et_per_exit[-1]
         # Reports and the cache sum per exit through the same function; the
         # sums over the nodes each exit reaches through the full graph's
@@ -217,6 +217,24 @@ class TestPrefixMemoMatchesCostReport:
             monkeypatch.undo()
 
 
+def test_static_baseline_places_each_final_pair_once(monkeypatch):
+    """``static_et`` places one head per distinct final (head, bits) pair,
+    however many architectures share it, and none on a repeat."""
+    space = PREFIX_SPACES[1]
+    rng = np.random.default_rng(23)
+    genes = [sample_architecture(space, rng) for _ in range(200)]
+    finals = {g[-2:] for g in genes}
+    assert 1 < len(finals) < len(genes)
+    cache = CostCache(space, AcceleratorSpec())
+    placed = counted_placements(monkeypatch)
+    for g in genes:
+        cache.static_et(g)
+    assert len(placed) == len(finals)
+    for g in genes:
+        cache.static_et(g)
+    assert len(placed) == len(finals)
+
+
 class TestGenesCheckedAsDecodeChecks:
     """Every gene vector ``decode`` refuses, the cost cache refuses with the
     same error, even when its memo holds the valid neighbours of the bad
@@ -235,19 +253,22 @@ class TestGenesCheckedAsDecodeChecks:
     def assert_refused(self, cache, bad):
         with pytest.raises(ChromosomeError) as expected:
             decode(bad, cache.space)
-        with pytest.raises(ChromosomeError) as got:
-            cache.max_overhead(bad)
-        assert str(got.value) == str(expected.value)
+        for query in (cache.max_overhead, cache.static_et):
+            with pytest.raises(ChromosomeError) as got:
+                query(bad)
+            assert str(got.value) == str(expected.value)
 
     def warm_cache(self, space, accel):
         """A cache that has costed every single-gene variant of an
-        all-present vector that is still valid."""
+        all-present vector that is still valid, and its static baseline."""
         base = tuple([1, 1, 1] * space.n_optional + [1, 1])
         cache = CostCache(space, accel)
         cache.max_overhead(base)
         for i in range(len(base)):
             for value in range(2):
-                cache.max_overhead(self.with_gene(base, i, value))
+                genes = self.with_gene(base, i, value)
+                cache.max_overhead(genes)
+                cache.static_et(genes)
         return base, cache
 
     def test_bad_genes_raise_after_their_siblings(self, space, accel):
