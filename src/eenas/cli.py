@@ -320,6 +320,7 @@ def cmd_search(args) -> int:
     if not args.resume and os.path.exists(history_path):
         os.remove(history_path)
 
+    cost = CostCache(space, accel)
     state = run_search(
         space,
         accel,
@@ -328,16 +329,16 @@ def cmd_search(args) -> int:
         history_path=history_path,
         resume=args.resume,
         evaluator_kind=kind,
+        cost=cost,
     )
 
     events = read_history(history_path)
-    audit = audit_history(events)
+    audit = audit_history(events, cost)
     if not audit.ok:
         for violation in audit.violations:
             print(f"audit violation: {violation}", file=sys.stderr)
         return EXIT_AUDIT
 
-    cost = CostCache(space, accel)
     history = replay_history(events)
     final_p = history.labeled
 

@@ -397,14 +397,15 @@ def _fold(graph: LayerGraph, spec: AcceleratorSpec) -> AllocationPlan:
 @dataclass(frozen=True)
 class BackboneFold:
     """Greedy plan of the backbone nodes on ``spec``, each node's
-    energy and cycles in node order, and the energy-delay of the backbone
-    segment between every two mounts, keyed on ``(stop, next stop)``: the
-    indices just past the two mounts' nodes."""
+    energy and cycles in node order, per mount label its stop (the index
+    just past the mount's node), and the energy-delay of the backbone
+    segment between every two mounts, keyed on ``(stop, next stop)``."""
 
     spec: AcceleratorSpec
     state: AllocationPlan
     energies: tuple[float, ...]
     cycles: tuple[int, ...]
+    stops: dict[str, int]
     segment_et: dict[tuple[int, int], float]
 
 
@@ -419,15 +420,16 @@ def backbone_fold(
     state = _fold(graph, spec)
     energies = tuple(c.energy_pj for c in state.layer_costs)
     cycles = tuple(c.cycles for c in state.layer_costs)
-    stops = [m + 1 for m in graph.mounts]
+    stops = {label: m + 1 for label, m in zip(backbone.mount_labels, graph.mounts)}
     return BackboneFold(
         spec=spec,
         state=state,
         energies=energies,
         cycles=cycles,
+        stops=stops,
         segment_et={
             (stop, nxt): _energy_delay(energies[stop:nxt], cycles[stop:nxt])
-            for stop, nxt in combinations(stops, 2)
+            for stop, nxt in combinations(stops.values(), 2)
         },
     )
 
@@ -475,84 +477,115 @@ def _overhead(head_et: float, segment_et: float) -> float:
     return math.inf if segment_et == 0 else head_et / segment_et
 
 
-class ExitState(NamedTuple):
-    """Greedy state after exits 1..i of an architecture, placed on a
-    :class:`BackboneFold` by :func:`place_exit`: the state after exit i-1
-    (None for the first exit), head i's energies and cycles in node order,
-    the cycle each core is next free, the end of exit i's backbone part, its
-    energy E_i and cycles T_i, and head i's energy-delay. States link to
-    their predecessor rather than copy it, so architectures that share a
-    head prefix share its storage."""
+class HeadPlacement(NamedTuple):
+    """One exit head placed by :func:`place_head`: its nodes' energies and
+    cycles in node order, the cycle each core is next free after it, and
+    its energy-delay."""
 
-    prev: ExitState | None
-    head_e: tuple[float, ...]
-    head_t: tuple[int, ...]
+    energies: tuple[float, ...]
+    cycles: tuple[int, ...]
     free: tuple[int, ...]
-    stop: int
-    energy: float
-    cycles: int
-    head_et: float
+    et: float
 
 
-def place_exit(
-    fold: BackboneFold, prev: ExitState | None, template: HeadTemplate
-) -> ExitState:
-    """The state after one more exit: ``template``'s nodes placed after the
-    exits of ``prev`` (or straight after the backbone), each node after its
-    producer, with the same one-node placement step that allocates whole
-    graphs, so each lands where :func:`allocate` puts it in the full graph.
-    Exit i's energy and cycles are :func:`_exit_sum` over the backbone nodes
-    before its mount and the heads of exits 1..i. This is the one code that
-    costs an exit, for the search and :func:`cost_report` alike."""
+def place_head(
+    fold: BackboneFold, free: tuple[int, ...], template: HeadTemplate
+) -> HeadPlacement:
+    """``template``'s nodes placed on the backbone ``fold`` when each core
+    is next free at ``free``, each node after its producer, with the same
+    one-node placement step that allocates whole graphs, so each lands
+    where :func:`allocate` puts it in the full graph. A function of its
+    arguments alone, and of no node name: names are all that the exit
+    index changes in a template."""
     spec = fold.spec
     memo = _layer_cost_memo(spec)
     core, ready = fold.state.assignment[template.src], fold.state.end[template.src]
-    free = list(fold.state.free if prev is None else prev.free)
-    head_e: list[float] = []
-    head_t: list[int] = []
+    free = list(free)
+    energies: list[float] = []
+    cycles: list[int] = []
     for node, bits in zip(template.nodes, template.in_bits):
         ready, core, cost = _place(
             memo, spec, node, (TensorSource(bits, core),), ready, free
         )
-        head_e.append(cost.energy_pj)
-        head_t.append(cost.cycles)
-    heads_e, heads_t = [head_e], [head_t]
-    link = prev
-    while link is not None:
-        heads_e.append(link.head_e)
-        heads_t.append(link.head_t)
-        link = link.prev
-    stop = template.src + 1
-    return ExitState(
-        prev,
-        tuple(head_e),
-        tuple(head_t),
-        tuple(free),
-        stop,
-        _exit_sum(fold.energies, stop, heads_e[::-1]),
-        _exit_sum(fold.cycles, stop, heads_t[::-1]),
-        _energy_delay(head_e, head_t),
+        energies.append(cost.energy_pj)
+        cycles.append(cost.cycles)
+    return HeadPlacement(
+        tuple(energies), tuple(cycles), tuple(free),
+        _energy_delay(energies, cycles),
     )
 
 
-def exit_products(
-    fold: BackboneFold, last: ExitState
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """``(et_per_exit, overheads)`` of the architecture whose final exit
-    has the state ``last``: per exit E_i * T_i, and per intermediate exit
-    its head's energy-delay over that of the backbone segment up to the
-    next mount (:func:`_overhead`)."""
+class ExitState(NamedTuple):
+    """Greedy state after exits 1..i of an architecture, made by
+    :func:`place_exit`: the state after exit i-1 (None for the first
+    exit), head i's placement and the end of exit i's backbone part. States
+    link to their predecessor rather than copy it, so architectures that
+    share a head prefix share its storage. E_i and T_i are not kept:
+    :func:`exit_costs` sums them through the links when they are read."""
+
+    prev: ExitState | None
+    head: HeadPlacement
+    stop: int
+
+
+def cores_free(fold: BackboneFold, prev: ExitState | None) -> tuple[int, ...]:
+    """The cycle each core is next free after the exits of ``prev``, or
+    after the backbone alone: where the next head is placed from."""
+    return fold.state.free if prev is None else prev.head.free
+
+
+def place_exit(
+    fold: BackboneFold, prev: ExitState | None, mount: str, head: HeadPlacement
+) -> ExitState:
+    """The state after one more exit: ``head``, placed at ``mount`` by
+    :func:`place_head` from :func:`cores_free` of ``prev``, linked to
+    ``prev``. With :func:`place_head` this is the one code that costs an
+    exit, for the search and :func:`cost_report` alike."""
+    return ExitState(prev, head, fold.stops[mount])
+
+
+def _states(last: ExitState) -> list[ExitState]:
+    """The states of exits 1..i, in exit order, where ``last`` is exit i's."""
     states = []
     while last is not None:
         states.append(last)
         last = last.prev
     states.reverse()
+    return states
+
+
+def exit_overheads(fold: BackboneFold, last: ExitState) -> tuple[float, ...]:
+    """Per intermediate exit of the architecture whose final exit has the
+    state ``last``, its head's energy-delay over that of the backbone
+    segment up to the next mount (:func:`_overhead`). It reads the linked
+    states alone and sums nothing."""
+    states = _states(last)
+    return tuple(
+        _overhead(s.head.et, fold.segment_et[s.stop, nxt.stop])
+        for s, nxt in zip(states, states[1:])
+    )
+
+
+def exit_costs(
+    fold: BackboneFold, last: ExitState
+) -> tuple[tuple[float, ...], tuple[int, ...], tuple[float, ...]]:
+    """``(energy_per_exit, cycles_per_exit, et_per_exit)`` of the
+    architecture whose final exit has the state ``last``: E_i and T_i by
+    :func:`_exit_sum` over the backbone nodes before exit i's mount and the
+    heads of exits 1..i, gathered through the links, and E_i * T_i."""
+    energies: list[float] = []
+    cycles: list[int] = []
+    heads_e: list[tuple[float, ...]] = []
+    heads_t: list[tuple[int, ...]] = []
+    for s in _states(last):
+        heads_e.append(s.head.energies)
+        heads_t.append(s.head.cycles)
+        energies.append(_exit_sum(fold.energies, s.stop, heads_e))
+        cycles.append(_exit_sum(fold.cycles, s.stop, heads_t))
     return (
-        tuple(s.energy * s.cycles for s in states),
-        tuple(
-            _overhead(s.head_et, fold.segment_et[s.stop, nxt.stop])
-            for s, nxt in zip(states, states[1:])
-        ),
+        tuple(energies),
+        tuple(cycles),
+        tuple(e * t for e, t in zip(energies, cycles)),
     )
 
 
@@ -575,22 +608,25 @@ def cost_report(
     num_classes: int = 10,
 ) -> HwCostReport:
     """Per-exit energy, cycles and energy-delay products and head
-    overheads, costed as the search costs them: each exit
-    :func:`place_exit` after the ones before it on the backbone fold. The
+    overheads, costed as the search costs them: each exit's head placed by
+    :func:`place_head` and linked by :func:`place_exit` after the ones
+    before it on the backbone fold, then E_i, T_i and their products from
+    :func:`exit_costs` and the overheads from :func:`exit_overheads`. The
     plan, for the per-layer view, is the full graph's :func:`allocate`; a
     greedy decision reads only the nodes before it, so it places every node
     where the exits were costed."""
     fold = backbone_fold(arch.backbone, arch.quant.backbone_bits, spec)
-    states: list[ExitState] = []
-    for template in head_templates(arch, num_classes):
-        states.append(place_exit(fold, states[-1] if states else None, template))
-    et_values, overheads = exit_products(fold, states[-1])
+    last = None
+    for placement, template in zip(arch.exits, head_templates(arch, num_classes)):
+        head = place_head(fold, cores_free(fold, last), template)
+        last = place_exit(fold, last, placement.mount, head)
+    energies, cycles, et_values = exit_costs(fold, last)
     graph = expand_layers(arch, num_classes=num_classes)
     return HwCostReport(
         graph=graph,
-        energy_per_exit=tuple(s.energy for s in states),
-        cycles_per_exit=tuple(s.cycles for s in states),
+        energy_per_exit=energies,
+        cycles_per_exit=cycles,
         et_per_exit=et_values,
-        overheads=overheads,
+        overheads=exit_overheads(fold, last),
         plan=allocate(graph, spec),
     )

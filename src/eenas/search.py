@@ -47,10 +47,14 @@ from .hwcost import (
     AcceleratorSpec,
     BackboneFold,
     ExitState,
+    HeadPlacement,
     backbone_fold,
+    cores_free,
     et_avg,
-    exit_products,
+    exit_costs,
+    exit_overheads,
     place_exit,
+    place_head,
 )
 from .predict import LabeledRecord, LabeledSet, Predictor, fit, predict
 from .workload import head_builder
@@ -124,28 +128,33 @@ class NasConfig:
             raise ValueError(f"bad search config field: {exc}") from exc
 
 
-#: Head-prefix states a :class:`CostCache` keeps before it starts over.
+#: Head-prefix states, and head placements, a :class:`CostCache` keeps
+#: before it starts over.
 _PREFIX_MEMO_SIZE = 4096
 
 
 class CostCache:
     """Memoized hardware-cost queries for one (space, accelerator) pair.
-    Per architecture it keeps only the per-exit energy-delay products and
-    the head overheads, the two things the search reads.
+    Per architecture it keeps only the greedy state after its final exit,
+    from which the two things the search reads follow: the head overheads
+    from the linked states alone, and the per-exit energy-delay products,
+    summed only when read.
 
     Everything about exit i is a function of the genes up to exit i's, so
     the greedy state after each intermediate exit is kept, keyed on that
-    gene prefix: a new architecture places only the heads whose prefix is
-    new, and always its final exit. Genes are checked as :func:`decode`
-    checks them, but no architecture is decoded."""
+    gene prefix: a new architecture links only the heads whose prefix is
+    new, and always its final exit. A head's placement is a function of its
+    (mount, head, bits) and of when each core is next free, so it is kept
+    on that key: a new prefix places its head only if no other prefix
+    placed the same head from the same free cycles. Genes are checked as
+    :func:`decode` checks them, but no architecture is decoded."""
 
     def __init__(self, space: SpaceConfig, accel: AcceleratorSpec):
         self.space = space
         self.accel = accel
-        self._costs: dict[
-            tuple[int, ...], tuple[tuple[float, ...], tuple[float, ...]]
-        ] = {}
+        self._costs: dict[tuple[int, ...], ExitState] = {}
         self._prefixes: dict[tuple[int, ...], ExitState] = {}
+        self._heads: dict[tuple, HeadPlacement] = {}
 
     @cached_property
     def _fold(self) -> BackboneFold:
@@ -164,16 +173,26 @@ class CostCache:
         bits: int,
         exit_index: int,
     ) -> ExitState:
-        """The state after ``prev`` and one more exit."""
-        template = self._build(mount, head, bits, exit_index, self.space.num_classes)
-        return place_exit(self._fold, prev, template)
+        """The state after ``prev`` and one more exit. The head's placement
+        is looked up on ``(mount, head, bits, free)``: the exit index
+        changes only the template's node names, which no cost reads."""
+        fold = self._fold
+        free = cores_free(fold, prev)
+        key = (mount, head, bits, free)
+        placed = self._heads.get(key)
+        if placed is None:
+            if len(self._heads) >= _PREFIX_MEMO_SIZE:
+                self._heads.clear()
+            template = self._build(
+                mount, head, bits, exit_index, self.space.num_classes
+            )
+            placed = self._heads[key] = place_head(fold, free, template)
+        return place_exit(fold, prev, mount, placed)
 
-    def _lookup(
-        self, genes: tuple[int, ...]
-    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """``(et_per_exit, overheads)`` of the architecture of ``genes``."""
-        costs = self._costs.get(genes)
-        if costs is None:
+    def _lookup(self, genes: tuple[int, ...]) -> ExitState:
+        """The state after the final exit of the architecture of ``genes``."""
+        last = self._costs.get(genes)
+        if last is None:
             *intermediate, final = decode_exits(genes, self.space)
             state = None
             for index, (end, mount, head, bits) in enumerate(intermediate, 1):
@@ -187,24 +206,31 @@ class CostCache:
                     )
                 state = link
             _, mount, head, bits = final
-            state = self._place(state, mount, head, bits, len(intermediate) + 1)
-            costs = self._costs[genes] = exit_products(self._fold, state)
-        return costs
+            last = self._costs[genes] = self._place(
+                state, mount, head, bits, len(intermediate) + 1
+            )
+        return last
+
+    def et_per_exit(self, genes: tuple[int, ...]) -> tuple[float, ...]:
+        return exit_costs(self._fold, self._lookup(genes))[2]
+
+    def overheads(self, genes: tuple[int, ...]) -> tuple[float, ...]:
+        return exit_overheads(self._fold, self._lookup(genes))
 
     def max_overhead(self, genes: tuple[int, ...]) -> float:
-        return max(self._lookup(genes)[1], default=0.0)
+        return max(self.overheads(genes), default=0.0)
 
     def et_average(
         self, genes: tuple[int, ...], exit_ratios: Sequence[float]
     ) -> float:
-        return et_avg(self._lookup(genes)[0], exit_ratios)
+        return et_avg(self.et_per_exit(genes), exit_ratios)
 
     def static_et(self, genes: tuple[int, ...]) -> float:
         """Energy-delay of the backbone with only the final head of
         ``genes``, all samples exiting last: the last exit of the static
         counterpart, whose genes keep only the final pair."""
         *_, (end, _, _, _) = decode_exits(genes, self.space)  # checks every gene
-        return self._lookup((0,) * (end - 2) + genes[-2:])[0][-1]
+        return self.et_per_exit((0,) * (end - 2) + genes[-2:])[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +421,10 @@ def read_report_events(path: str) -> list[dict]:
     summaries = [
         ev for ev in parsed.values() if ev.get("event") == "iteration-summary"
     ]
-    labeled = set(summaries[-1].get("p", ())) if summaries else set()
+    try:
+        labeled = set(summaries[-1].get("p", ())) if summaries else set()
+    except TypeError:  # a malformed ``p``, which :func:`replay_history` names
+        labeled = set()
     for i, key, line in gene_lines:
         if key in labeled:
             parsed[i] = json.loads(line)
@@ -425,11 +454,23 @@ class HistoryReplay:
 
     def genes_of(self, h: str) -> tuple[int, ...] | None:
         """The genes of hash ``h`` from its last gene line, or None if no
-        gene line names it. Genes that do not hash to ``h`` raise
-        :class:`HistoryError`: every reader takes genes from here, so an
-        altered gene line never enters a state, a front or an audit."""
+        gene line names it. Genes that are not all integers, or do not hash
+        to ``h``, raise :class:`HistoryError`: every reader takes genes from
+        here, so an altered gene line never enters a state, a front or an
+        audit."""
         genes = self.genes.get(h)
         if genes is not None and self._verified.get(h) is not genes:
+            # Digit strings hash like the integers they spell. ``sum``
+            # refuses a string, a list or null and turns a float into a
+            # float, at a fifth of the cost of a check per gene (a report
+            # checks every labeled hash); a bool sums to an int, but its
+            # text fails the hash check.
+            try:
+                integral = type(sum(genes)) is int
+            except TypeError:
+                integral = False
+            if not integral:
+                raise HistoryError(f"the genes recorded for {h} are not integers")
             if chromosome_hash(genes) != h:
                 raise HistoryError(f"the genes recorded for {h} do not hash to it")
             self._verified[h] = genes
@@ -454,9 +495,9 @@ class HistoryReplay:
 
 
 # The fields of each event kind that the replay and its readers use, with
-# the JSON type each must have (``object``: any). The checks are O(1) per
-# event; a gene line's genes are checked where they are read, by
-# :meth:`HistoryReplay.genes_of`'s hash.
+# the JSON type each must have (``object``: any). A summary's ``s`` and
+# ``p`` must also hold strings; a gene line's genes are checked where they
+# are read, once per hash, by :meth:`HistoryReplay.genes_of`.
 _GENE_FIELDS = {"hash": str, "genes": list}
 _REJECTED_FIELDS = {"hash": str}
 _EVALUATED_FIELDS = {
@@ -513,6 +554,11 @@ def replay_history(events: Sequence[dict], complete: bool = False) -> HistoryRep
                 history.rejected[ev["hash"]] = "evaluation-failed"
             elif kind == "iteration-summary":
                 _require(ev, _SUMMARY_FIELDS)
+                for name in ("s", "p"):
+                    if not set(map(type, ev[name])) <= {str}:
+                        raise HistoryError(
+                            f"{kind} event field {name} must hold strings"
+                        )
                 history.summaries.append(ev)
     except KeyError as exc:
         raise HistoryError(f"{kind} event lacks {exc.args[0]}") from None
@@ -970,6 +1016,18 @@ def _rebuild_state(events: Sequence[dict]) -> tuple[SearchState, int]:
     return state, history.end
 
 
+def _cost_cache(
+    cost: CostCache | None, space: SpaceConfig, accel: AcceleratorSpec
+) -> CostCache:
+    """``cost`` if it prices ``space`` on ``accel``, a new cache if it is
+    None; a cache of anything else is refused."""
+    if cost is None:
+        return CostCache(space, accel)
+    if cost.space != space or cost.accel != accel:
+        raise SearchError("the cost cache prices another space or accelerator")
+    return cost
+
+
 def run_search(
     space: SpaceConfig,
     accel: AcceleratorSpec,
@@ -978,13 +1036,15 @@ def run_search(
     history_path: str | None = None,
     resume: bool = False,
     evaluator_kind: str = "custom",
+    cost: CostCache | None = None,
 ) -> SearchState:
     """Run the full loop: initialization (iteration 0) plus the configured
     number of search iterations, logging every event. With ``resume``, an
     existing history is replayed to its last complete iteration (trailing
     partial events are discarded) and the run continues identically to an
-    uninterrupted one."""
-    cost = CostCache(space, accel)
+    uninterrupted one. Costs go through ``cost``, a cache of ``space`` and
+    ``accel``, or a new one."""
+    cost = _cost_cache(cost, space, accel)
     header = _header_event(space, accel, config, evaluator_kind)
 
     state = SearchState()
@@ -1033,12 +1093,16 @@ class AuditResult:
     labels_checked: int = 0
 
 
-def audit_history(history: str | os.PathLike | Sequence[dict]) -> AuditResult:
+def audit_history(
+    history: str | os.PathLike | Sequence[dict], cost: CostCache | None = None
+) -> AuditResult:
     """Re-derive every constraint from a persisted history, given its path
     (parsed in full by :func:`read_history`) or its events as already
     read: recompute the overhead of every population member ever admitted,
     re-check every labeled member's last-exit ratio, verify the monotone set
-    shapes, and confirm no architecture was evaluated twice."""
+    shapes, and confirm no architecture was evaluated twice. Overheads go
+    through ``cost``, a cache of the header's space and accelerator (such
+    as the one the run itself used), or a new one."""
     if isinstance(history, (str, os.PathLike)):
         history = read_history(history)
     history = replay_history(history)
@@ -1049,7 +1113,7 @@ def audit_history(history: str | os.PathLike | Sequence[dict]) -> AuditResult:
     space = SpaceConfig.from_json(header["space"])
     accel = AcceleratorSpec.from_json(header["accelerator"])
     nas = NasConfig.from_json(header["nas"])
-    cost = CostCache(space, accel)
+    cost = _cost_cache(cost, space, accel)
 
     result = AuditResult(ok=True, iterations=len(history.summaries))
     if len(history.by_hash) != len(history.evaluated):

@@ -939,7 +939,8 @@ class TestResumeFromAnyCut:
 def with_field(history, dst, kind, field, value):
     """Copy ``history`` to ``dst`` with ``field`` of one ``kind`` event set
     to ``value``: the first summary, or the first event of a hash labeled
-    at the last summary. Returns the hash of the edited event, if any."""
+    at the last summary; a callable ``value`` maps the old value to the
+    new one. Returns the hash of the edited event, if any."""
     lines = history.read_text().splitlines(keepends=True)
     events = [json.loads(line) for line in lines]
     labeled = set([ev for ev in events if ev["event"] == "iteration-summary"][-1]["p"])
@@ -948,6 +949,8 @@ def with_field(history, dst, kind, field, value):
         if ev["event"] == kind
         and (kind == "iteration-summary" or ev["hash"] in labeled)
     )
+    if callable(value):
+        value = value(events[i][field])
     edited = dict(events[i], **{field: value})
     lines[i] = json.dumps(edited, sort_keys=True, separators=(",", ":")) + "\n"
     dst.write_text("".join(lines))
@@ -993,6 +996,28 @@ def history_edit(name, kind, field, value, message, report_message=None):
             "k-string", "iteration-summary", "k", "0",
             "iteration-summary event field k must be an integer",
         ),
+        # Digit strings hash like the integers they spell.
+        history_edit(
+            "genes-digits", "sampled", "genes", lambda genes: list(map(str, genes)),
+            "the genes recorded for {key} are not integers",
+        ),
+        # ``true`` does not spell 1, so bools fail the hash check.
+        history_edit(
+            "genes-bools", "sampled", "genes", lambda genes: list(map(bool, genes)),
+            "the genes recorded for {key} do not hash to it",
+        ),
+        history_edit(
+            "genes-floats", "sampled", "genes", lambda genes: list(map(float, genes)),
+            "the genes recorded for {key} are not integers",
+        ),
+        history_edit(
+            "p-item-list", "iteration-summary", "p", lambda p: [[1], *p[1:]],
+            "iteration-summary event field p must hold strings",
+        ),
+        history_edit(
+            "s-item-int", "iteration-summary", "s", lambda s: [5, *s[1:]],
+            "iteration-summary event field s must hold strings",
+        ),
     ],
 )
 class TestNonFiniteHistory:
@@ -1037,6 +1062,69 @@ class TestNonFiniteHistory:
             audit_history(str(history))
 
 
+class TestOneCostCachePerCommand:
+    """The README config on smallconv: one ``eenas search``, and one
+    ``--resume``, builds one cost cache, shared by the search, its audit and
+    the scatter export; it places fewer heads than it links exit states (the
+    head memo), and auditing the history again with it places no head."""
+
+    def test_search_and_resume(self, tmp_path, monkeypatch, capsys):
+        from eenas import search
+
+        config = write_json(
+            tmp_path / "run.json",
+            {
+                "seed": 7,
+                "backbone": "builtin:smallconv",
+                "accelerator": "default",
+                "space": {"head_depths": [1, 2], "exit_bits": [8, 4], "backbone_bits": 8},
+                "nas": {"iterations": 6, "n_select": 20, "init_population": 50},
+                "evaluator": {"kind": "oracle"},
+            },
+        )
+        caches, placed, linked = [], [], []
+        init, place_head = search.CostCache.__init__, search.place_head
+        place_exit = search.place_exit
+
+        def counting_init(self, *args):
+            caches.append(self)
+            init(self, *args)
+
+        def counting_place(*args):
+            placed.append(args)
+            return place_head(*args)
+
+        def counting_link(*args):
+            linked.append(args)
+            return place_exit(*args)
+
+        monkeypatch.setattr(search.CostCache, "__init__", counting_init)
+        monkeypatch.setattr(search, "place_head", counting_place)
+        monkeypatch.setattr(search, "place_exit", counting_link)
+        out = tmp_path / "run"
+        history = out / "history.jsonl"
+        assert main(["search", "--config", config, "--out", str(out)]) == EXIT_OK
+        assert len(caches) == 1
+        assert 0 < len(placed) < len(linked)
+        placed.clear()
+        assert search.audit_history(str(history), caches[0]).ok
+        assert placed == []
+
+        lines = history.read_text().splitlines(keepends=True)
+        summaries = [i for i, line in enumerate(lines) if "iteration-summary" in line]
+        cut = (summaries[-2] + summaries[-1]) // 2
+        history.write_text("".join(lines[:cut]))
+        caches.clear()
+        code = main(["search", "--config", config, "--out", str(out), "--resume"])
+        assert code == EXIT_OK
+        assert len(caches) == 1
+        assert history.read_text() == "".join(lines)
+        placed.clear()
+        assert search.audit_history(str(history), caches[0]).ok
+        assert placed == []
+        capsys.readouterr()
+
+
 class TestReportCommand:
     def test_summary_of_best_point(self, tmp_path, search_config, capsys):
         out = tmp_path / "run"
@@ -1077,6 +1165,29 @@ class TestReportCommand:
         assert main(
             ["report", "--history", str(tmp_path / "none.jsonl")]
         ) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            (5, "field p must be a list"),
+            ([[1]], "field p must hold strings"),
+        ],
+    )
+    def test_malformed_last_summary(self, tmp_path, search_config, p, message, capsys):
+        """The report picks its gene lines by the last summary's ``p``; a
+        malformed one is named, as in any other summary, not a crash."""
+        out = tmp_path / "run"
+        main(["search", "--config", search_config, "--out", str(out)])
+        capsys.readouterr()
+        history = out / "history.jsonl"
+        lines = history.read_text().splitlines()
+        last = max(i for i, line in enumerate(lines) if "iteration-summary" in line)
+        lines[last] = json.dumps(
+            dict(json.loads(lines[last]), p=p), sort_keys=True, separators=(",", ":")
+        )
+        history.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--history", str(history)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     def test_history_without_header(self, tmp_path, capsys):
         history = tmp_path / "history.jsonl"

@@ -159,20 +159,20 @@ PREFIX_SPACES = (
 def counted_placements(monkeypatch) -> list:
     """Every head the cost caches place from here on."""
     placed = []
-    place_exit = search.place_exit
+    place_head = search.place_head
 
-    def counting(fold, prev, template):
+    def counting(fold, free, template):
         placed.append(template)
-        return place_exit(fold, prev, template)
+        return place_head(fold, free, template)
 
-    monkeypatch.setattr(search, "place_exit", counting)
+    monkeypatch.setattr(search, "place_head", counting)
     return placed
 
 
 class TestPrefixMemoMatchesCostReport:
     """The cost cache's answers equal the full cost report's for hundreds
     of architectures per space, whatever the order they come in and
-    however often the prefix memo starts over."""
+    however often the prefix memo and the head memo start over."""
 
     N_GENES = 300
 
@@ -180,7 +180,8 @@ class TestPrefixMemoMatchesCostReport:
         cache = CostCache(space, accel)
         for g in genes:
             report, static = references[g]
-            assert cache._lookup(g) == (report.et_per_exit, report.overheads)
+            assert cache.et_per_exit(g) == report.et_per_exit
+            assert cache.overheads(g) == report.overheads
             assert cache.static_et(g) == static.et_per_exit[-1]
         return cache
 
@@ -211,9 +212,12 @@ class TestPrefixMemoMatchesCostReport:
             # Sorted, neighbours share their leading exits: far fewer heads
             # are placed than the architectures hold.
             assert len(placed) < exits
-            monkeypatch.setattr(search, "_PREFIX_MEMO_SIZE", 3)
-            cache = self.check(space, accel, shuffled, references)
-            assert len(cache._prefixes) <= 3
+            for bound in (1, 2, 3):
+                monkeypatch.setattr(search, "_PREFIX_MEMO_SIZE", bound)
+                for order in (shuffled, genes):
+                    cache = self.check(space, accel, order, references)
+                    assert len(cache._prefixes) <= bound
+                    assert len(cache._heads) <= bound
             monkeypatch.undo()
 
 
@@ -291,11 +295,12 @@ class TestGenesCheckedAsDecodeChecks:
         base, cache = self.warm_cache(space, accel)
         for j in range(space.n_optional):
             absent = self.with_gene(base, 3 * j, 0)
-            expected = cache._lookup(absent)
+            expected = cache.et_per_exit(absent), cache.overheads(absent)
             for options in ((0, 0), (7, -3)):
                 genes = absent[: 3 * j + 1] + options + absent[3 * j + 3 :]
-                assert CostCache(space, accel)._lookup(genes) == expected
-                assert cache._lookup(genes) == expected
+                fresh = CostCache(space, accel)
+                assert (fresh.et_per_exit(genes), fresh.overheads(genes)) == expected
+                assert (cache.et_per_exit(genes), cache.overheads(genes)) == expected
 
     def test_no_lookup_decodes(self, space, accel, monkeypatch):
         _, cache = self.warm_cache(space, accel)

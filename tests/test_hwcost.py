@@ -401,9 +401,9 @@ class TestCostReport:
             assert energy * cycles == report.et_per_exit[i - 1]
         space = SpaceConfig(backbone=smallconv)
         cache = CostCache(space, accel)
-        assert cache._lookup(encode(arch, space)) == (
-            report.et_per_exit, report.overheads
-        )
+        genes = encode(arch, space)
+        assert cache.et_per_exit(genes) == report.et_per_exit
+        assert cache.overheads(genes) == report.overheads
 
     def test_deterministic(self, smallconv, accel):
         arch = self.arch(smallconv)
@@ -562,7 +562,9 @@ def assert_matches_reference(cache, genes):
     graph = expand_layers(decode(genes, cache.space), cache.space.num_classes)
     plan = reference_schedule(graph, spec, reference_greedy_assignment(graph, spec))
     assert allocate(graph, spec) == plan
-    assert cache._lookup(genes) == reference_exit_products(graph, plan.layer_costs)
+    assert (cache.et_per_exit(genes), cache.overheads(genes)) == (
+        reference_exit_products(graph, plan.layer_costs)
+    )
     return graph, plan
 
 

@@ -30,7 +30,9 @@ from eenas.search import (
     run_search,
     select_parents,
 )
-from helpers import enumerate_genes, enumerate_space, save_external_report
+from helpers import (
+    LINE_HOP_ACCEL, enumerate_genes, enumerate_space, save_external_report,
+)
 
 
 def make_report(ratios, accs=None, threshold=0.9, total=1000):
@@ -709,6 +711,26 @@ class TestRunSearch:
         events[0]["cost_mode"] = "genetic"
         with pytest.raises(HistoryError, match='cost_mode must be "greedy"'):
             audit_history(events)
+
+    def test_a_cache_of_another_space_or_accelerator_is_refused(
+        self, small_space, mobile_space, accel, tmp_path
+    ):
+        """A cost cache passed in must price the run's space on the run's
+        accelerator; any other would give other overheads."""
+        _, path = self.run(small_space, accel, tmp_path, name="cache.jsonl")
+        events = read_history(str(path))
+        others = (
+            CostCache(mobile_space, accel),
+            CostCache(dataclasses.replace(small_space, backbone_bits=4), accel),
+            CostCache(small_space, LINE_HOP_ACCEL),
+        )
+        config = NasConfig(iterations=1, n_select=4, init_population=6, seed=3)
+        for cost in others:
+            with pytest.raises(SearchError, match="another space or accelerator"):
+                audit_history(events, cost)
+            with pytest.raises(SearchError, match="another space or accelerator"):
+                run_search(small_space, accel, OracleEvaluator(), config, cost=cost)
+        assert audit_history(events, CostCache(small_space, accel)).ok
 
     def test_history_lines_refuse_non_finite_numbers(self):
         from eenas.search import _event_line

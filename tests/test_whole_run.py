@@ -128,10 +128,17 @@ def run_configs(draw):
     return config, backbone
 
 
-def search(config_path, out, period, faulted, resume=False):
+def search(config_path, out, period, faulted, resume=False, caches=None):
     """Run ``eenas search`` in-process with a faulty oracle; returns the
-    exit code and the bytes of each output (None where it is missing)."""
+    exit code and the bytes of each output (None where it is missing). The
+    cost caches the command builds are appended to ``caches``."""
     build = eenas.cli._build_evaluator
+
+    def cache(*args):
+        made = CostCache(*args)
+        if caches is not None:
+            caches.append(made)
+        return made
 
     def faulty(data, seed):
         evaluator, kind = build(data, seed)
@@ -142,6 +149,7 @@ def search(config_path, out, period, faulted, resume=False):
     argv = ["search", "--config", config_path, "--out", out]
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(eenas.cli, "_build_evaluator", faulty))
+        stack.enter_context(mock.patch.object(eenas.cli, "CostCache", cache))
         stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
         stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
         code = main(argv + (["--resume"] if resume else []))
@@ -201,7 +209,8 @@ def test_faulty_runs_are_reproducible_resumable_and_sound(drawn, period, data):
             json.dump(dict(config, backbone=backbone), fh)
 
         faulted: list[set[str]] = []
-        first = search(config_path, os.path.join(root, "a"), period, faulted)
+        caches: list[CostCache] = []
+        first = search(config_path, os.path.join(root, "a"), period, faulted, caches=caches)
         assert first == search(config_path, os.path.join(root, "b"), period, faulted)
         code, outputs = first
         # A run that labels fewer than two architectures cannot fit its
@@ -209,7 +218,11 @@ def test_faulty_runs_are_reproducible_resumable_and_sound(drawn, period, data):
         assert code in (EXIT_OK, EXIT_EVAL)
         event(f"exit code {code}, faults: {bool(faulted[0])}")
         events = read_history(os.path.join(root, "a", "history.jsonl"))
-        assert audit_history(events).ok
+        audit = audit_history(events)
+        assert audit.ok
+        # The run's own cache, which costed in the search's order, audits
+        # the same as a fresh one.
+        assert audit_history(events, caches[0]) == audit
         history_bytes = outputs["history.jsonl"]
         after_header = history_bytes.index(b"\n") + 1
         cut = data.draw(st.integers(after_header, len(history_bytes)), label="cut")
