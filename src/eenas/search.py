@@ -254,6 +254,10 @@ class OracleEvaluator:
 class ToyEvaluator:
     """Trains the dense stand-in network on a fixed dataset per candidate."""
 
+    #: Each call is seeded by the config and shares no state with another,
+    #: so a batch may train in forked workers (:func:`_evaluate_all`).
+    forks_workers = True
+
     def __init__(self, dataset, config: TrainingConfig):
         self.dataset = dataset
         self.config = config
@@ -286,6 +290,67 @@ class ExternalEvaluator:
                 f"cannot read external report {path}: {exc.strerror}"
             ) from exc
         return report
+
+
+#: What an evaluator raises to fail only the architecture it was given.
+_FAILURES = (EvaluationFailure, ReportError)
+
+
+def _outcome(evaluator, key: str, arch):
+    """The report of ``arch``, or the failure that fails only it; any other
+    exception propagates."""
+    try:
+        return evaluator(key, arch)
+    except _FAILURES as exc:
+        return exc
+
+
+#: The evaluator of a forked worker; set only in workers, by
+#: :func:`_start_worker`.
+_worker_evaluator = None
+
+
+def _start_worker(evaluator) -> None:
+    global _worker_evaluator
+    _worker_evaluator = evaluator
+
+
+def _worker_outcome(key: str, arch):
+    return _outcome(_worker_evaluator, key, arch)
+
+
+def _evaluate_all(evaluator, keys: Sequence[str], archs: Sequence) -> list:
+    """The outcome of each architecture of ``archs`` (hashed ``keys``), in
+    order. An evaluator whose class sets ``forks_workers`` runs them in
+    forked workers, one per CPU in the affinity mask; any other runs them
+    here, in order. A worker that dies raises :class:`SearchError`.
+
+    Workers are forked, so they inherit the evaluator (dataset included):
+    only the keys, architectures and outcomes are pickled."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(keys), cpus)
+    if workers >= 2 and getattr(evaluator, "forks_workers", False):
+        import multiprocessing  # not at module level: it would slow start-up
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures.process import (
+                BrokenProcessPool,
+                ProcessPoolExecutor,
+            )
+
+            pool = ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_start_worker,
+                initargs=(evaluator,),
+            )
+            try:
+                return list(pool.map(_worker_outcome, keys, archs))
+            except BrokenProcessPool as exc:
+                raise SearchError(f"an evaluation worker died: {exc}") from exc
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [_outcome(evaluator, key, arch) for key, arch in zip(keys, archs)]
 
 
 # ---------------------------------------------------------------------------
@@ -785,29 +850,34 @@ def _evaluate_new(
     log: Callable[[dict], None],
     k: int,
 ) -> list[LabeledRecord]:
-    """Evaluate members without labels in hash order, then apply the
-    last-exit cap to the whole batch; failures, invalid reports and
-    violators leave the population (and are remembered, so nothing is ever
-    evaluated twice)."""
+    """Evaluate members without labels, then log them in hash order and
+    apply the last-exit cap to the whole batch; failures, invalid reports
+    and violators leave the population (and are remembered, so nothing is
+    ever evaluated twice).
+
+    The batch is evaluated first, in full, by :func:`_evaluate_all`: in
+    forked workers for an evaluator that opts in, else here in hash order.
+    Only this process logs, after the whole batch, so the history does not
+    depend on where a report was computed."""
+    pending = [
+        key for key in sorted(keys)
+        if key not in state.labeled and key not in state.rejected
+    ]
+    archs = [decode(state.members[key], space) for key in pending]
+    outcomes = _evaluate_all(evaluator, pending, archs)
     evaluated: list[tuple[str, EvaluationReport]] = []
     et_averages: dict[str, float] = {}
-    for key in sorted(keys):
-        if key in state.labeled or key in state.rejected:
-            continue
-        genes = state.members[key]
-        arch = decode(genes, space)
-        try:
-            report = evaluator(key, arch)
-            if report.m != arch.m:
-                raise EvaluationFailure(
-                    f"report has {report.m} exits, architecture has {arch.m}"
-                )
-        except (EvaluationFailure, ReportError) as exc:
-            log({"event": "eval-failed", "k": k, "hash": key, "error": str(exc)})
+    for key, arch, report in zip(pending, archs, outcomes):
+        if not isinstance(report, _FAILURES) and report.m != arch.m:
+            report = EvaluationFailure(
+                f"report has {report.m} exits, architecture has {arch.m}"
+            )
+        if isinstance(report, _FAILURES):
+            log({"event": "eval-failed", "k": k, "hash": key, "error": str(report)})
             state.rejected[key] = "evaluation-failed"
             del state.members[key]
             continue
-        et_averages[key] = cost.et_average(genes, report.exit_ratios)
+        et_averages[key] = cost.et_average(state.members[key], report.exit_ratios)
         evaluated.append((key, report))
         log(
             {
