@@ -61,7 +61,6 @@ from .search import (
     et_reduction_value,
     mac_reduction,
     pareto_front,
-    read_history,
     read_report_events,
     replay_history,
     run_search,
@@ -317,9 +316,6 @@ def cmd_search(args) -> int:
     space, accel, nas, evaluator, kind = _load_run_config(args.config)
     _make_out_dir(args.out)
     history_path = os.path.join(args.out, "history.jsonl")
-    if not args.resume and os.path.exists(history_path):
-        os.remove(history_path)
-
     cost = CostCache(space, accel)
     state = run_search(
         space,
@@ -332,7 +328,8 @@ def cmd_search(args) -> int:
         cost=cost,
     )
 
-    events = read_history(history_path)
+    state.log.check()  # the events describe the file, or it exits 2
+    events = state.log.events
     audit = audit_history(events, cost)
     if not audit.ok:
         for violation in audit.violations:

@@ -13,6 +13,7 @@ history enabling byte-identical resume and post-hoc constraint audits.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -400,44 +401,85 @@ def mac_reduction(
 # ---------------------------------------------------------------------------
 
 class SearchState:
-    """Mutable run state; the history file is its durable form."""
+    """Mutable run state; the history file is its durable form. After
+    :func:`run_search`, ``log`` is the run's :class:`HistoryLog`: its
+    ``events`` are every event of the history, in log order."""
 
     def __init__(self):
         self.k = -1
         self.members: dict[str, tuple[int, ...]] = {}
         self.labeled = LabeledSet()
         self.rejected: dict[str, str] = {}
+        self.log: HistoryLog | None = None
 
     def front(self) -> list[LabeledRecord]:
         return pareto_front(self.labeled)
 
 
+#: The encoder of every history line. ``json.dumps`` with these arguments
+#: builds this same encoder on each call; one shared instance writes the
+#: same bytes without that cost.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def _event_line(event: dict) -> str:
     """One history line; a non-finite number raises rather than being
     written as a ``NaN`` or ``Infinity`` literal no reader accepts."""
-    return json.dumps(
-        event, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ) + "\n"
+    return _ENCODER.encode(event) + "\n"
 
 
 class HistoryLog:
     """Append-only JSONL event log; one event per line, no timestamps, so
-    identical runs produce identical bytes."""
+    identical runs produce identical bytes. Each line is flushed as it is
+    written: a resume after a crash reads every committed event, and a
+    forked worker inherits no unwritten buffer.
 
-    def __init__(self, path: str | None):
+    The file is first replaced, atomically, by ``kept_lines``: none for a
+    new history, the kept prefix of the history a resume continues, written
+    as it was read. The log keeps every event of its history in log order
+    (``events``: ``kept_events``, the parsed prefix, then each event
+    appended) and a sha256 of all the text the file should hold, which
+    :meth:`check` compares with the file."""
+
+    def __init__(
+        self,
+        path: str | None,
+        kept_lines: Sequence[str] = (),
+        kept_events: Sequence[dict] = (),
+    ):
+        self.path = path
+        self.events = list(kept_events)
+        text = "".join(kept_lines)
+        self._sha = hashlib.sha256(text.encode("utf-8"))
         self._fh = None
         if path is not None:
+            atomic_write(path, text)
+            # Appending, so text another writer adds stays where
+            # :meth:`check` sees it.
             self._fh = open(path, "a", encoding="utf-8")
 
     def append(self, event: dict) -> None:
+        self.events.append(event)
         if self._fh is not None:
-            self._fh.write(_event_line(event))
+            line = _event_line(event)
+            self._fh.write(line)
             self._fh.flush()
+            self._sha.update(line.encode("utf-8"))
 
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
+
+    def check(self) -> None:
+        """Raise :class:`HistoryError` unless the file holds exactly the
+        text this log wrote, so that :attr:`events` describe it."""
+        if self.path is None:
+            return
+        with open(self.path, "rb") as fh:
+            on_disk = hashlib.sha256(fh.read()).digest()
+        if on_disk != self._sha.digest():
+            raise HistoryError(f"{self.path} changed while the search wrote it")
 
 
 def _committed_lines(path: str) -> list[str]:
@@ -451,10 +493,35 @@ def _committed_lines(path: str) -> list[str]:
     return lines
 
 
+def _parse_line(path: str, number: int, line: str) -> dict:
+    """The event of line ``number`` (from 1) of the history at ``path``;
+    a line that is not a JSON object raises :class:`HistoryError`."""
+    try:
+        event = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise HistoryError(
+            f"{path} line {number} is not valid JSON: {exc.msg} (char {exc.pos})"
+        ) from None
+    if not isinstance(event, dict):
+        raise HistoryError(f"{path} line {number} is not a JSON object")
+    return event
+
+
+def _read_lines(path: str) -> tuple[list[str], list[dict]]:
+    """The committed non-blank lines of a history file and their events,
+    each line parsed once by :func:`_parse_line`."""
+    lines, events = [], []
+    for number, line in enumerate(_committed_lines(path), 1):
+        if line.strip():
+            lines.append(line)
+            events.append(_parse_line(path, number, line))
+    return lines, events
+
+
 def read_history(path: str) -> list[dict]:
-    """Parse every committed line of a history file; an unparsable one
-    raises."""
-    return [json.loads(line) for line in _committed_lines(path) if line.strip()]
+    """Parse every committed line of a history file; a line that is not a
+    JSON object raises :class:`HistoryError`, naming its line."""
+    return _read_lines(path)[1]
 
 
 _GENE_KINDS = ("sampled", "offspring", "filtered-theta")
@@ -482,7 +549,7 @@ def read_report_events(path: str) -> list[dict]:
             key = line.partition(_HASH)[2].partition('"')[0]
             gene_lines.append((i, key, line))
         elif i == first or line.startswith(_SUMMARY_PREFIX) or _EVALUATED in line:
-            parsed[i] = json.loads(line)
+            parsed[i] = _parse_line(path, i + 1, line)
     summaries = [
         ev for ev in parsed.values() if ev.get("event") == "iteration-summary"
     ]
@@ -492,7 +559,7 @@ def read_report_events(path: str) -> list[dict]:
         labeled = set()
     for i, key, line in gene_lines:
         if key in labeled:
-            parsed[i] = json.loads(line)
+            parsed[i] = _parse_line(path, i + 1, line)
     return [parsed[i] for i in sorted(parsed)]
 
 
@@ -1109,25 +1176,26 @@ def run_search(
     cost: CostCache | None = None,
 ) -> SearchState:
     """Run the full loop: initialization (iteration 0) plus the configured
-    number of search iterations, logging every event. With ``resume``, an
-    existing history is replayed to its last complete iteration (trailing
-    partial events are discarded) and the run continues identically to an
-    uninterrupted one. Costs go through ``cost``, a cache of ``space`` and
-    ``accel``, or a new one."""
+    number of search iterations, logging every event to a new history at
+    ``history_path``, if given. With ``resume``, the existing history is
+    replayed to its last complete iteration (trailing partial events are
+    discarded), its lines up to there are kept as written, and the run
+    continues identically to an uninterrupted one. Costs go through
+    ``cost``, a cache of ``space`` and ``accel``, or a new one."""
     cost = _cost_cache(cost, space, accel)
     header = _header_event(space, accel, config, evaluator_kind)
 
     state = SearchState()
+    lines, events = [], []
     if resume:
         if history_path is None or not os.path.exists(history_path):
             raise SearchError("cannot resume without an existing history file")
-        events = read_history(history_path)
+        lines, events = _read_lines(history_path)
         if not events or events[0] != header:
             raise SearchError("history header does not match this run's config")
         state, cut = _rebuild_state(events)
-        atomic_write(history_path, "".join(_event_line(ev) for ev in events[:cut]))
-
-    log = HistoryLog(history_path)
+        lines, events = lines[:cut], events[:cut]
+    log = state.log = HistoryLog(history_path, lines, events)
     try:
         if not resume:
             log.append(header)

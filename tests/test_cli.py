@@ -368,36 +368,50 @@ class TestSearchCommand:
     def test_search_parses_its_history_once(
         self, tmp_path, search_config, monkeypatch, capsys
     ):
-        """The audit and the CSV exports share one parse; a resume parses
-        the history it continues once more, in full."""
-        import eenas.cli
-        import eenas.search
+        """A search hands the events it logged to its audit and exports and
+        parses no history line; a resume parses each committed line of the
+        history it continues exactly once. Every parse goes through a
+        ``JSONDecoder``, however it is called."""
+        import collections
 
-        calls = []
-        original = eenas.search.read_history
+        decode = json.JSONDecoder.decode
+        decoded = []
 
-        def spy(path):
-            calls.append(path)
-            return original(path)
+        def counting(self, text, *args, **kwargs):
+            decoded.append(text)
+            return decode(self, text, *args, **kwargs)
 
-        monkeypatch.setattr(eenas.cli, "read_history", spy)
-        monkeypatch.setattr(eenas.search, "read_history", spy)
+        monkeypatch.setattr(json.JSONDecoder, "decode", counting)
         out = tmp_path / "run"
         argv = ["search", "--config", search_config, "--out", str(out)]
         assert main(argv) == EXIT_OK
-        history = str(out / "history.jsonl")
-        assert calls == [history]
-        calls.clear()
-        assert main([*argv, "--resume"]) == EXIT_OK
-        assert calls == [history, history]
+        path = out / "history.jsonl"
+        whole = path.read_text().splitlines(keepends=True)
+        assert set(decoded).isdisjoint(whole)
 
-        from_path = eenas.search.audit_history(history)
-        from_events = eenas.search.audit_history(original(history))
+        # Cut inside the last iteration: the resume replays its kept prefix
+        # and parses, but drops, the events after the last summary.
+        summaries = [
+            i for i, line in enumerate(whole) if '"event":"iteration-summary"' in line
+        ]
+        cut = whole[: summaries[-2] + 4]
+        path.write_text("".join(cut))
+        decoded.clear()
+        assert main([*argv, "--resume"]) == EXIT_OK
+        assert path.read_text().splitlines(keepends=True) == whole
+        history_lines = set(whole)
+        parsed = collections.Counter(t for t in decoded if t in history_lines)
+        assert parsed == collections.Counter(cut)
+
+        from eenas.search import audit_history, read_history
+
+        from_path = audit_history(str(path))
+        from_events = audit_history(read_history(str(path)))
         assert from_path.ok and from_path.members_checked > 0
         assert from_events == from_path
 
     def test_path_audit_rejects_a_corrupt_line(self, tmp_path, search_config, capsys):
-        from eenas.search import audit_history
+        from eenas.search import HistoryError, audit_history, read_history
 
         out = tmp_path / "run"
         main(["search", "--config", search_config, "--out", str(out)])
@@ -405,8 +419,11 @@ class TestSearchCommand:
         lines = path.read_text().splitlines(keepends=True)
         lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
         path.write_text("".join(lines))
-        with pytest.raises(json.JSONDecodeError):
+        message = re.escape(f"{path} line 2 is not valid JSON: ")
+        with pytest.raises(HistoryError, match=message):
             audit_history(str(path))
+        with pytest.raises(HistoryError, match=message):
+            read_history(str(path))
 
     def test_resume_reproduces_front(self, tmp_path, search_config, capsys):
         full = tmp_path / "full"

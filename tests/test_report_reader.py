@@ -24,6 +24,7 @@ from eenas.cli import EXIT_CONFIG, EXIT_OK, main
 from eenas.hwcost import AcceleratorSpec
 from eenas.search import (
     EvaluationFailure,
+    HistoryError,
     _event_line,
     NasConfig,
     OracleEvaluator,
@@ -189,8 +190,8 @@ class TestReportParsesLess:
         def forbidden(*args, **kwargs):
             raise AssertionError("report called read_history")
 
-        monkeypatch.setattr(eenas.cli, "read_history", forbidden)
         monkeypatch.setattr(eenas.search, "read_history", forbidden)
+        monkeypatch.setattr(eenas.search, "_read_lines", forbidden)
         calls = []
         loads = json.loads
 
@@ -252,7 +253,7 @@ class TestCorruptLines:
         assert report(bad) == report(history)
         assert report(bad)[0] == EXIT_OK
 
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(HistoryError, match="is not valid JSON"):
             audit_history(str(bad))
         with contextlib.redirect_stderr(io.StringIO()):
             code = main(

@@ -762,8 +762,8 @@ class TestRunSearch:
         path = tmp_path / "torn.jsonl"
         path.write_text('{"k":0}\n{"k":1}\n{"k":2,"ev')
         assert read_history(str(path)) == [{"k": 0}, {"k": 1}]
-        path.write_text('{"k":0}\n{"k":1,"ev\n{"k":2}\n')
-        with pytest.raises(json.JSONDecodeError):
+        path.write_text('{"k":0}\n\n{"k":1,"ev\n{"k":2}\n')
+        with pytest.raises(HistoryError, match=f"{path} line 3 is not valid JSON"):
             read_history(str(path))
 
     def test_mu_violations_never_labeled(self, small_space, accel, tmp_path):
