@@ -449,11 +449,9 @@ def _check_length(genes: tuple[int, ...], space: SpaceConfig) -> None:
 
 def decode_exits(
     genes: tuple[int, ...], space: SpaceConfig
-) -> Iterator[tuple[int, str, ExitHeadSpec, int]]:
-    """Each exit of ``genes`` in exit order, as ``(end, mount, head, exit
-    bits)``: the exit's genes end at ``genes[end - 1]``, so ``genes[:end]``
-    determines the exits up to this one. The final exit comes last, with
-    ``end == len(genes)``.
+) -> Iterator[tuple[str, ExitHeadSpec, int]]:
+    """Each exit of ``genes`` in exit order, as ``(mount, head, exit
+    bits)``; the final exit comes last.
 
     Total on canonical-length vectors: genes of absent mounts are ignored.
     Option indices actually used must be in range. Each gene is checked
@@ -462,8 +460,8 @@ def decode_exits(
     """
     _check_length(genes, space)
     for j, label in enumerate(space.backbone.optional_mounts):
-        end = GENES_PER_MOUNT * (j + 1)
-        present, head_idx, quant_idx = genes[end - GENES_PER_MOUNT : end]
+        base = GENES_PER_MOUNT * j
+        present, head_idx, quant_idx = genes[base : base + GENES_PER_MOUNT]
         if present not in (0, 1):
             raise ChromosomeError(f"presence gene for mount {label!r} must be 0/1")
         if not present:
@@ -472,16 +470,11 @@ def decode_exits(
             raise ChromosomeError(f"head option {head_idx} out of range at {label!r}")
         if not (0 <= quant_idx < space.n_quant_options):
             raise ChromosomeError(f"quant option {quant_idx} out of range at {label!r}")
-        yield end, label, space.head_options[head_idx], space.exit_bit_options[quant_idx]
+        yield label, space.head_options[head_idx], space.exit_bit_options[quant_idx]
     fh, fq = genes[-2], genes[-1]
     if not (0 <= fh < space.n_head_options and 0 <= fq < space.n_quant_options):
         raise ChromosomeError("final-exit option gene out of range")
-    yield (
-        len(genes),
-        space.backbone.final_mount,
-        space.head_options[fh],
-        space.exit_bit_options[fq],
-    )
+    yield space.backbone.final_mount, space.head_options[fh], space.exit_bit_options[fq]
 
 
 def decode(genes: tuple[int, ...], space: SpaceConfig) -> EennArchitecture:
@@ -489,7 +482,7 @@ def decode(genes: tuple[int, ...], space: SpaceConfig) -> EennArchitecture:
     :func:`decode_exits` checks it."""
     exits = []
     bits = []
-    for _, label, head, exit_bits in decode_exits(genes, space):
+    for label, head, exit_bits in decode_exits(genes, space):
         exits.append(ExitPlacement(label, head))
         bits.append(exit_bits)
     return EennArchitecture(

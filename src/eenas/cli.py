@@ -329,14 +329,13 @@ def cmd_search(args) -> int:
     )
 
     state.log.check()  # the events describe the file, or it exits 2
-    events = state.log.events
-    audit = audit_history(events, cost)
+    history = replay_history(state.log.events)
+    audit = audit_history(history, cost)
     if not audit.ok:
         for violation in audit.violations:
             print(f"audit violation: {violation}", file=sys.stderr)
         return EXIT_AUDIT
 
-    history = replay_history(events)
     final_p = history.labeled
 
     front = state.front()
@@ -367,7 +366,7 @@ def cmd_search(args) -> int:
     for ev in history.evaluated:
         if ev["hash"] not in final_p:
             continue
-        genes = history.genes[ev["hash"]]
+        genes = history.genes_of(ev["hash"])
         reduction = et_reduction_value(ev["et_avg"], cost.static_et(genes))
         scatter_lines.append(
             f"{ev['k']},{ev['hash']},{ev['acc_avg']!r},{reduction!r}"

@@ -518,9 +518,10 @@ def place_head(
 class ExitState(NamedTuple):
     """Greedy state after exits 1..i of an architecture, made by
     :func:`place_exit`: the state after exit i-1 (None for the first
-    exit), head i's placement and the end of exit i's backbone part. States
-    link to their predecessor rather than copy it, so architectures that
-    share a head prefix share its storage. E_i and T_i are not kept:
+    exit), head i's placement and the end of exit i's backbone part. A
+    state links to its predecessor rather than copy it, and each
+    architecture has its own states: only head placements are shared. E_i
+    and T_i are not kept:
     :func:`exit_costs` sums them through the links when they are read."""
 
     prev: ExitState | None

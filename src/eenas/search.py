@@ -129,9 +129,8 @@ class NasConfig:
             raise ValueError(f"bad search config field: {exc}") from exc
 
 
-#: Head-prefix states, and head placements, a :class:`CostCache` keeps
-#: before it starts over.
-_PREFIX_MEMO_SIZE = 4096
+#: Head placements a :class:`CostCache` keeps before it starts over.
+_HEAD_MEMO_SIZE = 4096
 
 
 class CostCache:
@@ -141,20 +140,17 @@ class CostCache:
     from the linked states alone, and the per-exit energy-delay products,
     summed only when read.
 
-    Everything about exit i is a function of the genes up to exit i's, so
-    the greedy state after each intermediate exit is kept, keyed on that
-    gene prefix: a new architecture links only the heads whose prefix is
-    new, and always its final exit. A head's placement is a function of its
-    (mount, head, bits) and of when each core is next free, so it is kept
-    on that key: a new prefix places its head only if no other prefix
-    placed the same head from the same free cycles. Genes are checked as
-    :func:`decode` checks them, but no architecture is decoded."""
+    A head's placement is a function of its (mount, head, bits) and of
+    when each core is next free, so it is kept on that key: a new
+    architecture links a state per exit, but places a head only if no
+    other architecture placed the same head from the same free cycles.
+    Genes are checked as :func:`decode` checks them, but no architecture
+    is decoded."""
 
     def __init__(self, space: SpaceConfig, accel: AcceleratorSpec):
         self.space = space
         self.accel = accel
         self._costs: dict[tuple[int, ...], ExitState] = {}
-        self._prefixes: dict[tuple[int, ...], ExitState] = {}
         self._heads: dict[tuple, HeadPlacement] = {}
 
     @cached_property
@@ -182,7 +178,7 @@ class CostCache:
         key = (mount, head, bits, free)
         placed = self._heads.get(key)
         if placed is None:
-            if len(self._heads) >= _PREFIX_MEMO_SIZE:
+            if len(self._heads) >= _HEAD_MEMO_SIZE:
                 self._heads.clear()
             template = self._build(
                 mount, head, bits, exit_index, self.space.num_classes
@@ -194,22 +190,10 @@ class CostCache:
         """The state after the final exit of the architecture of ``genes``."""
         last = self._costs.get(genes)
         if last is None:
-            *intermediate, final = decode_exits(genes, self.space)
-            state = None
-            for index, (end, mount, head, bits) in enumerate(intermediate, 1):
-                prefix = genes[:end]
-                link = self._prefixes.get(prefix)
-                if link is None:
-                    if len(self._prefixes) >= _PREFIX_MEMO_SIZE:
-                        self._prefixes.clear()
-                    link = self._prefixes[prefix] = self._place(
-                        state, mount, head, bits, index
-                    )
-                state = link
-            _, mount, head, bits = final
-            last = self._costs[genes] = self._place(
-                state, mount, head, bits, len(intermediate) + 1
-            )
+            exits = decode_exits(genes, self.space)
+            for index, (mount, head, bits) in enumerate(exits, 1):
+                last = self._place(last, mount, head, bits, index)
+            self._costs[genes] = last
         return last
 
     def et_per_exit(self, genes: tuple[int, ...]) -> tuple[float, ...]:
@@ -230,8 +214,8 @@ class CostCache:
         """Energy-delay of the backbone with only the final head of
         ``genes``, all samples exiting last: the last exit of the static
         counterpart, whose genes keep only the final pair."""
-        *_, (end, _, _, _) = decode_exits(genes, self.space)  # checks every gene
-        return self.et_per_exit((0,) * (end - 2) + genes[-2:])[-1]
+        list(decode_exits(genes, self.space))  # checks every gene
+        return self.et_per_exit((0,) * (len(genes) - 2) + genes[-2:])[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -525,21 +509,29 @@ def read_history(path: str) -> list[dict]:
 
 
 _GENE_KINDS = ("sampled", "offspring", "filtered-theta")
-# ``_event_line`` sorts keys, so an event with no key before "event" (a gene
-# line, a summary) starts with its kind, and fixed separators let the others
-# be matched as one exact substring.
+# ``_event_line`` sorts keys, so a gene line starts with its kind, and fixed
+# separators let its hash, and the kind of an ``evaluated`` line, be matched
+# as one exact substring.
 _GENE_PREFIXES = tuple(f'{{"event":"{kind}"' for kind in _GENE_KINDS)
-_SUMMARY_PREFIX = '{"event":"iteration-summary"'
-_EVALUATED = '"event":"evaluated"'
 _HASH = '"hash":"'
+_EVALUATED = '"event":"evaluated"'
+# The kinds a report reads, as any JSON line that holds one spells them.
+_REPORT_KINDS = tuple(
+    f'"{kind}"' for kind in ("evaluated", "iteration-summary", *_GENE_KINDS)
+)
 
 
 def read_report_events(path: str) -> list[dict]:
     """The events of a history that a report of its last labeled archive
     uses, in log order: the first line, every ``evaluated`` and
     ``iteration-summary`` line, and the gene lines of the hashes labeled at
-    the last summary. Other lines are not parsed, so a corrupt one does not
-    stop the report; the rule for a torn last line is :func:`read_history`'s."""
+    the last summary. A line that starts as ``_event_line`` starts a gene
+    line is parsed only if the hash it names is labeled; any other line
+    only if it names a kind the report reads, however it is spaced or its
+    keys ordered. So a corrupt line of another kind does not stop the
+    report, and a line kept as written by ``--resume`` is read as
+    :func:`read_history` reads it; the rule for a torn last line is
+    :func:`read_history`'s."""
     parsed: dict[int, dict] = {}
     gene_lines: list[tuple[int, str, str]] = []
     lines = _committed_lines(path)
@@ -548,7 +540,11 @@ def read_report_events(path: str) -> list[dict]:
         if i != first and line.startswith(_GENE_PREFIXES):
             key = line.partition(_HASH)[2].partition('"')[0]
             gene_lines.append((i, key, line))
-        elif i == first or line.startswith(_SUMMARY_PREFIX) or _EVALUATED in line:
+        elif (
+            i == first
+            or _EVALUATED in line  # most lines a report parses: one scan
+            or any(kind in line for kind in _REPORT_KINDS)
+        ):
             parsed[i] = _parse_line(path, i + 1, line)
     summaries = [
         ev for ev in parsed.values() if ev.get("event") == "iteration-summary"
@@ -1232,18 +1228,20 @@ class AuditResult:
 
 
 def audit_history(
-    history: str | os.PathLike | Sequence[dict], cost: CostCache | None = None
+    history: str | os.PathLike | Sequence[dict] | HistoryReplay,
+    cost: CostCache | None = None,
 ) -> AuditResult:
     """Re-derive every constraint from a persisted history, given its path
-    (parsed in full by :func:`read_history`) or its events as already
-    read: recompute the overhead of every population member ever admitted,
-    re-check every labeled member's last-exit ratio, verify the monotone set
-    shapes, and confirm no architecture was evaluated twice. Overheads go
-    through ``cost``, a cache of the header's space and accelerator (such
-    as the one the run itself used), or a new one."""
+    (parsed in full by :func:`read_history`), its events as already read or
+    their replay: recompute the overhead of every population member ever
+    admitted, re-check every labeled member's last-exit ratio, verify the
+    monotone set shapes, and confirm no architecture was evaluated twice.
+    Overheads go through ``cost``, a cache of the header's space and
+    accelerator (such as the one the run itself used), or a new one."""
     if isinstance(history, (str, os.PathLike)):
         history = read_history(history)
-    history = replay_history(history)
+    if not isinstance(history, HistoryReplay):
+        history = replay_history(history)
     header = history.header
     if header is None:
         raise SearchError("history lacks a run-config header")

@@ -25,6 +25,17 @@ def chain_backbone(n_mounts: int, channels: int = 8, size: int = 8) -> BackboneS
     )
 
 
+#: The README's run config, at seed 0: the benchmark's ``mobilenet-oracle``.
+README_RUN = {
+    "seed": 0,
+    "backbone": "builtin:mobilenetv2_cifar",
+    "accelerator": "default",
+    "space": {"head_depths": [1, 2], "exit_bits": [8, 4], "backbone_bits": 8},
+    "nas": {"iterations": 6, "n_select": 20, "init_population": 50},
+    "evaluator": {"kind": "oracle"},
+}
+
+
 #: Non-uniform NoC distances (a line of cores) and a 16 KiB scratchpad, so
 #: transfers cross several hops and large layers spill.
 LINE_HOP_ACCEL = AcceleratorSpec(

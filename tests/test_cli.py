@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eenas.cli import EXIT_CONFIG, EXIT_OK, main
+from helpers import README_RUN
 
 
 def write_json(path, payload):
@@ -409,6 +410,35 @@ class TestSearchCommand:
         from_events = audit_history(read_history(str(path)))
         assert from_path.ok and from_path.members_checked > 0
         assert from_events == from_path
+
+    def test_search_replays_its_history_once(
+        self, tmp_path, search_config, monkeypatch, capsys
+    ):
+        """The closing audit and the three exports share one replay of the
+        events a search logged; a resume replays its kept prefix once more
+        to rebuild its state."""
+        from eenas import cli, search
+
+        replay = search.replay_history
+        replayed = []
+
+        def counting(events, *args, **kwargs):
+            replayed.append(len(events))
+            return replay(events, *args, **kwargs)
+
+        monkeypatch.setattr(search, "replay_history", counting)
+        monkeypatch.setattr(cli, "replay_history", counting)
+        out = tmp_path / "run"
+        argv = ["search", "--config", search_config, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        events = search.read_history(str(out / "history.jsonl"))
+        assert replayed == [len(events)]
+        replayed.clear()
+        assert main([*argv, "--resume"]) == EXIT_OK
+        assert replayed == [len(events), len(events)]
+        monkeypatch.undo()
+        from_replay = search.audit_history(search.replay_history(events))
+        assert from_replay.ok and from_replay == search.audit_history(events)
 
     def test_path_audit_rejects_a_corrupt_line(self, tmp_path, search_config, capsys):
         from eenas.search import HistoryError, audit_history, read_history
@@ -1139,6 +1169,25 @@ class TestOneCostCachePerCommand:
         placed.clear()
         assert search.audit_history(str(history), caches[0]).ok
         assert placed == []
+        capsys.readouterr()
+
+    def test_readme_search_places_each_head_once(self, tmp_path, monkeypatch, capsys):
+        """The README search (seed 7) places 1,521 heads for its 5,031
+        linked exit states: the head memo alone places each head once."""
+        from eenas import search
+
+        config = write_json(tmp_path / "run.json", {**README_RUN, "seed": 7})
+        placed = []
+        place_head = search.place_head
+
+        def counting_place(*args):
+            placed.append(args)
+            return place_head(*args)
+
+        monkeypatch.setattr(search, "place_head", counting_place)
+        out = tmp_path / "run"
+        assert main(["search", "--config", config, "--out", str(out)]) == EXIT_OK
+        assert len(placed) == 1521
         capsys.readouterr()
 
 

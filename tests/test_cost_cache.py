@@ -169,10 +169,10 @@ def counted_placements(monkeypatch) -> list:
     return placed
 
 
-class TestPrefixMemoMatchesCostReport:
+class TestHeadMemoMatchesCostReport:
     """The cost cache's answers equal the full cost report's for hundreds
     of architectures per space, whatever the order they come in and
-    however often the prefix memo and the head memo start over."""
+    however often the head memo starts over."""
 
     N_GENES = 300
 
@@ -213,10 +213,9 @@ class TestPrefixMemoMatchesCostReport:
             # are placed than the architectures hold.
             assert len(placed) < exits
             for bound in (1, 2, 3):
-                monkeypatch.setattr(search, "_PREFIX_MEMO_SIZE", bound)
+                monkeypatch.setattr(search, "_HEAD_MEMO_SIZE", bound)
                 for order in (shuffled, genes):
                     cache = self.check(space, accel, order, references)
-                    assert len(cache._prefixes) <= bound
                     assert len(cache._heads) <= bound
             monkeypatch.undo()
 
@@ -277,7 +276,7 @@ class TestGenesCheckedAsDecodeChecks:
 
     def test_bad_genes_raise_after_their_siblings(self, space, accel):
         base, cache = self.warm_cache(space, accel)
-        assert len(cache._prefixes) > space.n_optional
+        assert len(cache._costs) > space.n_optional
         bad = [base[:-1], base + (0,), ()]
         for j in range(space.n_optional):
             mount = 3 * j

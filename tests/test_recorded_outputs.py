@@ -17,22 +17,11 @@ import os
 import pytest
 
 from eenas.cli import EXIT_OK, main
-from helpers import LINE_HOP_ACCEL, write_accelerator
+from helpers import LINE_HOP_ACCEL, README_RUN, write_accelerator
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 OUTPUT_FILES = ("history.jsonl", "front.csv", "iterations.csv", "scatter.csv")
-
-#: The README run config at seed 0: the benchmark's ``mobilenet-oracle``.
-README_RUN = {
-    "seed": 0,
-    "backbone": "builtin:mobilenetv2_cifar",
-    "accelerator": "default",
-    "space": {"head_depths": [1, 2], "exit_bits": [8, 4], "backbone_bits": 8},
-    "nas": {"iterations": 6, "n_select": 20, "init_population": 50},
-    "evaluator": {"kind": "oracle"},
-}
-
 
 def benchmark_config(name: str) -> dict:
     spec = importlib.util.spec_from_file_location(

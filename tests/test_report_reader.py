@@ -34,6 +34,7 @@ from eenas.search import (
     replay_history,
     run_search,
 )
+from helpers import README_RUN
 
 SMALL_CONFIG = {
     "seed": 11,
@@ -171,6 +172,45 @@ class TestSameOutputAsFullParse:
                 and ev["hash"] in labeled)
         ]
         assert eenas.search.read_report_events(path) == used
+
+
+class TestLinesKeptAsWritten:
+    """``--resume`` keeps a valid line of the kept prefix as written, so the
+    report finds the lines it reads however they are spaced or their keys
+    ordered, as the full parse does."""
+
+    def test_respelled_last_summary(self, tmp_path):
+        """On the README search at seed 401, the last summary labels 17
+        front points and the one before it 16: a report that missed the
+        respelled last summary would report the older archive."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**README_RUN, "seed": 401}))
+        out = tmp_path / "run"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["search", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        history = out / "history.jsonl"
+        expected = report(history)
+        assert expected[0] == EXIT_OK and "front size: 17\n" in expected[1]
+        lines = history.read_text().splitlines(keepends=True)
+        last = max(i for i, line in enumerate(lines) if "iteration-summary" in line)
+        lines[last] = json.dumps(json.loads(lines[last]), sort_keys=True) + "\n"
+        history.write_text("".join(lines))
+        assert report(history) == expected
+        assert report(history, full_parse=True) == expected
+        assert audit_history(str(history)).ok
+
+    @pytest.mark.parametrize("name", ["smallconv", "mobilenet", "mobilenet-cut"])
+    def test_every_line_respelled(self, histories, name, tmp_path):
+        path = histories[name]
+        respelled = tmp_path / "history.jsonl"
+        respelled.write_text(
+            "".join(json.dumps(ev) + "\n" for ev in read_history(str(path)))
+        )
+        assert respelled.read_text() != path.read_text()
+        for pick in ("best-acc", "best-et", "0"):
+            expected = report(path, pick)
+            assert expected[0] == EXIT_OK
+            assert report(respelled, pick) == expected, pick
 
 
 class TestReportParsesLess:
