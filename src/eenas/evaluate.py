@@ -14,8 +14,9 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -25,10 +26,11 @@ from .files import (check_exit_ratios, check_fields, is_int, is_object, is_real,
 from .quant import (
     FakeQuantizer,
     QuantParams,
-    calibrate_clip,
+    calibrate_sorted,
     grid_points,
     grid_work,
-    percentile_clip_candidates,
+    reciprocal,
+    sorted_clip_candidates,
 )
 from .workload import backbone_mac_fractions
 
@@ -215,47 +217,85 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+#: Bounds of relu6 as 0-d arrays: numpy takes an array operand with less
+#: work per call than a Python float, which it converts on every call.
+_ZERO, _SIX = np.array(0.0), np.array(6.0)
+
+
+def _activation_consts(q: QuantParams):
+    """What :func:`_activate` uses of an activation quantizer, made once:
+    the comparison and bound of its straight-through mask, its clamp
+    min(clip, 6), and the scale, reciprocal and levels for
+    :func:`quant.grid_points`, whose k needs no clamp where the reciprocal
+    is finite. The numbers are 0-d arrays, as ``_ZERO`` is."""
+    inv = reciprocal(q.scale)
+    levels = float(q.levels) if inv is None else None
+    below, bound = (np.less, 6.0) if q.clip >= 6.0 else (np.less_equal, q.clip)
+    return below, *(
+        None if v is None else np.array(v)
+        for v in (bound, min(q.clip, 6.0), q.scale, inv, levels)
+    )
+
+
 def _activate(z: np.ndarray, mask: np.ndarray, consts, work) -> None:
     """Turn the pre-activation ``z`` in place into the layer output: relu6,
-    then, when ``consts`` holds the activation quantizer's (clip, scale,
-    levels), its fake quantization. ``mask`` receives the straight-through
-    mask carrying a gradient back through both; ``work`` is scratch for
-    :func:`quant.grid_points` shaped like ``z``.
+    then, when ``consts`` holds the activation quantizer's
+    :func:`_activation_consts`, its fake quantization. ``mask`` receives
+    the straight-through mask carrying a gradient back through both;
+    ``work`` is scratch for :func:`quant.grid_points` shaped like ``z``.
 
     The result equals relu6, ``np.clip`` and :func:`quant.quantize`
     applied one after the other, bit for bit, signed zeros and NaN
     included: the clamp can drop its lower bound, since relu6 leaves
-    nothing below zero, and is skipped for a clip of 6 or more, which
-    relu6 never exceeds.
+    nothing below zero, and its upper bound joins relu6's as one clamp to
+    the smaller of the clip and 6. The grid step then needs no clamp of
+    its own where the scale has a finite reciprocal (see
+    :func:`quant.grid_points`): its input lies in [0, clip].
     """
     # relu6 passes a gradient where 0 < z < 6 and the quantizer where
     # relu6(z) <= clip; on 0 < z < 6 relu6(z) is z, so the product is one
     # comparison against the lower bound. NaN fails every comparison.
     hit = work[2]
-    np.greater(z, 0.0, out=mask)
-    if consts is None or consts[0] >= 6.0:
-        np.less(z, 6.0, out=hit)
-    else:
-        np.less_equal(z, consts[0], out=hit)
-    np.logical_and(mask, hit, out=mask)
-    np.maximum(z, 0.0, out=z)
-    np.minimum(z, 6.0, out=z)
+    np.greater(z, _ZERO, out=mask)
     if consts is None:
+        np.less(z, _SIX, out=hit)
+    else:
+        below, bound, top, scale, inv, levels = consts
+        below(z, bound, out=hit)
+    np.logical_and(mask, hit, out=mask)
+    np.maximum(z, _ZERO, out=z)
+    if consts is None:
+        np.minimum(z, _SIX, out=z)
         return
-    clip, scale, levels = consts
-    if clip < 6.0:
-        np.minimum(z, clip, out=z)
-    grid_points(z, scale, levels, None, z, work)
+    np.minimum(z, top, out=z)
+    grid_points(z, scale, inv, levels, None, z, work)
 
 
-class _FlatViews(dict):
-    """Named, parameter-shaped views into one flat float64 array, also
-    listed in layout order as ``views``."""
+class _FlatViews(Mapping):
+    """Named, parameter-shaped views into one flat float64 array, ``flat``,
+    also listed in layout order as ``views``. The views are made when first
+    read, so a training step, which reads only ``flat``, makes none."""
 
     def __init__(self, flat: np.ndarray, layout):
-        self.views = [flat[lo:hi].reshape(shape) for _, lo, hi, shape in layout]
-        super().__init__(zip((key for key, *_ in layout), self.views))
         self.flat = flat
+        self._layout = layout
+
+    @cached_property
+    def views(self) -> list[np.ndarray]:
+        return [self.flat[lo:hi].reshape(shape) for _, lo, hi, shape in self._layout]
+
+    @cached_property
+    def _named(self) -> dict[str, np.ndarray]:
+        return dict(zip((key for key, *_ in self._layout), self.views))
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self._named[key]
+
+    def __iter__(self):
+        return iter(self._named)
+
+    def __len__(self) -> int:
+        return len(self._layout)
 
 
 class DenseEenn:
@@ -274,16 +314,19 @@ class DenseEenn:
     values they gate.
 
     Each step follows a plan made once. ``calibrate`` fixes every
-    activation quantizer's (clip, scale, levels) as Python floats and one
+    activation quantizer's constants (:func:`_activation_consts`) and one
     :class:`quant.FakeQuantizer`, with its own buffers, that quantizes all
     quantized weights in one pass with per-element clip, scale and level
     arrays. Per batch size, the first forward pass allocates each layer's
     output and mask buffers and the scratch of the fused relu6 and fake
     quantization (:func:`_activate`), or takes the leading rows of a set
     for a larger batch; later passes of that size write into them.
-    ``calibrate`` uses buffers of its own and frees them. None of these
-    buffers leaves a call: ``forward`` returns fresh logits and
-    ``loss_and_grads`` fresh gradients.
+    ``calibrate`` uses buffers of its own and frees them. The backward pass
+    writes each layer's gradients into views of one flat scratch array,
+    made once, and the SGD step its products into another. None of these
+    buffers leaves a call: ``forward`` returns fresh logits, every exit's
+    in one array, and ``loss_and_grads`` fresh gradients, copied from the
+    scratch by the step's last operation.
     """
 
     def __init__(
@@ -360,6 +403,11 @@ class DenseEenn:
         self._velocity = np.zeros(offset)
         self._w = self.params.views[0::2]
         self._b = self.params.views[1::2]
+        self._grads = _FlatViews(np.empty(offset), self._layout)
+        self._gw = self._grads.views[0::2]
+        self._gb = self._grads.views[1::2]
+        self._sgd_work = np.empty(offset)
+        self._classes = num_classes
         for (_, fi, fo, _), w, b in zip(layers, self._w, self._b):
             w[...] = rng.normal(size=(fi, fo)) * math.sqrt(2.0 / fi)
             # Slightly positive biases keep narrow relu6 trunks from going dead.
@@ -370,15 +418,16 @@ class DenseEenn:
         # and the weights each forward pass uses.
         self._weight_q: list[QuantParams | None] = [None] * len(layers)
         self._act_q: list[QuantParams | None] = [None] * len(layers)
-        self._act_consts: list[tuple[float, float, float] | None] = [None] * len(layers)
+        self._act_consts: list[tuple | None] = [None] * len(layers)
         self._weight_grid: FakeQuantizer | None = None
+        self._quantized_weights = self.params.flat[: self._n_quantized]
         self._wq = self._w
         # Per batch size: per layer, output and mask buffers and scratch.
         self._buffers: dict[int, list] = {}
 
     def forward(self, X: np.ndarray) -> list[np.ndarray]:
         """Per-exit logits."""
-        return self._forward(X)[0]
+        return list(self._forward(X)[0])
 
     def _step_buffers(self, rows: int):
         """Per layer followed by relu6, its output buffer, its mask buffer
@@ -412,27 +461,29 @@ class DenseEenn:
         return buffers
 
     def _forward(self, X: np.ndarray, keep_acts: bool = False):
-        """Per-exit logits (fresh arrays), the straight-through mask of the
-        quantized weight region (None before calibration), the step
-        buffers holding each layer's output and mask, and, with
-        ``keep_acts``, per layer its relu6 output before activation
-        quantization (None for exit output layers)."""
+        """Per-exit logits, stacked in one fresh exits x rows x classes
+        array, the straight-through mask of the quantized weight region
+        (None before calibration), the step buffers holding each layer's
+        output and mask, and, with ``keep_acts``, per layer its relu6
+        output before activation quantization (None for exit output
+        layers)."""
         weights = self._wq  # quantized by the call below, once calibrated
         weight_mask = None
         if self._weight_grid is not None:
-            weight_mask = self._weight_grid(self.params.flat[: self._n_quantized])[1]
+            weight_mask = self._weight_grid(self._quantized_weights)[1]
         buffers = self._step_buffers(len(X))
         acts = [None] * len(buffers) if keep_acts else None
-        logits = []
+        logits = np.empty((len(self._heads), len(X), self._classes))
+        exit_logits = iter(logits)
         for layer, src in enumerate(self._source):
             a = X if src < 0 else buffers[src][0]
             if buffers[layer] is None:
-                z = a @ weights[layer]
+                z = next(exit_logits)
+                np.dot(a, weights[layer], out=z)
                 z += self._b[layer]
-                logits.append(z)
                 continue
             out, mask, work = buffers[layer]
-            np.matmul(a, weights[layer], out=out)
+            np.dot(a, weights[layer], out=out)
             out += self._b[layer]
             consts = self._act_consts[layer]
             if keep_acts:
@@ -448,40 +499,43 @@ class DenseEenn:
         training loss for every parameter, as named views into one fresh
         flat array (its ``flat`` attribute)."""
         logits, weight_mask, buffers, _ = self._forward(X)
-        wq = self._wq
+        wq, gw, gb = self._wq, self._gw, self._gb
         n = len(y)
-        rows = np.arange(n)
-        grads = _FlatViews(np.empty(self.params.flat.size), self._layout)
-        gw, gb = grads.views[0::2], grads.views[1::2]
         inputs = [X if src < 0 else buffers[src][0] for src in self._source]
 
         def backward(layer, dz, input_grad=True):
             # Gradients are written, not added to zeros; the one "+ 0.0"
             # over the whole buffer at the end makes up for that.
-            np.matmul(inputs[layer].T, dz, out=gw[layer])
+            np.dot(inputs[layer].T, dz, out=gw[layer])
             np.add.reduce(dz, axis=0, out=gb[layer])
-            return dz @ wq[layer].T if input_grad else None
+            return np.dot(dz, wq[layer].T) if input_grad else None
 
+        # Softmax, then (p - onehot) / n, in place in the fresh logits of
+        # every exit at once, in the operations and order of _softmax: each
+        # reduction runs over one row of one exit, as it does there.
+        p = logits
+        p -= np.maximum.reduce(p, axis=2, keepdims=True)
+        np.exp(p, out=p)
+        p /= np.add.reduce(p, axis=2, keepdims=True)
+        # Per exit (row), the flat index of each sample's true class.
+        classes = p.shape[2]
+        target = np.arange(0, p.size, n * classes)[:, None] + (
+            np.arange(0, n * classes, classes) + y
+        )
+        flat = p.reshape(-1)
+        # np.mean is the sum over the count.
+        sums = np.add.reduce(np.log(flat[target] + 1e-300), axis=1)
+        per_exit = [-(total / n) for total in sums.tolist()]
+        flat[target] -= 1.0
+        p /= n
         # Gradients reaching each trunk output from the heads; the zero
         # start keeps the sums, signed zeros included, as zeros_like would.
         d_trunk = [0.0] * self.n_blocks
-        per_exit = []
-        for e, (hidden, out) in enumerate(self._heads):
-            # Softmax, then (p - onehot) / n, in place in the fresh
-            # logits, in the operations and order of _softmax.
-            p = logits[e]
-            p -= p.max(axis=1, keepdims=True)
-            np.exp(p, out=p)
-            p /= p.sum(axis=1, keepdims=True)
-            # np.mean is the sum over the count.
-            per_exit.append(float(-(np.add.reduce(np.log(p[rows, y] + 1e-300)) / n)))
-            p[rows, y] -= 1.0
-            p /= n
-            dfeat = backward(out, p)
+        for (hidden, out), pos, dlogits in zip(self._heads, self.positions, p):
+            dfeat = backward(out, dlogits)
             if hidden is not None:
                 dfeat *= buffers[hidden][1]
                 dfeat = backward(hidden, dfeat)
-            pos = self.positions[e]
             d_trunk[pos] = d_trunk[pos] + dfeat
         da = d_trunk[-1]
         for j in range(self.n_blocks - 1, -1, -1):
@@ -489,28 +543,33 @@ class DenseEenn:
             da = backward(j, da, input_grad=j > 0)
             if j > 0:
                 da += d_trunk[j - 1]
+        g = self._grads.flat
         if weight_mask is not None:
             # (0 + g) * mask + 0 equals g * mask + 0 bit for bit for a 0/1
             # mask, signed zeros and NaN included.
-            grads.flat[: self._n_quantized] *= weight_mask
-        grads.flat += 0.0
-        return math.fsum(per_exit), per_exit, grads
+            g[: self._n_quantized] *= weight_mask
+        return math.fsum(per_exit), per_exit, _FlatViews(g + 0.0, self._layout)
 
     def sgd_step(
         self, grads: _FlatViews, lr: float, momentum: float, wd: float
     ) -> None:
         """Momentum SGD over the flat buffer, weight decay on the weight
-        region only."""
+        region only: v = momentum * v + (g + wd * w), then w -= lr * v, with
+        the products made in a scratch array of the net's own."""
         g = grads.flat
         v = self._velocity
+        w = self.params.flat
+        work = self._sgd_work
         v *= momentum
         if wd:
             nw = self._n_weights
-            v[:nw] += g[:nw] + wd * self.params.flat[:nw]
+            decay = np.multiply(w[:nw], wd, out=work[:nw])
+            np.add(g[:nw], decay, out=decay)
+            v[:nw] += decay
             v[nw:] += g[nw:]
         else:
             v += g
-        self.params.flat -= lr * v
+        w -= np.multiply(v, lr, out=work)
 
     def calibrate(self, X: np.ndarray) -> bool:
         """Assign per-tensor clips by KL-minimal choice over percentile
@@ -541,8 +600,7 @@ class DenseEenn:
         for table, layer, q in chosen:
             table[layer] = q
         self._act_consts = [
-            None if q is None else (q.clip, q.scale, float(q.levels))
-            for q in self._act_q
+            None if q is None else _activation_consts(q) for q in self._act_q
         ]
         # The quantized weight region holds its layers in layer order.
         layers = [
@@ -574,8 +632,11 @@ def _calibrated_clip(values: np.ndarray, bits: int) -> float | None:
     ordered = np.sort(values, axis=None)
     if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
         return None
-    cands = percentile_clip_candidates(ordered) or (1.0,)
-    return calibrate_clip(ordered, bits, cands).clip
+    # A nonnegative sample (every relu6 output) is its own sorted
+    # magnitudes, up to the sign of its zeros, which the candidates ignore.
+    mags = ordered if ordered[0] >= 0 else np.sort(np.abs(ordered))
+    cands = sorted_clip_candidates(mags) or (1.0,)
+    return calibrate_sorted(ordered, bits, cands).clip
 
 
 def _stratified_split(

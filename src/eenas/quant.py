@@ -7,23 +7,35 @@ through unchanged. Clip magnitudes are calibrated per layer by minimizing
 the KL divergence between histograms of the raw and quantized values.
 
 The floor-and-correct grid step has one home, :func:`grid_points`, which
-writes through ``out=`` into buffers its caller owns. :class:`FakeQuantizer`
-keeps those buffers for one shape and one set of (clip, scale, levels),
-scalars or per-element arrays, and returns the straight-through mask from
-the same pass, so that a training step reuses them instead of allocating;
-:func:`quantize` builds one per call. Every element goes through the same floating-point operations
-either way, so the values are the same bit for bit.
+writes through ``out=`` into buffers its caller owns. Its first estimate of
+the step k multiplies by the reciprocal of the scale rather than dividing
+by the scale. That estimate lies within one step of the answer, and the
+two corrections that follow it turn any such estimate into the greatest
+grid point not above x, so the result is the one the quotient gives, bit
+for bit. Where the reciprocal is not finite (a subnormal scale) the step
+divides. A correction that selects no element is skipped, since a masked
+operation that selects nothing changes nothing. An activation reaches the
+step already in [0, clip], so with a finite reciprocal its k cannot leave
+[0, levels], and the step makes no clamp for it; a weight keeps both.
+:class:`FakeQuantizer` keeps the buffers for one shape and one set of
+(clip, scale, levels), scalars or per-element arrays, and returns the
+straight-through mask from the same pass, so that a training step reuses
+them instead of allocating; :func:`quantize` builds one per call. Every
+element gets the same result either way, bit for bit.
 
-:func:`calibrate_clip` sorts its sample once. Both histograms are then
-counted by binary search on the sorted sample, exactly as ``np.histogram``
-counts with explicit edges. A candidate's quantized image is counted per
-grid point: quantize maps x to the greatest grid point not above clamp(x),
-so the samples below a grid point are one ``searchsorted`` away. All
-candidates of one sample share one pass: their grids are stacked, searched
-in the sample with one ``searchsorted``, binned with one ``bincount``, and
-their divergences come from one reduction over a candidates x bins array.
+:func:`calibrate_clip` sorts its sample once, and :func:`calibrate_sorted`
+takes a sample its caller has sorted. Both histograms are then counted by
+binary search on the sorted sample, exactly as ``np.histogram`` counts with
+explicit edges. A candidate's quantized image is counted per grid point:
+quantize maps x to the greatest grid point not above clamp(x), so the
+samples below a grid point are one ``searchsorted`` away. All candidates of
+one sample share one pass: their grids are stacked, searched in the sample
+with one ``searchsorted``, binned with one ``bincount``, and their
+divergences come from one reduction over a candidates x bins array.
 Candidate clips are percentiles of the sorted magnitudes, read off by the
-interpolation ``np.percentile`` uses, without its partition.
+interpolation ``np.percentile`` uses, without its partition. The edges and
+differences are made in the operations ``np.linspace`` and ``np.diff``
+make, without their wrappers.
 """
 
 from __future__ import annotations
@@ -69,34 +81,67 @@ class QuantParams:
         return self.bits >= UNQUANTIZED_BITS
 
 
-def grid_points(x, scale, levels, lower, out, work):
+def reciprocal(scale):
+    """``1 / scale`` for a float or an array ``scale``, or None where that
+    is not finite everywhere: then :func:`grid_points` divides instead."""
+    if isinstance(scale, float):
+        inv = 1.0 / scale if scale else math.inf
+        return inv if math.isfinite(inv) else None
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = np.divide(1.0, scale)
+    return inv if np.isfinite(inv).all() else None
+
+
+def grid_points(x, scale, inv, levels, lower, out, work):
     """Write into ``out`` the greatest grid point ``k * scale`` not above
     ``x``, with k clipped to [``lower``, ``levels``]; ``x`` is already
     clamped, and ``out`` may be ``x`` itself.
 
-    The quotient ``x / scale`` can land one step off the true grid after
-    rounding, so the floor is corrected once each way against the actual
-    floating-point products. The corrections write through ``where=``,
-    which leaves unselected entries untouched exactly as ``np.where`` would,
-    so no sign of zero changes. ``scale``, ``levels`` and ``lower``
-    (normally ``-levels``) are scalars or arrays broadcasting against
-    ``x``; ``lower`` is None where ``x`` holds no negative value, so that
-    it could not bind. ``work`` holds the steps k, their products and the
-    comparison hits: two float arrays and one bool array shaped like ``x``.
+    The first estimate of k is ``floor(x * inv)`` with ``inv`` the
+    reciprocal of ``scale`` from :func:`reciprocal`, or ``floor(x /
+    scale)`` where ``inv`` is None. Either lies within one step of the
+    answer: both quotients carry a relative error of a few units in the
+    last place, far below one step for any bit width below 32. So the
+    floor is corrected once each way against the actual floating-point
+    products, which turns any estimate within one step into the greatest
+    grid point not above x: the same k whichever estimate started it, with
+    the same sign of zero, since k ends as -0 exactly where x is -0. The
+    reciprocal of a subnormal scale can overflow, and 0 * inf is NaN, so
+    ``inv`` is None there. The corrections write through ``where=``, which
+    leaves unselected entries untouched exactly as ``np.where`` would, and
+    each runs only when it selects an entry: a masked operation selecting
+    none is a no-op.
+
+    ``scale``, ``levels`` and ``lower`` (normally ``-levels``) are scalars
+    or arrays broadcasting against ``x``. ``lower`` is None where ``x``
+    holds no negative value, so that it could not bind. ``levels`` may be
+    None where ``inv`` is given and ``x`` is at most the clip that the
+    scale came from (scale = clip / levels): a scale with a finite
+    reciprocal is precise enough that step ``levels + 1`` lies above the
+    clip, so k cannot pass ``levels``. A scale of zero (a clip so small
+    that clip / levels underflows) makes k infinite, and there the clamp
+    decides. ``work`` holds the steps k, their products and the comparison
+    hits: two float arrays and one bool array shaped like ``x``.
     """
     k, prod, hit = work
-    np.divide(x, scale, out=k)
+    if inv is None:
+        np.divide(x, scale, out=k)
+    else:
+        np.multiply(x, inv, out=k)
     np.floor(k, out=k)
     np.multiply(k, scale, out=prod)
     np.greater(prod, x, out=hit)
-    np.subtract(k, 1.0, out=k, where=hit)
+    if np.count_nonzero(hit):
+        np.subtract(k, 1.0, out=k, where=hit)
     np.add(k, 1.0, out=prod)
     np.multiply(prod, scale, out=prod)
     np.less_equal(prod, x, out=hit)
-    np.add(k, 1.0, out=k, where=hit)
+    if np.count_nonzero(hit):
+        np.add(k, 1.0, out=k, where=hit)
     # Clamping from above, then below, equals np.clip for bounds that are
     # not zero, NaN included.
-    np.minimum(k, levels, out=k)
+    if levels is not None:
+        np.minimum(k, levels, out=k)
     if lower is not None:
         np.maximum(k, lower, out=k)
     return np.multiply(k, scale, out=out)
@@ -118,6 +163,7 @@ class FakeQuantizer:
 
     def __init__(self, clip, scale, levels, shape):
         self.clip, self.scale, self.levels = clip, scale, levels
+        self.inv = reciprocal(scale)
         self.neg_clip = -clip
         self.neg_levels = -levels
         self.values = np.empty(shape)
@@ -130,7 +176,10 @@ class FakeQuantizer:
         np.minimum(values, self.clip, out=values)
         # |x| <= clip exactly where clamping left x unchanged; NaN fails both.
         np.equal(values, x, out=self.mask)
-        grid_points(values, self.scale, self.levels, self.neg_levels, values, self.work)
+        grid_points(
+            values, self.scale, self.inv, self.levels, self.neg_levels, values,
+            self.work,
+        )
         return values, self.mask
 
 
@@ -169,6 +218,15 @@ def calibrate_clip(
     128-bin histograms of the sample and of its quantized image. The
     sample must be finite."""
     v = _ascending(np.asarray(values, dtype=float).ravel())
+    return calibrate_sorted(v, bits, candidates)
+
+
+def calibrate_sorted(
+    ascending: np.ndarray, bits: int, candidates: Iterable[float]
+) -> ClipCalibration:
+    """:func:`calibrate_clip` of a 1-D float sample already sorted
+    ascending, which it does not check."""
+    v = ascending
     if v.size == 0:
         raise ValueError("cannot calibrate on an empty sample")
     cands = sorted(set(float(c) for c in candidates))
@@ -187,7 +245,7 @@ def calibrate_clip(
             degenerate=True,
         )
     n = v.size
-    edges = np.linspace(-amax, amax, CALIBRATION_BINS + 1)
+    edges = _edges(amax)
     p = _bin_counts(v, edges) / n
     params = QuantParams(clip=cands[0], bits=bits)  # checks the bit width
     m = params.levels
@@ -206,14 +264,20 @@ def calibrate_clip(
         points = np.arange(-m, m + 1) * (clips / m)
         # below[:, j]: samples whose image lies under grid point j. A grid
         # point above the clip is never reached by a clamped sample.
-        below = np.searchsorted(v, points[:, 1:], side="left")
+        below = v.searchsorted(points[:, 1:], side="left")
         below[points[:, 1:] > clips] = n
-        weights = np.diff(below, prepend=0, append=n, axis=1)
-    # Flooring can step just past the sample range; bin at the edges.
-    points = np.clip(points, -amax, amax)
+        # np.diff(below, prepend=0, append=n, axis=1)
+        weights = np.empty((len(cands), 2 * m + 1), dtype=below.dtype)
+        weights[:, 0] = below[:, 0]
+        np.subtract(below[:, 1:], below[:, :-1], out=weights[:, 1:-1])
+        np.subtract(n, below[:, -1], out=weights[:, -1])
+    # Flooring can step just past the sample range; bin at the edges. For
+    # a nonzero amax this is np.clip, value for value.
+    points = np.maximum(points, -amax)
+    np.minimum(points, amax, out=points)
     q = _stacked_bin_counts(points, edges, weights) / n
     eps = 1e-12
-    kls = np.sum(p * (np.log(p + eps) - np.log(q + eps)), axis=1)
+    kls = np.add.reduce(p * (np.log(p + eps) - np.log(q + eps)), axis=1)
     best_clip = None
     best_kl = math.inf
     divergences = []
@@ -227,6 +291,27 @@ def calibrate_clip(
     )
 
 
+#: The bin indices 0..CALIBRATION_BINS, as floats.
+_EDGE_STEPS = np.arange(CALIBRATION_BINS + 1, dtype=float)
+
+
+def _edges(amax: float) -> np.ndarray:
+    """``np.linspace(-amax, amax, CALIBRATION_BINS + 1)`` in the operations
+    it makes: the steps times the step width (scaled one after the other
+    where that width underflows to zero), plus the start, and the stop
+    itself as the last edge."""
+    delta = amax - -amax
+    step = delta / CALIBRATION_BINS
+    if step == 0:
+        edges = _EDGE_STEPS / CALIBRATION_BINS
+        edges *= delta
+    else:
+        edges = _EDGE_STEPS * step
+    edges += -amax
+    edges[-1] = amax
+    return edges
+
+
 def _ascending(v: np.ndarray) -> np.ndarray:
     """``v`` itself when it is already ascending, else a sorted copy."""
     return v if bool(np.all(v[1:] >= v[:-1])) else np.sort(v)
@@ -236,11 +321,9 @@ def _bin_counts(ascending: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """``np.histogram(x, edges)[0]`` of an ascending ``x``, counted the way
     numpy counts explicit edges: bin i holds edges[i] <= x < edges[i+1],
     the last bin is closed."""
-    idx = np.concatenate((
-        np.searchsorted(ascending, edges[:-1], side="left"),
-        np.searchsorted(ascending, edges[-1:], side="right"),
-    ))
-    return np.diff(idx)
+    idx = ascending.searchsorted(edges, side="left")
+    idx[-1] = ascending.searchsorted(edges[-1], side="right")
+    return idx[1:] - idx[:-1]
 
 
 def _stacked_bin_counts(points: np.ndarray, edges: np.ndarray, weights=None):
@@ -249,7 +332,7 @@ def _stacked_bin_counts(points: np.ndarray, edges: np.ndarray, weights=None):
     entry (one when None). A point's bin is the last edge not above it,
     the top edge belonging to the last bin."""
     rows, bins = len(points), len(edges) - 1
-    index = np.searchsorted(edges, points, side="right")
+    index = edges.searchsorted(points, side="right")
     np.minimum(index, bins, out=index)
     index += np.arange(-1, rows * bins - 1, bins)[:, None]
     counts = np.bincount(
@@ -266,7 +349,18 @@ def percentile_clip_candidates(
     """Candidate clips from percentile magnitudes of a sample, read off its
     sorted magnitudes; zero or duplicate magnitudes are dropped."""
     mags = _ascending(np.abs(np.asarray(values, dtype=float).ravel()))
-    cands = sorted(set(sorted_percentiles(mags, percentiles)))
+    return sorted_clip_candidates(mags, percentiles)
+
+
+def sorted_clip_candidates(
+    ascending: np.ndarray, percentiles: Sequence[float] = DEFAULT_CLIP_PERCENTILES
+) -> tuple[float, ...]:
+    """:func:`percentile_clip_candidates` of an ascending sample of
+    magnitudes, which it does not check. A nonnegative sample sorted as it
+    is may hold -0.0 where its magnitudes hold 0.0: it gives the same
+    candidates, since a zero percentile is dropped either way and a
+    signed zero added to or taken from a nonzero one changes nothing."""
+    cands = sorted(set(sorted_percentiles(ascending, percentiles)))
     return tuple(c for c in cands if c > 0)
 
 

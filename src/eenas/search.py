@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Sequence
@@ -514,6 +515,8 @@ _GENE_KINDS = ("sampled", "offspring", "filtered-theta")
 # as one exact substring.
 _GENE_PREFIXES = tuple(f'{{"event":"{kind}"' for kind in _GENE_KINDS)
 _HASH = '"hash":"'
+# The hash field with the whitespace JSON allows around its colon.
+_SPACED_HASH = re.compile(r'"hash"[ \t\n\r]*:[ \t\n\r]*"([^"]*)"')
 _EVALUATED = '"event":"evaluated"'
 # The kinds a report reads, as any JSON line that holds one spells them.
 _REPORT_KINDS = tuple(
@@ -526,7 +529,9 @@ def read_report_events(path: str) -> list[dict]:
     uses, in log order: the first line, every ``evaluated`` and
     ``iteration-summary`` line, and the gene lines of the hashes labeled at
     the last summary. A line that starts as ``_event_line`` starts a gene
-    line is parsed only if the hash it names is labeled; any other line
+    line is parsed only if the hash it names is labeled (read from the
+    exact ``"hash":"`` text, or, where that is missing, from the field as
+    spaced however JSON allows); any other line
     only if it names a kind the report reads, however it is spaced or its
     keys ordered. So a corrupt line of another kind does not stop the
     report, and a line kept as written by ``--resume`` is read as
@@ -539,6 +544,9 @@ def read_report_events(path: str) -> list[dict]:
     for i, line in enumerate(lines):
         if i != first and line.startswith(_GENE_PREFIXES):
             key = line.partition(_HASH)[2].partition('"')[0]
+            if not key:  # respelled after its kind, as ``--resume`` may keep it
+                match = _SPACED_HASH.search(line)
+                key = match[1] if match else ""
             gene_lines.append((i, key, line))
         elif (
             i == first
@@ -1176,7 +1184,8 @@ def run_search(
     ``history_path``, if given. With ``resume``, the existing history is
     replayed to its last complete iteration (trailing partial events are
     discarded), its lines up to there are kept as written, and the run
-    continues identically to an uninterrupted one. Costs go through
+    continues identically to an uninterrupted one; a history with no
+    committed line is started afresh. Costs go through
     ``cost``, a cache of ``space`` and ``accel``, or a new one."""
     cost = _cost_cache(cost, space, accel)
     header = _header_event(space, accel, config, evaluator_kind)
@@ -1186,14 +1195,17 @@ def run_search(
     if resume:
         if history_path is None or not os.path.exists(history_path):
             raise SearchError("cannot resume without an existing history file")
+        # A history with no committed line (a crash before its header was
+        # flushed) holds nothing to continue: the run starts afresh.
         lines, events = _read_lines(history_path)
-        if not events or events[0] != header:
-            raise SearchError("history header does not match this run's config")
-        state, cut = _rebuild_state(events)
-        lines, events = lines[:cut], events[:cut]
+        if events:
+            if events[0] != header:
+                raise SearchError("history header does not match this run's config")
+            state, cut = _rebuild_state(events)
+            lines, events = lines[:cut], events[:cut]
     log = state.log = HistoryLog(history_path, lines, events)
     try:
-        if not resume:
+        if not events:
             log.append(header)
         if state.k < 0:
             rng = _rng_for(config.seed, 0)

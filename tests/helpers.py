@@ -247,6 +247,42 @@ def reference_schedule(graph, spec, assignment):
     )
 
 
+#: The floor-and-correct grid step as it was before it estimated k by a
+#: reciprocal and skipped corrections that select nothing, kept verbatim as
+#: the fixed reference for ``quant.grid_points``.
+def reference_grid_points(x, scale, levels, lower, out, work):
+    """Write into ``out`` the greatest grid point ``k * scale`` not above
+    ``x``, with k clipped to [``lower``, ``levels``]; ``x`` is already
+    clamped, and ``out`` may be ``x`` itself.
+
+    The quotient ``x / scale`` can land one step off the true grid after
+    rounding, so the floor is corrected once each way against the actual
+    floating-point products. The corrections write through ``where=``,
+    which leaves unselected entries untouched exactly as ``np.where`` would,
+    so no sign of zero changes. ``scale``, ``levels`` and ``lower``
+    (normally ``-levels``) are scalars or arrays broadcasting against
+    ``x``; ``lower`` is None where ``x`` holds no negative value, so that
+    it could not bind. ``work`` holds the steps k, their products and the
+    comparison hits: two float arrays and one bool array shaped like ``x``.
+    """
+    k, prod, hit = work
+    np.divide(x, scale, out=k)
+    np.floor(k, out=k)
+    np.multiply(k, scale, out=prod)
+    np.greater(prod, x, out=hit)
+    np.subtract(k, 1.0, out=k, where=hit)
+    np.add(k, 1.0, out=prod)
+    np.multiply(prod, scale, out=prod)
+    np.less_equal(prod, x, out=hit)
+    np.add(k, 1.0, out=k, where=hit)
+    # Clamping from above, then below, equals np.clip for bounds that are
+    # not zero, NaN included.
+    np.minimum(k, levels, out=k)
+    if lower is not None:
+        np.maximum(k, lower, out=k)
+    return np.multiply(k, scale, out=out)
+
+
 def conv_macs_elementwise(h, w, cin, cout, kernel, stride, padding) -> int:
     """Count MACs one kernel tap at a time (padding taps included, as in
     standard MAC accounting)."""

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eenas.cli import EXIT_CONFIG, EXIT_OK, main
+from eenas.cli import EXIT_CONFIG, EXIT_EVAL, EXIT_OK, main
 from helpers import README_RUN
 
 
@@ -980,6 +980,29 @@ class TestResumeFromAnyCut:
             assert main(argv) == EXIT_OK, cut
             for name in OUTPUT_FILES:
                 assert (resumed / name).read_bytes() == expected[name], (cut, name)
+        capsys.readouterr()
+
+    def test_history_without_a_committed_line_starts_afresh(self, tmp_path, capsys):
+        """A crash before the header line is flushed leaves no committed
+        line: an empty file, blank lines, or a torn first line. Its resume
+        writes the uninterrupted run's outputs; a missing history still
+        exits 3."""
+        config = write_json(tmp_path / "run.json", SMALL_RUN)
+        full = tmp_path / "full"
+        assert main(["search", "--config", config, "--out", str(full)]) == EXIT_OK
+        expected = {name: (full / name).read_bytes() for name in OUTPUT_FILES}
+        header = expected["history.jsonl"].split(b"\n")[0]
+        resumed = tmp_path / "resumed"
+        resumed.mkdir()
+        argv = ["search", "--config", config, "--out", str(resumed), "--resume"]
+        assert main(argv) == EXIT_EVAL
+        assert "cannot resume without an existing history file" in capsys.readouterr().err
+        assert os.listdir(resumed) == []
+        for text in (b"", b"\n\n", b'{"event":"run-con', header[:1], header):
+            (resumed / "history.jsonl").write_bytes(text)
+            assert main(argv) == EXIT_OK, text
+            for name in OUTPUT_FILES:
+                assert (resumed / name).read_bytes() == expected[name], (text, name)
         capsys.readouterr()
 
 

@@ -199,6 +199,25 @@ class TestLinesKeptAsWritten:
         assert report(history, full_parse=True) == expected
         assert audit_history(str(history)).ok
 
+    @pytest.mark.parametrize("spacing", ['"hash": "', '"hash" :\t"'])
+    def test_respelled_hash_of_a_labeled_gene_line(self, cli_run, tmp_path, spacing):
+        """A gene line that still starts as the search writes one, but
+        whose hash field is spaced, is found by its hash."""
+        _, history = cli_run
+        first = replay_history(read_history(str(history))).summaries[-1]["p"][0]
+        respelled = tmp_path / "history.jsonl"
+        rewrite_line(
+            history, respelled,
+            lambda line: line.startswith('{"event":"sampled"')
+            and f'"hash":"{first}"' in line,
+            lambda line: line.replace('"hash":"', spacing),
+        )
+        assert spacing + first in respelled.read_text()
+        expected = report(history)
+        assert expected[0] == EXIT_OK
+        assert report(respelled) == expected
+        assert report(respelled, full_parse=True) == expected
+
     @pytest.mark.parametrize("name", ["smallconv", "mobilenet", "mobilenet-cut"])
     def test_every_line_respelled(self, histories, name, tmp_path):
         path = histories[name]

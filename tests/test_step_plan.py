@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eenas.evaluate import DenseEenn, _activate, make_toy_dataset
+from eenas.evaluate import DenseEenn, _activate, _activation_consts, make_toy_dataset
 from eenas.quant import (
     DEFAULT_CLIP_PERCENTILES,
     QuantParams,
@@ -100,7 +100,7 @@ class TestFusedActivation:
         expected, expected_mask = reference_activation(z, q)
         out = z.copy()
         mask = np.empty(z.shape, dtype=bool)
-        consts = None if q is None else (q.clip, q.scale, float(q.levels))
+        consts = None if q is None else _activation_consts(q)
         with np.errstate(all="ignore"):
             _activate(out, mask, consts, grid_work(z.shape))
         assert same_bits(out, expected)
@@ -110,7 +110,7 @@ class TestFusedActivation:
         """The outputs do not depend on what the buffers held before."""
         z = np.array([[-0.0, 0.0, 3.3, 7.0], [np.nan, 0.5, 6.0, -2.0]])
         q = QuantParams(4.0, 4)
-        consts = (q.clip, q.scale, float(q.levels))
+        consts = _activation_consts(q)
         results = []
         for fill in (0.0, np.nan, -7.0):
             out = z.copy()

@@ -359,7 +359,8 @@ def _lockstep(arch, dataset, config):
     """Train the flat-buffer network and the reference side by side, as
     ``train_toy`` does, checking every gradient and parameter after every
     step, the clips after calibration and the holdout logits at the end;
-    returns the number of steps taken on the quantized path."""
+    returns the number of steps taken on the quantized path and the
+    trained network."""
     X, y = dataset
     num_classes = int(y.max()) + 1
     rng_new = np.random.default_rng(config.seed)
@@ -410,7 +411,7 @@ def _lockstep(arch, dataset, config):
             zip(net.forward(X[val_idx]), ref.forward(X[val_idx]))
         ):
             assert_bitwise(logits, ref_logits, f"holdout logits of exit {e + 1}")
-    return quantized_steps
+    return quantized_steps, net
 
 
 LOCKSTEP_CONFIG = TrainingConfig(epochs=3, learning_rate=0.03, seed=0)
@@ -422,9 +423,31 @@ class TestTrainerMatchesReference:
         arch = ARCHS[index]
         dataset = make_toy_dataset(n=200, seed=index)
         config = dataclasses.replace(LOCKSTEP_CONFIG, seed=index)
-        steps = _lockstep(arch, dataset, config)
+        steps, _ = _lockstep(arch, dataset, config)
         all_32 = arch.quant.backbone_bits == 32 and set(arch.quant.exit_bits) == {32}
         assert (steps == 0) == all_32
+
+    def test_grid_step_branches_are_compared(self):
+        """One run covers each branch of the activation grid step: a clip
+        of 6 or more (relu6's bound is the clamp), one below 6 (the clip
+        is), and a 4-bit depth-2 head, whose 128-wide hidden activation is
+        the largest tensor a step quantizes."""
+        index = next(
+            i for i, a in enumerate(ARCHS)
+            if any(p.head.depth == 2 and b == 4
+                   for p, b in zip(a.exits, a.quant.exit_bits))
+        )
+        arch = ARCHS[index]
+        config = dataclasses.replace(LOCKSTEP_CONFIG, seed=index)
+        steps, net = _lockstep(arch, make_toy_dataset(n=200, seed=index), config)
+        assert steps > 0
+        clips = [q.clip for q in net._act_q if q is not None]
+        assert min(clips) < 6.0 <= max(clips)
+        hidden = [
+            h for (h, _), p, b in zip(net._heads, arch.exits, arch.quant.exit_bits)
+            if p.head.depth == 2 and b == 4
+        ]
+        assert hidden and all(net._act_q[h].bits == 4 for h in hidden)
 
     @pytest.mark.parametrize("index", range(0, len(ARCHS), 6))
     def test_report_matches(self, index):
