@@ -479,8 +479,8 @@ def _overhead(head_et: float, segment_et: float) -> float:
 
 class HeadPlacement(NamedTuple):
     """One exit head placed by :func:`place_head`: its nodes' energies and
-    cycles in node order, the cycle each core is next free after it, and
-    its energy-delay."""
+    cycles in node order, the cycle each core is next free after it, where
+    the next exit's head is placed from, and its energy-delay."""
 
     energies: tuple[float, ...]
     cycles: tuple[int, ...]
@@ -515,74 +515,39 @@ def place_head(
     )
 
 
-class ExitState(NamedTuple):
-    """Greedy state after exits 1..i of an architecture, made by
-    :func:`place_exit`: the state after exit i-1 (None for the first
-    exit), head i's placement and the end of exit i's backbone part. A
-    state links to its predecessor rather than copy it, and each
-    architecture has its own states: only head placements are shared. E_i
-    and T_i are not kept:
-    :func:`exit_costs` sums them through the links when they are read."""
-
-    prev: ExitState | None
-    head: HeadPlacement
-    stop: int
+#: One architecture's costed exits in exit order: per exit, where its
+#: backbone part ends (``fold.stops[mount]``) and its head placed by
+#: :func:`place_head` from the previous head's ``free`` (the first head
+#: from the backbone fold's). The search and :func:`cost_report` both cost
+#: an exit this way.
+PlacedExits = tuple[tuple[int, HeadPlacement], ...]
 
 
-def cores_free(fold: BackboneFold, prev: ExitState | None) -> tuple[int, ...]:
-    """The cycle each core is next free after the exits of ``prev``, or
-    after the backbone alone: where the next head is placed from."""
-    return fold.state.free if prev is None else prev.head.free
-
-
-def place_exit(
-    fold: BackboneFold, prev: ExitState | None, mount: str, head: HeadPlacement
-) -> ExitState:
-    """The state after one more exit: ``head``, placed at ``mount`` by
-    :func:`place_head` from :func:`cores_free` of ``prev``, linked to
-    ``prev``. With :func:`place_head` this is the one code that costs an
-    exit, for the search and :func:`cost_report` alike."""
-    return ExitState(prev, head, fold.stops[mount])
-
-
-def _states(last: ExitState) -> list[ExitState]:
-    """The states of exits 1..i, in exit order, where ``last`` is exit i's."""
-    states = []
-    while last is not None:
-        states.append(last)
-        last = last.prev
-    states.reverse()
-    return states
-
-
-def exit_overheads(fold: BackboneFold, last: ExitState) -> tuple[float, ...]:
-    """Per intermediate exit of the architecture whose final exit has the
-    state ``last``, its head's energy-delay over that of the backbone
-    segment up to the next mount (:func:`_overhead`). It reads the linked
-    states alone and sums nothing."""
-    states = _states(last)
+def exit_overheads(fold: BackboneFold, exits: PlacedExits) -> tuple[float, ...]:
+    """Per intermediate exit of ``exits``, its head's energy-delay over
+    that of the backbone segment up to the next mount (:func:`_overhead`).
+    It sums nothing."""
     return tuple(
-        _overhead(s.head.et, fold.segment_et[s.stop, nxt.stop])
-        for s, nxt in zip(states, states[1:])
+        _overhead(head.et, fold.segment_et[stop, nxt])
+        for (stop, head), (nxt, _) in zip(exits, exits[1:])
     )
 
 
 def exit_costs(
-    fold: BackboneFold, last: ExitState
+    fold: BackboneFold, exits: PlacedExits
 ) -> tuple[tuple[float, ...], tuple[int, ...], tuple[float, ...]]:
-    """``(energy_per_exit, cycles_per_exit, et_per_exit)`` of the
-    architecture whose final exit has the state ``last``: E_i and T_i by
-    :func:`_exit_sum` over the backbone nodes before exit i's mount and the
-    heads of exits 1..i, gathered through the links, and E_i * T_i."""
+    """``(energy_per_exit, cycles_per_exit, et_per_exit)`` of ``exits``:
+    E_i and T_i by :func:`_exit_sum` over the backbone nodes before exit
+    i's stop and the heads of exits 1..i, and E_i * T_i."""
     energies: list[float] = []
     cycles: list[int] = []
     heads_e: list[tuple[float, ...]] = []
     heads_t: list[tuple[int, ...]] = []
-    for s in _states(last):
-        heads_e.append(s.head.energies)
-        heads_t.append(s.head.cycles)
-        energies.append(_exit_sum(fold.energies, s.stop, heads_e))
-        cycles.append(_exit_sum(fold.cycles, s.stop, heads_t))
+    for stop, head in exits:
+        heads_e.append(head.energies)
+        heads_t.append(head.cycles)
+        energies.append(_exit_sum(fold.energies, stop, heads_e))
+        cycles.append(_exit_sum(fold.cycles, stop, heads_t))
     return (
         tuple(energies),
         tuple(cycles),
@@ -609,25 +574,28 @@ def cost_report(
     num_classes: int = 10,
 ) -> HwCostReport:
     """Per-exit energy, cycles and energy-delay products and head
-    overheads, costed as the search costs them: each exit's head placed by
-    :func:`place_head` and linked by :func:`place_exit` after the ones
-    before it on the backbone fold, then E_i, T_i and their products from
-    :func:`exit_costs` and the overheads from :func:`exit_overheads`. The
-    plan, for the per-layer view, is the full graph's :func:`allocate`; a
-    greedy decision reads only the nodes before it, so it places every node
-    where the exits were costed."""
+    overheads, costed as the search costs them: the :data:`PlacedExits` of
+    ``arch``, each head placed by :func:`place_head` from the free cycles
+    after the one before it on the backbone fold, then E_i, T_i and their
+    products from :func:`exit_costs` and the overheads from
+    :func:`exit_overheads`. The plan, for the per-layer view, is the full
+    graph's :func:`allocate`; a greedy decision reads only the nodes before
+    it, so it places every node where the exits were costed."""
     fold = backbone_fold(arch.backbone, arch.quant.backbone_bits, spec)
-    last = None
+    exits = []
+    free = fold.state.free
     for placement, template in zip(arch.exits, head_templates(arch, num_classes)):
-        head = place_head(fold, cores_free(fold, last), template)
-        last = place_exit(fold, last, placement.mount, head)
-    energies, cycles, et_values = exit_costs(fold, last)
+        head = place_head(fold, free, template)
+        exits.append((fold.stops[placement.mount], head))
+        free = head.free
+    exits = tuple(exits)
+    energies, cycles, et_values = exit_costs(fold, exits)
     graph = expand_layers(arch, num_classes=num_classes)
     return HwCostReport(
         graph=graph,
         energy_per_exit=energies,
         cycles_per_exit=cycles,
         et_per_exit=et_values,
-        overheads=exit_overheads(fold, last),
+        overheads=exit_overheads(fold, exits),
         plan=allocate(graph, spec),
     )

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .arch import SpaceConfig, chromosome_hash
+from .arch import GENES_PER_MOUNT, SpaceConfig, chromosome_hash
 from .workload import backbone_mac_fractions
 
 
@@ -105,7 +105,8 @@ def featurize(genes: tuple[int, ...], space: SpaceConfig) -> np.ndarray:
     depth = []
     bits = []
     for j, fraction in enumerate(tables.fractions):
-        present, head_idx, quant_idx = genes[3 * j : 3 * j + 3]
+        base = GENES_PER_MOUNT * j
+        present, head_idx, quant_idx = genes[base : base + GENES_PER_MOUNT]
         occupancy.append(float(present))
         frac.append(fraction if present else 0.0)
         depth.append(tables.depths[head_idx] if present else 0.0)

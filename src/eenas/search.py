@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .arch import (
-    ExitHeadSpec,
+    GENES_PER_MOUNT,
     SpaceConfig,
     canonicalize,
     chromosome_hash,
@@ -48,14 +48,12 @@ from .files import atomic_write, check_fields, check_fixed, is_int, is_real
 from .hwcost import (
     AcceleratorSpec,
     BackboneFold,
-    ExitState,
     HeadPlacement,
+    PlacedExits,
     backbone_fold,
-    cores_free,
     et_avg,
     exit_costs,
     exit_overheads,
-    place_exit,
     place_head,
 )
 from .predict import LabeledRecord, LabeledSet, Predictor, fit, predict
@@ -136,22 +134,20 @@ _HEAD_MEMO_SIZE = 4096
 
 class CostCache:
     """Memoized hardware-cost queries for one (space, accelerator) pair.
-    Per architecture it keeps only the greedy state after its final exit,
-    from which the two things the search reads follow: the head overheads
-    from the linked states alone, and the per-exit energy-delay products,
-    summed only when read.
+    Per architecture it keeps only its :data:`PlacedExits`, from which the
+    two things the search reads follow: the head overheads, which sum
+    nothing, and the per-exit energy-delay products, summed only when read.
 
     A head's placement is a function of its (mount, head, bits) and of
     when each core is next free, so it is kept on that key: a new
-    architecture links a state per exit, but places a head only if no
-    other architecture placed the same head from the same free cycles.
-    Genes are checked as :func:`decode` checks them, but no architecture
-    is decoded."""
+    architecture places a head only if no other architecture placed the
+    same head from the same free cycles. Genes are checked as
+    :func:`decode` checks them, but no architecture is decoded."""
 
     def __init__(self, space: SpaceConfig, accel: AcceleratorSpec):
         self.space = space
         self.accel = accel
-        self._costs: dict[tuple[int, ...], ExitState] = {}
+        self._costs: dict[tuple[int, ...], PlacedExits] = {}
         self._heads: dict[tuple, HeadPlacement] = {}
 
     @cached_property
@@ -163,39 +159,32 @@ class CostCache:
     def _build(self):
         return head_builder(self.space.backbone, self.space.backbone_bits)
 
-    def _place(
-        self,
-        prev: ExitState | None,
-        mount: str,
-        head: ExitHeadSpec,
-        bits: int,
-        exit_index: int,
-    ) -> ExitState:
-        """The state after ``prev`` and one more exit. The head's placement
-        is looked up on ``(mount, head, bits, free)``: the exit index
-        changes only the template's node names, which no cost reads."""
-        fold = self._fold
-        free = cores_free(fold, prev)
-        key = (mount, head, bits, free)
-        placed = self._heads.get(key)
-        if placed is None:
-            if len(self._heads) >= _HEAD_MEMO_SIZE:
-                self._heads.clear()
-            template = self._build(
-                mount, head, bits, exit_index, self.space.num_classes
-            )
-            placed = self._heads[key] = place_head(fold, free, template)
-        return place_exit(fold, prev, mount, placed)
-
-    def _lookup(self, genes: tuple[int, ...]) -> ExitState:
-        """The state after the final exit of the architecture of ``genes``."""
-        last = self._costs.get(genes)
-        if last is None:
-            exits = decode_exits(genes, self.space)
-            for index, (mount, head, bits) in enumerate(exits, 1):
-                last = self._place(last, mount, head, bits, index)
-            self._costs[genes] = last
-        return last
+    def _lookup(self, genes: tuple[int, ...]) -> PlacedExits:
+        """The placed exits of the architecture of ``genes``. Each head's
+        placement is looked up on ``(mount, head, bits, free)``, ``free``
+        being the previous head's: the exit index changes only the
+        template's node names, which no cost reads."""
+        exits = self._costs.get(genes)
+        if exits is None:
+            fold = self._fold
+            free = fold.state.free
+            exits = []
+            for index, (mount, head, bits) in enumerate(
+                decode_exits(genes, self.space), 1
+            ):
+                key = (mount, head, bits, free)
+                placed = self._heads.get(key)
+                if placed is None:
+                    if len(self._heads) >= _HEAD_MEMO_SIZE:
+                        self._heads.clear()
+                    template = self._build(
+                        mount, head, bits, index, self.space.num_classes
+                    )
+                    placed = self._heads[key] = place_head(fold, free, template)
+                exits.append((fold.stops[mount], placed))
+                free = placed.free
+            exits = self._costs[genes] = tuple(exits)
+        return exits
 
     def et_per_exit(self, genes: tuple[int, ...]) -> tuple[float, ...]:
         return exit_costs(self._fold, self._lookup(genes))[2]
@@ -817,7 +806,9 @@ def _crossover(
     c1: list[int] = []
     c2: list[int] = []
     for j in range(space.n_optional):
-        a, b = g1[3 * j : 3 * j + 3], g2[3 * j : 3 * j + 3]
+        base = GENES_PER_MOUNT * j
+        a = g1[base : base + GENES_PER_MOUNT]
+        b = g2[base : base + GENES_PER_MOUNT]
         if rng.integers(0, 2):
             a, b = b, a
         c1.extend(a)
@@ -841,10 +832,10 @@ def _mutate(
     out = list(genes)
     p, q = space.n_head_options, space.n_quant_options
     for j in range(space.n_optional):
-        base = 3 * j
+        base = GENES_PER_MOUNT * j
         if rng.random() < rate:
             if out[base]:
-                out[base : base + 3] = [0, 0, 0]
+                out[base : base + GENES_PER_MOUNT] = [0] * GENES_PER_MOUNT
             else:
                 out[base] = 1
                 out[base + 1] = int(rng.integers(0, p))

@@ -1135,8 +1135,8 @@ class TestNonFiniteHistory:
 class TestOneCostCachePerCommand:
     """The README config on smallconv: one ``eenas search``, and one
     ``--resume``, builds one cost cache, shared by the search, its audit and
-    the scatter export; it places fewer heads than it links exit states (the
-    head memo), and auditing the history again with it places no head."""
+    the scatter export; it places fewer heads than it costs exits (the head
+    memo), and auditing the history again with it places no head."""
 
     def test_search_and_resume(self, tmp_path, monkeypatch, capsys):
         from eenas import search
@@ -1152,9 +1152,8 @@ class TestOneCostCachePerCommand:
                 "evaluator": {"kind": "oracle"},
             },
         )
-        caches, placed, linked = [], [], []
+        caches, placed = [], []
         init, place_head = search.CostCache.__init__, search.place_head
-        place_exit = search.place_exit
 
         def counting_init(self, *args):
             caches.append(self)
@@ -1164,18 +1163,14 @@ class TestOneCostCachePerCommand:
             placed.append(args)
             return place_head(*args)
 
-        def counting_link(*args):
-            linked.append(args)
-            return place_exit(*args)
-
         monkeypatch.setattr(search.CostCache, "__init__", counting_init)
         monkeypatch.setattr(search, "place_head", counting_place)
-        monkeypatch.setattr(search, "place_exit", counting_link)
         out = tmp_path / "run"
         history = out / "history.jsonl"
         assert main(["search", "--config", config, "--out", str(out)]) == EXIT_OK
         assert len(caches) == 1
-        assert 0 < len(placed) < len(linked)
+        exits = sum(len(v) for v in caches[0]._costs.values())
+        assert 0 < len(placed) < exits
         placed.clear()
         assert search.audit_history(str(history), caches[0]).ok
         assert placed == []
@@ -1195,21 +1190,30 @@ class TestOneCostCachePerCommand:
         capsys.readouterr()
 
     def test_readme_search_places_each_head_once(self, tmp_path, monkeypatch, capsys):
-        """The README search (seed 7) places 1,521 heads for its 5,031
-        linked exit states: the head memo alone places each head once."""
+        """The README search (seed 7) costs 979 architectures with 5,031
+        exits in its one cache and places 1,521 heads: the head memo alone
+        places each head once."""
         from eenas import search
 
         config = write_json(tmp_path / "run.json", {**README_RUN, "seed": 7})
-        placed = []
-        place_head = search.place_head
+        caches, placed = [], []
+        init, place_head = search.CostCache.__init__, search.place_head
+
+        def counting_init(self, *args):
+            caches.append(self)
+            init(self, *args)
 
         def counting_place(*args):
             placed.append(args)
             return place_head(*args)
 
+        monkeypatch.setattr(search.CostCache, "__init__", counting_init)
         monkeypatch.setattr(search, "place_head", counting_place)
         out = tmp_path / "run"
         assert main(["search", "--config", config, "--out", str(out)]) == EXIT_OK
+        [cache] = caches
+        assert len(cache._costs) == 979
+        assert sum(len(v) for v in cache._costs.values()) == 5031
         assert len(placed) == 1521
         capsys.readouterr()
 
