@@ -37,7 +37,7 @@ from .hwcost import (
     et_avg,
     layer_cost,
 )
-from .predict import LabeledRecord, LabeledSet, Predictor, featurize, fit, predict
+from .predict import LabeledRecord, Predictor, featurize, fit, predict
 from .quant import QuantParams, calibrate_clip, quantize
 from .search import (
     NasConfig,

@@ -14,9 +14,8 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_right
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -271,31 +270,10 @@ def _activate(z: np.ndarray, mask: np.ndarray, consts, work) -> None:
     grid_points(z, scale, inv, levels, None, z, work)
 
 
-class _FlatViews(Mapping):
-    """Named, parameter-shaped views into one flat float64 array, ``flat``,
-    also listed in layout order as ``views``. The views are made when first
-    read, so a training step, which reads only ``flat``, makes none."""
-
-    def __init__(self, flat: np.ndarray, layout):
-        self.flat = flat
-        self._layout = layout
-
-    @cached_property
-    def views(self) -> list[np.ndarray]:
-        return [self.flat[lo:hi].reshape(shape) for _, lo, hi, shape in self._layout]
-
-    @cached_property
-    def _named(self) -> dict[str, np.ndarray]:
-        return dict(zip((key for key, *_ in self._layout), self.views))
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        return self._named[key]
-
-    def __iter__(self):
-        return iter(self._named)
-
-    def __len__(self) -> int:
-        return len(self._layout)
+def _views(flat: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """Named, parameter-shaped views into the flat float64 array ``flat``,
+    in layout order."""
+    return {key: flat[lo:hi].reshape(shape) for key, lo, hi, shape in layout}
 
 
 class DenseEenn:
@@ -304,9 +282,9 @@ class DenseEenn:
 
     Parameters live in one flat float64 buffer: first the weights of the
     layers below 32 bits, then the other weights, then all biases.
-    ``params[name]`` is a view into it, and so is each entry of the
-    gradients, which share one fresh flat array per call; ``sgd_step`` is
-    one vectorized update of the whole buffer.
+    ``params`` is a dict of named views into it, made once. The gradients
+    of a step are one fresh flat array of the same layout, and
+    ``sgd_step`` is one vectorized update of the whole buffer.
 
     Weights and post-activation tensors are fake-quantized once clip values
     have been assigned; biases stay unquantized. Gradients use the
@@ -399,13 +377,16 @@ class DenseEenn:
             (key, *spans[key]) for keys in self._keys for key in keys
         ]
         self._spans = [spans[wkey] for wkey, _ in self._keys]
-        self.params = _FlatViews(np.empty(offset), self._layout)
+        self._flat = np.empty(offset)
+        self.params = _views(self._flat, self._layout)
         self._velocity = np.zeros(offset)
-        self._w = self.params.views[0::2]
-        self._b = self.params.views[1::2]
-        self._grads = _FlatViews(np.empty(offset), self._layout)
-        self._gw = self._grads.views[0::2]
-        self._gb = self._grads.views[1::2]
+        views = list(self.params.values())
+        self._w = views[0::2]
+        self._b = views[1::2]
+        self._grads = np.empty(offset)
+        views = list(_views(self._grads, self._layout).values())
+        self._gw = views[0::2]
+        self._gb = views[1::2]
         self._sgd_work = np.empty(offset)
         self._classes = num_classes
         for (_, fi, fo, _), w, b in zip(layers, self._w, self._b):
@@ -420,7 +401,7 @@ class DenseEenn:
         self._act_q: list[QuantParams | None] = [None] * len(layers)
         self._act_consts: list[tuple | None] = [None] * len(layers)
         self._weight_grid: FakeQuantizer | None = None
-        self._quantized_weights = self.params.flat[: self._n_quantized]
+        self._quantized_weights = self._flat[: self._n_quantized]
         self._wq = self._w
         # Per batch size: per layer, output and mask buffers and scratch.
         self._buffers: dict[int, list] = {}
@@ -496,8 +477,8 @@ class DenseEenn:
     def loss_and_grads(self, X: np.ndarray, y: np.ndarray):
         """The training loss (the sum of the per-exit losses, every exit
         weighing 1), the per-exit losses, and analytic gradients of the
-        training loss for every parameter, as named views into one fresh
-        flat array (its ``flat`` attribute)."""
+        training loss for every parameter, as one fresh flat array laid out
+        like the parameter buffer (``_views`` names its parts)."""
         logits, weight_mask, buffers, _ = self._forward(X)
         wq, gw, gb = self._wq, self._gw, self._gb
         n = len(y)
@@ -543,22 +524,20 @@ class DenseEenn:
             da = backward(j, da, input_grad=j > 0)
             if j > 0:
                 da += d_trunk[j - 1]
-        g = self._grads.flat
+        g = self._grads
         if weight_mask is not None:
             # (0 + g) * mask + 0 equals g * mask + 0 bit for bit for a 0/1
             # mask, signed zeros and NaN included.
             g[: self._n_quantized] *= weight_mask
-        return math.fsum(per_exit), per_exit, _FlatViews(g + 0.0, self._layout)
+        return math.fsum(per_exit), per_exit, g + 0.0
 
-    def sgd_step(
-        self, grads: _FlatViews, lr: float, momentum: float, wd: float
-    ) -> None:
-        """Momentum SGD over the flat buffer, weight decay on the weight
-        region only: v = momentum * v + (g + wd * w), then w -= lr * v, with
-        the products made in a scratch array of the net's own."""
-        g = grads.flat
+    def sgd_step(self, g: np.ndarray, lr: float, momentum: float, wd: float) -> None:
+        """Momentum SGD over the flat buffer with the flat gradients ``g``
+        of ``loss_and_grads``, weight decay on the weight region only:
+        v = momentum * v + (g + wd * w), then w -= lr * v, with the products
+        made in a scratch array of the net's own."""
         v = self._velocity
-        w = self.params.flat
+        w = self._flat
         work = self._sgd_work
         v *= momentum
         if wd:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -34,36 +34,6 @@ class LabeledRecord:
     @cached_property
     def key(self) -> str:
         return chromosome_hash(self.genes)
-
-
-class LabeledSet:
-    """Cumulative archive of evaluated architectures, keyed by chromosome
-    hash; re-adding a key keeps the latest record. Iteration is in hash
-    order so downstream fits are order-independent."""
-
-    def __init__(self, records: Iterable[LabeledRecord] = ()):
-        self._records: dict[str, LabeledRecord] = {}
-        for rec in records:
-            self.add(rec)
-
-    def add(self, record: LabeledRecord) -> None:
-        self._records[record.key] = record
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._records
-
-    def __iter__(self) -> Iterator[LabeledRecord]:
-        for key in sorted(self._records):
-            yield self._records[key]
-
-    def get(self, key: str) -> LabeledRecord | None:
-        return self._records.get(key)
-
-    def keys(self) -> set[str]:
-        return set(self._records)
 
 
 #: Most feature rows ``feature_row`` keeps, least recently used dropped
@@ -151,12 +121,13 @@ class Predictor:
 
 
 def fit(
-    labeled: LabeledSet,
+    labeled: Iterable[LabeledRecord],
     space: SpaceConfig,
     target: str = "accuracy",
     ridge: float = 1e-3,
 ) -> Predictor:
-    """Closed-form ridge fit on the archive.
+    """Closed-form ridge fit on the records, taken in hash order, so a fit
+    does not depend on the order of its input.
 
     Features are z-scored (constant features neutralized); the intercept is
     the target mean, so the model can never do worse than the mean
@@ -166,7 +137,7 @@ def fit(
         raise ValueError("target must be 'accuracy' or 'et'")
     if ridge < 0:
         raise ValueError("ridge strength must be >= 0")
-    records = list(labeled)
+    records = sorted(labeled, key=lambda r: r.key)
     if len(records) < 2:
         raise ValueError("need at least two labeled records to fit")
     X = np.stack([feature_row(tuple(r.genes), space) for r in records])

@@ -56,7 +56,7 @@ from .hwcost import (
     exit_overheads,
     place_head,
 )
-from .predict import LabeledRecord, LabeledSet, Predictor, fit, predict
+from .predict import LabeledRecord, Predictor, fit, predict
 from .workload import head_builder
 
 
@@ -375,19 +375,21 @@ def mac_reduction(
 # ---------------------------------------------------------------------------
 
 class SearchState:
-    """Mutable run state; the history file is its durable form. After
+    """Mutable run state; the history file is its durable form.
+    ``labeled`` is the cumulative archive, each record under its hash; a
+    record added again under its hash replaces the earlier one. After
     :func:`run_search`, ``log`` is the run's :class:`HistoryLog`: its
     ``events`` are every event of the history, in log order."""
 
     def __init__(self):
         self.k = -1
         self.members: dict[str, tuple[int, ...]] = {}
-        self.labeled = LabeledSet()
+        self.labeled: dict[str, LabeledRecord] = {}
         self.rejected: dict[str, str] = {}
         self.log: HistoryLog | None = None
 
     def front(self) -> list[LabeledRecord]:
-        return pareto_front(self.labeled)
+        return pareto_front(self.labeled.values())
 
 
 #: The encoder of every history line. ``json.dumps`` with these arguments
@@ -561,7 +563,6 @@ class HistoryReplay:
     """What a history records, read in one walk over its events."""
 
     header: dict | None  # the ``run-config`` event, if the history has one
-    end: int  # number of events read
     genes: dict[str, tuple[int, ...]] = field(default_factory=dict)
     evaluated: list[dict] = field(default_factory=list)  # in log order
     by_hash: dict[str, dict] = field(default_factory=dict)  # last evaluation
@@ -643,22 +644,13 @@ def _require(event: dict, fields: dict[str, type]) -> None:
             )
 
 
-def replay_history(events: Sequence[dict], complete: bool = False) -> HistoryReplay:
-    """Walk a history's events once. With ``complete``, stop after the last
-    ``iteration-summary`` (or after the header if there is none): later
-    events belong to an interrupted iteration. A hash is taken over the
+def replay_history(events: Sequence[dict]) -> HistoryReplay:
+    """Walk a history's events once, all of them. A hash is taken over the
     genes, so sampled, bred and θ-filtered genes share one map."""
-    end = len(events)
-    if complete:
-        ends = [
-            i + 1 for i, ev in enumerate(events)
-            if ev.get("event") == "iteration-summary"
-        ]
-        end = ends[-1] if ends else 1
     has_header = bool(events) and events[0].get("event") == "run-config"
-    history = HistoryReplay(header=events[0] if has_header else None, end=end)
+    history = HistoryReplay(header=events[0] if has_header else None)
     try:
-        for ev in events[:end]:
+        for ev in events:
             kind = ev.get("event")
             if kind in _GENE_KINDS:
                 h, genes = ev["hash"], ev["genes"]
@@ -974,7 +966,7 @@ def _evaluate_new(
         for key, report in kept
     ]
     for record in new_records:
-        state.labeled.add(record)
+        state.labeled[record.key] = record
     return new_records
 
 
@@ -1008,7 +1000,7 @@ def _close_iteration(
             "event": "iteration-summary",
             "k": k,
             "s": sorted(state.members),
-            "p": sorted(state.labeled.keys()),
+            "p": sorted(state.labeled),
             "stats": _iteration_stats(k, new_records),
         }
     )
@@ -1023,8 +1015,8 @@ def _fit_predictors(
             "cannot fit predictors"
         )
     return (
-        fit(state.labeled, space, target="accuracy", ridge=config.ridge),
-        fit(state.labeled, space, target="et", ridge=config.ridge),
+        fit(state.labeled.values(), space, target="accuracy", ridge=config.ridge),
+        fit(state.labeled.values(), space, target="et", ridge=config.ridge),
     )
 
 
@@ -1131,10 +1123,15 @@ def _header_event(
 
 def _rebuild_state(events: Sequence[dict]) -> tuple[SearchState, int]:
     """Replay events through the last complete iteration; returns the state
-    and the index just past that iteration's summary line. Events after the
-    last summary belong to an interrupted iteration and are ignored, so the
-    continuation behaves exactly like an uninterrupted run."""
-    history = replay_history(events, complete=True)
+    and the cut: the index just past that iteration's summary line, or
+    past the header if there is none. Events after the cut belong to an
+    interrupted iteration and are ignored, so the continuation behaves
+    exactly like an uninterrupted run."""
+    summaries = [
+        i for i, ev in enumerate(events) if ev.get("event") == "iteration-summary"
+    ]
+    cut = summaries[-1] + 1 if summaries else 1
+    history = replay_history(events[:cut])
     state = SearchState()
     state.rejected = history.rejected
     if history.summaries:
@@ -1144,8 +1141,8 @@ def _rebuild_state(events: Sequence[dict]) -> tuple[SearchState, int]:
         if unrecorded:
             raise HistoryError(f"member {unrecorded[0]} has no recorded genes")
         state.members = {h: history.genes_of(h) for h in last["s"]}
-        state.labeled = LabeledSet(history.labeled_records())
-    return state, history.end
+        state.labeled = {r.key: r for r in history.labeled_records()}
+    return state, cut
 
 
 def _cost_cache(

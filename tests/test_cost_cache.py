@@ -1,6 +1,7 @@
-"""The search's cost cache keeps only per-exit energy-delay products and head
-overheads, computed from the heads over the cached backbone and the states
-it keeps per head prefix. Whatever it answers must equal what the full cost
+"""The search's cost cache keeps, per architecture, only the flat tuple of
+its placed exits: each exit's backbone stop and its head as placed on the
+cached backbone. Its head memo places each head once per (mount, head,
+bits, free cycles). Whatever it answers must equal what the full cost
 report says, bit for bit, and it must refuse every gene vector that
 ``decode`` refuses."""
 
@@ -147,7 +148,7 @@ class TestExitCostsTouchOnlyHeads:
             assert cache.cache_info().maxsize is not None
 
 
-#: The spaces of the prefix-memo test: smallconv, MobileNetV2 at a 4-bit
+#: The spaces of the head-memo test: smallconv, MobileNetV2 at a 4-bit
 #: backbone, and the chain whose heads contend for cores.
 PREFIX_SPACES = (
     SpaceConfig(backbone=builtin_backbone("smallconv")),

@@ -13,6 +13,8 @@ import ast
 import os
 import re
 
+from eenas import audit_history
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "eenas")
 README = os.path.join(ROOT, "README.md")
@@ -45,20 +47,23 @@ def library_section() -> str:
     return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
 
 
+#: A ``python`` code block of the README, its code as group 1.
+CODE_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
+
+
 def library_names(section: str) -> set[str]:
     """Names the Library section offers: those its ``python`` code blocks
     import from ``eenas``, and every word inside a backtick span of its
     prose. A name merely used in the code, such as an attribute, is not
     offered."""
-    code = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
     imported = {
         alias.name
-        for block in code.findall(section)
+        for block in CODE_BLOCK.findall(section)
         for node in ast.walk(ast.parse(block))
         if isinstance(node, ast.ImportFrom) and node.module == "eenas"
         for alias in node.names
     }
-    quoted = re.findall(r"`([^`\n]+)`", code.sub("", section))
+    quoted = re.findall(r"`([^`\n]+)`", CODE_BLOCK.sub("", section))
     return imported | {w for span in quoted for w in re.findall(r"\w+", span)}
 
 
@@ -94,6 +99,18 @@ def test_library_names_are_imports_and_quoted_words():
     assert library_names(section) == {
         "Alpha", "beta", "epsilon", "zeta_eta", "theta", "iota"
     }
+
+
+def test_library_example_runs_as_written(tmp_path, monkeypatch, capsys):
+    """The Library section's ``python`` block, run as written, writes a
+    history that audits clean and prints the front, one record a line."""
+    (block,) = CODE_BLOCK.findall(library_section())
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    audit = audit_history(str(tmp_path / "history.jsonl"))
+    assert audit.ok, audit.violations
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(len(line.split()) == 3 for line in lines)
 
 
 def private_imports() -> list[str]:

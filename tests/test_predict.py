@@ -15,7 +15,6 @@ from eenas.arch import (
 from eenas.evaluate import synthetic_oracle
 from eenas.predict import (
     LabeledRecord,
-    LabeledSet,
     Predictor,
     feature_row,
     featurize,
@@ -112,34 +111,6 @@ class TestFeaturize:
             featurize((0, 0), small_space)
 
 
-class TestLabeledSet:
-    def test_latest_record_wins(self):
-        genes = (0, 0, 0) * 4 + (0, 0)
-        archive = LabeledSet()
-        archive.add(LabeledRecord(genes, 10.0, 1.0))
-        archive.add(LabeledRecord(genes, 20.0, 2.0))
-        assert len(archive) == 1
-        assert next(iter(archive)).acc_avg == 20.0
-
-    def test_iteration_in_hash_order(self, small_space):
-        records = [
-            LabeledRecord(c, float(i), float(i + 1))
-            for i, c in enumerate(distinct_samples(small_space, 20))
-        ]
-        archive = LabeledSet(records)
-        keys = [r.key for r in archive]
-        assert keys == sorted(keys)
-
-    def test_superset_growth(self, small_space):
-        chroms = distinct_samples(small_space, 10)
-        archive = LabeledSet()
-        previous = set()
-        for i, chrom in enumerate(chroms):
-            archive.add(LabeledRecord(chrom, float(i), 1.0))
-            assert previous <= archive.keys()
-            previous = archive.keys()
-
-
 class TestFit:
     def test_exact_linear_target_interpolates(self, small_space):
         chroms = distinct_samples(small_space, 30)
@@ -147,13 +118,13 @@ class TestFit:
             LabeledRecord(c, float(featurize(c, small_space)[0] * 7 + 3), 1.0)
             for c in chroms
         ]
-        pred = fit(LabeledSet(records), small_space, target="accuracy", ridge=0.0)
+        pred = fit(records, small_space, target="accuracy", ridge=0.0)
         assert pred.train_mse <= 1e-9
 
     def test_constant_targets_yield_constant_predictor(self, small_space):
         chroms = distinct_samples(small_space, 10)
         records = [LabeledRecord(c, 42.0, 5.0) for c in chroms]
-        pred = fit(LabeledSet(records), small_space, target="accuracy")
+        pred = fit(records, small_space, target="accuracy")
         for chrom in distinct_samples(small_space, 10, seed=99):
             assert predict(pred, chrom, small_space) == pytest.approx(42.0)
 
@@ -164,7 +135,7 @@ class TestFit:
             LabeledRecord(c, float(rng.uniform(40, 90)), 1.0) for c in chroms
         ]
         ridge = 0.5
-        pred = fit(LabeledSet(records), small_space, target="accuracy", ridge=ridge)
+        pred = fit(records, small_space, target="accuracy", ridge=ridge)
         # Independent solve in plain numpy, mirroring the documented math.
         ordered = sorted(records, key=lambda r: r.key)
         X = np.stack([featurize(r.genes, small_space) for r in ordered])
@@ -186,21 +157,33 @@ class TestFit:
             for c in chroms
         ]
         for target in ("accuracy", "et"):
-            pred = fit(LabeledSet(records), small_space, target=target)
+            pred = fit(records, small_space, target=target)
             if target == "accuracy":
                 y = np.array([r.acc_avg for r in records])
             else:
                 y = np.log([r.et_avg for r in records])
             assert pred.train_mse <= y.var() + 1e-12
 
+    @pytest.mark.parametrize("target", ["accuracy", "et"])
+    def test_fit_does_not_depend_on_record_order(self, small_space, target):
+        rng = np.random.default_rng(5)
+        records = [
+            LabeledRecord(c, float(rng.uniform(40, 90)), float(rng.uniform(1, 500)))
+            for c in distinct_samples(small_space, 20)
+        ]
+        shuffled = [records[i] for i in rng.permutation(len(records))]
+        want = fit(records, small_space, target=target)
+        assert fit(records[::-1], small_space, target=target) == want
+        assert fit(shuffled, small_space, target=target) == want
+
     def test_too_few_records_rejected(self, small_space):
-        archive = LabeledSet([LabeledRecord((0, 0, 0) * 4 + (0, 0), 1.0, 1.0)])
+        archive = [LabeledRecord((0, 0, 0) * 4 + (0, 0), 1.0, 1.0)]
         with pytest.raises(ValueError):
             fit(archive, small_space)
 
     def test_bad_target_rejected(self, small_space):
         chroms = distinct_samples(small_space, 3)
-        archive = LabeledSet(LabeledRecord(c, 1.0, 1.0) for c in chroms)
+        archive = [LabeledRecord(c, 1.0, 1.0) for c in chroms]
         with pytest.raises(ValueError):
             fit(archive, small_space, target="latency")
         with pytest.raises(ValueError):
@@ -215,10 +198,9 @@ class TestPredict:
             LabeledRecord(c, float(rng.uniform(0, 100)), float(rng.uniform(1, 500)))
             for c in chroms
         ]
-        archive = LabeledSet(records)
         return (
-            fit(archive, space, target="accuracy"),
-            fit(archive, space, target="et"),
+            fit(records, space, target="accuracy"),
+            fit(records, space, target="et"),
         )
 
     def test_deterministic(self, small_space):
@@ -252,7 +234,7 @@ class TestPredict:
             LabeledRecord(c, float(featurize(c, small_space)[0] * 5 + 10), 1.0)
             for c in chroms
         ]
-        pred = fit(LabeledSet(records), small_space, target="accuracy", ridge=0.0)
+        pred = fit(records, small_space, target="accuracy", ridge=0.0)
         for rec in records[:10]:
             got = predict(pred, rec.genes, small_space)
             assert got == pytest.approx(rec.acc_avg, abs=1e-6)
@@ -263,10 +245,10 @@ class TestPredict:
             synthetic_oracle(decode(c, mobile_space), seed=0).acc_avg
             for c in chroms
         ]
-        train = LabeledSet(
+        train = [
             LabeledRecord(c, l, 1.0)
             for c, l in zip(chroms[:200], labels[:200])
-        )
+        ]
         pred = fit(train, mobile_space, target="accuracy")
         estimates = [predict(pred, c, mobile_space) for c in chroms[200:]]
         assert spearman(estimates, labels[200:]) >= 0.5
@@ -274,10 +256,10 @@ class TestPredict:
 
 def random_archive(space, n, seed):
     rng = np.random.default_rng(seed)
-    return LabeledSet(
+    return [
         LabeledRecord(c, float(rng.uniform(20, 80)), float(rng.uniform(1, 1e4)))
         for c in distinct_samples(space, n, seed=seed)
-    )
+    ]
 
 
 @pytest.fixture(scope="session")
@@ -370,10 +352,12 @@ class TestCachedRowsMatchReference:
             pred.feature_mean, pred.feature_std, pred.coefficients
         ]
 
-    def test_record_key_computed_once(self, monkeypatch):
-        record = LabeledRecord((0, 0, 0) * 4 + (1, 0), 50.0, 1.0)
-        key = record.key
+    def test_record_key_computed_once(self, small_space, monkeypatch):
+        records = [
+            LabeledRecord((0, 0, 0) * 4 + (1, 0), 50.0, 1.0),
+            LabeledRecord((0, 0, 0) * 4 + (0, 0), 40.0, 2.0),
+        ]
+        keys = [r.key for r in records]
         monkeypatch.setattr(predict_module, "chromosome_hash", None)
-        archive = LabeledSet([record])
-        archive.add(record)
-        assert record.key == key and archive.keys() == {key}
+        fit(records + records, small_space)  # sorts by key
+        assert [r.key for r in records] == keys

@@ -25,6 +25,7 @@ from eenas.evaluate import (
     _relu6,
     _softmax,
     _stratified_split,
+    _views,
     first_exit_decisions,
     make_toy_dataset,
     report_from_outcomes,
@@ -398,9 +399,10 @@ def _lockstep(arch, dataset, config):
                     X_train[batch], y_train[batch]
                 )
                 assert (loss, per_exit) == (ref_loss, ref_per_exit)
-                assert grads.keys() == ref_grads.keys()
+                named = _views(grads, net._layout)
+                assert named.keys() == ref_grads.keys()
                 for key in ref_grads:
-                    assert_bitwise(grads[key], ref_grads[key], f"epoch {epoch} d{key}")
+                    assert_bitwise(named[key], ref_grads[key], f"epoch {epoch} d{key}")
                 args = (config.learning_rate, config.momentum, config.weight_decay)
                 net.sgd_step(grads, *args)
                 ref.sgd_step(ref_grads, *args)
@@ -461,13 +463,13 @@ class TestTrainerMatchesReference:
     def test_non_finite_calibration_sample_is_divergence(self):
         arch = ARCHS[0]
         net = DenseEenn(arch, 8, 3, 16, np.random.default_rng(0))
-        before = net.params.flat.copy()
-        net.params.flat[0] = np.inf
+        before = net._flat.copy()
+        net._flat[0] = np.inf
         with np.errstate(all="ignore"):
             assert not net.calibrate(np.ones((4, 8)))
         assert net._weight_grid is None
         assert all(q is None for q in net._weight_q + net._act_q)
-        assert np.array_equal(net.params.flat[1:], before[1:])
+        assert np.array_equal(net._flat[1:], before[1:])
 
 
 # ---------------------------------------------------------------------------
