@@ -6,7 +6,6 @@ from .arch import (
     EennArchitecture,
     ExitHeadSpec,
     ExitPlacement,
-    QuantScheme,
     SpaceConfig,
     builtin_backbone,
     chromosome_hash,

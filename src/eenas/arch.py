@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -295,37 +295,29 @@ class ExitHeadSpec:
 UNQUANTIZED_BITS = 32
 
 
-@dataclass(frozen=True)
-class QuantScheme:
-    """Bit widths for the backbone and each exit."""
-
-    backbone_bits: int = 8
-    exit_bits: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        _check_bit_widths(self.backbone_bits, *self.exit_bits)
-
-
 def _check_bit_widths(*bits: int) -> None:
     for b in bits:
         if not 2 <= b <= UNQUANTIZED_BITS:
             raise ArchitectureError(f"bit width {b} out of range [2, 32]")
 
 
-@dataclass(frozen=True)
-class ExitPlacement:
+class ExitPlacement(NamedTuple):
+    """One exit: the mount it hangs at, its head, and the bit width that
+    quantizes the head."""
+
     mount: str
     head: ExitHeadSpec
+    bits: int
 
 
 @dataclass(frozen=True)
 class EennArchitecture:
-    """A backbone plus its ordered exits (the last one mandatory) and the
-    quantization assignment, one bit width per exit."""
+    """A backbone quantized at ``backbone_bits`` plus its ordered exits,
+    the last one mandatory."""
 
     backbone: BackboneSpec
     exits: tuple[ExitPlacement, ...]
-    quant: QuantScheme
+    backbone_bits: int = 8
 
     def __post_init__(self):
         labels = self.backbone.mount_labels
@@ -341,8 +333,7 @@ class EennArchitecture:
             raise ArchitectureError("exits must be unique and ordered by depth")
         if self.exits[-1].mount != self.backbone.final_mount:
             raise ArchitectureError("the final mount must carry the last exit")
-        if len(self.quant.exit_bits) != len(self.exits):
-            raise ArchitectureError("need exactly one exit bit width per exit")
+        _check_bit_widths(self.backbone_bits, *(e.bits for e in self.exits))
 
     @property
     def m(self) -> int:
@@ -449,9 +440,8 @@ def _check_length(genes: tuple[int, ...], space: SpaceConfig) -> None:
 
 def decode_exits(
     genes: tuple[int, ...], space: SpaceConfig
-) -> Iterator[tuple[str, ExitHeadSpec, int]]:
-    """Each exit of ``genes`` in exit order, as ``(mount, head, exit
-    bits)``; the final exit comes last.
+) -> Iterator[ExitPlacement]:
+    """Each exit of ``genes`` in exit order; the final exit comes last.
 
     Total on canonical-length vectors: genes of absent mounts are ignored.
     Option indices actually used must be in range. Each gene is checked
@@ -470,47 +460,44 @@ def decode_exits(
             raise ChromosomeError(f"head option {head_idx} out of range at {label!r}")
         if not (0 <= quant_idx < space.n_quant_options):
             raise ChromosomeError(f"quant option {quant_idx} out of range at {label!r}")
-        yield label, space.head_options[head_idx], space.exit_bit_options[quant_idx]
+        yield ExitPlacement(
+            label, space.head_options[head_idx], space.exit_bit_options[quant_idx]
+        )
     fh, fq = genes[-2], genes[-1]
     if not (0 <= fh < space.n_head_options and 0 <= fq < space.n_quant_options):
         raise ChromosomeError("final-exit option gene out of range")
-    yield space.backbone.final_mount, space.head_options[fh], space.exit_bit_options[fq]
+    yield ExitPlacement(
+        space.backbone.final_mount, space.head_options[fh], space.exit_bit_options[fq]
+    )
 
 
 def decode(genes: tuple[int, ...], space: SpaceConfig) -> EennArchitecture:
     """Decode a gene vector into an architecture, checked as
     :func:`decode_exits` checks it."""
-    exits = []
-    bits = []
-    for label, head, exit_bits in decode_exits(genes, space):
-        exits.append(ExitPlacement(label, head))
-        bits.append(exit_bits)
     return EennArchitecture(
-        backbone=space.backbone,
-        exits=tuple(exits),
-        quant=QuantScheme(backbone_bits=space.backbone_bits, exit_bits=tuple(bits)),
+        space.backbone, tuple(decode_exits(genes, space)), space.backbone_bits
     )
 
 
 def encode(arch: EennArchitecture, space: SpaceConfig) -> tuple[int, ...]:
     """Encode an in-space architecture into its canonical gene vector."""
-    by_mount = {e.mount: i for i, e in enumerate(arch.exits)}
+    by_mount = {e.mount: e for e in arch.exits}
     genes: list[int] = []
     for label in space.backbone.optional_mounts:
         if label in by_mount:
-            i = by_mount[label]
+            e = by_mount[label]
             genes.extend(
                 (
                     1,
-                    _option_index(space.head_options, arch.exits[i].head, label),
-                    _option_index(space.exit_bit_options, arch.quant.exit_bits[i], label),
+                    _option_index(space.head_options, e.head, label),
+                    _option_index(space.exit_bit_options, e.bits, label),
                 )
             )
         else:
             genes.extend((0, 0, 0))
     final = arch.exits[-1]
     genes.append(_option_index(space.head_options, final.head, final.mount))
-    genes.append(_option_index(space.exit_bit_options, arch.quant.exit_bits[-1], final.mount))
+    genes.append(_option_index(space.exit_bit_options, final.bits, final.mount))
     return tuple(genes)
 
 
@@ -564,11 +551,4 @@ def sample_architecture(
 
 def static_counterpart(arch: EennArchitecture) -> EennArchitecture:
     """The same backbone with only the final classifier kept."""
-    return EennArchitecture(
-        backbone=arch.backbone,
-        exits=(arch.exits[-1],),
-        quant=QuantScheme(
-            backbone_bits=arch.quant.backbone_bits,
-            exit_bits=(arch.quant.exit_bits[-1],),
-        ),
-    )
+    return EennArchitecture(arch.backbone, arch.exits[-1:], arch.backbone_bits)

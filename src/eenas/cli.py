@@ -31,7 +31,6 @@ from .arch import (
     EennArchitecture,
     ExitHeadSpec,
     ExitPlacement,
-    QuantScheme,
     SpaceConfig,
     builtin_backbone,
     decode,
@@ -114,6 +113,9 @@ _RUN_KEYS = ("seed", "backbone", "accelerator", "space", "nas", "evaluator",
              "cost_mode")
 _SPACE_KEYS = ("head_depths", "pooled_size", "hidden_width", "exit_bits",
                "backbone_bits", "num_classes")
+#: Keys of an architecture file, and of each of its exits.
+_ARCH_KEYS = ("backbone_bits", "exits", "exit_ratios")
+_EXIT_KEYS = ("mount", "depth", "bits", "pooled_size", "hidden_width")
 
 
 def _check_object(data, name: str, keys=None) -> None:
@@ -206,21 +208,24 @@ def _build_evaluator(data, seed: int):
 def _load_architecture(path: str, backbone: BackboneSpec):
     _require_file(path, "architecture")
     data = load_json(path, ConfigError, "architecture")
-    _check_object(data, "architecture")
+    _check_object(data, "architecture", _ARCH_KEYS)
     exits = data.get("exits")
-    if not (isinstance(exits, list) and all(map(is_object, exits))):
+    if not isinstance(exits, list):
         raise ConfigError("exits must be a list of objects")
-    bits = tuple(e.get("bits", 8) for e in exits)
+    for i, e in enumerate(exits):
+        _check_object(e, f"exits[{i}]", _EXIT_KEYS)
+    bits = [e.get("bits", 8) for e in exits]
     require(ConfigError, is_int_list, bits=bits)
-    require(ConfigError, is_int, backbone_bits=data.get("backbone_bits", 8))
+    backbone_bits = data.get("backbone_bits", 8)
+    require(ConfigError, is_int, backbone_bits=backbone_bits)
     try:
         placements = tuple(
             ExitPlacement(e["mount"], ExitHeadSpec(
-                e.get("pooled_size", 4), e.get("depth", 1), e.get("hidden_width", 128)))
-            for e in exits
+                e.get("pooled_size", 4), e.get("depth", 1), e.get("hidden_width", 128)),
+                b)
+            for e, b in zip(exits, bits)
         )
-        quant = QuantScheme(data.get("backbone_bits", 8), bits)
-        arch = EennArchitecture(backbone=backbone, exits=placements, quant=quant)
+        arch = EennArchitecture(backbone, placements, backbone_bits)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed architecture file: {exc}") from exc
     ratios = data.get("exit_ratios")
@@ -343,10 +348,10 @@ def cmd_search(args) -> int:
     for rank, rec in enumerate(front, start=1):
         arch = decode(rec.genes, space)
         mounts = "|".join(e.mount for e in arch.exits)
-        bits = "|".join(str(b) for b in arch.quant.exit_bits)
+        bits = "|".join(str(e.bits) for e in arch.exits)
         front_lines.append(
             f"{rank},{rec.key},{rec.acc_avg!r},{rec.et_avg!r},{arch.m},"
-            f"{mounts},{bits},{arch.quant.backbone_bits}"
+            f"{mounts},{bits},{arch.backbone_bits}"
         )
     atomic_write(
         os.path.join(args.out, "front.csv"), "\n".join(front_lines) + "\n"
@@ -421,11 +426,10 @@ def cmd_report(args) -> int:
     print(f"acc_avg: {choice.acc_avg:.4f}")
     print(f"et_avg:  {choice.et_avg:.6g}")
     print(f"exits ({arch.m}):")
-    for i, placement in enumerate(arch.exits):
+    for i, (mount, head, bits) in enumerate(arch.exits):
         print(
-            f"  {i + 1}: mount {placement.mount} depth {placement.head.depth} "
-            f"bits {arch.quant.exit_bits[i]} er {ratios[i]:.4f} "
-            f"cum_macs {cum[i]}"
+            f"  {i + 1}: mount {mount} depth {head.depth} "
+            f"bits {bits} er {ratios[i]:.4f} cum_macs {cum[i]}"
         )
     print(f"static MACs: {static_macs}")
     print(f"MAC reduction: {100.0 * reduction:.2f}%")

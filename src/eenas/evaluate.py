@@ -326,25 +326,23 @@ class DenseEenn:
         self._source = []
         fan_in = in_features
         for j in range(self.n_blocks):
-            layers.append((f"block{j}", fan_in, width, arch.quant.backbone_bits))
+            layers.append((f"block{j}", fan_in, width, arch.backbone_bits))
             self._source.append(j - 1)
             fan_in = width
         # Per exit, the layer index of its hidden layer (None at depth 1)
         # and of its output layer.
         self._heads: list[tuple[int | None, int]] = []
-        for i, (placement, bits, pos) in enumerate(
-            zip(arch.exits, arch.quant.exit_bits, self.positions), start=1
+        for i, ((_, head, bits), pos) in enumerate(
+            zip(arch.exits, self.positions), start=1
         ):
             feat = width
             hidden = None
-            if placement.head.depth == 2:
+            if head.depth == 2:
                 hidden = len(layers)
-                layers.append(
-                    (f"exit{i}.hidden", feat, placement.head.hidden_width, bits)
-                )
+                layers.append((f"exit{i}.hidden", feat, head.hidden_width, bits))
                 self._source.append(pos)
                 pos = hidden
-                feat = placement.head.hidden_width
+                feat = head.hidden_width
             self._heads.append((hidden, len(layers)))
             layers.append((f"exit{i}.out", feat, num_classes, bits))
             self._source.append(pos)
@@ -659,9 +657,7 @@ def train_toy(
     train_idx, val_idx = _stratified_split(y, config.holdout_fraction, rng)
     net = DenseEenn(arch, X.shape[1], num_classes, config.hidden_width, rng)
 
-    quantized = arch.quant.backbone_bits < 32 or any(
-        b < 32 for b in arch.quant.exit_bits
-    )
+    quantized = arch.backbone_bits < 32 or any(e.bits < 32 for e in arch.exits)
     calib = X[train_idx[: 4 * config.batch_size]]
     X_train, y_train = X[train_idx], y[train_idx]
     with np.errstate(all="ignore"):
@@ -797,9 +793,8 @@ def synthetic_oracle(
     fractions = backbone_mac_fractions(arch.backbone)
     quality = []
     capability = []
-    for i, placement in enumerate(arch.exits):
-        f = fractions[placement.mount]
-        bits = arch.quant.exit_bits[i]
+    for mount, head, bits in arch.exits:
+        f = fractions[mount]
         if f <= config.capability_floor:
             # Mounted too early: the head never reaches the confidence
             # threshold, so it contributes cost but no exits.
@@ -808,10 +803,10 @@ def synthetic_oracle(
             continue
         rel = (f - config.capability_floor) / (1.0 - config.capability_floor)
         q = (rel ** config.mac_exponent) * (1.0 - config.bits_penalty / bits)
-        q += config.depth_gain * (placement.head.depth - 1)
+        q += config.depth_gain * (head.depth - 1)
         q = min(max(q, 0.02), 0.98)
         quality.append(q)
-        wiggle = 1.0 + config.jitter * _hash_unit(seed, placement.mount)
+        wiggle = 1.0 + config.jitter * _hash_unit(seed, mount)
         capability.append(min(max(q * wiggle, 0.02), 0.98))
 
     m = arch.m

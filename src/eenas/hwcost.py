@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .arch import BackboneSpec, EennArchitecture, hash_once
+from .arch import BackboneSpec, EennArchitecture, ExitPlacement, hash_once
 from .files import (
     check_exit_ratios, check_fields, check_fixed, is_int, is_object, load_json,
 )
@@ -39,7 +39,7 @@ from .workload import (
     LayerNode,
     expand_backbone,
     expand_layers,
-    head_templates,
+    head_builder,
 )
 
 
@@ -398,8 +398,10 @@ def _fold(graph: LayerGraph, spec: AcceleratorSpec) -> AllocationPlan:
 class BackboneFold:
     """Greedy plan of the backbone nodes on ``spec``, each node's
     energy and cycles in node order, per mount label its stop (the index
-    just past the mount's node), and the energy-delay of the backbone
-    segment between every two mounts, keyed on ``(stop, next stop)``."""
+    just past the mount's node), the energy-delay of the backbone
+    segment between every two mounts, keyed on ``(stop, next stop)``, and
+    the :func:`head_builder` of the same backbone and bits, whose heads
+    hang off these nodes."""
 
     spec: AcceleratorSpec
     state: AllocationPlan
@@ -407,6 +409,7 @@ class BackboneFold:
     cycles: tuple[int, ...]
     stops: dict[str, int]
     segment_et: dict[tuple[int, int], float]
+    build: Callable
 
 
 @lru_cache(maxsize=16)
@@ -431,6 +434,7 @@ def backbone_fold(
             (stop, nxt): _energy_delay(energies[stop:nxt], cycles[stop:nxt])
             for stop, nxt in combinations(stops.values(), 2)
         },
+        build=head_builder(backbone, bits),
     )
 
 
@@ -515,12 +519,44 @@ def place_head(
     )
 
 
-#: One architecture's costed exits in exit order: per exit, where its
-#: backbone part ends (``fold.stops[mount]``) and its head placed by
-#: :func:`place_head` from the previous head's ``free`` (the first head
-#: from the backbone fold's). The search and :func:`cost_report` both cost
-#: an exit this way.
+#: One architecture's costed exits in exit order, as :func:`place_exits`
+#: places them: per exit, where its backbone part ends
+#: (``fold.stops[mount]``) and its head.
 PlacedExits = tuple[tuple[int, HeadPlacement], ...]
+
+#: Head placements a :func:`place_exits` memo keeps before it starts over.
+_HEAD_MEMO_SIZE = 4096
+
+
+def place_exits(
+    fold: BackboneFold,
+    exits: Iterable[ExitPlacement],
+    num_classes: int,
+    memo: dict[tuple, HeadPlacement],
+) -> PlacedExits:
+    """``exits`` placed on the backbone ``fold``, each head by
+    :func:`place_head` from the free cycles after the head before it (the
+    first from the fold's). The one path that costs an exit, for the
+    search and :func:`cost_report` alike.
+
+    A head's placement is a function of its (mount, head, bits) and of
+    ``free`` alone, so it is looked up in ``memo`` on that key and placed
+    only on a miss: the exit index changes only the template's node
+    names, which no cost reads. ``memo`` is cleared when it holds
+    ``_HEAD_MEMO_SIZE`` placements."""
+    free = fold.state.free
+    out = []
+    for index, (mount, head, bits) in enumerate(exits, 1):
+        key = (mount, head, bits, free)
+        placed = memo.get(key)
+        if placed is None:
+            if len(memo) >= _HEAD_MEMO_SIZE:
+                memo.clear()
+            template = fold.build(mount, head, bits, index, num_classes)
+            placed = memo[key] = place_head(fold, free, template)
+        out.append((fold.stops[mount], placed))
+        free = placed.free
+    return tuple(out)
 
 
 def exit_overheads(fold: BackboneFold, exits: PlacedExits) -> tuple[float, ...]:
@@ -574,21 +610,14 @@ def cost_report(
     num_classes: int = 10,
 ) -> HwCostReport:
     """Per-exit energy, cycles and energy-delay products and head
-    overheads, costed as the search costs them: the :data:`PlacedExits` of
-    ``arch``, each head placed by :func:`place_head` from the free cycles
-    after the one before it on the backbone fold, then E_i, T_i and their
-    products from :func:`exit_costs` and the overheads from
-    :func:`exit_overheads`. The plan, for the per-layer view, is the full
-    graph's :func:`allocate`; a greedy decision reads only the nodes before
-    it, so it places every node where the exits were costed."""
-    fold = backbone_fold(arch.backbone, arch.quant.backbone_bits, spec)
-    exits = []
-    free = fold.state.free
-    for placement, template in zip(arch.exits, head_templates(arch, num_classes)):
-        head = place_head(fold, free, template)
-        exits.append((fold.stops[placement.mount], head))
-        free = head.free
-    exits = tuple(exits)
+    overheads, costed as the search costs them: the exits placed by
+    :func:`place_exits`, then E_i, T_i and their products from
+    :func:`exit_costs` and the overheads from :func:`exit_overheads`. The
+    plan, for the per-layer view, is the full graph's :func:`allocate`; a
+    greedy decision reads only the nodes before it, so it places every
+    node where the exits were costed."""
+    fold = backbone_fold(arch.backbone, arch.backbone_bits, spec)
+    exits = place_exits(fold, arch.exits, num_classes, {})
     energies, cycles, et_values = exit_costs(fold, exits)
     graph = expand_layers(arch, num_classes=num_classes)
     return HwCostReport(

@@ -217,7 +217,7 @@ def calibrate_clip(
     """Pick the clip candidate minimizing the KL divergence between the
     128-bin histograms of the sample and of its quantized image. The
     sample must be finite."""
-    v = _ascending(np.asarray(values, dtype=float).ravel())
+    v = np.sort(np.asarray(values, dtype=float), axis=None)
     return calibrate_sorted(v, bits, candidates)
 
 
@@ -312,11 +312,6 @@ def _edges(amax: float) -> np.ndarray:
     return edges
 
 
-def _ascending(v: np.ndarray) -> np.ndarray:
-    """``v`` itself when it is already ascending, else a sorted copy."""
-    return v if bool(np.all(v[1:] >= v[:-1])) else np.sort(v)
-
-
 def _bin_counts(ascending: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """``np.histogram(x, edges)[0]`` of an ascending ``x``, counted the way
     numpy counts explicit edges: bin i holds edges[i] <= x < edges[i+1],
@@ -343,20 +338,12 @@ def _stacked_bin_counts(points: np.ndarray, edges: np.ndarray, weights=None):
     return counts.reshape(rows, bins)
 
 
-def percentile_clip_candidates(
-    values, percentiles: Sequence[float] = DEFAULT_CLIP_PERCENTILES
-) -> tuple[float, ...]:
-    """Candidate clips from percentile magnitudes of a sample, read off its
-    sorted magnitudes; zero or duplicate magnitudes are dropped."""
-    mags = _ascending(np.abs(np.asarray(values, dtype=float).ravel()))
-    return sorted_clip_candidates(mags, percentiles)
-
-
 def sorted_clip_candidates(
     ascending: np.ndarray, percentiles: Sequence[float] = DEFAULT_CLIP_PERCENTILES
 ) -> tuple[float, ...]:
-    """:func:`percentile_clip_candidates` of an ascending sample of
-    magnitudes, which it does not check. A nonnegative sample sorted as it
+    """Candidate clips from percentile magnitudes of a sample, read off its
+    ascending magnitudes, which it does not check; zero or duplicate
+    magnitudes are dropped. A nonnegative sample sorted as it
     is may hold -0.0 where its magnitudes hold 0.0: it gives the same
     candidates, since a zero percentile is dropped either way and a
     signed zero added to or taken from a nonzero one changes nothing."""

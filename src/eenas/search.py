@@ -54,10 +54,9 @@ from .hwcost import (
     et_avg,
     exit_costs,
     exit_overheads,
-    place_head,
+    place_exits,
 )
 from .predict import LabeledRecord, Predictor, fit, predict
-from .workload import head_builder
 
 
 class SearchError(RuntimeError):
@@ -128,18 +127,14 @@ class NasConfig:
             raise ValueError(f"bad search config field: {exc}") from exc
 
 
-#: Head placements a :class:`CostCache` keeps before it starts over.
-_HEAD_MEMO_SIZE = 4096
-
-
 class CostCache:
     """Memoized hardware-cost queries for one (space, accelerator) pair.
     Per architecture it keeps only its :data:`PlacedExits`, from which the
     two things the search reads follow: the head overheads, which sum
     nothing, and the per-exit energy-delay products, summed only when read.
 
-    A head's placement is a function of its (mount, head, bits) and of
-    when each core is next free, so it is kept on that key: a new
+    Its head memo, shared by every architecture, is the one
+    :func:`place_exits` keys on (mount, head, bits, free cycles): a new
     architecture places a head only if no other architecture placed the
     same head from the same free cycles. Genes are checked as
     :func:`decode` checks them, but no architecture is decoded."""
@@ -155,35 +150,14 @@ class CostCache:
         space = self.space
         return backbone_fold(space.backbone, space.backbone_bits, self.accel)
 
-    @cached_property
-    def _build(self):
-        return head_builder(self.space.backbone, self.space.backbone_bits)
-
     def _lookup(self, genes: tuple[int, ...]) -> PlacedExits:
-        """The placed exits of the architecture of ``genes``. Each head's
-        placement is looked up on ``(mount, head, bits, free)``, ``free``
-        being the previous head's: the exit index changes only the
-        template's node names, which no cost reads."""
+        """The placed exits of the architecture of ``genes``."""
         exits = self._costs.get(genes)
         if exits is None:
-            fold = self._fold
-            free = fold.state.free
-            exits = []
-            for index, (mount, head, bits) in enumerate(
-                decode_exits(genes, self.space), 1
-            ):
-                key = (mount, head, bits, free)
-                placed = self._heads.get(key)
-                if placed is None:
-                    if len(self._heads) >= _HEAD_MEMO_SIZE:
-                        self._heads.clear()
-                    template = self._build(
-                        mount, head, bits, index, self.space.num_classes
-                    )
-                    placed = self._heads[key] = place_head(fold, free, template)
-                exits.append((fold.stops[mount], placed))
-                free = placed.free
-            exits = self._costs[genes] = tuple(exits)
+            exits = self._costs[genes] = place_exits(
+                self._fold, decode_exits(genes, self.space),
+                self.space.num_classes, self._heads,
+            )
         return exits
 
     def et_per_exit(self, genes: tuple[int, ...]) -> tuple[float, ...]:

@@ -198,8 +198,9 @@ class HeadTemplate(NamedTuple):
 def head_builder(backbone: BackboneSpec, bits: int):
     """The cached builder of :func:`head_templates` over one (backbone,
     backbone bits): it hashes the backbone once per architecture, not once
-    per exit. The search's cost cache keeps the builder of its space and
-    builds each exit's head from the genes, without an architecture."""
+    per exit. The backbone fold of the cost engine keeps the builder of
+    its backbone, and ``hwcost.place_exits`` builds each exit's head from
+    its (mount, head, bits), without an architecture."""
     base = expand_backbone(backbone, bits)
     mount_node = dict(zip(backbone.mount_labels, base.mounts))
 
@@ -281,12 +282,10 @@ def head_templates(
     backbone bits, mount, head spec, exit bits, exit index and class count.
     Linear MACs are in*out; pooling and softmax move data but contribute
     zero MACs."""
-    build = head_builder(arch.backbone, arch.quant.backbone_bits)
+    build = head_builder(arch.backbone, arch.backbone_bits)
     return tuple(
-        build(placement.mount, placement.head, bits, i, num_classes)
-        for i, (placement, bits) in enumerate(
-            zip(arch.exits, arch.quant.exit_bits), start=1
-        )
+        build(mount, head, bits, i, num_classes)
+        for i, (mount, head, bits) in enumerate(arch.exits, start=1)
     )
 
 
@@ -296,7 +295,7 @@ def expand_layers(arch: EennArchitecture, num_classes: int = 10) -> LayerGraph:
     :func:`head_templates` nodes. Deterministic: equal architectures yield
     identical graphs, node order included.
     """
-    base = expand_backbone(arch.backbone, arch.quant.backbone_bits)
+    base = expand_backbone(arch.backbone, arch.backbone_bits)
     nodes = list(base.nodes)
     edges = list(base.edges)
     for template in head_templates(arch, num_classes):

@@ -13,7 +13,6 @@ from eenas.arch import (
     EennArchitecture,
     ExitHeadSpec,
     ExitPlacement,
-    QuantScheme,
     decode,
     search_space_size,
     static_counterpart,
@@ -311,8 +310,8 @@ def test_c10_joint_loss_gradient_check():
     head = ExitHeadSpec(depth=1)
     arch = EennArchitecture(
         backbone=backbone,
-        exits=(ExitPlacement("M0", head), ExitPlacement("M1", head)),
-        quant=QuantScheme(backbone_bits=32, exit_bits=(32, 32)),
+        exits=(ExitPlacement("M0", head, 32), ExitPlacement("M1", head, 32)),
+        backbone_bits=32,
     )
     net = DenseEenn(arch, 3, 2, 4, np.random.default_rng(0))
     rng = np.random.default_rng(4)
@@ -344,8 +343,8 @@ def test_c11_toy_pipeline_is_profitable(smallconv, accel):
     head = ExitHeadSpec(depth=1)
     arch = EennArchitecture(
         backbone=smallconv,
-        exits=(ExitPlacement("B", head), ExitPlacement("E", head)),
-        quant=QuantScheme(backbone_bits=8, exit_bits=(8, 8)),
+        exits=(ExitPlacement("B", head, 8), ExitPlacement("E", head, 8)),
+        backbone_bits=8,
     )
     dataset = make_toy_dataset(seed=5)
     config = TrainingConfig(epochs=40, learning_rate=0.05, threshold=0.9, seed=3)
@@ -371,8 +370,8 @@ def test_c12_mac_model_plausibility(mobilenet):
     head = ExitHeadSpec(depth=1)
     arch = EennArchitecture(
         backbone=mobilenet,
-        exits=tuple(ExitPlacement(m, head) for m in "DFIK"),
-        quant=QuantScheme(backbone_bits=8, exit_bits=(8, 8, 8, 8)),
+        exits=tuple(ExitPlacement(m, head, 8) for m in "DFIK"),
+        backbone_bits=8,
     )
     total = exit_macs(arch)[-1]
     reference = 195_377_152

@@ -16,7 +16,6 @@ from eenas.arch import (
     EennArchitecture,
     ExitHeadSpec,
     ExitPlacement,
-    QuantScheme,
     SpaceConfig,
     canonicalize,
     chromosome_hash,
@@ -193,19 +192,17 @@ class TestArchitectureInvariants:
             EennArchitecture(
                 backbone=smallconv,
                 exits=(
-                    ExitPlacement("B", head),
-                    ExitPlacement("B", head),
-                    ExitPlacement("E", head),
+                    ExitPlacement("B", head, 8),
+                    ExitPlacement("B", head, 8),
+                    ExitPlacement("E", head, 8),
                 ),
-                quant=QuantScheme(exit_bits=(8, 8, 8)),
             )
 
     def test_missing_final_exit_rejected(self, smallconv):
         with pytest.raises(ArchitectureError):
             EennArchitecture(
                 backbone=smallconv,
-                exits=(ExitPlacement("B", ExitHeadSpec()),),
-                quant=QuantScheme(exit_bits=(8,)),
+                exits=(ExitPlacement("B", ExitHeadSpec(), 8),),
             )
 
     def test_unordered_exits_rejected(self, smallconv):
@@ -214,28 +211,32 @@ class TestArchitectureInvariants:
             EennArchitecture(
                 backbone=smallconv,
                 exits=(
-                    ExitPlacement("C", head),
-                    ExitPlacement("A", head),
-                    ExitPlacement("E", head),
+                    ExitPlacement("C", head, 8),
+                    ExitPlacement("A", head, 8),
+                    ExitPlacement("E", head, 8),
                 ),
-                quant=QuantScheme(exit_bits=(8, 8, 8)),
             )
 
     def test_unknown_mount_rejected(self, smallconv):
         with pytest.raises(ArchitectureError):
             EennArchitecture(
                 backbone=smallconv,
-                exits=(ExitPlacement("Z", ExitHeadSpec()),),
-                quant=QuantScheme(exit_bits=(8,)),
+                exits=(ExitPlacement("Z", ExitHeadSpec(), 8),),
             )
 
-    def test_bits_length_must_match(self, smallconv):
-        with pytest.raises(ArchitectureError):
-            EennArchitecture(
-                backbone=smallconv,
-                exits=(ExitPlacement("E", ExitHeadSpec()),),
-                quant=QuantScheme(exit_bits=(8, 8)),
-            )
+    @pytest.mark.parametrize(
+        "backbone_bits, exit_bits",
+        [(1, (8, 8)), (33, (8, 8)), (8, (0, 8)), (8, (8, 64))],
+    )
+    def test_architecture_bit_widths_must_lie_in_range(
+        self, smallconv, backbone_bits, exit_bits
+    ):
+        head = ExitHeadSpec()
+        exits = tuple(
+            ExitPlacement(m, head, b) for m, b in zip("BE", exit_bits, strict=True)
+        )
+        with pytest.raises(ArchitectureError, match=r"out of range \[2, 32\]"):
+            EennArchitecture(smallconv, exits, backbone_bits)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -275,8 +276,8 @@ class TestArchitectureInvariants:
         arch = decode(sample_architecture(small_space, rng), small_space)
         static = static_counterpart(arch)
         assert static.m == 1
-        assert static.exits[0] == arch.exits[-1]
-        assert static.quant.exit_bits == (arch.quant.exit_bits[-1],)
+        assert static.exits == arch.exits[-1:]
+        assert static.backbone_bits == arch.backbone_bits
 
 
 class TestBackboneParsing:

@@ -204,6 +204,30 @@ class TestCostCommand:
             assert message in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "arch, message",
+        [
+            ({"exits": [{"mount": "E", "bit": 4}]}, "exits[0] has an unknown key 'bit'"),
+            ({"exits": [{"mount": "B"}, {"mount": "E", "activation": "relu"}]},
+             "exits[1] has an unknown key 'activation'"),
+            ({"exits": [{"mount": "E"}], "exit_ratio": [1.0]},
+             "architecture has an unknown key 'exit_ratio'"),
+            ({"exits": ["E"]}, "exits[0] must be an object"),
+        ],
+    )
+    def test_unknown_key_rejected(self, tmp_path, arch, message, capsys):
+        """A mistyped key exits 2, naming it, before ``--out`` is made:
+        it is not costed at its default."""
+        path = write_json(tmp_path / "arch.json", arch)
+        out = tmp_path / "never"
+        code = main(
+            ["cost", "--backbone", "builtin:smallconv", "--arch", path,
+             "--out", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_missing_arch_file(self, tmp_path, capsys):
         assert main(
             ["cost", "--backbone", "builtin:smallconv",
@@ -1139,7 +1163,7 @@ class TestOneCostCachePerCommand:
     memo), and auditing the history again with it places no head."""
 
     def test_search_and_resume(self, tmp_path, monkeypatch, capsys):
-        from eenas import search
+        from eenas import hwcost, search
 
         config = write_json(
             tmp_path / "run.json",
@@ -1153,7 +1177,7 @@ class TestOneCostCachePerCommand:
             },
         )
         caches, placed = [], []
-        init, place_head = search.CostCache.__init__, search.place_head
+        init, place_head = search.CostCache.__init__, hwcost.place_head
 
         def counting_init(self, *args):
             caches.append(self)
@@ -1164,7 +1188,7 @@ class TestOneCostCachePerCommand:
             return place_head(*args)
 
         monkeypatch.setattr(search.CostCache, "__init__", counting_init)
-        monkeypatch.setattr(search, "place_head", counting_place)
+        monkeypatch.setattr(hwcost, "place_head", counting_place)
         out = tmp_path / "run"
         history = out / "history.jsonl"
         assert main(["search", "--config", config, "--out", str(out)]) == EXIT_OK
@@ -1193,11 +1217,11 @@ class TestOneCostCachePerCommand:
         """The README search (seed 7) costs 979 architectures with 5,031
         exits in its one cache and places 1,521 heads: the head memo alone
         places each head once."""
-        from eenas import search
+        from eenas import hwcost, search
 
         config = write_json(tmp_path / "run.json", {**README_RUN, "seed": 7})
         caches, placed = [], []
-        init, place_head = search.CostCache.__init__, search.place_head
+        init, place_head = search.CostCache.__init__, hwcost.place_head
 
         def counting_init(self, *args):
             caches.append(self)
@@ -1208,7 +1232,7 @@ class TestOneCostCachePerCommand:
             return place_head(*args)
 
         monkeypatch.setattr(search.CostCache, "__init__", counting_init)
-        monkeypatch.setattr(search, "place_head", counting_place)
+        monkeypatch.setattr(hwcost, "place_head", counting_place)
         out = tmp_path / "run"
         assert main(["search", "--config", config, "--out", str(out)]) == EXIT_OK
         [cache] = caches

@@ -130,9 +130,7 @@ class TestExitCostsTouchOnlyHeads:
             for i, (ta, tb) in enumerate(
                 zip(workload.head_templates(a), workload.head_templates(b))
             ):
-                same = (a.exits[i], a.quant.exit_bits[i]) == (
-                    b.exits[i], b.quant.exit_bits[i]
-                )
+                same = a.exits[i] == b.exits[i]
                 assert (ta is tb) == same
                 shared += same
         assert shared > 0
@@ -158,33 +156,53 @@ PREFIX_SPACES = (
 
 
 def counted_placements(monkeypatch) -> list:
-    """Every head the cost caches place from here on."""
+    """Every head placed from here on."""
     placed = []
-    place_head = search.place_head
+    place_head = hwcost.place_head
 
     def counting(fold, free, template):
         placed.append(template)
         return place_head(fold, free, template)
 
-    monkeypatch.setattr(search, "place_head", counting)
+    monkeypatch.setattr(hwcost, "place_head", counting)
     return placed
 
 
 class TestHeadMemoMatchesCostReport:
     """The cost cache's answers equal the full cost report's for hundreds
     of architectures per space, whatever the order they come in and
-    however often the head memo starts over."""
+    however often the head memo starts over. Both place their exits with
+    ``place_exits``, so each answer is also checked against the sums over
+    the full graph's edges and its allocation, which do not go through
+    it."""
 
     N_GENES = 300
 
     def check(self, space, accel, genes, references):
         cache = CostCache(space, accel)
         for g in genes:
-            report, static = references[g]
-            assert cache.et_per_exit(g) == report.et_per_exit
-            assert cache.overheads(g) == report.overheads
-            assert cache.static_et(g) == static.et_per_exit[-1]
+            report, static, (et_values, overheads), static_et = references[g]
+            assert cache.et_per_exit(g) == report.et_per_exit == et_values
+            assert cache.overheads(g) == report.overheads == overheads
+            assert cache.static_et(g) == static.et_per_exit[-1] == static_et
         return cache
+
+    @staticmethod
+    def references(space, accel, genes):
+        """Per gene vector, its cost report, its static counterpart's, and
+        the sums over each one's full graph."""
+        out = {}
+        for g in genes:
+            report, static = (
+                cost_report(a, accel, num_classes=space.num_classes)
+                for a in (decode(g, space), static_counterpart(decode(g, space)))
+            )
+            out[g] = (
+                report, static,
+                reference_exit_products(report.graph, report.plan.layer_costs),
+                reference_exit_products(static.graph, static.plan.layer_costs)[0][0],
+            )
+        return out
 
     @pytest.mark.parametrize("space", PREFIX_SPACES)
     def test_every_order_and_bound(self, space, monkeypatch):
@@ -197,16 +215,7 @@ class TestHeadMemoMatchesCostReport:
         random.Random(19).shuffle(shuffled)
         exits = sum(decode(g, space).m for g in genes)
         for accel in ACCELERATORS:
-            references = {
-                g: (
-                    cost_report(decode(g, space), accel, num_classes=space.num_classes),
-                    cost_report(
-                        static_counterpart(decode(g, space)), accel,
-                        num_classes=space.num_classes,
-                    ),
-                )
-                for g in genes
-            }
+            references = self.references(space, accel, genes)
             self.check(space, accel, shuffled, references)
             placed = counted_placements(monkeypatch)
             self.check(space, accel, genes, references)
@@ -214,7 +223,7 @@ class TestHeadMemoMatchesCostReport:
             # are placed than the architectures hold.
             assert len(placed) < exits
             for bound in (1, 2, 3):
-                monkeypatch.setattr(search, "_HEAD_MEMO_SIZE", bound)
+                monkeypatch.setattr(hwcost, "_HEAD_MEMO_SIZE", bound)
                 for order in (shuffled, genes):
                     cache = self.check(space, accel, order, references)
                     assert len(cache._heads) <= bound

@@ -10,7 +10,6 @@ from eenas.arch import (
     EennArchitecture,
     ExitHeadSpec,
     ExitPlacement,
-    QuantScheme,
     decode,
     sample_architecture,
 )
@@ -50,10 +49,10 @@ def two_exit_arch(smallconv, depth_final=1, bits=(8, 8), backbone_bits=8):
     return EennArchitecture(
         backbone=smallconv,
         exits=(
-            ExitPlacement("B", head),
-            ExitPlacement("E", ExitHeadSpec(depth=depth_final)),
+            ExitPlacement("B", head, bits[0]),
+            ExitPlacement("E", ExitHeadSpec(depth=depth_final), bits[1]),
         ),
-        quant=QuantScheme(backbone_bits=backbone_bits, exit_bits=bits),
+        backbone_bits=backbone_bits,
     )
 
 
@@ -194,8 +193,8 @@ class TestGradients:
         head = ExitHeadSpec(depth=1)
         arch = EennArchitecture(
             backbone=backbone,
-            exits=(ExitPlacement("M0", head), ExitPlacement("M1", head)),
-            quant=QuantScheme(backbone_bits=32, exit_bits=(32, 32)),
+            exits=(ExitPlacement("M0", head, 32), ExitPlacement("M1", head, 32)),
+            backbone_bits=32,
         )
         net = DenseEenn(arch, 3, 2, 4, np.random.default_rng(0))
         rng = np.random.default_rng(4)
@@ -213,8 +212,8 @@ class TestToyTrainer:
     def test_separable_blobs_reach_high_accuracy(self, smallconv):
         arch = EennArchitecture(
             backbone=smallconv,
-            exits=(ExitPlacement("E", ExitHeadSpec(depth=1)),),
-            quant=QuantScheme(backbone_bits=32, exit_bits=(32,)),
+            exits=(ExitPlacement("E", ExitHeadSpec(depth=1), 32),),
+            backbone_bits=32,
         )
         X, y = make_toy_dataset(
             n=300, classes=2, easy_fraction=1.0, noise_easy=0.15, seed=0
@@ -336,8 +335,8 @@ class TestSyntheticOracle:
         head = ExitHeadSpec(depth=1)
         arch = EennArchitecture(
             backbone=smallconv,
-            exits=(ExitPlacement("A", head), ExitPlacement("E", head)),
-            quant=QuantScheme(backbone_bits=8, exit_bits=(8, 8)),
+            exits=(ExitPlacement("A", head, 8), ExitPlacement("E", head, 8)),
+            backbone_bits=8,
         )
         report = synthetic_oracle(arch, OracleConfig(capability_floor=0.2), seed=0)
         assert report.exit_ratios[0] == 0.0

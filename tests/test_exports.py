@@ -102,15 +102,21 @@ def test_library_names_are_imports_and_quoted_words():
 
 
 def test_library_example_runs_as_written(tmp_path, monkeypatch, capsys):
-    """The Library section's ``python`` block, run as written, writes a
-    history that audits clean and prints the front, one record a line."""
+    """The Library section's ``python`` block, run as written twice in one
+    directory, writes the same history bytes each time, a history that
+    audits clean, and prints the front, one record a line."""
     (block,) = CODE_BLOCK.findall(library_section())
     monkeypatch.chdir(tmp_path)
-    exec(compile(block, "README.md", "exec"), {})
-    audit = audit_history(str(tmp_path / "history.jsonl"))
+    path = tmp_path / "history.jsonl"
+    written = []
+    for _ in range(2):
+        exec(compile(block, "README.md", "exec"), {})
+        written.append(path.read_bytes())
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(len(line.split()) == 3 for line in lines)
+    assert written[0] == written[1]
+    audit = audit_history(str(path))
     assert audit.ok, audit.violations
-    lines = capsys.readouterr().out.splitlines()
-    assert lines and all(len(line.split()) == 3 for line in lines)
 
 
 def private_imports() -> list[str]:

@@ -1,6 +1,6 @@
-"""The history log: one encoder, a fresh file per run, a verbatim resume
-prefix, and a closing check that the events a search hands its audit and
-exports describe the file on disk."""
+"""The history log: one encoder, a verbatim resume prefix, events that
+are the parsed file, and a closing check that the events a search hands
+its audit and exports describe the file on disk."""
 
 import contextlib
 import io
@@ -111,28 +111,8 @@ def test_event_line_refuses_a_non_finite_number_anywhere(event, key, bad, nestin
 
 
 # ---------------------------------------------------------------------------
-# A fresh run starts its file anew
+# A run's events are the file it wrote
 # ---------------------------------------------------------------------------
-
-def test_library_search_twice_on_one_path(tmp_path):
-    """The README's library example, run twice on one path, writes the
-    same bytes each time, and the second history audits clean."""
-    path = str(tmp_path / "history.jsonl")
-
-    def readme_search():
-        space = SpaceConfig(backbone=builtin_backbone("mobilenetv2_cifar"))
-        run_search(
-            space, AcceleratorSpec(), OracleEvaluator(seed=0),
-            NasConfig(seed=7), history_path=path, evaluator_kind="oracle",
-        )
-        with open(path, "rb") as fh:
-            return fh.read()
-
-    first = readme_search()
-    assert readme_search() == first
-    audit = audit_history(path)
-    assert audit.ok, audit.violations
-
 
 def test_events_are_the_parsed_file(tmp_path):
     path = tmp_path / "history.jsonl"

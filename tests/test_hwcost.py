@@ -10,7 +10,6 @@ from eenas.arch import (
     EennArchitecture,
     ExitHeadSpec,
     ExitPlacement,
-    QuantScheme,
     SpaceConfig,
     decode,
     encode,
@@ -377,8 +376,10 @@ class TestCostReport:
         head = ExitHeadSpec(depth=1)
         return EennArchitecture(
             backbone=smallconv,
-            exits=tuple(ExitPlacement(m, head) for m in mounts),
-            quant=QuantScheme(backbone_bits=8, exit_bits=bits),
+            exits=tuple(
+                ExitPlacement(m, head, b) for m, b in zip(mounts, bits, strict=True)
+            ),
+            backbone_bits=8,
         )
 
     def test_composition_matches_manual_pipeline(self, smallconv, accel):

@@ -23,19 +23,18 @@ def reference_oracle(arch, config, seed):
     fractions = backbone_mac_fractions(arch.backbone)
     quality = []
     capability = []
-    for i, placement in enumerate(arch.exits):
-        f = fractions[placement.mount]
-        bits = arch.quant.exit_bits[i]
+    for mount, head, bits in arch.exits:
+        f = fractions[mount]
         if f <= config.capability_floor:
             quality.append(0.02)
             capability.append(0.0)
             continue
         rel = (f - config.capability_floor) / (1.0 - config.capability_floor)
         q = (rel ** config.mac_exponent) * (1.0 - config.bits_penalty / bits)
-        q += config.depth_gain * (placement.head.depth - 1)
+        q += config.depth_gain * (head.depth - 1)
         q = min(max(q, 0.02), 0.98)
         quality.append(q)
-        wiggle = 1.0 + config.jitter * _hash_unit(seed, placement.mount)
+        wiggle = 1.0 + config.jitter * _hash_unit(seed, mount)
         capability.append(min(max(q * wiggle, 0.02), 0.98))
 
     m = arch.m

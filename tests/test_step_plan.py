@@ -247,7 +247,7 @@ class TestBufferReuse:
         deep = next(
             a for a in ARCHS
             if a.m >= 2 and any(p.head.depth == 2 for p in a.exits)
-            and a.quant.backbone_bits < 32
+            and a.backbone_bits < 32
         )
         specs = [(deep, 1), (ARCHS[-1], 2)]
         nets = [self.build(arch, seed, calib) for arch, seed in specs]

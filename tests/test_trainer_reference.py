@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eenas.arch import (
-    QuantScheme,
     SpaceConfig,
     builtin_backbone,
     decode,
@@ -37,8 +36,8 @@ from eenas.quant import (
     ClipCalibration,
     QuantParams,
     calibrate_clip,
-    percentile_clip_candidates,
     quantize,
+    sorted_clip_candidates,
 )
 
 # ---------------------------------------------------------------------------
@@ -252,14 +251,13 @@ class ReferenceDenseEenn:
             self.params[key] -= lr * self._velocity[key]
 
     def calibrate(self, X):
-        bits_bb = self.arch.quant.backbone_bits
+        bits_bb = self.arch.backbone_bits
         _, trunk, caches, head_caches = self._forward(X)
         for j in range(self.n_blocks):
             self._set_weight_clip(f"block{j}", bits_bb)
             self._set_act_clip(f"block{j}", caches[j]["h"], bits_bb)
-        for i, placement in enumerate(self.arch.exits, start=1):
-            bits = self.arch.quant.exit_bits[i - 1]
-            if placement.head.depth == 2:
+        for i, (_, head, bits) in enumerate(self.arch.exits, start=1):
+            if head.depth == 2:
                 self._set_weight_clip(f"exit{i}.hidden", bits)
                 self._set_act_clip(f"exit{i}.hidden", head_caches[i - 1]["h1"], bits)
             self._set_weight_clip(f"exit{i}.out", bits)
@@ -288,9 +286,7 @@ def reference_train_toy(arch, dataset, config):
     rng = np.random.default_rng(config.seed)
     train_idx, val_idx = _stratified_split(y, config.holdout_fraction, rng)
     net = ReferenceDenseEenn(arch, X.shape[1], num_classes, config.hidden_width, rng)
-    quantized = arch.quant.backbone_bits < 32 or any(
-        b < 32 for b in arch.quant.exit_bits
-    )
+    quantized = arch.backbone_bits < 32 or any(e.bits < 32 for e in arch.exits)
     calib = X[train_idx[: 4 * config.batch_size]]
     X_train, y_train = X[train_idx], y[train_idx]
     with np.errstate(all="ignore"):
@@ -330,18 +326,19 @@ def _architectures():
         archs += [decode(sample_architecture(space, rng), space) for _ in range(25)]
     depths = {p.head.depth for a in archs for p in a.exits}
     assert depths == {1, 2}
-    assert {b for a in archs for b in a.quant.exit_bits} == {8, 4}
+    assert {e.bits for a in archs for e in a.exits} == {8, 4}
 
     def requant(arch, backbone_bits, exit_bits):
-        return dataclasses.replace(
-            arch, quant=QuantScheme(backbone_bits=backbone_bits, exit_bits=exit_bits)
+        exits = tuple(
+            e._replace(bits=b) for e, b in zip(arch.exits, exit_bits, strict=True)
         )
+        return dataclasses.replace(arch, exits=exits, backbone_bits=backbone_bits)
 
     multi = next(a for a in archs if a.m >= 2)
     m = multi.m
     return archs + [
         requant(multi, 32, (32,) * m),
-        requant(multi, 32, multi.quant.exit_bits),
+        requant(multi, 32, [e.bits for e in multi.exits]),
         requant(multi, 8, (32,) + (4,) * (m - 1)),
         requant(multi, 4, (8,) * (m - 1) + (32,)),
     ]
@@ -373,9 +370,7 @@ def _lockstep(arch, dataset, config):
     assert net.params.keys() == ref.params.keys()
     for key in ref.params:
         assert_bitwise(net.params[key], ref.params[key], f"initial {key}")
-    quantized = arch.quant.backbone_bits < 32 or any(
-        b < 32 for b in arch.quant.exit_bits
-    )
+    quantized = arch.backbone_bits < 32 or any(e.bits < 32 for e in arch.exits)
     calib = X[train_idx[: 4 * config.batch_size]]
     X_train, y_train = X[train_idx], y[train_idx]
     quantized_steps = 0
@@ -426,7 +421,7 @@ class TestTrainerMatchesReference:
         dataset = make_toy_dataset(n=200, seed=index)
         config = dataclasses.replace(LOCKSTEP_CONFIG, seed=index)
         steps, _ = _lockstep(arch, dataset, config)
-        all_32 = arch.quant.backbone_bits == 32 and set(arch.quant.exit_bits) == {32}
+        all_32 = arch.backbone_bits == 32 and {e.bits for e in arch.exits} == {32}
         assert (steps == 0) == all_32
 
     def test_grid_step_branches_are_compared(self):
@@ -436,8 +431,7 @@ class TestTrainerMatchesReference:
         the largest tensor a step quantizes."""
         index = next(
             i for i, a in enumerate(ARCHS)
-            if any(p.head.depth == 2 and b == 4
-                   for p, b in zip(a.exits, a.quant.exit_bits))
+            if any(e.head.depth == 2 and e.bits == 4 for e in a.exits)
         )
         arch = ARCHS[index]
         config = dataclasses.replace(LOCKSTEP_CONFIG, seed=index)
@@ -446,8 +440,8 @@ class TestTrainerMatchesReference:
         clips = [q.clip for q in net._act_q if q is not None]
         assert min(clips) < 6.0 <= max(clips)
         hidden = [
-            h for (h, _), p, b in zip(net._heads, arch.exits, arch.quant.exit_bits)
-            if p.head.depth == 2 and b == 4
+            h for (h, _), e in zip(net._heads, arch.exits)
+            if e.head.depth == 2 and e.bits == 4
         ]
         assert hidden and all(net._act_q[h].bits == 4 for h in hidden)
 
@@ -524,8 +518,7 @@ class TestSortOnceCalibration:
     def test_percentile_candidates_match(self, case):
         values, _, _ = case
         expected = ref_percentile_clip_candidates(values)
-        assert percentile_clip_candidates(values) == expected
-        assert percentile_clip_candidates(np.sort(values)) == expected
+        assert sorted_clip_candidates(np.sort(np.abs(values))) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(samples())

@@ -12,7 +12,6 @@ from eenas.arch import (
     EennArchitecture,
     ExitHeadSpec,
     ExitPlacement,
-    QuantScheme,
     SpaceConfig,
     decode,
     sample_architecture,
@@ -43,8 +42,8 @@ def single_exit(backbone, head=None, bits=8):
     head = head or ExitHeadSpec(depth=1)
     return EennArchitecture(
         backbone=backbone,
-        exits=(ExitPlacement(backbone.final_mount, head),),
-        quant=QuantScheme(backbone_bits=bits, exit_bits=(bits,)),
+        exits=(ExitPlacement(backbone.final_mount, head, bits),),
+        backbone_bits=bits,
     )
 
 
@@ -96,8 +95,8 @@ class TestMacCounting:
         head = ExitHeadSpec(depth=1)
         arch = EennArchitecture(
             backbone=mobilenet,
-            exits=tuple(ExitPlacement(m, head) for m in "DFIK"),
-            quant=QuantScheme(backbone_bits=8, exit_bits=(8, 8, 8, 8)),
+            exits=tuple(ExitPlacement(m, head, 8) for m in "DFIK"),
+            backbone_bits=8,
         )
         total = exit_macs(arch)[-1]
         reference = 195_377_152
@@ -146,8 +145,8 @@ class TestGraphStructure:
         head = ExitHeadSpec(depth=1)
         arch = EennArchitecture(
             backbone=smallconv,
-            exits=(ExitPlacement("B", head), ExitPlacement("E", head)),
-            quant=QuantScheme(backbone_bits=8, exit_bits=(4, 8)),
+            exits=(ExitPlacement("B", head, 4), ExitPlacement("E", head, 8)),
+            backbone_bits=8,
         )
         graph = expand_layers(arch)
         n = graph.mounts[-1] + 1
@@ -302,8 +301,8 @@ class TestSharedBackbone:
         head = ExitHeadSpec(pooled_size=1)
         arch = EennArchitecture(
             backbone=backbone,
-            exits=tuple(ExitPlacement(label, head) for label in labels),
-            quant=QuantScheme(backbone_bits=bits, exit_bits=(bits,) * len(labels)),
+            exits=tuple(ExitPlacement(label, head, bits) for label in labels),
+            backbone_bits=bits,
         )
         graph = expand_layers(arch)
         n = len(base.nodes)
