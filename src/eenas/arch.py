@@ -2,9 +2,10 @@
 
 Defines backbone descriptions (loaded from plain-text files), exit-head and
 quantization options, the architecture type itself, and the fixed-length
-genotype used by the genetic search. Every optional mounting point owns a
-gene group (presence bit, head option, quantization option); the mandatory
-final exit owns a trailing (head, quant) pair. All types are immutable after
+genotype used by the genetic search. Every mounting point owns a gene
+group (presence bit, head option, quantization option), except that the
+mandatory final exit has no presence bit; ``SpaceConfig.mount_genes`` is
+the one table of where each group lies. All types are immutable after
 construction and all operations here are pure.
 """
 
@@ -384,6 +385,15 @@ class SpaceConfig:
     def gene_length(self) -> int:
         return GENES_PER_MOUNT * self.n_optional + 2
 
+    @cached_property
+    def mount_genes(self) -> tuple[tuple[int | None, int, int], ...]:
+        """Per mount, in mount order, the indices of its presence, head and
+        quant genes. The final mount's exit is mandatory, so its presence
+        index is None: its head and quant genes end the vector."""
+        n = GENES_PER_MOUNT * self.n_optional
+        optional = tuple((j, j + 1, j + 2) for j in range(0, n, GENES_PER_MOUNT))
+        return optional + ((None, n, n + 1),)
+
     def to_json(self) -> dict:
         return {
             "backbone": self.backbone.to_json(),
@@ -449,13 +459,13 @@ def decode_exits(
     :class:`ChromosomeError` before the first exit it invalidates.
     """
     _check_length(genes, space)
-    for j, label in enumerate(space.backbone.optional_mounts):
-        base = GENES_PER_MOUNT * j
-        present, head_idx, quant_idx = genes[base : base + GENES_PER_MOUNT]
-        if present not in (0, 1):
-            raise ChromosomeError(f"presence gene for mount {label!r} must be 0/1")
-        if not present:
-            continue
+    for label, (pres, h, q) in zip(space.backbone.mount_labels, space.mount_genes):
+        if pres is not None:
+            if genes[pres] not in (0, 1):
+                raise ChromosomeError(f"presence gene for mount {label!r} must be 0/1")
+            if not genes[pres]:
+                continue
+        head_idx, quant_idx = genes[h], genes[q]
         if not (0 <= head_idx < space.n_head_options):
             raise ChromosomeError(f"head option {head_idx} out of range at {label!r}")
         if not (0 <= quant_idx < space.n_quant_options):
@@ -463,12 +473,6 @@ def decode_exits(
         yield ExitPlacement(
             label, space.head_options[head_idx], space.exit_bit_options[quant_idx]
         )
-    fh, fq = genes[-2], genes[-1]
-    if not (0 <= fh < space.n_head_options and 0 <= fq < space.n_quant_options):
-        raise ChromosomeError("final-exit option gene out of range")
-    yield ExitPlacement(
-        space.backbone.final_mount, space.head_options[fh], space.exit_bit_options[fq]
-    )
 
 
 def decode(genes: tuple[int, ...], space: SpaceConfig) -> EennArchitecture:
@@ -481,23 +485,18 @@ def decode(genes: tuple[int, ...], space: SpaceConfig) -> EennArchitecture:
 
 def encode(arch: EennArchitecture, space: SpaceConfig) -> tuple[int, ...]:
     """Encode an in-space architecture into its canonical gene vector."""
+    if arch.backbone != space.backbone:
+        raise ArchitectureError("the architecture's backbone is not the space's")
     by_mount = {e.mount: e for e in arch.exits}
-    genes: list[int] = []
-    for label in space.backbone.optional_mounts:
-        if label in by_mount:
-            e = by_mount[label]
-            genes.extend(
-                (
-                    1,
-                    _option_index(space.head_options, e.head, label),
-                    _option_index(space.exit_bit_options, e.bits, label),
-                )
-            )
-        else:
-            genes.extend((0, 0, 0))
-    final = arch.exits[-1]
-    genes.append(_option_index(space.head_options, final.head, final.mount))
-    genes.append(_option_index(space.exit_bit_options, final.bits, final.mount))
+    genes = [0] * space.gene_length
+    for label, (pres, h, q) in zip(space.backbone.mount_labels, space.mount_genes):
+        e = by_mount.get(label)
+        if e is None:
+            continue
+        if pres is not None:
+            genes[pres] = 1
+        genes[h] = _option_index(space.head_options, e.head, label)
+        genes[q] = _option_index(space.exit_bit_options, e.bits, label)
     return tuple(genes)
 
 
@@ -515,12 +514,9 @@ def canonicalize(genes: tuple[int, ...], space: SpaceConfig) -> tuple[int, ...]:
     one representation."""
     _check_length(genes, space)
     out = list(genes)
-    for j in range(space.n_optional):
-        base = GENES_PER_MOUNT * j
-        if not out[base]:
-            out[base] = 0
-            out[base + 1] = 0
-            out[base + 2] = 0
+    for pres, h, q in space.mount_genes:
+        if pres is not None and not out[pres]:
+            out[pres] = out[h] = out[q] = 0
     return tuple(out)
 
 
@@ -534,21 +530,31 @@ def sample_architecture(
     space: SpaceConfig, rng: np.random.Generator
 ) -> tuple[int, ...]:
     """Uniform sample: each presence bit is a fair coin, option indices are
-    uniform over their ranges. Canonical output, reproducible given the rng."""
-    genes: list[int] = []
-    for _ in range(space.n_optional):
-        present = int(rng.integers(0, 2))
+    uniform over their ranges, drawn mount by mount even for absent mounts.
+    Canonical output, reproducible given the rng."""
+    genes = [0] * space.gene_length
+    for pres, h, q in space.mount_genes:
+        present = pres is None or int(rng.integers(0, 2))
         head = int(rng.integers(0, space.n_head_options))
         quant = int(rng.integers(0, space.n_quant_options))
         if present:
-            genes.extend((1, head, quant))
-        else:
-            genes.extend((0, 0, 0))
-    genes.append(int(rng.integers(0, space.n_head_options)))
-    genes.append(int(rng.integers(0, space.n_quant_options)))
+            if pres is not None:
+                genes[pres] = 1
+            genes[h], genes[q] = head, quant
     return tuple(genes)
 
 
 def static_counterpart(arch: EennArchitecture) -> EennArchitecture:
     """The same backbone with only the final classifier kept."""
     return EennArchitecture(arch.backbone, arch.exits[-1:], arch.backbone_bits)
+
+
+def static_genes(genes: tuple[int, ...], space: SpaceConfig) -> tuple[int, ...]:
+    """The genes of the static counterpart of ``genes``: every optional
+    mount absent, the final exit's options kept. Every gene is checked
+    first, as :func:`decode_exits` checks it."""
+    list(decode_exits(genes, space))
+    out = [0] * space.gene_length
+    _, h, q = space.mount_genes[-1]
+    out[h], out[q] = genes[h], genes[q]
+    return tuple(out)

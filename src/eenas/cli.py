@@ -24,10 +24,7 @@ from dataclasses import fields
 from functools import lru_cache
 
 from .arch import (
-    ArchitectureError,
-    BackboneError,
     BackboneSpec,
-    ChromosomeError,
     EennArchitecture,
     ExitHeadSpec,
     ExitPlacement,
@@ -45,26 +42,26 @@ from .evaluate import (
 )
 from .files import (atomic_write, check_fixed, is_int, is_int_list, is_object,
                     is_real_list, load_json, require)
-from .hwcost import AcceleratorSpec, CostModelError, cost_report, et_avg
+from .hwcost import AcceleratorSpec, cost_report, et_avg
 from .search import (
     COST_MODE,
     CostCache,
     EvaluationFailure,
     ExternalEvaluator,
-    HistoryError,
     NasConfig,
     OracleEvaluator,
     SearchError,
     ToyEvaluator,
     audit_history,
     et_reduction_value,
+    header_section,
     mac_reduction,
     pareto_front,
     read_report_events,
     replay_history,
     run_search,
 )
-from .workload import WorkloadError, exit_macs
+from .workload import exit_macs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -397,10 +394,7 @@ def cmd_report(args) -> int:
     history = replay_history(read_report_events(args.history))
     if history.header is None:
         raise ConfigError("history lacks a run-config header")
-    try:
-        space = SpaceConfig.from_json(history.header["space"])
-    except (KeyError, TypeError) as exc:
-        raise HistoryError(f"malformed run-config header: {exc!r}") from exc
+    space = header_section(history.header, "space", SpaceConfig.from_json)
     if not history.labeled:
         raise ConfigError("history contains no labeled architectures")
     front = pareto_front(history.labeled_records())
@@ -419,7 +413,7 @@ def cmd_report(args) -> int:
     arch = decode(choice.genes, space)
     cum = exit_macs(arch, space.num_classes)
     static_macs = exit_macs(static_counterpart(arch), space.num_classes)[-1]
-    ratios = history.by_hash[choice.key]["exit_ratios"]
+    ratios = history.exit_ratios(choice.key)
     reduction = mac_reduction(ratios, cum, static_macs)
 
     print(f"architecture: {choice.key}")
@@ -483,15 +477,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        BackboneError,
-        ArchitectureError,
-        ChromosomeError,
-        CostModelError,
-        WorkloadError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SearchError, EvaluationFailure) as exc:

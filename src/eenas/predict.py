@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .arch import GENES_PER_MOUNT, SpaceConfig, chromosome_hash
+from .arch import SpaceConfig, chromosome_hash
 from .workload import backbone_mac_fractions
 
 
@@ -43,8 +43,8 @@ FEATURE_ROWS = 4096
 
 class _SpaceTables(NamedTuple):
     """Per-space lookups of ``featurize``, as floats: the cumulative MAC
-    fraction of each optional mount, and the depth and bit width of each
-    head and quantization option."""
+    fraction of each mount, and the depth and bit width of each head and
+    quantization option."""
 
     fractions: tuple[float, ...]
     depths: tuple[float, ...]
@@ -55,7 +55,7 @@ class _SpaceTables(NamedTuple):
 def _space_tables(space: SpaceConfig) -> _SpaceTables:
     fractions = backbone_mac_fractions(space.backbone)
     return _SpaceTables(
-        fractions=tuple(fractions[label] for label in space.backbone.optional_mounts),
+        fractions=tuple(fractions[label] for label in space.backbone.mount_labels),
         depths=tuple(float(h.depth) for h in space.head_options),
         bits=tuple(float(b) for b in space.exit_bit_options),
     )
@@ -74,20 +74,16 @@ def featurize(genes: tuple[int, ...], space: SpaceConfig) -> np.ndarray:
     frac = []
     depth = []
     bits = []
-    for j, fraction in enumerate(tables.fractions):
-        base = GENES_PER_MOUNT * j
-        present, head_idx, quant_idx = genes[base : base + GENES_PER_MOUNT]
+    for (pres, h, q), fraction in zip(space.mount_genes, tables.fractions):
+        present = 1 if pres is None else genes[pres]
         occupancy.append(float(present))
         frac.append(fraction if present else 0.0)
-        depth.append(tables.depths[head_idx] if present else 0.0)
-        bits.append(tables.bits[quant_idx] if present else 0.0)
-    fh, fq = genes[-2], genes[-1]
-    depth.append(tables.depths[fh])
-    bits.append(tables.bits[fq])
-    n_exits = sum(occupancy) + 1.0
-    return np.array(
-        [n_exits, *occupancy, *frac, *depth, *bits, float(space.backbone_bits)]
-    )
+        depth.append(tables.depths[genes[h]] if present else 0.0)
+        bits.append(tables.bits[genes[q]] if present else 0.0)
+    # The final mount is always occupied at the full backbone, so only
+    # the optional mounts' occupancy and fraction carry information.
+    return np.array([sum(occupancy), *occupancy[:-1], *frac[:-1], *depth, *bits,
+                     float(space.backbone_bits)])
 
 
 @lru_cache(maxsize=FEATURE_ROWS)

@@ -25,13 +25,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .arch import (
-    GENES_PER_MOUNT,
     SpaceConfig,
     canonicalize,
     chromosome_hash,
     decode,
     decode_exits,
     sample_architecture,
+    static_genes,
 )
 from .evaluate import (
     EvaluationReport,
@@ -44,7 +44,8 @@ from .evaluate import (
     synthetic_oracle,
     train_toy,
 )
-from .files import atomic_write, check_fields, check_fixed, is_int, is_real
+from .files import (atomic_write, check_fields, check_fixed, is_int, is_real,
+                    is_real_list)
 from .hwcost import (
     AcceleratorSpec,
     BackboneFold,
@@ -177,9 +178,8 @@ class CostCache:
     def static_et(self, genes: tuple[int, ...]) -> float:
         """Energy-delay of the backbone with only the final head of
         ``genes``, all samples exiting last: the last exit of the static
-        counterpart, whose genes keep only the final pair."""
-        list(decode_exits(genes, self.space))  # checks every gene
-        return self.et_per_exit((0,) * (len(genes) - 2) + genes[-2:])[-1]
+        counterpart, priced from its genes (:func:`static_genes`)."""
+        return self.et_per_exit(static_genes(genes, self.space))[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +576,15 @@ class HistoryReplay:
             self._verified[h] = genes
         return genes
 
+    def exit_ratios(self, h: str) -> list:
+        """The exit ratios of the last evaluation of ``h``. Ratios that are
+        not a nonempty list of finite numbers raise :class:`HistoryError`;
+        they are checked here, where they are read, not in the replay."""
+        ratios = self.by_hash[h]["exit_ratios"]
+        if not (ratios and is_real_list(ratios)):
+            raise HistoryError(f"exit ratios of {h} must be one or more finite numbers")
+        return ratios
+
     def labeled_records(self) -> list[LabeledRecord]:
         """The labeled archive at the last summary, in hash order."""
         records = []
@@ -767,23 +776,14 @@ def _crossover(
     space: SpaceConfig,
     rng: np.random.Generator,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Uniform crossover over whole per-mount gene groups (and the final
-    pair), each inherited atomically from one parent."""
-    c1: list[int] = []
-    c2: list[int] = []
-    for j in range(space.n_optional):
-        base = GENES_PER_MOUNT * j
-        a = g1[base : base + GENES_PER_MOUNT]
-        b = g2[base : base + GENES_PER_MOUNT]
+    """Uniform crossover over whole per-mount gene groups, each inherited
+    atomically from one parent: one coin per mount, the final mount's last."""
+    c1, c2 = list(g1), list(g2)
+    for pres, h, q in space.mount_genes:
         if rng.integers(0, 2):
-            a, b = b, a
-        c1.extend(a)
-        c2.extend(b)
-    fa, fb = g1[-2:], g2[-2:]
-    if rng.integers(0, 2):
-        fa, fb = fb, fa
-    c1.extend(fa)
-    c2.extend(fb)
+            c1[h], c2[h], c1[q], c2[q] = c2[h], c1[h], c2[q], c1[q]
+            if pres is not None:
+                c1[pres], c2[pres] = c2[pres], c1[pres]
     return tuple(c1), tuple(c2)
 
 
@@ -793,29 +793,27 @@ def _mutate(
     rate: float,
     rng: np.random.Generator,
 ) -> tuple[int, ...]:
-    """Per-gene mutation: flip a presence bit (freshly sampling the options
-    of a newly present mount) or resample an option index."""
+    """Per-gene mutation, mount by mount: flip a presence bit (freshly
+    sampling the options of a newly present mount) or else resample each
+    option index of a present mount, such as the final one."""
     out = list(genes)
-    p, q = space.n_head_options, space.n_quant_options
-    for j in range(space.n_optional):
-        base = GENES_PER_MOUNT * j
+    p, n_quant = space.n_head_options, space.n_quant_options
+    for pres, h, q in space.mount_genes:
+        if pres is not None:
+            if rng.random() < rate:
+                if out[pres]:
+                    out[pres] = out[h] = out[q] = 0
+                else:
+                    out[pres] = 1
+                    out[h] = int(rng.integers(0, p))
+                    out[q] = int(rng.integers(0, n_quant))
+                continue
+            if not out[pres]:
+                continue
         if rng.random() < rate:
-            if out[base]:
-                out[base : base + GENES_PER_MOUNT] = [0] * GENES_PER_MOUNT
-            else:
-                out[base] = 1
-                out[base + 1] = int(rng.integers(0, p))
-                out[base + 2] = int(rng.integers(0, q))
-            continue
-        if out[base]:
-            if rng.random() < rate:
-                out[base + 1] = int(rng.integers(0, p))
-            if rng.random() < rate:
-                out[base + 2] = int(rng.integers(0, q))
-    if rng.random() < rate:
-        out[-2] = int(rng.integers(0, p))
-    if rng.random() < rate:
-        out[-1] = int(rng.integers(0, q))
+            out[h] = int(rng.integers(0, p))
+        if rng.random() < rate:
+            out[q] = int(rng.integers(0, n_quant))
     return tuple(out)
 
 
@@ -1095,6 +1093,16 @@ def _header_event(
     }
 
 
+def header_section(header: dict, name: str, parse):
+    """``parse`` of the ``name`` section of a run-config header. A section
+    missing or not shaped as the search writes it raises
+    :class:`HistoryError` naming it."""
+    try:
+        return parse(header[name])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise HistoryError(f"malformed run-config header: {name}: {exc!r}") from exc
+
+
 def _rebuild_state(events: Sequence[dict]) -> tuple[SearchState, int]:
     """Replay events through the last complete iteration; returns the state
     and the cut: the index just past that iteration's summary line, or
@@ -1220,9 +1228,9 @@ def audit_history(
     if header is None:
         raise SearchError("history lacks a run-config header")
     check_fixed(header, {"cost_mode": COST_MODE}, HistoryError, "history header")
-    space = SpaceConfig.from_json(header["space"])
-    accel = AcceleratorSpec.from_json(header["accelerator"])
-    nas = NasConfig.from_json(header["nas"])
+    space = header_section(header, "space", SpaceConfig.from_json)
+    accel = header_section(header, "accelerator", AcceleratorSpec.from_json)
+    nas = header_section(header, "nas", NasConfig.from_json)
     cost = _cost_cache(cost, space, accel)
 
     result = AuditResult(ok=True, iterations=len(history.summaries))
@@ -1256,7 +1264,7 @@ def audit_history(
                         f"member {h} violates the overhead cap: {oh:.4f}"
                     )
         for h in sorted(p_k & history.by_hash.keys()):
-            er_last = history.by_hash[h]["exit_ratios"][-1]
+            er_last = history.exit_ratios(h)[-1]
             if not er_last <= nas.mu:
                 result.violations.append(
                     f"labeled {h} violates the last-exit cap: {er_last:.4f}"

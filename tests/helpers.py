@@ -10,7 +10,7 @@ import numpy as np
 from eenas.arch import BackboneSpec, BlockSpec, ExitHeadSpec, SpaceConfig
 from eenas.files import atomic_write
 from eenas.hwcost import AcceleratorSpec, AllocationPlan, TensorSource, layer_cost
-from eenas.workload import WorkloadError
+from eenas.workload import WorkloadError, backbone_mac_fractions
 
 
 def chain_backbone(n_mounts: int, channels: int = 8, size: int = 8) -> BackboneSpec:
@@ -93,6 +93,112 @@ def enumerate_space(space):
     """Every gene vector of a space, in :func:`enumerate_genes` order."""
     return enumerate_genes(
         space.n_optional, space.n_head_options, space.n_quant_options
+    )
+
+
+# The genotype functions as they were while the final exit's two genes were
+# read as a pair trailing the per-mount triples, kept as fixed references:
+# the functions that read every mount through ``SpaceConfig.mount_genes``
+# must equal them output for output and rng draw for rng draw.
+
+
+def reference_sample_architecture(space, rng):
+    genes = []
+    for _ in range(space.n_optional):
+        present = int(rng.integers(0, 2))
+        head = int(rng.integers(0, space.n_head_options))
+        quant = int(rng.integers(0, space.n_quant_options))
+        if present:
+            genes.extend((1, head, quant))
+        else:
+            genes.extend((0, 0, 0))
+    genes.append(int(rng.integers(0, space.n_head_options)))
+    genes.append(int(rng.integers(0, space.n_quant_options)))
+    return tuple(genes)
+
+
+def reference_crossover(g1, g2, space, rng):
+    c1 = []
+    c2 = []
+    for j in range(space.n_optional):
+        a = g1[3 * j : 3 * j + 3]
+        b = g2[3 * j : 3 * j + 3]
+        if rng.integers(0, 2):
+            a, b = b, a
+        c1.extend(a)
+        c2.extend(b)
+    fa, fb = g1[-2:], g2[-2:]
+    if rng.integers(0, 2):
+        fa, fb = fb, fa
+    c1.extend(fa)
+    c2.extend(fb)
+    return tuple(c1), tuple(c2)
+
+
+def reference_mutate(genes, space, rate, rng):
+    out = list(genes)
+    p, q = space.n_head_options, space.n_quant_options
+    for j in range(space.n_optional):
+        base = 3 * j
+        if rng.random() < rate:
+            if out[base]:
+                out[base : base + 3] = [0] * 3
+            else:
+                out[base] = 1
+                out[base + 1] = int(rng.integers(0, p))
+                out[base + 2] = int(rng.integers(0, q))
+            continue
+        if out[base]:
+            if rng.random() < rate:
+                out[base + 1] = int(rng.integers(0, p))
+            if rng.random() < rate:
+                out[base + 2] = int(rng.integers(0, q))
+    if rng.random() < rate:
+        out[-2] = int(rng.integers(0, p))
+    if rng.random() < rate:
+        out[-1] = int(rng.integers(0, q))
+    return tuple(out)
+
+
+def reference_encode(arch, space):
+    """``encode`` of an in-space architecture."""
+    by_mount = {e.mount: e for e in arch.exits}
+    genes = []
+    for label in space.backbone.optional_mounts:
+        if label in by_mount:
+            e = by_mount[label]
+            genes.extend((1, space.head_options.index(e.head),
+                          space.exit_bit_options.index(e.bits)))
+        else:
+            genes.extend((0, 0, 0))
+    final = arch.exits[-1]
+    genes.append(space.head_options.index(final.head))
+    genes.append(space.exit_bit_options.index(final.bits))
+    return tuple(genes)
+
+
+def reference_featurize(genes, space):
+    """``featurize``, reading the space's tables afresh on every call."""
+    if len(genes) != space.gene_length:
+        raise ValueError(f"expected {space.gene_length} genes, got {len(genes)}")
+    fractions = backbone_mac_fractions(space.backbone)
+    labels = space.backbone.optional_mounts
+    occupancy = []
+    frac = []
+    depth = []
+    bits = []
+    for j, label in enumerate(labels):
+        present, head_idx, quant_idx = genes[3 * j : 3 * j + 3]
+        occupancy.append(float(present))
+        frac.append(fractions[label] if present else 0.0)
+        depth.append(float(space.head_options[head_idx].depth) if present else 0.0)
+        bits.append(float(space.exit_bit_options[quant_idx]) if present else 0.0)
+    fh, fq = genes[-2], genes[-1]
+    depth.append(float(space.head_options[fh].depth))
+    bits.append(float(space.exit_bit_options[fq]))
+    n_exits = sum(occupancy) + 1.0
+    return np.array(
+        [n_exits, *occupancy, *frac, *depth, *bits, float(space.backbone_bits)]
     )
 
 

@@ -127,6 +127,28 @@ class TestChromosomeCodec:
         with pytest.raises(ChromosomeError):
             decode(genes, small_space)
 
+    @pytest.mark.parametrize(
+        "final, message",
+        [
+            ((5, 0), "head option 5 out of range at 'E'"),
+            ((0, 2), "quant option 2 out of range at 'E'"),
+            ((-1, 0), "head option -1 out of range at 'E'"),
+        ],
+    )
+    def test_out_of_range_final_gene_rejected(self, small_space, final, message):
+        """The final exit's option genes are checked as any mount's are."""
+        genes = (0, 0, 0) * 4 + final
+        with pytest.raises(ChromosomeError, match=message):
+            decode(genes, small_space)
+
+    def test_encode_refuses_another_backbone(self, small_space, mobile_space):
+        """A mobilenet architecture shares the labels B and C with smallconv
+        but is not in its space."""
+        arch = decode(sample_architecture(mobile_space, np.random.default_rng(1)),
+                      mobile_space)
+        with pytest.raises(ArchitectureError, match="backbone is not the space's"):
+            encode(arch, small_space)
+
     def test_hash_is_stable_and_distinct(self, small_space):
         a = (0, 0, 0) * 4 + (0, 0)
         b = (0, 0, 0) * 4 + (0, 1)

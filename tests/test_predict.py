@@ -21,36 +21,9 @@ from eenas.predict import (
     fit,
     predict,
 )
-from eenas.workload import backbone_mac_fractions
-from helpers import enumerate_space, spearman
+from helpers import enumerate_space, reference_featurize, spearman
 
 predict_module = importlib.import_module("eenas.predict")
-
-
-def reference_featurize(genes, space):
-    """``featurize`` as it was before feature rows were cached: every call
-    reads the space's tables afresh."""
-    if len(genes) != space.gene_length:
-        raise ValueError(f"expected {space.gene_length} genes, got {len(genes)}")
-    fractions = backbone_mac_fractions(space.backbone)
-    labels = space.backbone.optional_mounts
-    occupancy = []
-    frac = []
-    depth = []
-    bits = []
-    for j, label in enumerate(labels):
-        present, head_idx, quant_idx = genes[3 * j : 3 * j + 3]
-        occupancy.append(float(present))
-        frac.append(fractions[label] if present else 0.0)
-        depth.append(float(space.head_options[head_idx].depth) if present else 0.0)
-        bits.append(float(space.exit_bit_options[quant_idx]) if present else 0.0)
-    fh, fq = genes[-2], genes[-1]
-    depth.append(float(space.head_options[fh].depth))
-    bits.append(float(space.exit_bit_options[fq]))
-    n_exits = sum(occupancy) + 1.0
-    return np.array(
-        [n_exits, *occupancy, *frac, *depth, *bits, float(space.backbone_bits)]
-    )
 
 
 def reference_predict(pred, genes, space):

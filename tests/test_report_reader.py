@@ -354,6 +354,71 @@ class TestCorruptLines:
         assert code == EXIT_CONFIG
         assert "malformed run-config header" in err
 
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("space", None),
+            ("accelerator", None),
+            ("nas", None),
+            ("space", "x"),
+            ("space", {}),
+            ("nas", []),
+            ("nas", "x"),
+        ],
+    )
+    def test_malformed_header_section(self, cli_run, tmp_path, section, value):
+        """A header section that is missing (None here) or not shaped as
+        the search writes it stops the audit with a ``HistoryError`` that
+        names it; the report reads the space section alone."""
+        _, history = cli_run
+
+        def edit(line):
+            event = json.loads(line)
+            if value is None:
+                del event[section]
+            else:
+                event[section] = value
+            return _event_line(event)
+
+        bad = tmp_path / "history.jsonl"
+        rewrite_line(history, bad, lambda l: '"event":"run-config"' in l, edit)
+        message = f"malformed run-config header: {section}: "
+        with pytest.raises(HistoryError, match=message):
+            audit_history(str(bad))
+        code, out, err = report(bad)
+        if section == "space":
+            assert code == EXIT_CONFIG and out == "" and message in err
+        else:
+            assert (code, out) == report(history)[:2]
+
+    @pytest.mark.parametrize(
+        "ratios",
+        [[], ["a", "b"], [[0.5], [0.5]], ["a", "b", "c"]],
+        ids=["empty", "strings", "lists", "three-strings"],
+    )
+    def test_malformed_exit_ratios_of_the_chosen_point(
+        self, cli_run, tmp_path, ratios
+    ):
+        """Exit ratios that are not one or more finite numbers stop both
+        of their readers, the audit and the report, with a
+        ``HistoryError``."""
+        _, history = cli_run
+        best = report(history)[1].splitlines()[0].split()[-1]
+
+        def edit(line):
+            return _event_line(dict(json.loads(line), exit_ratios=ratios))
+
+        def evaluation_of_best(line):
+            return f'"hash":"{best}"' in line and '"event":"evaluated"' in line
+
+        bad = tmp_path / "history.jsonl"
+        rewrite_line(history, bad, evaluation_of_best, edit)
+        message = f"exit ratios of {best} must be one or more finite numbers"
+        with pytest.raises(HistoryError, match=message):
+            audit_history(str(bad))
+        code, out, err = report(bad)
+        assert code == EXIT_CONFIG and out == "" and message in err
+
 
 @st.composite
 def corruptions(draw, lines):
