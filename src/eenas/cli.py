@@ -42,6 +42,7 @@ from .evaluate import (
 )
 from .files import (atomic_write, check_fixed, is_int, is_int_list, is_object,
                     is_real_list, load_json, require)
+from .history import header_section, read_report_events, replay_history
 from .hwcost import AcceleratorSpec, cost_report, et_avg
 from .search import (
     COST_MODE,
@@ -54,11 +55,8 @@ from .search import (
     ToyEvaluator,
     audit_history,
     et_reduction_value,
-    header_section,
     mac_reduction,
     pareto_front,
-    read_report_events,
-    replay_history,
     run_search,
 )
 from .workload import exit_macs
@@ -392,8 +390,6 @@ def cmd_search(args) -> int:
 def cmd_report(args) -> int:
     _require_file(args.history, "history")
     history = replay_history(read_report_events(args.history))
-    if history.header is None:
-        raise ConfigError("history lacks a run-config header")
     space = header_section(history.header, "space", SpaceConfig.from_json)
     if not history.labeled:
         raise ConfigError("history contains no labeled architectures")

@@ -8,16 +8,15 @@ predicted accuracy, keep 2N, re-rank those by predicted energy-delay, keep
 N), breed offspring under the overhead cap, and admit the best N offspring
 into the population. Membership and label sets only ever grow; no
 architecture is evaluated twice. Every event is appended to a line-delimited
-history enabling byte-identical resume and post-hoc constraint audits.
+history enabling byte-identical resume and post-hoc constraint audits. The
+history's format, log and replay live in :mod:`eenas.history`; the resume
+and the audit, which need this module's types, live here.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import os
-import re
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Sequence
@@ -44,8 +43,29 @@ from .evaluate import (
     synthetic_oracle,
     train_toy,
 )
-from .files import (atomic_write, check_fields, check_fixed, is_int, is_real,
-                    is_real_list)
+from .files import check_fields, check_fixed, is_int, is_real
+from .history import (
+    EVAL_FAILED,
+    EVALUATED,
+    FILTERED_MU,
+    FILTERED_THETA,
+    ITERATION_SUMMARY,
+    OFFSPRING,
+    REJECTS,
+    RUN_CONFIG,
+    SAMPLED,
+    SAMPLING_SHORTFALL,
+    SELECTED,
+    HistoryError,
+    HistoryLog,
+    HistoryReplay,
+    event,
+    header_section,
+    read_history,
+    read_lines,
+    read_report_events,  # re-exported for callers
+    replay_history,
+)
 from .hwcost import (
     AcceleratorSpec,
     BackboneFold,
@@ -66,10 +86,6 @@ class SearchError(RuntimeError):
 
 class EvaluationFailure(RuntimeError):
     """One architecture could not be evaluated; the search continues."""
-
-
-class HistoryError(ValueError):
-    """A history's events contradict each other or lack a field."""
 
 
 def _fixed_ranking() -> dict:
@@ -345,7 +361,7 @@ def mac_reduction(
 
 
 # ---------------------------------------------------------------------------
-# Search state and history
+# Search state
 # ---------------------------------------------------------------------------
 
 class SearchState:
@@ -364,309 +380,6 @@ class SearchState:
 
     def front(self) -> list[LabeledRecord]:
         return pareto_front(self.labeled.values())
-
-
-#: The encoder of every history line. ``json.dumps`` with these arguments
-#: builds this same encoder on each call; one shared instance writes the
-#: same bytes without that cost.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
-def _event_line(event: dict) -> str:
-    """One history line; a non-finite number raises rather than being
-    written as a ``NaN`` or ``Infinity`` literal no reader accepts."""
-    return _ENCODER.encode(event) + "\n"
-
-
-class HistoryLog:
-    """Append-only JSONL event log; one event per line, no timestamps, so
-    identical runs produce identical bytes. Each line is flushed as it is
-    written: a resume after a crash reads every committed event, and a
-    forked worker inherits no unwritten buffer.
-
-    The file is first replaced, atomically, by ``kept_lines``: none for a
-    new history, the kept prefix of the history a resume continues, written
-    as it was read. The log keeps every event of its history in log order
-    (``events``: ``kept_events``, the parsed prefix, then each event
-    appended) and a sha256 of all the text the file should hold, which
-    :meth:`check` compares with the file."""
-
-    def __init__(
-        self,
-        path: str | None,
-        kept_lines: Sequence[str] = (),
-        kept_events: Sequence[dict] = (),
-    ):
-        self.path = path
-        self.events = list(kept_events)
-        text = "".join(kept_lines)
-        self._sha = hashlib.sha256(text.encode("utf-8"))
-        self._fh = None
-        if path is not None:
-            atomic_write(path, text)
-            # Appending, so text another writer adds stays where
-            # :meth:`check` sees it.
-            self._fh = open(path, "a", encoding="utf-8")
-
-    def append(self, event: dict) -> None:
-        self.events.append(event)
-        if self._fh is not None:
-            line = _event_line(event)
-            self._fh.write(line)
-            self._fh.flush()
-            self._sha.update(line.encode("utf-8"))
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def check(self) -> None:
-        """Raise :class:`HistoryError` unless the file holds exactly the
-        text this log wrote, so that :attr:`events` describe it."""
-        if self.path is None:
-            return
-        with open(self.path, "rb") as fh:
-            on_disk = hashlib.sha256(fh.read()).digest()
-        if on_disk != self._sha.digest():
-            raise HistoryError(f"{self.path} changed while the search wrote it")
-
-
-def _committed_lines(path: str) -> list[str]:
-    """The committed lines of a history file. :class:`HistoryLog` ends
-    every committed event with a newline, so a final chunk without one is a
-    write cut short by a crash: it is dropped."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    if lines and not lines[-1].endswith("\n"):
-        lines.pop()  # only the final chunk can lack one
-    return lines
-
-
-def _parse_line(path: str, number: int, line: str) -> dict:
-    """The event of line ``number`` (from 1) of the history at ``path``;
-    a line that is not a JSON object raises :class:`HistoryError`."""
-    try:
-        event = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise HistoryError(
-            f"{path} line {number} is not valid JSON: {exc.msg} (char {exc.pos})"
-        ) from None
-    if not isinstance(event, dict):
-        raise HistoryError(f"{path} line {number} is not a JSON object")
-    return event
-
-
-def _read_lines(path: str) -> tuple[list[str], list[dict]]:
-    """The committed non-blank lines of a history file and their events,
-    each line parsed once by :func:`_parse_line`."""
-    lines, events = [], []
-    for number, line in enumerate(_committed_lines(path), 1):
-        if line.strip():
-            lines.append(line)
-            events.append(_parse_line(path, number, line))
-    return lines, events
-
-
-def read_history(path: str) -> list[dict]:
-    """Parse every committed line of a history file; a line that is not a
-    JSON object raises :class:`HistoryError`, naming its line."""
-    return _read_lines(path)[1]
-
-
-_GENE_KINDS = ("sampled", "offspring", "filtered-theta")
-# ``_event_line`` sorts keys, so a gene line starts with its kind, and fixed
-# separators let its hash, and the kind of an ``evaluated`` line, be matched
-# as one exact substring.
-_GENE_PREFIXES = tuple(f'{{"event":"{kind}"' for kind in _GENE_KINDS)
-_HASH = '"hash":"'
-# The hash field with the whitespace JSON allows around its colon.
-_SPACED_HASH = re.compile(r'"hash"[ \t\n\r]*:[ \t\n\r]*"([^"]*)"')
-_EVALUATED = '"event":"evaluated"'
-# The kinds a report reads, as any JSON line that holds one spells them.
-_REPORT_KINDS = tuple(
-    f'"{kind}"' for kind in ("evaluated", "iteration-summary", *_GENE_KINDS)
-)
-
-
-def read_report_events(path: str) -> list[dict]:
-    """The events of a history that a report of its last labeled archive
-    uses, in log order: the first line, every ``evaluated`` and
-    ``iteration-summary`` line, and the gene lines of the hashes labeled at
-    the last summary. A line that starts as ``_event_line`` starts a gene
-    line is parsed only if the hash it names is labeled (read from the
-    exact ``"hash":"`` text, or, where that is missing, from the field as
-    spaced however JSON allows); any other line
-    only if it names a kind the report reads, however it is spaced or its
-    keys ordered. So a corrupt line of another kind does not stop the
-    report, and a line kept as written by ``--resume`` is read as
-    :func:`read_history` reads it; the rule for a torn last line is
-    :func:`read_history`'s."""
-    parsed: dict[int, dict] = {}
-    gene_lines: list[tuple[int, str, str]] = []
-    lines = _committed_lines(path)
-    first = next((i for i, line in enumerate(lines) if line.strip()), None)
-    for i, line in enumerate(lines):
-        if i != first and line.startswith(_GENE_PREFIXES):
-            key = line.partition(_HASH)[2].partition('"')[0]
-            if not key:  # respelled after its kind, as ``--resume`` may keep it
-                match = _SPACED_HASH.search(line)
-                key = match[1] if match else ""
-            gene_lines.append((i, key, line))
-        elif (
-            i == first
-            or _EVALUATED in line  # most lines a report parses: one scan
-            or any(kind in line for kind in _REPORT_KINDS)
-        ):
-            parsed[i] = _parse_line(path, i + 1, line)
-    summaries = [
-        ev for ev in parsed.values() if ev.get("event") == "iteration-summary"
-    ]
-    try:
-        labeled = set(summaries[-1].get("p", ())) if summaries else set()
-    except TypeError:  # a malformed ``p``, which :func:`replay_history` names
-        labeled = set()
-    for i, key, line in gene_lines:
-        if key in labeled:
-            parsed[i] = _parse_line(path, i + 1, line)
-    return [parsed[i] for i in sorted(parsed)]
-
-
-@dataclass
-class HistoryReplay:
-    """What a history records, read in one walk over its events."""
-
-    header: dict | None  # the ``run-config`` event, if the history has one
-    genes: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    evaluated: list[dict] = field(default_factory=list)  # in log order
-    by_hash: dict[str, dict] = field(default_factory=dict)  # last evaluation
-    rejected: dict[str, str] = field(default_factory=dict)  # "mu", "evaluation-failed"
-    summaries: list[dict] = field(default_factory=list)
-    # Hash -> the genes tuple already checked to hash to it.
-    _verified: dict[str, tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    @property
-    def labeled(self) -> frozenset[str]:
-        """Hashes labeled at the last summary."""
-        return frozenset(self.summaries[-1]["p"] if self.summaries else ())
-
-    def genes_of(self, h: str) -> tuple[int, ...] | None:
-        """The genes of hash ``h`` from its last gene line, or None if no
-        gene line names it. Genes that are not all integers, or do not hash
-        to ``h``, raise :class:`HistoryError`: every reader takes genes from
-        here, so an altered gene line never enters a state, a front or an
-        audit."""
-        genes = self.genes.get(h)
-        if genes is not None and self._verified.get(h) is not genes:
-            # Digit strings hash like the integers they spell. ``sum``
-            # refuses a string, a list or null and turns a float into a
-            # float, at a fifth of the cost of a check per gene (a report
-            # checks every labeled hash); a bool sums to an int, but its
-            # text fails the hash check.
-            try:
-                integral = type(sum(genes)) is int
-            except TypeError:
-                integral = False
-            if not integral:
-                raise HistoryError(f"the genes recorded for {h} are not integers")
-            if chromosome_hash(genes) != h:
-                raise HistoryError(f"the genes recorded for {h} do not hash to it")
-            self._verified[h] = genes
-        return genes
-
-    def exit_ratios(self, h: str) -> list:
-        """The exit ratios of the last evaluation of ``h``. Ratios that are
-        not a nonempty list of finite numbers raise :class:`HistoryError`;
-        they are checked here, where they are read, not in the replay."""
-        ratios = self.by_hash[h]["exit_ratios"]
-        if not (ratios and is_real_list(ratios)):
-            raise HistoryError(f"exit ratios of {h} must be one or more finite numbers")
-        return ratios
-
-    def labeled_records(self) -> list[LabeledRecord]:
-        """The labeled archive at the last summary, in hash order."""
-        records = []
-        for h in sorted(self.labeled):
-            genes = self.genes_of(h)
-            if genes is None or h not in self.by_hash:
-                missing = "genes" if genes is None else "evaluation"
-                raise HistoryError(f"labeled {h} has no recorded {missing}")
-            records.append(
-                LabeledRecord(
-                    genes=genes,
-                    acc_avg=self.by_hash[h]["acc_avg"],
-                    et_avg=self.by_hash[h]["et_avg"],
-                )
-            )
-        return records
-
-
-# The fields of each event kind that the replay and its readers use, with
-# the JSON type each must have (``object``: any). A summary's ``s`` and
-# ``p`` must also hold strings; a gene line's genes are checked where they
-# are read, once per hash, by :meth:`HistoryReplay.genes_of`.
-_GENE_FIELDS = {"hash": str, "genes": list}
-_REJECTED_FIELDS = {"hash": str}
-_EVALUATED_FIELDS = {
-    "k": object, "hash": str, "acc_avg": object, "et_avg": object,
-    "exit_ratios": list,
-}
-_SUMMARY_FIELDS = {"k": int, "s": list, "p": list, "stats": object}
-_TYPE_NAMES = {str: "a string", list: "a list", int: "an integer"}
-
-
-def _require(event: dict, fields: dict[str, type]) -> None:
-    """A missing field raises :class:`KeyError`, one of the wrong type
-    :class:`HistoryError`."""
-    for name, kind in fields.items():
-        if not isinstance(event[name], kind):
-            raise HistoryError(
-                f"{event['event']} event field {name} must be {_TYPE_NAMES[kind]}"
-            )
-
-
-def replay_history(events: Sequence[dict]) -> HistoryReplay:
-    """Walk a history's events once, all of them. A hash is taken over the
-    genes, so sampled, bred and θ-filtered genes share one map."""
-    has_header = bool(events) and events[0].get("event") == "run-config"
-    history = HistoryReplay(header=events[0] if has_header else None)
-    try:
-        for ev in events:
-            kind = ev.get("event")
-            if kind in _GENE_KINDS:
-                h, genes = ev["hash"], ev["genes"]
-                if not (isinstance(h, str) and isinstance(genes, list)):
-                    _require(ev, _GENE_FIELDS)  # raises, naming the field
-                history.genes[h] = tuple(genes)
-            elif kind == "evaluated":
-                _require(ev, _EVALUATED_FIELDS)
-                if not (is_real(ev["acc_avg"]) and is_real(ev["et_avg"])):
-                    raise HistoryError(f"evaluation of {ev['hash']} is not finite")
-                history.evaluated.append(ev)
-                history.by_hash[ev["hash"]] = ev
-            elif kind == "filtered-mu":
-                _require(ev, _REJECTED_FIELDS)
-                history.rejected[ev["hash"]] = "mu"
-            elif kind == "eval-failed":
-                _require(ev, _REJECTED_FIELDS)
-                history.rejected[ev["hash"]] = "evaluation-failed"
-            elif kind == "iteration-summary":
-                _require(ev, _SUMMARY_FIELDS)
-                for name in ("s", "p"):
-                    if not set(map(type, ev[name])) <= {str}:
-                        raise HistoryError(
-                            f"{kind} event field {name} must hold strings"
-                        )
-                history.summaries.append(ev)
-    except KeyError as exc:
-        raise HistoryError(f"{kind} event lacks {exc.args[0]}") from None
-    return history
-
-
-def _finite_or_none(value: float) -> float | None:
-    return value if math.isfinite(value) else None
 
 
 def _rng_for(seed: int, k: int) -> np.random.Generator:
@@ -695,13 +408,13 @@ def _passes_theta(
     oh = cost.max_overhead(genes)
     passed = oh <= theta
     log(
-        {
-            "event": kept if passed else "filtered-theta",
-            "k": k,
-            "hash": key,
-            "genes": list(genes),
-            "oh_max": _finite_or_none(oh),
-        }
+        event(
+            kept if passed else FILTERED_THETA,
+            k=k,
+            hash=key,
+            genes=list(genes),
+            oh_max=oh if math.isfinite(oh) else None,
+        )
     )
     return passed
 
@@ -727,19 +440,12 @@ def init_population(
         key = chromosome_hash(genes)
         if key in accepted or key in seen_rejects:
             continue
-        if _passes_theta(key, genes, cost, config.theta, "sampled", 0, log):
+        if _passes_theta(key, genes, cost, config.theta, SAMPLED, 0, log):
             accepted[key] = genes
         else:
             seen_rejects.add(key)
     if len(accepted) < target:
-        log(
-            {
-                "event": "sampling-shortfall",
-                "k": 0,
-                "found": len(accepted),
-                "target": target,
-            }
-        )
+        log(event(SAMPLING_SHORTFALL, k=0, found=len(accepted), target=target))
     return accepted
 
 
@@ -845,7 +551,7 @@ def ga_generation(
         key = chromosome_hash(genes)
         if key in exclude or key in offspring:
             return
-        if _passes_theta(key, genes, cost, config.theta, "offspring", k, log):
+        if _passes_theta(key, genes, cost, config.theta, OFFSPRING, k, log):
             offspring[key] = genes
 
     for _ in range(_BREEDING_PASSES):
@@ -899,35 +605,28 @@ def _evaluate_new(
                 f"report has {report.m} exits, architecture has {arch.m}"
             )
         if isinstance(report, _FAILURES):
-            log({"event": "eval-failed", "k": k, "hash": key, "error": str(report)})
-            state.rejected[key] = "evaluation-failed"
+            log(event(EVAL_FAILED, k=k, hash=key, error=str(report)))
+            state.rejected[key] = REJECTS[EVAL_FAILED]
             del state.members[key]
             continue
         et_averages[key] = cost.et_average(state.members[key], report.exit_ratios)
         evaluated.append((key, report))
         log(
-            {
-                "event": "evaluated",
-                "k": k,
-                "hash": key,
-                "acc_avg": report.acc_avg,
-                "et_avg": et_averages[key],
-                "exit_ratios": list(report.exit_ratios),
-                "accuracy_per_exit": list(report.accuracy_per_exit),
-                "sample_counts": list(report.sample_counts),
-            }
+            event(
+                EVALUATED,
+                k=k,
+                hash=key,
+                acc_avg=report.acc_avg,
+                et_avg=et_averages[key],
+                exit_ratios=list(report.exit_ratios),
+                accuracy_per_exit=list(report.accuracy_per_exit),
+                sample_counts=list(report.sample_counts),
+            )
         )
     kept, removed = filter_exit_ratio(evaluated, config.mu)
     for key, report in removed:
-        log(
-            {
-                "event": "filtered-mu",
-                "k": k,
-                "hash": key,
-                "er_last": report.exit_ratios[-1],
-            }
-        )
-        state.rejected[key] = "mu"
+        log(event(FILTERED_MU, k=k, hash=key, er_last=report.exit_ratios[-1]))
+        state.rejected[key] = REJECTS[FILTERED_MU]
         del state.members[key]
     new_records = [
         LabeledRecord(
@@ -968,13 +667,13 @@ def _close_iteration(
 ) -> None:
     state.k = k
     log(
-        {
-            "event": "iteration-summary",
-            "k": k,
-            "s": sorted(state.members),
-            "p": sorted(state.labeled),
-            "stats": _iteration_stats(k, new_records),
-        }
+        event(
+            ITERATION_SUMMARY,
+            k=k,
+            s=sorted(state.members),
+            p=sorted(state.labeled),
+            stats=_iteration_stats(k, new_records),
+        )
     )
 
 
@@ -1038,12 +737,12 @@ def nas_iterate(
     candidates = [(key, state.members[key]) for key in sorted(state.members)]
     parents = select_parents(candidates, estimate, config.n_select)
     log(
-        {
-            "event": "selected",
-            "k": k,
-            "parents": sorted(key for key, _ in parents),
-            "pool": len(candidates),
-        }
+        event(
+            SELECTED,
+            k=k,
+            parents=sorted(key for key, _ in parents),
+            pool=len(candidates),
+        )
     )
 
     pool: dict[str, tuple[int, ...]] = {}
@@ -1076,33 +775,6 @@ def nas_iterate(
 COST_MODE = "greedy"
 
 
-def _header_event(
-    space: SpaceConfig,
-    accel: AcceleratorSpec,
-    config: NasConfig,
-    evaluator_kind: str,
-) -> dict:
-    return {
-        "event": "run-config",
-        "k": -1,
-        "nas": config.to_json(),
-        "space": space.to_json(),
-        "accelerator": accel.to_json(),
-        "evaluator": evaluator_kind,
-        "cost_mode": COST_MODE,
-    }
-
-
-def header_section(header: dict, name: str, parse):
-    """``parse`` of the ``name`` section of a run-config header. A section
-    missing or not shaped as the search writes it raises
-    :class:`HistoryError` naming it."""
-    try:
-        return parse(header[name])
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise HistoryError(f"malformed run-config header: {name}: {exc!r}") from exc
-
-
 def _rebuild_state(events: Sequence[dict]) -> tuple[SearchState, int]:
     """Replay events through the last complete iteration; returns the state
     and the cut: the index just past that iteration's summary line, or
@@ -1110,7 +782,7 @@ def _rebuild_state(events: Sequence[dict]) -> tuple[SearchState, int]:
     interrupted iteration and are ignored, so the continuation behaves
     exactly like an uninterrupted run."""
     summaries = [
-        i for i, ev in enumerate(events) if ev.get("event") == "iteration-summary"
+        i for i, ev in enumerate(events) if ev.get("event") == ITERATION_SUMMARY
     ]
     cut = summaries[-1] + 1 if summaries else 1
     history = replay_history(events[:cut])
@@ -1158,7 +830,15 @@ def run_search(
     committed line is started afresh. Costs go through
     ``cost``, a cache of ``space`` and ``accel``, or a new one."""
     cost = _cost_cache(cost, space, accel)
-    header = _header_event(space, accel, config, evaluator_kind)
+    header = event(
+        RUN_CONFIG,
+        k=-1,
+        nas=config.to_json(),
+        space=space.to_json(),
+        accelerator=accel.to_json(),
+        evaluator=evaluator_kind,
+        cost_mode=COST_MODE,
+    )
 
     state = SearchState()
     lines, events = [], []
@@ -1167,7 +847,7 @@ def run_search(
             raise SearchError("cannot resume without an existing history file")
         # A history with no committed line (a crash before its header was
         # flushed) holds nothing to continue: the run starts afresh.
-        lines, events = _read_lines(history_path)
+        lines, events = read_lines(history_path)
         if events:
             if events[0] != header:
                 raise SearchError("history header does not match this run's config")
@@ -1225,10 +905,8 @@ def audit_history(
     if not isinstance(history, HistoryReplay):
         history = replay_history(history)
     header = history.header
-    if header is None:
-        raise SearchError("history lacks a run-config header")
-    check_fixed(header, {"cost_mode": COST_MODE}, HistoryError, "history header")
     space = header_section(header, "space", SpaceConfig.from_json)
+    check_fixed(header, {"cost_mode": COST_MODE}, HistoryError, "history header")
     accel = header_section(header, "accelerator", AcceleratorSpec.from_json)
     nas = header_section(header, "nas", NasConfig.from_json)
     cost = _cost_cache(cost, space, accel)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import eenas.search
+import eenas.history
 from eenas import (
     AcceleratorSpec,
     NasConfig,
@@ -23,9 +23,9 @@ from eenas import (
     run_search,
 )
 from eenas.cli import EXIT_CONFIG, EXIT_OK, main
+from eenas.history import _event_line
 from eenas.search import (
     HistoryError,
-    _event_line,
     audit_history,
     read_history,
     read_report_events,
@@ -204,14 +204,14 @@ def test_resume_keeps_the_prefix_lines_verbatim(tmp_path, config, full):
 def test_every_event_is_encoded_once(tmp_path, config, full, monkeypatch):
     """A search encodes each event it logs once, and a resume only the
     events it appends."""
-    encode = eenas.search._ENCODER.encode
+    encode = eenas.history._ENCODER.encode
     encoded = []
 
     def counting(event):
         encoded.append(event)
         return encode(event)
 
-    monkeypatch.setattr(eenas.search._ENCODER, "encode", counting)
+    monkeypatch.setattr(eenas.history._ENCODER, "encode", counting)
     out = tmp_path / "run"
     assert run_cli("search", "--config", config, "--out", str(out))[0] == EXIT_OK
     whole = (out / "history.jsonl").read_text().splitlines(keepends=True)

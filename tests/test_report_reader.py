@@ -2,7 +2,7 @@
 
 The report parses the first line, every ``evaluated`` and
 ``iteration-summary`` line and the gene lines of the hashes labeled at the
-last summary (``search.read_report_events``). These tests pin its output to
+last summary (``history.read_report_events``). These tests pin its output to
 the full parse (``read_history``), count what it parses, and check which
 corrupt lines still stop it."""
 
@@ -18,14 +18,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eenas.cli
+import eenas.history
 import eenas.search
 from eenas.arch import SpaceConfig, builtin_backbone
 from eenas.cli import EXIT_CONFIG, EXIT_OK, main
+from eenas.history import _event_line
 from eenas.hwcost import AcceleratorSpec
 from eenas.search import (
     EvaluationFailure,
     HistoryError,
-    _event_line,
     NasConfig,
     OracleEvaluator,
     audit_history,
@@ -249,8 +250,9 @@ class TestReportParsesLess:
         def forbidden(*args, **kwargs):
             raise AssertionError("report called read_history")
 
-        monkeypatch.setattr(eenas.search, "read_history", forbidden)
-        monkeypatch.setattr(eenas.search, "_read_lines", forbidden)
+        for module in (eenas.history, eenas.search):
+            monkeypatch.setattr(module, "read_history", forbidden)
+            monkeypatch.setattr(module, "read_lines", forbidden)
         calls = []
         loads = json.loads
 

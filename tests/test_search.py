@@ -499,14 +499,14 @@ class TestRunSearch:
         """A replay remembers the genes it has checked: members and the
         labeled archive share one check per hash. Genes replaced after the
         check are checked again."""
-        from eenas import search
+        from eenas import history as history_module
         from eenas.search import HistoryError, replay_history
 
         _, path = self.run(small_space, accel, tmp_path)
         history = replay_history(read_history(str(path)))
         calls = []
         monkeypatch.setattr(
-            search, "chromosome_hash",
+            history_module, "chromosome_hash",
             lambda genes: calls.append(genes) or chromosome_hash(genes),
         )
         members = history.summaries[-1]["s"]
@@ -733,7 +733,7 @@ class TestRunSearch:
         assert audit_history(events, CostCache(small_space, accel)).ok
 
     def test_history_lines_refuse_non_finite_numbers(self):
-        from eenas.search import _event_line
+        from eenas.history import _event_line
 
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError):
