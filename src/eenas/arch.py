@@ -448,10 +448,12 @@ def _check_length(genes: tuple[int, ...], space: SpaceConfig) -> None:
         )
 
 
-def decode_exits(
+def exit_indices(
     genes: tuple[int, ...], space: SpaceConfig
-) -> Iterator[ExitPlacement]:
-    """Each exit of ``genes`` in exit order; the final exit comes last.
+) -> Iterator[tuple[int, int, int]]:
+    """Each exit of ``genes`` in exit order, as the position of its mount in
+    ``space.backbone.mount_labels``, its head-option index and its
+    quant-option index; the final exit comes last.
 
     Total on canonical-length vectors: genes of absent mounts are ignored.
     Option indices actually used must be in range. Each gene is checked
@@ -459,25 +461,43 @@ def decode_exits(
     :class:`ChromosomeError` before the first exit it invalidates.
     """
     _check_length(genes, space)
-    for label, (pres, h, q) in zip(space.backbone.mount_labels, space.mount_genes):
+    labels = space.backbone.mount_labels
+    n_heads, n_quants = space.n_head_options, space.n_quant_options
+    for pos, (pres, h, q) in enumerate(space.mount_genes):
         if pres is not None:
             if genes[pres] not in (0, 1):
-                raise ChromosomeError(f"presence gene for mount {label!r} must be 0/1")
+                raise ChromosomeError(
+                    f"presence gene for mount {labels[pos]!r} must be 0/1"
+                )
             if not genes[pres]:
                 continue
         head_idx, quant_idx = genes[h], genes[q]
-        if not (0 <= head_idx < space.n_head_options):
-            raise ChromosomeError(f"head option {head_idx} out of range at {label!r}")
-        if not (0 <= quant_idx < space.n_quant_options):
-            raise ChromosomeError(f"quant option {quant_idx} out of range at {label!r}")
+        if not (0 <= head_idx < n_heads):
+            raise ChromosomeError(
+                f"head option {head_idx} out of range at {labels[pos]!r}"
+            )
+        if not (0 <= quant_idx < n_quants):
+            raise ChromosomeError(
+                f"quant option {quant_idx} out of range at {labels[pos]!r}"
+            )
+        yield pos, head_idx, quant_idx
+
+
+def decode_exits(
+    genes: tuple[int, ...], space: SpaceConfig
+) -> Iterator[ExitPlacement]:
+    """Each exit of ``genes`` in exit order, read and checked by
+    :func:`exit_indices`."""
+    labels = space.backbone.mount_labels
+    for pos, h, q in exit_indices(genes, space):
         yield ExitPlacement(
-            label, space.head_options[head_idx], space.exit_bit_options[quant_idx]
+            labels[pos], space.head_options[h], space.exit_bit_options[q]
         )
 
 
 def decode(genes: tuple[int, ...], space: SpaceConfig) -> EennArchitecture:
     """Decode a gene vector into an architecture, checked as
-    :func:`decode_exits` checks it."""
+    :func:`exit_indices` checks it."""
     return EennArchitecture(
         space.backbone, tuple(decode_exits(genes, space)), space.backbone_bits
     )
@@ -552,8 +572,8 @@ def static_counterpart(arch: EennArchitecture) -> EennArchitecture:
 def static_genes(genes: tuple[int, ...], space: SpaceConfig) -> tuple[int, ...]:
     """The genes of the static counterpart of ``genes``: every optional
     mount absent, the final exit's options kept. Every gene is checked
-    first, as :func:`decode_exits` checks it."""
-    list(decode_exits(genes, space))
+    first, as :func:`exit_indices` checks it."""
+    list(exit_indices(genes, space))
     out = [0] * space.gene_length
     _, h, q = space.mount_genes[-1]
     out[h], out[q] = genes[h], genes[q]

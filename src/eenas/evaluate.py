@@ -16,12 +16,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
 from .arch import UNQUANTIZED_BITS, EennArchitecture
 from .files import (check_exit_ratios, check_fields, is_int, is_object, is_real,
                     is_real_list, load_json, require)
+from .hwcost import left_sum
 from .quant import (
     FakeQuantizer,
     QuantParams,
@@ -766,21 +768,70 @@ def _difficulty_grid(config: OracleConfig) -> tuple[float, ...]:
     )
 
 
+#: Grid samples that the accuracy tables hold in all: a new table first
+#: drops the oldest ones until it fits. A larger grid gets no table.
+_TABLE_SAMPLES = 1 << 16
+
+#: The accuracy tables of :func:`_accuracy_table`, oldest first.
+_tables: dict[tuple, list[float | None]] = {}
+
+
+def _accuracy_table(
+    config: OracleConfig, quality: float, supervision: float
+) -> list[float | None]:
+    """The accuracy of each grid sample at an exit of ``quality`` under
+    ``supervision``, in grid order: None until :func:`_accuracy_sum` first
+    needs it."""
+    key = (config, quality, supervision)
+    table = _tables.get(key)
+    if table is None:
+        held = sum(map(len, _tables.values()))
+        while _tables and held + config.grid > _TABLE_SAMPLES:
+            held -= len(_tables.pop(next(iter(_tables))))
+        table = _tables[key] = [None] * config.grid
+    return table
+
+
+def _accuracies(
+    config: OracleConfig, quality: float, supervision: float,
+    samples: Iterable[int],
+) -> list[float]:
+    """The accuracies of the grid ``samples`` at an exit of ``quality``
+    under ``supervision``, computed."""
+    span = config.top_accuracy - config.floor_accuracy
+    power = 1.0 / (0.35 + config.hardness_gain * quality)
+    grid = _difficulty_grid(config)
+    return [
+        min(
+            max(config.floor_accuracy + span * (1.0 - grid[j]) ** power
+                + supervision, 0.0),
+            100.0,
+        )
+        for j in samples
+    ]
+
+
 @lru_cache(maxsize=4096)
 def _accuracy_sum(
     config: OracleConfig, quality: float, supervision: float, lo: int, hi: int
 ) -> float:
     """Sum of the accuracies of grid samples ``lo..hi-1`` at an exit of
-    ``quality``, added one sample at a time in grid order."""
-    span = config.top_accuracy - config.floor_accuracy
-    power = 1.0 / (0.35 + config.hardness_gain * quality)
-    total = 0.0
-    for d in _difficulty_grid(config)[lo:hi]:
-        ease = (1.0 - d) ** power
-        total += min(
-            max(config.floor_accuracy + span * ease + supervision, 0.0), 100.0
-        )
-    return total
+    ``quality``, added one sample at a time in grid order from 0.0. Each
+    accuracy is read from :func:`_accuracy_table`, and computed into it
+    the first time a range needs it; a grid of more than
+    ``_TABLE_SAMPLES`` samples has no table and computes the range."""
+    if config.grid > _TABLE_SAMPLES:
+        accs = _accuracies(config, quality, supervision, range(lo, hi))
+        return left_sum(accs, 0.0)
+    table = _accuracy_table(config, quality, supervision)
+    accs = table[lo:hi]
+    if None in accs:
+        missing = [j for j in range(lo, hi) if table[j] is None]
+        computed = _accuracies(config, quality, supervision, missing)
+        for j, acc in zip(missing, computed):
+            table[j] = acc
+        accs = table[lo:hi]
+    return left_sum(accs, 0.0)
 
 
 def synthetic_oracle(

@@ -17,7 +17,9 @@ Layers go to cores by one rule, greedy earliest finish: in topological
 order, each layer takes the compatible core that finishes it first.
 
 Energy-latency products over a set of layers always take the form
-(sum of energies) * (sum of cycles) over exactly that set.
+(sum of energies) * (sum of cycles) over exactly that set. Float sums add
+their terms left to right (:func:`left_sum`), or exactly (``math.fsum``),
+so a result is the same on every Python version.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, chain, combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .arch import BackboneSpec, EennArchitecture, ExitPlacement, hash_once
+from .arch import BackboneSpec, EennArchitecture, ExitHeadSpec, hash_once
 from .files import (
     check_exit_ratios, check_fields, check_fixed, is_int, is_object, load_json,
 )
@@ -286,6 +288,8 @@ def layer_cost(
 #: Keys the layer-cost memo keeps per accelerator before it starts over.
 _MEMO_SIZE = 4096
 
+#: Where a layer may run, given its inputs: per compatible core in core
+#: order, ``(core, cost)``.
 _CostOptions = tuple[tuple[int, LayerCost], ...]
 
 
@@ -293,7 +297,7 @@ _CostOptions = tuple[tuple[int, LayerCost], ...]
 def _layer_cost_memo(spec: AcceleratorSpec) -> dict[tuple, _CostOptions]:
     """:func:`layer_cost` results on ``spec`` so far: keyed once on the
     layer's content (every field but its name, which no cost reads) and
-    its input sources, the ``(core, cost)`` of every compatible core."""
+    its input sources, the :data:`_CostOptions` of the layer."""
     return {}
 
 
@@ -331,18 +335,12 @@ def _input_sources(
     )
 
 
-def _place(
-    memo: dict[tuple, _CostOptions],
-    spec: AcceleratorSpec,
-    node: LayerNode,
-    inputs: tuple[TensorSource, ...],
-    ready: int,
-    free: list[int],
-) -> tuple[int, int, LayerCost]:
-    """One placement decision: put ``node`` on the compatible core finishing
-    it earliest (ties to the lowest core id), starting once that core is
-    free and ``ready`` has passed. Marks the core busy until then; returns
-    ``(finish, core, cost)``."""
+def _options(
+    spec: AcceleratorSpec, node: LayerNode, inputs: tuple[TensorSource, ...]
+) -> _CostOptions:
+    """The :data:`_CostOptions` of ``node``, given where its inputs live,
+    from the layer-cost memo of ``spec``."""
+    memo = _layer_cost_memo(spec)
     key = (
         node.kind, node.input_shape, node.output_shape, node.macs,
         node.params, node.bits, inputs,
@@ -357,6 +355,16 @@ def _place(
             (core, layer_cost(node, core, spec, inputs))
             for core in spec.compatible_cores(node.kind)
         )
+    return options
+
+
+def _place(
+    options: _CostOptions, ready: int, free: list[int]
+) -> tuple[int, int, LayerCost]:
+    """One placement decision: the option whose core finishes it earliest
+    (ties to the lowest core id), starting once that core is free and
+    ``ready`` has passed. Marks the core busy until then; returns
+    ``(finish, core, cost)``."""
     best = None
     for core, cost in options:
         finish = max(free[core], ready) + cost.cycles
@@ -376,11 +384,10 @@ def _fold(graph: LayerGraph, spec: AcceleratorSpec) -> AllocationPlan:
     end: list[int] = []
     free = [0] * spec.n_cores
     costs: list[LayerCost] = []
-    memo = _layer_cost_memo(spec)
     for idx, node in enumerate(graph.nodes):
         ready = max((end[p] for p in graph.producers(idx)), default=0)
-        inputs = _input_sources(graph, idx, cores)
-        finish, core, cost = _place(memo, spec, node, inputs, ready, free)
+        options = _options(spec, node, _input_sources(graph, idx, cores))
+        finish, core, cost = _place(options, ready, free)
         cores.append(core)
         start.append(finish - cost.cycles)
         end.append(finish)
@@ -396,18 +403,21 @@ def _fold(graph: LayerGraph, spec: AcceleratorSpec) -> AllocationPlan:
 
 @dataclass(frozen=True)
 class BackboneFold:
-    """Greedy plan of the backbone nodes on ``spec``, each node's
-    energy and cycles in node order, per mount label its stop (the index
-    just past the mount's node), the energy-delay of the backbone
-    segment between every two mounts, keyed on ``(stop, next stop)``, and
+    """Greedy plan of the backbone nodes on ``spec``; the running sums of
+    their energies and of their cycles, added left to right in node order
+    from 0, so that ``energy_sums[k]`` is :func:`left_sum` of the first k
+    energies; the mount labels and, per mount position, its stop (the
+    index just past the mount's node); the energy-delay of the backbone
+    segment between every two mounts, keyed on ``(stop, next stop)``; and
     the :func:`head_builder` of the same backbone and bits, whose heads
     hang off these nodes."""
 
     spec: AcceleratorSpec
     state: AllocationPlan
-    energies: tuple[float, ...]
-    cycles: tuple[int, ...]
-    stops: dict[str, int]
+    energy_sums: tuple[float, ...]
+    cycle_sums: tuple[int, ...]
+    labels: tuple[str, ...]
+    stops: tuple[int, ...]
     segment_et: dict[tuple[int, int], float]
     build: Callable
 
@@ -423,16 +433,17 @@ def backbone_fold(
     state = _fold(graph, spec)
     energies = tuple(c.energy_pj for c in state.layer_costs)
     cycles = tuple(c.cycles for c in state.layer_costs)
-    stops = {label: m + 1 for label, m in zip(backbone.mount_labels, graph.mounts)}
+    stops = tuple(m + 1 for m in graph.mounts)
     return BackboneFold(
         spec=spec,
         state=state,
-        energies=energies,
-        cycles=cycles,
+        energy_sums=tuple(accumulate(energies, initial=0)),
+        cycle_sums=tuple(accumulate(cycles, initial=0)),
+        labels=backbone.mount_labels,
         stops=stops,
         segment_et={
             (stop, nxt): _energy_delay(energies[stop:nxt], cycles[stop:nxt])
-            for stop, nxt in combinations(stops.values(), 2)
+            for stop, nxt in combinations(stops, 2)
         },
         build=head_builder(backbone, bits),
     )
@@ -456,22 +467,31 @@ def et_avg(et_per_exit: Sequence[float], exit_ratios: Sequence[float]) -> float:
     return math.fsum(e * r for e, r in zip(et_per_exit, exit_ratios))
 
 
+def left_sum(terms: Iterable, start=0):
+    """``start`` plus ``terms``, added one at a time from the left: what
+    the builtin ``sum`` computes up to Python 3.11. From 3.12 ``sum``
+    compensates float rounding, so its result depends on the interpreter.
+    A left-to-right sum splits: that of a list equals that of its tail
+    started from that of its head."""
+    for term in terms:
+        start += term
+    return start
+
+
 def _energy_delay(energies: Sequence[float], cycles: Sequence[int]) -> float:
     """Energy-delay of a set of layers: the sum of their energies times the
-    sum of their cycles."""
-    return sum(energies) * sum(cycles)
+    sum of their cycles (integers, so exact in any order)."""
+    return left_sum(energies) * sum(cycles)
 
 
-def _exit_sum(backbone: Sequence, stop: int, heads: Sequence[Sequence]):
+def _exit_sum(sums: Sequence, stop: int, heads: Sequence[Sequence]):
     """Exit i's energy (or cycles), by the exit rule: exit i runs the
-    ``backbone`` nodes before ``stop`` and then the heads of exits 1..i.
-    The builtin ``sum`` runs over one list of their terms in node order,
-    never over cached partial sums: from Python 3.12 ``sum`` of floats is
-    compensated, and a compensated sum does not split into partial sums."""
-    terms = list(backbone[:stop])
-    for head in heads:
-        terms += head
-    return sum(terms)
+    backbone nodes before ``stop`` and then the heads of exits 1..i, added
+    in that node order. ``sums`` holds the running left-to-right sums of
+    the backbone terms (``BackboneFold.energy_sums``), so the sum starts
+    from ``sums[stop]`` and adds the heads' terms: the same bits as adding
+    every term afresh."""
+    return left_sum(chain.from_iterable(heads), sums[stop])
 
 
 def _overhead(head_et: float, segment_et: float) -> float:
@@ -492,25 +512,40 @@ class HeadPlacement(NamedTuple):
     et: float
 
 
+class HeadCosts(NamedTuple):
+    """What placing one head option on a backbone fold needs: the core and
+    the cycle on which the node its pool consumes finishes, and per node of
+    its template, in order, the node, its input bits and a memo from the
+    core of its producer to the node's :func:`_options`. A memo holds at
+    most one entry per core."""
+
+    core: int
+    ready: int
+    nodes: tuple[LayerNode, ...]
+    in_bits: tuple[int, ...]
+    options: tuple[dict[int, _CostOptions], ...]
+
+
 def place_head(
-    fold: BackboneFold, free: tuple[int, ...], template: HeadTemplate
+    fold: BackboneFold, free: tuple[int, ...], head: HeadCosts
 ) -> HeadPlacement:
-    """``template``'s nodes placed on the backbone ``fold`` when each core
-    is next free at ``free``, each node after its producer, with the same
+    """``head``'s nodes placed on the backbone ``fold`` when each core is
+    next free at ``free``, each node after its producer, with the same
     one-node placement step that allocates whole graphs, so each lands
     where :func:`allocate` puts it in the full graph. A function of its
     arguments alone, and of no node name: names are all that the exit
     index changes in a template."""
-    spec = fold.spec
-    memo = _layer_cost_memo(spec)
-    core, ready = fold.state.assignment[template.src], fold.state.end[template.src]
+    core, ready = head.core, head.ready
     free = list(free)
     energies: list[float] = []
     cycles: list[int] = []
-    for node, bits in zip(template.nodes, template.in_bits):
-        ready, core, cost = _place(
-            memo, spec, node, (TensorSource(bits, core),), ready, free
-        )
+    for node, bits, by_core in zip(head.nodes, head.in_bits, head.options):
+        options = by_core.get(core)
+        if options is None:
+            options = by_core[core] = _options(
+                fold.spec, node, (TensorSource(bits, core),)
+            )
+        ready, core, cost = _place(options, ready, free)
         energies.append(cost.energy_pj)
         cycles.append(cost.cycles)
     return HeadPlacement(
@@ -521,40 +556,79 @@ def place_head(
 
 #: One architecture's costed exits in exit order, as :func:`place_exits`
 #: places them: per exit, where its backbone part ends
-#: (``fold.stops[mount]``) and its head.
+#: (``fold.stops[position]``) and its head.
 PlacedExits = tuple[tuple[int, HeadPlacement], ...]
 
-#: Head placements a :func:`place_exits` memo keeps before it starts over.
+#: Head placements an :class:`ExitTable` keeps before it starts over.
 _HEAD_MEMO_SIZE = 4096
 
 
+class ExitTable:
+    """The exits that a list of head options and a list of bit widths can
+    form on the backbone ``fold``, each named by its (mount position, head
+    index, bits index). Per exit it keeps, from first use, its
+    :class:`HeadCosts`; at most one per triple. ``placements`` memoizes
+    :func:`place_exits`'s head placements, keyed on the triple and the
+    free cycles a head is placed from; it holds at most
+    ``_HEAD_MEMO_SIZE`` and starts over when full."""
+
+    def __init__(
+        self,
+        fold: BackboneFold,
+        heads: Sequence[ExitHeadSpec],
+        bits: Sequence[int],
+        num_classes: int,
+    ):
+        self.fold = fold
+        self.heads = heads
+        self.bits = bits
+        self.num_classes = num_classes
+        self.placements: dict[tuple, HeadPlacement] = {}
+        self._costs: dict[tuple[int, int, int], HeadCosts] = {}
+
+    def head(self, pos: int, h: int, q: int) -> HeadCosts:
+        """The :class:`HeadCosts` of the exit ``(pos, h, q)``."""
+        found = self._costs.get((pos, h, q))
+        if found is None:
+            fold = self.fold
+            # The exit index names the nodes only; no cost reads a name.
+            template = fold.build(
+                fold.labels[pos], self.heads[h], self.bits[q], 1,
+                self.num_classes,
+            )
+            src = template.src
+            found = self._costs[pos, h, q] = HeadCosts(
+                fold.state.assignment[src], fold.state.end[src],
+                template.nodes, template.in_bits,
+                tuple({} for _ in template.nodes),
+            )
+        return found
+
+
 def place_exits(
-    fold: BackboneFold,
-    exits: Iterable[ExitPlacement],
-    num_classes: int,
-    memo: dict[tuple, HeadPlacement],
+    table: ExitTable, exits: Iterable[tuple[int, int, int]]
 ) -> PlacedExits:
-    """``exits`` placed on the backbone ``fold``, each head by
+    """``exits``, each a (mount position, head index, bits index) of
+    ``table``, placed on its backbone fold, each head by
     :func:`place_head` from the free cycles after the head before it (the
     first from the fold's). The one path that costs an exit, for the
     search and :func:`cost_report` alike.
 
-    A head's placement is a function of its (mount, head, bits) and of
-    ``free`` alone, so it is looked up in ``memo`` on that key and placed
-    only on a miss: the exit index changes only the template's node
-    names, which no cost reads. ``memo`` is cleared when it holds
-    ``_HEAD_MEMO_SIZE`` placements."""
+    A head's placement is a function of its triple and of ``free`` alone,
+    so it is looked up in ``table.placements`` on that key and placed only
+    on a miss: the exit index changes only the template's node names,
+    which no cost reads."""
+    fold, memo = table.fold, table.placements
     free = fold.state.free
     out = []
-    for index, (mount, head, bits) in enumerate(exits, 1):
-        key = (mount, head, bits, free)
+    for pos, h, q in exits:
+        key = (pos, h, q, free)
         placed = memo.get(key)
         if placed is None:
             if len(memo) >= _HEAD_MEMO_SIZE:
                 memo.clear()
-            template = fold.build(mount, head, bits, index, num_classes)
-            placed = memo[key] = place_head(fold, free, template)
-        out.append((fold.stops[mount], placed))
+            placed = memo[key] = place_head(fold, free, table.head(pos, h, q))
+        out.append((fold.stops[pos], placed))
         free = placed.free
     return tuple(out)
 
@@ -582,8 +656,8 @@ def exit_costs(
     for stop, head in exits:
         heads_e.append(head.energies)
         heads_t.append(head.cycles)
-        energies.append(_exit_sum(fold.energies, stop, heads_e))
-        cycles.append(_exit_sum(fold.cycles, stop, heads_t))
+        energies.append(_exit_sum(fold.energy_sums, stop, heads_e))
+        cycles.append(_exit_sum(fold.cycle_sums, stop, heads_t))
     return (
         tuple(energies),
         tuple(cycles),
@@ -617,7 +691,15 @@ def cost_report(
     greedy decision reads only the nodes before it, so it places every
     node where the exits were costed."""
     fold = backbone_fold(arch.backbone, arch.backbone_bits, spec)
-    exits = place_exits(fold, arch.exits, num_classes, {})
+    # Exit i is the triple (its mount's position, i, i) of a table of the
+    # architecture's own heads and bits.
+    table = ExitTable(
+        fold, [e.head for e in arch.exits], [e.bits for e in arch.exits],
+        num_classes,
+    )
+    exits = place_exits(table, (
+        (fold.labels.index(e.mount), i, i) for i, e in enumerate(arch.exits)
+    ))
     energies, cycles, et_values = exit_costs(fold, exits)
     graph = expand_layers(arch, num_classes=num_classes)
     return HwCostReport(

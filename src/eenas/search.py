@@ -28,7 +28,7 @@ from .arch import (
     canonicalize,
     chromosome_hash,
     decode,
-    decode_exits,
+    exit_indices,
     sample_architecture,
     static_genes,
 )
@@ -68,8 +68,7 @@ from .history import (
 )
 from .hwcost import (
     AcceleratorSpec,
-    BackboneFold,
-    HeadPlacement,
+    ExitTable,
     PlacedExits,
     backbone_fold,
     et_avg,
@@ -150,38 +149,42 @@ class CostCache:
     two things the search reads follow: the head overheads, which sum
     nothing, and the per-exit energy-delay products, summed only when read.
 
-    Its head memo, shared by every architecture, is the one
-    :func:`place_exits` keys on (mount, head, bits, free cycles): a new
-    architecture places a head only if no other architecture placed the
-    same head from the same free cycles. Genes are checked as
-    :func:`decode` checks them, but no architecture is decoded."""
+    Its exits are the space's: each is named by the (mount position, head
+    index, quant index) that :func:`exit_indices` reads from the genes,
+    and one :class:`ExitTable`, shared by every architecture, keeps each
+    head option's template costs and the head placements, keyed on that
+    triple and the free cycles a head is placed from: a new architecture
+    places a head only if no other architecture placed the same head from
+    the same free cycles. Genes are checked as :func:`decode` checks them,
+    but no architecture is decoded."""
 
     def __init__(self, space: SpaceConfig, accel: AcceleratorSpec):
         self.space = space
         self.accel = accel
         self._costs: dict[tuple[int, ...], PlacedExits] = {}
-        self._heads: dict[tuple, HeadPlacement] = {}
 
     @cached_property
-    def _fold(self) -> BackboneFold:
+    def _table(self) -> ExitTable:
         space = self.space
-        return backbone_fold(space.backbone, space.backbone_bits, self.accel)
+        return ExitTable(
+            backbone_fold(space.backbone, space.backbone_bits, self.accel),
+            space.head_options, space.exit_bit_options, space.num_classes,
+        )
 
     def _lookup(self, genes: tuple[int, ...]) -> PlacedExits:
         """The placed exits of the architecture of ``genes``."""
         exits = self._costs.get(genes)
         if exits is None:
             exits = self._costs[genes] = place_exits(
-                self._fold, decode_exits(genes, self.space),
-                self.space.num_classes, self._heads,
+                self._table, exit_indices(genes, self.space)
             )
         return exits
 
     def et_per_exit(self, genes: tuple[int, ...]) -> tuple[float, ...]:
-        return exit_costs(self._fold, self._lookup(genes))[2]
+        return exit_costs(self._table.fold, self._lookup(genes))[2]
 
     def overheads(self, genes: tuple[int, ...]) -> tuple[float, ...]:
-        return exit_overheads(self._fold, self._lookup(genes))
+        return exit_overheads(self._table.fold, self._lookup(genes))
 
     def max_overhead(self, genes: tuple[int, ...]) -> float:
         return max(self.overheads(genes), default=0.0)

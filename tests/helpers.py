@@ -7,10 +7,22 @@ import math
 
 import numpy as np
 
-from eenas.arch import BackboneSpec, BlockSpec, ExitHeadSpec, SpaceConfig
+from eenas.arch import (
+    BackboneSpec,
+    BlockSpec,
+    ChromosomeError,
+    ExitHeadSpec,
+    ExitPlacement,
+    SpaceConfig,
+)
 from eenas.files import atomic_write
 from eenas.hwcost import AcceleratorSpec, AllocationPlan, TensorSource, layer_cost
-from eenas.workload import WorkloadError, backbone_mac_fractions
+from eenas.workload import (
+    WorkloadError,
+    backbone_mac_fractions,
+    expand_backbone,
+    head_builder,
+)
 
 
 def chain_backbone(n_mounts: int, channels: int = 8, size: int = 8) -> BackboneSpec:
@@ -255,6 +267,16 @@ def graph_fields(graph):
     return nodes, graph.edges
 
 
+def running_sums(terms) -> list:
+    """The running sums that ``hwcost.BackboneFold`` keeps of its backbone
+    terms: entry k adds the first k terms one at a time from the left,
+    starting from 0."""
+    sums = [0]
+    for term in terms:
+        sums.append(sums[-1] + term)
+    return sums
+
+
 def spearman(a, b) -> float:
     ra = np.argsort(np.argsort(np.asarray(a)))
     rb = np.argsort(np.argsort(np.asarray(b)))
@@ -423,4 +445,157 @@ def linear_macs_elementwise(n_in, n_out) -> int:
     for _o in range(n_out):
         for _i in range(n_in):
             total += 1
+    return total
+
+
+def plain_sum(terms, start=0):
+    """``start`` plus ``terms``, one addition at a time from the left."""
+    total = start
+    for term in terms:
+        total = total + term
+    return total
+
+
+# The cost cache's path as it was while exits were decoded to
+# ``ExitPlacement(mount, head, bits)`` values and the head memo was keyed on
+# them, kept as the fixed reference for ``CostCache``: the genes read as
+# ``decode_exits`` read them, each head placed from its template's nodes
+# one greedy decision at a time, and each exit's energy summed over one
+# fresh list of its terms. The backbone plan under the heads is the
+# reference greedy plan of the backbone graph, and every sum adds from the
+# left (:func:`plain_sum`), as the builtin ``sum`` did up to Python 3.11.
+
+
+def reference_decode_exits(genes, space):
+    if len(genes) != space.gene_length:
+        raise ChromosomeError(
+            f"expected {space.gene_length} genes, got {len(genes)}"
+        )
+    for label, (pres, h, q) in zip(space.backbone.mount_labels, space.mount_genes):
+        if pres is not None:
+            if genes[pres] not in (0, 1):
+                raise ChromosomeError(f"presence gene for mount {label!r} must be 0/1")
+            if not genes[pres]:
+                continue
+        head_idx, quant_idx = genes[h], genes[q]
+        if not (0 <= head_idx < space.n_head_options):
+            raise ChromosomeError(f"head option {head_idx} out of range at {label!r}")
+        if not (0 <= quant_idx < space.n_quant_options):
+            raise ChromosomeError(f"quant option {quant_idx} out of range at {label!r}")
+        yield ExitPlacement(
+            label, space.head_options[head_idx], space.exit_bit_options[quant_idx]
+        )
+
+
+def reference_energy_delay(costs):
+    return plain_sum(c.energy_pj for c in costs) * plain_sum(c.cycles for c in costs)
+
+
+@functools.lru_cache(maxsize=16)
+def reference_backbone(backbone, bits, spec):
+    """The reference greedy plan of the backbone graph, and per mount label
+    its stop, the index just past the mount's node."""
+    graph = expand_backbone(backbone, bits)
+    plan = reference_schedule(graph, spec, reference_greedy_assignment(graph, spec))
+    stops = {label: m + 1 for label, m in zip(backbone.mount_labels, graph.mounts)}
+    return plan, stops
+
+
+def reference_place_head(plan, spec, free, template):
+    """``template``'s nodes, each on the compatible core finishing it first
+    (ties to the lowest id) once its producer has finished: their costs
+    and the free cycles after them."""
+    core, ready = plan.assignment[template.src], plan.end[template.src]
+    free = list(free)
+    costs = []
+    for node, bits in zip(template.nodes, template.in_bits):
+        best = None
+        for option in spec.compatible_cores(node.kind):
+            cost = reference_layer_cost(node, option, spec, (TensorSource(bits, core),))
+            finish = max(free[option], ready) + cost.cycles
+            if best is None or finish < best[0]:
+                best = (finish, option, cost)
+        ready, core, cost = best
+        free[core] = ready
+        costs.append(cost)
+    return tuple(costs), tuple(free)
+
+
+class ReferenceCostCache:
+    """The answers ``CostCache`` gives, by the path it took before its head
+    memo was keyed on option indices."""
+
+    def __init__(self, space, accel):
+        self.space = space
+        self.accel = accel
+        self.plan, self.stops = reference_backbone(
+            space.backbone, space.backbone_bits, accel
+        )
+        self.build = head_builder(space.backbone, space.backbone_bits)
+        self.heads = {}
+
+    def placed(self, genes):
+        """Per exit of ``genes``, its stop and its head's costs."""
+        free = self.plan.free
+        out = []
+        for index, (mount, head, bits) in enumerate(
+            reference_decode_exits(genes, self.space), 1
+        ):
+            key = (mount, head, bits, free)
+            if key not in self.heads:
+                template = self.build(
+                    mount, head, bits, index, self.space.num_classes
+                )
+                self.heads[key] = reference_place_head(
+                    self.plan, self.accel, free, template
+                )
+            costs, free = self.heads[key]
+            out.append((self.stops[mount], costs))
+        return out
+
+    def et_per_exit(self, genes):
+        backbone = self.plan.layer_costs
+        placed = self.placed(genes)
+        out = []
+        for i, (stop, _) in enumerate(placed):
+            terms = list(backbone[:stop])
+            for _, costs in placed[: i + 1]:
+                terms += costs
+            out.append(reference_energy_delay(terms))
+        return tuple(out)
+
+    def overheads(self, genes):
+        placed = self.placed(genes)
+        backbone = self.plan.layer_costs
+        out = []
+        for (stop, costs), (nxt, _) in zip(placed, placed[1:]):
+            segment = reference_energy_delay(backbone[stop:nxt])
+            head = reference_energy_delay(costs)
+            out.append(math.inf if segment == 0 else head / segment)
+        return tuple(out)
+
+    def static_et(self, genes):
+        list(reference_decode_exits(genes, self.space))
+        static = [0] * self.space.gene_length
+        static[-2:] = genes[-2:]
+        return self.et_per_exit(tuple(static))[-1]
+
+
+def reference_accuracy_sum(config, quality, supervision, lo, hi):
+    """The synthetic oracle's range sum as it was before it read a
+    per-sample table: each accuracy computed afresh, added in grid order."""
+    n_easy = min(max(round(config.grid * config.easy_mass), 1), config.grid - 1)
+    grid = [config.easy_max * (j + 0.5) / n_easy for j in range(n_easy)] + [
+        config.hard_min
+        + (1.0 - config.hard_min) * (j + 0.5) / (config.grid - n_easy)
+        for j in range(config.grid - n_easy)
+    ]
+    span = config.top_accuracy - config.floor_accuracy
+    power = 1.0 / (0.35 + config.hardness_gain * quality)
+    total = 0.0
+    for d in grid[lo:hi]:
+        ease = (1.0 - d) ** power
+        total += min(
+            max(config.floor_accuracy + span * ease + supervision, 0.0), 100.0
+        )
     return total

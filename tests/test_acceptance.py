@@ -47,6 +47,7 @@ from helpers import (
     enumerate_genes,
     enumerate_space,
     reference_schedule,
+    running_sums,
 )
 
 #: Configuration of the seeded reference search run shared by criteria 6-8.
@@ -156,8 +157,12 @@ def test_c04_energy_delay_product_matches_double_loop():
             for _ in range(stages)
         ]
         for i in range(1, stages + 1):
-            energy = _exit_sum([e for e, _ in backbone], i, [[e] for e, _ in heads[:i]])
-            cycles = _exit_sum([t for _, t in backbone], i, [[t] for _, t in heads[:i]])
+            energy = _exit_sum(
+                running_sums([e for e, _ in backbone]), i, [[e] for e, _ in heads[:i]]
+            )
+            cycles = _exit_sum(
+                running_sums([t for _, t in backbone]), i, [[t] for _, t in heads[:i]]
+            )
             needed = backbone[:i] + heads[:i]
             oracle = sum(a[0] * b[1] for a in needed for b in needed)
             assert energy * cycles == oracle

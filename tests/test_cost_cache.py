@@ -1,9 +1,10 @@
 """The search's cost cache keeps, per architecture, only the flat tuple of
 its placed exits: each exit's backbone stop and its head as placed on the
-cached backbone. Its head memo places each head once per (mount, head,
-bits, free cycles). Whatever it answers must equal what the full cost
-report says, bit for bit, and it must refuse every gene vector that
-``decode`` refuses."""
+cached backbone. Its exit table places each head once per (mount position,
+head index, quant index, free cycles). Whatever it answers must equal what
+the full cost report says, and what the path before the exit table said,
+bit for bit, and it must refuse every gene vector that ``decode`` refuses,
+with the same error."""
 
 import math
 import random
@@ -24,7 +25,12 @@ from eenas.arch import (
 from eenas.hwcost import AcceleratorSpec, cost_report, et_avg
 from eenas.search import CostCache
 from eenas import arch, evaluate, hwcost, search, workload
-from helpers import CHAIN_SPACE, LINE_HOP_ACCEL, reference_exit_products
+from helpers import (
+    CHAIN_SPACE,
+    LINE_HOP_ACCEL,
+    ReferenceCostCache,
+    reference_exit_products,
+)
 
 #: The accelerators of the differential test in ``test_hwcost.py``.
 ACCELERATORS = (AcceleratorSpec(), LINE_HOP_ACCEL)
@@ -135,7 +141,12 @@ class TestExitCostsTouchOnlyHeads:
                 shared += same
         assert shared > 0
 
-    def test_every_new_cache_is_bounded(self, mobilenet):
+    def test_every_new_cache_is_bounded(self, mobilenet, monkeypatch):
+        """The function caches have a maximum size, and the accuracy tables
+        a maximum number of samples. An exit table keeps at
+        most one ``HeadCosts`` per (mount, head, bits) triple, each node's
+        option memo at most one entry per core, and at most
+        ``_HEAD_MEMO_SIZE`` placements."""
         caches = (
             workload.head_builder,
             workload.head_builder(mobilenet, 8),
@@ -144,6 +155,28 @@ class TestExitCostsTouchOnlyHeads:
         )
         for cache in caches:
             assert cache.cache_info().maxsize is not None
+        rng = np.random.default_rng(41)
+        space = SpaceConfig(backbone=mobilenet)
+        config = evaluate.OracleConfig(grid=5000)
+        for _ in range(100):
+            evaluate.synthetic_oracle(decode(sample_architecture(space, rng), space), config)
+        assert sum(map(len, evaluate._tables.values())) <= evaluate._TABLE_SAMPLES
+        monkeypatch.setattr(hwcost, "_HEAD_MEMO_SIZE", 50)
+        for space in (SpaceConfig(backbone=mobilenet), CHAIN_SPACE):
+            triples = (
+                len(space.mount_genes) * space.n_head_options * space.n_quant_options
+            )
+            for accel in ACCELERATORS:
+                cache = CostCache(space, accel)
+                for _ in range(300):
+                    cache.max_overhead(sample_architecture(space, rng))
+                table = cache._table
+                assert 0 < len(table._costs) <= triples
+                assert all(
+                    len(memo) <= accel.n_cores
+                    for head in table._costs.values() for memo in head.options
+                )
+                assert len(table.placements) <= 50
 
 
 #: The spaces of the head-memo test: smallconv, MobileNetV2 at a 4-bit
@@ -155,14 +188,63 @@ PREFIX_SPACES = (
 )
 
 
+@st.composite
+def any_chromosomes(draw):
+    """A space of ``PREFIX_SPACES``, an accelerator and a gene vector of
+    that space, malformed in one gene or in its length one time in three."""
+    space = draw(st.sampled_from(PREFIX_SPACES))
+    accel = draw(st.sampled_from(ACCELERATORS))
+    head = st.integers(0, space.n_head_options - 1)
+    quant = st.integers(0, space.n_quant_options - 1)
+    genes = []
+    for _ in range(space.n_optional):
+        genes += [draw(st.integers(0, 1)), draw(head), draw(quant)]
+    genes += [draw(head), draw(quant)]
+    flaw = draw(st.sampled_from(["none", "none", "gene", "length"]))
+    if flaw == "gene":
+        genes[draw(st.integers(0, len(genes) - 1))] = draw(st.integers(-2, 4))
+    elif flaw == "length":
+        genes = genes[:-1] if draw(st.booleans()) else genes + [0]
+    return space, accel, tuple(genes)
+
+
+class TestCostCacheMatchesThePathBefore:
+    """``CostCache`` gives the answers, and raises the errors, of the path
+    it took before its exit table (``helpers.ReferenceCostCache``). One
+    pair of caches per space and accelerator serves every example, so
+    later examples hit memos that earlier ones filled."""
+
+    CACHES: dict = {}
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_chromosomes())
+    def test_answers_and_errors_equal(self, case):
+        space, accel, genes = case
+        pair = self.CACHES.get((space, accel))
+        if pair is None:
+            pair = self.CACHES[space, accel] = (
+                CostCache(space, accel), ReferenceCostCache(space, accel)
+            )
+        cache, reference = pair
+        for query in ("et_per_exit", "overheads", "static_et"):
+            try:
+                expected = getattr(reference, query)(genes)
+            except ChromosomeError as exc:
+                with pytest.raises(ChromosomeError) as got:
+                    getattr(cache, query)(genes)
+                assert str(got.value) == str(exc)
+            else:
+                assert getattr(cache, query)(genes) == expected
+
+
 def counted_placements(monkeypatch) -> list:
     """Every head placed from here on."""
     placed = []
     place_head = hwcost.place_head
 
-    def counting(fold, free, template):
-        placed.append(template)
-        return place_head(fold, free, template)
+    def counting(fold, free, head):
+        placed.append(head)
+        return place_head(fold, free, head)
 
     monkeypatch.setattr(hwcost, "place_head", counting)
     return placed
@@ -226,7 +308,7 @@ class TestHeadMemoMatchesCostReport:
                 monkeypatch.setattr(hwcost, "_HEAD_MEMO_SIZE", bound)
                 for order in (shuffled, genes):
                     cache = self.check(space, accel, order, references)
-                    assert len(cache._heads) <= bound
+                    assert len(cache._table.placements) <= bound
             monkeypatch.undo()
 
 

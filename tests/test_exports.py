@@ -1,7 +1,8 @@
 """Every public name of the package has a user, and no private name has
 one outside its module.
 
-A name exported by ``eenas/__init__.py`` must be imported by another module
+A name exported by ``eenas/__init__.py`` (its lazy export table) must be
+imported by another module
 of the package, called by its own module, or named in the README's Library
 section: imported by its code or put in backticks by its prose. A name that
 only tests use fails here: move it into the tests or delete it. A
@@ -12,7 +13,10 @@ import a public name instead.
 import ast
 import os
 import re
+import subprocess
+import sys
 
+import eenas
 from eenas import audit_history
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -79,7 +83,8 @@ def unused_exports() -> list[str]:
     library = library_names(library_section())
     return sorted(
         f"{module}.{name}"
-        for module, name in relative_imports(parse("__init__"))
+        for module, names in eenas._EXPORTS.items()
+        for name in names
         if name not in imported
         and name not in called_names(trees[module])
         and name not in library
@@ -88,6 +93,41 @@ def unused_exports() -> list[str]:
 
 def test_every_export_has_a_user_outside_the_tests():
     assert unused_exports() == []
+
+
+#: Child code: load the exports in the given order, each after the
+#: submodules before it, and print every one that comes out a module.
+MODULE_EXPORTS = (
+    "import importlib, sys, types\n"
+    "for name in sys.argv[1:]:\n"
+    "    value = getattr(importlib.import_module('eenas'), name)\n"
+    "    if isinstance(value, types.ModuleType):\n"
+    "        print(name)\n"
+)
+
+
+def test_no_export_comes_out_a_module():
+    """``from eenas import X`` gives X itself, also where X spells a
+    submodule (``predict``) that an earlier import has loaded, in a fresh
+    interpreter: after every submodule has loaded, and in the README's
+    order, after the search's lazy import has loaded ``eenas.predict``."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
+    modules = sorted(
+        name[:-3] for name in os.listdir(PACKAGE)
+        if name.endswith(".py") and name != "__init__.py"
+    )
+    clashing = sorted(set(modules) & set(eenas.__all__))
+    assert clashing == ["predict"]
+    preload = "".join(f"import eenas.{m}\n" for m in modules)
+    for code, names in (
+        (preload + MODULE_EXPORTS, eenas.__all__),
+        (MODULE_EXPORTS, ["run_search", "featurize", "fit", "predict"]),
+    ):
+        run = subprocess.run(
+            [sys.executable, "-c", code, *names], env=env,
+            capture_output=True, text=True, check=True,
+        )
+        assert run.stdout.split() == []
 
 
 def test_library_names_are_imports_and_quoted_words():

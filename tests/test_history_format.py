@@ -72,19 +72,17 @@ def test_no_module_but_history_spells_an_event_kind():
 
 
 def test_history_loads_neither_the_search_nor_the_cli():
-    """``eenas/__init__.py`` imports every module, so the child registers a
-    bare ``eenas`` package and imports ``eenas.history`` under it: what
+    """``eenas/__init__.py`` exports lazily, so what ``import eenas.history``
     loads is what the history module itself imports."""
     code = (
-        "import sys, types\n"
-        "package = types.ModuleType('eenas')\n"
-        f"package.__path__ = [{PACKAGE!r}]\n"
-        "sys.modules['eenas'] = package\n"
+        "import sys\n"
         "import eenas.history\n"
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('eenas'))))\n"
     )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
     run = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
     )
     loaded = set(run.stdout.split())
     assert "eenas.history" in loaded

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from eenas.arch import (
     ExitHeadSpec,
     ExitPlacement,
     SpaceConfig,
+    builtin_backbone,
     decode,
     encode,
     sample_architecture,
@@ -23,9 +25,11 @@ from eenas.hwcost import (
     _exit_sum,
     _overhead,
     allocate,
+    backbone_fold,
     cost_report,
     et_avg,
     layer_cost,
+    left_sum,
 )
 from eenas.search import CostCache
 from eenas.workload import LayerGraph, LayerNode, expand_layers
@@ -34,9 +38,11 @@ from helpers import (
     LINE_HOP_ACCEL,
     enumerate_space,
     exit_runs,
+    plain_sum,
     reference_exit_products,
     reference_greedy_assignment,
     reference_schedule,
+    running_sums,
     write_accelerator,
 )
 
@@ -246,7 +252,10 @@ def exit_products(energies, cycles, ends, heads):
     for i, stop in enumerate(ends):
         head_e = [e for e, _ in heads[: i + 1]]
         head_t = [t for _, t in heads[: i + 1]]
-        et.append(_exit_sum(energies, stop, head_e) * _exit_sum(cycles, stop, head_t))
+        et.append(
+            _exit_sum(running_sums(energies), stop, head_e)
+            * _exit_sum(running_sums(cycles), stop, head_t)
+        )
     overheads = [
         _overhead(sum(e) * sum(t), sum(energies[stop:nxt]) * sum(cycles[stop:nxt]))
         for (e, t), stop, nxt in zip(heads, ends, ends[1:])
@@ -333,6 +342,63 @@ class TestEnergyDelayAggregation:
     def test_et_avg_rejects_non_finite_ratios(self, ratios):
         with pytest.raises(CostModelError):
             et_avg([1.0, 2.0], ratios)
+
+
+#: Up to Python 3.11 the builtin ``sum`` of floats adds from the left; from
+#: 3.12 it compensates rounding, and only ``left_sum`` keeps the old bits.
+LEFT_BUILTIN_SUM = sys.version_info < (3, 12)
+
+#: Finite floats of mixed magnitude, so that the order of additions shows.
+float_terms = st.lists(
+    st.one_of(
+        st.floats(-1e6, 1e6, allow_nan=False),
+        st.floats(allow_nan=False, allow_infinity=False, width=32),
+        st.integers(0, 10**6).map(float),
+    ),
+    max_size=40,
+)
+
+
+class TestLeftToRightSums:
+    """Every float sum on the cost path adds from the left, so an exit's
+    energy may start from a running sum of the backbone's energies."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(float_terms, st.one_of(st.just(0), st.floats(-1e6, 1e6)))
+    def test_left_sum_is_a_plain_loop(self, terms, start):
+        assert left_sum(terms, start) == plain_sum(terms, start)
+        assert repr(left_sum(terms)) == repr(plain_sum(terms))
+        if LEFT_BUILTIN_SUM:
+            assert repr(left_sum(terms)) == repr(sum(terms))
+
+    @settings(max_examples=300, deadline=None)
+    @given(float_terms, st.lists(float_terms, max_size=5), st.data())
+    def test_an_exit_sum_from_running_sums_is_the_fresh_sum(self, backbone, heads, data):
+        stop = data.draw(st.integers(0, len(backbone)))
+        fresh = list(backbone[:stop])
+        for head in heads:
+            fresh += head
+        got = _exit_sum(running_sums(backbone), stop, heads)
+        assert repr(got) == repr(plain_sum(fresh))
+        if LEFT_BUILTIN_SUM:
+            assert repr(got) == repr(sum(fresh))
+
+    @pytest.mark.parametrize("spec", [AcceleratorSpec(), LINE_HOP_ACCEL])
+    @pytest.mark.parametrize("space", [
+        SpaceConfig(backbone=builtin_backbone("mobilenetv2_cifar"), backbone_bits=4),
+        CHAIN_SPACE,
+    ])
+    def test_a_fold_keeps_the_running_sums_of_its_backbone(self, space, spec):
+        fold = backbone_fold(space.backbone, space.backbone_bits, spec)
+        costs = fold.state.layer_costs
+        energies = [c.energy_pj for c in costs]
+        cycles = [c.cycles for c in costs]
+        assert list(fold.energy_sums) == running_sums(energies)
+        assert list(fold.cycle_sums) == running_sums(cycles)
+        if LEFT_BUILTIN_SUM:
+            assert [repr(e) for e in fold.energy_sums] == [
+                repr(sum(energies[:k])) for k in range(len(energies) + 1)
+            ]
 
 
 class TestOverheadRatio:

@@ -1,19 +1,25 @@
 """The synthetic oracle finds each exit's samples by bisection over its
-ascending difficulty grid and adds their accuracies in memoized range sums.
-It must report exactly what the per-sample sweep it replaced reports; that
-sweep is kept here as the reference."""
+ascending difficulty grid and adds their accuracies in memoized range sums,
+which read each sample's accuracy from a lazily filled table per exit
+quality. It must report exactly what the per-sample sweep it replaced
+reports; that sweep is kept here as the reference, and so is the range sum
+as it was before the tables."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eenas.arch import SpaceConfig, builtin_backbone, decode
+from eenas import evaluate
 from eenas.evaluate import (
     EvaluationReport,
     OracleConfig,
+    _accuracy_sum,
+    _accuracy_table,
     _hash_unit,
     synthetic_oracle,
 )
 from eenas.workload import backbone_mac_fractions
+from helpers import reference_accuracy_sum
 
 
 def reference_oracle(arch, config, seed):
@@ -137,6 +143,67 @@ class TestOracleMatchesSweep:
         assert synthetic_oracle(arch, config, seed) == reference_oracle(
             arch, config, seed
         )
+
+
+@st.composite
+def range_sums(draw):
+    """A config, one exit quality, and range sums at that quality under
+    two supervision gains, one of them negative enough that the 0 clamp
+    binds, in drawn order: ranges overlap, so a later sum reads table
+    entries that an earlier one filled."""
+    config = draw(oracle_configs())
+    quality = draw(st.floats(0.02, 0.98))
+    gains = (draw(st.floats(-150.0, 150.0)), draw(st.floats(-150.0, -50.0)))
+    bound = st.integers(0, config.grid)
+    sums = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo, hi = sorted((draw(bound), draw(bound)))
+        sums.append((draw(st.sampled_from(gains)), lo, hi))
+    return config, quality, sums
+
+
+class TestAccuracyTable:
+    @settings(max_examples=300, deadline=None)
+    @given(range_sums())
+    def test_range_sums_equal_the_fresh_sums(self, case):
+        config, quality, sums = case
+        for supervision, lo, hi in sums:
+            got = _accuracy_sum(config, quality, supervision, lo, hi)
+            want = reference_accuracy_sum(config, quality, supervision, lo, hi)
+            assert got.hex() == want.hex()
+
+    def test_a_table_is_filled_only_where_a_range_needs_it(self):
+        config = OracleConfig(grid=100)
+        evaluate._tables.clear()
+        _accuracy_sum.cache_clear()
+        assert _accuracy_sum(config, 0.5, -100.0, 10, 20) == 0.0
+        _accuracy_sum(config, 0.5, -100.0, 15, 30)
+        table = _accuracy_table(config, 0.5, -100.0)
+        assert table == [None] * 10 + [0.0] * 20 + [None] * 70
+        assert _accuracy_table(config, 0.5, 0.0) == [None] * 100
+
+
+    def test_the_tables_hold_a_bounded_number_of_samples(self, monkeypatch):
+        """A new table drops the oldest ones until all fit in
+        ``_TABLE_SAMPLES`` samples; a grid larger than that gets no table
+        and leaves the others be. Sums stay right whatever was dropped."""
+        monkeypatch.setattr(evaluate, "_TABLE_SAMPLES", 250)
+        monkeypatch.setattr(evaluate, "_tables", {})
+        _accuracy_sum.cache_clear()
+        config = OracleConfig(grid=100)
+        qualities = [0.1 * k for k in range(1, 8)]
+        for q in qualities * 2:
+            for lo, hi in ((0, 40), (30, 100)):
+                got = _accuracy_sum(config, q, 0.0, lo, hi)
+                assert got == reference_accuracy_sum(config, q, 0.0, lo, hi)
+                assert sum(map(len, evaluate._tables.values())) <= 250
+            _accuracy_sum.cache_clear()
+        assert list(evaluate._tables) == [(config, q, 0.0) for q in qualities[-2:]]
+        big = OracleConfig(grid=300)
+        for lo, hi in ((0, 300), (40, 260)):
+            got = _accuracy_sum(big, 0.5, 0.0, lo, hi)
+            assert got.hex() == reference_accuracy_sum(big, 0.5, 0.0, lo, hi).hex()
+        assert list(evaluate._tables) == [(config, q, 0.0) for q in qualities[-2:]]
 
 
 def test_hash_unit_memo_keeps_int_and_float_seeds_apart():
