@@ -15,11 +15,12 @@ import hashlib
 from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
-from typing import Iterator, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .files import check_fields, check_fixed
+
+if TYPE_CHECKING:  # for an annotation only: the cost path loads no numpy
+    import numpy as np
 
 GENES_PER_MOUNT = 3  # presence bit, head-option index, quant-option index
 

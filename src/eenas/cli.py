@@ -43,10 +43,9 @@ from .evaluate import (
 from .files import (atomic_write, check_fixed, is_int, is_int_list, is_object,
                     is_real_list, load_json, require)
 from .history import header_section, read_report_events, replay_history
-from .hwcost import AcceleratorSpec, cost_report, et_avg
+from .hwcost import AcceleratorSpec, CostCache, cost_report, et_avg
 from .search import (
     COST_MODE,
-    CostCache,
     EvaluationFailure,
     ExternalEvaluator,
     NasConfig,

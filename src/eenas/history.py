@@ -332,12 +332,15 @@ def _require(ev: dict, kind: str) -> None:
 
 def replay_history(events: Sequence[dict]) -> HistoryReplay:
     """Walk a history's events once, all of them. A hash is taken over the
-    genes, so sampled, bred and θ-filtered genes share one map."""
+    genes, so sampled, bred and θ-filtered genes share one map. An event
+    of an unknown kind, or whose kind is no string, is skipped."""
     has_header = bool(events) and events[0].get("event") == RUN_CONFIG
     history = HistoryReplay(header=events[0] if has_header else None)
     try:
         for ev in events:
             kind = ev.get("event")
+            if not isinstance(kind, str):
+                continue
             if kind in _GENE_KINDS:
                 h, genes = ev["hash"], ev["genes"]
                 if not (isinstance(h, str) and isinstance(genes, list)):

@@ -26,11 +26,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, combinations
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .arch import BackboneSpec, EennArchitecture, ExitHeadSpec, hash_once
+from .arch import (
+    BackboneSpec,
+    EennArchitecture,
+    SpaceConfig,
+    encode,
+    exit_indices,
+    hash_once,
+    static_genes,
+)
 from .files import (
     check_exit_ratios, check_fields, check_fixed, is_int, is_object, load_json,
 )
@@ -406,20 +414,16 @@ class BackboneFold:
     """Greedy plan of the backbone nodes on ``spec``; the running sums of
     their energies and of their cycles, added left to right in node order
     from 0, so that ``energy_sums[k]`` is :func:`left_sum` of the first k
-    energies; the mount labels and, per mount position, its stop (the
-    index just past the mount's node); the energy-delay of the backbone
-    segment between every two mounts, keyed on ``(stop, next stop)``; and
-    the :func:`head_builder` of the same backbone and bits, whose heads
-    hang off these nodes."""
+    energies; per mount position, its stop (the index just past the
+    mount's node); and the energy-delay of the backbone segment between
+    every two mounts, keyed on ``(stop, next stop)``."""
 
     spec: AcceleratorSpec
     state: AllocationPlan
     energy_sums: tuple[float, ...]
     cycle_sums: tuple[int, ...]
-    labels: tuple[str, ...]
     stops: tuple[int, ...]
     segment_et: dict[tuple[int, int], float]
-    build: Callable
 
 
 @lru_cache(maxsize=16)
@@ -439,13 +443,11 @@ def backbone_fold(
         state=state,
         energy_sums=tuple(accumulate(energies, initial=0)),
         cycle_sums=tuple(accumulate(cycles, initial=0)),
-        labels=backbone.mount_labels,
         stops=stops,
         segment_et={
             (stop, nxt): _energy_delay(energies[stop:nxt], cycles[stop:nxt])
             for stop, nxt in combinations(stops, 2)
         },
-        build=head_builder(backbone, bits),
     )
 
 
@@ -559,66 +561,100 @@ def place_head(
 #: (``fold.stops[position]``) and its head.
 PlacedExits = tuple[tuple[int, HeadPlacement], ...]
 
-#: Head placements an :class:`ExitTable` keeps before it starts over.
+#: Head placements a :class:`CostCache` keeps before it starts over.
 _HEAD_MEMO_SIZE = 4096
 
 
-class ExitTable:
-    """The exits that a list of head options and a list of bit widths can
-    form on the backbone ``fold``, each named by its (mount position, head
-    index, bits index). Per exit it keeps, from first use, its
-    :class:`HeadCosts`; at most one per triple. ``placements`` memoizes
-    :func:`place_exits`'s head placements, keyed on the triple and the
-    free cycles a head is placed from; it holds at most
-    ``_HEAD_MEMO_SIZE`` and starts over when full."""
+class CostCache:
+    """Memoized hardware-cost queries for one (space, accelerator) pair,
+    for the search, the audit, the exports and :func:`cost_report` alike.
+    Per architecture it keeps only its :data:`PlacedExits`, from which the
+    two things a caller reads follow: the head overheads, which sum
+    nothing, and the per-exit energy-delay products, summed only when read.
 
-    def __init__(
-        self,
-        fold: BackboneFold,
-        heads: Sequence[ExitHeadSpec],
-        bits: Sequence[int],
-        num_classes: int,
-    ):
-        self.fold = fold
-        self.heads = heads
-        self.bits = bits
-        self.num_classes = num_classes
+    An exit is named by the (mount position, head index, quant index) that
+    :func:`exit_indices` reads from the genes. Per such triple the cache
+    keeps, from first use, its :class:`HeadCosts` (:meth:`head`), and
+    ``placements`` memoizes :func:`place_exits`'s head placements, keyed on
+    the triple and the free cycles a head is placed from: a new
+    architecture places a head only if no other one placed the same head
+    from the same free cycles. ``placements`` holds at most
+    ``_HEAD_MEMO_SIZE`` and starts over when full. Genes are checked as
+    :func:`decode` checks them, but no architecture is decoded."""
+
+    def __init__(self, space: SpaceConfig, accel: AcceleratorSpec):
+        self.space = space
+        self.accel = accel
         self.placements: dict[tuple, HeadPlacement] = {}
-        self._costs: dict[tuple[int, int, int], HeadCosts] = {}
+        self._heads: dict[tuple[int, int, int], HeadCosts] = {}
+        self._costs: dict[tuple[int, ...], PlacedExits] = {}
+
+    @cached_property
+    def fold(self) -> BackboneFold:
+        return backbone_fold(self.space.backbone, self.space.backbone_bits, self.accel)
 
     def head(self, pos: int, h: int, q: int) -> HeadCosts:
         """The :class:`HeadCosts` of the exit ``(pos, h, q)``."""
-        found = self._costs.get((pos, h, q))
+        found = self._heads.get((pos, h, q))
         if found is None:
-            fold = self.fold
+            space, state = self.space, self.fold.state
             # The exit index names the nodes only; no cost reads a name.
-            template = fold.build(
-                fold.labels[pos], self.heads[h], self.bits[q], 1,
-                self.num_classes,
+            template = head_builder(space.backbone, space.backbone_bits)(
+                space.backbone.mount_labels[pos], space.head_options[h],
+                space.exit_bit_options[q], 1, space.num_classes,
             )
             src = template.src
-            found = self._costs[pos, h, q] = HeadCosts(
-                fold.state.assignment[src], fold.state.end[src],
+            found = self._heads[pos, h, q] = HeadCosts(
+                state.assignment[src], state.end[src],
                 template.nodes, template.in_bits,
                 tuple({} for _ in template.nodes),
             )
         return found
 
+    def _lookup(self, genes: tuple[int, ...]) -> PlacedExits:
+        """The placed exits of the architecture of ``genes``."""
+        exits = self._costs.get(genes)
+        if exits is None:
+            exits = self._costs[genes] = place_exits(
+                self, exit_indices(genes, self.space)
+            )
+        return exits
+
+    def et_per_exit(self, genes: tuple[int, ...]) -> tuple[float, ...]:
+        return exit_costs(self.fold, self._lookup(genes))[2]
+
+    def overheads(self, genes: tuple[int, ...]) -> tuple[float, ...]:
+        return exit_overheads(self.fold, self._lookup(genes))
+
+    def max_overhead(self, genes: tuple[int, ...]) -> float:
+        return max(self.overheads(genes), default=0.0)
+
+    def et_average(
+        self, genes: tuple[int, ...], exit_ratios: Sequence[float]
+    ) -> float:
+        return et_avg(self.et_per_exit(genes), exit_ratios)
+
+    def static_et(self, genes: tuple[int, ...]) -> float:
+        """Energy-delay of the backbone with only the final head of
+        ``genes``, all samples exiting last: the last exit of the static
+        counterpart, priced from its genes (:func:`static_genes`)."""
+        return self.et_per_exit(static_genes(genes, self.space))[-1]
+
 
 def place_exits(
-    table: ExitTable, exits: Iterable[tuple[int, int, int]]
+    cache: CostCache, exits: Iterable[tuple[int, int, int]]
 ) -> PlacedExits:
-    """``exits``, each a (mount position, head index, bits index) of
-    ``table``, placed on its backbone fold, each head by
+    """``exits``, each a (mount position, head index, quant index) of
+    ``cache``'s space, placed on its backbone fold, each head by
     :func:`place_head` from the free cycles after the head before it (the
     first from the fold's). The one path that costs an exit, for the
     search and :func:`cost_report` alike.
 
     A head's placement is a function of its triple and of ``free`` alone,
-    so it is looked up in ``table.placements`` on that key and placed only
+    so it is looked up in ``cache.placements`` on that key and placed only
     on a miss: the exit index changes only the template's node names,
     which no cost reads."""
-    fold, memo = table.fold, table.placements
+    fold, memo = cache.fold, cache.placements
     free = fold.state.free
     out = []
     for pos, h, q in exits:
@@ -627,7 +663,7 @@ def place_exits(
         if placed is None:
             if len(memo) >= _HEAD_MEMO_SIZE:
                 memo.clear()
-            placed = memo[key] = place_head(fold, free, table.head(pos, h, q))
+            placed = memo[key] = place_head(fold, free, cache.head(pos, h, q))
         out.append((fold.stops[pos], placed))
         free = placed.free
     return tuple(out)
@@ -684,29 +720,29 @@ def cost_report(
     num_classes: int = 10,
 ) -> HwCostReport:
     """Per-exit energy, cycles and energy-delay products and head
-    overheads, costed as the search costs them: the exits placed by
-    :func:`place_exits`, then E_i, T_i and their products from
-    :func:`exit_costs` and the overheads from :func:`exit_overheads`. The
-    plan, for the per-layer view, is the full graph's :func:`allocate`; a
-    greedy decision reads only the nodes before it, so it places every
-    node where the exits were costed."""
-    fold = backbone_fold(arch.backbone, arch.backbone_bits, spec)
-    # Exit i is the triple (its mount's position, i, i) of a table of the
-    # architecture's own heads and bits.
-    table = ExitTable(
-        fold, [e.head for e in arch.exits], [e.bits for e in arch.exits],
+    overheads, costed as the search costs them: by a :class:`CostCache`
+    of the one-architecture space of ``arch``'s own heads and bit widths,
+    then E_i, T_i and their products from :func:`exit_costs` and the
+    overheads from :func:`exit_overheads`. The plan, for the per-layer
+    view, is the full graph's :func:`allocate`; a greedy decision reads
+    only the nodes before it, so it places every node where the exits
+    were costed."""
+    space = SpaceConfig(
+        arch.backbone,
+        tuple(dict.fromkeys(e.head for e in arch.exits)),
+        tuple(dict.fromkeys(e.bits for e in arch.exits)),
+        arch.backbone_bits,
         num_classes,
     )
-    exits = place_exits(table, (
-        (fold.labels.index(e.mount), i, i) for i, e in enumerate(arch.exits)
-    ))
-    energies, cycles, et_values = exit_costs(fold, exits)
+    cache = CostCache(space, spec)
+    exits = cache._lookup(encode(arch, space))
+    energies, cycles, et_values = exit_costs(cache.fold, exits)
     graph = expand_layers(arch, num_classes=num_classes)
     return HwCostReport(
         graph=graph,
         energy_per_exit=energies,
         cycles_per_exit=cycles,
         et_per_exit=et_values,
-        overheads=exit_overheads(fold, exits),
+        overheads=exit_overheads(cache.fold, exits),
         plan=allocate(graph, spec),
     )

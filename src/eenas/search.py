@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,9 +27,7 @@ from .arch import (
     canonicalize,
     chromosome_hash,
     decode,
-    exit_indices,
     sample_architecture,
-    static_genes,
 )
 from .evaluate import (
     EvaluationReport,
@@ -66,16 +63,7 @@ from .history import (
     read_report_events,  # re-exported for callers
     replay_history,
 )
-from .hwcost import (
-    AcceleratorSpec,
-    ExitTable,
-    PlacedExits,
-    backbone_fold,
-    et_avg,
-    exit_costs,
-    exit_overheads,
-    place_exits,
-)
+from .hwcost import AcceleratorSpec, CostCache
 from .predict import LabeledRecord, Predictor, fit, predict
 
 
@@ -141,64 +129,6 @@ class NasConfig:
             return cls(**kwargs)
         except TypeError as exc:
             raise ValueError(f"bad search config field: {exc}") from exc
-
-
-class CostCache:
-    """Memoized hardware-cost queries for one (space, accelerator) pair.
-    Per architecture it keeps only its :data:`PlacedExits`, from which the
-    two things the search reads follow: the head overheads, which sum
-    nothing, and the per-exit energy-delay products, summed only when read.
-
-    Its exits are the space's: each is named by the (mount position, head
-    index, quant index) that :func:`exit_indices` reads from the genes,
-    and one :class:`ExitTable`, shared by every architecture, keeps each
-    head option's template costs and the head placements, keyed on that
-    triple and the free cycles a head is placed from: a new architecture
-    places a head only if no other architecture placed the same head from
-    the same free cycles. Genes are checked as :func:`decode` checks them,
-    but no architecture is decoded."""
-
-    def __init__(self, space: SpaceConfig, accel: AcceleratorSpec):
-        self.space = space
-        self.accel = accel
-        self._costs: dict[tuple[int, ...], PlacedExits] = {}
-
-    @cached_property
-    def _table(self) -> ExitTable:
-        space = self.space
-        return ExitTable(
-            backbone_fold(space.backbone, space.backbone_bits, self.accel),
-            space.head_options, space.exit_bit_options, space.num_classes,
-        )
-
-    def _lookup(self, genes: tuple[int, ...]) -> PlacedExits:
-        """The placed exits of the architecture of ``genes``."""
-        exits = self._costs.get(genes)
-        if exits is None:
-            exits = self._costs[genes] = place_exits(
-                self._table, exit_indices(genes, self.space)
-            )
-        return exits
-
-    def et_per_exit(self, genes: tuple[int, ...]) -> tuple[float, ...]:
-        return exit_costs(self._table.fold, self._lookup(genes))[2]
-
-    def overheads(self, genes: tuple[int, ...]) -> tuple[float, ...]:
-        return exit_overheads(self._table.fold, self._lookup(genes))
-
-    def max_overhead(self, genes: tuple[int, ...]) -> float:
-        return max(self.overheads(genes), default=0.0)
-
-    def et_average(
-        self, genes: tuple[int, ...], exit_ratios: Sequence[float]
-    ) -> float:
-        return et_avg(self.et_per_exit(genes), exit_ratios)
-
-    def static_et(self, genes: tuple[int, ...]) -> float:
-        """Energy-delay of the backbone with only the final head of
-        ``genes``, all samples exiting last: the last exit of the static
-        counterpart, priced from its genes (:func:`static_genes`)."""
-        return self.et_per_exit(static_genes(genes, self.space))[-1]
 
 
 # ---------------------------------------------------------------------------

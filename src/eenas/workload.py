@@ -198,9 +198,8 @@ class HeadTemplate(NamedTuple):
 def head_builder(backbone: BackboneSpec, bits: int):
     """The cached builder of :func:`head_templates` over one (backbone,
     backbone bits): it hashes the backbone once per architecture, not once
-    per exit. The backbone fold of the cost engine keeps the builder of
-    its backbone, and ``hwcost.place_exits`` builds each exit's head from
-    its (mount, head, bits), without an architecture."""
+    per exit. The cost engine's ``hwcost.CostCache`` builds each exit's
+    head from its (mount, head, bits), without an architecture."""
     base = expand_backbone(backbone, bits)
     mount_node = dict(zip(backbone.mount_labels, base.mounts))
 

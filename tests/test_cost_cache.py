@@ -1,12 +1,13 @@
 """The search's cost cache keeps, per architecture, only the flat tuple of
 its placed exits: each exit's backbone stop and its head as placed on the
-cached backbone. Its exit table places each head once per (mount position,
-head index, quant index, free cycles). Whatever it answers must equal what
-the full cost report says, and what the path before the exit table said,
-bit for bit, and it must refuse every gene vector that ``decode`` refuses,
+cached backbone. It places each head once per (mount position, head
+index, quant index, free cycles). Whatever it answers must equal what the
+full cost report says, and what the path before its head memo was keyed
+on option indices said, bit for bit, and it must refuse every gene vector that ``decode`` refuses,
 with the same error."""
 
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -143,7 +144,7 @@ class TestExitCostsTouchOnlyHeads:
 
     def test_every_new_cache_is_bounded(self, mobilenet, monkeypatch):
         """The function caches have a maximum size, and the accuracy tables
-        a maximum number of samples. An exit table keeps at
+        a maximum number of samples. A cost cache keeps at
         most one ``HeadCosts`` per (mount, head, bits) triple, each node's
         option memo at most one entry per core, and at most
         ``_HEAD_MEMO_SIZE`` placements."""
@@ -170,13 +171,12 @@ class TestExitCostsTouchOnlyHeads:
                 cache = CostCache(space, accel)
                 for _ in range(300):
                     cache.max_overhead(sample_architecture(space, rng))
-                table = cache._table
-                assert 0 < len(table._costs) <= triples
+                assert 0 < len(cache._heads) <= triples
                 assert all(
                     len(memo) <= accel.n_cores
-                    for head in table._costs.values() for memo in head.options
+                    for head in cache._heads.values() for memo in head.options
                 )
-                assert len(table.placements) <= 50
+                assert len(cache.placements) <= 50
 
 
 #: The spaces of the head-memo test: smallconv, MobileNetV2 at a 4-bit
@@ -210,7 +210,8 @@ def any_chromosomes(draw):
 
 class TestCostCacheMatchesThePathBefore:
     """``CostCache`` gives the answers, and raises the errors, of the path
-    it took before its exit table (``helpers.ReferenceCostCache``). One
+    it took before its head memo was keyed on option indices
+    (``helpers.ReferenceCostCache``). One
     pair of caches per space and accelerator serves every example, so
     later examples hit memos that earlier ones filled."""
 
@@ -308,7 +309,7 @@ class TestHeadMemoMatchesCostReport:
                 monkeypatch.setattr(hwcost, "_HEAD_MEMO_SIZE", bound)
                 for order in (shuffled, genes):
                     cache = self.check(space, accel, order, references)
-                    assert len(cache._table.placements) <= bound
+                    assert len(cache.placements) <= bound
             monkeypatch.undo()
 
 
@@ -407,3 +408,18 @@ class TestGenesCheckedAsDecodeChecks:
             genes = sample_architecture(space, rng)
             cache.max_overhead(genes)
             cache.static_et(genes)
+
+
+def test_the_search_and_the_cli_price_through_the_one_cost_cache():
+    """``CostCache`` is defined once, in ``hwcost``; the search and the
+    command line use that class, so a patch of one of its methods reaches
+    every caller."""
+    from eenas import cli
+
+    assert search.CostCache is hwcost.CostCache is cli.CostCache
+    package = pathlib.Path(hwcost.__file__).parent
+    defined = [
+        path.name for path in sorted(package.glob("*.py"))
+        if "class CostCache" in path.read_text(encoding="utf-8")
+    ]
+    assert defined == ["hwcost.py"]

@@ -1,6 +1,7 @@
 """The history log: one encoder, a verbatim resume prefix, events that
-are the parsed file, and a closing check that the events a search hands
-its audit and exports describe the file on disk."""
+are the parsed file, a closing check that the events a search hands its
+audit and exports describe the file on disk, and nothing to resume after
+a crash before the history exists."""
 
 import contextlib
 import io
@@ -8,6 +9,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -22,7 +25,7 @@ from eenas import (
     builtin_backbone,
     run_search,
 )
-from eenas.cli import EXIT_CONFIG, EXIT_OK, main
+from eenas.cli import EXIT_CONFIG, EXIT_EVAL, EXIT_OK, main
 from eenas.history import _event_line
 from eenas.search import (
     HistoryError,
@@ -223,6 +226,40 @@ def test_every_event_is_encoded_once(tmp_path, config, full, monkeypatch):
     argv = ["search", "--config", config, "--out", str(out), "--resume"]
     assert run_cli(*argv)[0] == EXIT_OK
     assert len(encoded) == len(whole) - kept
+
+
+# ---------------------------------------------------------------------------
+# A crash before the history exists leaves nothing to resume
+# ---------------------------------------------------------------------------
+
+def test_a_crash_before_the_history_exists_leaves_nothing_to_resume(
+    tmp_path, config
+):
+    """A search killed at its first ``os.replace``, the one that would
+    create ``history.jsonl``, leaves only the history's temp file in
+    ``--out``; ``--resume`` then exits 3, as for a missing history, and
+    leaves the temp file as it is."""
+    out = tmp_path / "out"
+    code = (
+        "import os\n"
+        "from eenas.cli import main\n"
+        "os.replace = lambda src, dst: os._exit(9)\n"
+        f"main(['search', '--config', {config!r}, '--out', {str(out)!r}])\n"
+    )
+    src = os.path.dirname(os.path.dirname(eenas.history.__file__))
+    killed = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, timeout=120,
+    )
+    assert killed.returncode == 9
+    (tmp,) = os.listdir(out)
+    assert re.fullmatch(r"history\.jsonl\.[0-9a-f]{16}\.tmp", tmp)
+    before = (out / tmp).read_bytes()
+    code, _, err = run_cli("search", "--config", config, "--out", str(out), "--resume")
+    assert (code, err) == (
+        EXIT_EVAL, "error: cannot resume without an existing history file\n"
+    )
+    assert os.listdir(out) == [tmp] and (out / tmp).read_bytes() == before
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eenas.arch import (
+    ArchitectureError,
     EennArchitecture,
     ExitHeadSpec,
     ExitPlacement,
@@ -20,6 +23,7 @@ from eenas.arch import (
 from eenas.hwcost import (
     AcceleratorSpec,
     MAX_COMPUTE_CORES,
+    CostCache,
     CostModelError,
     TensorSource,
     _exit_sum,
@@ -31,8 +35,8 @@ from eenas.hwcost import (
     layer_cost,
     left_sum,
 )
-from eenas.search import CostCache
 from eenas.workload import LayerGraph, LayerNode, expand_layers
+from cost_digest import cost_digest
 from helpers import (
     CHAIN_SPACE,
     LINE_HOP_ACCEL,
@@ -487,6 +491,43 @@ class TestCostReport:
         values = report.et_per_exit
         assert all(a < b for a, b in zip(values, values[1:]))
         assert all(o >= 0 for o in report.overheads)
+
+    def test_needs_two_classes_as_every_space_does(self, smallconv, accel):
+        with pytest.raises(ArchitectureError, match="at least two classes"):
+            cost_report(self.arch(smallconv), accel, num_classes=1)
+
+    def test_costs_through_a_cost_cache(self, smallconv, accel, monkeypatch):
+        """Its exits are the ``_lookup`` of a cache of the space of the
+        architecture's own distinct heads and bit widths, in exit order."""
+        head = ExitHeadSpec(depth=2)
+        arch = EennArchitecture(smallconv, (
+            ExitPlacement("A", head, 4), ExitPlacement("C", ExitHeadSpec(), 8),
+            ExitPlacement("E", head, 4),
+        ))
+        looked_up = []
+        lookup = CostCache._lookup
+
+        def recording(cache, genes):
+            looked_up.append((cache.space, genes))
+            return lookup(cache, genes)
+
+        monkeypatch.setattr(CostCache, "_lookup", recording)
+        cost_report(arch, accel)
+        space = SpaceConfig(smallconv, (head, ExitHeadSpec()), (4, 8))
+        assert looked_up == [(space, encode(arch, space))]
+
+
+def test_the_cost_engine_loads_no_numpy():
+    """``arch``, ``files``, ``workload`` and ``hwcost`` import no numpy:
+    a fresh process loads the cost engine under a bare ``eenas`` package,
+    costs fixed architectures through ``CostCache`` and ``cost_report``
+    without loading numpy, and gets the digest this process gets."""
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cost_digest.py")
+    run = subprocess.run(
+        [sys.executable, script, "100"], capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert run.stdout.split() == [cost_digest(100), "False"]
 
 
 class TestAcceleratorSpec:
