@@ -43,7 +43,7 @@ from .evaluate import (
 from .files import (atomic_write, check_fixed, is_int, is_int_list, is_object,
                     is_real_list, load_json, require)
 from .history import header_section, read_report_events, replay_history
-from .hwcost import AcceleratorSpec, CostCache, cost_report, et_avg
+from .hwcost import AcceleratorSpec, cost_report, et_avg
 from .search import (
     COST_MODE,
     EvaluationFailure,
@@ -315,7 +315,6 @@ def cmd_search(args) -> int:
     space, accel, nas, evaluator, kind = _load_run_config(args.config)
     _make_out_dir(args.out)
     history_path = os.path.join(args.out, "history.jsonl")
-    cost = CostCache(space, accel)
     state = run_search(
         space,
         accel,
@@ -324,12 +323,11 @@ def cmd_search(args) -> int:
         history_path=history_path,
         resume=args.resume,
         evaluator_kind=kind,
-        cost=cost,
     )
 
     state.log.check()  # the events describe the file, or it exits 2
     history = replay_history(state.log.events)
-    audit = audit_history(history, cost)
+    audit = audit_history(history, state.cost)
     if not audit.ok:
         for violation in audit.violations:
             print(f"audit violation: {violation}", file=sys.stderr)
@@ -366,7 +364,7 @@ def cmd_search(args) -> int:
         if ev["hash"] not in final_p:
             continue
         genes = history.genes_of(ev["hash"])
-        reduction = et_reduction_value(ev["et_avg"], cost.static_et(genes))
+        reduction = et_reduction_value(ev["et_avg"], state.cost.static_et(genes))
         scatter_lines.append(
             f"{ev['k']},{ev['hash']},{ev['acc_avg']!r},{reduction!r}"
         )

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .arch import chromosome_hash
-from .files import atomic_write, is_real, is_real_list
+from .files import atomic_write, is_real_list
 from .predict import LabeledRecord
 
 
@@ -194,49 +194,29 @@ def read_history(path: str) -> list[dict]:
     return read_lines(path)[1]
 
 
-# ``_event_line`` sorts keys, so a gene line starts with its kind, and fixed
-# separators let its hash, and the kind of an ``evaluated`` line, be matched
-# as one exact substring.
+# ``_event_line`` sorts keys and fixes its separators, so a gene line the
+# search wrote starts with its kind and spells its hash as one exact text.
 _GENE_PREFIXES = tuple(f'{{"event":"{kind}"' for kind in _GENE_KINDS)
 _HASH = '"hash":"'
-# The hash field with the whitespace JSON allows around its colon.
-_SPACED_HASH = re.compile(r'"hash"[ \t\n\r]*:[ \t\n\r]*"([^"]*)"')
-_EVALUATED = f'"event":"{EVALUATED}"'
-# The kinds a report reads, as any JSON line that holds one spells them.
-_REPORT_KINDS = tuple(
-    f'"{kind}"' for kind in (EVALUATED, ITERATION_SUMMARY, *_GENE_KINDS)
-)
 
 
 def read_report_events(path: str) -> list[dict]:
     """The events of a history that a report of its last labeled archive
-    uses, in log order: the first line, every ``evaluated`` and
-    ``iteration-summary`` line, and the gene lines of the hashes labeled at
-    the last summary. A line that starts as ``_event_line`` starts a gene
-    line is parsed only if the hash it names is labeled (read from the
-    exact ``"hash":"`` text, or, where that is missing, from the field as
-    spaced however JSON allows); any other line
-    only if it names a kind the report reads, however it is spaced or its
-    keys ordered. So a corrupt line of another kind does not stop the
-    report, and a line kept as written by ``--resume`` is read as
-    :func:`read_history` reads it; the rule for a torn last line is
+    uses, in log order: the event of every committed non-blank line, as
+    :func:`read_history` parses it, except a gene line written as the
+    search writes one (it starts with ``_GENE_PREFIXES`` and holds the
+    exact ``"hash":"`` text) whose hash is not labeled at the last summary.
+    The first non-blank line, the header, is always parsed. Only such a
+    gene line is skipped unparsed, so it alone can be corrupt without
+    stopping the report; check a whole file with
+    :func:`read_history`. The rule for a torn last line is
     :func:`read_history`'s."""
     parsed: dict[int, dict] = {}
     gene_lines: list[tuple[int, str, str]] = []
-    lines = _committed_lines(path)
-    first = next((i for i, line in enumerate(lines) if line.strip()), None)
-    for i, line in enumerate(lines):
-        if i != first and line.startswith(_GENE_PREFIXES):
-            key = line.partition(_HASH)[2].partition('"')[0]
-            if not key:  # respelled after its kind, as ``--resume`` may keep it
-                match = _SPACED_HASH.search(line)
-                key = match[1] if match else ""
-            gene_lines.append((i, key, line))
-        elif (
-            i == first
-            or _EVALUATED in line  # most lines a report parses: one scan
-            or any(kind in line for kind in _REPORT_KINDS)
-        ):
+    for i, line in enumerate(_committed_lines(path)):
+        if parsed and line.startswith(_GENE_PREFIXES) and _HASH in line:
+            gene_lines.append((i, line.partition(_HASH)[2].partition('"')[0], line))
+        elif line.strip():
             parsed[i] = _parse_line(path, i + 1, line)
     summaries = [
         ev for ev in parsed.values() if ev.get("event") == ITERATION_SUMMARY
@@ -348,8 +328,14 @@ def replay_history(events: Sequence[dict]) -> HistoryReplay:
                 history.genes[h] = tuple(genes)
             elif kind == EVALUATED:
                 _require(ev, kind)
-                if not (is_real(ev["acc_avg"]) and is_real(ev["et_avg"])):
-                    raise HistoryError(f"evaluation of {ev['hash']} is not finite")
+                # The search writes both from ``math.fsum``: finite floats.
+                if not all(
+                    isinstance(v, float) and math.isfinite(v)
+                    for v in (ev["acc_avg"], ev["et_avg"])
+                ):
+                    raise HistoryError(
+                        f"evaluation of {ev['hash']} is not a pair of finite floats"
+                    )
                 history.evaluated.append(ev)
                 history.by_hash[ev["hash"]] = ev
             elif kind in REJECTS:

@@ -302,7 +302,8 @@ class SearchState:
     ``labeled`` is the cumulative archive, each record under its hash; a
     record added again under its hash replaces the earlier one. After
     :func:`run_search`, ``log`` is the run's :class:`HistoryLog`: its
-    ``events`` are every event of the history, in log order."""
+    ``events`` are every event of the history, in log order; and ``cost``
+    is the :class:`CostCache` that priced the run."""
 
     def __init__(self):
         self.k = -1
@@ -310,6 +311,7 @@ class SearchState:
         self.labeled: dict[str, LabeledRecord] = {}
         self.rejected: dict[str, str] = {}
         self.log: HistoryLog | None = None
+        self.cost: CostCache | None = None
 
     def front(self) -> list[LabeledRecord]:
         return pareto_front(self.labeled.values())
@@ -732,18 +734,6 @@ def _rebuild_state(events: Sequence[dict]) -> tuple[SearchState, int]:
     return state, cut
 
 
-def _cost_cache(
-    cost: CostCache | None, space: SpaceConfig, accel: AcceleratorSpec
-) -> CostCache:
-    """``cost`` if it prices ``space`` on ``accel``, a new cache if it is
-    None; a cache of anything else is refused."""
-    if cost is None:
-        return CostCache(space, accel)
-    if cost.space != space or cost.accel != accel:
-        raise SearchError("the cost cache prices another space or accelerator")
-    return cost
-
-
 def run_search(
     space: SpaceConfig,
     accel: AcceleratorSpec,
@@ -752,7 +742,6 @@ def run_search(
     history_path: str | None = None,
     resume: bool = False,
     evaluator_kind: str = "custom",
-    cost: CostCache | None = None,
 ) -> SearchState:
     """Run the full loop: initialization (iteration 0) plus the configured
     number of search iterations, logging every event to a new history at
@@ -760,9 +749,8 @@ def run_search(
     replayed to its last complete iteration (trailing partial events are
     discarded), its lines up to there are kept as written, and the run
     continues identically to an uninterrupted one; a history with no
-    committed line is started afresh. Costs go through
-    ``cost``, a cache of ``space`` and ``accel``, or a new one."""
-    cost = _cost_cache(cost, space, accel)
+    committed line is started afresh. Costs go through one new
+    :class:`CostCache`, left in the returned state's ``cost``."""
     header = event(
         RUN_CONFIG,
         k=-1,
@@ -787,6 +775,7 @@ def run_search(
             state, cut = _rebuild_state(events)
             lines, events = lines[:cut], events[:cut]
     log = state.log = HistoryLog(history_path, lines, events)
+    cost = state.cost = CostCache(space, accel)
     try:
         if not events:
             log.append(header)
@@ -842,7 +831,10 @@ def audit_history(
     check_fixed(header, {"cost_mode": COST_MODE}, HistoryError, "history header")
     accel = header_section(header, "accelerator", AcceleratorSpec.from_json)
     nas = header_section(header, "nas", NasConfig.from_json)
-    cost = _cost_cache(cost, space, accel)
+    if cost is None:
+        cost = CostCache(space, accel)
+    elif cost.space != space or cost.accel != accel:
+        raise SearchError("the cost cache prices another space or accelerator")
 
     result = AuditResult(ok=True, iterations=len(history.summaries))
     if len(history.by_hash) != len(history.evaluated):

@@ -5,7 +5,8 @@ The harness draws one corruption of a small pinned smallconv oracle
 history: an event, one of its fields (the ``event`` key and the fields
 of the header's sections included), and a value from a fixed pool of
 JSON values, or the field's deletion. Every history reader must then
-return or raise ``HistoryError``, and ``eenas report`` must exit 0 or 2,
+return or raise ``HistoryError``, ``eenas report`` must exit 0 or 2, and
+``eenas search --resume`` with the pinned run's config 0, 2, 3 or 4,
 never with another exception.
 """
 
@@ -14,22 +15,16 @@ import copy
 import hashlib
 import io
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eenas.arch import SpaceConfig, builtin_backbone
-from eenas.cli import EXIT_CONFIG, EXIT_OK, main
+from eenas.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_EVAL, EXIT_OK, main
 from eenas.history import HistoryError, _event_line, read_history, replay_history
-from eenas.hwcost import AcceleratorSpec
-from eenas.search import (
-    NasConfig,
-    OracleEvaluator,
-    _rebuild_state,
-    audit_history,
-    run_search,
-)
+from eenas.search import _rebuild_state, audit_history
 
 #: The values a corrupted field may take.
 POOL = (
@@ -46,17 +41,35 @@ SECTIONS = ("nas", "space", "accelerator")
 #: sha256 of the pinned history.
 PINNED_SHA256 = "6224f606e3bbc702ead12699fb174ad8732ee1f5acf2772f71c97bd4412af4a4"
 
+#: The run config of the pinned history, as ``eenas search`` reads it.
+PINNED_RUN = {
+    "seed": 3, "backbone": "builtin:smallconv", "accelerator": "default",
+    "space": {"head_depths": [1, 2], "exit_bits": [8, 4], "backbone_bits": 8},
+    "nas": {"iterations": 2, "n_select": 3, "init_population": 6},
+    "evaluator": {"kind": "oracle", "seed": 0},
+}
+
+
+def run_cli(*argv):
+    """``eenas`` in-process; returns (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
 
 @pytest.fixture(scope="module")
 def pinned(tmp_path_factory):
-    """The events of the pinned history: smallconv, the oracle, seed 3."""
-    path = tmp_path_factory.mktemp("pinned") / "history.jsonl"
-    run_search(
-        SpaceConfig(backbone=builtin_backbone("smallconv")), AcceleratorSpec(),
-        OracleEvaluator(),
-        NasConfig(iterations=2, n_select=3, init_population=6, seed=3),
-        history_path=str(path), evaluator_kind="oracle",
+    """The events of the pinned history, written by ``eenas search`` from
+    :data:`PINNED_RUN`."""
+    root = tmp_path_factory.mktemp("pinned")
+    config = root / "run.json"
+    config.write_text(json.dumps(PINNED_RUN))
+    out = root / "run"
+    assert run_cli("search", "--config", str(config), "--out", str(out)) == (
+        EXIT_OK, ""
     )
+    path = out / "history.jsonl"
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256
     return read_history(str(path))
 
@@ -105,12 +118,27 @@ def test_every_reader_refuses_a_corrupt_history_with_history_error(
         assert main(["report", "--history", str(path)]) in (EXIT_OK, EXIT_CONFIG)
 
 
-def run_cli(*argv):
-    """``eenas`` in-process; returns (exit code, stderr)."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return code, err.getvalue()
+def resume(events, out):
+    """``eenas search --resume`` of ``events`` written as the history in
+    the directory ``out``, with the pinned run's config."""
+    config = os.path.join(out, "run.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(PINNED_RUN, fh)
+    with open(os.path.join(out, "history.jsonl"), "w", encoding="utf-8") as fh:
+        fh.write("".join(map(_event_line, events)))
+    return run_cli("search", "--config", config, "--out", out, "--resume")
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_a_resume_of_a_corrupt_history_exits_with_its_code(pinned, data):
+    events = data.draw(corruptions(pinned))
+    with tempfile.TemporaryDirectory() as out:
+        code, _ = resume(events, out)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_EVAL, EXIT_AUDIT)
 
 
 class TestAKindThatIsNoString:
@@ -142,14 +170,7 @@ class TestAKindThatIsNoString:
         member = pinned[-1]["s"][0]
         index = next(i for i, ev in enumerate(pinned) if ev.get("genes")
                      and ev["hash"] == member)
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({
-            "seed": 3, "backbone": "builtin:smallconv", "accelerator": "default",
-            "space": {"head_depths": [1, 2], "exit_bits": [8, 4], "backbone_bits": 8},
-            "nas": {"iterations": 2, "n_select": 3, "init_population": 6},
-            "evaluator": {"kind": "oracle"},
-        }))
-        self.write(pinned, tmp_path / "history.jsonl", index, kind)
-        assert run_cli(
-            "search", "--config", str(config), "--out", str(tmp_path), "--resume"
-        ) == (EXIT_CONFIG, f"error: member {member} has no recorded genes\n")
+        events = self.write(pinned, tmp_path / "history.jsonl", index, kind)
+        assert resume(events, str(tmp_path)) == (
+            EXIT_CONFIG, f"error: member {member} has no recorded genes\n"
+        )

@@ -108,6 +108,22 @@ def test_event_takes_exactly_the_table_fields():
         event("no-such-kind", k=0)
 
 
+@pytest.mark.parametrize(
+    "kind", [kind for kind, fields in EVENTS.items() if "genes" in fields]
+)
+def test_a_written_gene_line_is_one_the_report_can_skip(kind):
+    """``eenas report`` leaves a gene line unparsed only if it starts with
+    ``_GENE_PREFIXES`` and holds the exact ``"hash":"`` text; a field that
+    sorted before ``event``, or another spelling of the hash, would make
+    every report parse every gene line."""
+    values = dict(k=0, hash="0123456789abcdef", genes=[1, 0], oh_max=0.5)
+    line = history._event_line(
+        event(kind, **{name: values.get(name, 0) for name in EVENTS[kind]})
+    )
+    assert line.startswith(history._GENE_PREFIXES)
+    assert f'{history._HASH}{values["hash"]}"' in line
+
+
 def readme_event_table() -> list[tuple[str, list[str]]]:
     """(kind, fields) of each row of the README's event table."""
     with open(README, encoding="utf-8") as fh:

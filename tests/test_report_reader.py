@@ -1,10 +1,11 @@
-"""`eenas report` reads only the history lines it uses.
+"""`eenas report` leaves unparsed only the gene lines it does not use.
 
-The report parses the first line, every ``evaluated`` and
-``iteration-summary`` line and the gene lines of the hashes labeled at the
-last summary (``history.read_report_events``). These tests pin its output to
-the full parse (``read_history``), count what it parses, and check which
-corrupt lines still stop it."""
+The report parses every committed line but one kind: a gene line as the
+search writes it (it starts with ``_GENE_PREFIXES`` and holds the exact
+``"hash":"`` text) whose hash is not labeled at the last summary
+(``history.read_report_events``). These tests pin its output to the full
+parse (``read_history``), count what it parses, and check that any other
+corrupt line stops it as it stops the full parse."""
 
 import contextlib
 import io
@@ -22,7 +23,7 @@ import eenas.history
 import eenas.search
 from eenas.arch import SpaceConfig, builtin_backbone
 from eenas.cli import EXIT_CONFIG, EXIT_OK, main
-from eenas.history import _event_line
+from eenas.history import _GENE_KINDS, _GENE_PREFIXES, _HASH, _event_line
 from eenas.hwcost import AcceleratorSpec
 from eenas.search import (
     EvaluationFailure,
@@ -105,6 +106,16 @@ def kinds(path):
     return [ev["event"] for ev in read_history(str(path))]
 
 
+def used(events):
+    """The events a report parses: all but the gene events of hashes not
+    labeled at the last summary."""
+    labeled = replay_history(events).labeled
+    return [
+        ev for ev in events
+        if ev["event"] not in _GENE_KINDS or ev["hash"] in labeled
+    ]
+
+
 @pytest.fixture(scope="module")
 def histories(tmp_path_factory):
     root = tmp_path_factory.mktemp("histories")
@@ -164,20 +175,17 @@ class TestSameOutputAsFullParse:
     def test_reader_keeps_the_used_events_in_log_order(self, histories):
         path = str(histories["mobilenet"])
         events = read_history(path)
-        labeled = set(replay_history(events).labeled)
-        used = [
-            ev for i, ev in enumerate(events)
-            if i == 0
-            or ev["event"] in ("evaluated", "iteration-summary")
-            or (ev["event"] in ("sampled", "offspring", "filtered-theta")
-                and ev["hash"] in labeled)
-        ]
-        assert eenas.search.read_report_events(path) == used
+        kept = eenas.search.read_report_events(path)
+        assert kept == used(events)
+        assert {"selected", "filtered-mu", "eval-failed"} <= {
+            ev["event"] for ev in kept
+        }
 
 
 class TestLinesKeptAsWritten:
-    """``--resume`` keeps a valid line of the kept prefix as written, so the
-    report finds the lines it reads however they are spaced or their keys
+    """``--resume`` keeps a valid line of the kept prefix as written. The
+    report parses every line that is not spelled as the search spells a
+    gene line, so it reads such a line, however it is spaced or its keys
     ordered, as the full parse does."""
 
     def test_respelled_last_summary(self, tmp_path):
@@ -203,7 +211,7 @@ class TestLinesKeptAsWritten:
     @pytest.mark.parametrize("spacing", ['"hash": "', '"hash" :\t"'])
     def test_respelled_hash_of_a_labeled_gene_line(self, cli_run, tmp_path, spacing):
         """A gene line that still starts as the search writes one, but
-        whose hash field is spaced, is found by its hash."""
+        whose hash field is spaced, is parsed in full."""
         _, history = cli_run
         first = replay_history(read_history(str(history))).summaries[-1]["p"][0]
         respelled = tmp_path / "history.jsonl"
@@ -239,13 +247,8 @@ class TestReportParsesLess:
     ):
         path = histories["mobilenet"]
         events = read_history(str(path))
-        seen = [ev["event"] for ev in events]
-        labeled = replay_history(events).labeled
-        bound = (
-            1 + seen.count("evaluated") + seen.count("iteration-summary")
-            + len(labeled)
-        )
-        assert bound < len(events) / 2
+        parsed = len(used(events))
+        assert parsed < len(events) / 2
 
         def forbidden(*args, **kwargs):
             raise AssertionError("report called read_history")
@@ -263,7 +266,7 @@ class TestReportParsesLess:
         monkeypatch.setattr(json, "loads", counting)
         code, out, err = report(path)
         assert code == EXIT_OK, err
-        assert 0 < len(calls) <= bound
+        assert len(calls) == parsed
 
 
 def rewrite_line(path, dst, pick, text):
@@ -277,6 +280,16 @@ def rewrite_line(path, dst, pick, text):
 
 def halve(line):
     return line[: len(line) // 2] + "\n"
+
+
+def cut_after_hash(line):
+    """``line`` cut just after the exact text of its hash."""
+    end = line.index('"', line.index(_HASH) + len(_HASH))
+    return line[: end + 1] + "\n"
+
+
+def cut_before_hash(line):
+    return line[: line.index(_HASH)] + "\n"
 
 
 class TestCorruptLines:
@@ -296,21 +309,26 @@ class TestCorruptLines:
         bad.write_text("".join(lines[:-1]) + halve(lines[-1]))
         assert report(bad)[0] == EXIT_CONFIG
 
-    def test_corrupt_unlabeled_offspring_only_stops_full_readers(
-        self, cli_run, tmp_path
-    ):
-        config, history = cli_run
+    def unlabeled_offspring(self, history):
         labeled = replay_history(read_history(str(history))).labeled
 
-        def unlabeled_offspring(line):
+        def pick(line):
             if not line.startswith('{"event":"offspring"'):
                 return False
             return json.loads(line)["hash"] not in labeled
 
+        return pick
+
+    def test_corrupt_unlabeled_offspring_only_stops_full_readers(
+        self, cli_run, tmp_path
+    ):
+        """The line still holds the exact text of its unlabeled hash, so
+        the report leaves it unparsed."""
+        config, history = cli_run
         out = tmp_path / "run"
         out.mkdir()
         bad = out / "history.jsonl"
-        rewrite_line(history, bad, unlabeled_offspring, halve)
+        rewrite_line(history, bad, self.unlabeled_offspring(history), cut_after_hash)
         assert report(bad) == report(history)
         assert report(bad)[0] == EXIT_OK
 
@@ -321,6 +339,32 @@ class TestCorruptLines:
                 ["search", "--config", str(config), "--out", str(out), "--resume"]
             )
         assert code == EXIT_CONFIG
+
+    def test_unlabeled_offspring_cut_before_its_hash_stops_the_report(
+        self, cli_run, tmp_path
+    ):
+        _, history = cli_run
+        bad = tmp_path / "history.jsonl"
+        rewrite_line(history, bad, self.unlabeled_offspring(history), cut_before_hash)
+        code, out, err = report(bad)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "is not valid JSON" in err
+        assert report(bad, full_parse=True) == (code, out, err)
+
+    def test_unlabeled_gene_line_above_the_header_stops_the_report(
+        self, cli_run, tmp_path
+    ):
+        """The first non-blank line is parsed whatever it holds, so the
+        report, as the full readers, finds no header there."""
+        _, history = cli_run
+        lines = history.read_text().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines)
+                 if self.unlabeled_offspring(history)(line))
+        bad = tmp_path / "history.jsonl"
+        bad.write_text("".join([lines[i], *lines[:i], *lines[i + 1:]]))
+        message = "error: history lacks a run-config header\n"
+        assert report(bad) == (EXIT_CONFIG, "", message)
+        assert report(bad, full_parse=True) == report(bad)
 
     def test_genes_that_no_longer_match_their_hash(self, cli_run, tmp_path):
         """A changed gene of the chosen point still parses, but its genes
@@ -444,6 +488,18 @@ def write_lines(path, lines):
         fh.write(b"".join(line + b"\n" for line in lines))
 
 
+def left_unparsed(lines, i, labeled):
+    """Whether the report leaves ``lines[i]`` unparsed: a non-blank line
+    comes before it, it is spelled as the search spells a gene line, and
+    the hash it holds is not labeled."""
+    text = lines[i].decode()
+    return (
+        any(line.strip() for line in lines[:i])
+        and text.startswith(_GENE_PREFIXES) and _HASH in text
+        and text.partition(_HASH)[2].partition('"')[0] not in labeled
+    )
+
+
 @settings(
     max_examples=150,
     deadline=None,
@@ -452,11 +508,14 @@ def write_lines(path, lines):
 )
 @given(data=st.data())
 def test_one_corrupt_line(cli_run, data):
-    """For any one corrupt line: no traceback; where the full parse
-    succeeds, the report prints the same; where only the report succeeds,
-    it prints what the full parse prints with that line removed (a line
-    that still parses and is read must keep its effect)."""
+    """For any one corrupt line, the report and the full parse both exit
+    0 or 2, and the report prints what the full parse prints, exit code and
+    error included, unless the report leaves the line unparsed: then it
+    prints what the full parse prints of the history without that line. So
+    a report succeeds on a line it parses only where the full parse
+    succeeds, and prints the same."""
     lines = cli_run[1].read_bytes().splitlines()
+    labeled = replay_history(read_history(str(cli_run[1]))).labeled
     i, new = data.draw(corruptions(lines))
     corrupted = [*lines[:i], *([] if new is None else [new]), *lines[i + 1:]]
     with tempfile.TemporaryDirectory() as root:
@@ -466,10 +525,7 @@ def test_one_corrupt_line(cli_run, data):
         full = report(path, full_parse=True)
         assert fast[0] in (EXIT_OK, EXIT_CONFIG)
         assert full[0] in (EXIT_OK, EXIT_CONFIG)
-        if full[0] == EXIT_OK:
-            assert fast == full
-        elif fast[0] == EXIT_OK:
+        if new is not None and left_unparsed(corrupted, i, labeled):
             write_lines(path, [*lines[:i], *lines[i + 1:]])
-            without = report(path, full_parse=True)
-            if without[0] == EXIT_OK:
-                assert fast == without
+            full = report(path, full_parse=True)
+        assert fast == full

@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import eenas.cli
+import eenas.search
 from eenas.arch import SpaceConfig
 from eenas.cli import EXIT_EVAL, EXIT_OK, main
 from eenas.evaluate import EvaluationReport
@@ -149,7 +150,7 @@ def search(config_path, out, period, faulted, resume=False, caches=None):
     argv = ["search", "--config", config_path, "--out", out]
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(eenas.cli, "_build_evaluator", faulty))
-        stack.enter_context(mock.patch.object(eenas.cli, "CostCache", cache))
+        stack.enter_context(mock.patch.object(eenas.search, "CostCache", cache))
         stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
         stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
         code = main(argv + (["--resume"] if resume else []))
