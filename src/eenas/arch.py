@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .files import check_fields, check_fixed
 
-if TYPE_CHECKING:  # for an annotation only: the cost path loads no numpy
-    import numpy as np
+if TYPE_CHECKING:  # for an annotation only: pcg loads at a search's first draw
+    from .pcg import Draws
 
 GENES_PER_MOUNT = 3  # presence bit, head-option index, quant-option index
 
@@ -547,9 +547,7 @@ def chromosome_hash(genes: tuple[int, ...]) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def sample_architecture(
-    space: SpaceConfig, rng: np.random.Generator
-) -> tuple[int, ...]:
+def sample_architecture(space: SpaceConfig, rng: Draws) -> tuple[int, ...]:
     """Uniform sample: each presence bit is a fair coin, option indices are
     uniform over their ranges, drawn mount by mount even for absent mounts.
     Canonical output, reproducible given the rng."""

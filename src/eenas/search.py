@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, fields
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -65,6 +65,9 @@ from .history import (
 )
 from .hwcost import AcceleratorSpec, CostCache
 from .predict import LabeledRecord, Predictor, fit, predict
+
+if TYPE_CHECKING:  # for annotations only: pcg loads at the first draw
+    from .pcg import Draws, PCG64Stream
 
 
 class SearchError(RuntimeError):
@@ -317,11 +320,14 @@ class SearchState:
         return pareto_front(self.labeled.values())
 
 
-def _rng_for(seed: int, k: int) -> np.random.Generator:
-    # One independent, resume-stable stream per iteration.
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(k + 1,))
-    )
+def _rng_for(seed: int, k: int) -> PCG64Stream:
+    # One independent, resume-stable stream per iteration: numpy's
+    # default_rng(SeedSequence(seed, spawn_key=(k + 1,))), drawn in pcg.
+    # Imported here so that a process that never draws (a report, an
+    # audit, a run's setup) does not load it.
+    from .pcg import PCG64Stream
+
+    return PCG64Stream(seed, (k + 1,))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +364,7 @@ def init_population(
     space: SpaceConfig,
     config: NasConfig,
     cost: CostCache,
-    rng: np.random.Generator,
+    rng: Draws,
     log: Callable[[dict], None] = lambda e: None,
 ) -> dict[str, tuple[int, ...]]:
     """Sample distinct gene vectors until the requested count passes the
@@ -415,7 +421,7 @@ def _crossover(
     g1: tuple[int, ...],
     g2: tuple[int, ...],
     space: SpaceConfig,
-    rng: np.random.Generator,
+    rng: Draws,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Uniform crossover over whole per-mount gene groups, each inherited
     atomically from one parent: one coin per mount, the final mount's last."""
@@ -432,7 +438,7 @@ def _mutate(
     genes: tuple[int, ...],
     space: SpaceConfig,
     rate: float,
-    rng: np.random.Generator,
+    rng: Draws,
 ) -> tuple[int, ...]:
     """Per-gene mutation, mount by mount: flip a presence bit (freshly
     sampling the options of a newly present mount) or else resample each
@@ -466,7 +472,7 @@ def ga_generation(
     parents: Sequence[tuple[str, tuple[int, ...]]],
     space: SpaceConfig,
     config: NasConfig,
-    rng: np.random.Generator,
+    rng: Draws,
     cost: CostCache,
     exclude: set[str],
     log: Callable[[dict], None] = lambda e: None,
@@ -843,6 +849,7 @@ def audit_history(
         result.violations.append(f"architectures evaluated twice: {dupes}")
 
     checked_oh: set[str] = set()
+    last_ratio: dict[str, float] = {}
     prev_s: set[str] = set()
     prev_p: set[str] = set()
     for summary in history.summaries:
@@ -867,7 +874,9 @@ def audit_history(
                         f"member {h} violates the overhead cap: {oh:.4f}"
                     )
         for h in sorted(p_k & history.by_hash.keys()):
-            er_last = history.exit_ratios(h)[-1]
+            if h not in last_ratio:
+                last_ratio[h] = history.exit_ratios(h)[-1]
+            er_last = last_ratio[h]
             if not er_last <= nas.mu:
                 result.violations.append(
                     f"labeled {h} violates the last-exit cap: {er_last:.4f}"

@@ -863,8 +863,8 @@ class TestRunConfigChecks:
     def test_negative_seed_exits_before_any_write(
         self, tmp_path, path, evaluator, message, capsys
     ):
-        """``np.random.default_rng`` refuses a negative seed; it used to do
-        so only once the search had written its header."""
+        """The random streams refuse a negative seed; they used to do so
+        only once the search had written its header."""
         config = SMALL_RUN if evaluator is None else dict(SMALL_RUN, evaluator=evaluator)
         config = write_json(tmp_path / "run.json", mutated(config, path.split("."), -1))
         out = tmp_path / "never"

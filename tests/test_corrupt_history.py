@@ -1,13 +1,15 @@
 """A corrupt history fails with ``HistoryError``, whichever field of
-whichever line is corrupted.
+whichever line is corrupted, and whichever line is dropped or repeated.
 
 The harness draws one corruption of a small pinned smallconv oracle
 history: an event, one of its fields (the ``event`` key and the fields
 of the header's sections included), and a value from a fixed pool of
-JSON values, or the field's deletion. Every history reader must then
-return or raise ``HistoryError``, ``eenas report`` must exit 0 or 2, and
-``eenas search --resume`` with the pinned run's config 0, 2, 3 or 4,
-never with another exception.
+JSON values, or the field's deletion. Every history reader, the audit
+given the events or the history's path, must then return or raise
+``HistoryError``, ``eenas report`` must exit 0 or 2, and ``eenas search
+--resume`` with the pinned run's config 0, 2, 3 or 4, never with another
+exception. The same holds with each line of the pinned history dropped
+in turn, and with one line repeated at a drawn place.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import tempfile
 
 import pytest
@@ -40,6 +43,9 @@ SECTIONS = ("nas", "space", "accelerator")
 
 #: sha256 of the pinned history.
 PINNED_SHA256 = "6224f606e3bbc702ead12699fb174ad8732ee1f5acf2772f71c97bd4412af4a4"
+
+#: The number of events in the pinned history.
+PINNED_LENGTH = 63
 
 #: The run config of the pinned history, as ``eenas search`` reads it.
 PINNED_RUN = {
@@ -71,7 +77,9 @@ def pinned(tmp_path_factory):
     )
     path = out / "history.jsonl"
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256
-    return read_history(str(path))
+    events = read_history(str(path))
+    assert len(events) == PINNED_LENGTH
+    return events
 
 
 @st.composite
@@ -92,11 +100,33 @@ def corruptions(draw, events):
     return events
 
 
+@st.composite
+def repeats(draw, events):
+    """A copy of ``events`` with one event repeated at a drawn place."""
+    events = copy.deepcopy(events)
+    ev = copy.deepcopy(events[draw(st.integers(0, len(events) - 1))])
+    events.insert(draw(st.integers(0, len(events))), ev)
+    return events
+
+
 def returns_or_refuses(reader, *args) -> None:
     try:
         reader(*args)
     except HistoryError:
         pass
+
+
+def every_reader_returns_or_refuses(events, path) -> None:
+    """Each history reader of ``events``, and of them written to ``path``,
+    returns or raises ``HistoryError``; ``eenas report`` exits 0 or 2."""
+    returns_or_refuses(replay_history, events)
+    returns_or_refuses(_rebuild_state, events)
+    returns_or_refuses(audit_history, events)
+    path.write_text("".join(map(_event_line, events)))
+    returns_or_refuses(audit_history, str(path))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["report", "--history", str(path)]) in (EXIT_OK, EXIT_CONFIG)
 
 
 @settings(
@@ -108,14 +138,7 @@ def test_every_reader_refuses_a_corrupt_history_with_history_error(
     pinned, tmp_path, data
 ):
     events = data.draw(corruptions(pinned))
-    returns_or_refuses(replay_history, events)
-    returns_or_refuses(_rebuild_state, events)
-    returns_or_refuses(audit_history, events)
-    path = tmp_path / "history.jsonl"
-    path.write_text("".join(map(_event_line, events)))
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        assert main(["report", "--history", str(path)]) in (EXIT_OK, EXIT_CONFIG)
+    every_reader_returns_or_refuses(events, tmp_path / "history.jsonl")
 
 
 def resume(events, out):
@@ -137,6 +160,30 @@ def resume(events, out):
 def test_a_resume_of_a_corrupt_history_exits_with_its_code(pinned, data):
     events = data.draw(corruptions(pinned))
     with tempfile.TemporaryDirectory() as out:
+        code, _ = resume(events, out)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_EVAL, EXIT_AUDIT)
+
+
+@pytest.mark.parametrize("index", range(PINNED_LENGTH))
+def test_a_history_with_a_dropped_line_is_read_or_refused(pinned, tmp_path, index):
+    events = copy.deepcopy(pinned)
+    del events[index]
+    every_reader_returns_or_refuses(events, tmp_path / "dropped.jsonl")
+    code, _ = resume(events, str(tmp_path))
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_EVAL, EXIT_AUDIT)
+
+
+@settings(
+    max_examples=100, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_a_history_with_a_repeated_line_is_read_or_refused(pinned, data):
+    events = data.draw(repeats(pinned))
+    with tempfile.TemporaryDirectory() as out:
+        every_reader_returns_or_refuses(
+            events, pathlib.Path(out, "repeated.jsonl")
+        )
         code, _ = resume(events, out)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_EVAL, EXIT_AUDIT)
 

@@ -9,6 +9,7 @@ import pytest
 
 from eenas.arch import chromosome_hash, decode
 from eenas.evaluate import EvaluationReport
+from eenas.history import HistoryReplay
 from eenas.hwcost import cost_report, et_avg
 from eenas.predict import LabeledRecord
 from eenas.search import (
@@ -754,6 +755,46 @@ class TestRunSearch:
         result = audit_history(str(path))
         assert not result.ok
         assert any("overhead" in v for v in result.violations)
+
+    def test_audit_names_a_last_exit_violation_per_summary(
+        self, small_space, accel, tmp_path, monkeypatch
+    ):
+        """A member over the last-exit cap is named once per summary that
+        labels it, though its ratios are read once per audit."""
+        _, path = self.run(small_space, accel, tmp_path, name="mu-cap.jsonl")
+        events = read_history(str(path))
+        events[0]["nas"]["mu"] = 0.01
+        replay = replay_history(events)
+        expected = [
+            f"labeled {h} violates the last-exit cap: {er:.4f}"
+            for summary in replay.summaries
+            for h in sorted(set(summary["p"]))
+            if not (er := replay.by_hash[h]["exit_ratios"][-1]) <= 0.01
+        ]
+        assert len(expected) > len(set(expected)) > 0
+        reads = []
+        exit_ratios = HistoryReplay.exit_ratios
+        monkeypatch.setattr(
+            HistoryReplay, "exit_ratios",
+            lambda self, h: reads.append(h) or exit_ratios(self, h),
+        )
+        result = audit_history(replay)
+        assert result.violations == expected and not result.ok
+        assert sorted(reads) == sorted(replay.labeled)
+
+    def test_audit_refuses_malformed_ratios_of_a_member_labeled_twice(
+        self, small_space, accel, tmp_path
+    ):
+        _, path = self.run(small_space, accel, tmp_path, name="ratios.jsonl")
+        events = read_history(str(path))
+        summaries = replay_history(events).summaries
+        h = sorted(set(summaries[0]["p"]) & set(summaries[-1]["p"]))[0]
+        for ev in events:
+            if ev["event"] == "evaluated" and ev["hash"] == h:
+                ev["exit_ratios"] = ["a"]
+        message = f"exit ratios of {h} must be one or more finite numbers"
+        with pytest.raises(HistoryError, match=message):
+            audit_history(events)
 
     def test_read_history_drops_only_a_torn_final_chunk(self, tmp_path):
         path = tmp_path / "torn.jsonl"
